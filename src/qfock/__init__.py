@@ -10,14 +10,14 @@ from .errors import (CutoffExceededError, DegeneracyError, DepthExceededError,
                      ModeMismatchError, QFockError, ResourceBudgetError,
                      UsageError)
 from .fock import (FockOperator, FockVector, Gauge, DenseGauge,
-                   OneParticleSpace, adjoint, apply, apply_Pn, field_operator,
-                   gamma_q, inner0, innerq, operator_norm_estimate, project)
+                   OneParticleSpace, SparseVector, adjoint, apply, apply_Pn,
+                   field_operator, gamma_q, inner0, innerq,
+                   operator_norm_estimate, project, sparse_vector)
 from .kspoly import (NCPolynomial, ks_poly, ks_row_formula, monic_op_poly,
                      q_charlier, q_hermite)
 from .model import (WeightedPointAlgebra, Letter, MomentSequence, ProcessModel,
-                    TimeGrid, weighted_point_algebra, letter_pair, letter_product,
-                    monic_op_coefficients, parse_model_config,
-                    process_operators, yhat, yhat_letter)
+                    TimeGrid, letter_pair, monic_op_coefficients,
+                    parse_model_config, process_operators, yhat, yhat_letter)
 from .partitions import (Classification, ExtendedPartition, SetPartition,
                          bell_number, classify, crossing_pairs,
                          enumerate_partitions, index_tuples, inner_outer,

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .errors import QFockError, UsageError
 from .fock import (FockOperator, FockVector, OneParticleSpace, apply, innerq,
-                   operator_norm_estimate)
+                   operator_norm_estimate, sparse_vector)
 from .kspoly import ks_poly, ks_row_formula, q_charlier, q_hermite
 from .model import (WeightedPointAlgebra, MomentSequence, ProcessModel, TimeGrid,
                     parse_model_config, process_operators)
@@ -137,7 +137,8 @@ def suite_commutation(rng: random.Random) -> list[IdentityRow]:
         sub = random.Random(rng.randrange(2 ** 32) + seed)
         dim = 1 + seed % 3
         space = OneParticleSpace(dim, rand_gram(sub, dim), EXACT)
-        zeta, eta = rand_vector(sub, dim), rand_vector(sub, dim)
+        zeta = sparse_vector(rand_vector(sub, dim))
+        eta = sparse_vector(rand_vector(sub, dim))
         lhs = (FockOperator.annihilation(zeta) * FockOperator.creation(eta)
                - FockOperator.compose([FockOperator.creation(eta),
                                        FockOperator.annihilation(zeta)]).scale(EXACT.q()))

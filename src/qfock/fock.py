@@ -5,6 +5,13 @@ basis; operators are lazy expression trees built from creation, annihilation,
 gauge, scalar, sum and composition nodes.  A dense matrix realization is only
 materialized on demand, for operator-norm estimates in float mode.
 
+One-particle vectors have one form, the sparse tuple of their nonzero
+(index, coeff) entries in index order (`SparseVector`).  Public constructors
+also accept a dense coefficient sequence and convert it once, on entry.  The
+gram form is block-diagonal over its orthogonality classes, so pairings run
+over sparse gram rows, and an annihilation node builds its pairing row
+{i: <zeta, e_i>} once per application.
+
 Truncation overflow is always a hard error: identities are asserted only where
 the full result fits under the configured depth.
 """
@@ -24,13 +31,28 @@ PN_CAP_FLOAT = 9
 NORM_DEPTH_CAP = 8
 
 Word = tuple[int, ...]
+SparseVector = tuple[tuple[int, Fraction], ...]
+
+
+def sparse_vector(zeta: Sequence) -> SparseVector:
+    """The sparse form of a one-particle vector given densely (a coefficient
+    per basis index) or sparsely (index, coeff) pairs; repeated indices add."""
+    zeta = tuple(zeta)
+    entries = zeta if zeta and isinstance(zeta[0], tuple) else enumerate(zeta)
+    acc: dict[int, Fraction] = {}
+    for i, c in entries:
+        acc[i] = acc.get(i, 0) + Fraction(c)
+    return tuple(sorted((i, c) for i, c in acc.items() if c))
 
 
 class OneParticleSpace:
     """A finite-dimensional real one-particle space with a symmetric gram form.
 
     Gram entries are exact rationals; the scalar ring fixes whether derived
-    Fock computations run exactly in Q[q] or in floats at a pinned q.
+    Fock computations run exactly in Q[q] or in floats at a pinned q.  The
+    construction also records the sparse gram rows, rows[j] = the nonzero
+    (i, <e_j, e_i>), and the orthogonality classes they connect; pairings
+    take one-particle vectors in sparse form and only touch those rows.
     """
 
     def __init__(self, dim: int, gram: Sequence[Sequence[Fraction]], ring: ScalarRing):
@@ -38,30 +60,44 @@ class OneParticleSpace:
         self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
         if len(self.gram) != dim or any(len(r) != dim for r in self.gram):
             raise UsageError(f"gram must be {dim}x{dim}")
-        for i in range(dim):
-            for j in range(i):
-                if self.gram[i][j] != self.gram[j][i]:
+        self.rows: tuple[SparseVector, ...] = tuple(
+            tuple((i, g) for i, g in enumerate(row) if g) for row in self.gram)
+        for j, row in enumerate(self.rows):
+            for i, g in row:
+                if self.gram[i][j] != g:
                     raise UsageError("gram must be symmetric")
         self.ring = ring
+        self._classes = self._connected_classes()
 
     @staticmethod
     def orthonormal(dim: int, ring: ScalarRing) -> "OneParticleSpace":
         eye = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
         return OneParticleSpace(dim, eye, ring)
 
-    def pair(self, zeta: Sequence[Fraction], i: int) -> Fraction:
-        """<zeta, e_i> under the gram form."""
-        return sum((zeta[j] * self.gram[j][i] for j in range(self.dim)), Fraction(0))
+    def pair_row(self, zeta: SparseVector) -> dict[int, Fraction]:
+        """The nonzero pairings {i: <zeta, e_i>} of a sparse vector."""
+        row: dict[int, Fraction] = {}
+        for j, c in zeta:
+            if not 0 <= j < self.dim:
+                raise UsageError(f"basis index {j} out of range")
+            for i, g in self.rows[j]:
+                row[i] = row.get(i, 0) + c * g
+        return {i: g for i, g in row.items() if g}
 
-    def pair_vec(self, zeta: Sequence[Fraction], eta: Sequence[Fraction]) -> Fraction:
-        return sum((zeta[j] * self.pair(eta, j) for j in range(self.dim)), Fraction(0))
+    def pair(self, zeta: SparseVector, i: int) -> Fraction:
+        """<zeta, e_i> under the gram form."""
+        return sum((c * self.gram[j][i] for j, c in zeta), Fraction(0))
+
+    def pair_vec(self, zeta: SparseVector, eta: SparseVector) -> Fraction:
+        row = self.pair_row(zeta)
+        return sum((c * row[i] for i, c in eta if i in row), Fraction(0))
 
     def gram_classes(self) -> tuple[int, ...]:
         """Connected components of the gram nonzero graph: basis vectors in
         different classes are orthogonal, which prunes pairing sums."""
-        cached = getattr(self, "_gram_classes", None)
-        if cached is not None:
-            return cached
+        return self._classes
+
+    def _connected_classes(self) -> tuple[int, ...]:
         labels = [-1] * self.dim
         nxt = 0
         for start in range(self.dim):
@@ -70,14 +106,12 @@ class OneParticleSpace:
             stack = [start]
             labels[start] = nxt
             while stack:
-                i = stack.pop()
-                for j in range(self.dim):
-                    if labels[j] == -1 and self.gram[i][j] != 0:
+                for j, _ in self.rows[stack.pop()]:
+                    if labels[j] == -1:
                         labels[j] = nxt
                         stack.append(j)
             nxt += 1
-        self._gram_classes = tuple(labels)
-        return self._gram_classes
+        return tuple(labels)
 
     def __eq__(self, other):
         return (isinstance(other, OneParticleSpace) and self.dim == other.dim
@@ -281,12 +315,14 @@ class FockOperator:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def creation(zeta: Sequence[Fraction]) -> "FockOperator":
-        return FockOperator("creation", tuple(Fraction(x) for x in zeta))
+    def creation(zeta: Sequence) -> "FockOperator":
+        """a*(zeta), for zeta in dense or sparse form (see sparse_vector)."""
+        return FockOperator("creation", sparse_vector(zeta))
 
     @staticmethod
-    def annihilation(zeta: Sequence[Fraction]) -> "FockOperator":
-        return FockOperator("annihilation", tuple(Fraction(x) for x in zeta))
+    def annihilation(zeta: Sequence) -> "FockOperator":
+        """a(zeta), for zeta in dense or sparse form (see sparse_vector)."""
+        return FockOperator("annihilation", sparse_vector(zeta))
 
     @staticmethod
     def gauge(g: Gauge | Sequence[Sequence[Fraction]]) -> "FockOperator":
@@ -351,14 +387,15 @@ class FockOperator:
                             (FockOperator("rational_scalar", Fraction(x)), self))
 
 
-def field_operator(zeta: Sequence[Fraction], gauge: Gauge | None,
+def field_operator(zeta: Sequence, gauge: Gauge | None,
                    mean: Fraction | QScalar | None, ring: ScalarRing) -> FockOperator:
-    """a(zeta) + a*(zeta) + p(T) + mean * Id, any summand optional."""
+    """a(zeta) + a*(zeta) + p(T) + mean * Id, any summand optional; zeta in
+    dense or sparse form."""
     parts: list[FockOperator] = []
-    zeta = tuple(Fraction(x) for x in zeta)
-    if any(zeta):
-        parts.append(FockOperator.creation(zeta))
-        parts.append(FockOperator.annihilation(zeta))
+    zeta = sparse_vector(zeta)
+    if zeta:
+        parts.append(FockOperator("creation", zeta))
+        parts.append(FockOperator("annihilation", zeta))
     if gauge is not None:
         parts.append(FockOperator.gauge(gauge))
     if mean is not None:
@@ -410,17 +447,16 @@ def apply(op: FockOperator, v: FockVector, truncate: bool = False) -> FockVector
                     continue
                 raise DepthExceededError(
                     f"creation on a degree-{len(w)} word exceeds depth {v.depth}")
-            for i, zi in enumerate(zeta):
-                if zi:
-                    out.add_term((i,) + w, c * ring.of(zi))
+            for i, zi in zeta:
+                out.add_term((i,) + w, c * ring.of(zi))
         return out
     if kind == "annihilation":
-        zeta = op.payload
+        row = {i: ring.of(g) for i, g in sp.pair_row(op.payload).items()}
         for w, c in v.terms.items():
-            for k in range(len(w)):
-                g = sp.pair(zeta, w[k])
-                if g:
-                    out.add_term(w[:k] + w[k + 1:], c * ring.q_pow(k) * ring.of(g))
+            for k, i in enumerate(w):
+                g = row.get(i)
+                if g is not None:
+                    out.add_term(w[:k] + w[k + 1:], c * ring.q_pow(k) * g)
         return out
     if kind == "gauge":
         g: Gauge = op.payload

@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CutoffExceededError, DegeneracyError, UsageError
-from .fock import (FockOperator, Gauge, OneParticleSpace, _solve_matrix,
-                   field_operator)
+from .fock import (FockOperator, Gauge, OneParticleSpace, SparseVector,
+                   _solve_matrix, field_operator)
 from .qscalar import ScalarRing
 
 Interval = tuple[Fraction, Fraction]
@@ -132,7 +132,7 @@ class Letter:
         self.algebra = algebra
         self.payload = payload
 
-    def xi(self) -> tuple[Fraction, ...]:
+    def xi(self) -> SparseVector:
         return self.algebra.xi(self.payload)
 
     def gauge(self) -> Gauge | None:
@@ -183,10 +183,6 @@ def letter_pair(a: Letter, b: Letter) -> Fraction:
     """<xi_a, xi_b> under the algebra's gram form."""
     a._check(b)
     return a.algebra.space.pair_vec(a.xi(), b.xi())
-
-
-def letter_product(a: Letter, b: Letter) -> Letter:
-    return a * b
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +286,8 @@ class ProcessModel:
             return ()
         return tuple((ak, cc * c) for ak, cc in p)
 
-    def xi(self, p) -> tuple[Fraction, ...]:
-        v = [Fraction(0)] * self.space.dim
-        for (a, k), c in p:
-            v[self.basis_index(a, k)] = c
-        return tuple(v)
+    def xi(self, p) -> SparseVector:
+        return tuple((self.basis_index(a, k), c) for (a, k), c in p)
 
     def gauge(self, p) -> Gauge | None:
         return _ModelGauge(self, p) if p else None
@@ -321,11 +314,6 @@ class ProcessModel:
 
     def prefix_letter(self, t, power: int = 1) -> Letter:
         return self.interval_letter((Fraction(0), Fraction(t)), power)
-
-
-def letter_of_interval_power(model: ProcessModel, interval: Interval,
-                             k: int) -> Letter:
-    return model.interval_letter(interval, k)
 
 
 class ProcessOps:
@@ -446,8 +434,8 @@ class WeightedPointAlgebra:
             return ()
         return tuple(v * c for v in p)
 
-    def xi(self, p) -> tuple[Fraction, ...]:
-        return p or (Fraction(0),) * len(self.points)
+    def xi(self, p) -> SparseVector:
+        return tuple((i, v) for i, v in enumerate(p) if v)
 
     def gauge(self, p) -> Gauge | None:
         return _DiagGauge(p) if p else None
@@ -458,7 +446,7 @@ class WeightedPointAlgebra:
         return sum((w * v for w, v in zip(self.weights, p)), Fraction(0))
 
     def describe(self, p) -> str:
-        return str(tuple(map(str, self.xi(p))))
+        return str(tuple(map(str, p or (Fraction(0),) * len(self.points))))
 
     # -- convenience -------------------------------------------------------
 
@@ -473,12 +461,7 @@ class WeightedPointAlgebra:
         return self.letter(self.points)
 
     def sup_norm(self, f: Letter) -> Fraction:
-        return max(abs(v) for v in self.xi(f.payload))
-
-
-def weighted_point_algebra(points: Sequence, weights: Sequence, ring: ScalarRing,
-                     fock_depth: int = 6) -> WeightedPointAlgebra:
-    return WeightedPointAlgebra(points, weights, ring, fock_depth)
+        return max((abs(v) for v in f.payload), default=Fraction(0))
 
 
 # ---------------------------------------------------------------------------

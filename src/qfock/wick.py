@@ -1,4 +1,4 @@
-"""Wick products of letter words and their partition expansions.
+r"""Wick products of letter words and their partition expansions.
 
 The Wick operator W(l_1 ⊗ ... ⊗ l_n) is the unique algebra element with
 W(v)Ω = v; it is built by the recursion
@@ -89,9 +89,8 @@ def word_vector(algebra, word: Sequence[Letter], depth: int) -> FockVector:
         xi = letter.xi()
         nxt = FockVector(algebra.space, depth)
         for w, c in out.terms.items():
-            for i, x in enumerate(xi):
-                if x:
-                    nxt.add_term((i,) + w, c * ring.of(x))
+            for i, x in xi:
+                nxt.add_term((i,) + w, c * ring.of(x))
         out = nxt
     return out
 

@@ -11,7 +11,7 @@ from qfock.cli import (all_ones_pointset, all_ones_model, gaussian_model,
                        rand_gram, rand_vector, shipped_experiments,
                        three_point_model, two_point_model, DEFAULT_SCHEDULE)
 from qfock.fock import (FockOperator, FockVector, OneParticleSpace, apply,
-                        innerq, operator_norm_estimate)
+                        innerq, operator_norm_estimate, sparse_vector)
 from qfock.kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
 from qfock.model import (WeightedPointAlgebra, MomentSequence, TimeGrid,
                          process_operators)
@@ -45,7 +45,8 @@ def test_commutation_relation_exact():
         rng = random.Random(seed)
         dim = rng.randint(1, 3)
         sp = OneParticleSpace(dim, rand_gram(rng, dim), EXACT)
-        zeta, eta = rand_vector(rng, dim), rand_vector(rng, dim)
+        zeta = sparse_vector(rand_vector(rng, dim))
+        eta = sparse_vector(rand_vector(rng, dim))
         lhs = (FockOperator.annihilation(zeta) * FockOperator.creation(eta)
                - FockOperator.compose([FockOperator.creation(eta),
                                        FockOperator.annihilation(zeta)])

@@ -7,7 +7,8 @@ from qfock.errors import (DepthExceededError, ModeMismatchError,
                           ResourceBudgetError, UsageError)
 from qfock.fock import (DenseGauge, FockOperator, FockVector, OneParticleSpace,
                         adjoint, apply, apply_Pn, field_operator, gamma_q,
-                        inner0, innerq, operator_norm_estimate, project)
+                        inner0, innerq, operator_norm_estimate, project,
+                        sparse_vector)
 from qfock.qscalar import EXACT, QScalar, ScalarRing
 
 
@@ -133,8 +134,8 @@ class TestCommutation:
             for j in range(i + 1):
                 g[i][j] = g[j][i] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
         sp = OneParticleSpace(dim, g, EXACT)
-        zeta = [Fraction(rng.randint(-2, 2)) for _ in range(dim)]
-        eta = [Fraction(rng.randint(-2, 2)) for _ in range(dim)]
+        zeta = sparse_vector([Fraction(rng.randint(-2, 2)) for _ in range(dim)])
+        eta = sparse_vector([Fraction(rng.randint(-2, 2)) for _ in range(dim)])
         lhs = (FockOperator.annihilation(zeta) * FockOperator.creation(eta)
                - FockOperator.compose([FockOperator.creation(eta),
                                        FockOperator.annihilation(zeta)]).scale(EXACT.q()))

@@ -8,6 +8,7 @@ from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
                          TimeGrid, letter_pair, monic_op_coefficients,
                          parse_model_config, process_operators, yhat_letter)
 from qfock.qscalar import EXACT
+from qfock.wick import expansion_ledger, product_expansion
 
 F = Fraction
 
@@ -168,6 +169,65 @@ class TestWeightedPointAlgebra:
     def test_sup_norm(self):
         alg = WeightedPointAlgebra([-2, 1], [F(1, 2), F(1, 2)], EXACT)
         assert alg.sup_norm(alg.coordinate()) == 2
+
+    def test_sup_norm_of_zero_letter(self):
+        alg = WeightedPointAlgebra([-2, 1], [F(1, 2), F(1, 2)], EXACT)
+        assert alg.sup_norm(alg.letter([0, 0])) == 0
+
+    def test_xi_is_sparse(self):
+        alg = WeightedPointAlgebra([-1, 0, 2], [F(1, 4), F(1, 2), F(1, 4)], EXACT)
+        assert alg.coordinate().xi() == ((0, F(-1)), (2, F(2)))
+        assert alg.letter([0, 0, 0]).xi() == ()
+
+
+class TestLetterText:
+    """Letter text is read off the payload, not the sparse one-particle
+    vector, and stays as it was before the sparse form."""
+
+    def three_point_model(self):
+        atoms = [(-1, F(1, 4)), (0, F(1, 2)), (1, F(1, 4))]
+        return ProcessModel(EXACT, MomentSequence.from_measure(atoms, 6),
+                            TimeGrid.uniform(1, 2), 3, 4)
+
+    def test_grid_model(self):
+        model = self.three_point_model()
+        a, b = model.atom_letter(0), model.atom_letter(1, 2)
+        mixed = a.scale(F(-3, 2)) + model.atom_letter(0, 3)
+        assert repr(mixed) == "Letter(-3/2*x[A0]^1 + 1*x[A0]^3)"
+        assert repr(model.letter({})) == "Letter(0)"
+        assert mixed.xi() == ((0, F(-3, 2)), (2, F(1)))
+        assert expansion_ledger(product_expansion([a, a, b])) == (
+            "{1,2}{3}* | rc=0 | scalar=1/2 | W(1*x[A1]^2)\n"
+            "{1,2}*{3}* | rc=0 | scalar=1 | W(1*x[A0]^2 ⊗ 1*x[A1]^2)\n"
+            "{1}*{2}*{3}* | rc=0 | scalar=1 | "
+            "W(1*x[A0]^1 ⊗ 1*x[A0]^1 ⊗ 1*x[A1]^2)")
+
+    def test_point_set(self):
+        alg = WeightedPointAlgebra([-1, 0, 2], [F(1, 4), F(1, 2), F(1, 4)], EXACT)
+        f, g = alg.coordinate(), alg.basis_letter(1)
+        assert repr(f) == "Letter(('-1', '0', '2'))"
+        assert repr(alg.letter([0, 0, 0])) == "Letter(('0', '0', '0'))"
+        assert repr(g.scale(F(2, 3))) == "Letter(('0', '2/3', '0'))"
+        ledger = expansion_ledger(product_expansion([f, g, f])).splitlines()
+        assert len(ledger) == 12
+        assert ledger[:4] == [
+            "{1,3}{2} | rc=0 | scalar=5/8 | W(1)",
+            "{1,3}*{2} | rc=0 | scalar=1/2 | W(('1', '0', '4'))",
+            "{1,3}{2}* | rc=1 | scalar=5/4 | W(('0', '1', '0'))",
+            "{1,3}*{2}* | rc=1 | scalar=1 | "
+            "W(('1', '0', '4') ⊗ ('0', '1', '0'))"]
+        assert ledger[-1] == ("{1}*{2}*{3}* | rc=0 | scalar=1 | "
+                              "W(('-1', '0', '2') ⊗ ('0', '1', '0') ⊗ ('-1', '0', '2'))")
+
+    @pytest.mark.parametrize("algebra", ["grid", "points"])
+    def test_zero_letter_field_is_scalar_zero(self, algebra):
+        if algebra == "grid":
+            zero = self.three_point_model().letter({})
+        else:
+            zero = WeightedPointAlgebra([0, 1], [F(1, 2), F(1, 2)], EXACT).letter([0, 0])
+        op = zero.field()
+        assert op.kind == "scalar" and op.payload.is_zero
+        assert op.payload == EXACT.zero()
 
 
 class TestConfigParsing:
