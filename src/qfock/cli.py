@@ -20,7 +20,8 @@ from .fock import (FockOperator, FockVector, OneParticleSpace, apply, innerq,
                    operator_norm_estimate, sparse_vector)
 from .kspoly import ks_poly, ks_row_formula, q_charlier, q_hermite
 from .model import (WeightedPointAlgebra, MomentSequence, ProcessModel, TimeGrid,
-                    parse_model_config, process_operators)
+                    _parse_fraction_list, config_value, parse_model_config,
+                    parse_ring, process_operators)
 from .partitions import SetPartition, enumerate_partitions
 from .qscalar import EXACT, QScalar, ScalarRing, q_fact_ratio
 from .stochastic import (AdaptedProcess, BiProcess, StepFunction,
@@ -452,25 +453,30 @@ def _config_entries(text: str) -> dict[str, str]:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    # a command's parser registers only the flags that command reads
+    flag = {name: getattr(args, name, None) for name in FLAGS}
     text = DEFAULT_MODEL_TEXT
-    if args.model:
-        text = Path(args.model).read_text()
+    if flag["model"]:
+        try:
+            text = Path(flag["model"]).read_text()
+        except OSError as exc:
+            raise UsageError(f"cannot read model file: {exc}") from exc
     entries = _config_entries(text)
 
     # flags win over file keys
     overrides = {}
-    if args.q is not None:
-        overrides["q"] = args.q
-    if args.cutoff is not None:
-        overrides["degree_cutoff"] = str(args.cutoff)
-    if args.depth is not None:
-        overrides["fock_depth"] = str(args.depth)
-    if args.grid is not None:
-        overrides["grid"] = f"uniform(1, {args.grid})"
+    if flag["q"] is not None:
+        overrides["q"] = flag["q"]
+    if flag["cutoff"] is not None:
+        overrides["degree_cutoff"] = str(flag["cutoff"])
+    if flag["depth"] is not None:
+        overrides["fock_depth"] = str(flag["depth"])
+    if flag["grid"] is not None:
+        overrides["grid"] = f"uniform(1, {flag['grid']})"
     entries.update(overrides)
 
     suites = tuple(SUITES)
-    raw_suites = args.suite or entries.get("suite")
+    raw_suites = flag["suite"] or entries.get("suite")
     if raw_suites:
         suites = tuple(s.strip() for s in raw_suites.split(",") if s.strip())
         unknown = set(suites) - set(SUITES)
@@ -478,18 +484,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"unknown suites: {sorted(unknown)} "
                              f"(available: {', '.join(SUITES)})")
 
-    seed = args.seed if args.seed is not None else int(entries.get("seed", "0"))
-    nmax = args.nmax if args.nmax is not None else int(entries.get("nmax", "4"))
+    seed = (flag["seed"] if flag["seed"] is not None
+            else config_value(entries, "seed", int, "0"))
+    nmax = (flag["nmax"] if flag["nmax"] is not None
+            else config_value(entries, "nmax", int, "4"))
     if not 1 <= nmax <= MAX_NMAX:
         raise UsageError(f"nmax must lie in 1..{MAX_NMAX}, got {nmax}")
 
     pointset = None
     if "pointset.points" in entries:
-        from .model import _parse_fraction_list
-        pts = _parse_fraction_list(entries["pointset.points"])
-        ws = _parse_fraction_list(entries.get("pointset.weights", ""))
-        qv = entries.get("q", "exact")
-        ring = EXACT if qv == "exact" else ScalarRing(Fraction(qv))
+        pts = config_value(entries, "pointset.points", _parse_fraction_list)
+        ws = config_value(entries, "pointset.weights", _parse_fraction_list, "")
+        ring = config_value(entries, "q", parse_ring, "exact")
         pointset = WeightedPointAlgebra(pts, ws, ring)
     model_keys = ("q", "nu.atoms", "moments", "grid", "degree_cutoff", "fock_depth")
     model_text = "\n".join(f"{k} = {entries[k]}" for k in model_keys if k in entries)
@@ -563,6 +569,25 @@ def cmd_moments(config: RunConfig) -> int:
     return 0
 
 
+# the flags each command reads besides --out; argparse rejects any other
+# with exit 2, since verify runs fixed models and converge fixed experiments
+FLAGS = {
+    "model": dict(help="model config file"),
+    "suite": dict(help="comma-separated suite names"),
+    "seed": dict(type=int, help="random seed"),
+    "q": dict(help="pinned rational q, or 'exact'"),
+    "nmax": dict(type=int, help="maximum product/moment length"),
+    "depth": dict(type=int, help="Fock truncation depth"),
+    "cutoff": dict(type=int, help="letter degree cutoff"),
+    "grid": dict(type=int, help="uniform grid size over [0,1)"),
+}
+COMMAND_FLAGS = {
+    "verify": ("model", "suite", "seed"),
+    "converge": (),
+    "moments": ("model", "q", "nmax", "depth", "cutoff", "grid"),
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="qfock",
@@ -573,15 +598,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                             ("converge", "run refinement experiments (float)"),
                             ("moments", "print vacuum moments of X as polynomials in q")):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--model", help="model config file")
         p.add_argument("--out", help="output directory for CSV reports")
-        p.add_argument("--suite", help="comma-separated suite names")
-        p.add_argument("--q", help="pinned rational q, or 'exact'")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--nmax", type=int, help="maximum product/moment length")
-        p.add_argument("--depth", type=int, help="Fock truncation depth")
-        p.add_argument("--cutoff", type=int, help="letter degree cutoff")
-        p.add_argument("--grid", type=int, help="uniform grid size over [0,1)")
+        for flag in COMMAND_FLAGS[name]:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
 
     args = parser.parse_args(argv)
     try:

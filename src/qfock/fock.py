@@ -149,7 +149,7 @@ class FockVector:
         if len(word) > self.depth:
             raise DepthExceededError(
                 f"word of length {len(word)} exceeds depth {self.depth}")
-        if any(not 0 <= i < self.space.dim for i in word):
+        if word and (min(word) < 0 or max(word) >= self.space.dim):
             raise UsageError(f"basis index out of range in {word}")
         cur = self.terms.get(word)
         new = coeff if cur is None else cur + coeff
@@ -308,7 +308,9 @@ class DenseGauge(Gauge):
 class FockOperator:
     """Lazy operator expression tree on the truncated Fock space."""
 
-    kind: str  # creation | annihilation | gauge | scalar | sum | compose | linear
+    # creation | annihilation | gauge | scalar | rational_scalar | sum |
+    # compose | linear
+    kind: str
     payload: object = None
     operands: tuple["FockOperator", ...] = ()
 
@@ -438,17 +440,18 @@ def apply(op: FockOperator, v: FockVector, truncate: bool = False) -> FockVector
         fn, _ = op.payload
         return fn(v)
 
+    # each node converts its payload to scalars once per application
     out = FockVector(sp, v.depth)
     if kind == "creation":
-        zeta = op.payload
+        zeta = [(i, ring.of(zi)) for i, zi in op.payload]
         for w, c in v.terms.items():
             if len(w) == v.depth:
                 if truncate:
                     continue
                 raise DepthExceededError(
                     f"creation on a degree-{len(w)} word exceeds depth {v.depth}")
-            for i, zi in zeta:
-                out.add_term((i,) + w, c * ring.of(zi))
+            for i, z in zeta:
+                out.add_term((i,) + w, c * z)
         return out
     if kind == "annihilation":
         row = {i: ring.of(g) for i, g in sp.pair_row(op.payload).items()}
@@ -460,13 +463,16 @@ def apply(op: FockOperator, v: FockVector, truncate: bool = False) -> FockVector
         return out
     if kind == "gauge":
         g: Gauge = op.payload
+        cols: dict[int, list[tuple[int, QScalar]]] = {}
         for w, c in v.terms.items():
-            for k in range(len(w)):
+            for k, i in enumerate(w):
+                col = cols.get(i)
+                if col is None:
+                    col = cols[i] = [(j, ring.of(x)) for j, x in g.column(i) if x]
                 rest = w[:k] + w[k + 1:]
                 qc = c * ring.q_pow(k)
-                for j, coeff in g.column(w[k]):
-                    if coeff:
-                        out.add_term((j,) + rest, qc * ring.of(coeff))
+                for j, s in col:
+                    out.add_term((j,) + rest, qc * s)
         return out
     raise UsageError(f"unknown operator kind {kind!r}")
 

@@ -16,7 +16,7 @@ recursion, product expansions and stochastic measures share one code path.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CutoffExceededError, DegeneracyError, UsageError
 from .fock import (FockOperator, Gauge, OneParticleSpace, SparseVector,
@@ -487,6 +487,29 @@ def _parse_pair_list(text: str) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
+def _parse_grid(text: str) -> TimeGrid:
+    if text.startswith("uniform"):
+        body = text[len("uniform"):].strip().lstrip("(").rstrip(")")
+        t_s, n_s = body.split(",")
+        return TimeGrid.uniform(Fraction(t_s.strip()), int(n_s.strip()))
+    return TimeGrid(_parse_fraction_list(text))
+
+
+def parse_ring(text: str) -> ScalarRing:
+    """The ring of a config `q` value: "exact" or a rational in (-1, 1)."""
+    return ScalarRing() if text == "exact" else ScalarRing(Fraction(text))
+
+
+def config_value(entries: dict[str, str], key: str, convert: Callable,
+                 default: str | None = None):
+    """convert(entries.get(key, default)); a malformed value is a usage error."""
+    text = entries.get(key, default)
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad config value {key} = {text!r}") from exc
+
+
 def parse_model_config(text: str) -> ProcessModel:
     """Build a ProcessModel from "key = value" lines.
 
@@ -509,26 +532,18 @@ def parse_model_config(text: str) -> ProcessModel:
     if missing:
         raise UsageError(f"config missing keys: {sorted(missing)}")
 
-    qv = entries["q"]
-    ring = ScalarRing() if qv == "exact" else ScalarRing(Fraction(qv))
-
-    degree_cutoff = int(entries["degree_cutoff"])
-    fock_depth = int(entries["fock_depth"])
-
-    gv = entries["grid"]
-    if gv.startswith("uniform"):
-        body = gv[len("uniform"):].strip().lstrip("(").rstrip(")")
-        t_s, n_s = body.split(",")
-        grid = TimeGrid.uniform(Fraction(t_s.strip()), int(n_s.strip()))
-    else:
-        grid = TimeGrid(_parse_fraction_list(gv))
+    ring = config_value(entries, "q", parse_ring)
+    degree_cutoff = config_value(entries, "degree_cutoff", int)
+    fock_depth = config_value(entries, "fock_depth", int)
+    grid = config_value(entries, "grid", _parse_grid)
 
     n_moments = max(2 * degree_cutoff, 2)
     moments = None
     if "moments" in entries:
-        moments = MomentSequence(_parse_fraction_list(entries["moments"]))
+        moments = MomentSequence(
+            config_value(entries, "moments", _parse_fraction_list))
     if "nu.atoms" in entries:
-        atoms = _parse_pair_list(entries["nu.atoms"])
+        atoms = config_value(entries, "nu.atoms", _parse_pair_list)
         derived = MomentSequence.from_measure(
             atoms, moments.K if moments else n_moments)
         if moments is not None and moments.r != derived.r:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -48,6 +49,23 @@ class TestVerify:
                            "--out", str(tmp_path))
         assert code == 0
         assert (tmp_path / "verify.csv").read_text() == out
+
+
+# sha256 of full stdout, recorded before the exact scalar kernel moved to
+# integer numerators over one denominator: `verify` checks each identity,
+# `moments` prints Q[q] polynomials in their str form
+def test_verify_output_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--seed", "0")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "46b038dc7fce66034d924c782249fa373bcff473d6158c4cfa7625139ef5f366")
+
+
+def test_moments_output_pinned(capsys):
+    code, out, _ = run(capsys, "moments", "--nmax", "6", "--cutoff", "5")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "d84084cbc816c83b969afe43360ab32fb8f942d3b3e28662ef0ec2816089377b")
 
 
 class TestMoments:
@@ -127,6 +145,57 @@ class TestFlagPrecedence:
         code, out, _ = run(capsys, "moments", "--model", str(cfg))
         assert code == 0
         assert len(out.strip().splitlines()) == 3
+
+
+MODEL_TEXT = ("q = exact\n"
+              "nu.atoms = [(-1, 1/2), (1, 1/2)]\n"
+              "grid = uniform(1, 2)\n"
+              "degree_cutoff = 2\n"
+              "fock_depth = 6\n")
+
+
+class TestConfigValues:
+    """A malformed value in a complete model file is a usage error (exit 2)
+    with one `error:` line, never a traceback or exit 1."""
+
+    @pytest.mark.parametrize("command,old,new", [
+        ("moments", "degree_cutoff = 2", "degree_cutoff = abc"),
+        ("moments", "q = exact", "q = 1/0"),
+        ("moments", "grid = uniform(1, 2)", "grid = nonsense"),
+        ("verify", "fock_depth = 6", "fock_depth = 6\nseed = x"),
+    ], ids=["degree_cutoff", "q", "grid", "seed"])
+    def test_bad_value_exits_2(self, capsys, tmp_path, command, old, new):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(MODEL_TEXT.replace(old, new))
+        code, out, err = run(capsys, command, "--model", str(cfg))
+        assert code == 2
+        assert out == ""
+        key = new.split("\n")[-1].split("=")[0].strip()
+        assert err.startswith("error: ") and key in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_missing_model_file_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "moments", "--model", str(tmp_path / "none"))
+        assert code == 2
+        assert err.startswith("error: cannot read model file")
+
+
+UNREAD = [("verify", flag) for flag in ("--q", "--depth", "--cutoff", "--grid",
+                                        "--nmax")]
+UNREAD += [("converge", flag) for flag in ("--model", "--q", "--depth",
+                                           "--cutoff", "--grid", "--nmax",
+                                           "--suite", "--seed")]
+UNREAD += [("moments", flag) for flag in ("--suite", "--seed")]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD)
+def test_unread_flag_rejected(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: unrecognized arguments: " + flag in err
 
 
 def test_random_suites_all_green():

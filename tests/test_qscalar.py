@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -96,6 +97,117 @@ class TestQCombinatorics:
         rev = tuple(reversed(sigma))
         n = len(sigma)
         assert inversions(tuple(sigma)) + inversions(rev) == n * (n - 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# the int-numerator form against a plain Fraction-tuple oracle
+
+
+def o_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def o_add(a, b):
+    n = max(len(a), len(b))
+    return o_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                   for i in range(n)])
+
+
+def o_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return o_trim(out)
+
+
+def o_neg(a):
+    return tuple(-x for x in a)
+
+
+fractions = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+coeff_lists = st.lists(fractions, max_size=6)
+
+
+def assert_canonical(s):
+    assert s.den > 0
+    assert all(type(x) is int for x in s.num)
+    assert not s.num or s.num[-1] != 0
+    assert gcd(s.den, *s.num) == 1
+    if not s.num:
+        assert s.den == 1
+
+
+class TestAgainstFractionOracle:
+    @given(coeff_lists, coeff_lists)
+    def test_add_mul_neg(self, a, b):
+        x, y = QScalar.exact(a), QScalar.exact(b)
+        oa, ob = o_trim(a), o_trim(b)
+        for got, want in ((x + y, o_add(oa, ob)), (x * y, o_mul(oa, ob)),
+                          (-x, o_neg(oa)), (x - y, o_add(oa, o_neg(ob)))):
+            assert_canonical(got)
+            assert got.coeffs == want
+            assert got == QScalar.exact(want)
+
+    @given(coeff_lists, st.integers(1, 30), st.integers(0, 3))
+    def test_canonical_across_routes(self, a, k, pad):
+        direct = QScalar.exact(a)
+        padded = QScalar.exact(list(a) + [0] * pad)
+        summed = EXACT.zero()
+        for i, c in enumerate(a):
+            summed = summed + EXACT.of(c) * EXACT.q_pow(i)
+        rescaled = direct * EXACT.of(Fraction(1, k)) * EXACT.of(k)
+        for s in (direct, padded, summed, rescaled):
+            assert_canonical(s)
+            assert s == direct
+            assert hash(s) == hash(direct) == hash(("exact", o_trim(a)))
+            assert (s.num, s.den) == (direct.num, direct.den)
+
+    def test_canonical_examples(self):
+        assert EXACT.of(Fraction(1, 2)) * EXACT.of(2) == EXACT.one()
+        assert (QScalar.exact([Fraction(2, 4), 0])
+                == QScalar.exact([Fraction(1, 2)]))
+        half = QScalar.exact([Fraction(1, 2), Fraction(1, 2)])
+        assert (half.num, half.den) == ((1, 1), 2)
+        assert (half + half).den == 1
+
+    @given(coeff_lists)
+    def test_str_parse_round_trip(self, a):
+        s = QScalar.exact(a)
+        back = QScalar.parse(str(s))
+        assert back == s and back.coeffs == o_trim(a)
+        assert str(back) == str(s)
+
+    @given(coeff_lists)
+    def test_coeffs_view(self, a):
+        s = QScalar.exact(a)
+        assert s.coeffs == o_trim(a)
+        assert all(type(c) is Fraction for c in s.coeffs)
+        with pytest.raises(AttributeError):
+            s.coeffs = ()
+
+    @given(coeff_lists, st.fractions(min_value=-1, max_value=1,
+                                     max_denominator=9).filter(lambda f: abs(f) < 1))
+    def test_subs_and_eval_at(self, a, q0):
+        s = QScalar.exact(a)
+        exact_v, float_v = Fraction(0), 0.0
+        for c in reversed(o_trim(a)):
+            exact_v = exact_v * q0 + c
+            float_v = float_v * float(q0) + float(c)
+        assert s.subs(q0) == exact_v
+        assert s.eval_at(q0).val == float_v
+
+
+def test_q_pow_memoised():
+    r = ScalarRing(Fraction(1, 3))
+    assert r.q_pow(3) is r.q_pow(3)
+    assert r.q_pow(3).val == float(Fraction(1, 3)) ** 3
+    assert EXACT.q_pow(2) == poly(0, 0, 1)
+    with pytest.raises(UsageError):
+        EXACT.q_pow(-1)
 
 
 def test_ring_modes():
