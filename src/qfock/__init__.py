@@ -19,9 +19,8 @@ from .model import (WeightedPointAlgebra, Letter, MomentSequence, ProcessModel,
                     TimeGrid, letter_pair, monic_op_coefficients,
                     parse_model_config, process_operators, yhat, yhat_letter)
 from .partitions import (Classification, ExtendedPartition, SetPartition,
-                         bell_number, classify, crossing_pairs,
-                         enumerate_partitions, index_tuples, inner_outer,
-                         rc, rc_alternative, rc_at, rc_plain, restrict)
+                         bell_number, classify, enumerate_partitions,
+                         index_tuples, inner_outer, rc, rc_plain, restrict)
 from .qscalar import (EXACT, QScalar, ScalarRing, inversions, q_fact,
                       q_fact_ratio, q_int, sym_group)
 from .stochastic import (AdaptedProcess, BiProcess, ConvergenceTable,

@@ -20,8 +20,8 @@ from .fock import (FockOperator, FockVector, OneParticleSpace, apply, innerq,
                    operator_norm_estimate, sparse_vector)
 from .kspoly import ks_poly, ks_row_formula, q_charlier, q_hermite
 from .model import (WeightedPointAlgebra, MomentSequence, ProcessModel, TimeGrid,
-                    _parse_fraction_list, config_value, parse_model_config,
-                    parse_ring, process_operators)
+                    _parse_fraction_list, config_value, model_values,
+                    parse_model_config, parse_ring, process_operators)
 from .partitions import SetPartition, enumerate_partitions
 from .qscalar import EXACT, QScalar, ScalarRing, q_fact_ratio
 from .stochastic import (AdaptedProcess, BiProcess, StepFunction,
@@ -497,8 +497,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         ws = config_value(entries, "pointset.weights", _parse_fraction_list, "")
         ring = config_value(entries, "q", parse_ring, "exact")
         pointset = WeightedPointAlgebra(pts, ws, ring)
-    model_keys = ("q", "nu.atoms", "moments", "grid", "degree_cutoff", "fock_depth")
-    model_text = "\n".join(f"{k} = {entries[k]}" for k in model_keys if k in entries)
+    # every command checks the model keys it was given, read or not
+    model_text = "\n".join(f"{k} = {entries[k]}" for k in model_values(entries))
 
     out_dir = Path(args.out) if args.out else None
     return RunConfig(model_text, out_dir, suites, seed, nmax,

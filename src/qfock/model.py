@@ -510,6 +510,24 @@ def config_value(entries: dict[str, str], key: str, convert: Callable,
         raise UsageError(f"bad config value {key} = {text!r}") from exc
 
 
+# the model keys of a config file, each with its converter, in checking order
+MODEL_KEYS: tuple[tuple[str, Callable], ...] = (
+    ("q", parse_ring),
+    ("degree_cutoff", int),
+    ("fock_depth", int),
+    ("grid", _parse_grid),
+    ("moments", _parse_fraction_list),
+    ("nu.atoms", _parse_pair_list),
+)
+
+
+def model_values(entries: dict[str, str]) -> dict:
+    """Each model key present in entries, converted; a malformed value is a
+    usage error naming the key."""
+    return {key: config_value(entries, key, convert)
+            for key, convert in MODEL_KEYS if key in entries}
+
+
 def parse_model_config(text: str) -> ProcessModel:
     """Build a ProcessModel from "key = value" lines.
 
@@ -532,24 +550,21 @@ def parse_model_config(text: str) -> ProcessModel:
     if missing:
         raise UsageError(f"config missing keys: {sorted(missing)}")
 
-    ring = config_value(entries, "q", parse_ring)
-    degree_cutoff = config_value(entries, "degree_cutoff", int)
-    fock_depth = config_value(entries, "fock_depth", int)
-    grid = config_value(entries, "grid", _parse_grid)
+    values = model_values(entries)
+    degree_cutoff = values["degree_cutoff"]
 
     n_moments = max(2 * degree_cutoff, 2)
     moments = None
-    if "moments" in entries:
-        moments = MomentSequence(
-            config_value(entries, "moments", _parse_fraction_list))
-    if "nu.atoms" in entries:
-        atoms = config_value(entries, "nu.atoms", _parse_pair_list)
+    if "moments" in values:
+        moments = MomentSequence(values["moments"])
+    if "nu.atoms" in values:
         derived = MomentSequence.from_measure(
-            atoms, moments.K if moments else n_moments)
+            values["nu.atoms"], moments.K if moments else n_moments)
         if moments is not None and moments.r != derived.r:
             raise UsageError("moments and nu.atoms disagree")
         moments = derived
     if moments is None:
         raise UsageError("config needs nu.atoms or moments")
 
-    return ProcessModel(ring, moments, grid, degree_cutoff, fock_depth)
+    return ProcessModel(values["q"], moments, values["grid"], degree_cutoff,
+                        values["fock_depth"])

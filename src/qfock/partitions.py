@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import UsageError
-from .qscalar import inversions
 
 MAX_ENUM_N = 12
 
@@ -47,12 +46,6 @@ class SetPartition:
     @property
     def size(self) -> int:
         return len(self.blocks)
-
-    def block_of(self, k: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if k in b:
-                return b
-        raise UsageError(f"{k} not in ground set")
 
     def block_index_of(self, k: int) -> int:
         for i, b in enumerate(self.blocks):
@@ -116,23 +109,22 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
     if not 1 <= n <= MAX_ENUM_N:
         raise UsageError(f"enumerate_partitions supports 1 <= n <= {MAX_ENUM_N}")
 
+    # rgs[i] is the block of element i + 1 and top[i] = max(rgs[:i + 1]); a
+    # block's elements come in increasing order and blocks in order of their
+    # least elements, so every partition is built canonical
     rgs = [0] * n
-
-    def build() -> SetPartition:
-        nblocks = max(rgs) + 1
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
-        for i, b in enumerate(rgs):
-            blocks[b].append(i + 1)
-        return SetPartition.of(blocks, hi=n)
-
+    top = [0] * n
     while True:
-        yield build()
+        blocks: list[list[int]] = [[] for _ in range(top[-1] + 1)]
+        for e, b in enumerate(rgs, start=1):
+            blocks[b].append(e)
+        yield SetPartition(1, n, tuple(map(tuple, blocks)))
         # next restricted growth string
         for i in range(n - 1, 0, -1):
-            if rgs[i] <= max(rgs[:i]):
+            if rgs[i] <= top[i - 1]:
                 rgs[i] += 1
-                for j in range(i + 1, n):
-                    rgs[j] = 0
+                rgs[i + 1:] = [0] * (n - i - 1)
+                top[i:] = [max(top[i - 1], rgs[i])] * (n - i)
                 break
         else:
             return
@@ -174,46 +166,32 @@ def restrict(ep: ExtendedPartition, k: int, m: int) -> ExtendedPartition:
     return ExtendedPartition(pi, frozenset(remap[i] for i in opens))
 
 
-def _open_count_in_gap(ep: ExtendedPartition, lo: int, hi: int) -> int:
-    """Number of blocks meeting {lo..hi} that are open there: in S, or
-    reaching left of lo."""
-    if lo > hi:
-        return 0
-    count = 0
-    for i, b in enumerate(ep.pi.blocks):
-        if any(lo <= e <= hi for e in b):
-            if i in ep.open_blocks or any(e < lo for e in b):
-                count += 1
-    return count
-
-
-def rc_at(ep: ExtendedPartition, k: int) -> int:
-    """Right restricted crossings of (S, pi) at the point k."""
-    b = ep.pi.block_of(k)
-    if k == b[-1]:
-        return 0
-    j = min(e for e in b if e > k)
-    return _open_count_in_gap(ep, k + 1, j - 1)
-
-
 def rc(ep: ExtendedPartition) -> int:
-    """Total number of right restricted crossings of an extended partition."""
-    return sum(rc_at(ep, k) for k in range(ep.pi.lo, ep.pi.hi + 1))
+    """Total number of right restricted crossings of an extended partition.
+
+    Each pair k < j of consecutive elements of a block is crossed by every
+    other block with an element between them that is open there: held open
+    in S, or starting left of k.
+    """
+    blocks = ep.pi.blocks
+    opens = ep.open_blocks
+    total = 0
+    for b in blocks:
+        for k, j in zip(b, b[1:]):
+            for i, c in enumerate(blocks):
+                if c[0] >= j:
+                    break  # blocks are ordered by least element
+                if (c[0] < k or i in opens) and c is not b:
+                    for e in c:
+                        if e > k:
+                            total += e < j  # c's first element past k
+                            break
+    return total
 
 
 def rc_plain(pi: SetPartition) -> int:
     """rc of the partition with no open blocks."""
     return rc(ExtendedPartition(pi, frozenset()))
-
-
-def rc_alternative(ep: ExtendedPartition) -> int:
-    """rc(S, pi) via rc(pi) plus, for each open block B, the number of blocks
-    whose span strictly covers min(B)."""
-    total = rc_plain(ep.pi)
-    for i in ep.open_blocks:
-        mb = ep.pi.blocks[i][0]
-        total += sum(1 for c in ep.pi.blocks if c[0] < mb < c[-1])
-    return total
 
 
 @dataclass(frozen=True)
@@ -250,24 +228,6 @@ def inner_outer(pi: SetPartition) -> tuple[tuple, tuple]:
     return cls.inner_blocks, cls.outer_blocks
 
 
-def is_pair_partition_kk(pi: SetPartition, k: int) -> bool:
-    if pi.n != 2 * k or pi.lo != 1:
-        return False
-    return all(len(b) == 2 and b[0] <= k < b[1] for b in pi.blocks)
-
-
-def induced_permutation(pi: SetPartition, k: int) -> tuple[int, ...]:
-    """The permutation induced by a pair partition in Part2(k, k):
-    sigma(i) = j - k where (k+1-i) is paired with j."""
-    if not is_pair_partition_kk(pi, k):
-        raise UsageError(f"{pi} is not a pair partition in Part2({k},{k})")
-    partner = {}
-    for a, b in pi.blocks:
-        partner[a] = b
-    sigma = tuple(partner[k + 1 - i] - k for i in range(1, k + 1))
-    return sigma
-
-
 def index_tuples(N: int, pi: SetPartition) -> Iterator[tuple[int, ...]]:
     """All tuples in {1..N}^n constant exactly on the blocks of pi (distinct
     values across blocks), streamed."""
@@ -294,20 +254,3 @@ def falling_factorial(N: int, m: int) -> int:
     for i in range(m):
         out *= N - i
     return out
-
-
-def crossing_pairs(pi: SetPartition) -> int:
-    """Independent crossing counter for pair partitions: number of pairs of
-    blocks {a<b}, {c<d} with a < c < b < d."""
-    if any(len(b) != 2 for b in pi.blocks):
-        raise UsageError("crossing_pairs expects a pair partition")
-    count = 0
-    bs = pi.blocks
-    for i in range(len(bs)):
-        for j in range(len(bs)):
-            if i != j:
-                a, b = bs[i]
-                c, d = bs[j]
-                if a < c < b < d:
-                    count += 1
-    return count

@@ -14,7 +14,9 @@ covers both the grid model and the compound-Poisson algebra.
 A product X(l_1)...X(l_n) expands over extended partitions (S, π): closed
 blocks contract to scalars (the mean for singletons, a pairing for larger
 blocks), open blocks survive as letters of a Wick word, and each term is
-weighted by q^{rc(S, π)}.
+weighted by q^{rc(S, π)}.  `product_expansion` and `vacuum_moment` contract
+each distinct block content once per call, through a memo that lives only for
+that call and is keyed by the block's letters in position order.
 """
 
 from __future__ import annotations
@@ -212,6 +214,33 @@ def _block_letter(letters: Sequence[Letter], block: tuple[int, ...]) -> Letter:
     return out
 
 
+def _content_labels(letters: Sequence[Letter]) -> tuple[list[Letter], list[int]]:
+    """The distinct letters in order of first appearance, and for each input
+    letter its 1-based position among them."""
+    distinct = list(dict.fromkeys(letters))
+    position = {l: i for i, l in enumerate(distinct, start=1)}
+    return distinct, [position[l] for l in letters]
+
+
+class _ContentMemo(dict):
+    """Per-call memo of a block function by block content.
+
+    A key lists the block's letters as positions into `distinct`, in the
+    block's order: the contraction pairs the first letter against the product
+    of the rest, so two blocks share a value only when their letters agree
+    position by position.
+    """
+
+    def __init__(self, compute, distinct: Sequence[Letter]):
+        super().__init__()
+        self.compute = compute
+        self.distinct = distinct
+
+    def __missing__(self, key: tuple[int, ...]):
+        value = self[key] = self.compute(self.distinct, key)
+        return value
+
+
 def product_expansion(letters: Sequence[Letter]) -> list[ExpansionTerm]:
     """The expansion of X(l_1)...X(l_n) over extended partitions.
 
@@ -224,20 +253,24 @@ def product_expansion(letters: Sequence[Letter]) -> list[ExpansionTerm]:
     if n > MAX_PRODUCT_N:
         raise ResourceBudgetError(
             f"product_expansion capped at n = {MAX_PRODUCT_N}, got {n}")
+    distinct, labels = _content_labels(letters)
+    scalars = _ContentMemo(_block_scalar, distinct)
+    block_letters = _ContentMemo(_block_letter, distinct)
     out: list[ExpansionTerm] = []
     for pi in enumerate_partitions(n):
+        keys = [tuple([labels[i - 1] for i in block]) for block in pi.blocks]
         for size in range(pi.size + 1):
             for S in combinations(range(pi.size), size):
                 scalar = Fraction(1)
-                for b, block in enumerate(pi.blocks):
+                for b, key in enumerate(keys):
                     if b in S:
                         continue
-                    scalar *= _block_scalar(letters, block)
+                    scalar *= scalars[key]
                     if not scalar:
                         break
                 if not scalar:
                     continue
-                word = tuple(_block_letter(letters, pi.blocks[b]) for b in S)
+                word = tuple(block_letters[keys[b]] for b in S)
                 if any(l.is_zero for l in word):
                     continue
                 ep = ExtendedPartition(pi, frozenset(S))
@@ -272,11 +305,14 @@ def vacuum_moment(letters: Sequence[Letter]) -> QScalar:
         raise ResourceBudgetError(
             f"vacuum_moment capped at n = {MAX_MOMENT_N}, got {n}")
     ring = algebra.ring
+    distinct, labels = _content_labels(letters)
+    scalars = _ContentMemo(_block_scalar, distinct)
     total = ring.zero()
     for pi in enumerate_partitions(n):
-        val = Fraction(1)
+        val = None  # starting from the first contraction saves a product with 1
         for block in pi.blocks:
-            val *= _block_scalar(letters, block)
+            c = scalars[tuple([labels[i - 1] for i in block])]
+            val = c if val is None else val * c
             if not val:
                 break
         if val:

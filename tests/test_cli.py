@@ -163,7 +163,8 @@ class TestConfigValues:
         ("moments", "q = exact", "q = 1/0"),
         ("moments", "grid = uniform(1, 2)", "grid = nonsense"),
         ("verify", "fock_depth = 6", "fock_depth = 6\nseed = x"),
-    ], ids=["degree_cutoff", "q", "grid", "seed"])
+        ("verify", "degree_cutoff = 2", "degree_cutoff = abc"),
+    ], ids=["degree_cutoff", "q", "grid", "seed", "verify_degree_cutoff"])
     def test_bad_value_exits_2(self, capsys, tmp_path, command, old, new):
         cfg = tmp_path / "m.cfg"
         cfg.write_text(MODEL_TEXT.replace(old, new))
@@ -173,6 +174,13 @@ class TestConfigValues:
         key = new.split("\n")[-1].split("=")[0].strip()
         assert err.startswith("error: ") and key in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_verify_reads_suite_and_seed_only_file(self, capsys, tmp_path):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("suite = moments\nseed = 3\n")
+        code, out, err = run(capsys, "verify", "--model", str(cfg))
+        assert code == 0 and err == ""
+        assert out.startswith("identity,params,exact_zero,residual\nmoment_formula,")
 
     def test_missing_model_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "moments", "--model", str(tmp_path / "none"))

@@ -1,17 +1,86 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfock.errors import UsageError
 from qfock.partitions import (ExtendedPartition, SetPartition, bell_number,
-                              classify, crossing_pairs, enumerate_partitions,
-                              falling_factorial, index_tuples,
-                              induced_permutation, inner_outer,
-                              is_pair_partition_kk, rc, rc_alternative, rc_at,
+                              classify, enumerate_partitions,
+                              falling_factorial, index_tuples, inner_outer, rc,
                               rc_plain, restrict)
 from qfock.qscalar import inversions
 
 P = SetPartition.of
 EP = ExtendedPartition.of
+
+
+# ---------------------------------------------------------------------------
+# independent oracles for rc and for pair partitions
+
+
+def _open_count_in_gap(ep: ExtendedPartition, lo: int, hi: int) -> int:
+    """Number of blocks meeting {lo..hi} that are open there: in S, or
+    reaching left of lo."""
+    if lo > hi:
+        return 0
+    count = 0
+    for i, b in enumerate(ep.pi.blocks):
+        if any(lo <= e <= hi for e in b):
+            if i in ep.open_blocks or any(e < lo for e in b):
+                count += 1
+    return count
+
+
+def rc_at(ep: ExtendedPartition, k: int) -> int:
+    """Right restricted crossings of (S, pi) at the point k."""
+    b = next(b for b in ep.pi.blocks if k in b)
+    if k == b[-1]:
+        return 0
+    j = min(e for e in b if e > k)
+    return _open_count_in_gap(ep, k + 1, j - 1)
+
+
+def rc_per_point(ep: ExtendedPartition) -> int:
+    """rc as the sum of rc_at over every point of the ground set."""
+    return sum(rc_at(ep, k) for k in range(ep.pi.lo, ep.pi.hi + 1))
+
+
+def rc_alternative(ep: ExtendedPartition) -> int:
+    """rc(S, pi) via rc(pi) plus, for each open block B, the number of blocks
+    whose span strictly covers min(B)."""
+    total = rc_plain(ep.pi)
+    for i in ep.open_blocks:
+        mb = ep.pi.blocks[i][0]
+        total += sum(1 for c in ep.pi.blocks if c[0] < mb < c[-1])
+    return total
+
+
+def is_pair_partition_kk(pi: SetPartition, k: int) -> bool:
+    if pi.n != 2 * k or pi.lo != 1:
+        return False
+    return all(len(b) == 2 and b[0] <= k < b[1] for b in pi.blocks)
+
+
+def induced_permutation(pi: SetPartition, k: int) -> tuple[int, ...]:
+    """The permutation induced by a pair partition in Part2(k, k):
+    sigma(i) = j - k where (k+1-i) is paired with j."""
+    assert is_pair_partition_kk(pi, k)
+    partner = dict(pi.blocks)
+    return tuple(partner[k + 1 - i] - k for i in range(1, k + 1))
+
+
+def crossing_pairs(pi: SetPartition) -> int:
+    """Number of pairs of blocks {a<b}, {c<d} with a < c < b < d in a pair
+    partition."""
+    assert all(len(b) == 2 for b in pi.blocks)
+    return sum(1 for a, b in pi.blocks for c, d in pi.blocks if a < c < b < d)
+
+
+def extended_partitions(n: int):
+    for pi in enumerate_partitions(n):
+        for size in range(pi.size + 1):
+            for s in combinations(range(pi.size), size):
+                yield EP(pi, s)
 
 
 class TestSetPartition:
@@ -39,9 +108,13 @@ class TestSetPartition:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_counts_are_bell(self, n):
-        assert sum(1 for _ in enumerate_partitions(n)) == bell_number(n)
+        # the partitions are built without validation: each must be the
+        # canonical, validated form of its own blocks
+        pis = list(enumerate_partitions(n))
+        assert len(pis) == len(set(pis)) == bell_number(n)
+        assert all(pi == P(pi.blocks) for pi in pis)
 
     def test_distinct(self):
         seen = set(str(pi) for pi in enumerate_partitions(6))
@@ -75,12 +148,21 @@ class TestRestrictedCrossings:
 
     def test_rc_alternative_agrees(self):
         for n in range(1, 6):
-            for pi in enumerate_partitions(n):
-                for size in range(pi.size + 1):
-                    from itertools import combinations
-                    for s in combinations(range(pi.size), size):
-                        ep = EP(pi, s)
-                        assert rc(ep) == rc_alternative(ep), str(ep)
+            for ep in extended_partitions(n):
+                assert rc(ep) == rc_alternative(ep), str(ep)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rc_matches_per_point_oracle(self, n):
+        for ep in extended_partitions(n):
+            assert rc(ep) == rc_per_point(ep) == rc_alternative(ep), str(ep)
+
+    def test_rc_of_restrictions(self):
+        for ep in extended_partitions(5):
+            for k in range(1, 6):
+                for m in range(k, 6):
+                    r = restrict(ep, k, m)
+                    assert rc(r) == rc_per_point(r) == rc_alternative(r), \
+                        f"{ep} on [{k},{m}]"
 
     def test_pair_partition_rc_equals_crossings(self):
         for pi in enumerate_partitions(6):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfock.errors import ResourceBudgetError, UsageError
 from qfock.fock import FockOperator, FockVector, apply, gamma_q
@@ -10,7 +11,8 @@ from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
 from qfock.qscalar import EXACT, QScalar
 from qfock.wick import (WickElement, expansion_ledger, expansion_operator,
                         product_expansion, right_operator, vacuum_expectation,
-                        vacuum_moment, wick_operator, word_vector)
+                        vacuum_moment, vacuum_vector, wick_operator,
+                        word_vector)
 
 F = Fraction
 
@@ -103,6 +105,63 @@ class TestVacuumMoments:
     def test_budget(self, model):
         with pytest.raises(ResourceBudgetError):
             vacuum_moment((model.atom_letter(0),) * 11)
+
+
+def grid_alphabet():
+    """Three letters of the three-point model on two atoms, with cutoff and
+    depth room for any word of length <= 5 in them."""
+    moments = MomentSequence.from_measure(
+        [(-1, F(1, 4)), (0, F(1, 2)), (1, F(1, 4))], 12)
+    model = ProcessModel(EXACT, moments, TimeGrid.uniform(1, 2), 6, 6)
+    a, b = model.atom_letter(0), model.atom_letter(1)
+    return model, (a, b, a.scale(2) + b.scale(F(-1, 3)))
+
+
+def points_alphabet():
+    """Three letters of the 2-point algebra, with nonzero means."""
+    alg = WeightedPointAlgebra([-1, 1], [F(1, 2), F(1, 2)], EXACT)
+    return alg, (alg.coordinate(), alg.basis_letter(0), alg.letter([2, F(1, 3)]))
+
+
+ALPHABETS = {"grid": grid_alphabet(), "points": points_alphabet()}
+
+
+@st.composite
+def words(draw, max_len):
+    """A word over the first 2 or 3 letters of an alphabet; short alphabets
+    make repeated letters at different positions the common case, so block
+    contents recur within one call with the same and with different orders."""
+    algebra, alphabet = ALPHABETS[draw(st.sampled_from(sorted(ALPHABETS)))]
+    k = draw(st.integers(2, 3))
+    picks = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=max_len))
+    return algebra, tuple(alphabet[i] for i in picks)
+
+
+def apply_product(algebra, letters, v):
+    for l in reversed(letters):
+        v = apply(l.field(), v)
+    return v
+
+
+class TestBlockMemo:
+    """vacuum_moment and product_expansion contract each distinct block
+    content once per call; the results must equal direct Fock application."""
+
+    @given(words(max_len=5))
+    @settings(max_examples=30, deadline=None)
+    def test_moment_equals_direct(self, drawn):
+        algebra, letters = drawn
+        om = vacuum_vector(algebra)
+        direct = apply_product(algebra, letters, om).vacuum_coefficient()
+        assert vacuum_moment(letters) == direct
+
+    @given(words(max_len=4))
+    @settings(max_examples=20, deadline=None)
+    def test_expansion_equals_direct(self, drawn):
+        algebra, letters = drawn
+        om = vacuum_vector(algebra)
+        expanded = apply(expansion_operator(algebra, product_expansion(letters)), om)
+        assert (expanded - apply_product(algebra, letters, om)).is_zero
 
 
 class TestWickElement:
