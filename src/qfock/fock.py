@@ -9,8 +9,15 @@ One-particle vectors have one form, the sparse tuple of their nonzero
 (index, coeff) entries in index order (`SparseVector`).  Public constructors
 also accept a dense coefficient sequence and convert it once, on entry.  The
 gram form is block-diagonal over its orthogonality classes, so pairings run
-over sparse gram rows, and an annihilation node builds its pairing row
-{i: <zeta, e_i>} once per application.
+over sparse gram rows, and the space keeps the ring-scalar pairing row
+{i: <zeta, e_i>} of each annihilation payload it has been asked for.
+
+The q-inner product is <u, P_n v>_0 on degree n, P_n the q-symmetrizer
+sum_sigma q^{inv(sigma)} sigma.  Exact `apply_Pn` sums over S_n word by word.
+The float q-gram of a norm estimate instead uses the Bozejko-Speicher
+factorisation P_n = (1 (x) P_{n-1}) R_n, R_n = 1 + q T_1 + ... +
+q^{n-1} T_1...T_{n-1}, as n numpy products per degree; the space keeps the
+blocks it has built.
 
 Truncation overflow is always a hard error: identities are asserted only where
 the full result fits under the configured depth.
@@ -53,6 +60,10 @@ class OneParticleSpace:
     construction also records the sparse gram rows, rows[j] = the nonzero
     (i, <e_j, e_i>), and the orthogonality classes they connect; pairings
     take one-particle vectors in sparse form and only touch those rows.
+
+    The space also owns two caches, freed with it: the ring-scalar pairing
+    rows of `pair_scalars`, and `pn_blocks`, the float q-gram blocks of
+    `operator_norm_estimate` keyed by degree.
     """
 
     def __init__(self, dim: int, gram: Sequence[Sequence[Fraction]], ring: ScalarRing):
@@ -68,6 +79,8 @@ class OneParticleSpace:
                     raise UsageError("gram must be symmetric")
         self.ring = ring
         self._classes = self._connected_classes()
+        self._pair_scalars: dict[SparseVector, dict[int, QScalar]] = {}
+        self.pn_blocks: dict[int, object] = {}
 
     @staticmethod
     def orthonormal(dim: int, ring: ScalarRing) -> "OneParticleSpace":
@@ -83,6 +96,14 @@ class OneParticleSpace:
             for i, g in self.rows[j]:
                 row[i] = row.get(i, 0) + c * g
         return {i: g for i, g in row.items() if g}
+
+    def pair_scalars(self, zeta: SparseVector) -> dict[int, QScalar]:
+        """`pair_row` with ring scalars as values, built once per zeta."""
+        row = self._pair_scalars.get(zeta)
+        if row is None:
+            row = self._pair_scalars[zeta] = {
+                i: self.ring.of(g) for i, g in self.pair_row(zeta).items()}
+        return row
 
     def pair(self, zeta: SparseVector, i: int) -> Fraction:
         """<zeta, e_i> under the gram form."""
@@ -440,7 +461,8 @@ def apply(op: FockOperator, v: FockVector, truncate: bool = False) -> FockVector
         fn, _ = op.payload
         return fn(v)
 
-    # each node converts its payload to scalars once per application
+    # payload scalars are built once per application, or once per space for
+    # the pairing row of an annihilation
     out = FockVector(sp, v.depth)
     if kind == "creation":
         zeta = [(i, ring.of(zi)) for i, zi in op.payload]
@@ -454,7 +476,7 @@ def apply(op: FockOperator, v: FockVector, truncate: bool = False) -> FockVector
                 out.add_term((i,) + w, c * z)
         return out
     if kind == "annihilation":
-        row = {i: ring.of(g) for i, g in sp.pair_row(op.payload).items()}
+        row = sp.pair_scalars(op.payload)
         for w, c in v.terms.items():
             for k, i in enumerate(w):
                 g = row.get(i)
@@ -483,28 +505,6 @@ def gamma_q(v: FockVector) -> FockVector:
     out = FockVector(v.space, v.depth)
     for w, c in v.terms.items():
         out.add_term(w, c * ring.q_pow(len(w)))
-    return out
-
-
-def project(v: FockVector, keep: Callable[[int], bool]) -> FockVector:
-    """Remove words containing dropped basis indices.
-
-    Valid as an orthogonal projection only when kept and dropped basis vectors
-    are gram-orthogonal; that is validated here.
-    """
-    sp = v.space
-    kept = [i for i in range(sp.dim) if keep(i)]
-    dropped = [i for i in range(sp.dim) if not keep(i)]
-    for i in kept:
-        for j in dropped:
-            if sp.gram[i][j] != 0:
-                raise UsageError(
-                    f"projection split not gram-orthogonal: <e{i}, e{j}> != 0")
-    keepset = set(kept)
-    out = FockVector(sp, v.depth)
-    for w, c in v.terms.items():
-        if all(i in keepset for i in w):
-            out.add_term(w, c)
     return out
 
 
@@ -577,41 +577,30 @@ def words_up_to(dim: int, depth: int) -> list[Word]:
     return out
 
 
-_PN_MATRIX_CACHE: dict[tuple, object] = {}
-
-
 def _pn_matrix(dim: int, n: int, q0: float, gram):
-    """The 0-gram of degree-n words composed with P_n, as a dense float array."""
+    """The 0-gram of degree-n words composed with P_n, as a dense float array:
+    entry (w, w') is <w, P_n w'>_0, words in lexicographic order.
+
+    Bozejko-Speicher: P_m = (1 (x) P_{m-1}) R_m with R_m = sum_k q0^k C_k,
+    C_k the column permutation taking tensor slot k to the front, so P_n is
+    n numpy products from P_0 = 1; the gram part is G^{(x)n}.
+    """
     import numpy as np
 
-    key = (dim, n, q0, gram)
-    if key in _PN_MATRIX_CACHE:
-        return _PN_MATRIX_CACHE[key]
-    words = [()]
-    for _ in range(n):
-        words = [w + (i,) for w in words for i in range(dim)]
-    index = {w: k for k, w in enumerate(words)}
-    g = np.array([[float(gram[i][j]) for j in range(dim)] for i in range(dim)])
-    perms = [(s, inversions(s)) for s in sym_group(n)] if n else [((), 0)]
-    m = np.zeros((len(words), len(words)))
-    # <w, P w'> = sum_sigma q^{i(sigma)} prod_k g[w_k][w'_{sigma...}]
-    for a, w in enumerate(words):
-        for b, w2 in enumerate(words):
-            total = 0.0
-            for sigma, inv in perms:
-                prod = 1.0
-                for k in range(n):
-                    prod *= g[w[k]][w2[sigma[k] - 1]]
-                    if prod == 0.0:
-                        break
-                else:
-                    total += (q0 ** inv) * prod
-                    continue
-                if prod == 0.0:
-                    continue
-            m[a, b] = total
-    _PN_MATRIX_CACHE[key] = m
-    return m
+    g = np.array([[float(x) for x in row] for row in gram])
+    eye = np.eye(dim)
+    p = np.ones((1, 1))
+    gn = np.ones((1, 1))
+    for m in range(1, n + 1):
+        cols = np.arange(dim ** m)
+        r = np.zeros((cols.size, cols.size))
+        for k in range(m):
+            # column w gets q0^k in the row of w with slot k moved to the front
+            axes = np.argsort([k] + [j for j in range(m) if j != k])
+            r[np.transpose(cols.reshape((dim,) * m), axes).ravel(), cols] += q0 ** k
+        p = np.kron(eye, p) @ r
+        gn = np.kron(gn, g)
+    return gn @ p
 
 
 def operator_norm_estimate(op: FockOperator, space: OneParticleSpace,
@@ -623,7 +612,8 @@ def operator_norm_estimate(op: FockOperator, space: OneParticleSpace,
     if space.ring.exact:
         raise UsageError("operator_norm_estimate requires float mode")
     if depth > NORM_DEPTH_CAP:
-        raise ResourceBudgetError(f"norm estimate depth capped at {NORM_DEPTH_CAP}")
+        raise ResourceBudgetError(
+            f"norm estimate depth {depth} exceeds cap {NORM_DEPTH_CAP}")
     q0 = float(space.ring.q0)
     words = words_up_to(space.dim, depth)
     index = {w: k for k, w in enumerate(words)}
@@ -636,11 +626,13 @@ def operator_norm_estimate(op: FockOperator, space: OneParticleSpace,
         for w2, c in img.terms.items():
             m[index[w2], col] = float(c)
 
-    # q-gram, block diagonal over degrees
+    # q-gram, block diagonal over degrees; the space keeps its blocks
     p = np.zeros((size, size))
     offset = 0
     for n in range(depth + 1):
-        block = _pn_matrix(space.dim, n, q0, space.gram)
+        block = space.pn_blocks.get(n)
+        if block is None:
+            block = space.pn_blocks[n] = _pn_matrix(space.dim, n, q0, space.gram)
         k = block.shape[0]
         p[offset:offset + k, offset:offset + k] = block
         offset += k

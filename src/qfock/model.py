@@ -369,10 +369,6 @@ def yhat_letter(model: ProcessModel, interval: Interval, k: int) -> Letter:
     return out
 
 
-def yhat(model: ProcessModel, interval: Interval, k: int) -> FockOperator:
-    return yhat_letter(model, interval, k).field()
-
-
 # ---------------------------------------------------------------------------
 # the weighted point-set algebra
 

@@ -15,7 +15,7 @@ from math import log
 from typing import Callable, Iterable, Sequence
 
 from .errors import ResourceBudgetError, UsageError
-from .fock import FockOperator, FockVector, adjoint, apply, innerq, project
+from .fock import FockOperator, FockVector, adjoint, apply, innerq
 from .model import (Interval, Letter, ProcessModel, monic_op_coefficients,
                     process_operators)
 from .partitions import (ExtendedPartition, SetPartition, classify,
@@ -139,11 +139,6 @@ def x_process(model: ProcessModel) -> ProcessFamily:
     return ProcessFamily(model, "X", lambda a: model.atom_letter(a, 1), Fraction(0))
 
 
-def y_process(model: ProcessModel, k: int) -> ProcessFamily:
-    return ProcessFamily(model, f"Y{k}", lambda a: model.atom_letter(a, k),
-                         Fraction(0))
-
-
 def delta_process(model: ProcessModel, k: int) -> ProcessFamily:
     return ProcessFamily(model, f"Delta{k}", lambda a: model.atom_letter(a, k),
                          model.moments.r_at(k))
@@ -197,35 +192,6 @@ def psi_closed(procs: Sequence[ProcessFamily], t) -> FockOperator:
             factor *= t * procs[i].drift_rate
         word = tuple(prefix[i] for i in range(len(procs)) if i not in chosen)
         terms.append(wick_operator(model, word).scale(ring.of(factor)))
-    return FockOperator.opsum(terms)
-
-
-def psi_discrete(procs: Sequence[ProcessFamily], t) -> FockOperator:
-    """Σ over tuples of distinct atoms of Π Z_i(I_{u(i)}) + drift terms."""
-    model = procs[0].model
-    ring = model.ring
-    atoms = model.grid.prefix(t)
-    n = len(procs)
-    if n == 0:
-        raise UsageError("psi of no processes")
-    terms = []
-    # Delta_k(I) = Y_k(I) + |I| r_k: per-atom operator includes the drift
-    full = []
-    for i, p in enumerate(procs):
-        per_atom = {}
-        for a in atoms:
-            op = p.letter(a).field()
-            if p.drift_rate:
-                op = op + FockOperator.scalar(
-                    ring.of(model.grid.width(a) * p.drift_rate))
-            per_atom[a] = op
-        full.append(per_atom)
-    pi0 = SetPartition.of([[i] for i in range(1, n + 1)])
-    for tup in index_tuples(len(atoms), pi0):
-        factors = [full[i][atoms[v - 1]] for i, v in enumerate(tup)]
-        terms.append(FockOperator.compose(factors))
-    if not terms:
-        return FockOperator.scalar(ring.zero())
     return FockOperator.opsum(terms)
 
 
@@ -560,19 +526,6 @@ def two_sided_defect_vector(u: AdaptedProcess) -> FockVector:
 
 # ---------------------------------------------------------------------------
 # conditional expectation
-
-
-def past_projection(model: ProcessModel, t) -> FockOperator:
-    """P_t as an operator: drop words touching atoms at or after t."""
-    t = Fraction(t)
-    if t not in model.grid.boundaries:
-        raise UsageError(f"time {t} is not a grid boundary")
-
-    def keep(i: int) -> bool:
-        atom, _ = model.atom_power(i)
-        return model.grid.atoms[atom][1] <= t
-
-    return FockOperator.linear(lambda v: project(v, keep), f"P_{t}")
 
 
 def conditional_expectation(a: WickElement, t) -> WickElement:

@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qfock import fock
 from qfock.errors import (DepthExceededError, ModeMismatchError,
                           ResourceBudgetError, UsageError)
-from qfock.fock import (DenseGauge, FockOperator, FockVector, OneParticleSpace,
-                        adjoint, apply, apply_Pn, field_operator, gamma_q,
-                        inner0, innerq, operator_norm_estimate, project,
-                        sparse_vector)
+from qfock.fock import (NORM_DEPTH_CAP, DenseGauge, FockOperator, FockVector,
+                        OneParticleSpace, adjoint, apply, apply_Pn,
+                        field_operator, gamma_q, inner0, innerq,
+                        operator_norm_estimate, sparse_vector)
 from qfock.qscalar import EXACT, QScalar, ScalarRing
 
 
@@ -175,18 +179,6 @@ class TestAdjointAndProjection:
         with pytest.raises(UsageError):
             adjoint(t, sp)
 
-    def test_project_requires_orthogonal_split(self):
-        g = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(2)]]
-        sp = OneParticleSpace(2, g, EXACT)
-        v = FockVector.vacuum(sp, 1)
-        with pytest.raises(UsageError):
-            project(v, lambda i: i == 0)
-
-    def test_project_drops_words(self, space2):
-        v = vec(space2, 2, ((0, 1), 1), ((0, 0), 2))
-        out = project(v, lambda i: i == 0)
-        assert out.terms == {(0, 0): EXACT.of(2)}
-
     def test_gamma_q(self, space2):
         v = vec(space2, 2, ((), 1), ((0,), 1), ((0, 1), 1))
         out = gamma_q(v)
@@ -214,3 +206,74 @@ class TestNormEstimates:
         t = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
         n = operator_norm_estimate(FockOperator.gauge(t), sp, 5)
         assert n <= 2.0 + 1e-9
+
+    def test_depth_cap_names_depth_and_cap(self):
+        ring = ScalarRing(Fraction(3, 10))
+        sp = OneParticleSpace.orthonormal(1, ring)
+        depth = NORM_DEPTH_CAP + 1
+        with pytest.raises(ResourceBudgetError,
+                           match=f"depth {depth} exceeds cap {NORM_DEPTH_CAP}"):
+            operator_norm_estimate(FockOperator.identity(ring), sp, depth)
+
+
+def pn_oracle(gram, n, q0):
+    """<w, P_n w'>_0 summed over S_n: q0^inv(sigma) prod_k g[w_k][w'_sigma(k)],
+    every word pair at once."""
+    dim = len(gram)
+    g = np.array([[float(x) for x in row] for row in gram])
+    words = np.array(list(product(range(dim), repeat=n)), dtype=int).reshape(dim ** n, n)
+    out = np.zeros((len(words), len(words)))
+    for sigma in permutations(range(n)):
+        inv = sum(sigma[i] > sigma[j] for i in range(n) for j in range(i + 1, n))
+        term = np.ones_like(out)
+        for k in range(n):
+            term *= g[np.ix_(words[:, k], words[:, sigma[k]])]
+        out += q0 ** inv * term
+    return out
+
+
+@st.composite
+def pn_cases(draw):
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 5).filter(lambda n: dim ** n <= 243))
+    entries = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    gram = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1):
+            gram[i][j] = gram[j][i] = draw(entries)
+    q0 = draw(st.sampled_from((0.0, 0.3, -0.3, 0.7)))
+    return gram, n, q0
+
+
+class TestQGram:
+    """The factorised q-gram against the sum over S_n, and its cache."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pn_cases())
+    def test_matches_permutation_sum(self, case):
+        gram, n, q0 = case
+        new = fock._pn_matrix(len(gram), n, q0, gram)
+        assert np.allclose(new, pn_oracle(gram, n, q0), rtol=1e-12, atol=1e-12)
+
+    def test_blocks_built_once_per_space(self, monkeypatch):
+        built = []
+        real = fock._pn_matrix
+
+        def counting(dim, n, q0, gram):
+            built.append(n)
+            return real(dim, n, q0, gram)
+
+        monkeypatch.setattr(fock, "_pn_matrix", counting)
+        ring = ScalarRing(Fraction(3, 10))
+        sp = OneParticleSpace.orthonormal(2, ring)
+        assert sp.pn_blocks == {}
+        op = FockOperator.gauge([[Fraction(1), Fraction(0)],
+                                 [Fraction(0), Fraction(2)]])
+        first = operator_norm_estimate(op, sp, 3)
+        assert built == [0, 1, 2, 3] and sorted(sp.pn_blocks) == [0, 1, 2, 3]
+        assert operator_norm_estimate(op, sp, 3) == first
+        assert built == [0, 1, 2, 3]
+        assert OneParticleSpace.orthonormal(2, ring).pn_blocks == {}
+
+    def test_no_module_cache(self):
+        assert not hasattr(fock, "_PN_MATRIX_CACHE")

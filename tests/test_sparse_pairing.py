@@ -128,3 +128,13 @@ def test_gram_rows_follow_blocks():
     assert space.rows == (((0, Fraction(2)), (2, Fraction(1))), (),
                           ((0, Fraction(1)), (2, Fraction(3))))
     assert space.gram_classes() == (0, 1, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grams(), st.data(), st.sampled_from(RINGS))
+def test_pair_scalars_memoises_pair_row(gram, data, ring):
+    space = OneParticleSpace(len(gram), gram, ring)
+    zeta = sparse_vector(data.draw(vectors(len(gram))))
+    row = space.pair_scalars(zeta)
+    assert row == {i: ring.of(g) for i, g in space.pair_row(zeta).items()}
+    assert space.pair_scalars(zeta) is row
