@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .errors import QFockError, UsageError
 from .fock import (FockOperator, FockVector, OneParticleSpace, apply, innerq,
-                   operator_norm_estimate, sparse_vector)
+                   sparse_vector)
 from .kspoly import ks_poly, ks_row_formula, q_charlier, q_hermite
 from .model import (WeightedPointAlgebra, MomentSequence, ProcessModel, TimeGrid,
                     _parse_fraction_list, config_value, model_values,
@@ -36,8 +36,6 @@ from .stochastic import (AdaptedProcess, BiProcess, StepFunction,
 from .wick import (WickElement, expansion_operator, product_expansion,
                    vacuum_expectation, vacuum_vector, vacuum_moment,
                    wick_operator)
-
-MAX_NMAX = 8
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +486,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             else config_value(entries, "seed", int, "0"))
     nmax = (flag["nmax"] if flag["nmax"] is not None
             else config_value(entries, "nmax", int, "4"))
-    if not 1 <= nmax <= MAX_NMAX:
-        raise UsageError(f"nmax must lie in 1..{MAX_NMAX}, got {nmax}")
+    if nmax < 1:
+        raise UsageError(f"nmax must be >= 1, got {nmax}")
 
     pointset = None
     if "pointset.points" in entries:

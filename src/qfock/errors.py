@@ -30,4 +30,6 @@ class DegeneracyError(QFockError):
 
 
 class ResourceBudgetError(QFockError):
-    """A combinatorial budget (symmetric-group or Bell-number cap) was exceeded."""
+    """A work budget was exceeded: a cap on a size (a symmetric group, a
+    partition count, a polynomial length or degree, a norm-estimate depth) or
+    the live arc-state budget of `wick.vacuum_moment`."""

@@ -230,6 +230,7 @@ class ProcessModel:
         self.grid = grid
         self.degree_cutoff = degree_cutoff
         self.fock_depth = fock_depth
+        self.wick_cache: dict = {}  # letter word -> its Wick operator (wick.py)
         d, n = degree_cutoff, grid.n_atoms
         dim = n * d
         gram = [[Fraction(0)] * dim for _ in range(dim)]
@@ -403,6 +404,7 @@ class WeightedPointAlgebra:
                 for i in range(n)]
         self.ring = ring
         self.fock_depth = fock_depth
+        self.wick_cache: dict = {}  # letter word -> its Wick operator (wick.py)
         self.space = OneParticleSpace(n, gram, ring)
 
     # -- letter-algebra protocol -------------------------------------------

@@ -14,9 +14,18 @@ covers both the grid model and the compound-Poisson algebra.
 A product X(l_1)...X(l_n) expands over extended partitions (S, π): closed
 blocks contract to scalars (the mean for singletons, a pairing for larger
 blocks), open blocks survive as letters of a Wick word, and each term is
-weighted by q^{rc(S, π)}.  `product_expansion` and `vacuum_moment` contract
-each distinct block content once per call, through a memo that lives only for
-that call and is keyed by the block's letters in position order.
+weighted by q^{rc(S, π)}.  `product_expansion` lists these terms and
+contracts each distinct block content once per call, through a memo that
+lives only for that call and is keyed by the block's letters in position
+order.
+
+`vacuum_moment` sums the closed case, φ[X(l_1)...X(l_n)] = Σ_π q^{rc(π)}
+Π_B (block contraction), without listing partitions: a left-to-right
+transfer over the arcs still pending at each position (the transfer-matrix
+form of the crossing continued fractions of Flajolet and of Kasraoui–Zeng),
+with a budget on the number of live states in place of a cap on n.
+
+Wick operators are memoised per algebra, in its `wick_cache`.
 """
 
 from __future__ import annotations
@@ -29,13 +38,15 @@ from typing import Iterable, Sequence
 from .errors import ResourceBudgetError, UsageError
 from .fock import FockOperator, FockVector, apply
 from .model import Letter, letter_pair
-from .partitions import (ExtendedPartition, enumerate_partitions, rc, rc_plain)
+from .partitions import ExtendedPartition, enumerate_partitions, rc
 from .qscalar import QScalar
 
 MAX_PRODUCT_N = 8
-MAX_MOMENT_N = 10
-
-_WICK_CACHE: dict[tuple, FockOperator] = {}
+# Live arc states vacuum_moment may hold after one position.  X(1)^n on the
+# one-letter grid models peaks at 627 states at n = 16 and 3,949 at n = 20
+# (1.9 s on the 2-atom three-point model, on a 2-vCPU Xeon), and n = 21 needs
+# 6,218; the all-ones point set reaches 3,679 at n = 28 (1.3 s).
+MAX_ARC_STATES = 4000
 
 
 def _same_algebra(letters: Sequence[Letter]):
@@ -48,10 +59,10 @@ def _same_algebra(letters: Sequence[Letter]):
 
 
 def wick_operator(algebra, word: Sequence[Letter]) -> FockOperator:
-    """The Wick operator of a letter word, memoized per algebra."""
+    """The Wick operator of a letter word, memoized in the algebra's
+    `wick_cache`, so the operators are freed with their algebra."""
     word = tuple(word)
-    key = (algebra, word)
-    cached = _WICK_CACHE.get(key)
+    cached = algebra.wick_cache.get(word)
     if cached is not None:
         return cached
 
@@ -79,7 +90,7 @@ def wick_operator(algebra, word: Sequence[Letter]) -> FockOperator:
             terms.append(w_rest.scale(-ring.of(m)))
         op = FockOperator.opsum(terms)
 
-    _WICK_CACHE[key] = op
+    algebra.wick_cache[word] = op
     return op
 
 
@@ -296,28 +307,109 @@ def expansion_ledger(terms: Iterable[ExpansionTerm]) -> str:
     return "\n".join(lines)
 
 
+def _rational(x: Fraction) -> int | Fraction:
+    """x as an int when it is one: int coefficients add and multiply faster."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _add_moved(out: dict, state: tuple, poly: dict[int, int | Fraction],
+               weight: int | Fraction, shift: int) -> None:
+    """out[state] += weight · q^shift · poly."""
+    target = out.get(state)
+    if target is None:
+        target = out[state] = {}
+    if weight == 1:  # opening and staying moves: skip a product per term
+        for k, c in poly.items():
+            target[k + shift] = target.get(k + shift, 0) + c
+    else:
+        for k, c in poly.items():
+            target[k + shift] = target.get(k + shift, 0) + c * weight
+
+
 def vacuum_moment(letters: Sequence[Letter]) -> QScalar:
-    """<Ω, X(l_1)...X(l_n) Ω>_q as the partition sum Σ_π q^{rc(π)} Π_B (block
-    contraction)."""
+    """<Ω, X(l_1)...X(l_n) Ω>_q = Σ_π q^{rc(π)} Π_B (block contraction),
+    summed by a left-to-right transfer over arc states, not over partitions.
+
+    An arc joins consecutive elements of a block; the state after a position
+    is the tuple of blocks with an arc still pending there, in order of their
+    last element, each kept as (first letter, product of its later letters).
+    The next letter is a singleton (weight: its mean, a move skipped when the
+    mean is 0), opens a block, or ends the pending arc of the block at place
+    p of h; that arc crosses the h-1-p arcs opened after it and still
+    pending, so the move carries q^{h-1-p}, and the block then closes (weight
+    letter_pair(first, rest·l)) or stays pending at the end of the tuple.
+    Each crossing is so counted once, at its left arc's end.  A state holds
+    its polynomial as exact rationals per power of q, converted to the ring
+    once at the end; it is dropped when it has more pending arcs than
+    positions left, and when more than MAX_ARC_STATES states are live after
+    a position the call is refused.  Letter products and pairings are
+    memoised for the call.
+    """
     n = len(letters)
     algebra = _same_algebra(letters)
-    if n > MAX_MOMENT_N:
-        raise ResourceBudgetError(
-            f"vacuum_moment capped at n = {MAX_MOMENT_N}, got {n}")
-    ring = algebra.ring
     distinct, labels = _content_labels(letters)
-    scalars = _ContentMemo(_block_scalar, distinct)
-    total = ring.zero()
-    for pi in enumerate_partitions(n):
-        val = None  # starting from the first contraction saves a product with 1
-        for block in pi.blocks:
-            c = scalars[tuple([labels[i - 1] for i in block])]
-            val = c if val is None else val * c
-            if not val:
-                break
-        if val:
-            total = total + ring.q_pow(rc_plain(pi)) * ring.of(val)
-    return total
+    # letter ids: 0 stands for the empty product, 1..len(distinct) for the
+    # input letters, and block products are interned after them
+    known = [None, *distinct]
+    ids = {l: i for i, l in enumerate(known) if i}
+    means = [None, *(_rational(l.mean()) for l in distinct)]
+    products: dict[tuple[int, int], int] = {}
+    pairs: dict[tuple[int, int], int | Fraction] = {}
+
+    def grow(rest: int, label: int) -> int:
+        """The id of rest·l (l itself when rest is empty); -1 if it is 0."""
+        key = (rest, label)
+        out = products.get(key)
+        if out is None:
+            if not rest:
+                out = label
+            else:
+                prod = known[rest] * known[label]
+                out = -1 if prod.is_zero else ids.get(prod)
+                if out is None:
+                    out = ids[prod] = len(known)
+                    known.append(prod)
+            products[key] = out
+        return out
+
+    def pair(first: int, rest: int) -> int | Fraction:
+        key = (first, rest)
+        out = pairs.get(key)
+        if out is None:
+            out = pairs[key] = _rational(letter_pair(known[first], known[rest]))
+        return out
+
+    states: dict[tuple, dict[int, int | Fraction]] = {(): {0: 1}}
+    for pos, label in enumerate(labels):
+        left = n - 1 - pos  # positions after this one
+        mean = means[label]
+        nxt: dict[tuple, dict[int, int | Fraction]] = {}
+        for state, poly in states.items():
+            h = len(state)
+            if mean and h <= left:
+                _add_moved(nxt, state, poly, mean, 0)
+            if h < left:
+                _add_moved(nxt, state + ((label, 0),), poly, 1, 0)
+            for p, (first, rest) in enumerate(state):
+                grown = grow(rest, label)
+                if grown < 0:
+                    continue  # a zero product pairs to 0 whatever follows
+                others = state[:p] + state[p + 1:]
+                weight = pair(first, grown)
+                if weight:
+                    _add_moved(nxt, others, poly, weight, h - 1 - p)
+                if h <= left:
+                    _add_moved(nxt, others + ((first, grown),), poly, 1, h - 1 - p)
+        if len(nxt) > MAX_ARC_STATES:
+            raise ResourceBudgetError(
+                f"vacuum_moment needs {len(nxt)} arc states at position "
+                f"{pos + 1} of {n}, over the budget of {MAX_ARC_STATES}")
+        states = nxt
+
+    poly = states.get((), {})
+    exact = QScalar.exact([poly.get(k, 0) for k in range(max(poly, default=-1) + 1)])
+    ring = algebra.ring
+    return exact if ring.exact else ring.of(exact.subs(ring.q0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import hashlib
 import random
+import re
 
 import pytest
 
-from qfock import cli
+from qfock import cli, wick
 from qfock.cli import IdentityRow, main
 
 
@@ -101,6 +102,27 @@ class TestMoments:
         code, _, err = run(capsys, "moments", "--nmax", "9")
         assert code == 2
         assert "nmax" in err
+        code, _, err = run(capsys, "moments", "--nmax", "0")
+        assert code == 2
+        assert "nmax must be >= 1" in err
+
+    def test_state_budget_refusal(self, capsys, tmp_path):
+        # the Gaussian model runs X(1)^n to n = 20 and needs 6,218 arc
+        # states at n = 21
+        cfg = tmp_path / "gauss.cfg"
+        cfg.write_text("q = exact\n"
+                       "nu.atoms = [(0, 1)]\n"
+                       "grid = uniform(1, 1)\n"
+                       "degree_cutoff = 20\n"
+                       "fock_depth = 6\n")
+        code, out, err = run(capsys, "moments", "--model", str(cfg),
+                             "--nmax", "21")
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"budget of {wick.MAX_ARC_STATES}" in lines[0]
+        assert re.search(r"needs \d+ arc states", lines[0])
 
 
 class TestConverge:

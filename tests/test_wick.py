@@ -1,20 +1,109 @@
+import gc
+import math
 import random
+import re
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfock import wick
+from qfock.cli import all_ones_pointset, gaussian_model, three_point_model
 from qfock.errors import ResourceBudgetError, UsageError
 from qfock.fock import FockOperator, FockVector, apply, gamma_q
 from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
-                         TimeGrid)
-from qfock.qscalar import EXACT, QScalar
+                         TimeGrid, letter_pair)
+from qfock.partitions import enumerate_partitions, rc_plain
+from qfock.qscalar import EXACT, QScalar, ScalarRing
 from qfock.wick import (WickElement, expansion_ledger, expansion_operator,
                         product_expansion, right_operator, vacuum_expectation,
                         vacuum_moment, vacuum_vector, wick_operator,
                         word_vector)
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# moment oracles: none of them sums over arc states
+
+
+def partition_sum_moment(letters) -> QScalar:
+    """Σ_π q^{rc(π)} Π_B (block contraction) over all Bell(n) partitions: a
+    singleton contracts to its mean, a larger block to the pairing of its
+    first letter with the ordered product of the rest."""
+    ring = letters[0].algebra.ring
+    contraction = {}
+    total = ring.zero()
+    for pi in enumerate_partitions(len(letters)):
+        val = Fraction(1)
+        for block in pi.blocks:
+            key = tuple(letters[i - 1] for i in block)
+            if key not in contraction:
+                if len(key) == 1:
+                    contraction[key] = key[0].mean()
+                else:
+                    rest = key[1]
+                    for l in key[2:]:
+                        rest = rest * l
+                    contraction[key] = letter_pair(key[0], rest)
+            val *= contraction[key]
+        if val:
+            total = total + ring.q_pow(rc_plain(pi)) * ring.of(val)
+    return total
+
+
+def _poly_add(a: list, b: list) -> list:
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def _poly_mul(a: list, b: list) -> list:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def touchard_riordan(n: int) -> QScalar:
+    """Σ over perfect matchings of {1..n} of q^crossings, by the
+    Touchard–Riordan formula: for n = 2m,
+    (1-q)^m m_n = Σ_k (-1)^k q^{k(k+1)/2} (C(2m, m-k) - C(2m, m-k-1))."""
+    if n % 2:
+        return EXACT.zero()
+    m = n // 2
+    num = [0] * (m * (m + 1) // 2 + 1)
+    for k in range(m + 1):
+        num[k * (k + 1) // 2] += (-1) ** k * (
+            math.comb(2 * m, m - k) - (math.comb(2 * m, m - k - 1) if k < m else 0))
+    for _ in range(m):  # p / (1-q) is the running sum of p's coefficients
+        for i in range(1, len(num)):
+            num[i] += num[i - 1]
+        assert num[-1] == 0, "(1-q) does not divide the numerator"
+        num.pop()
+    return QScalar.exact(num)
+
+
+def q_charlier_chain(n: int) -> QScalar:
+    """(J^n)_{00} for the Jacobi matrix of the q-Charlier chain, diagonal
+    1 + [k]_q and off-diagonal products [k]_q, summed over Motzkin paths:
+    the moments of the all-ones point set (one atom at 1, mass 1)."""
+    def q_int(k):
+        return [1] * k
+
+    paths = [[1]]  # paths[h]: weight of the paths so far ending at height h
+    for _ in range(n):
+        nxt = [[] for _ in range(len(paths) + 1)]
+        for h, w in enumerate(paths):
+            nxt[h + 1] = _poly_add(nxt[h + 1], w)
+            nxt[h] = _poly_add(nxt[h], _poly_mul(w, _poly_add([1], q_int(h))))
+            if h:
+                nxt[h - 1] = _poly_add(nxt[h - 1], _poly_mul(w, q_int(h)))
+        paths = nxt
+    return QScalar.exact(paths[0])
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +135,18 @@ class TestWickOperator:
         alg = WeightedPointAlgebra([1], [1], EXACT)
         with pytest.raises(UsageError):
             wick_operator(model, (alg.one(),))
+
+    def test_cache_dies_with_its_algebra(self):
+        moments = MomentSequence.from_measure([(-1, F(1, 2)), (1, F(1, 2))], 4)
+        alg = ProcessModel(EXACT, moments, TimeGrid.uniform(1, 2), 2, 4)
+        word = (alg.atom_letter(0), alg.atom_letter(1), alg.atom_letter(0))
+        op = wick_operator(alg, word)
+        assert alg.wick_cache[word] is op
+        assert wick_operator(alg, word) is op
+        ref = weakref.ref(alg)
+        del alg, word, op
+        gc.collect()
+        assert ref() is None
 
 
 class TestProductExpansion:
@@ -102,9 +203,56 @@ class TestVacuumMoments:
         assert val.subs(1) == 52  # Bell(5)
         assert val.subs(0) == 42  # Catalan(5)
 
-    def test_budget(self, model):
-        with pytest.raises(ResourceBudgetError):
-            vacuum_moment((model.atom_letter(0),) * 11)
+    def test_budget(self):
+        # X(1)^21 on the Gaussian model needs 6,218 live arc states
+        x = gaussian_model(n_atoms=1, cutoff=20).prefix_letter(1)
+        with pytest.raises(ResourceBudgetError) as info:
+            vacuum_moment([x] * 21)
+        needed, limit = re.search(r"needs (\d+) arc states .* budget of (\d+)",
+                                  str(info.value)).groups()
+        assert int(needed) > int(limit) == wick.MAX_ARC_STATES
+
+    @pytest.mark.parametrize("family", ["gaussian", "three_point", "all_ones"])
+    def test_transfer_equals_partition_sum(self, family):
+        if family == "gaussian":
+            x = gaussian_model(n_atoms=1, cutoff=8).prefix_letter(1)
+        elif family == "three_point":
+            x = three_point_model(n_atoms=2, cutoff=8).prefix_letter(1)
+        else:
+            x = all_ones_pointset().one()
+        for n in range(1, 10):
+            assert vacuum_moment([x] * n) == partition_sum_moment([x] * n), n
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_gaussian_is_touchard_riordan(self, n):
+        x = gaussian_model(n_atoms=1, cutoff=15).prefix_letter(1)
+        assert vacuum_moment([x] * n) == touchard_riordan(n)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_all_ones_is_q_charlier(self, n):
+        assert vacuum_moment([all_ones_pointset().one()] * n) == q_charlier_chain(n)
+
+    def test_oracles_pinned(self):
+        assert touchard_riordan(6) == QScalar.parse("5 + 6*q + 3*q^2 + q^3")
+        assert q_charlier_chain(4) == QScalar.parse("14 + q")
+        assert q_charlier_chain(5).subs(1) == 52  # Bell(5)
+
+    @pytest.mark.parametrize("q0", [F(3, 10), F(-1, 2), F(7, 10)])
+    def test_float_mode_matches_exact_polynomial(self, q0):
+        ring = ScalarRing(q0)
+        cases = [
+            (three_point_model(n_atoms=2, cutoff=9).prefix_letter(1),
+             three_point_model(n_atoms=2, cutoff=9, ring=ring).prefix_letter(1)),
+            (all_ones_pointset().one(), all_ones_pointset(ring).one()),
+            (WeightedPointAlgebra([-1, 2], [F(2, 3), F(1, 3)], EXACT).coordinate(),
+             WeightedPointAlgebra([-1, 2], [F(2, 3), F(1, 3)], ring).coordinate()),
+        ]
+        for exact, pinned in cases:
+            for n in range(1, 11):
+                want = vacuum_moment([exact] * n).subs(q0)
+                got = vacuum_moment([pinned] * n)
+                assert not got.is_exact
+                assert math.isclose(float(got), want, rel_tol=1e-12, abs_tol=0), n
 
 
 def grid_alphabet():
@@ -144,8 +292,9 @@ def apply_product(algebra, letters, v):
 
 
 class TestBlockMemo:
-    """vacuum_moment and product_expansion contract each distinct block
-    content once per call; the results must equal direct Fock application."""
+    """product_expansion contracts each distinct block content once per call,
+    and vacuum_moment memoises letter products and pairings per call; the
+    results must equal direct Fock application."""
 
     @given(words(max_len=5))
     @settings(max_examples=30, deadline=None)
@@ -154,6 +303,14 @@ class TestBlockMemo:
         om = vacuum_vector(algebra)
         direct = apply_product(algebra, letters, om).vacuum_coefficient()
         assert vacuum_moment(letters) == direct
+
+    @given(words(max_len=7))
+    @settings(max_examples=40, deadline=None)
+    def test_moment_equals_partition_sum(self, drawn):
+        """Mixed words over centered letters (grid) and over letters with
+        nonzero means (points): the transfer against the Bell(n) sum."""
+        _, letters = drawn
+        assert vacuum_moment(letters) == partition_sum_moment(letters)
 
     @given(words(max_len=4))
     @settings(max_examples=20, deadline=None)
