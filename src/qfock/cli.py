@@ -20,9 +20,10 @@ from .fock import (FockOperator, FockVector, OneParticleSpace, apply, innerq,
                    sparse_vector)
 from .kspoly import ks_poly, ks_row_formula, q_charlier, q_hermite
 from .model import (WeightedPointAlgebra, MomentSequence, ProcessModel, TimeGrid,
-                    _parse_fraction_list, config_value, model_values,
-                    parse_model_config, parse_ring, process_operators)
-from .partitions import SetPartition, enumerate_partitions
+                    _parse_fraction_list, config_entries, config_value,
+                    model_from_values, model_values, parse_ring,
+                    process_operators)
+from .partitions import SetPartition
 from .qscalar import EXACT, QScalar, ScalarRing, q_fact_ratio
 from .stochastic import (AdaptedProcess, BiProcess, StepFunction,
                          biprocess_inner, biprocess_integral,
@@ -30,12 +31,11 @@ from .stochastic import (AdaptedProcess, BiProcess, StepFunction,
                          ito_isometry_rhs, l2q_inner, multiple_integral,
                          power_decomposition, psi_closed, st_pi_closed,
                          st_pi_convergence, st_pi_corollary_form,
-                         st_pi_discrete, traciality_witness,
+                         traciality_witness,
                          two_sided_closed, two_sided_defect_vector,
                          two_sided_discrete, x_process, yhat_process)
 from .wick import (WickElement, expansion_operator, product_expansion,
-                   vacuum_expectation, vacuum_vector, vacuum_moment,
-                   wick_operator)
+                   vacuum_expectation, vacuum_vector, vacuum_moment)
 
 
 # ---------------------------------------------------------------------------
@@ -429,25 +429,14 @@ fock_depth = 6
 
 @dataclass
 class RunConfig:
-    model_text: str = DEFAULT_MODEL_TEXT
+    # the converted model keys (see model.model_values)
+    model: dict = field(default_factory=lambda: model_values(
+        config_entries(DEFAULT_MODEL_TEXT)))
     out_dir: Path | None = None
     suites: tuple[str, ...] = tuple(SUITES)
     seed: int = 0
     nmax: int = 6
-    schedule: tuple[int, ...] = DEFAULT_SCHEDULE
     pointset: WeightedPointAlgebra | None = None
-
-
-def _config_entries(text: str) -> dict[str, str]:
-    entries = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise UsageError(f"malformed config line: {raw!r}")
-            entries[key.strip()] = value.strip()
-    return entries
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -459,7 +448,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             text = Path(flag["model"]).read_text()
         except OSError as exc:
             raise UsageError(f"cannot read model file: {exc}") from exc
-    entries = _config_entries(text)
+    entries = config_entries(text)
 
     # flags win over file keys
     overrides = {}
@@ -496,11 +485,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         ring = config_value(entries, "q", parse_ring, "exact")
         pointset = WeightedPointAlgebra(pts, ws, ring)
     # every command checks the model keys it was given, read or not
-    model_text = "\n".join(f"{k} = {entries[k]}" for k in model_values(entries))
+    model = model_values(entries)
 
     out_dir = Path(args.out) if args.out else None
-    return RunConfig(model_text, out_dir, suites, seed, nmax,
-                     tuple(DEFAULT_SCHEDULE), pointset)
+    return RunConfig(model, out_dir, suites, seed, nmax, pointset)
 
 
 def _emit(lines: list[str], out_dir: Path | None, name: str) -> None:
@@ -532,12 +520,10 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_converge(config: RunConfig) -> int:
-    if len(config.schedule) < 3:
-        raise UsageError("refinement schedule needs at least 3 grid sizes")
     lines = ["experiment,N,delta,l2_error"]
     slopes = []
     for label, pi, factory, _q in shipped_experiments():
-        table = st_pi_convergence(pi, 1, factory, config.schedule, label)
+        table = st_pi_convergence(pi, 1, factory, DEFAULT_SCHEDULE, label)
         for row in table.rows:
             lines.append(f"{label},{row.n_atoms},{row.delta},{row.l2_error:.12e}")
         slopes.append((label, table.slope()))
@@ -553,7 +539,7 @@ def cmd_moments(config: RunConfig) -> int:
         algebra = config.pointset
         letter = algebra.one()
     else:
-        algebra = parse_model_config(config.model_text)
+        algebra = model_from_values(config.model)
         # a closed block of size n multiplies n-1 power-1 letters together
         if config.nmax > algebra.degree_cutoff + 1:
             raise UsageError(

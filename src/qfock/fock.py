@@ -8,8 +8,8 @@ materialized on demand, for operator-norm estimates in float mode.
 One-particle vectors have one form, the sparse tuple of their nonzero
 (index, coeff) entries in index order (`SparseVector`).  Public constructors
 also accept a dense coefficient sequence and convert it once, on entry.  The
-gram form is block-diagonal over its orthogonality classes, so pairings run
-over sparse gram rows, and the space keeps the ring-scalar pairing row
+gram form has one form too, its sparse rows, and is block-diagonal over its
+orthogonality classes; the space keeps the ring-scalar pairing row
 {i: <zeta, e_i>} of each annihilation payload it has been asked for.
 
 The q-inner product is <u, P_n v>_0 on degree n, P_n the q-symmetrizer
@@ -25,7 +25,7 @@ the full result fits under the configured depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -48,35 +48,35 @@ def sparse_vector(zeta: Sequence) -> SparseVector:
     entries = zeta if zeta and isinstance(zeta[0], tuple) else enumerate(zeta)
     acc: dict[int, Fraction] = {}
     for i, c in entries:
-        acc[i] = acc.get(i, 0) + Fraction(c)
+        acc[i] = acc[i] + Fraction(c) if i in acc else Fraction(c)
     return tuple(sorted((i, c) for i, c in acc.items() if c))
 
 
 class OneParticleSpace:
     """A finite-dimensional real one-particle space with a symmetric gram form.
 
-    Gram entries are exact rationals; the scalar ring fixes whether derived
-    Fock computations run exactly in Q[q] or in floats at a pinned q.  The
-    construction also records the sparse gram rows, rows[j] = the nonzero
-    (i, <e_j, e_i>), and the orthogonality classes they connect; pairings
-    take one-particle vectors in sparse form and only touch those rows.
+    The gram form is kept only as its sparse rows, rows[j] = the nonzero
+    (i, <e_j, e_i>); the constructor takes one row per basis index, dense or
+    sparse (see sparse_vector).  Entries are exact rationals; the scalar ring
+    fixes whether derived Fock computations run exactly in Q[q] or in floats
+    at a pinned q.  Pairings take one-particle vectors in sparse form.
 
     The space also owns two caches, freed with it: the ring-scalar pairing
     rows of `pair_scalars`, and `pn_blocks`, the float q-gram blocks of
     `operator_norm_estimate` keyed by degree.
     """
 
-    def __init__(self, dim: int, gram: Sequence[Sequence[Fraction]], ring: ScalarRing):
+    def __init__(self, dim: int, gram: Sequence[Sequence], ring: ScalarRing):
+        if len(gram) != dim:
+            raise UsageError(f"gram must have {dim} rows, got {len(gram)}")
         self.dim = dim
-        self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
-        if len(self.gram) != dim or any(len(r) != dim for r in self.gram):
-            raise UsageError(f"gram must be {dim}x{dim}")
-        self.rows: tuple[SparseVector, ...] = tuple(
-            tuple((i, g) for i, g in enumerate(row) if g) for row in self.gram)
-        for j, row in enumerate(self.rows):
-            for i, g in row:
-                if self.gram[i][j] != g:
-                    raise UsageError("gram must be symmetric")
+        self.rows: tuple[SparseVector, ...] = tuple(map(sparse_vector, gram))
+        entries = {(j, i): g for j, row in enumerate(self.rows) for i, g in row}
+        for (j, i), g in entries.items():
+            if not 0 <= i < dim:
+                raise UsageError(f"gram row {j}: basis index {i} out of range")
+            if entries.get((i, j)) != g:
+                raise UsageError("gram must be symmetric")
         self.ring = ring
         self._classes = self._connected_classes()
         self._pair_scalars: dict[SparseVector, dict[int, QScalar]] = {}
@@ -84,8 +84,7 @@ class OneParticleSpace:
 
     @staticmethod
     def orthonormal(dim: int, ring: ScalarRing) -> "OneParticleSpace":
-        eye = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-        return OneParticleSpace(dim, eye, ring)
+        return OneParticleSpace(dim, [((i, 1),) for i in range(dim)], ring)
 
     def pair_row(self, zeta: SparseVector) -> dict[int, Fraction]:
         """The nonzero pairings {i: <zeta, e_i>} of a sparse vector."""
@@ -107,7 +106,7 @@ class OneParticleSpace:
 
     def pair(self, zeta: SparseVector, i: int) -> Fraction:
         """<zeta, e_i> under the gram form."""
-        return sum((c * self.gram[j][i] for j, c in zeta), Fraction(0))
+        return self.pair_row(zeta).get(i, Fraction(0))
 
     def pair_vec(self, zeta: SparseVector, eta: SparseVector) -> Fraction:
         row = self.pair_row(zeta)
@@ -135,11 +134,12 @@ class OneParticleSpace:
         return tuple(labels)
 
     def __eq__(self, other):
-        return (isinstance(other, OneParticleSpace) and self.dim == other.dim
-                and self.gram == other.gram and self.ring == other.ring)
+        return self is other or (
+            isinstance(other, OneParticleSpace) and self.dim == other.dim
+            and self.rows == other.rows and self.ring == other.ring)
 
     def __hash__(self):
-        return hash((self.dim, self.gram, self.ring))
+        return hash((self.dim, self.rows, self.ring))
 
 
 class FockVector:
@@ -246,12 +246,13 @@ def inner0(u: FockVector, v: FockVector) -> QScalar:
     buckets: dict[tuple[int, ...], list] = {}
     for w2, cv in v.terms.items():
         buckets.setdefault(tuple(cls[i] for i in w2), []).append((w2, cv))
+    gram = [dict(row) for row in sp.rows]
     total = sp.ring.zero()
     for w, cu in u.terms.items():
         for w2, cv in buckets.get(tuple(cls[i] for i in w), ()):
             g = Fraction(1)
             for a, b in zip(w, w2):
-                g *= sp.gram[a][b]
+                g *= gram[a].get(b, 0)
                 if g == 0:
                     break
             if g != 0:
@@ -527,7 +528,8 @@ def adjoint(op: FockOperator, space: OneParticleSpace) -> FockOperator:
             return op
         t = g.as_matrix(space.dim)  # t[j][i] = coeff of e_j in T e_i
         tt = [[t[i][j] for i in range(space.dim)] for j in range(space.dim)]
-        gram = [list(row) for row in space.gram]
+        gram = [[r.get(i, Fraction(0)) for i in range(space.dim)]
+                for r in map(dict, space.rows)]
         # T* = G^{-1} T^t G
         ttg = _matmul(tt, gram)
         tstar = _solve_matrix(gram, ttg)
@@ -577,9 +579,10 @@ def words_up_to(dim: int, depth: int) -> list[Word]:
     return out
 
 
-def _pn_matrix(dim: int, n: int, q0: float, gram):
+def _pn_matrix(dim: int, n: int, q0: float, rows):
     """The 0-gram of degree-n words composed with P_n, as a dense float array:
-    entry (w, w') is <w, P_n w'>_0, words in lexicographic order.
+    entry (w, w') is <w, P_n w'>_0, words in lexicographic order.  The gram
+    comes as one row per basis index, dense or sparse.
 
     Bozejko-Speicher: P_m = (1 (x) P_{m-1}) R_m with R_m = sum_k q0^k C_k,
     C_k the column permutation taking tensor slot k to the front, so P_n is
@@ -587,7 +590,8 @@ def _pn_matrix(dim: int, n: int, q0: float, gram):
     """
     import numpy as np
 
-    g = np.array([[float(x) for x in row] for row in gram])
+    g = np.array([[float(r.get(i, 0)) for i in range(dim)]
+                  for r in map(dict, map(sparse_vector, rows))])
     eye = np.eye(dim)
     p = np.ones((1, 1))
     gn = np.ones((1, 1))
@@ -632,7 +636,7 @@ def operator_norm_estimate(op: FockOperator, space: OneParticleSpace,
     for n in range(depth + 1):
         block = space.pn_blocks.get(n)
         if block is None:
-            block = space.pn_blocks[n] = _pn_matrix(space.dim, n, q0, space.gram)
+            block = space.pn_blocks[n] = _pn_matrix(space.dim, n, q0, space.rows)
         k = block.shape[0]
         p[offset:offset + k, offset:offset + k] = block
         offset += k

@@ -8,7 +8,6 @@ q-Hermite and the centered q-Charlier families.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import ResourceBudgetError, UsageError

@@ -231,15 +231,14 @@ class ProcessModel:
         self.degree_cutoff = degree_cutoff
         self.fock_depth = fock_depth
         self.wick_cache: dict = {}  # letter word -> its Wick operator (wick.py)
-        d, n = degree_cutoff, grid.n_atoms
-        dim = n * d
-        gram = [[Fraction(0)] * dim for _ in range(dim)]
-        for a in range(n):
+        # the gram is block-diagonal by atom: one d x d block of rows each
+        d = degree_cutoff
+        rows = []
+        for a in range(grid.n_atoms):
             w = grid.width(a)
-            for j in range(1, d + 1):
-                for k in range(1, d + 1):
-                    gram[a * d + j - 1][a * d + k - 1] = w * moments.r_at(j + k)
-        self.space = OneParticleSpace(dim, gram, ring)
+            rows.extend([(a * d + k - 1, w * moments.r_at(j + k))
+                         for k in range(1, d + 1)] for j in range(1, d + 1))
+        self.space = OneParticleSpace(grid.n_atoms * d, rows, ring)
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -399,13 +398,11 @@ class WeightedPointAlgebra:
             raise UsageError("weights must be positive")
         if sum(self.weights) != 1:
             raise UsageError("weights must sum to 1")
-        n = len(self.points)
-        gram = [[self.weights[i] if i == j else Fraction(0) for j in range(n)]
-                for i in range(n)]
         self.ring = ring
         self.fock_depth = fock_depth
         self.wick_cache: dict = {}  # letter word -> its Wick operator (wick.py)
-        self.space = OneParticleSpace(n, gram, ring)
+        self.space = OneParticleSpace(
+            len(self.points), [((i, w),) for i, w in enumerate(self.weights)], ring)
 
     # -- letter-algebra protocol -------------------------------------------
 
@@ -498,6 +495,19 @@ def parse_ring(text: str) -> ScalarRing:
     return ScalarRing() if text == "exact" else ScalarRing(Fraction(text))
 
 
+def config_entries(text: str) -> dict[str, str]:
+    """The "key = value" lines of a config file; `#` starts a comment."""
+    entries: dict[str, str] = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise UsageError(f"malformed config line: {raw!r}")
+            entries[key.strip()] = value.strip()
+    return entries
+
+
 def config_value(entries: dict[str, str], key: str, convert: Callable,
                  default: str | None = None):
     """convert(entries.get(key, default)); a malformed value is a usage error."""
@@ -526,29 +536,17 @@ def model_values(entries: dict[str, str]) -> dict:
             for key, convert in MODEL_KEYS if key in entries}
 
 
-def parse_model_config(text: str) -> ProcessModel:
-    """Build a ProcessModel from "key = value" lines.
+def model_from_values(values: dict) -> ProcessModel:
+    """Build a ProcessModel from converted model keys (see `model_values`).
 
     Keys: q (= "exact" or a rational in (-1,1)), nu.atoms = [(x,w),...] or
     moments = [r1,...], grid = uniform(T, N) or an explicit boundary list,
     degree_cutoff, fock_depth.  When both nu.atoms and moments are given they
     are validated against each other.
     """
-    entries: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"malformed config line: {raw!r}")
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
-
-    missing = {"q", "grid", "degree_cutoff", "fock_depth"} - set(entries)
+    missing = {"q", "grid", "degree_cutoff", "fock_depth"} - set(values)
     if missing:
         raise UsageError(f"config missing keys: {sorted(missing)}")
-
-    values = model_values(entries)
     degree_cutoff = values["degree_cutoff"]
 
     n_moments = max(2 * degree_cutoff, 2)
@@ -566,3 +564,8 @@ def parse_model_config(text: str) -> ProcessModel:
 
     return ProcessModel(values["q"], moments, values["grid"], degree_cutoff,
                         values["fock_depth"])
+
+
+def parse_model_config(text: str) -> ProcessModel:
+    """Build a ProcessModel from the "key = value" lines of a config file."""
+    return model_from_values(model_values(config_entries(text)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import ResourceBudgetError, UsageError
 from .fock import FockOperator, FockVector, adjoint, apply, innerq

@@ -125,6 +125,19 @@ class TestMoments:
         assert re.search(r"needs \d+ arc states", lines[0])
 
 
+# l2_error per grid size N = 2, 4, 8 and the fitted slope of each shipped
+# experiment, recorded at full precision before the model gram became sparse
+# rows
+CONVERGE_PINNED = {
+    "pair_free": ([0.5, 0.25, 0.125], 1.0),
+    "pair_q_half": ([0.75, 0.375, 0.1875], 1.0000000000000002),
+    "split_q_half": ([0.75, 0.375, 0.1875], 1.0000000000000002),
+    "triple_ones": ([6.90625, 2.8984375, 1.310546875], 1.1988668015956243),
+    "mixed_ones": ([1.2499999999999998, 0.6458333333333333,
+                    0.3281249999999999], 0.9648053360543012),
+}
+
+
 class TestConverge:
     def test_csv_shape_and_slopes(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "DEFAULT_SCHEDULE", (2, 4, 8))
@@ -140,6 +153,31 @@ class TestConverge:
         assert len(slopes) == 5
         for line in slopes:
             assert float(line.rsplit(",", 1)[1]) > 0.5
+
+    def test_pinned_values(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_SCHEDULE", (2, 4, 8))
+        tables = {}
+        real = cli.st_pi_convergence
+
+        def recording(pi, t, factory, schedule, label):
+            tables[label] = real(pi, t, factory, schedule, label)
+            return tables[label]
+
+        monkeypatch.setattr(cli, "st_pi_convergence", recording)
+        code, out, _ = run(capsys, "converge")
+        assert code == 0
+        assert list(tables) == list(CONVERGE_PINNED)
+        close = lambda x: pytest.approx(x, rel=1e-12, abs=0)
+        for label, (errors, slope) in CONVERGE_PINNED.items():
+            rows = tables[label].rows
+            assert [r.n_atoms for r in rows] == [2, 4, 8]
+            assert [r.l2_error for r in rows] == [close(e) for e in errors]
+            assert tables[label].slope() == close(slope)
+            # the CSV prints 13 significant digits of each error
+            printed = [float(line.rsplit(",", 1)[1]) for line in out.splitlines()
+                       if line.startswith(label + ",")]
+            assert printed == [close(e) for e in errors]
+            assert f"# slope,{label},,{slope:.4f}" in out.splitlines()
 
 
 class TestFlagPrecedence:

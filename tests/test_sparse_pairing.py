@@ -1,7 +1,9 @@
-"""Sparse one-particle pairings against the dense gram dot product.
+"""Sparse one-particle pairings and gram rows against dense oracles.
 
 The dense loops below are the oracle: they read every gram entry and share no
-code with the sparse gram rows of OneParticleSpace.
+code with the sparse gram rows of OneParticleSpace.  The model grams are
+written out densely from their formulas, delta_AB |A| r_{j+k} for the grid
+and the weights on the diagonal for a point set.
 """
 
 from fractions import Fraction
@@ -12,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from qfock.errors import UsageError
 from qfock.fock import (FockOperator, FockVector, OneParticleSpace, apply,
                         sparse_vector)
+from qfock.model import (MomentSequence, ProcessModel, TimeGrid,
+                         WeightedPointAlgebra)
 from qfock.qscalar import EXACT, ScalarRing
 
 RINGS = (EXACT, ScalarRing(Fraction(3, 10)))
@@ -138,3 +142,142 @@ def test_pair_scalars_memoises_pair_row(gram, data, ring):
     row = space.pair_scalars(zeta)
     assert row == {i: ring.of(g) for i, g in space.pair_row(zeta).items()}
     assert space.pair_scalars(zeta) is row
+
+
+def dense_rows(gram):
+    return tuple(tuple((i, g) for i, g in enumerate(row) if g) for row in gram)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grams(), st.sampled_from(RINGS), st.data())
+def test_dense_and_sparse_rows_give_one_space(gram, ring, data):
+    # sparse rows in any entry order normalise to the rows of the dense form
+    sparse = [data.draw(st.permutations(
+        [(i, g) for i, g in enumerate(row) if g])) for row in gram]
+    dense_space = OneParticleSpace(len(gram), gram, ring)
+    sparse_space = OneParticleSpace(len(gram), sparse, ring)
+    assert dense_space.rows == sparse_space.rows == dense_rows(gram)
+    assert dense_space == sparse_space
+    assert hash(dense_space) == hash(sparse_space)
+
+
+def test_sparse_rows_add_repeated_indices():
+    half = Fraction(1, 2)
+    space = OneParticleSpace(2, [[(1, half), (0, 2), (1, half)], [(0, 1)]], EXACT)
+    assert space == OneParticleSpace(2, [[2, 1], [1, 0]], EXACT)
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([[(0, 1)], [(2, 1)]], "basis index 2 out of range"),
+    ([[(0, 1)], [(-1, 1)]], "basis index -1 out of range"),
+    ([[1, 0, 1], [0, 1]], "basis index 2 out of range"),
+    ([[(0, 1), (1, 2)], [(1, 1)]], "symmetric"),
+    ([[(0, 1), (1, 2)], [(0, 3), (1, 1)]], "symmetric"),
+    ([[(0, 1)]], "2 rows"),
+    ([[1, 0], [0, 1], [0, 0]], "2 rows"),
+], ids=["index_past_dim", "negative_index", "dense_row_too_long",
+        "asymmetric_missing", "asymmetric_value", "too_few_rows",
+        "too_many_rows"])
+def test_constructor_rejects_bad_rows(rows, message):
+    with pytest.raises(UsageError, match=message):
+        OneParticleSpace(2, rows, EXACT)
+
+
+def test_space_keeps_only_rows():
+    space = OneParticleSpace(2, [[1, 0], [0, 2]], EXACT)
+    assert not hasattr(space, "gram")
+    assert space.rows == (((0, Fraction(1)),), ((1, Fraction(2)),))
+
+
+def dense_model_gram(widths, r, d):
+    """<x_A^j, x_B^k> = delta_AB |A| r_{j+k}, basis index A*d + k - 1; r[0]
+    is r_1."""
+    dim = len(widths) * d
+    gram = [[Fraction(0)] * dim for _ in range(dim)]
+    for a, width in enumerate(widths):
+        for j in range(1, d + 1):
+            for k in range(1, d + 1):
+                gram[a * d + j - 1][a * d + k - 1] = width * r[j + k - 1]
+    return gram
+
+
+def nonzero_components(gram):
+    """Connected components of the nonzero graph by union-find, labelled in
+    order of first appearance."""
+    parent = list(range(len(gram)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, row in enumerate(gram):
+        for j, g in enumerate(row):
+            if g:
+                parent[find(i)] = find(j)
+    return first_appearance([find(i) for i in range(len(gram))])
+
+
+def first_appearance(labels):
+    seen = {}
+    return tuple(seen.setdefault(x, len(seen)) for x in labels)
+
+
+# measures nu as (x, weight) atoms: delta_0 is the Gaussian, whose moments
+# past r_2 are all zero, and the symmetric ones have zero odd moments
+MEASURES = (
+    [(0, 1)],
+    [(-1, Fraction(1, 2)), (1, Fraction(1, 2))],
+    [(-1, Fraction(1, 4)), (0, Fraction(1, 2)), (1, Fraction(1, 4))],
+    [(1, 1)],
+)
+points = st.tuples(st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                   st.fractions(min_value=Fraction(1, 4), max_value=2,
+                                max_denominator=4))
+
+
+@st.composite
+def grid_models(draw):
+    d = draw(st.integers(1, 4))
+    atoms = draw(st.one_of(st.sampled_from(MEASURES),
+                           st.lists(points, min_size=1, max_size=3)))
+    # r_1 = 0 and r_{k+2} = sum_x w x^k, written out here
+    r = [Fraction(0)] + [sum((Fraction(w) * Fraction(x) ** k for x, w in atoms),
+                             Fraction(0)) for k in range(2 * d - 1)]
+    widths = draw(st.lists(st.fractions(min_value=Fraction(1, 8), max_value=2,
+                                        max_denominator=8),
+                           min_size=1, max_size=5))
+    boundaries = [Fraction(0)]
+    for width in widths:
+        boundaries.append(boundaries[-1] + width)
+    return d, r, widths, boundaries
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_models(), st.sampled_from(RINGS))
+def test_model_rows_match_dense_formula(case, ring):
+    d, r, widths, boundaries = case
+    model = ProcessModel(ring, MomentSequence(r), TimeGrid(boundaries), d, 3)
+    gram = dense_model_gram(widths, r, d)
+    assert model.space.dim == len(gram)
+    assert model.space.rows == dense_rows(gram)
+    assert first_appearance(model.space.gram_classes()) == nonzero_components(gram)
+
+
+def test_gaussian_model_rows_drop_zero_moments():
+    model = ProcessModel(EXACT, MomentSequence([0, 1, 0, 0, 0, 0]),
+                         TimeGrid([0, Fraction(1, 3), 1]), 3, 3)
+    third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+    # only <x_A, x_A> = |A| r_2 survives in each 3 x 3 block
+    assert model.space.rows == (((0, third),), (), (),
+                                ((3, two_thirds),), (), ())
+    assert model.space.gram_classes() == (0, 1, 2, 3, 4, 5)
+
+
+def test_point_set_rows_are_its_weights():
+    weights = [Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)]
+    alg = WeightedPointAlgebra([-1, 0, 5], weights, EXACT)
+    assert alg.space.rows == tuple(((i, w),) for i, w in enumerate(weights))
+    assert alg.space == OneParticleSpace(
+        3, [[w if i == j else 0 for j in range(3)] for i, w in enumerate(weights)],
+        EXACT)
