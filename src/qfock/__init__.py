@@ -11,16 +11,15 @@ from .errors import (CutoffExceededError, DegeneracyError, DepthExceededError,
                      UsageError)
 from .fock import (FockOperator, FockVector, Gauge, DenseGauge,
                    OneParticleSpace, SparseVector, adjoint, apply, apply_Pn,
-                   field_operator, gamma_q, inner0, innerq,
-                   operator_norm_estimate, sparse_vector)
-from .kspoly import (NCPolynomial, ks_poly, ks_row_formula, monic_op_poly,
-                     q_charlier, q_hermite)
+                   field_operator, inner0, innerq, operator_norm_estimate,
+                   sparse_vector)
+from .kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
 from .model import (WeightedPointAlgebra, Letter, MomentSequence, ProcessModel,
                     TimeGrid, letter_pair, monic_op_coefficients,
-                    parse_model_config, process_operators, yhat_letter)
+                    parse_model_config)
 from .partitions import (Classification, ExtendedPartition, SetPartition,
-                         bell_number, classify, enumerate_partitions,
-                         index_tuples, inner_outer, rc, rc_plain, restrict)
+                         classify, enumerate_partitions, index_tuples, rc,
+                         rc_plain)
 from .qscalar import (EXACT, QScalar, ScalarRing, inversions, q_fact,
                       q_fact_ratio, q_int, sym_group)
 from .stochastic import (AdaptedProcess, BiProcess, ConvergenceTable,
@@ -36,7 +35,7 @@ from .stochastic import (AdaptedProcess, BiProcess, ConvergenceTable,
                          two_sided_defect_vector, two_sided_discrete,
                          x_process, yhat_process)
 from .wick import (WickElement, expansion_ledger, expansion_operator,
-                   product_expansion, right_operator, vacuum_expectation,
+                   product_expansion, vacuum_expectation,
                    vacuum_moment, vacuum_vector, wick_operator, word_vector)
 
 __version__ = "0.1.0"

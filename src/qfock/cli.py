@@ -21,13 +21,12 @@ from .fock import (FockOperator, FockVector, OneParticleSpace, apply, innerq,
 from .kspoly import ks_poly, ks_row_formula, q_charlier, q_hermite
 from .model import (WeightedPointAlgebra, MomentSequence, ProcessModel, TimeGrid,
                     _parse_fraction_list, config_entries, config_value,
-                    model_from_values, model_values, parse_ring,
-                    process_operators)
+                    model_from_values, model_values, parse_ring)
 from .partitions import SetPartition
 from .qscalar import EXACT, QScalar, ScalarRing, q_fact_ratio
 from .stochastic import (AdaptedProcess, BiProcess, StepFunction,
                          biprocess_inner, biprocess_integral,
-                         conditional_expectation, ito_integral,
+                         conditional_expectation, delta_process, ito_integral,
                          ito_isometry_rhs, l2q_inner, multiple_integral,
                          power_decomposition, psi_closed, st_pi_closed,
                          st_pi_convergence, st_pi_corollary_form,
@@ -278,14 +277,14 @@ def suite_ks(rng: random.Random) -> list[IdentityRow]:
     for n in range(1, 5):
         lhs = apply(psi_closed([x_process(model)] * (n + 1), 1), om)
         rhs = FockVector(model.space, model.fock_depth)
-        ops = process_operators(model, (Fraction(0), Fraction(1)))
         for k in range(n + 1):
             coeff = q_fact_ratio(n, k)
             if k % 2:
                 coeff = -coeff
             psi = (apply(psi_closed([x_process(model)] * (n - k), 1), om)
                    if n - k else om)
-            rhs = rhs + apply(ops.Delta[k + 1], psi).scale(coeff)
+            delta = delta_process(model, k + 1).operator((Fraction(0), Fraction(1)))
+            rhs = rhs + apply(delta, psi).scale(coeff)
         rows.append(_vector_row("psi_chain", f"n={n}", lhs - rhs))
     return rows
 
@@ -427,6 +426,9 @@ fock_depth = 6
 """
 
 
+DEFAULT_NMAX = 4
+
+
 @dataclass
 class RunConfig:
     # the converted model keys (see model.model_values)
@@ -435,7 +437,7 @@ class RunConfig:
     out_dir: Path | None = None
     suites: tuple[str, ...] = tuple(SUITES)
     seed: int = 0
-    nmax: int = 6
+    nmax: int = DEFAULT_NMAX
     pointset: WeightedPointAlgebra | None = None
 
 
@@ -463,9 +465,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     entries.update(overrides)
 
     suites = tuple(SUITES)
-    raw_suites = flag["suite"] or entries.get("suite")
-    if raw_suites:
+    raw_suites = flag["suite"] if flag["suite"] is not None else entries.get("suite")
+    if raw_suites is not None:
         suites = tuple(s.strip() for s in raw_suites.split(",") if s.strip())
+        if not suites:
+            raise UsageError(f"empty suite list {raw_suites!r} "
+                             f"(available: {', '.join(SUITES)})")
         unknown = set(suites) - set(SUITES)
         if unknown:
             raise UsageError(f"unknown suites: {sorted(unknown)} "
@@ -474,7 +479,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     seed = (flag["seed"] if flag["seed"] is not None
             else config_value(entries, "seed", int, "0"))
     nmax = (flag["nmax"] if flag["nmax"] is not None
-            else config_value(entries, "nmax", int, "4"))
+            else config_value(entries, "nmax", int, str(DEFAULT_NMAX)))
     if nmax < 1:
         raise UsageError(f"nmax must be >= 1, got {nmax}")
 

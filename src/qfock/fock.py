@@ -1,9 +1,10 @@
 """Truncated algebraic Fock space over a finite one-particle space.
 
 Vectors are graded finite combinations of tensor words over a one-particle
-basis; operators are lazy expression trees built from creation, annihilation,
-gauge, scalar, sum and composition nodes.  A dense matrix realization is only
-materialized on demand, for operator-norm estimates in float mode.
+basis; operators are lazy expression trees over a closed set of node kinds:
+creation, annihilation, gauge, ring scalar, rational scalar, sum and
+composition.  The empty sum is the zero operator.  A dense matrix realization
+is only materialized on demand, for operator-norm estimates in float mode.
 
 One-particle vectors have one form, the sparse tuple of their nonzero
 (index, coeff) entries in index order (`SparseVector`).  Public constructors
@@ -13,7 +14,8 @@ orthogonality classes; the space keeps the ring-scalar pairing row
 {i: <zeta, e_i>} of each annihilation payload it has been asked for.
 
 The q-inner product is <u, P_n v>_0 on degree n, P_n the q-symmetrizer
-sum_sigma q^{inv(sigma)} sigma.  Exact `apply_Pn` sums over S_n word by word.
+sum_sigma q^{inv(sigma)} sigma; `innerq` is the one q-product, also of step
+functions (stochastic.l2q_inner).  Exact `apply_Pn` sums over S_n word by word.
 The float q-gram of a norm estimate instead uses the Bozejko-Speicher
 factorisation P_n = (1 (x) P_{n-1}) R_n, R_n = 1 + q T_1 + ... +
 q^{n-1} T_1...T_{n-1}, as n numpy products per degree; the space keeps the
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (DepthExceededError, ModeMismatchError, ResourceBudgetError,
                      UsageError)
@@ -206,10 +208,6 @@ class FockVector:
     def top_degree(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 
-    def degree_component(self, n: int) -> "FockVector":
-        return FockVector(self.space, self.depth,
-                          {w: c for w, c in self.terms.items() if len(w) == n})
-
     def vacuum_coefficient(self) -> QScalar:
         return self.terms.get((), self.space.ring.zero())
 
@@ -326,15 +324,25 @@ class DenseGauge(Gauge):
         return self.matrix
 
 
+_KINDS = frozenset(("creation", "annihilation", "gauge", "scalar",
+                    "rational_scalar", "sum", "compose"))
+
+
 @dataclass(frozen=True)
 class FockOperator:
     """Lazy operator expression tree on the truncated Fock space."""
 
-    # creation | annihilation | gauge | scalar | rational_scalar | sum |
-    # compose | linear
+    # creation, annihilation: a sparse one-particle vector; gauge: a Gauge;
+    # scalar: a ring scalar; rational_scalar: a Fraction valid in either
+    # mode; sum, compose: operands, the rightmost factor acting first.  The
+    # empty sum is the zero operator.
     kind: str
     payload: object = None
     operands: tuple["FockOperator", ...] = ()
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise UsageError(f"unknown operator kind {self.kind!r}")
 
     # -- constructors ------------------------------------------------------
 
@@ -386,10 +394,6 @@ class FockOperator:
         if len(flat) == 1:
             return flat[0]
         return FockOperator("compose", None, tuple(flat))
-
-    @staticmethod
-    def linear(fn: Callable[[FockVector], FockVector], label: str = "linear") -> "FockOperator":
-        return FockOperator("linear", (fn, label))
 
     # -- sugar -------------------------------------------------------------
 
@@ -458,9 +462,6 @@ def apply(op: FockOperator, v: FockVector, truncate: bool = False) -> FockVector
         for sub in reversed(op.operands):
             cur = apply(sub, cur, truncate)
         return cur
-    if kind == "linear":
-        fn, _ = op.payload
-        return fn(v)
 
     # payload scalars are built once per application, or once per space for
     # the pairing row of an annihilation
@@ -484,28 +485,17 @@ def apply(op: FockOperator, v: FockVector, truncate: bool = False) -> FockVector
                 if g is not None:
                     out.add_term(w[:k] + w[k + 1:], c * ring.q_pow(k) * g)
         return out
-    if kind == "gauge":
-        g: Gauge = op.payload
-        cols: dict[int, list[tuple[int, QScalar]]] = {}
-        for w, c in v.terms.items():
-            for k, i in enumerate(w):
-                col = cols.get(i)
-                if col is None:
-                    col = cols[i] = [(j, ring.of(x)) for j, x in g.column(i) if x]
-                rest = w[:k] + w[k + 1:]
-                qc = c * ring.q_pow(k)
-                for j, s in col:
-                    out.add_term((j,) + rest, qc * s)
-        return out
-    raise UsageError(f"unknown operator kind {kind!r}")
-
-
-def gamma_q(v: FockVector) -> FockVector:
-    """Second quantization of q*Id on vectors: scale degree n by q^n."""
-    ring = v.space.ring
-    out = FockVector(v.space, v.depth)
+    g: Gauge = op.payload  # the one kind left
+    cols: dict[int, list[tuple[int, QScalar]]] = {}
     for w, c in v.terms.items():
-        out.add_term(w, c * ring.q_pow(len(w)))
+        for k, i in enumerate(w):
+            col = cols.get(i)
+            if col is None:
+                col = cols[i] = [(j, ring.of(x)) for j, x in g.column(i) if x]
+            rest = w[:k] + w[k + 1:]
+            qc = c * ring.q_pow(k)
+            for j, s in col:
+                out.add_term((j,) + rest, qc * s)
     return out
 
 
@@ -522,23 +512,21 @@ def adjoint(op: FockOperator, space: OneParticleSpace) -> FockOperator:
         return FockOperator.annihilation(op.payload)
     if kind == "annihilation":
         return FockOperator.creation(op.payload)
-    if kind == "gauge":
-        g: Gauge = op.payload
-        if g.symmetric:
-            return op
-        t = g.as_matrix(space.dim)  # t[j][i] = coeff of e_j in T e_i
-        tt = [[t[i][j] for i in range(space.dim)] for j in range(space.dim)]
-        gram = [[r.get(i, Fraction(0)) for i in range(space.dim)]
-                for r in map(dict, space.rows)]
-        # T* = G^{-1} T^t G
-        ttg = _matmul(tt, gram)
-        tstar = _solve_matrix(gram, ttg)
-        return FockOperator.gauge(DenseGauge(tstar))
     if kind == "sum":
         return FockOperator.opsum([adjoint(o, space) for o in op.operands])
     if kind == "compose":
         return FockOperator.compose([adjoint(o, space) for o in reversed(op.operands)])
-    raise UsageError(f"adjoint unsupported for operator kind {kind!r}")
+    g: Gauge = op.payload  # the one kind left
+    if g.symmetric:
+        return op
+    t = g.as_matrix(space.dim)  # t[j][i] = coeff of e_j in T e_i
+    tt = [[t[i][j] for i in range(space.dim)] for j in range(space.dim)]
+    gram = [[r.get(i, Fraction(0)) for i in range(space.dim)]
+            for r in map(dict, space.rows)]
+    # T* = G^{-1} T^t G
+    ttg = _matmul(tt, gram)
+    tstar = _solve_matrix(gram, ttg)
+    return FockOperator.gauge(DenseGauge(tstar))
 
 
 def _matmul(a, b):

@@ -8,11 +8,10 @@ q-Hermite and the centered q-Charlier families.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import ResourceBudgetError, UsageError
-from .fock import FockOperator
-from .model import MomentSequence, monic_op_coefficients
+from .model import MomentSequence
 from .qscalar import EXACT, QScalar, ScalarRing, q_fact_ratio, q_int
 
 MAX_KS_LEN = 8
@@ -94,27 +93,6 @@ class NCPolynomial:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-    def evaluate(self, var: Callable[[int], FockOperator]) -> FockOperator:
-        """Substitute operators for the variables (order-preserving)."""
-        terms = []
-        for w, c in self.terms.items():
-            if w:
-                terms.append(FockOperator.compose([var(j) for j in w]).scale(c))
-            else:
-                terms.append(FockOperator.scalar(c))
-        if not terms:
-            return FockOperator.scalar(self.ring.zero())
-        return FockOperator.opsum(terms)
-
-    def eval_scalar(self, values: Callable[[int], QScalar]) -> QScalar:
-        """Substitute scalars (only meaningful when evaluation commutes)."""
-        total = self.ring.zero()
-        for w, c in self.terms.items():
-            for j in w:
-                c = c * values(j)
-            total = total + c
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +184,3 @@ def q_charlier(n: int, ring: ScalarRing = EXACT) -> NCPolynomial:
         c_prev, c = c, (NCPolynomial.x(1, ring) * c - c.scale(qm)
                         - c_prev.scale(qm))
     return c
-
-
-def monic_op_poly(moments: MomentSequence, degree: int,
-                  ring: ScalarRing = EXACT) -> NCPolynomial:
-    """The monic polynomial of the given degree orthogonal under the canonical
-    measure, as a polynomial in x_1."""
-    coeffs = monic_op_coefficients(moments, degree)
-    out = NCPolynomial.zero(ring)
-    for k, c in enumerate(coeffs):
-        if c:
-            out = out + NCPolynomial(ring, {(1,) * k: ring.of(c)})
-    return out

@@ -316,28 +316,6 @@ class ProcessModel:
         return self.interval_letter((Fraction(0), Fraction(t)), power)
 
 
-class ProcessOps:
-    """X, Y_k and Delta_k of one interval, as operators."""
-
-    def __init__(self, X: FockOperator, Y: dict[int, FockOperator],
-                 Delta: dict[int, FockOperator]):
-        self.X = X
-        self.Y = Y
-        self.Delta = Delta
-
-
-def process_operators(model: ProcessModel, interval: Interval) -> ProcessOps:
-    """X(I) = Y_1(I); Delta_k(I) = Y_k(I) + |I| r_k Id."""
-    width = sum(model.grid.width(a) for a in model.grid.atoms_in(interval))
-    Y, Delta = {}, {}
-    for k in range(1, model.degree_cutoff + 1):
-        yk = model.interval_letter(interval, k).field()
-        Y[k] = yk
-        drift = model.ring.of(width * model.moments.r_at(k))
-        Delta[k] = yk + FockOperator.scalar(drift)
-    return ProcessOps(Y[1], Y, Delta)
-
-
 def monic_op_coefficients(moments: MomentSequence, degree: int) -> tuple[Fraction, ...]:
     """Coefficients c_0..c_degree (c_degree = 1) of the monic polynomial of
     the given degree orthogonal to all lower degrees under
@@ -354,19 +332,6 @@ def monic_op_coefficients(moments: MomentSequence, degree: int) -> tuple[Fractio
             f"Hankel matrix of order {n} is singular "
             f"(measure supported on fewer than {n + 1} points)") from exc
     return tuple(sol[m][0] for m in range(n)) + (Fraction(1),)
-
-
-def yhat_letter(model: ProcessModel, interval: Interval, k: int) -> Letter:
-    """The letter of Yhat_k(I) = sum_j c_j Y_j(I), the c_j being the
-    coefficients of the monic orthogonal polynomial P_{k-1}."""
-    if not 1 <= k <= model.degree_cutoff:
-        raise UsageError(f"power {k} outside 1..{model.degree_cutoff}")
-    coeffs = monic_op_coefficients(model.moments, k - 1)
-    out = model.letter({})
-    for j, c in enumerate(coeffs, start=1):
-        if c:
-            out = out + model.interval_letter(interval, j).scale(c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +415,6 @@ class WeightedPointAlgebra:
 
     def basis_letter(self, i: int) -> Letter:
         return self.letter([int(j == i) for j in range(len(self.points))])
-
-    def coordinate(self) -> Letter:
-        """The function f(x) = x."""
-        return self.letter(self.points)
 
     def sup_norm(self, f: Letter) -> Fraction:
         return max((abs(v) for v in f.payload), default=Fraction(0))

@@ -56,13 +56,6 @@ class SetPartition:
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
 
-    def refines(self, other: "SetPartition") -> bool:
-        """True if every block of self lies inside a block of other."""
-        if (self.lo, self.hi) != (other.lo, other.hi):
-            raise UsageError("partitions of different ground sets")
-        owner = {e: i for i, b in enumerate(other.blocks) for e in b}
-        return all(len({owner[e] for e in b}) == 1 for b in self.blocks)
-
     def __str__(self) -> str:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 
@@ -85,23 +78,6 @@ class ExtendedPartition:
         return "".join(
             "{" + ",".join(map(str, b)) + "}" + ("*" if i in self.open_blocks else "")
             for i, b in enumerate(self.pi.blocks))
-
-    @staticmethod
-    def parse(text: str) -> "ExtendedPartition":
-        blocks, opens = [], []
-        rest = text.strip()
-        while rest:
-            if not rest.startswith("{"):
-                raise UsageError(f"malformed partition text: {text!r}")
-            body, sep, rest = rest[1:].partition("}")
-            if not sep:
-                raise UsageError(f"unclosed block in: {text!r}")
-            if rest.startswith("*"):
-                opens.append(len(blocks))
-                rest = rest[1:]
-            blocks.append([int(x) for x in body.split(",")])
-        pi = SetPartition.of(blocks)
-        return ExtendedPartition.of(pi, opens)
 
 
 def enumerate_partitions(n: int) -> Iterator[SetPartition]:
@@ -128,42 +104,6 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
                 break
         else:
             return
-
-
-def bell_number(n: int) -> int:
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
-
-
-def restrict(ep: ExtendedPartition, k: int, m: int) -> ExtendedPartition:
-    """Restriction to {k..m}: trace of each block, open if it was open or
-    reaches left of k."""
-    if k > m:
-        raise UsageError(f"empty or inverted restriction range [{k},{m}]")
-    blocks, opens = [], []
-    for i, b in enumerate(ep.pi.blocks):
-        trace = tuple(e for e in b if k <= e <= m)
-        if not trace:
-            continue
-        idx = len(blocks)
-        blocks.append(trace)
-        if i in ep.open_blocks or any(e < k for e in b):
-            opens.append(idx)
-    if not blocks:
-        raise UsageError(f"restriction to [{k},{m}] is empty")
-    # relabeling: ground set becomes the covered part of {k..m}; elements keep
-    # their labels, which stay consecutive only when the trace covers k..m
-    covered = sorted(e for b in blocks for e in b)
-    pi = SetPartition(covered[0], covered[-1], tuple(sorted(blocks, key=lambda b: b[0])))
-    # recompute open indices against the min-sorted order
-    order = sorted(range(len(blocks)), key=lambda i: blocks[i][0])
-    remap = {old: new for new, old in enumerate(order)}
-    return ExtendedPartition(pi, frozenset(remap[i] for i in opens))
 
 
 def rc(ep: ExtendedPartition) -> int:
@@ -221,13 +161,6 @@ def classify(pi: SetPartition) -> Classification:
     return Classification(True, singles, pairs, tuple(inner), tuple(outer))
 
 
-def inner_outer(pi: SetPartition) -> tuple[tuple, tuple]:
-    cls = classify(pi)
-    if not cls.is_noncrossing:
-        raise UsageError(f"inner/outer undefined for crossing partition {pi}")
-    return cls.inner_blocks, cls.outer_blocks
-
-
 def index_tuples(N: int, pi: SetPartition) -> Iterator[tuple[int, ...]]:
     """All tuples in {1..N}^n constant exactly on the blocks of pi (distinct
     values across blocks), streamed."""
@@ -247,10 +180,3 @@ def index_tuples(N: int, pi: SetPartition) -> Iterator[tuple[int, ...]]:
                 assigned.pop()
 
     yield from rec([])
-
-
-def falling_factorial(N: int, m: int) -> int:
-    out = 1
-    for i in range(m):
-        out *= N - i
-    return out

@@ -14,16 +14,14 @@ from fractions import Fraction
 from math import log
 from typing import Callable, Sequence
 
-from .errors import ResourceBudgetError, UsageError
-from .fock import FockOperator, FockVector, adjoint, apply, innerq
-from .model import (Interval, Letter, ProcessModel, monic_op_coefficients,
-                    process_operators)
+from .errors import UsageError
+from .fock import (FockOperator, FockVector, OneParticleSpace, adjoint, apply,
+                   innerq)
+from .model import Interval, Letter, ProcessModel, monic_op_coefficients
 from .partitions import (ExtendedPartition, SetPartition, classify,
                          enumerate_partitions, index_tuples, rc)
-from .qscalar import QScalar, inversions, sym_group
+from .qscalar import QScalar
 from .wick import WickElement, vacuum_vector, wick_operator, word_vector
-
-L2Q_MAX_ARITY = 7
 
 
 # ---------------------------------------------------------------------------
@@ -80,30 +78,19 @@ class StepFunction:
 
 
 def l2q_inner(f: StepFunction, g: StepFunction) -> QScalar:
-    """The q-symmetrized overlap sum Σ_σ q^{i(σ)} ∫ F(t) G(t∘σ)."""
+    """The q-symmetrized overlap sum Σ_σ q^{i(σ)} ∫ F(t) G(t∘σ): the q-Fock
+    product of F and G as tensors over the atoms, each atom of norm² its
+    width."""
     if f.model is not g.model:
         raise UsageError("step functions on different models")
     if f.arity != g.arity:
         raise UsageError(f"arity mismatch: {f.arity} vs {g.arity}")
-    n = f.arity
-    if n > L2Q_MAX_ARITY:
-        raise ResourceBudgetError(f"l2q_inner capped at arity {L2Q_MAX_ARITY}")
-    ring = f.model.ring
     grid = f.model.grid
-    total = ring.zero()
-    perms = [(s, inversions(s)) for s in sym_group(n)]
-    for u, cf in f.values.items():
-        weight = Fraction(1)
-        for a in u:
-            weight *= grid.width(a)
-        for sigma, inv in perms:
-            v = [0] * n
-            for i in range(n):
-                v[sigma[i] - 1] = u[i]
-            cg = g.values.get(tuple(v))
-            if cg is not None:
-                total = total + cf * cg * ring.q_pow(inv) * ring.of(weight)
-    return total
+    space = OneParticleSpace(
+        grid.n_atoms, [((a, grid.width(a)),) for a in range(grid.n_atoms)],
+        f.model.ring)
+    return innerq(FockVector(space, f.arity, f.values),
+                  FockVector(space, g.arity, g.values))
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +111,23 @@ class ProcessFamily:
     def letter(self, atom: int) -> Letter:
         return self._letter_fn(atom)
 
-    def prefix_letter(self, t) -> Letter:
-        atoms = self.model.grid.prefix(t)
+    def interval_letter(self, interval: Interval) -> Letter:
+        """The sum of the atom letters over the grid atoms of [a, b)."""
         out = self.model.letter({})
-        for a in atoms:
+        for a in self.model.grid.atoms_in(interval):
             out = out + self.letter(a)
         return out
+
+    def prefix_letter(self, t) -> Letter:
+        return self.interval_letter((Fraction(0), Fraction(t)))
+
+    def operator(self, interval: Interval) -> FockOperator:
+        """The process on [a, b): the field of its letter plus the drift
+        drift_rate·|I| Id."""
+        model = self.model
+        width = sum(model.grid.width(a) for a in model.grid.atoms_in(interval))
+        return (self.interval_letter(interval).field()
+                + FockOperator.scalar(model.ring.of(width * self.drift_rate)))
 
     def __repr__(self):
         return f"ProcessFamily({self.label})"
@@ -163,13 +161,10 @@ def multiple_integral(f: StepFunction, procs: Sequence[ProcessFamily]) -> FockOp
         raise UsageError(f"need {f.arity} integrator processes, got {len(procs)}")
     if not f.is_off_diagonal():
         raise UsageError("multiple integrals require off-diagonal support")
-    ring = f.model.ring
     terms = []
     for tup, c in f.values.items():
         factors = [procs[i].letter(a).field() for i, a in enumerate(tup)]
         terms.append(FockOperator.compose(factors).scale(c))
-    if not terms:
-        return FockOperator.scalar(ring.zero())
     return FockOperator.opsum(terms)
 
 
@@ -209,8 +204,6 @@ def st_pi_discrete(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
     fields = {a: model.atom_letter(a, 1).field() for a in atoms}
     terms = [FockOperator.compose([fields[atoms[v - 1]] for v in tup])
              for tup in index_tuples(len(atoms), pi)]
-    if not terms:
-        return FockOperator.scalar(model.ring.zero())
     return FockOperator.opsum(terms)
 
 
@@ -237,8 +230,6 @@ def st_pi_closed(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
         word = tuple(prefix[sizes[b]] for b in sorted(s))
         terms.append(wick_operator(model, word).scale(
             ring.q_pow(rc(ep)) * ring.of(factor)))
-    if not terms:
-        return FockOperator.scalar(ring.zero())
     return FockOperator.opsum(terms)
 
 
@@ -373,11 +364,6 @@ def _monomials_in_op_basis(model: ProcessModel) -> list[list[Fraction]]:
     return gamma
 
 
-def yhat_atom_letter(model: ProcessModel, atom: int, k: int) -> Letter:
-    coeffs = monic_op_coefficients(model.moments, k - 1)
-    return model.letter({(atom, j): c for j, c in enumerate(coeffs, start=1) if c})
-
-
 def chaos_decompose(v: FockVector, model: ProcessModel) -> dict[tuple[int, ...], StepFunction]:
     """Expand v in the basis {atoms ⊗ monic orthogonal polynomials}: the
     degree-n term of the multi-index u is the step function F_u with
@@ -410,9 +396,10 @@ def chaos_decompose(v: FockVector, model: ProcessModel) -> dict[tuple[int, ...],
 def chaos_component_vector(model: ProcessModel, u: tuple[int, ...],
                            f: StepFunction) -> FockVector:
     """Σ_{a⃗} F_u(a⃗) ⊗_i (Yhat_{u(i)} letter on atom a_i)."""
+    procs = {k: yhat_process(model, k) for k in set(u)}
     out = FockVector(model.space, model.fock_depth)
     for atoms, c in f.values.items():
-        word = tuple(yhat_atom_letter(model, a, k) for a, k in zip(atoms, u))
+        word = tuple(procs[k].letter(a) for a, k in zip(atoms, u))
         out = out + word_vector(model, word, model.fock_depth).scale(c)
     return out
 
@@ -463,8 +450,6 @@ def ito_integral(u: AdaptedProcess, side: str) -> FockOperator:
         x = model.interval_letter(interval).field()
         w = val.operator()
         terms.append(FockOperator.compose([w, x] if side == "left" else [x, w]))
-    if not terms:
-        return FockOperator.scalar(model.ring.zero())
     return FockOperator.opsum(terms)
 
 
@@ -486,14 +471,10 @@ def ito_isometry_rhs(u: AdaptedProcess, v: AdaptedProcess) -> QScalar:
 
 def two_sided_closed(u: AdaptedProcess) -> FockOperator:
     """∫ dX U dX as the closed form Σ Delta₂(I_i) Γ_q(q)(U_i)."""
-    model = u.model
-    terms = []
-    for interval, val in u.pieces:
-        d2 = process_operators(model, interval).Delta[2]
-        terms.append(FockOperator.compose([d2, val.gamma().operator()]))
-    if not terms:
-        return FockOperator.scalar(model.ring.zero())
-    return FockOperator.opsum(terms)
+    delta2 = delta_process(u.model, 2)
+    return FockOperator.opsum(
+        [FockOperator.compose([delta2.operator(interval), val.gamma().operator()])
+         for interval, val in u.pieces])
 
 
 def two_sided_discrete(u: AdaptedProcess) -> FockOperator:
@@ -505,8 +486,6 @@ def two_sided_discrete(u: AdaptedProcess) -> FockOperator:
         for a in model.grid.atoms_in(interval):
             x = model.atom_letter(a, 1).field()
             terms.append(FockOperator.compose([x, w, x]))
-    if not terms:
-        return FockOperator.scalar(model.ring.zero())
     return FockOperator.opsum(terms)
 
 
@@ -578,8 +557,6 @@ def biprocess_integral(u: BiProcess) -> FockOperator:
         x = model.interval_letter(interval).field()
         for left, right in pairs:
             terms.append(FockOperator.compose([left.operator(), x, right.operator()]))
-    if not terms:
-        return FockOperator.scalar(model.ring.zero())
     return FockOperator.opsum(terms)
 
 

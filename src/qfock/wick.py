@@ -142,8 +142,6 @@ class WickElement:
         return WickElement(algebra, terms)
 
     def operator(self) -> FockOperator:
-        if not self.terms:
-            return FockOperator.scalar(self.algebra.ring.zero())
         return FockOperator.opsum(
             [wick_operator(self.algebra, w).scale(c)
              for w, c in self.terms.items()])
@@ -293,8 +291,6 @@ def expansion_operator(algebra, terms: Iterable[ExpansionTerm]) -> FockOperator:
     ring = algebra.ring
     parts = [wick_operator(algebra, t.word).scale(ring.q_pow(t.q_power) * ring.of(t.scalar))
              for t in terms]
-    if not parts:
-        return FockOperator.scalar(ring.zero())
     return FockOperator.opsum(parts)
 
 
@@ -410,22 +406,3 @@ def vacuum_moment(letters: Sequence[Letter]) -> QScalar:
     exact = QScalar.exact([poly.get(k, 0) for k in range(max(poly, default=-1) + 1)])
     ring = algebra.ring
     return exact if ring.exact else ring.of(exact.subs(ring.q0))
-
-
-# ---------------------------------------------------------------------------
-# commutant (right) operators
-
-
-def right_operator(letter: Letter) -> FockOperator:
-    """X^r(f): η_1 ⊗ ... ⊗ η_n ↦ W(η_1 ⊗ ... ⊗ η_n) X(f) Ω."""
-    algebra = letter.algebra
-
-    def act(v: FockVector) -> FockVector:
-        xf = apply(letter.field(), FockVector.vacuum(v.space, v.depth))
-        out = FockVector(v.space, v.depth)
-        for w, c in v.terms.items():
-            basis_word = tuple(algebra.basis_letter(i) for i in w)
-            out = out + apply(wick_operator(algebra, basis_word), xf).scale(c)
-        return out
-
-    return FockOperator.linear(act, "right-field")

@@ -13,20 +13,20 @@ from qfock.cli import (all_ones_pointset, all_ones_model, gaussian_model,
 from qfock.fock import (FockOperator, FockVector, OneParticleSpace, apply,
                         innerq, operator_norm_estimate, sparse_vector)
 from qfock.kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
-from qfock.model import (WeightedPointAlgebra, MomentSequence, TimeGrid,
-                         process_operators)
+from qfock.model import WeightedPointAlgebra, MomentSequence, TimeGrid
 from qfock.partitions import SetPartition, enumerate_partitions
 from qfock.qscalar import EXACT, QScalar, ScalarRing, q_fact_ratio
 from qfock.stochastic import (AdaptedProcess, BiProcess, StepFunction,
                               biprocess_inner, biprocess_integral,
                               chaos_component_vector, chaos_decompose,
-                              conditional_expectation, ito_integral,
-                              ito_isometry_rhs, l2q_inner, multiple_integral,
-                              power_decomposition, psi_closed, st_pi_closed,
-                              st_pi_convergence, st_pi_corollary_form,
-                              st_pi_free_form, st_pi_gaussian_form,
-                              two_sided_closed, two_sided_defect_vector,
-                              two_sided_discrete, x_process)
+                              conditional_expectation, delta_process,
+                              ito_integral, ito_isometry_rhs, l2q_inner,
+                              multiple_integral, power_decomposition,
+                              psi_closed, st_pi_closed, st_pi_convergence,
+                              st_pi_corollary_form, st_pi_free_form,
+                              st_pi_gaussian_form, two_sided_closed,
+                              two_sided_defect_vector, two_sided_discrete,
+                              x_process)
 from qfock.wick import (WickElement, expansion_operator, product_expansion,
                         vacuum_vector, vacuum_moment, word_vector)
 
@@ -187,7 +187,6 @@ def test_orthogonalization_polynomials():
 
     model = three_point_model(n_atoms=2, cutoff=5, depth=6)
     om = vacuum_vector(model)
-    ops = process_operators(model, (F(0), F(1)))
     for n in range(1, 5):
         lhs = apply(psi_closed([x_process(model)] * (n + 1), 1), om)
         rhs = FockVector(model.space, model.fock_depth)
@@ -197,7 +196,8 @@ def test_orthogonalization_polynomials():
                 coeff = -coeff
             psi = (apply(psi_closed([x_process(model)] * (n - k), 1), om)
                    if n - k else om)
-            rhs = rhs + apply(ops.Delta[k + 1], psi).scale(coeff)
+            delta = delta_process(model, k + 1).operator((F(0), F(1)))
+            rhs = rhs + apply(delta, psi).scale(coeff)
         ok = ok and (lhs - rhs).is_zero
     report("iterated-integral polynomials: row formula, H3/C2, chain", ok)
 

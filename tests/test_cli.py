@@ -38,6 +38,21 @@ class TestVerify:
         assert code == 2
         assert "unknown suites" in err
 
+    @pytest.mark.parametrize("suites", ["", ",", " , "])
+    def test_empty_suite_flag_is_usage_error(self, capsys, suites):
+        code, out, err = run(capsys, "verify", "--suite", suites)
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: empty suite list")
+
+    def test_empty_suite_key_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("suite =\nseed = 3\n")
+        code, out, err = run(capsys, "verify", "--model", str(cfg))
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: empty suite list")
+
     def test_deterministic_per_seed(self, capsys):
         _, first, _ = run(capsys, "verify", "--suite", "commutation",
                           "--seed", "7")
@@ -77,6 +92,11 @@ class TestMoments:
         assert lines[0] == "n,moment"
         assert len(lines) == 5  # header + default nmax 4
         assert lines[1] == "1,0"
+
+    def test_default_nmax_is_the_run_config_default(self, capsys):
+        code, out, _ = run(capsys, "moments")
+        assert code == 0
+        assert len(out.strip().splitlines()) - 1 == cli.RunConfig().nmax
 
     def test_pointset_all_ones(self, capsys, tmp_path):
         cfg = tmp_path / "app.cfg"

@@ -11,7 +11,7 @@ from qfock.errors import (DepthExceededError, ModeMismatchError,
                           ResourceBudgetError, UsageError)
 from qfock.fock import (NORM_DEPTH_CAP, DenseGauge, FockOperator, FockVector,
                         OneParticleSpace, adjoint, apply, apply_Pn,
-                        field_operator, gamma_q, inner0, innerq,
+                        field_operator, inner0, innerq,
                         operator_norm_estimate, sparse_vector)
 from qfock.qscalar import EXACT, QScalar, ScalarRing
 
@@ -41,10 +41,6 @@ class TestFockVector:
     def test_serialize_sorted(self, space2):
         v = vec(space2, 3, ((1, 0), 2), ((0,), 1))
         assert v.serialize() == "1 | 0\n2 | 1,0"
-
-    def test_degree_component(self, space2):
-        v = vec(space2, 3, ((), 1), ((0, 1), 3))
-        assert v.degree_component(2).terms == {(0, 1): EXACT.of(3)}
 
 
 class TestInnerProducts:
@@ -119,11 +115,60 @@ class TestOperators:
         out = apply(FockOperator.identity(ring).scale_by(Fraction(1, 3)), v)
         assert float(out.vacuum_coefficient()) == pytest.approx(1 / 3)
 
+    def test_unknown_kind_refused(self):
+        with pytest.raises(UsageError, match="unknown operator kind 'linear'"):
+            FockOperator("linear")
+
+    def test_empty_sum_is_zero(self, space2):
+        zero = FockOperator.opsum([])
+        assert zero.kind == "sum" and zero.operands == ()
+        a = FockOperator.creation([Fraction(1), Fraction(2)])
+        v = vec(space2, 3, ((), 1), ((0, 1), 2))
+        assert apply(zero, v).is_zero
+        assert apply(adjoint(zero, space2), v).is_zero
+        assert apply(zero * a, v).is_zero and apply(a * zero, v).is_zero
+        assert apply(zero + a, v) == apply(a, v)
+
     def test_field_operator_number_moment(self, space2):
         # <Omega, X(e0)^2 Omega> = <e0, e0> = 1 with no gauge and zero mean
         x = field_operator([Fraction(1), Fraction(0)], None, None, EXACT)
         om = FockVector.vacuum(space2, 2)
         assert apply(x, apply(x, om)).vacuum_coefficient() == EXACT.one()
+
+
+def every_kind():
+    """One operator per node kind, on a 2-dim space; the gauge is not
+    gram-symmetric, so its adjoint goes through the gram."""
+    zeta = sparse_vector([Fraction(1), Fraction(-2)])
+    gauge = FockOperator.gauge([[Fraction(0), Fraction(1)],
+                                [Fraction(0), Fraction(1)]])
+    create = FockOperator.creation(zeta)
+    return {
+        "creation": create,
+        "annihilation": FockOperator.annihilation(zeta),
+        "gauge": gauge,
+        "scalar": FockOperator.scalar(EXACT.of(Fraction(3, 2))),
+        "rational_scalar": FockOperator("rational_scalar", Fraction(-1, 3)),
+        "sum": FockOperator("sum", None, (create, gauge)),
+        "compose": FockOperator("compose", None, (gauge, create)),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(every_kind()))
+def test_every_kind_applies_and_has_its_adjoint(kind):
+    # <A u, v>_q = <u, A* v>_q on all words of length <= 2 under a
+    # non-orthonormal gram
+    sp = OneParticleSpace(2, [[Fraction(2), Fraction(1)],
+                              [Fraction(1), Fraction(3)]], EXACT)
+    op = every_kind()[kind]
+    assert op.kind == kind
+    star = adjoint(op, sp)
+    basis = [FockVector.basis_word(sp, 3, w)
+             for w in [(), (0,), (1,), (0, 1), (1, 1)]]
+    assert any(not apply(op, u).is_zero for u in basis)
+    for u in basis:
+        for v in basis:
+            assert innerq(apply(op, u), v) == innerq(u, apply(star, v))
 
 
 class TestCommutation:
@@ -178,13 +223,6 @@ class TestAdjointAndProjection:
                                 [Fraction(1), Fraction(0)]])
         with pytest.raises(UsageError):
             adjoint(t, sp)
-
-    def test_gamma_q(self, space2):
-        v = vec(space2, 2, ((), 1), ((0,), 1), ((0, 1), 1))
-        out = gamma_q(v)
-        assert out.terms[()] == EXACT.one()
-        assert out.terms[(0,)] == EXACT.q()
-        assert out.terms[(0, 1)] == EXACT.q_pow(2)
 
 
 class TestNormEstimates:

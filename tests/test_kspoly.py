@@ -3,15 +3,21 @@ from fractions import Fraction
 import pytest
 
 from qfock.errors import ResourceBudgetError, UsageError
-from qfock.fock import apply
-from qfock.kspoly import (NCPolynomial, ks_poly, ks_row_formula, monic_op_poly,
-                          q_charlier, q_hermite)
+from qfock.fock import FockOperator, apply
+from qfock.kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
 from qfock.model import (MomentSequence, ProcessModel, TimeGrid,
-                         process_operators)
+                         monic_op_coefficients)
 from qfock.qscalar import EXACT, QScalar, q_int
 from qfock.wick import vacuum_vector, word_vector
 
 F = Fraction
+
+
+def evaluate(poly: NCPolynomial, var) -> FockOperator:
+    """Substitute the operator var(j) for x_j, keeping the word order."""
+    return FockOperator.opsum(
+        [FockOperator.compose([var(j) for j in w]).scale(c) if w
+         else FockOperator.scalar(c) for w, c in poly.terms.items()])
 
 
 @pytest.fixture(scope="module")
@@ -34,11 +40,6 @@ class TestNCPolynomial:
     def test_str_sorted_by_degree(self):
         p = NCPolynomial(EXACT, {(2, 1): EXACT.one(), (): EXACT.of(3)})
         assert str(p) == "(3) · 1 + (1) · x2 x1"
-
-    def test_eval_scalar(self):
-        p = NCPolynomial(EXACT, {(1, 2): EXACT.of(2), (): EXACT.one()})
-        val = p.eval_scalar(lambda j: EXACT.of(j))
-        assert val == EXACT.of(5)  # 2*(1*2) + 1
 
     def test_variable_indices_validated(self):
         with pytest.raises(UsageError):
@@ -100,11 +101,9 @@ class TestDegenerations:
             assert (drop_high - q_hermite(n)).is_zero
 
     def test_monic_op_poly_matches_charlier_style(self):
-        # nu = delta_1 gives r_k = 1 for k >= 2; degree-1 OP is x - 1
+        # nu = delta_1 gives r_k = 1 for k >= 2; the degree-1 monic OP is x - 1
         moments = MomentSequence([0, 1, 1, 1])
-        p1 = monic_op_poly(moments, 1)
-        want = NCPolynomial.x(1, EXACT) - NCPolynomial.one(EXACT)
-        assert (p1 - want).is_zero
+        assert monic_op_coefficients(moments, 1) == (-1, 1)
 
 
 @pytest.fixture(scope="module")
@@ -121,9 +120,9 @@ class TestSubstitution:
         # A_u(x_j -> Y_j(I)) applied to Omega gives the plain tensor word of
         # the interval letters: the polynomial recursion mirrors the Wick one
         interval = (F(0), F(1))
-        ops = process_operators(model, interval)
         a = ks_poly(u, model.moments)
-        got = apply(a.evaluate(lambda j: ops.Y[j]), vacuum_vector(model))
+        got = apply(evaluate(a, lambda j: model.interval_letter(interval, j).field()),
+                    vacuum_vector(model))
         word = tuple(model.interval_letter(interval, k) for k in u)
         want = word_vector(model, word, model.fock_depth)
         assert (got - want).is_zero

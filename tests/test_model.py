@@ -6,8 +6,9 @@ from qfock.errors import (CutoffExceededError, DegeneracyError, UsageError)
 from qfock.fock import FockVector, apply, innerq
 from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
                          TimeGrid, letter_pair, monic_op_coefficients,
-                         parse_model_config, process_operators, yhat_letter)
+                         parse_model_config)
 from qfock.qscalar import EXACT
+from qfock.stochastic import delta_process, x_process, yhat_process
 from qfock.wick import expansion_ledger, product_expansion
 
 F = Fraction
@@ -98,18 +99,17 @@ class TestLetterAlgebra:
 
 class TestProcessOperators:
     def test_delta_shifts_by_drift(self, model):
-        ops = process_operators(model, (0, F(1, 2)))
         om = FockVector.vacuum(model.space, model.fock_depth)
-        y2 = apply(ops.Y[2], om)
-        d2 = apply(ops.Delta[2], om)
+        y2 = apply(model.interval_letter((0, F(1, 2)), 2).field(), om)
+        d2 = apply(delta_process(model, 2).operator((0, F(1, 2))), om)
         drift = EXACT.of(F(1, 2) * model.moments.r_at(2))
         assert (d2 - y2).vacuum_coefficient() == drift
 
     def test_x_second_moment(self, model):
         # <Omega, X(I)^2 Omega> = |I| r_2
-        ops = process_operators(model, (0, F(1, 2)))
+        x = x_process(model).operator((0, F(1, 2)))
         om = FockVector.vacuum(model.space, model.fock_depth)
-        val = apply(ops.X, apply(ops.X, om)).vacuum_coefficient()
+        val = apply(x, apply(x, om)).vacuum_coefficient()
         assert val == EXACT.of(F(1, 2) * model.moments.r_at(2))
 
 
@@ -132,7 +132,7 @@ class TestOrthogonalPolynomials:
     def test_yhat_letters_orthogonal(self, model):
         # Yhat_j(I) and Yhat_k(I) have orthogonal letters for j != k
         i = (0, F(1, 4))
-        ls = [yhat_letter(model, i, k) for k in range(1, 4)]
+        ls = [yhat_process(model, k).interval_letter(i) for k in range(1, 4)]
         for j in range(3):
             for k in range(j + 1, 3):
                 assert letter_pair(ls[j], ls[k]) == 0
@@ -145,30 +145,30 @@ class TestWeightedPointAlgebra:
 
     def test_mean_is_weighted_average(self):
         alg = WeightedPointAlgebra([0, 2], [F(1, 2), F(1, 2)], EXACT)
-        assert alg.coordinate().mean() == 1
+        assert alg.letter(alg.points).mean() == 1
         assert alg.one().mean() == 1
 
     def test_pointwise_product(self):
         alg = WeightedPointAlgebra([1, 2], [F(1, 2), F(1, 2)], EXACT)
-        f = alg.coordinate()
+        f = alg.letter(alg.points)
         assert (f * f) == alg.letter([1, 4])
 
     def test_gram_is_weighted_l2(self):
         alg = WeightedPointAlgebra([1, 3], [F(1, 4), F(3, 4)], EXACT)
-        f = alg.coordinate()
+        f = alg.letter(alg.points)
         assert letter_pair(f, f) == F(1, 4) * 1 + F(3, 4) * 9
 
     def test_field_moment_matches_integral(self):
         # <Omega, X(f)^2 Omega> for centered f: ||f||^2 + mean^2 terms cancel
         alg = WeightedPointAlgebra([-1, 1], [F(1, 2), F(1, 2)], EXACT, fock_depth=4)
-        f = alg.coordinate()  # mean 0
+        f = alg.letter(alg.points)  # mean 0
         om = FockVector.vacuum(alg.space, 4)
         x = f.field()
         assert apply(x, apply(x, om)).vacuum_coefficient() == EXACT.one()
 
     def test_sup_norm(self):
         alg = WeightedPointAlgebra([-2, 1], [F(1, 2), F(1, 2)], EXACT)
-        assert alg.sup_norm(alg.coordinate()) == 2
+        assert alg.sup_norm(alg.letter(alg.points)) == 2
 
     def test_sup_norm_of_zero_letter(self):
         alg = WeightedPointAlgebra([-2, 1], [F(1, 2), F(1, 2)], EXACT)
@@ -176,7 +176,7 @@ class TestWeightedPointAlgebra:
 
     def test_xi_is_sparse(self):
         alg = WeightedPointAlgebra([-1, 0, 2], [F(1, 4), F(1, 2), F(1, 4)], EXACT)
-        assert alg.coordinate().xi() == ((0, F(-1)), (2, F(2)))
+        assert alg.letter(alg.points).xi() == ((0, F(-1)), (2, F(2)))
         assert alg.letter([0, 0, 0]).xi() == ()
 
 
@@ -204,7 +204,7 @@ class TestLetterText:
 
     def test_point_set(self):
         alg = WeightedPointAlgebra([-1, 0, 2], [F(1, 4), F(1, 2), F(1, 4)], EXACT)
-        f, g = alg.coordinate(), alg.basis_letter(1)
+        f, g = alg.letter(alg.points), alg.basis_letter(1)
         assert repr(f) == "Letter(('-1', '0', '2'))"
         assert repr(alg.letter([0, 0, 0])) == "Letter(('0', '0', '0'))"
         assert repr(g.scale(F(2, 3))) == "Letter(('0', '2/3', '0'))"

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfock.errors import ResourceBudgetError, UsageError
-from qfock.fock import FockOperator, FockVector, apply, gamma_q, innerq
+from qfock.fock import FockOperator, FockVector, apply, innerq
 from qfock.model import MomentSequence, ProcessModel, TimeGrid
 from qfock.partitions import SetPartition, enumerate_partitions
-from qfock.qscalar import EXACT, ScalarRing
+from qfock.qscalar import EXACT, QScalar, ScalarRing, inversions, sym_group
 from qfock.stochastic import (AdaptedProcess, BiProcess, StepFunction,
                               biprocess_inner, biprocess_integral,
                               chaos_component_vector, chaos_decompose,
@@ -45,6 +46,49 @@ def model():
     return three_point()
 
 
+def l2q_inner_oracle(f: StepFunction, g: StepFunction) -> QScalar:
+    """Σ_u F(u) |u| Σ_σ q^{inv(σ)} G(u∘σ⁻¹), by a sum over S_n on the step
+    functions themselves, with no Fock space."""
+    ring, grid, n = f.model.ring, f.model.grid, f.arity
+    total = ring.zero()
+    perms = [(s, inversions(s)) for s in sym_group(n)]
+    for u, cf in f.values.items():
+        weight = Fraction(1)
+        for a in u:
+            weight *= grid.width(a)
+        for sigma, inv in perms:
+            v = [0] * n
+            for i in range(n):
+                v[sigma[i] - 1] = u[i]
+            cg = g.values.get(tuple(v))
+            if cg is not None:
+                total = total + cf * cg * ring.q_pow(inv) * ring.of(weight)
+    return total
+
+
+@st.composite
+def step_function_pairs(draw):
+    """Two step functions of one arity <= 4 on a random grid, with small
+    rational values and supports that often overlap up to permutation."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    bounds = [F(0)]
+    for w in widths:
+        bounds.append(bounds[-1] + F(w, 4))
+    q = draw(st.sampled_from(["exact", F(3, 10)]))
+    ring = EXACT if q == "exact" else ScalarRing(q)
+    model = ProcessModel(ring, MomentSequence([0, 1]), TimeGrid(bounds), 1, 4)
+    arity = draw(st.integers(0, 4))
+    atoms = st.tuples(*[st.integers(0, len(widths) - 1)] * arity)
+    values = st.dictionaries(atoms, st.fractions(-3, 3, max_denominator=3),
+                             max_size=4)
+    f, g = draw(values), draw(values)
+    # a permuted copy of each support tuple makes the q-terms show up
+    for tup in list(f)[:2]:
+        g[tuple(reversed(tup))] = F(1)
+    return tuple(StepFunction(model, arity, {t: ring.of(c) for t, c in h.items()})
+                 for h in (f, g))
+
+
 class TestStepFunctions:
     def test_rectangle_support(self, model):
         f = StepFunction.rectangle(model, [(0, F(1, 2)), (F(1, 2), 1)])
@@ -67,6 +111,42 @@ class TestStepFunctions:
         f = StepFunction(model, 8, {tuple(range(4)) * 2: EXACT.one()})
         with pytest.raises(ResourceBudgetError):
             l2q_inner(f, f)
+
+    @given(step_function_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_l2q_matches_permutation_sum(self, pair):
+        f, g = pair
+        got, want = l2q_inner(f, g), l2q_inner_oracle(f, g)
+        if f.model.ring.exact:
+            assert got == want
+        else:
+            assert float(got) == pytest.approx(float(want), rel=1e-12, abs=1e-12)
+
+    def test_l2q_checks_model_and_arity(self, model):
+        f = StepFunction(model, 1, {(0,): EXACT.one()})
+        with pytest.raises(UsageError):
+            l2q_inner(f, StepFunction(model, 2, {(0, 1): EXACT.one()}))
+        with pytest.raises(UsageError):
+            l2q_inner(f, StepFunction(three_point(), 1, {(0,): EXACT.one()}))
+
+
+class TestProcessFamilies:
+    def test_delta_operator_adds_drift(self, model):
+        # Delta_k(I) Omega = Y_k(I) Omega + |I| r_k Omega, Y_k(I) the field of
+        # the letter sum_{A in I} x_A^k
+        interval = (F(1, 4), F(3, 4))
+        om = vacuum_vector(model)
+        for k in range(1, model.degree_cutoff + 1):
+            y_k = model.letter({(1, k): 1, (2, k): 1}).field()
+            want = apply(y_k, om) + om.scale(
+                EXACT.of(F(1, 2) * model.moments.r_at(k)))
+            assert apply(delta_process(model, k).operator(interval), om) == want
+
+    def test_prefix_letter_is_interval_letter(self, model):
+        proc = delta_process(model, 2)
+        assert proc.prefix_letter(F(1, 2)) == proc.interval_letter((0, F(1, 2)))
+        assert proc.interval_letter((0, F(1, 2))) == model.interval_letter(
+            (0, F(1, 2)), 2)
 
 
 class TestMultipleIntegrals:
