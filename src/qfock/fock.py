@@ -3,8 +3,12 @@
 Vectors are graded finite combinations of tensor words over a one-particle
 basis; operators are lazy expression trees over a closed set of node kinds:
 creation, annihilation, gauge, ring scalar, rational scalar, sum and
-composition.  The empty sum is the zero operator.  A dense matrix realization
-is only materialized on demand, for operator-norm estimates in float mode.
+composition.  The empty sum is the zero operator.  Exact identities apply
+the tree to vectors word by word.  A float operator-norm estimate instead
+takes a dense matrix realization of the tree, its compression to words of
+length <= depth, built by one numpy rule per node kind: a creation is
+zeta (x) 1, and an annihilation or gauge acts on each tensor slot moved to the
+front, with weight q^k.
 
 One-particle vectors have one form, the sparse tuple of their nonzero
 (index, coeff) entries in index order (`SparseVector`).  Public constructors
@@ -19,7 +23,7 @@ functions (stochastic.l2q_inner).  Exact `apply_Pn` sums over S_n word by word.
 The float q-gram of a norm estimate instead uses the Bozejko-Speicher
 factorisation P_n = (1 (x) P_{n-1}) R_n, R_n = 1 + q T_1 + ... +
 q^{n-1} T_1...T_{n-1}, as n numpy products per degree; the space keeps the
-blocks it has built.
+Cholesky factor of each degree's block it has built.
 
 Truncation overflow is always a hard error: identities are asserted only where
 the full result fits under the configured depth.
@@ -28,6 +32,7 @@ the full result fits under the configured depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -37,7 +42,7 @@ from .qscalar import QScalar, ScalarRing, inversions, sym_group
 
 PN_CAP_EXACT = 7
 PN_CAP_FLOAT = 9
-NORM_DEPTH_CAP = 8
+NORM_WORD_CAP = 2048
 
 Word = tuple[int, ...]
 SparseVector = tuple[tuple[int, Fraction], ...]
@@ -64,8 +69,8 @@ class OneParticleSpace:
     at a pinned q.  Pairings take one-particle vectors in sparse form.
 
     The space also owns two caches, freed with it: the ring-scalar pairing
-    rows of `pair_scalars`, and `pn_blocks`, the float q-gram blocks of
-    `operator_norm_estimate` keyed by degree.
+    rows of `pair_scalars`, and `pn_factors`, the lower Cholesky factors of
+    the float q-gram blocks of `operator_norm_estimate`, keyed by degree.
     """
 
     def __init__(self, dim: int, gram: Sequence[Sequence], ring: ScalarRing):
@@ -82,7 +87,7 @@ class OneParticleSpace:
         self.ring = ring
         self._classes = self._connected_classes()
         self._pair_scalars: dict[SparseVector, dict[int, QScalar]] = {}
-        self.pn_blocks: dict[int, object] = {}
+        self.pn_factors: dict[int, object] = {}
 
     @staticmethod
     def orthonormal(dim: int, ring: ScalarRing) -> "OneParticleSpace":
@@ -435,12 +440,9 @@ def field_operator(zeta: Sequence, gauge: Gauge | None,
     return FockOperator.opsum(parts)
 
 
-def apply(op: FockOperator, v: FockVector, truncate: bool = False) -> FockVector:
-    """Apply an operator tree to a vector.
-
-    With truncate=True, creations past the depth are dropped instead of
-    raising; that compression is only used for norm estimates.
-    """
+def apply(op: FockOperator, v: FockVector) -> FockVector:
+    """Apply an operator tree to a vector; a creation past the depth is a
+    DepthExceededError."""
     sp, ring = v.space, v.space.ring
     kind = op.kind
 
@@ -454,13 +456,13 @@ def apply(op: FockOperator, v: FockVector, truncate: bool = False) -> FockVector
     if kind == "sum":
         out = FockVector(sp, v.depth)
         for sub in op.operands:
-            for w, c in apply(sub, v, truncate).terms.items():
+            for w, c in apply(sub, v).terms.items():
                 out.add_term(w, c)
         return out
     if kind == "compose":
         cur = v
         for sub in reversed(op.operands):
-            cur = apply(sub, cur, truncate)
+            cur = apply(sub, cur)
         return cur
 
     # payload scalars are built once per application, or once per space for
@@ -470,8 +472,6 @@ def apply(op: FockOperator, v: FockVector, truncate: bool = False) -> FockVector
         zeta = [(i, ring.of(zi)) for i, zi in op.payload]
         for w, c in v.terms.items():
             if len(w) == v.depth:
-                if truncate:
-                    continue
                 raise DepthExceededError(
                     f"creation on a degree-{len(w)} word exceeds depth {v.depth}")
             for i, z in zeta:
@@ -556,15 +556,20 @@ def _solve_matrix(a, b):
 
 # ---------------------------------------------------------------------------
 # norm estimates (float mode)
+#
+# Words of degree n are indexed in C order, first slot most significant, and
+# the degrees follow each other from 0 up: the operator matrix and the q-gram
+# blocks share this order.
 
 
-def words_up_to(dim: int, depth: int) -> list[Word]:
-    out: list[Word] = [()]
-    layer: list[Word] = [()]
-    for _ in range(depth):
-        layer = [(i,) + w for w in layer for i in range(dim)]
-        out.extend(layer)
-    return out
+def _slot_to_front(dim: int, n: int, k: int):
+    """The index array S over degree-n words: S[w] is the index of w with its
+    tensor slot k moved to the front."""
+    import numpy as np
+
+    # the axis of the moved word's front slot takes place k of the transpose
+    axes = [*range(1, k + 1), 0, *range(k + 1, n)]
+    return np.arange(dim ** n).reshape((dim,) * n).transpose(axes).ravel()
 
 
 def _pn_matrix(dim: int, n: int, q0: float, rows):
@@ -588,53 +593,142 @@ def _pn_matrix(dim: int, n: int, q0: float, rows):
         r = np.zeros((cols.size, cols.size))
         for k in range(m):
             # column w gets q0^k in the row of w with slot k moved to the front
-            axes = np.argsort([k] + [j for j in range(m) if j != k])
-            r[np.transpose(cols.reshape((dim,) * m), axes).ravel(), cols] += q0 ** k
+            r[_slot_to_front(dim, m, k), cols] += q0 ** k
         p = np.kron(eye, p) @ r
         gn = np.kron(gn, g)
     return gn @ p
 
 
+def _kron_eye(a, m: int):
+    """np.kron(a, I_m) for a 2-d array a, by broadcasting."""
+    import numpy as np
+
+    rows, cols = a.shape
+    blocks = a[:, None, :, None] * np.eye(m)[None, :, None, :]
+    return blocks.reshape(rows * m, cols * m)
+
+
+def _compression(op: FockOperator, space: OneParticleSpace, depth: int):
+    """The matrix of op compressed to words of length <= depth, in float
+    mode, built by one numpy rule per node kind.
+
+    A creation has no block out of the top degree, and a composition
+    multiplies its truncated factors: creations past the depth are dropped.
+    Annihilations and gauges act on the front slot of a head matrix, whose
+    columns are permuted to bring each slot k to the front with weight q0^k.
+    """
+    import numpy as np
+
+    dim, ring = space.dim, space.ring
+    q0 = float(ring.q0)
+    offsets = [0]
+    for n in range(depth + 1):
+        offsets.append(offsets[-1] + dim ** n)
+    size = offsets[-1]
+
+    def deg(n: int) -> slice:
+        return slice(offsets[n], offsets[n + 1])
+
+    def dense(entries) -> "np.ndarray":
+        v = np.zeros(dim)
+        for i, c in entries:
+            v[i] = float(c)
+        return v
+
+    moves: dict[tuple[int, int], np.ndarray] = {}
+
+    def slots(head, n: int):
+        """sum_k q0^k head[:, S_{n,k}]: head acts on slot k after it is
+        moved to the front."""
+        out = np.zeros(head.shape)
+        for k in range(n):
+            move = moves.get((n, k))
+            if move is None:
+                move = moves[n, k] = _slot_to_front(dim, n, k)
+            out += q0 ** k * head[:, move]
+        return out
+
+    def build(op: FockOperator):
+        kind = op.kind
+        if kind == "scalar":
+            c = op.payload
+            if c.is_exact != ring.exact:
+                raise ModeMismatchError("operator scalar mode differs from space mode")
+            # the product refuses a scalar pinned at another q
+            return float(ring.one() * c) * np.eye(size)
+        if kind == "rational_scalar":
+            return float(op.payload) * np.eye(size)
+        if kind == "sum":
+            out = np.zeros((size, size))
+            for sub in op.operands:
+                out += build(sub)
+            return out
+        if kind == "compose":
+            mats = [build(sub) for sub in op.operands]
+            return reduce(np.matmul, mats) if mats else np.eye(size)
+        m = np.zeros((size, size))
+        if kind == "creation":
+            zeta = dense(op.payload)[:, None]
+            for n in range(depth):
+                m[deg(n + 1), deg(n)] = _kron_eye(zeta, dim ** n)
+        elif kind == "annihilation":
+            row = dense(space.pair_row(op.payload).items())[None, :]
+            for n in range(1, depth + 1):
+                m[deg(n - 1), deg(n)] = slots(_kron_eye(row, dim ** (n - 1)), n)
+        elif depth:  # a gauge; degree 0 has no slot, so no block there
+            t = np.array(op.payload.as_matrix(dim), dtype=float)
+            for n in range(1, depth + 1):
+                m[deg(n), deg(n)] = slots(_kron_eye(t, dim ** (n - 1)), n)
+        return m
+
+    return build(op)
+
+
+def _pn_factor(space: OneParticleSpace, n: int):
+    """The lower Cholesky factor L_n of the degree-n q-gram, P_n = L_n L_n^T,
+    built once per space."""
+    import numpy as np
+
+    factor = space.pn_factors.get(n)
+    if factor is None:
+        block = _pn_matrix(space.dim, n, float(space.ring.q0), space.rows)
+        try:
+            factor = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError as exc:
+            cond = np.linalg.cond(block)
+            raise ResourceBudgetError(
+                f"q-gram numerically singular at degree {n} (cond ~ {cond:.3e})"
+            ) from exc
+        space.pn_factors[n] = factor
+    return factor
+
+
 def operator_norm_estimate(op: FockOperator, space: OneParticleSpace,
                            depth: int) -> float:
     """Largest singular value of the compression of op to words of length
-    <= depth, under the q-inner product.  Float mode only."""
+    <= depth, under the q-inner product.  Float mode only.
+
+    The compression is a dense matrix M (see _compression).  With the
+    per-degree factors P_n = L_n L_n^T that the space keeps, the estimate is
+    ||L^T M L^{-T}||_2, the right factor by solves against each L_n, so no
+    inverse is formed.  The basis may hold at most NORM_WORD_CAP words; a
+    larger request is refused before anything is built.
+    """
     import numpy as np
 
     if space.ring.exact:
         raise UsageError("operator_norm_estimate requires float mode")
-    if depth > NORM_DEPTH_CAP:
+    size = sum(space.dim ** n for n in range(depth + 1))
+    if size > NORM_WORD_CAP:
         raise ResourceBudgetError(
-            f"norm estimate depth {depth} exceeds cap {NORM_DEPTH_CAP}")
-    q0 = float(space.ring.q0)
-    words = words_up_to(space.dim, depth)
-    index = {w: k for k, w in enumerate(words)}
-    size = len(words)
-
-    m = np.zeros((size, size))
-    for col, w in enumerate(words):
-        vec = FockVector.basis_word(space, depth, w)
-        img = apply(op, vec, truncate=True)
-        for w2, c in img.terms.items():
-            m[index[w2], col] = float(c)
-
-    # q-gram, block diagonal over degrees; the space keeps its blocks
-    p = np.zeros((size, size))
+            f"norm estimate at dim {space.dim}, depth {depth} needs {size} basis "
+            f"words, over the limit of {NORM_WORD_CAP}")
+    m = _compression(op, space, depth)
     offset = 0
     for n in range(depth + 1):
-        block = space.pn_blocks.get(n)
-        if block is None:
-            block = space.pn_blocks[n] = _pn_matrix(space.dim, n, q0, space.rows)
-        k = block.shape[0]
-        p[offset:offset + k, offset:offset + k] = block
-        offset += k
-
-    try:
-        chol = np.linalg.cholesky(p)
-    except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(p)
-        raise ResourceBudgetError(
-            f"q-gram numerically singular at depth {depth} (cond ~ {cond:.3e})"
-        ) from exc
-    a = chol.T @ m @ np.linalg.inv(chol.T)
-    return float(np.linalg.norm(a, 2))
+        f = _pn_factor(space, n)
+        block = slice(offset, offset + len(f))
+        m[block, :] = f.T @ m[block, :]
+        m[:, block] = np.linalg.solve(f, m[:, block].T).T
+        offset += len(f)
+    return float(np.linalg.norm(m, 2))

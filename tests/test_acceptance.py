@@ -13,22 +13,21 @@ from qfock.cli import (all_ones_pointset, all_ones_model, gaussian_model,
 from qfock.fock import (FockOperator, FockVector, OneParticleSpace, apply,
                         innerq, operator_norm_estimate, sparse_vector)
 from qfock.kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
-from qfock.model import WeightedPointAlgebra, MomentSequence, TimeGrid
+from qfock.model import WeightedPointAlgebra, MomentSequence
 from qfock.partitions import SetPartition, enumerate_partitions
 from qfock.qscalar import EXACT, QScalar, ScalarRing, q_fact_ratio
 from qfock.stochastic import (AdaptedProcess, BiProcess, StepFunction,
                               biprocess_inner, biprocess_integral,
-                              chaos_component_vector, chaos_decompose,
-                              conditional_expectation, delta_process,
-                              ito_integral, ito_isometry_rhs, l2q_inner,
-                              multiple_integral, power_decomposition,
+                              chaos_component_vector, conditional_expectation,
+                              delta_process, ito_integral, ito_isometry_rhs,
+                              l2q_inner, multiple_integral, power_decomposition,
                               psi_closed, st_pi_closed, st_pi_convergence,
                               st_pi_corollary_form, st_pi_free_form,
                               st_pi_gaussian_form, two_sided_closed,
                               two_sided_defect_vector, two_sided_discrete,
                               x_process)
 from qfock.wick import (WickElement, expansion_operator, product_expansion,
-                        vacuum_vector, vacuum_moment, word_vector)
+                        vacuum_vector, vacuum_moment)
 
 F = Fraction
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qfock import fock
 from qfock.errors import (DepthExceededError, ModeMismatchError,
                           ResourceBudgetError, UsageError)
-from qfock.fock import (NORM_DEPTH_CAP, DenseGauge, FockOperator, FockVector,
+from qfock.fock import (NORM_WORD_CAP, DenseGauge, FockOperator, FockVector,
                         OneParticleSpace, adjoint, apply, apply_Pn,
                         field_operator, inner0, innerq,
                         operator_norm_estimate, sparse_vector)
@@ -245,13 +246,30 @@ class TestNormEstimates:
         n = operator_norm_estimate(FockOperator.gauge(t), sp, 5)
         assert n <= 2.0 + 1e-9
 
-    def test_depth_cap_names_depth_and_cap(self):
+    def test_word_cap_names_size_and_limit(self, monkeypatch):
+        # dim 3, depth 8 asks for 9,841 words (775 MB per dense matrix); the
+        # refusal comes before any block or q-gram is built
         ring = ScalarRing(Fraction(3, 10))
-        sp = OneParticleSpace.orthonormal(1, ring)
-        depth = NORM_DEPTH_CAP + 1
-        with pytest.raises(ResourceBudgetError,
-                           match=f"depth {depth} exceeds cap {NORM_DEPTH_CAP}"):
-            operator_norm_estimate(FockOperator.identity(ring), sp, depth)
+        sp = OneParticleSpace.orthonormal(3, ring)
+        monkeypatch.setattr(fock, "_pn_matrix", None)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceBudgetError,
+                               match=f"needs 9841 basis words, over the limit "
+                                     f"of {NORM_WORD_CAP}"):
+                operator_norm_estimate(FockOperator.identity(ring), sp, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert sp.pn_factors == {}
+
+    @pytest.mark.parametrize("dim, depth", [(1, 9), (2, 8)])
+    def test_word_cap_admits(self, dim, depth):
+        ring = ScalarRing(Fraction(3, 10))
+        sp = OneParticleSpace.orthonormal(dim, ring)
+        n = operator_norm_estimate(FockOperator.identity(ring), sp, depth)
+        assert n == pytest.approx(1.0, abs=1e-9)
 
 
 def pn_oracle(gram, n, q0):
@@ -304,14 +322,132 @@ class TestQGram:
         monkeypatch.setattr(fock, "_pn_matrix", counting)
         ring = ScalarRing(Fraction(3, 10))
         sp = OneParticleSpace.orthonormal(2, ring)
-        assert sp.pn_blocks == {}
+        assert sp.pn_factors == {}
         op = FockOperator.gauge([[Fraction(1), Fraction(0)],
                                  [Fraction(0), Fraction(2)]])
         first = operator_norm_estimate(op, sp, 3)
-        assert built == [0, 1, 2, 3] and sorted(sp.pn_blocks) == [0, 1, 2, 3]
+        assert built == [0, 1, 2, 3] and sorted(sp.pn_factors) == [0, 1, 2, 3]
         assert operator_norm_estimate(op, sp, 3) == first
         assert built == [0, 1, 2, 3]
-        assert OneParticleSpace.orthonormal(2, ring).pn_blocks == {}
+        assert OneParticleSpace.orthonormal(2, ring).pn_factors == {}
 
     def test_no_module_cache(self):
         assert not hasattr(fock, "_PN_MATRIX_CACHE")
+
+
+# ---------------------------------------------------------------------------
+# the dense compression against the per-word one
+
+
+def words_up_to(dim, depth):
+    """All words of length <= depth, each degree built by prepending a letter
+    to the words of the one below (first slot least significant)."""
+    out, layer = [()], [()]
+    for _ in range(depth):
+        layer = [(i,) + w for w in layer for i in range(dim)]
+        out.extend(layer)
+    return out
+
+
+def truncated_apply(op, v):
+    """`apply` with creations past v.depth dropped: each leaf acts on a
+    vector with room for one more slot, and the overflow is cut."""
+    if op.kind == "sum":
+        out = FockVector(v.space, v.depth)
+        for sub in op.operands:
+            out = out + truncated_apply(sub, v)
+        return out
+    if op.kind == "compose":
+        for sub in reversed(op.operands):
+            v = truncated_apply(sub, v)
+        return v
+    img = apply(op, FockVector(v.space, v.depth + 1, v.terms))
+    return FockVector(v.space, v.depth,
+                      {w: c for w, c in img.terms.items() if len(w) <= v.depth})
+
+
+def compression_oracle(op, space, depth):
+    """The compression of op to words of length <= depth, one basis word at
+    a time, rows and columns in C order (first slot most significant)."""
+    words = words_up_to(space.dim, depth)
+    index = {w: k for k, w in enumerate(words)}
+    m = np.zeros((len(words), len(words)))
+    for col, w in enumerate(words):
+        img = truncated_apply(op, FockVector.basis_word(space, depth, w))
+        for w2, c in img.terms.items():
+            m[index[w2], col] = float(c)
+    order = sorted(range(len(words)), key=lambda k: (len(words[k]), words[k]))
+    return m[np.ix_(order, order)]
+
+
+def norm_oracle(m, gram, depth, q0):
+    """||L^T M L^{-T}||_2 for the q-gram L L^T summed over S_n."""
+    blocks = [pn_oracle(gram, n, q0) for n in range(depth + 1)]
+    p = np.zeros(m.shape)
+    offset = 0
+    for b in blocks:
+        p[offset:offset + len(b), offset:offset + len(b)] = b
+        offset += len(b)
+    chol = np.linalg.cholesky(p)
+    return float(np.linalg.norm(chol.T @ m @ np.linalg.inv(chol.T), 2))
+
+
+@st.composite
+def compression_cases(draw):
+    """A random operator tree over every node kind, on a random
+    positive-definite rational gram G = B^T B + 1."""
+    dim = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, 4))
+    q0 = draw(st.sampled_from((Fraction(0), Fraction(3, 10), Fraction(-3, 10),
+                               Fraction(7, 10))))
+    ring = ScalarRing(q0)
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    b = [[draw(small) for _ in range(dim)] for _ in range(dim)]
+    gram = [[sum(b[k][i] * b[k][j] for k in range(dim)) + (i == j)
+             for j in range(dim)] for i in range(dim)]
+    vector = st.lists(small, min_size=dim, max_size=dim)
+    leaves = st.one_of(
+        vector.map(FockOperator.creation),
+        vector.map(FockOperator.annihilation),
+        st.lists(vector, min_size=dim, max_size=dim).map(
+            lambda t: FockOperator.gauge(DenseGauge(t))),
+        small.map(lambda c: FockOperator.scalar(ring.of(c))),
+        small.map(lambda c: FockOperator("rational_scalar", c)))
+    op = draw(st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, max_size=3).map(lambda ops: FockOperator("sum", None, tuple(ops))),
+        st.lists(kids, max_size=3).map(
+            lambda ops: FockOperator("compose", None, tuple(ops)))), max_leaves=6))
+    return OneParticleSpace(dim, gram, ring), gram, depth, float(q0), op
+
+
+def test_dense_compression_of_every_kind_pair():
+    # each product and sum of two leaf kinds, on degree-3 words with distinct
+    # letters: a wrong slot move, q power or top-degree truncation shows here
+    # whatever the random trees below happen to draw
+    ring = ScalarRing(Fraction(3, 10))
+    sp = OneParticleSpace(2, [[Fraction(2), Fraction(1)],
+                              [Fraction(1), Fraction(3)]], ring)
+    leaves = [FockOperator.creation([Fraction(1), Fraction(-2)]),
+              FockOperator.annihilation([Fraction(2), Fraction(1)]),
+              FockOperator.gauge([[Fraction(0), Fraction(1)],
+                                  [Fraction(2), Fraction(1)]]),
+              FockOperator.scalar(ring.of(Fraction(3, 2))),
+              FockOperator("rational_scalar", Fraction(-1, 3))]
+    for a in leaves:
+        for b in leaves:
+            op = a * b + b
+            np.testing.assert_allclose(fock._compression(op, sp, 3),
+                                       compression_oracle(op, sp, 3),
+                                       rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(compression_cases())
+def test_dense_compression_matches_per_word(case):
+    space, gram, depth, q0, op = case
+    want = compression_oracle(op, space, depth)
+    got = fock._compression(op, space, depth)
+    scale = max(1.0, float(np.abs(want).max(initial=0)))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+    assert operator_norm_estimate(op, space, depth) == pytest.approx(
+        norm_oracle(want, gram, depth, q0), rel=1e-9, abs=1e-12 * scale)

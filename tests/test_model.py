@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qfock.errors import (CutoffExceededError, DegeneracyError, UsageError)
-from qfock.fock import FockVector, apply, innerq
+from qfock.fock import FockVector, apply
 from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
                          TimeGrid, letter_pair, monic_op_coefficients,
                          parse_model_config)

@@ -15,8 +15,8 @@ from qfock.stochastic import (AdaptedProcess, BiProcess, StepFunction,
                               ito_integral, ito_isometry_rhs, l2q_inner,
                               multiple_integral, power_decomposition,
                               st_pi_closed, st_pi_convergence,
-                              st_pi_corollary_form, st_pi_discrete,
-                              st_pi_free_form, st_pi_gaussian_form,
+                              st_pi_corollary_form, st_pi_free_form,
+                              st_pi_gaussian_form,
                               two_sided_closed, two_sided_defect_vector,
                               two_sided_discrete, x_process)
 from qfock.wick import WickElement, vacuum_vector, word_vector
