@@ -20,8 +20,7 @@ from .model import (WeightedPointAlgebra, Letter, MomentSequence, ProcessModel,
 from .partitions import (Classification, ExtendedPartition, SetPartition,
                          classify, enumerate_partitions, index_tuples, rc,
                          rc_plain)
-from .qscalar import (EXACT, QScalar, ScalarRing, inversions, q_fact,
-                      q_fact_ratio, q_int, sym_group)
+from .qscalar import EXACT, QScalar, ScalarRing, q_fact, q_fact_ratio, q_int
 from .stochastic import (AdaptedProcess, BiProcess, ConvergenceTable,
                          ProcessFamily, StepFunction, biprocess_inner,
                          biprocess_integral, chaos_component_vector,

@@ -458,8 +458,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         overrides["q"] = flag["q"]
     if flag["cutoff"] is not None:
         overrides["degree_cutoff"] = str(flag["cutoff"])
-    if flag["depth"] is not None:
-        overrides["fock_depth"] = str(flag["depth"])
     if flag["grid"] is not None:
         overrides["grid"] = f"uniform(1, {flag['grid']})"
     entries.update(overrides)
@@ -485,6 +483,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     pointset = None
     if "pointset.points" in entries:
+        for name in ("grid", "cutoff"):
+            if flag[name] is not None:
+                raise UsageError(f"--{name} does not apply to a point-set model")
         pts = config_value(entries, "pointset.points", _parse_fraction_list)
         ws = config_value(entries, "pointset.weights", _parse_fraction_list, "")
         ring = config_value(entries, "q", parse_ring, "exact")
@@ -566,14 +567,13 @@ FLAGS = {
     "seed": dict(type=int, help="random seed"),
     "q": dict(help="pinned rational q, or 'exact'"),
     "nmax": dict(type=int, help="maximum product/moment length"),
-    "depth": dict(type=int, help="Fock truncation depth"),
     "cutoff": dict(type=int, help="letter degree cutoff"),
     "grid": dict(type=int, help="uniform grid size over [0,1)"),
 }
 COMMAND_FLAGS = {
     "verify": ("model", "suite", "seed"),
     "converge": (),
-    "moments": ("model", "q", "nmax", "depth", "cutoff", "grid"),
+    "moments": ("model", "q", "nmax", "cutoff", "grid"),
 }
 
 

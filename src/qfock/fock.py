@@ -19,11 +19,12 @@ orthogonality classes; the space keeps the ring-scalar pairing row
 
 The q-inner product is <u, P_n v>_0 on degree n, P_n the q-symmetrizer
 sum_sigma q^{inv(sigma)} sigma; `innerq` is the one q-product, also of step
-functions (stochastic.l2q_inner).  Exact `apply_Pn` sums over S_n word by word.
-The float q-gram of a norm estimate instead uses the Bozejko-Speicher
-factorisation P_n = (1 (x) P_{n-1}) R_n, R_n = 1 + q T_1 + ... +
-q^{n-1} T_1...T_{n-1}, as n numpy products per degree; the space keeps the
-Cholesky factor of each degree's block it has built.
+functions (stochastic.l2q_inner).  P_n is built one way, by the
+Bozejko-Speicher factorisation P_n = (1 (x) P_{n-1}) R_n, where
+R_n = sum_k q^k C_k and C_k moves tensor slot k to the front.  `apply_Pn`
+applies it to sparse words, exactly or in floats; the float q-gram of a norm
+estimate takes it as n dense numpy products per degree, and the space keeps
+the Cholesky factor of each degree's block it has built.
 
 Truncation overflow is always a hard error: identities are asserted only where
 the full result fits under the configured depth.
@@ -38,10 +39,9 @@ from typing import Iterable, Sequence
 
 from .errors import (DepthExceededError, ModeMismatchError, ResourceBudgetError,
                      UsageError)
-from .qscalar import QScalar, ScalarRing, inversions, sym_group
+from .qscalar import QScalar, ScalarRing
 
-PN_CAP_EXACT = 7
-PN_CAP_FLOAT = 9
+PN_CAP = 9
 NORM_WORD_CAP = 2048
 
 Word = tuple[int, ...]
@@ -264,25 +264,34 @@ def inner0(u: FockVector, v: FockVector) -> QScalar:
 
 
 def apply_Pn(v: FockVector) -> FockVector:
-    """Replace each degree-n word by its q-weighted sum of permutations."""
-    cap = PN_CAP_EXACT if v.space.ring.exact else PN_CAP_FLOAT
+    """P_n on each degree-n part of v, in either scalar mode, by the
+    factorisation P_n = (1^{(x)(n-2)} (x) R_2) ... (1 (x) R_{n-1}) R_n.
+
+    Step s moves each slot k >= s of a word to place s, with weight q^{k-s},
+    and collects equal words, so the work is bounded by the distinct
+    rearrangements of each word rather than by n!.  A word of length <= s+1
+    passes step s unchanged.  A degree above PN_CAP is refused up front.
+    """
     top = v.top_degree()
-    if top > cap:
-        raise ResourceBudgetError(
-            f"apply_Pn degree {top} exceeds cap {cap} for this scalar mode")
-    ring = v.space.ring
+    if top > PN_CAP:
+        raise ResourceBudgetError(f"apply_Pn degree {top} exceeds cap {PN_CAP}")
+    qp = [v.space.ring.q_pow(k) for k in range(top)]
+    cur = v.terms
+    for s in range(top - 1):
+        nxt: dict[Word, QScalar] = {}
+        for w, c in cur.items():
+            if len(w) <= s + 1:
+                nxt[w] = c  # no moved word has this length
+                continue
+            head = w[:s]
+            for k in range(s, len(w)):
+                u = head + w[k:k + 1] + w[s:k] + w[k + 1:]
+                x = c * qp[k - s] if k > s else c
+                prev = nxt.get(u)
+                nxt[u] = x if prev is None else prev + x
+        cur = nxt
     out = FockVector(v.space, v.depth)
-    perm_cache: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for w, c in v.terms.items():
-        n = len(w)
-        if n <= 1:
-            out.add_term(w, c)
-            continue
-        if n not in perm_cache:
-            perm_cache[n] = [(s, inversions(s)) for s in sym_group(n)]
-        for sigma, inv in perm_cache[n]:
-            pw = tuple(w[s - 1] for s in sigma)
-            out.add_term(pw, c * ring.q_pow(inv))
+    out.terms = {w: c for w, c in cur.items() if not c.is_zero}
     return out
 
 

@@ -19,9 +19,8 @@ Values of different modes (or different pinned q0) never mix.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import ModeMismatchError, UsageError
 
@@ -359,15 +358,3 @@ def q_fact_ratio(n: int, k: int, ring: ScalarRing = EXACT) -> QScalar:
         out = out * q_int(i, ring)
     return out
 
-
-def inversions(sigma: Sequence[int]) -> int:
-    """Number of pairs i < j with sigma(i) > sigma(j); sigma permutes 1..n."""
-    n = len(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise UsageError(f"not a permutation of 1..{n}: {sigma}")
-    return sum(1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j])
-
-
-def sym_group(n: int):
-    """All permutations of 1..n as tuples (identity first for n <= 1)."""
-    return permutations(range(1, n + 1))

@@ -108,6 +108,20 @@ class TestMoments:
         assert code == 0
         assert out.strip().splitlines()[-1] == "4,14 + q"
 
+    @pytest.mark.parametrize("flag", ["--grid", "--cutoff"])
+    def test_pointset_refuses_grid_flags(self, capsys, tmp_path, flag):
+        cfg = tmp_path / "app.cfg"
+        cfg.write_text("q = exact\n"
+                       "pointset.points = [1]\n"
+                       "pointset.weights = [1]\n")
+        code, out, err = run(capsys, "moments", "--model", str(cfg),
+                             "--nmax", "4", flag, "4")
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert flag in lines[0]
+
     def test_budget_refusal_is_upfront(self, capsys):
         code, _, err = run(capsys, "moments", "--nmax", "6")
         assert code == 2
@@ -273,7 +287,7 @@ UNREAD = [("verify", flag) for flag in ("--q", "--depth", "--cutoff", "--grid",
 UNREAD += [("converge", flag) for flag in ("--model", "--q", "--depth",
                                            "--cutoff", "--grid", "--nmax",
                                            "--suite", "--seed")]
-UNREAD += [("moments", flag) for flag in ("--suite", "--seed")]
+UNREAD += [("moments", flag) for flag in ("--suite", "--seed", "--depth")]
 
 
 @pytest.mark.parametrize("command,flag", UNREAD)

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,7 +14,8 @@ from qfock.fock import (NORM_WORD_CAP, DenseGauge, FockOperator, FockVector,
                         OneParticleSpace, adjoint, apply, apply_Pn,
                         field_operator, inner0, innerq,
                         operator_norm_estimate, sparse_vector)
-from qfock.qscalar import EXACT, QScalar, ScalarRing
+from qfock.qscalar import EXACT, QScalar, ScalarRing, q_fact
+from sn_oracle import apply_Pn_sum, inversions, sym_group
 
 
 @pytest.fixture
@@ -68,10 +69,54 @@ class TestInnerProducts:
         assert inner0(u, v) == EXACT.one()
 
     def test_pn_budget(self, space2):
-        v = FockVector(space2, 8)
-        v.add_term((0,) * 8, EXACT.one())
-        with pytest.raises(ResourceBudgetError):
-            apply_Pn(v)
+        # degree 10 is the first one refused, in either scalar mode
+        float2 = OneParticleSpace.orthonormal(2, ScalarRing(Fraction(3, 10)))
+        for sp in (space2, float2):
+            v = FockVector(sp, 10)
+            v.add_term((0,) * 10, sp.ring.one())
+            with pytest.raises(ResourceBudgetError):
+                apply_Pn(v)
+
+    @pytest.mark.parametrize("q0", [None, Fraction(3, 10)])
+    def test_pn_degree_9_repeated_letters(self, q0):
+        # P_9 of 0^5 1^4 has one term per rearrangement u, with coefficient
+        # q^{inv(u)} [5]_q! [4]_q!, and the coefficients sum to [9]_q!
+        ring = EXACT if q0 is None else ScalarRing(q0)
+        sp = OneParticleSpace.orthonormal(2, ring)
+        w = (0,) * 5 + (1,) * 4
+        out = apply_Pn(FockVector.basis_word(sp, 9, w))
+        stab = q_fact(5, ring) * q_fact(4, ring)
+        assert len(out.terms) == 126
+        total = sum(out.terms.values(), ring.zero())
+        if ring.exact:
+            assert out.terms[w] == stab
+            assert out.terms[w[::-1]] == ring.q_pow(20) * stab
+            assert total == q_fact(9)
+        else:
+            assert float(out.terms[w]) == pytest.approx(float(stab), rel=1e-12)
+            assert float(total) == pytest.approx(float(q_fact(9, ring)), rel=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_pn_matches_permutation_sum(self, data):
+        # mixed degrees 0-6 over at most 4 letters, so letters repeat
+        dim = data.draw(st.integers(1, 4))
+        q0 = data.draw(st.sampled_from(
+            (None, Fraction(0), Fraction(3, 10), Fraction(-3, 10), Fraction(7, 10))))
+        ring = EXACT if q0 is None else ScalarRing(q0)
+        words = st.lists(st.integers(0, dim - 1), max_size=6).map(tuple)
+        coeffs = st.fractions(-3, 3, max_denominator=4)
+        terms = data.draw(st.dictionaries(words, coeffs, max_size=5))
+        v = FockVector(OneParticleSpace.orthonormal(dim, ring), 6,
+                       {w: ring.of(c) for w, c in terms.items()})
+        got, want = apply_Pn(v), apply_Pn_sum(v)
+        if ring.exact:
+            assert got == want
+        else:
+            for w in got.terms.keys() | want.terms.keys():
+                a = float(got.terms.get(w, ring.zero()))
+                b = float(want.terms.get(w, ring.zero()))
+                assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
     def test_asymmetric_gram_rejected(self):
         g = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
@@ -279,12 +324,11 @@ def pn_oracle(gram, n, q0):
     g = np.array([[float(x) for x in row] for row in gram])
     words = np.array(list(product(range(dim), repeat=n)), dtype=int).reshape(dim ** n, n)
     out = np.zeros((len(words), len(words)))
-    for sigma in permutations(range(n)):
-        inv = sum(sigma[i] > sigma[j] for i in range(n) for j in range(i + 1, n))
+    for sigma in sym_group(n):
         term = np.ones_like(out)
         for k in range(n):
-            term *= g[np.ix_(words[:, k], words[:, sigma[k]])]
-        out += q0 ** inv * term
+            term *= g[np.ix_(words[:, k], words[:, sigma[k] - 1])]
+        out += q0 ** inversions(sigma) * term
     return out
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qfock.errors import UsageError
 from qfock.partitions import (ExtendedPartition, SetPartition, classify,
                               enumerate_partitions, index_tuples, rc, rc_plain)
-from qfock.qscalar import inversions
+from sn_oracle import inversions
 
 P = SetPartition.of
 EP = ExtendedPartition.of

@@ -7,7 +7,7 @@ from qfock.errors import ResourceBudgetError, UsageError
 from qfock.fock import FockOperator, FockVector, apply, innerq
 from qfock.model import MomentSequence, ProcessModel, TimeGrid
 from qfock.partitions import SetPartition, enumerate_partitions
-from qfock.qscalar import EXACT, QScalar, ScalarRing, inversions, sym_group
+from qfock.qscalar import EXACT, QScalar, ScalarRing, q_fact
 from qfock.stochastic import (AdaptedProcess, BiProcess, StepFunction,
                               biprocess_inner, biprocess_integral,
                               chaos_component_vector, chaos_decompose,
@@ -20,6 +20,7 @@ from qfock.stochastic import (AdaptedProcess, BiProcess, StepFunction,
                               two_sided_closed, two_sided_defect_vector,
                               two_sided_discrete, x_process)
 from qfock.wick import WickElement, vacuum_vector, word_vector
+from sn_oracle import inversions, sym_group
 
 F = Fraction
 
@@ -108,9 +109,15 @@ class TestStepFunctions:
         assert l2q_inner(f, f) == (EXACT.one() + EXACT.q()) * EXACT.of(F(1, 16))
 
     def test_l2q_arity_cap(self, model):
-        f = StepFunction(model, 8, {tuple(range(4)) * 2: EXACT.one()})
-        with pytest.raises(ResourceBudgetError):
-            l2q_inner(f, f)
+        f = StepFunction(model, 9, {(0,) * 9: EXACT.one()})
+        assert l2q_inner(f, f) == q_fact(9) * EXACT.of(F(1, 4) ** 9)
+        # arity 10 is the first one refused, in either scalar mode
+        float_model = three_point(ring=ScalarRing(F(3, 10)))
+        for m in (model, float_model):
+            one = m.ring.one()
+            f = StepFunction(m, 10, {tuple(range(4)) * 2 + (0, 1): one})
+            with pytest.raises(ResourceBudgetError):
+                l2q_inner(f, f)
 
     @given(step_function_pairs())
     @settings(max_examples=60, deadline=None)
