@@ -483,9 +483,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     pointset = None
     if "pointset.points" in entries:
-        for name in ("grid", "cutoff"):
+        for name, key in (("grid", "grid"), ("cutoff", "degree_cutoff")):
             if flag[name] is not None:
                 raise UsageError(f"--{name} does not apply to a point-set model")
+            if key in entries:
+                raise UsageError(f"model key {key} does not apply to a point-set model")
         pts = config_value(entries, "pointset.points", _parse_fraction_list)
         ws = config_value(entries, "pointset.weights", _parse_fraction_list, "")
         ring = config_value(entries, "q", parse_ring, "exact")

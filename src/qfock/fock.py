@@ -4,7 +4,12 @@ Vectors are graded finite combinations of tensor words over a one-particle
 basis; operators are lazy expression trees over a closed set of node kinds:
 creation, annihilation, gauge, ring scalar, rational scalar, sum and
 composition.  The empty sum is the zero operator.  Exact identities apply
-the tree to vectors word by word.  A float operator-norm estimate instead
+the tree to vectors by one recursive kernel (`apply`) that accumulates each
+node's image into a dict its caller passes down, folding the scalar operands
+of a composition into one factor.  Words are range-checked only where they
+enter from outside (`basis_word`, the `terms` argument, `add_term`), and
+each creation payload and gauge column once per node, so the words that
+`apply` derives are not checked again.  A float operator-norm estimate instead
 takes a dense matrix realization of the tree, its compression to words of
 length <= depth, built by one numpy rule per node kind: a creation is
 zeta (x) 1, and an annihilation or gauge acts on each tensor slot moved to the
@@ -39,7 +44,7 @@ from typing import Iterable, Sequence
 
 from .errors import (DepthExceededError, ModeMismatchError, ResourceBudgetError,
                      UsageError)
-from .qscalar import QScalar, ScalarRing
+from .qscalar import QScalar, ScalarRing, accumulate, add_scaled
 
 PN_CAP = 9
 NORM_WORD_CAP = 2048
@@ -150,7 +155,12 @@ class OneParticleSpace:
 
 
 class FockVector:
-    """A finite combination of tensor words, graded by word length."""
+    """A finite combination of tensor words, graded by word length.
+
+    Words are range-checked where they enter: `basis_word`, the `terms`
+    argument and `add_term`.  Vectors built from checked ones (sums, scalings,
+    operator images) skip the check.
+    """
 
     __slots__ = ("space", "depth", "terms")
 
@@ -164,13 +174,20 @@ class FockVector:
                 self.add_term(w, c)
 
     @staticmethod
+    def _of(space: OneParticleSpace, depth: int,
+            terms: dict[Word, QScalar]) -> "FockVector":
+        """A vector taking over terms, whose words are in range, no longer
+        than depth and with no zero coefficient."""
+        out = FockVector(space, depth)
+        out.terms = terms
+        return out
+
+    @staticmethod
     def vacuum(space: OneParticleSpace, depth: int) -> "FockVector":
         return FockVector(space, depth, {(): space.ring.one()})
 
     @staticmethod
     def basis_word(space: OneParticleSpace, depth: int, word: Word) -> "FockVector":
-        if len(word) > depth:
-            raise DepthExceededError(f"word of length {len(word)} exceeds depth {depth}")
         return FockVector(space, depth, {tuple(word): space.ring.one()})
 
     def add_term(self, word: Word, coeff: QScalar) -> None:
@@ -179,28 +196,25 @@ class FockVector:
                 f"word of length {len(word)} exceeds depth {self.depth}")
         if word and (min(word) < 0 or max(word) >= self.space.dim):
             raise UsageError(f"basis index out of range in {word}")
-        cur = self.terms.get(word)
-        new = coeff if cur is None else cur + coeff
-        if new.is_zero:
-            self.terms.pop(word, None)
-        else:
-            self.terms[word] = new
+        accumulate(self.terms, word, coeff)
+
+    def _plus(self, other: "FockVector", c: QScalar | None) -> "FockVector":
+        """self + c * other, c None meaning 1."""
+        self._check(other)
+        if other.depth > self.depth and other.top_degree() > self.depth:
+            raise DepthExceededError(
+                f"word of length {other.top_degree()} exceeds depth {self.depth}")
+        return FockVector._of(self.space, self.depth,
+                              add_scaled(dict(self.terms), other.terms, c))
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        self._check(other)
-        out = FockVector(self.space, self.depth, dict(self.terms))
-        for w, c in other.terms.items():
-            out.add_term(w, c)
-        return out
+        return self._plus(other, None)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + other.scale(-self.space.ring.one())
+        return self._plus(other, -self.space.ring.one())
 
     def scale(self, c: QScalar) -> "FockVector":
-        if c.is_zero:
-            return FockVector(self.space, self.depth)
-        return FockVector(self.space, self.depth,
-                          {w: cc * c for w, cc in self.terms.items()})
+        return FockVector._of(self.space, self.depth, add_scaled({}, self.terms, c))
 
     def _check(self, other: "FockVector") -> None:
         if self.space != other.space:
@@ -290,9 +304,8 @@ def apply_Pn(v: FockVector) -> FockVector:
                 prev = nxt.get(u)
                 nxt[u] = x if prev is None else prev + x
         cur = nxt
-    out = FockVector(v.space, v.depth)
-    out.terms = {w: c for w, c in cur.items() if not c.is_zero}
-    return out
+    return FockVector._of(v.space, v.depth,
+                          {w: c for w, c in cur.items() if not c.is_zero})
 
 
 def innerq(u: FockVector, v: FockVector) -> QScalar:
@@ -449,63 +462,108 @@ def field_operator(zeta: Sequence, gauge: Gauge | None,
     return FockOperator.opsum(parts)
 
 
+def _scalar_factor(op: FockOperator, ring: ScalarRing) -> QScalar:
+    """The ring scalar of a scalar or rational_scalar node."""
+    if op.kind == "rational_scalar":
+        return ring.of(op.payload)
+    if op.payload.is_exact != ring.exact:
+        raise ModeMismatchError("operator scalar mode differs from space mode")
+    return op.payload
+
+
 def apply(op: FockOperator, v: FockVector) -> FockVector:
     """Apply an operator tree to a vector; a creation past the depth is a
-    DepthExceededError."""
-    sp, ring = v.space, v.space.ring
-    kind = op.kind
+    DepthExceededError.
 
-    if kind == "scalar":
-        c = op.payload
-        if c.is_exact != ring.exact:
-            raise ModeMismatchError("operator scalar mode differs from space mode")
-        return v.scale(c)
-    if kind == "rational_scalar":
-        return v.scale(ring.of(op.payload))
-    if kind == "sum":
-        out = FockVector(sp, v.depth)
-        for sub in op.operands:
-            for w, c in apply(sub, v).terms.items():
-                out.add_term(w, c)
-        return out
-    if kind == "compose":
-        cur = v
-        for sub in reversed(op.operands):
-            cur = apply(sub, cur)
-        return cur
+    One recursive kernel accumulates factor * node(terms) into a dict out
+    that its caller passes down: a sum hands out to each operand, and a
+    composition folds its scalar operands into factor, which the factor
+    acting last applies.  The words of v are in range, so the words added
+    are too once each creation payload and gauge column is checked against
+    the space, which happens once per node.  Leaves fold factor into their
+    payload scalars, and an annihilation multiplies (c q^k) g in that order,
+    so an unscaled leaf gives the same floats as a word-by-word pass.
+    """
+    sp, ring, depth = v.space, v.space.ring, v.depth
+    qp = [ring.q_pow(k) for k in range(depth + 1)]
 
-    # payload scalars are built once per application, or once per space for
-    # the pairing row of an annihilation
-    out = FockVector(sp, v.depth)
-    if kind == "creation":
-        zeta = [(i, ring.of(zi)) for i, zi in op.payload]
-        for w, c in v.terms.items():
-            if len(w) == v.depth:
-                raise DepthExceededError(
-                    f"creation on a degree-{len(w)} word exceeds depth {v.depth}")
-            for i, z in zeta:
-                out.add_term((i,) + w, c * z)
-        return out
-    if kind == "annihilation":
-        row = sp.pair_scalars(op.payload)
-        for w, c in v.terms.items():
+    def into(op: FockOperator, terms: dict[Word, QScalar],
+             out: dict[Word, QScalar], factor: QScalar | None) -> None:
+        # factor None means 1
+        kind = op.kind
+        if kind == "sum":
+            for sub in op.operands:
+                into(sub, terms, out, factor)
+            return
+        if kind == "compose":
+            chain = []
+            for sub in op.operands:
+                if sub.kind == "scalar" or sub.kind == "rational_scalar":
+                    c = _scalar_factor(sub, ring)
+                    factor = c if factor is None else factor * c
+                else:
+                    chain.append(sub)
+            if factor is not None and factor.is_zero:
+                return
+            if not chain:
+                add_scaled(out, terms, factor)
+                return
+            for sub in reversed(chain[1:]):
+                nxt: dict[Word, QScalar] = {}
+                into(sub, terms, nxt, None)
+                terms = nxt
+            into(chain[0], terms, out, factor)
+            return
+        if kind == "scalar" or kind == "rational_scalar":
+            c = _scalar_factor(op, ring)
+            add_scaled(out, terms, c if factor is None else factor * c)
+            return
+
+        # payload scalars are built once per node, or once per space for the
+        # pairing row of an annihilation, with the factor folded in
+        if kind == "creation":
+            zeta = op.payload
+            if zeta and (zeta[0][0] < 0 or zeta[-1][0] >= sp.dim):
+                raise UsageError(f"creation index out of range in {zeta}")
+            zeta = [(i, ring.of(x) if factor is None else ring.of(x) * factor)
+                    for i, x in zeta]
+            for w, c in terms.items():
+                if len(w) == depth:
+                    raise DepthExceededError(
+                        f"creation on a degree-{len(w)} word exceeds depth {depth}")
+                for i, z in zeta:
+                    accumulate(out, (i,) + w, c * z)
+            return
+        if kind == "annihilation":
+            row = sp.pair_scalars(op.payload)
+            if factor is not None:
+                row = {i: g * factor for i, g in row.items()}
+            for w, c in terms.items():
+                for k, i in enumerate(w):
+                    g = row.get(i)
+                    if g is not None:
+                        accumulate(out, w[:k] + w[k + 1:],
+                                   (c * qp[k] if k else c) * g)
+            return
+        gauge: Gauge = op.payload  # the one kind left
+        cols: dict[int, list[tuple[int, QScalar]]] = {}
+        for w, c in terms.items():
             for k, i in enumerate(w):
-                g = row.get(i)
-                if g is not None:
-                    out.add_term(w[:k] + w[k + 1:], c * ring.q_pow(k) * g)
-        return out
-    g: Gauge = op.payload  # the one kind left
-    cols: dict[int, list[tuple[int, QScalar]]] = {}
-    for w, c in v.terms.items():
-        for k, i in enumerate(w):
-            col = cols.get(i)
-            if col is None:
-                col = cols[i] = [(j, ring.of(x)) for j, x in g.column(i) if x]
-            rest = w[:k] + w[k + 1:]
-            qc = c * ring.q_pow(k)
-            for j, s in col:
-                out.add_term((j,) + rest, qc * s)
-    return out
+                col = cols.get(i)
+                if col is None:
+                    col = cols[i] = [
+                        (j, ring.of(x) if factor is None else ring.of(x) * factor)
+                        for j, x in gauge.column(i) if x]
+                    if any(not 0 <= j < sp.dim for j, _ in col):
+                        raise UsageError(f"gauge column {i} has an index out of range")
+                rest = w[:k] + w[k + 1:]
+                qc = c * qp[k] if k else c
+                for j, s in col:
+                    accumulate(out, (j,) + rest, qc * s)
+
+    out: dict[Word, QScalar] = {}
+    into(op, v.terms, out, None)
+    return FockVector._of(sp, depth, out)
 
 
 def adjoint(op: FockOperator, space: OneParticleSpace) -> FockOperator:
@@ -623,6 +681,8 @@ def _compression(op: FockOperator, space: OneParticleSpace, depth: int):
 
     A creation has no block out of the top degree, and a composition
     multiplies its truncated factors: creations past the depth are dropped.
+    Its scalar operands fold into one factor that scales the product, as in
+    `apply`, rather than entering it as c*I.
     Annihilations and gauges act on the front slot of a head matrix, whose
     columns are permuted to bring each slot k to the front with weight q0^k.
     """
@@ -657,24 +717,30 @@ def _compression(op: FockOperator, space: OneParticleSpace, depth: int):
             out += q0 ** k * head[:, move]
         return out
 
+    def scalar(op: FockOperator) -> float:
+        # the product refuses a scalar pinned at another q
+        return float(ring.one() * _scalar_factor(op, ring))
+
     def build(op: FockOperator):
         kind = op.kind
-        if kind == "scalar":
-            c = op.payload
-            if c.is_exact != ring.exact:
-                raise ModeMismatchError("operator scalar mode differs from space mode")
-            # the product refuses a scalar pinned at another q
-            return float(ring.one() * c) * np.eye(size)
-        if kind == "rational_scalar":
-            return float(op.payload) * np.eye(size)
+        if kind == "scalar" or kind == "rational_scalar":
+            return scalar(op) * np.eye(size)
         if kind == "sum":
             out = np.zeros((size, size))
             for sub in op.operands:
                 out += build(sub)
             return out
         if kind == "compose":
-            mats = [build(sub) for sub in op.operands]
-            return reduce(np.matmul, mats) if mats else np.eye(size)
+            c, mats = 1.0, []
+            for sub in op.operands:
+                if sub.kind == "scalar" or sub.kind == "rational_scalar":
+                    c *= scalar(sub)
+                else:
+                    mats.append(build(sub))
+            m = reduce(np.matmul, mats) if mats else np.eye(size)
+            if c != 1.0:
+                m *= c
+            return m
         m = np.zeros((size, size))
         if kind == "creation":
             zeta = dense(op.payload)[:, None]

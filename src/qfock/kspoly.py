@@ -12,7 +12,8 @@ from typing import Sequence
 
 from .errors import ResourceBudgetError, UsageError
 from .model import MomentSequence
-from .qscalar import EXACT, QScalar, ScalarRing, q_fact_ratio, q_int
+from .qscalar import (EXACT, QScalar, ScalarRing, accumulate, add_scaled,
+                      q_fact_ratio, q_int)
 
 MAX_KS_LEN = 8
 MAX_ROW_N = 6
@@ -36,6 +37,14 @@ class NCPolynomial:
                     self.terms[tuple(w)] = c
 
     @staticmethod
+    def _of(ring: ScalarRing, terms: dict[Word, QScalar]) -> "NCPolynomial":
+        """A polynomial taking over terms, whose indices are >= 1 and with
+        no zero coefficient."""
+        out = NCPolynomial(ring)
+        out.terms = terms
+        return out
+
+    @staticmethod
     def zero(ring: ScalarRing) -> "NCPolynomial":
         return NCPolynomial(ring)
 
@@ -53,27 +62,21 @@ class NCPolynomial:
         return NCPolynomial(ring, {(): c})
 
     def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            cur = out.get(w)
-            out[w] = c if cur is None else cur + c
-        return NCPolynomial(self.ring, out)
+        return NCPolynomial._of(self.ring, add_scaled(dict(self.terms), other.terms))
 
     def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
-        return self + other.scale(self.ring.of(-1))
+        return NCPolynomial._of(self.ring, add_scaled(dict(self.terms), other.terms,
+                                                      self.ring.of(-1)))
 
     def __mul__(self, other: "NCPolynomial") -> "NCPolynomial":
         out: dict[Word, QScalar] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                cur = out.get(w)
-                out[w] = c if cur is None else cur + c
-        return NCPolynomial(self.ring, out)
+                accumulate(out, w1 + w2, c1 * c2)
+        return NCPolynomial._of(self.ring, out)
 
     def scale(self, c: QScalar) -> "NCPolynomial":
-        return NCPolynomial(self.ring, {w: cc * c for w, cc in self.terms.items()})
+        return NCPolynomial._of(self.ring, add_scaled({}, self.terms, c))
 
     @property
     def is_zero(self) -> bool:
@@ -122,13 +125,14 @@ def ks_poly(u: Sequence[int], moments: MomentSequence,
             out = NCPolynomial.one(ring)
         else:
             j, rest = word[0], word[1:]
-            out = NCPolynomial.x(j, ring) * rec(rest)
+            terms = (NCPolynomial.x(j, ring) * rec(rest)).terms
             for i, ui in enumerate(rest):
                 removed = rest[:i] + rest[i + 1:]
-                qc = ring.q_pow(i)
-                out = out - rec(removed).scale(
-                    qc * ring.of(moments.r_at(j + ui)))
-                out = out - rec((j + ui,) + removed).scale(qc)
+                qc = -ring.q_pow(i)
+                add_scaled(terms, rec(removed).terms,
+                           qc * ring.of(moments.r_at(j + ui)))
+                add_scaled(terms, rec((j + ui,) + removed).terms, qc)
+            out = NCPolynomial._of(ring, terms)
         memo[word] = out
         return out
 

@@ -150,21 +150,29 @@ class QScalar:
         b = other.num
         if not a or not b:
             return _ZERO
-        if len(a) < len(b):
-            a, b = b, a
-        # b is the shorter factor; a constant or monomial b is a scaled shift
-        if _monomial(b):
-            y = b[-1]
-            out = [0] * (len(b) - 1) + [x * y for x in a]
-        elif _monomial(a):
-            x = a[-1]
-            out = [0] * (len(a) - 1) + [x * y for y in b]
+        if len(a) == 1 or len(b) == 1:
+            # a constant factor scales the other one, and 1 keeps it
+            const, keep = (other, self) if len(b) == 1 else (self, other)
+            y = const.num[0]
+            if y == 1 and const.den == 1:
+                return keep
+            out = [x * y for x in keep.num]
         else:
-            out = [0] * (len(a) + len(b) - 1)
-            for i, y in enumerate(b):
-                if y:
-                    for j, x in enumerate(a, i):
-                        out[j] += x * y
+            if len(a) < len(b):
+                a, b = b, a
+            # b is the shorter factor; a monomial b is a scaled shift
+            if _monomial(b):
+                y = b[-1]
+                out = [0] * (len(b) - 1) + [x * y for x in a]
+            elif _monomial(a):
+                x = a[-1]
+                out = [0] * (len(a) - 1) + [x * y for y in b]
+            else:
+                out = [0] * (len(a) + len(b) - 1)
+                for i, y in enumerate(b):
+                    if y:
+                        for j, x in enumerate(a, i):
+                            out[j] += x * y
         # the leading product is nonzero, so only the gcd is left to do
         den = self.den * other.den
         if den != 1:
@@ -274,6 +282,29 @@ class QScalar:
 
 
 _ZERO = QScalar((), 1, None, None)
+
+
+def accumulate(terms: dict, key, c: QScalar) -> None:
+    """terms[key] += c, dropping the key when the sum is zero; a sparse
+    combination so never stores a zero coefficient."""
+    prev = terms.get(key)
+    if prev is not None:
+        c = prev + c
+    if c.is_zero:
+        terms.pop(key, None)
+    else:
+        terms[key] = c
+
+
+def add_scaled(terms: dict, other: dict, c: QScalar | None = None) -> dict:
+    """terms += c * other in one pass, c None meaning 1; returns terms."""
+    if c is None:
+        for key, x in other.items():
+            accumulate(terms, key, x)
+    elif not c.is_zero:
+        for key, x in other.items():
+            accumulate(terms, key, x * c)
+    return terms
 
 
 class ScalarRing:

@@ -122,6 +122,21 @@ class TestMoments:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert flag in lines[0]
 
+    @pytest.mark.parametrize("key, value", [("degree_cutoff", "1"),
+                                            ("grid", "uniform(1, 7)")])
+    def test_pointset_refuses_grid_keys(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "app.cfg"
+        cfg.write_text("q = exact\n"
+                       "pointset.points = [1]\n"
+                       "pointset.weights = [1]\n"
+                       f"{key} = {value}\n")
+        code, out, err = run(capsys, "moments", "--model", str(cfg), "--nmax", "4")
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert key in lines[0]
+
     def test_budget_refusal_is_upfront(self, capsys):
         code, _, err = run(capsys, "moments", "--nmax", "6")
         assert code == 2

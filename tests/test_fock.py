@@ -40,6 +40,26 @@ class TestFockVector:
         v = vec(space2, 3, ((0, 1), 1), ((0, 1), -1))
         assert v.is_zero
 
+    @pytest.mark.parametrize("word, error", [
+        ((0, 2), UsageError), ((-1,), UsageError),
+        ((0, 1, 0), DepthExceededError)])
+    def test_entry_points_refuse_bad_words(self, space2, word, error):
+        # words enter through basis_word, the terms argument and add_term;
+        # nothing derived from them is checked again
+        with pytest.raises(error):
+            FockVector.basis_word(space2, 2, word)
+        with pytest.raises(error):
+            FockVector(space2, 2, {word: EXACT.one()})
+        with pytest.raises(error):
+            FockVector(space2, 2).add_term(word, EXACT.one())
+
+    def test_sum_refuses_words_past_its_depth(self, space2):
+        long = vec(space2, 3, ((0, 1, 0), 1))
+        with pytest.raises(DepthExceededError):
+            FockVector(space2, 2) + long
+        assert FockVector(space2, 3) - vec(space2, 2, ((0,), 1)) == vec(
+            space2, 3, ((0,), -1))
+
     def test_serialize_sorted(self, space2):
         v = vec(space2, 3, ((1, 0), 2), ((0,), 1))
         assert v.serialize() == "1 | 0\n2 | 1,0"
@@ -143,6 +163,20 @@ class TestOperators:
         v = vec(space2, 2, ((0, 1), 1))
         out = apply(FockOperator.gauge(t), v)
         assert out.terms == {(0, 0): EXACT.q()}
+
+    @pytest.mark.parametrize("op", [
+        FockOperator.creation([(2, 1)]),
+        FockOperator.creation([(-1, 1), (0, 1)]),
+        FockOperator.annihilation([(2, 1)]),
+        FockOperator.gauge([[Fraction(1)] * 3] * 3)],
+        ids=["creation", "creation-negative", "annihilation", "gauge"])
+    def test_apply_refuses_index_out_of_range(self, space2, op):
+        # checked once per node, not on the words the node derives
+        v = vec(space2, 3, ((), 1), ((1, 0), 1))
+        with pytest.raises(UsageError, match="out of range"):
+            apply(op, v)
+        with pytest.raises(UsageError, match="out of range"):
+            apply(op.scale_by(3) + FockOperator.identity(EXACT), v)
 
     def test_scalar_mode_mismatch(self, space2):
         op = FockOperator.scalar(QScalar.pinned(2.0, Fraction(1, 2)))
@@ -282,6 +316,25 @@ class TestNormEstimates:
         sp = OneParticleSpace.orthonormal(2, ring)
         n = operator_norm_estimate(FockOperator.identity(ring), sp, 4)
         assert n == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("q0", [0, Fraction(3, 10), Fraction(-7, 10)])
+    def test_scaled_norm_is_scaled(self, q0):
+        # a composition's scalar scales its compression: ||2x|| = 2 ||x||
+        ring = ScalarRing(q0)
+        sp = OneParticleSpace(2, [[Fraction(2), Fraction(1)],
+                                  [Fraction(1), Fraction(3)]], ring)
+        x = field_operator([Fraction(1), Fraction(-2)],
+                           DenseGauge([[Fraction(0), Fraction(1)],
+                                       [Fraction(1), Fraction(1)]]),
+                           Fraction(1, 2), ring)
+        n = operator_norm_estimate(x, sp, 4)
+        assert n > 0
+        assert operator_norm_estimate(x.scale_by(2), sp, 4) == pytest.approx(
+            2 * n, rel=1e-12)
+        half = FockOperator.compose([FockOperator.scalar(ring.of(Fraction(1, 2))),
+                                     x, x.scale_by(-1)])
+        assert operator_norm_estimate(half, sp, 4) == pytest.approx(
+            operator_norm_estimate(x * x, sp, 4) / 2, rel=1e-12)
 
     def test_gauge_norm_bound(self):
         # ||p(T)|| <= max(1, 1/(1-q)) ||T|| on the truncation

@@ -174,6 +174,15 @@ class TestAgainstFractionOracle:
         assert (half.num, half.den) == ((1, 1), 2)
         assert (half + half).den == 1
 
+    def test_constant_factor_examples(self):
+        # a constant factor scales the other one, and 1 returns it as it is
+        p = QScalar.exact([Fraction(1, 3), 0, 2])
+        assert p * EXACT.one() is p and EXACT.one() * p is p
+        for c in (Fraction(3), Fraction(3, 2), Fraction(-1), Fraction(1, 6)):
+            for got in (p * EXACT.of(c), EXACT.of(c) * p):
+                assert_canonical(got)
+                assert got.coeffs == tuple(x * c for x in p.coeffs)
+
     @given(coeff_lists)
     def test_str_parse_round_trip(self, a):
         s = QScalar.exact(a)
