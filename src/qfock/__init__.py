@@ -7,8 +7,7 @@ point set.
 """
 
 from .errors import (CutoffExceededError, DegeneracyError, DepthExceededError,
-                     ModeMismatchError, QFockError, ResourceBudgetError,
-                     UsageError)
+                     QFockError, ResourceBudgetError, UsageError)
 from .fock import (FockOperator, FockVector, Gauge, DenseGauge,
                    OneParticleSpace, SparseVector, adjoint, apply, apply_Pn,
                    field_operator, inner0, innerq, operator_norm_estimate,
@@ -23,13 +22,12 @@ from .partitions import (Classification, ExtendedPartition, SetPartition,
 from .qscalar import EXACT, QScalar, ScalarRing, q_fact, q_fact_ratio, q_int
 from .stochastic import (AdaptedProcess, BiProcess, ConvergenceTable,
                          ProcessFamily, StepFunction, biprocess_inner,
-                         biprocess_integral, chaos_component_vector,
-                         chaos_decompose, conditional_expectation,
-                         delta_process, ito_integral, ito_isometry_rhs,
+                         biprocess_integral, chaos_decompose,
+                         conditional_expectation, delta_process, ito_integral,
+                         ito_isometry_rhs,
                          l2q_inner, multiple_integral, power_decomposition,
                          psi_closed, st_pi_closed, st_pi_convergence,
                          st_pi_corollary_form, st_pi_discrete,
-                         st_pi_free_form, st_pi_gaussian_form,
                          traciality_witness, two_sided_closed,
                          two_sided_defect_vector, two_sided_discrete,
                          x_process, yhat_process)

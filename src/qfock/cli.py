@@ -170,7 +170,7 @@ def suite_product_wick(rng: random.Random) -> list[IdentityRow]:
 
 
 def suite_moments(rng: random.Random) -> list[IdentityRow]:
-    """Partition sum with q^rc versus direct vacuum expectation; pinned
+    """Partition sum with q^rc versus direct vacuum expectation; fixed
     values for the q-Gaussian and all-ones point-set models."""
     model = three_point_model(n_atoms=2, cutoff=6, depth=7)
     rows = []
@@ -554,9 +554,11 @@ def cmd_moments(config: RunConfig) -> int:
                 f"nmax {config.nmax} needs degree_cutoff >= {config.nmax - 1}, "
                 f"model has {algebra.degree_cutoff}")
         letter = algebra.prefix_letter(algebra.grid.horizon)
+    q0 = algebra.ring.q0
     for n in range(1, config.nmax + 1):
         m = vacuum_moment([letter] * n)
-        lines.append(f"{n},{m}")
+        # at a q0, the polynomial evaluated there and rounded once
+        lines.append(f"{n},{m}" if q0 is None else f"{n},{float(m.subs(q0))!r}")
     _emit(lines, config.out_dir, "moments.csv")
     return 0
 
@@ -567,7 +569,7 @@ FLAGS = {
     "model": dict(help="model config file"),
     "suite": dict(help="comma-separated suite names"),
     "seed": dict(type=int, help="random seed"),
-    "q": dict(help="pinned rational q, or 'exact'"),
+    "q": dict(help="rational q0 to evaluate at, or 'exact'"),
     "nmax": dict(type=int, help="maximum product/moment length"),
     "cutoff": dict(type=int, help="letter degree cutoff"),
     "grid": dict(type=int, help="uniform grid size over [0,1)"),
@@ -586,7 +588,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "q-deformed Fock space processes.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (("verify", "run exact identity suites"),
-                            ("converge", "run refinement experiments (float)"),
+                            ("converge", "run refinement experiments (exact, read at q0)"),
                             ("moments", "print vacuum moments of X as polynomials in q")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", help="output directory for CSV reports")

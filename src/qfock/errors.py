@@ -6,11 +6,7 @@ class QFockError(Exception):
 
 
 class UsageError(QFockError):
-    """Caller violated a precondition (bad arguments, mode mismatch, ...)."""
-
-
-class ModeMismatchError(UsageError):
-    """Exact and float scalars (or different pinned q values) were mixed."""
+    """Caller violated a precondition (bad arguments, out-of-range values, ...)."""
 
 
 class DepthExceededError(QFockError):

@@ -8,28 +8,33 @@ the tree to vectors by one recursive kernel (`apply`) that accumulates each
 node's image into a dict its caller passes down, folding the scalar operands
 of a composition into one factor.  Words are range-checked only where they
 enter from outside (`basis_word`, the `terms` argument, `add_term`), and
-each creation payload and gauge column once per node, so the words that
-`apply` derives are not checked again.  A float operator-norm estimate instead
-takes a dense matrix realization of the tree, its compression to words of
+each creation payload and gauge column once per node and space, so the words
+that `apply` derives are not checked again.  Every scalar is exact;
+a float operator-norm estimate instead evaluates the tree at the ring's q0
+and takes a dense matrix realization of it, its compression to words of
 length <= depth, built by one numpy rule per node kind: a creation is
 zeta (x) 1, and an annihilation or gauge acts on each tensor slot moved to the
-front, with weight q^k.
+front, with weight q0^k.
 
 One-particle vectors have one form, the sparse tuple of their nonzero
 (index, coeff) entries in index order (`SparseVector`).  Public constructors
 also accept a dense coefficient sequence and convert it once, on entry.  The
 gram form has one form too, its sparse rows, and is block-diagonal over its
-orthogonality classes; the space keeps the ring-scalar pairing row
-{i: <zeta, e_i>} of each annihilation payload it has been asked for.
+orthogonality classes; the space keeps its rows as ring scalars too, and the
+ring-scalar pairing row {i: <zeta, e_i>} of each annihilation payload it has
+been asked for.  Each leaf node keeps, per space it is applied on, its
+payload as ring scalars: a creation its entries, an annihilation its pairing
+row and a gauge each column it has been asked for, the last two times q^k
+for each tensor slot k.
 
 The q-inner product is <u, P_n v>_0 on degree n, P_n the q-symmetrizer
 sum_sigma q^{inv(sigma)} sigma; `innerq` is the one q-product, also of step
 functions (stochastic.l2q_inner).  P_n is built one way, by the
 Bozejko-Speicher factorisation P_n = (1 (x) P_{n-1}) R_n, where
 R_n = sum_k q^k C_k and C_k moves tensor slot k to the front.  `apply_Pn`
-applies it to sparse words, exactly or in floats; the float q-gram of a norm
-estimate takes it as n dense numpy products per degree, and the space keeps
-the Cholesky factor of each degree's block it has built.
+applies it to sparse words in Q[q]; the float q-gram of a norm estimate
+takes it at q0 as n dense numpy products per degree, and the space keeps the
+Cholesky factor of each degree's block it has built.
 
 Truncation overflow is always a hard error: identities are asserted only where
 the full result fits under the configured depth.
@@ -37,13 +42,12 @@ the full result fits under the configured depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import (DepthExceededError, ModeMismatchError, ResourceBudgetError,
-                     UsageError)
+from .errors import DepthExceededError, ResourceBudgetError, UsageError
 from .qscalar import QScalar, ScalarRing, accumulate, add_scaled
 
 PN_CAP = 9
@@ -69,9 +73,10 @@ class OneParticleSpace:
 
     The gram form is kept only as its sparse rows, rows[j] = the nonzero
     (i, <e_j, e_i>); the constructor takes one row per basis index, dense or
-    sparse (see sparse_vector).  Entries are exact rationals; the scalar ring
-    fixes whether derived Fock computations run exactly in Q[q] or in floats
-    at a pinned q.  Pairings take one-particle vectors in sparse form.
+    sparse (see sparse_vector).  Entries are exact rationals; `scalar_rows`
+    holds the same rows as ring scalars, {i: <e_j, e_i>} per j.  The ring's
+    q0, if any, is where norm estimates evaluate.  Pairings take one-particle
+    vectors in sparse form.
 
     The space also owns two caches, freed with it: the ring-scalar pairing
     rows of `pair_scalars`, and `pn_factors`, the lower Cholesky factors of
@@ -90,6 +95,10 @@ class OneParticleSpace:
             if entries.get((i, j)) != g:
                 raise UsageError("gram must be symmetric")
         self.ring = ring
+        # operator nodes key what they keep per space by this, not by the
+        # structural hash of the rows
+        self.key = object()
+        self.scalar_rows = tuple({i: ring.of(g) for i, g in row} for row in self.rows)
         self._classes = self._connected_classes()
         self._pair_scalars: dict[SparseVector, dict[int, QScalar]] = {}
         self.pn_factors: dict[int, object] = {}
@@ -255,7 +264,9 @@ def inner0(u: FockVector, v: FockVector) -> QScalar:
     """Degreewise product of gram pairings; cross-degree terms vanish.
 
     Words are bucketed by the gram-orthogonality classes of their slots, so
-    only potentially non-orthogonal pairs are multiplied out.
+    only potentially non-orthogonal pairs are multiplied out.  The pairings
+    of a word of u are summed over the words of v first, and then multiplied
+    by its coefficient once.
     """
     u._check(v)
     sp = u.space
@@ -263,23 +274,28 @@ def inner0(u: FockVector, v: FockVector) -> QScalar:
     buckets: dict[tuple[int, ...], list] = {}
     for w2, cv in v.terms.items():
         buckets.setdefault(tuple(cls[i] for i in w2), []).append((w2, cv))
-    gram = [dict(row) for row in sp.rows]
+    gram = sp.scalar_rows
     total = sp.ring.zero()
     for w, cu in u.terms.items():
+        acc = None
         for w2, cv in buckets.get(tuple(cls[i] for i in w), ()):
-            g = Fraction(1)
+            g = None
             for a, b in zip(w, w2):
-                g *= gram[a].get(b, 0)
-                if g == 0:
+                x = gram[a].get(b)
+                if x is None:
                     break
-            if g != 0:
-                total = total + cu * cv * sp.ring.of(g)
+                g = x if g is None else g * x
+            else:
+                x = cv if g is None else cv * g
+                acc = x if acc is None else acc + x
+        if acc is not None:
+            total = total + cu * acc
     return total
 
 
 def apply_Pn(v: FockVector) -> FockVector:
-    """P_n on each degree-n part of v, in either scalar mode, by the
-    factorisation P_n = (1^{(x)(n-2)} (x) R_2) ... (1 (x) R_{n-1}) R_n.
+    """P_n on each degree-n part of v by the factorisation
+    P_n = (1^{(x)(n-2)} (x) R_2) ... (1 (x) R_{n-1}) R_n.
 
     Step s moves each slot k >= s of a word to place s, with weight q^{k-s},
     and collects equal words, so the work is bounded by the distinct
@@ -360,12 +376,18 @@ class FockOperator:
     """Lazy operator expression tree on the truncated Fock space."""
 
     # creation, annihilation: a sparse one-particle vector; gauge: a Gauge;
-    # scalar: a ring scalar; rational_scalar: a Fraction valid in either
-    # mode; sum, compose: operands, the rightmost factor acting first.  The
-    # empty sum is the zero operator.
+    # scalar: a ring scalar; rational_scalar: a Fraction; sum, compose:
+    # operands, the rightmost factor acting first.  The empty sum is the zero
+    # operator.
     kind: str
     payload: object = None
     operands: tuple["FockOperator", ...] = ()
+    # a leaf's payload as ring scalars, checked against each space it is
+    # applied on and keyed by its `key`, built by `apply` on first use: the
+    # [(i, zeta_i)] of a creation, the pairing row times q^k for each slot k
+    # of an annihilation, and {(i, k): column i times q^k} of a gauge
+    scalars: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -437,7 +459,7 @@ class FockOperator:
         return FockOperator.compose([FockOperator.scalar(c), self])
 
     def scale_by(self, x) -> "FockOperator":
-        """Scale by an exact rational, valid in either scalar mode."""
+        """Scale by a rational."""
         return FockOperator("compose", None,
                             (FockOperator("rational_scalar", Fraction(x)), self))
 
@@ -466,8 +488,6 @@ def _scalar_factor(op: FockOperator, ring: ScalarRing) -> QScalar:
     """The ring scalar of a scalar or rational_scalar node."""
     if op.kind == "rational_scalar":
         return ring.of(op.payload)
-    if op.payload.is_exact != ring.exact:
-        raise ModeMismatchError("operator scalar mode differs from space mode")
     return op.payload
 
 
@@ -480,12 +500,16 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
     composition folds its scalar operands into factor, which the factor
     acting last applies.  The words of v are in range, so the words added
     are too once each creation payload and gauge column is checked against
-    the space, which happens once per node.  Leaves fold factor into their
-    payload scalars, and an annihilation multiplies (c q^k) g in that order,
-    so an unscaled leaf gives the same floats as a word-by-word pass.
+    the space, which happens when the node first builds its scalars for it.
+    An annihilation or gauge keeps its pairing row or column times q^k for
+    slot k, so each term it adds costs one product; a factor is folded into
+    these per application.
     """
-    sp, ring, depth = v.space, v.space.ring, v.depth
+    sp, ring, depth, key = v.space, v.space.ring, v.depth, v.space.key
     qp = [ring.q_pow(k) for k in range(depth + 1)]
+    # the image of v under each factor that acts first in a composition, by
+    # node: products that share their first factor compute it once
+    first: dict[int, dict[Word, QScalar]] = {}
 
     def into(op: FockOperator, terms: dict[Word, QScalar],
              out: dict[Word, QScalar], factor: QScalar | None) -> None:
@@ -509,8 +533,12 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
                 add_scaled(out, terms, factor)
                 return
             for sub in reversed(chain[1:]):
-                nxt: dict[Word, QScalar] = {}
-                into(sub, terms, nxt, None)
+                nxt = first.get(id(sub)) if terms is v.terms else None
+                if nxt is None:
+                    nxt = {}
+                    into(sub, terms, nxt, None)
+                    if terms is v.terms:
+                        first[id(sub)] = nxt
                 terms = nxt
             into(chain[0], terms, out, factor)
             return
@@ -519,14 +547,15 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
             add_scaled(out, terms, c if factor is None else factor * c)
             return
 
-        # payload scalars are built once per node, or once per space for the
-        # pairing row of an annihilation, with the factor folded in
         if kind == "creation":
-            zeta = op.payload
-            if zeta and (zeta[0][0] < 0 or zeta[-1][0] >= sp.dim):
-                raise UsageError(f"creation index out of range in {zeta}")
-            zeta = [(i, ring.of(x) if factor is None else ring.of(x) * factor)
-                    for i, x in zeta]
+            zeta = op.scalars.get(key)
+            if zeta is None:
+                zeta = op.payload
+                if zeta and (zeta[0][0] < 0 or zeta[-1][0] >= sp.dim):
+                    raise UsageError(f"creation index out of range in {zeta}")
+                zeta = op.scalars[key] = [(i, ring.of(x)) for i, x in zeta]
+            if factor is not None:
+                zeta = [(i, z * factor) for i, z in zeta]
             for w, c in terms.items():
                 if len(w) == depth:
                     raise DepthExceededError(
@@ -535,31 +564,48 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
                     accumulate(out, (i,) + w, c * z)
             return
         if kind == "annihilation":
-            row = sp.pair_scalars(op.payload)
+            # rows[k]: the pairing row times q^k, for slot k
+            rows = op.scalars.get(key)
+            if rows is None:
+                rows = op.scalars[key] = [sp.pair_scalars(op.payload)]
+            top = max(map(len, terms), default=0)
+            while len(rows) < top:
+                qk = qp[len(rows)]
+                rows.append({i: g * qk for i, g in rows[0].items()})
             if factor is not None:
-                row = {i: g * factor for i, g in row.items()}
+                rows = [{i: g * factor for i, g in row.items()} for row in rows[:top]]
             for w, c in terms.items():
                 for k, i in enumerate(w):
-                    g = row.get(i)
+                    g = rows[k].get(i)
                     if g is not None:
-                        accumulate(out, w[:k] + w[k + 1:],
-                                   (c * qp[k] if k else c) * g)
+                        accumulate(out, w[:k] + w[k + 1:], c * g)
             return
         gauge: Gauge = op.payload  # the one kind left
-        cols: dict[int, list[tuple[int, QScalar]]] = {}
+        # cols[i, k]: column i times q^k, for slot k, checked against sp
+        cols = op.scalars.get(key)
+        if cols is None:
+            cols = op.scalars[key] = {}
+        scaled: dict[tuple[int, int], list[tuple[int, QScalar]]] = {}
         for w, c in terms.items():
             for k, i in enumerate(w):
-                col = cols.get(i)
+                col = cols.get((i, k))
                 if col is None:
-                    col = cols[i] = [
-                        (j, ring.of(x) if factor is None else ring.of(x) * factor)
-                        for j, x in gauge.column(i) if x]
-                    if any(not 0 <= j < sp.dim for j, _ in col):
-                        raise UsageError(f"gauge column {i} has an index out of range")
+                    col = cols.get((i, 0))
+                    if col is None:
+                        col = [(j, ring.of(x)) for j, x in gauge.column(i) if x]
+                        if any(not 0 <= j < sp.dim for j, _ in col):
+                            raise UsageError(
+                                f"gauge column {i} has an index out of range")
+                        cols[i, 0] = col
+                    if k:
+                        col = cols[i, k] = [(j, x * qp[k]) for j, x in col]
+                if factor is not None:
+                    col = scaled.get((i, k))
+                    if col is None:
+                        col = scaled[i, k] = [(j, x * factor) for j, x in cols[i, k]]
                 rest = w[:k] + w[k + 1:]
-                qc = c * qp[k] if k else c
-                for j, s in col:
-                    accumulate(out, (j,) + rest, qc * s)
+                for j, x in col:
+                    accumulate(out, (j,) + rest, c * x)
 
     out: dict[Word, QScalar] = {}
     into(op, v.terms, out, None)
@@ -622,7 +668,7 @@ def _solve_matrix(a, b):
 
 
 # ---------------------------------------------------------------------------
-# norm estimates (float mode)
+# norm estimates (floats at q0)
 #
 # Words of degree n are indexed in C order, first slot most significant, and
 # the degrees follow each other from 0 up: the operator matrix and the q-gram
@@ -676,8 +722,8 @@ def _kron_eye(a, m: int):
 
 
 def _compression(op: FockOperator, space: OneParticleSpace, depth: int):
-    """The matrix of op compressed to words of length <= depth, in float
-    mode, built by one numpy rule per node kind.
+    """The matrix of op compressed to words of length <= depth, evaluated at
+    the ring's q0, built by one numpy rule per node kind.
 
     A creation has no block out of the top degree, and a composition
     multiplies its truncated factors: creations past the depth are dropped.
@@ -718,8 +764,7 @@ def _compression(op: FockOperator, space: OneParticleSpace, depth: int):
         return out
 
     def scalar(op: FockOperator) -> float:
-        # the product refuses a scalar pinned at another q
-        return float(ring.one() * _scalar_factor(op, ring))
+        return float(_scalar_factor(op, ring).subs(ring.q0))
 
     def build(op: FockOperator):
         kind = op.kind
@@ -781,7 +826,7 @@ def _pn_factor(space: OneParticleSpace, n: int):
 def operator_norm_estimate(op: FockOperator, space: OneParticleSpace,
                            depth: int) -> float:
     """Largest singular value of the compression of op to words of length
-    <= depth, under the q-inner product.  Float mode only.
+    <= depth, under the q-inner product, at the q0 of the space's ring.
 
     The compression is a dense matrix M (see _compression).  With the
     per-degree factors P_n = L_n L_n^T that the space keeps, the estimate is
@@ -791,8 +836,8 @@ def operator_norm_estimate(op: FockOperator, space: OneParticleSpace,
     """
     import numpy as np
 
-    if space.ring.exact:
-        raise UsageError("operator_norm_estimate requires float mode")
+    if space.ring.q0 is None:
+        raise UsageError("operator_norm_estimate needs a space whose ring has a q0")
     size = sum(space.dim ** n for n in range(depth + 1))
     if size > NORM_WORD_CAP:
         raise ResourceBudgetError(

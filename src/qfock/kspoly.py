@@ -151,7 +151,7 @@ def ks_row_formula(j: int, n: int, moments: MomentSequence,
     a = {m: ks_poly((1,) * m, moments, ring) for m in range(n + 1)}
     out = NCPolynomial.x(j, ring) * a[n]
     for k in range(1, n + 1):
-        coeff = q_fact_ratio(n, k, ring)
+        coeff = q_fact_ratio(n, k)
         if k % 2:
             coeff = -coeff
         bracket = (NCPolynomial.x(j + k, ring)
@@ -172,7 +172,7 @@ def q_hermite(n: int, ring: ScalarRing = EXACT) -> NCPolynomial:
     if n == 0:
         return h_prev
     for m in range(1, n):
-        h_prev, h = h, NCPolynomial.x(1, ring) * h - h_prev.scale(q_int(m, ring))
+        h_prev, h = h, NCPolynomial.x(1, ring) * h - h_prev.scale(q_int(m))
     return h
 
 
@@ -184,7 +184,7 @@ def q_charlier(n: int, ring: ScalarRing = EXACT) -> NCPolynomial:
     if n == 0:
         return c_prev
     for m in range(1, n):
-        qm = q_int(m, ring)
+        qm = q_int(m)
         c_prev, c = c, (NCPolynomial.x(1, ring) * c - c.scale(qm)
                         - c_prev.scale(qm))
     return c

@@ -1,19 +1,16 @@
 """Scalar arithmetic for the deformation parameter q.
 
-Two modes coexist behind one type:
+Every scalar is an element of the polynomial ring Q[q] with rational
+coefficients.  A polynomial is stored as a tuple of int numerators, one per
+power of q and without trailing zeros, over one positive int denominator.
+The pair is kept canonical, gcd(den, *num) == 1 and zero is ((), 1), so equal
+polynomials have equal (num, den).  Add, multiply and negate are integer
+convolutions with at most one gcd per result; `coeffs` is a read-only view of
+the coefficients as Fractions.
 
-* exact mode: elements of the polynomial ring Q[q] with rational coefficients,
-  used for every identity check.  A polynomial is stored as a tuple of int
-  numerators, one per power of q and without trailing zeros, over one positive
-  int denominator.  The pair is kept canonical, gcd(den, *num) == 1 and zero is
-  ((), 1), so equal polynomials have equal (num, den).  Add, multiply and
-  negate are integer convolutions with at most one gcd per result; `coeffs`
-  is a read-only view of the coefficients as Fractions;
-* float mode: a real number together with the pinned rational value q0 that q
-  was substituted with, used only for norm estimates and refinement
-  experiments.
-
-Values of different modes (or different pinned q0) never mix.
+A ring may carry a rational evaluation point q0 in (-1, 1).  It changes no
+arithmetic: refinement errors, `moments --q` and norm estimates compute in
+Q[q] (or, for norms, from the exact operator tree) and evaluate at q0 once.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
-from .errors import ModeMismatchError, UsageError
+from .errors import UsageError
 
 RationalLike = Union[int, Fraction]
 
@@ -46,8 +43,8 @@ def _poly(num: list[int], den: int) -> "QScalar":
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
-            return QScalar(tuple(x // g for x in num), den // g, None, None)
-    return QScalar(tuple(num), den, None, None)
+            return QScalar(tuple(x // g for x in num), den // g)
+    return QScalar(tuple(num), den)
 
 
 def _monomial(a: tuple[int, ...]) -> bool:
@@ -55,18 +52,15 @@ def _monomial(a: tuple[int, ...]) -> bool:
 
 
 class QScalar:
-    """An element of Q[q] (exact) or a real number with a pinned q (float)."""
+    """An element of Q[q]."""
 
-    __slots__ = ("num", "den", "q0", "val")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num, den, q0, val):
-        # Exact: num a trailing-zero-free tuple of ints, den a positive int,
-        # gcd(den, *num) == 1, q0/val None.
-        # Float: num/den None, q0 a Fraction in (-1, 1), val a float.
+    def __init__(self, num, den):
+        # num a trailing-zero-free tuple of ints, den a positive int,
+        # gcd(den, *num) == 1
         self.num = num
         self.den = den
-        self.q0 = q0
-        self.val = val
 
     # -- constructors ------------------------------------------------------
 
@@ -76,46 +70,23 @@ class QScalar:
         den = lcm(*(c.denominator for c in fracs))
         return _poly([c.numerator * (den // c.denominator) for c in fracs], den)
 
-    @staticmethod
-    def pinned(val: float, q0: RationalLike) -> "QScalar":
-        q0 = _as_fraction(q0)
-        if not (-1 < q0 < 1):
-            raise UsageError(f"pinned q must lie in (-1, 1), got {q0}")
-        return QScalar(None, None, q0, float(val))
-
-    # -- mode --------------------------------------------------------------
-
     @property
     def is_exact(self) -> bool:
-        return self.num is not None
+        """Always True: every scalar is a polynomial in Q[q]."""
+        return True
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...] | None:
-        """The rational coefficients in increasing powers of q (exact mode)."""
-        if self.num is None:
-            return None
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients in increasing powers of q."""
         return tuple(Fraction(x, self.den) for x in self.num)
-
-    def _join(self, other: "QScalar") -> None:
-        if not isinstance(other, QScalar):
-            raise ModeMismatchError(f"expected QScalar, got {type(other).__name__}")
-        if (self.num is None) != (other.num is None):
-            raise ModeMismatchError("cannot mix exact and float q-scalars")
-        if self.num is None and self.q0 is not other.q0 and self.q0 != other.q0:
-            raise ModeMismatchError(
-                f"float q-scalars pinned at different q: {self.q0} vs {other.q0}"
-            )
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "QScalar") -> "QScalar":
-        a = self.num
-        if a is None or not isinstance(other, QScalar) or other.num is None:
-            self._join(other)
-            return QScalar(None, None, self.q0, self.val + other.val)
         b = other.num
         if not b:
             return self
+        a = self.num
         if not a:
             return other
         da, db = self.den, other.den
@@ -138,85 +109,67 @@ class QScalar:
         return self + (-other)
 
     def __neg__(self) -> "QScalar":
-        if self.num is not None:
-            return QScalar(tuple(-x for x in self.num), self.den, None, None)
-        return QScalar(None, None, self.q0, -self.val)
+        return QScalar(tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other: "QScalar") -> "QScalar":
-        a = self.num
-        if a is None or not isinstance(other, QScalar) or other.num is None:
-            self._join(other)
-            return QScalar(None, None, self.q0, self.val * other.val)
-        b = other.num
+        a, b = self.num, other.num
         if not a or not b:
             return _ZERO
-        if len(a) == 1 or len(b) == 1:
-            # a constant factor scales the other one, and 1 keeps it
-            const, keep = (other, self) if len(b) == 1 else (self, other)
-            y = const.num[0]
-            if y == 1 and const.den == 1:
-                return keep
-            out = [x * y for x in keep.num]
+        # a monomial factor y q^k / d, a constant among them, scales and
+        # shifts the other one
+        if _monomial(b):
+            mono, keep = other, self
+        elif _monomial(a):
+            mono, keep = self, other
         else:
             if len(a) < len(b):
                 a, b = b, a
-            # b is the shorter factor; a monomial b is a scaled shift
-            if _monomial(b):
-                y = b[-1]
-                out = [0] * (len(b) - 1) + [x * y for x in a]
-            elif _monomial(a):
-                x = a[-1]
-                out = [0] * (len(a) - 1) + [x * y for y in b]
-            else:
-                out = [0] * (len(a) + len(b) - 1)
-                for i, y in enumerate(b):
-                    if y:
-                        for j, x in enumerate(a, i):
-                            out[j] += x * y
-        # the leading product is nonzero, so only the gcd is left to do
-        den = self.den * other.den
-        if den != 1:
-            g = gcd(den, *out)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, y in enumerate(b):
+                if y:
+                    for j, x in enumerate(a, i):
+                        out[j] += x * y
+            return _poly(out, self.den * other.den)
+        m, num = mono.num, keep.num
+        k, y = len(m) - 1, m[-1]
+        if mono.den == 1:
+            # keep is canonical, so gcd(den, y * num) = gcd(den, y)
+            den = keep.den
+            g = gcd(den, y)
             if g != 1:
-                return QScalar(tuple(x // g for x in out), den // g, None, None)
-        return QScalar(tuple(out), den, None, None)
+                y //= g
+                den //= g
+            if y == 1:
+                if not k and den == keep.den:
+                    return keep
+                out = num
+            else:
+                out = tuple([x * y for x in num])
+            return QScalar((0,) * k + out if k else out, den)
+        out = [x * y for x in num]
+        if k:
+            out = [0] * k + out
+        return _poly(out, keep.den * mono.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QScalar):
             return NotImplemented
-        if self.num is not None:
-            return self.num == other.num and self.den == other.den
-        return other.num is None and self.q0 == other.q0 and self.val == other.val
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self.num is not None:
-            return hash(("exact", self.coeffs))
-        return hash(("float", self.q0, self.val))
+        return hash(("exact", self.coeffs))
 
     def __bool__(self) -> bool:
-        return bool(self.num) if self.num is not None else self.val != 0.0
+        return bool(self.num)
 
     @property
     def is_zero(self) -> bool:
-        return not self.num if self.num is not None else self.val == 0.0
+        return not self.num
 
     # -- evaluation / output ----------------------------------------------
 
-    def eval_at(self, q0: RationalLike) -> "QScalar":
-        """Substitute a pinned rational q into an exact scalar (float result)."""
-        if self.num is None:
-            raise UsageError("eval_at only applies to exact scalars")
-        q0 = _as_fraction(q0)
-        qf = float(q0)
-        v = 0.0
-        for x in reversed(self.num):
-            v = v * qf + x / self.den
-        return QScalar.pinned(v, q0)
-
     def subs(self, q0: RationalLike) -> Fraction:
-        """Substitute a rational q into an exact scalar, exactly."""
-        if self.num is None:
-            raise UsageError("subs only applies to exact scalars")
+        """Substitute a rational q, exactly."""
         q0 = _as_fraction(q0)
         v = Fraction(0)
         for x in reversed(self.num):
@@ -224,23 +177,17 @@ class QScalar:
         return v / self.den
 
     def as_fraction(self) -> Fraction:
-        """The value of a constant exact scalar."""
-        if self.num is None:
-            raise UsageError("as_fraction only applies to exact scalars")
+        """The value of a constant scalar."""
         if len(self.num) > 1:
             raise UsageError(f"not a constant: {self}")
         return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
     def __float__(self) -> float:
-        if self.num is not None:
-            if len(self.num) > 1:
-                raise UsageError("cannot coerce a non-constant polynomial to float")
-            return self.num[0] / self.den if self.num else 0.0
-        return self.val
+        if len(self.num) > 1:
+            raise UsageError("cannot coerce a non-constant polynomial to float")
+        return self.num[0] / self.den if self.num else 0.0
 
     def __str__(self) -> str:
-        if self.num is None:
-            return repr(self.val)
         if not self.num:
             return "0"
         parts = []
@@ -263,7 +210,7 @@ class QScalar:
 
     @staticmethod
     def parse(text: str) -> "QScalar":
-        """Inverse of str() for exact scalars, e.g. "1 - 1/2*q + q^2"."""
+        """Inverse of str(), e.g. "1 - 1/2*q + q^2"."""
         cleaned = text.replace("- ", "-").replace("+ ", "")
         coeffs: dict[int, Fraction] = {}
         for tok in cleaned.split():
@@ -281,7 +228,7 @@ class QScalar:
                               for i in range(max(coeffs) + 1)])
 
 
-_ZERO = QScalar((), 1, None, None)
+_ZERO = QScalar((), 1)
 
 
 def accumulate(terms: dict, key, c: QScalar) -> None:
@@ -290,10 +237,10 @@ def accumulate(terms: dict, key, c: QScalar) -> None:
     prev = terms.get(key)
     if prev is not None:
         c = prev + c
-    if c.is_zero:
-        terms.pop(key, None)
-    else:
+    if c.num:
         terms[key] = c
+    else:
+        terms.pop(key, None)
 
 
 def add_scaled(terms: dict, other: dict, c: QScalar | None = None) -> dict:
@@ -301,28 +248,26 @@ def add_scaled(terms: dict, other: dict, c: QScalar | None = None) -> dict:
     if c is None:
         for key, x in other.items():
             accumulate(terms, key, x)
-    elif not c.is_zero:
+    elif c.num:
         for key, x in other.items():
             accumulate(terms, key, x * c)
     return terms
 
 
 class ScalarRing:
-    """Factory for scalars of one consistent mode; it keeps the powers of q
+    """Factory for scalars in Q[q], with an optional evaluation point q0 in
+    (-1, 1) at which float results (refinement errors, `moments --q`, norm
+    estimates) are read off; q0 None means none.  It keeps the powers of q
     it has built, since every Fock operator node asks for them per word."""
 
     def __init__(self, q0: RationalLike | None = None):
         self.q0 = None if q0 is None else _as_fraction(q0)
         if self.q0 is not None and not (-1 < self.q0 < 1):
-            raise UsageError(f"pinned q must lie in (-1, 1), got {self.q0}")
+            raise UsageError(f"q0 must lie in (-1, 1), got {self.q0}")
         self._q_pows: dict[int, QScalar] = {}
 
-    @property
-    def exact(self) -> bool:
-        return self.q0 is None
-
     def zero(self) -> QScalar:
-        return _ZERO if self.exact else QScalar(None, None, self.q0, 0.0)
+        return _ZERO
 
     def one(self) -> QScalar:
         return self.of(1)
@@ -335,21 +280,15 @@ class ScalarRing:
         if p is None:
             if k < 0:
                 raise UsageError("negative q power")
-            if self.exact:
-                p = QScalar((0,) * k + (1,), 1, None, None)
-            else:
-                p = QScalar(None, None, self.q0, float(self.q0) ** k)
-            self._q_pows[k] = p
+            p = self._q_pows[k] = QScalar((0,) * k + (1,), 1)
         return p
 
     def of(self, x: RationalLike) -> QScalar:
         x = _as_fraction(x)
-        if self.q0 is not None:
-            return QScalar(None, None, self.q0, float(x))
-        return QScalar((x.numerator,), x.denominator, None, None) if x else _ZERO
+        return QScalar((x.numerator,), x.denominator) if x else _ZERO
 
     def __repr__(self):
-        return "ScalarRing(exact)" if self.exact else f"ScalarRing(q0={self.q0})"
+        return "ScalarRing()" if self.q0 is None else f"ScalarRing(q0={self.q0})"
 
     def __eq__(self, other):
         return isinstance(other, ScalarRing) and self.q0 == other.q0
@@ -361,31 +300,28 @@ class ScalarRing:
 EXACT = ScalarRing()
 
 
-def q_int(n: int, ring: ScalarRing = EXACT) -> QScalar:
+def q_int(n: int) -> QScalar:
     """[n]_q = 1 + q + ... + q^(n-1), with [0]_q = 0."""
     if n < 0:
         raise UsageError("q_int needs n >= 0")
-    if ring.exact:
-        return QScalar((1,) * n, 1, None, None)
-    return QScalar.pinned(sum(float(ring.q0) ** k for k in range(n)), ring.q0)
+    return QScalar((1,) * n, 1)
 
 
-def q_fact(n: int, ring: ScalarRing = EXACT) -> QScalar:
+def q_fact(n: int) -> QScalar:
     """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
     if n < 0:
         raise UsageError("q_fact needs n >= 0")
-    out = ring.one()
+    out = EXACT.one()
     for i in range(1, n + 1):
-        out = out * q_int(i, ring)
+        out = out * q_int(i)
     return out
 
 
-def q_fact_ratio(n: int, k: int, ring: ScalarRing = EXACT) -> QScalar:
+def q_fact_ratio(n: int, k: int) -> QScalar:
     """[n]_q! / [n-k]_q! computed as the product [n-k+1]_q ... [n]_q."""
     if not 0 <= k <= n:
         raise UsageError("need 0 <= k <= n")
-    out = ring.one()
+    out = EXACT.one()
     for i in range(n - k + 1, n + 1):
-        out = out * q_int(i, ring)
+        out = out * q_int(i)
     return out
-

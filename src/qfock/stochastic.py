@@ -1,10 +1,11 @@
 """Stochastic measures, multiple integrals, and the grid Itô calculus.
 
 Limits never appear literally: every limit statement splits into an exact
-closed form (grid-independent, verified in Q[q]) and a float refinement
-experiment with a slope assertion.  The squared L²(phi) distance between the
-discrete partition sum and its closed form is reported as l2_error; it decays
-linearly in the mesh.
+closed form (grid-independent, verified in Q[q]) and a refinement experiment
+with a slope assertion.  The squared L²(phi) distance between the discrete
+partition sum and its closed form is computed in Q[q], kept as `error`, and
+evaluated once at the model's q0 as the float l2_error; it decays linearly in
+the mesh.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import UsageError
 from .fock import (FockOperator, FockVector, OneParticleSpace, adjoint, apply,
                    innerq)
 from .model import Interval, Letter, ProcessModel, monic_op_coefficients
-from .partitions import (ExtendedPartition, SetPartition, classify,
+from .partitions import (ExtendedPartition, SetPartition,
                          enumerate_partitions, index_tuples, rc)
 from .qscalar import QScalar
 from .wick import WickElement, vacuum_vector, wick_operator, word_vector
@@ -233,36 +234,6 @@ def st_pi_closed(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
     return FockOperator.opsum(terms)
 
 
-def st_pi_gaussian_form(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
-    """The singleton-pair specialization q^{rc(Sing,pi)} t^{|Pairs|}
-    psi_{|Sing|}(t); the zero operator when pi has a block of size > 2."""
-    ring = model.ring
-    t = Fraction(t)
-    cls = classify(pi)
-    if len(cls.singletons) + len(cls.pairs) != pi.size:
-        return FockOperator.scalar(ring.zero())
-    sing = frozenset(i for i, b in enumerate(pi.blocks) if len(b) == 1)
-    ep = ExtendedPartition(pi, sing)
-    word = (model.prefix_letter(t, 1),) * len(cls.singletons)
-    return wick_operator(model, word).scale(
-        ring.q_pow(rc(ep)) * ring.of(t ** len(cls.pairs)))
-
-
-def st_pi_free_form(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
-    """The noncrossing specialization R_{Inner}(t) psi(Delta_{|B|}: B in
-    Outer); the zero operator for crossing pi.  Meaningful at q = 0."""
-    ring = model.ring
-    t = Fraction(t)
-    cls = classify(pi)
-    if not cls.is_noncrossing:
-        return FockOperator.scalar(ring.zero())
-    factor = Fraction(1)
-    for b in cls.inner_blocks:
-        factor *= t * model.moments.r_at(len(b))
-    procs = [delta_process(model, len(b)) for b in cls.outer_blocks]
-    return psi_closed(procs, t).scale(ring.of(factor))
-
-
 def st_pi_corollary_form(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
     """For pi with one block of size k containing both endpoints and
     singletons elsewhere: q^{n-k} psi(Delta_k, X, ..., X)(t)."""
@@ -307,6 +278,7 @@ class ConvergenceRow:
     n_atoms: int
     delta: float
     l2_error: float
+    error: QScalar  # the squared distance in Q[q]; l2_error is |error(q0)|
 
 
 @dataclass
@@ -329,19 +301,22 @@ def st_pi_convergence(pi: SetPartition, t,
                       model_factory: Callable[[int], ProcessModel],
                       schedule: Sequence[int], label: str = "") -> ConvergenceTable:
     """Squared L²(phi) distance between St_pi(t; grid) and the closed form,
-    per grid size.  Float mode."""
+    per grid size: computed in Q[q], then evaluated at the model's q0, which
+    each model of the factory must carry."""
     if not schedule:
         raise UsageError("empty refinement schedule")
     rows = []
     for n_atoms in schedule:
         model = model_factory(n_atoms)
-        if model.ring.exact:
-            raise UsageError("convergence experiments require float mode")
+        q0 = model.ring.q0
+        if q0 is None:
+            raise UsageError("convergence experiments need a model with a q0")
         om = vacuum_vector(model)
         diff = (apply(st_pi_discrete(pi, t, model), om)
                 - apply(st_pi_closed(pi, t, model), om))
-        err = float(innerq(diff, diff))
-        rows.append(ConvergenceRow(n_atoms, float(model.grid.mesh()), abs(err)))
+        err = innerq(diff, diff)
+        rows.append(ConvergenceRow(n_atoms, float(model.grid.mesh()),
+                                   abs(float(err.subs(q0))), err))
     return ConvergenceTable(label or f"st_pi {pi}", rows)
 
 
@@ -391,17 +366,6 @@ def chaos_decompose(v: FockVector, model: ProcessModel) -> dict[tuple[int, ...],
         rec(0, (), Fraction(1))
     return {u: StepFunction(model, len(u), vals) for u, vals in out.items()
             if any(not c.is_zero for c in vals.values())}
-
-
-def chaos_component_vector(model: ProcessModel, u: tuple[int, ...],
-                           f: StepFunction) -> FockVector:
-    """Σ_{a⃗} F_u(a⃗) ⊗_i (Yhat_{u(i)} letter on atom a_i)."""
-    procs = {k: yhat_process(model, k) for k in set(u)}
-    out = FockVector(model.space, model.fock_depth)
-    for atoms, c in f.values.items():
-        word = tuple(procs[k].letter(a) for a, k in zip(atoms, u))
-        out = out + word_vector(model, word, model.fock_depth).scale(c)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -335,14 +335,14 @@ def vacuum_moment(letters: Sequence[Letter]) -> QScalar:
     pending, so the move carries q^{h-1-p}, and the block then closes (weight
     letter_pair(first, rest·l)) or stays pending at the end of the tuple.
     Each crossing is so counted once, at its left arc's end.  A state holds
-    its polynomial as exact rationals per power of q, converted to the ring
-    once at the end; it is dropped when it has more pending arcs than
+    its polynomial as exact rationals per power of q, converted to a QScalar
+    once at the end, whatever q0 the algebra's ring carries; it is dropped when it has more pending arcs than
     positions left, and when more than MAX_ARC_STATES states are live after
     a position the call is refused.  Letter products and pairings are
     memoised for the call.
     """
     n = len(letters)
-    algebra = _same_algebra(letters)
+    _same_algebra(letters)
     distinct, labels = _content_labels(letters)
     # letter ids: 0 stands for the empty product, 1..len(distinct) for the
     # input letters, and block products are interned after them
@@ -403,6 +403,5 @@ def vacuum_moment(letters: Sequence[Letter]) -> QScalar:
         states = nxt
 
     poly = states.get((), {})
-    exact = QScalar.exact([poly.get(k, 0) for k in range(max(poly, default=-1) + 1)])
-    ring = algebra.ring
-    return exact if ring.exact else ring.of(exact.subs(ring.q0))
+    return QScalar.exact([poly.get(k, 0) for k in range(max(poly, default=-1) + 1)])
+

@@ -18,16 +18,17 @@ from qfock.partitions import SetPartition, enumerate_partitions
 from qfock.qscalar import EXACT, QScalar, ScalarRing, q_fact_ratio
 from qfock.stochastic import (AdaptedProcess, BiProcess, StepFunction,
                               biprocess_inner, biprocess_integral,
-                              chaos_component_vector, conditional_expectation,
-                              delta_process, ito_integral, ito_isometry_rhs,
-                              l2q_inner, multiple_integral, power_decomposition,
+                              conditional_expectation, delta_process,
+                              ito_integral, ito_isometry_rhs, l2q_inner,
+                              multiple_integral, power_decomposition,
                               psi_closed, st_pi_closed, st_pi_convergence,
-                              st_pi_corollary_form, st_pi_free_form,
-                              st_pi_gaussian_form, two_sided_closed,
+                              st_pi_corollary_form, two_sided_closed,
                               two_sided_defect_vector, two_sided_discrete,
                               x_process)
 from qfock.wick import (WickElement, expansion_operator, product_expansion,
                         vacuum_vector, vacuum_moment)
+from stpi_forms import (chaos_component_vector, st_pi_free_form,
+                        st_pi_gaussian_form)
 
 F = Fraction
 

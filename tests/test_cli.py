@@ -1,11 +1,13 @@
 import hashlib
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
 from qfock import cli, wick
 from qfock.cli import IdentityRow, main
+from qfock.qscalar import QScalar
 
 
 def run(capsys, *argv):
@@ -84,6 +86,24 @@ def test_moments_output_pinned(capsys):
             == "d84084cbc816c83b969afe43360ab32fb8f942d3b3e28662ef0ec2816089377b")
 
 
+# sha256 of full stdout, recorded while refinement errors and `moments --q`
+# still ran in float arithmetic at q0: both now compute in Q[q] and evaluate
+# at q0 once, and print the same bytes
+def test_converge_output_pinned(capsys):
+    code, out, _ = run(capsys, "converge")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "8f4b575b27ed3b0a138ecff6cf1bfba5e02c74005bf5e11d5c971b7bd6eb31cf")
+
+
+def test_moments_at_q0_output_pinned(capsys):
+    code, out, _ = run(capsys, "moments", "--q", "1/2", "--nmax", "6",
+                       "--cutoff", "5")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "c0cb1e256cdcb9e6e2c02df0f6f451e37c20267b3707e348ca1d58081efe9a8c")
+
+
 class TestMoments:
     def test_default_model_rows(self, capsys):
         code, out, _ = run(capsys, "moments")
@@ -97,6 +117,22 @@ class TestMoments:
         code, out, _ = run(capsys, "moments")
         assert code == 0
         assert len(out.strip().splitlines()) - 1 == cli.RunConfig().nmax
+
+    @pytest.mark.parametrize("q0", ["0", "1/2"])
+    def test_q0_prints_floats(self, capsys, q0):
+        # q0 = 0 is an evaluation point like any other, not "exact": each row
+        # is the exact moment evaluated there and rounded once
+        code, exact, _ = run(capsys, "moments", "--nmax", "6", "--cutoff", "5")
+        assert code == 0
+        code, out, _ = run(capsys, "moments", "--q", q0, "--nmax", "6",
+                           "--cutoff", "5")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        polys = [line.split(",") for line in exact.strip().splitlines()[1:]]
+        assert [n for n, _ in rows] == [n for n, _ in polys] == list("123456")
+        for (_, got), (_, poly) in zip(rows, polys):
+            assert got == repr(float(QScalar.parse(poly).subs(Fraction(q0))))
+        assert rows[3][1] == ("2.5" if q0 == "0" else "3.0")
 
     def test_pointset_all_ones(self, capsys, tmp_path):
         cfg = tmp_path / "app.cfg"

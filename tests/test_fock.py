@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfock import fock
-from qfock.errors import (DepthExceededError, ModeMismatchError,
-                          ResourceBudgetError, UsageError)
+from qfock.errors import DepthExceededError, ResourceBudgetError, UsageError
 from qfock.fock import (NORM_WORD_CAP, DenseGauge, FockOperator, FockVector,
                         OneParticleSpace, adjoint, apply, apply_Pn,
                         field_operator, inner0, innerq,
@@ -89,9 +89,9 @@ class TestInnerProducts:
         assert inner0(u, v) == EXACT.one()
 
     def test_pn_budget(self, space2):
-        # degree 10 is the first one refused, in either scalar mode
-        float2 = OneParticleSpace.orthonormal(2, ScalarRing(Fraction(3, 10)))
-        for sp in (space2, float2):
+        # degree 10 is the first one refused, with or without a q0
+        at_q0 = OneParticleSpace.orthonormal(2, ScalarRing(Fraction(3, 10)))
+        for sp in (space2, at_q0):
             v = FockVector(sp, 10)
             v.add_term((0,) * 10, sp.ring.one())
             with pytest.raises(ResourceBudgetError):
@@ -100,21 +100,18 @@ class TestInnerProducts:
     @pytest.mark.parametrize("q0", [None, Fraction(3, 10)])
     def test_pn_degree_9_repeated_letters(self, q0):
         # P_9 of 0^5 1^4 has one term per rearrangement u, with coefficient
-        # q^{inv(u)} [5]_q! [4]_q!, and the coefficients sum to [9]_q!
+        # q^{inv(u)} [5]_q! [4]_q!, and the coefficients sum to [9]_q!; a q0
+        # on the ring changes none of them
         ring = EXACT if q0 is None else ScalarRing(q0)
         sp = OneParticleSpace.orthonormal(2, ring)
         w = (0,) * 5 + (1,) * 4
         out = apply_Pn(FockVector.basis_word(sp, 9, w))
-        stab = q_fact(5, ring) * q_fact(4, ring)
+        stab = q_fact(5) * q_fact(4)
         assert len(out.terms) == 126
         total = sum(out.terms.values(), ring.zero())
-        if ring.exact:
-            assert out.terms[w] == stab
-            assert out.terms[w[::-1]] == ring.q_pow(20) * stab
-            assert total == q_fact(9)
-        else:
-            assert float(out.terms[w]) == pytest.approx(float(stab), rel=1e-12)
-            assert float(total) == pytest.approx(float(q_fact(9, ring)), rel=1e-12)
+        assert out.terms[w] == stab
+        assert out.terms[w[::-1]] == ring.q_pow(20) * stab
+        assert total == q_fact(9)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -129,14 +126,7 @@ class TestInnerProducts:
         terms = data.draw(st.dictionaries(words, coeffs, max_size=5))
         v = FockVector(OneParticleSpace.orthonormal(dim, ring), 6,
                        {w: ring.of(c) for w, c in terms.items()})
-        got, want = apply_Pn(v), apply_Pn_sum(v)
-        if ring.exact:
-            assert got == want
-        else:
-            for w in got.terms.keys() | want.terms.keys():
-                a = float(got.terms.get(w, ring.zero()))
-                b = float(want.terms.get(w, ring.zero()))
-                assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+        assert apply_Pn(v) == apply_Pn_sum(v)
 
     def test_asymmetric_gram_rejected(self):
         g = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
@@ -178,22 +168,66 @@ class TestOperators:
         with pytest.raises(UsageError, match="out of range"):
             apply(op.scale_by(3) + FockOperator.identity(EXACT), v)
 
-    def test_scalar_mode_mismatch(self, space2):
-        op = FockOperator.scalar(QScalar.pinned(2.0, Fraction(1, 2)))
-        with pytest.raises(ModeMismatchError):
-            apply(op, FockVector.vacuum(space2, 1))
+    def test_scale_by_rational_works_in_float_mode(self):
+        # read at the ring's q0, as a float
+        ring = ScalarRing(Fraction(1, 2))
+        sp = OneParticleSpace.orthonormal(2, ring)
+        v = FockVector.vacuum(sp, 1)
+        out = apply(FockOperator.identity(ring).scale_by(Fraction(1, 3)), v)
+        assert out.vacuum_coefficient() == ring.of(Fraction(1, 3))
+        assert float(out.vacuum_coefficient()) == pytest.approx(1 / 3)
+
+    def test_leaf_scalars_kept_per_space(self):
+        # one node applied on two spaces: each application pairs and checks
+        # against its own space, as a fresh node would
+        g1 = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+        g2 = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
+        leaves = [lambda: FockOperator.annihilation([Fraction(1), Fraction(-2)]),
+                  lambda: FockOperator.creation([Fraction(1), Fraction(-2)]),
+                  lambda: FockOperator.gauge([[Fraction(0), Fraction(1)],
+                                              [Fraction(2), Fraction(1)]])]
+        for make in leaves:
+            op = make()
+            for gram in (g1, g2, g1):
+                sp = OneParticleSpace(2, gram, EXACT)
+                v = vec(sp, 3, ((0, 1), 1), ((1,), Fraction(1, 2)))
+                assert apply(op, v) == apply(make(), v)
+                assert apply(op.scale_by(3), v) == apply(make(), v).scale(EXACT.of(3))
+        create = FockOperator.creation([(2, 1)])
+        apply(create, FockVector.vacuum(OneParticleSpace.orthonormal(3, EXACT), 1))
+        with pytest.raises(UsageError, match="out of range"):
+            apply(create, FockVector.vacuum(OneParticleSpace.orthonormal(2, EXACT), 1))
+
+    def test_products_sharing_their_first_factor(self, space2):
+        # a sum of products whose first factor is one node object applies
+        # that factor to the input once; it equals the same sum built from a
+        # fresh node at every place, also where the shared node acts again,
+        # on other terms
+        def field():
+            return field_operator([Fraction(1), Fraction(2)],
+                                  DenseGauge([[Fraction(0), Fraction(1)],
+                                              [Fraction(1), Fraction(1)]]),
+                                  Fraction(1, 2), EXACT)
+
+        def products(f):
+            create = FockOperator.creation([Fraction(1), Fraction(0)])
+            others = [create, FockOperator.annihilation([Fraction(0), Fraction(1)]),
+                      f()]
+            return ([FockOperator.compose([create, f(), f()])]
+                    + [FockOperator.compose([o, f()]) for o in others]
+                    + [FockOperator.compose([f(), create, f()]).scale(EXACT.q())])
+
+        shared = field()
+        v = vec(space2, 5, ((), 1), ((0, 1), Fraction(-1, 3)))
+        want = FockVector(space2, 5)
+        for p in products(field):
+            want = want + apply(p, v)
+        assert apply(FockOperator.opsum(products(lambda: shared)), v) == want
 
     def test_depth_overflow_is_hard_error(self, space2):
         v = vec(space2, 1, ((0,), 1))
         with pytest.raises(DepthExceededError):
             apply(FockOperator.creation([Fraction(1), Fraction(0)]), v)
-
-    def test_scale_by_rational_works_in_float_mode(self):
-        ring = ScalarRing(Fraction(1, 2))
-        sp = OneParticleSpace.orthonormal(2, ring)
-        v = FockVector.vacuum(sp, 1)
-        out = apply(FockOperator.identity(ring).scale_by(Fraction(1, 3)), v)
-        assert float(out.vacuum_coefficient()) == pytest.approx(1 / 3)
 
     def test_unknown_kind_refused(self):
         with pytest.raises(UsageError, match="unknown operator kind 'linear'"):
@@ -307,8 +341,22 @@ class TestAdjointAndProjection:
 
 class TestNormEstimates:
     def test_requires_float(self, space2):
-        with pytest.raises(UsageError):
+        # a float estimate needs a q0 to evaluate at; the ring without one
+        # is refused
+        with pytest.raises(UsageError, match="has a q0"):
             operator_norm_estimate(FockOperator.identity(EXACT), space2, 2)
+
+    @pytest.mark.parametrize("depth", range(6))
+    def test_q0_zero_is_an_evaluation_point(self, depth):
+        # q0 = 0 is a point to evaluate at, not "no q0": the free field
+        # a(e) + a*(e) on one letter compresses to the path graph on depth+1
+        # vertices, whose largest eigenvalue is 2 cos(pi/(depth+2))
+        ring = ScalarRing(0)
+        assert ring.q0 is not None and ring.q0 == 0
+        sp = OneParticleSpace.orthonormal(1, ring)
+        x = field_operator([Fraction(1)], None, None, ring)
+        assert operator_norm_estimate(x, sp, depth) == pytest.approx(
+            2 * math.cos(math.pi / (depth + 2)), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("q0", [0, Fraction(3, 10), Fraction(7, 10)])
     def test_identity_norm(self, q0):
@@ -465,14 +513,15 @@ def truncated_apply(op, v):
 
 def compression_oracle(op, space, depth):
     """The compression of op to words of length <= depth, one basis word at
-    a time, rows and columns in C order (first slot most significant)."""
+    a time in Q[q], evaluated at the ring's q0; rows and columns in C order
+    (first slot most significant)."""
     words = words_up_to(space.dim, depth)
     index = {w: k for k, w in enumerate(words)}
     m = np.zeros((len(words), len(words)))
     for col, w in enumerate(words):
         img = truncated_apply(op, FockVector.basis_word(space, depth, w))
         for w2, c in img.terms.items():
-            m[index[w2], col] = float(c)
+            m[index[w2], col] = float(c.subs(space.ring.q0))
     order = sorted(range(len(words)), key=lambda k: (len(words[k]), words[k]))
     return m[np.ix_(order, order)]
 

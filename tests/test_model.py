@@ -238,7 +238,7 @@ class TestConfigParsing:
             "grid = uniform(1, 4)\n"
             "degree_cutoff = 2\n"
             "fock_depth = 5\n")
-        assert model.space.ring.exact
+        assert model.space.ring.q0 is None
         assert model.grid.n_atoms == 4
         assert model.degree_cutoff == 2
         assert model.moments.r_at(2) == 1
@@ -250,7 +250,7 @@ class TestConfigParsing:
             "grid = [0, 1/2, 1]\n"
             "degree_cutoff = 2\n"
             "fock_depth = 4\n")
-        assert not model.space.ring.exact
+        assert model.space.ring.q0 == F(1, 2)
         assert model.grid.boundaries == (0, F(1, 2), 1)
 
     def test_conflicting_moments_rejected(self):

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from qfock.errors import ModeMismatchError, UsageError
+from qfock.errors import UsageError
 from qfock.qscalar import EXACT, QScalar, ScalarRing, q_fact, q_fact_ratio, q_int
 from sn_oracle import inversions, sym_group
 
@@ -35,23 +35,11 @@ class TestExactArithmetic:
 
 
 class TestModes:
-    def test_mixing_raises(self):
-        with pytest.raises(ModeMismatchError):
-            poly(1) + QScalar.pinned(1.0, Fraction(1, 2))
-
-    def test_different_pins_raise(self):
-        a = QScalar.pinned(1.0, Fraction(1, 2))
-        b = QScalar.pinned(1.0, Fraction(1, 3))
-        with pytest.raises(ModeMismatchError):
-            a * b
-
     def test_pin_out_of_range(self):
-        with pytest.raises(UsageError):
-            QScalar.pinned(0.0, 2)
-
-    def test_eval_at(self):
-        v = poly(1, 1, 1).eval_at(Fraction(1, 2))
-        assert v.val == pytest.approx(1.75)
+        # a ring's q0 is a point of (-1, 1)
+        for q0 in (2, 1, -1):
+            with pytest.raises(UsageError, match="q0 must lie in"):
+                ScalarRing(q0)
 
     def test_subs_exact(self):
         assert poly(1, 1, 1).subs(Fraction(1, 2)) == Fraction(7, 4)
@@ -200,28 +188,33 @@ class TestAgainstFractionOracle:
 
     @given(coeff_lists, st.fractions(min_value=-1, max_value=1,
                                      max_denominator=9).filter(lambda f: abs(f) < 1))
-    def test_subs_and_eval_at(self, a, q0):
+    def test_subs_matches_horner(self, a, q0):
         s = QScalar.exact(a)
-        exact_v, float_v = Fraction(0), 0.0
+        exact_v = Fraction(0)
         for c in reversed(o_trim(a)):
             exact_v = exact_v * q0 + c
-            float_v = float_v * float(q0) + float(c)
         assert s.subs(q0) == exact_v
-        assert s.eval_at(q0).val == float_v
 
 
 def test_q_pow_memoised():
     r = ScalarRing(Fraction(1, 3))
     assert r.q_pow(3) is r.q_pow(3)
-    assert r.q_pow(3).val == float(Fraction(1, 3)) ** 3
+    assert r.q_pow(3) == poly(0, 0, 0, 1)
     assert EXACT.q_pow(2) == poly(0, 0, 1)
     with pytest.raises(UsageError):
         EXACT.q_pow(-1)
 
 
 def test_ring_modes():
-    assert EXACT.exact
+    # a q0 is only where results are evaluated: the ring at q0 builds the
+    # same exact scalars as the ring without one
+    assert EXACT.q0 is None
     r = ScalarRing(Fraction(1, 3))
-    assert not r.exact
-    assert float(r.q_pow(2)) == pytest.approx(1 / 9)
-    assert r.of(Fraction(1, 2)).q0 == Fraction(1, 3)
+    assert r.q0 == Fraction(1, 3) and r != EXACT
+    assert r.q_pow(2) == EXACT.q_pow(2) and r.q_pow(2).is_exact
+    assert r.of(Fraction(1, 2)) == EXACT.of(Fraction(1, 2))
+    assert r.q_pow(2).subs(r.q0) == Fraction(1, 9)
+    assert ScalarRing(0).q0 is not None and ScalarRing(0) != EXACT
+    with pytest.raises(UsageError, match="non-constant"):
+        float(r.q())
+    assert not hasattr(r.one(), "val") and not hasattr(r.one(), "q0")

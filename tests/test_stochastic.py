@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfock.cli import shipped_experiments
 from qfock.errors import ResourceBudgetError, UsageError
 from qfock.fock import FockOperator, FockVector, apply, innerq
 from qfock.model import MomentSequence, ProcessModel, TimeGrid
@@ -10,19 +11,29 @@ from qfock.partitions import SetPartition, enumerate_partitions
 from qfock.qscalar import EXACT, QScalar, ScalarRing, q_fact
 from qfock.stochastic import (AdaptedProcess, BiProcess, StepFunction,
                               biprocess_inner, biprocess_integral,
-                              chaos_component_vector, chaos_decompose,
-                              conditional_expectation, delta_process,
-                              ito_integral, ito_isometry_rhs, l2q_inner,
-                              multiple_integral, power_decomposition,
-                              st_pi_closed, st_pi_convergence,
-                              st_pi_corollary_form, st_pi_free_form,
-                              st_pi_gaussian_form,
+                              chaos_decompose, conditional_expectation,
+                              delta_process, ito_integral, ito_isometry_rhs,
+                              l2q_inner, multiple_integral,
+                              power_decomposition, st_pi_closed,
+                              st_pi_convergence, st_pi_corollary_form,
                               two_sided_closed, two_sided_defect_vector,
                               two_sided_discrete, x_process)
 from qfock.wick import WickElement, vacuum_vector, word_vector
 from sn_oracle import inversions, sym_group
+from stpi_forms import (chaos_component_vector, st_pi_free_form,
+                        st_pi_gaussian_form)
 
 F = Fraction
+
+# the squared L2 distance between St_pi(1; grid) and its closed form, as
+# {power of delta: coefficient in Q[q]}, delta = 1/N on the uniform N-grid
+SQUARED_ERROR = {
+    "pair_free": {1: "1 + q"},
+    "pair_q_half": {1: "1 + q"},
+    "split_q_half": {1: "1 + q"},
+    "triple_ones": {1: "4 + 8*q + 5*q^2 + q^3", 2: "5 + 6*q + 3*q^2 + q^3"},
+    "mixed_ones": {1: "2 + 2*q", 2: "-q"},
+}
 
 
 def three_point(n_atoms=4, cutoff=5, depth=6, ring=EXACT):
@@ -111,9 +122,9 @@ class TestStepFunctions:
     def test_l2q_arity_cap(self, model):
         f = StepFunction(model, 9, {(0,) * 9: EXACT.one()})
         assert l2q_inner(f, f) == q_fact(9) * EXACT.of(F(1, 4) ** 9)
-        # arity 10 is the first one refused, in either scalar mode
-        float_model = three_point(ring=ScalarRing(F(3, 10)))
-        for m in (model, float_model):
+        # arity 10 is the first one refused, with or without a q0
+        model_at_q0 = three_point(ring=ScalarRing(F(3, 10)))
+        for m in (model, model_at_q0):
             one = m.ring.one()
             f = StepFunction(m, 10, {tuple(range(4)) * 2 + (0, 1): one})
             with pytest.raises(ResourceBudgetError):
@@ -123,11 +134,7 @@ class TestStepFunctions:
     @settings(max_examples=60, deadline=None)
     def test_l2q_matches_permutation_sum(self, pair):
         f, g = pair
-        got, want = l2q_inner(f, g), l2q_inner_oracle(f, g)
-        if f.model.ring.exact:
-            assert got == want
-        else:
-            assert float(got) == pytest.approx(float(want), rel=1e-12, abs=1e-12)
+        assert l2q_inner(f, g) == l2q_inner_oracle(f, g)
 
     def test_l2q_checks_model_and_arity(self, model):
         f = StepFunction(model, 1, {(0,): EXACT.one()})
@@ -226,9 +233,25 @@ class TestStochasticMeasures:
         assert table.slope() > 0.8
 
     def test_convergence_requires_float(self, model):
-        with pytest.raises(UsageError):
+        # the float l2_error is read at the model's q0: a model without one
+        # is refused
+        with pytest.raises(UsageError, match="with a q0"):
             st_pi_convergence(SetPartition.of([[1, 2]]), 1,
                               lambda n: three_point(n_atoms=n), (2, 4, 8))
+
+    @pytest.mark.parametrize("label", sorted(SQUARED_ERROR))
+    def test_squared_error_closed_forms(self, label):
+        # the squared L2 error at t = 1 is a polynomial in delta = 1/N with
+        # Q[q] coefficients; l2_error is it evaluated at the experiment's q
+        experiments = {e[0]: e for e in shipped_experiments()}
+        _, pi, factory, q0 = experiments[label]
+        table = st_pi_convergence(pi, 1, factory, (1, 2, 3, 4, 8), label)
+        for row in table.rows:
+            delta = F(1, row.n_atoms)
+            want = sum((QScalar.parse(c) * EXACT.of(delta ** k)
+                        for k, c in SQUARED_ERROR[label].items()), EXACT.zero())
+            assert row.error == want, row.n_atoms
+            assert row.l2_error == abs(float(want.subs(q0)))
 
 
 class TestChaosDecomposition:
