@@ -16,9 +16,8 @@ from .kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
 from .model import (WeightedPointAlgebra, Letter, MomentSequence, ProcessModel,
                     TimeGrid, letter_pair, monic_op_coefficients,
                     parse_model_config)
-from .partitions import (Classification, ExtendedPartition, SetPartition,
-                         classify, enumerate_partitions, index_tuples, rc,
-                         rc_plain)
+from .partitions import (ExtendedPartition, SetPartition, enumerate_partitions,
+                         index_tuples, rc, rc_plain)
 from .qscalar import EXACT, QScalar, ScalarRing, q_fact, q_fact_ratio, q_int
 from .stochastic import (AdaptedProcess, BiProcess, ConvergenceTable,
                          ProcessFamily, StepFunction, biprocess_inner,

@@ -9,7 +9,10 @@ node's image into a dict its caller passes down, folding the scalar operands
 of a composition into one factor.  Words are range-checked only where they
 enter from outside (`basis_word`, the `terms` argument, `add_term`), and
 each creation payload and gauge column once per node and space, so the words
-that `apply` derives are not checked again.  Every scalar is exact;
+that `apply` derives are not checked again.  Operator trees are DAGs (Wick
+operators and fields are shared nodes), and one call of `apply` computes the
+image of its input under a shared node once: a factor that acts first in a
+composition, or a sum from its second use on.  Every scalar is exact;
 a float operator-norm estimate instead evaluates the tree at the ring's q0
 and takes a dense matrix realization of it, its compression to words of
 length <= depth, built by one numpy rule per node kind: a creation is
@@ -504,18 +507,39 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
     An annihilation or gauge keeps its pairing row or column times q^k for
     slot k, so each term it adds costs one product; a factor is folded into
     these per application.
+
+    For the length of the call, the image of v under a shared node is kept,
+    by node: under each factor that acts first in a composition, and under
+    each sum that acts on v more than once.  A sum's first use accumulates
+    straight into out, as an unshared sum does, and only records the node;
+    its second use computes the image with factor 1 into a dict of its own,
+    and that use and every later one add it scaled by their factor.  So a
+    sum used once costs no copy, and the errors a node raises come from its
+    first use, as without the memo.
     """
     sp, ring, depth, key = v.space, v.space.ring, v.depth, v.space.key
     qp = [ring.q_pow(k) for k in range(depth + 1)]
-    # the image of v under each factor that acts first in a composition, by
-    # node: products that share their first factor compute it once
-    first: dict[int, dict[Word, QScalar]] = {}
+    vterms = v.terms
+    # by node id, on v: the image of each factor that acts first in a
+    # composition, and of each sum used twice; None marks a sum used once
+    memo: dict[int, dict[Word, QScalar] | None] = {}
 
     def into(op: FockOperator, terms: dict[Word, QScalar],
              out: dict[Word, QScalar], factor: QScalar | None) -> None:
         # factor None means 1
         kind = op.kind
         if kind == "sum":
+            if terms is vterms:
+                node = id(op)
+                if node in memo:
+                    img = memo[node]
+                    if img is None:
+                        img = memo[node] = {}
+                        for sub in op.operands:
+                            into(sub, terms, img, None)
+                    add_scaled(out, img, factor)
+                    return
+                memo[node] = None
             for sub in op.operands:
                 into(sub, terms, out, factor)
             return
@@ -533,12 +557,12 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
                 add_scaled(out, terms, factor)
                 return
             for sub in reversed(chain[1:]):
-                nxt = first.get(id(sub)) if terms is v.terms else None
+                nxt = memo.get(id(sub)) if terms is vterms else None
                 if nxt is None:
                     nxt = {}
                     into(sub, terms, nxt, None)
-                    if terms is v.terms:
-                        first[id(sub)] = nxt
+                    if terms is vterms:
+                        memo[id(sub)] = nxt
                 terms = nxt
             into(chain[0], terms, out, factor)
             return
@@ -608,7 +632,7 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
                     accumulate(out, (j,) + rest, c * x)
 
     out: dict[Word, QScalar] = {}
-    into(op, v.terms, out, None)
+    into(op, vterms, out, None)
     return FockVector._of(sp, depth, out)
 
 

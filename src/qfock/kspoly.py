@@ -4,6 +4,9 @@ A_u expresses the orthogonalized process Yhat_u as a noncommutative polynomial
 in the power variables x_1, x_2, ...; substituting x_j -> Y_j(I) recovers the
 operator identities.  The one-variable degenerations are the continuous
 q-Hermite and the centered q-Charlier families.
+
+The polynomials A_w are memoised per moment sequence and ring, in the
+sequence's `ks_memo`.
 """
 
 from __future__ import annotations
@@ -109,13 +112,14 @@ def ks_poly(u: Sequence[int], moments: MomentSequence,
         A_(j,u) = x_j A_u - Σ_i q^{i-1} r_{j+u(i)} A_{u∖u(i)}
                           - Σ_i q^{i-1} A_{(j+u(i), u∖u(i))},
 
-    with A_∅ = 1 and A_(j) = x_j."""
+    with A_∅ = 1 and A_(j) = x_j.  Every A_w the recursion builds is kept in
+    the sequence's `ks_memo`, per ring, so it is freed with the sequence."""
     u = tuple(u)
     if any(j < 1 for j in u):
         raise UsageError(f"power indices must be >= 1: {u}")
     if len(u) > MAX_KS_LEN:
         raise ResourceBudgetError(f"ks_poly capped at length {MAX_KS_LEN}")
-    memo: dict[Word, NCPolynomial] = {}
+    memo: dict[Word, NCPolynomial] = moments.ks_memo.setdefault(ring, {})
 
     def rec(word: Word) -> NCPolynomial:
         got = memo.get(word)

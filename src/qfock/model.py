@@ -38,6 +38,7 @@ class MomentSequence:
         if not self.r or self.r[0] != 0:
             raise UsageError("r_1 must be 0 (centered construction)")
         self.atoms = atoms
+        self.ks_memo: dict = {}  # ring -> {power word: A_u} (kspoly.py)
 
     @staticmethod
     def from_measure(atoms: Iterable[tuple], length: int) -> "MomentSequence":

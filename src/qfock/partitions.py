@@ -134,33 +134,6 @@ def rc_plain(pi: SetPartition) -> int:
     return rc(ExtendedPartition(pi, frozenset()))
 
 
-@dataclass(frozen=True)
-class Classification:
-    is_noncrossing: bool
-    singletons: tuple[tuple[int, ...], ...]
-    pairs: tuple[tuple[int, ...], ...]
-    inner_blocks: tuple[tuple[int, ...], ...] | None
-    outer_blocks: tuple[tuple[int, ...], ...] | None
-
-
-def classify(pi: SetPartition) -> Classification:
-    """Noncrossing test, singleton/pair blocks, inner/outer split.
-
-    Inner and outer blocks are only defined for noncrossing partitions; the
-    fields are None otherwise and must not be requested.
-    """
-    noncrossing = rc_plain(pi) == 0
-    singles = tuple(b for b in pi.blocks if len(b) == 1)
-    pairs = tuple(b for b in pi.blocks if len(b) == 2)
-    if not noncrossing:
-        return Classification(False, singles, pairs, None, None)
-    inner, outer = [], []
-    for b in pi.blocks:
-        covered = any(c[0] < b[0] and b[-1] < c[-1] for c in pi.blocks if c != b)
-        (inner if covered else outer).append(b)
-    return Classification(True, singles, pairs, tuple(inner), tuple(outer))
-
-
 def index_tuples(N: int, pi: SetPartition) -> Iterator[tuple[int, ...]]:
     """All tuples in {1..N}^n constant exactly on the blocks of pi (distinct
     values across blocks), streamed."""

@@ -267,9 +267,9 @@ def power_decomposition(n: int, t, model: ProcessModel) -> PowerDecomposition:
     lhs = vacuum_vector(model)
     for _ in range(n):
         lhs = apply(x, lhs)
-    rhs = FockVector(model.space, model.fock_depth)
-    for pi in enumerate_partitions(n):
-        rhs = rhs + apply(st_pi_closed(pi, t, model), vacuum_vector(model))
+    rhs = apply(FockOperator.opsum([st_pi_closed(pi, t, model)
+                                    for pi in enumerate_partitions(n)]),
+                vacuum_vector(model))
     return PowerDecomposition(n, lhs, rhs)
 
 

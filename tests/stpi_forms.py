@@ -1,19 +1,47 @@
 """Specialisations of St_pi and the chaos components, kept as test oracles.
 
 The Gaussian (singleton-pair) and free (noncrossing, q = 0) forms of the
-partition-dependent stochastic measures, and the vector of one chaos
-component.  `qfock` itself never builds these; the tests compare them with
-`st_pi_closed` and `chaos_decompose`.
+partition-dependent stochastic measures, the block classification they read,
+and the vector of one chaos component.  `qfock` itself never builds these;
+the tests compare them with `st_pi_closed` and `chaos_decompose`.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from qfock.fock import FockOperator, FockVector
 from qfock.model import ProcessModel
-from qfock.partitions import ExtendedPartition, SetPartition, classify, rc
+from qfock.partitions import ExtendedPartition, SetPartition, rc, rc_plain
 from qfock.stochastic import (StepFunction, delta_process, psi_closed,
                               yhat_process)
 from qfock.wick import wick_operator, word_vector
+
+
+@dataclass(frozen=True)
+class Classification:
+    is_noncrossing: bool
+    singletons: tuple[tuple[int, ...], ...]
+    pairs: tuple[tuple[int, ...], ...]
+    inner_blocks: tuple[tuple[int, ...], ...] | None
+    outer_blocks: tuple[tuple[int, ...], ...] | None
+
+
+def classify(pi: SetPartition) -> Classification:
+    """Noncrossing test, singleton/pair blocks, inner/outer split.
+
+    Inner and outer blocks are only defined for noncrossing partitions; the
+    fields are None otherwise and must not be requested.
+    """
+    noncrossing = rc_plain(pi) == 0
+    singles = tuple(b for b in pi.blocks if len(b) == 1)
+    pairs = tuple(b for b in pi.blocks if len(b) == 2)
+    if not noncrossing:
+        return Classification(False, singles, pairs, None, None)
+    inner, outer = [], []
+    for b in pi.blocks:
+        covered = any(c[0] < b[0] and b[-1] < c[-1] for c in pi.blocks if c != b)
+        (inner if covered else outer).append(b)
+    return Classification(True, singles, pairs, tuple(inner), tuple(outer))
 
 
 def st_pi_gaussian_form(pi: SetPartition, t, model: ProcessModel) -> FockOperator:

@@ -8,8 +8,10 @@ factor by factor, with each scalar node applied where it stands.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfock.errors import DepthExceededError
 from qfock.fock import FockOperator, FockVector, OneParticleSpace, apply
 from qfock.qscalar import EXACT, QScalar
 
@@ -101,7 +103,9 @@ def cancelling(parts):
 
 
 @st.composite
-def cases(draw):
+def spaces(draw, max_leaves=6):
+    """A gram, and strategies for operator trees of at most max_leaves
+    leaves and for vector terms on it."""
     dim = draw(st.integers(1, 3))
     gram = [[Fraction(0)] * dim for _ in range(dim)]
     for i in range(dim):
@@ -116,14 +120,30 @@ def cases(draw):
                  min_size=dim, max_size=dim).map(FockOperator.gauge),
         st.lists(small, max_size=3).map(QScalar.exact).map(FockOperator.scalar),
         small.map(lambda c: FockOperator("rational_scalar", c)))
-    op = draw(st.recursive(leaves, lambda kids: st.one_of(
+    trees = st.recursive(leaves, lambda kids: st.one_of(
         st.lists(kids, max_size=3).map(lambda ops: FockOperator("sum", None, tuple(ops))),
         st.lists(kids, min_size=2, max_size=4).map(
             lambda ops: FockOperator("compose", None, tuple(ops))),
-        st.tuples(kids, kids, small).map(cancelling)), max_leaves=6))
+        st.tuples(kids, kids, small).map(cancelling)), max_leaves=max_leaves)
     words = st.lists(index, max_size=MAX_WORD).map(tuple)
-    terms = draw(st.lists(st.tuples(words, small), max_size=5))
-    return gram, op, terms
+    return gram, trees, st.lists(st.tuples(words, small), max_size=5)
+
+
+@st.composite
+def cases(draw):
+    gram, trees, vectors = draw(spaces())
+    return gram, draw(trees), draw(vectors)
+
+
+def vector(space, depth, terms):
+    """The Fock vector of terms, and the same vector in the reference form."""
+    v = FockVector(space, depth)
+    ref = {}
+    for w, c in terms:
+        v.add_term(w, EXACT.of(c))
+        v_add(ref, w, {0: c})
+    assert as_polys(v) == ref
+    return v, ref
 
 
 @settings(max_examples=200, deadline=None)
@@ -131,13 +151,79 @@ def cases(draw):
 def test_apply_matches_word_by_word_reference(case):
     gram, op, terms = case
     space = OneParticleSpace(len(gram), gram, EXACT)
-    depth = MAX_WORD + creation_height(op)
-    v = FockVector(space, depth)
-    ref = {}
-    for w, c in terms:
-        v.add_term(w, EXACT.of(c))
-        v_add(ref, w, {0: c})
-    assert as_polys(v) == ref
+    v, ref = vector(space, MAX_WORD + creation_height(op), terms)
     got = apply(op, v)
     assert as_polys(got) == ref_apply(op, ref, gram)
     assert all(not c.is_zero for c in got.terms.values())
+
+
+def node(kind, *ops):
+    return FockOperator(kind, None, ops)
+
+
+def scaled(c, op):
+    return node("compose", FockOperator("rational_scalar", c), op)
+
+
+@st.composite
+def shared_cases(draw):
+    """A tree whose sums reuse one node object many times: as sum operands,
+    as the first factor of compositions, under scalar factors, in a
+    cancelling pair, acting on another node's image, and inside a second
+    shared node; and two vectors to apply it to, in a drawn order."""
+    gram, trees, vectors = draw(spaces(max_leaves=4))
+    pool = draw(st.lists(trees, min_size=2, max_size=3))
+    inner = node("sum", *pool[1:])
+    outer = node("sum", inner, pool[0])
+    shared = st.sampled_from([inner, outer])
+    trees = st.sampled_from(pool)
+    use = st.one_of(
+        shared,
+        st.tuples(trees, shared).map(lambda p: node("compose", *p)),
+        st.tuples(shared, trees).map(lambda p: node("compose", *p)),
+        st.tuples(small, shared).map(lambda p: scaled(*p)),
+        st.tuples(st.lists(small, max_size=3), shared).map(
+            lambda p: node("compose", FockOperator.scalar(QScalar.exact(p[0])), p[1])),
+        st.tuples(shared, trees, small).map(cancelling),
+        st.tuples(small, shared).map(
+            lambda p: node("sum", scaled(p[0], p[1]), scaled(-p[0], p[1]))))
+    uses = st.lists(use, min_size=2, max_size=5).map(lambda ops: node("sum", *ops))
+    op = draw(st.one_of(uses, st.tuples(trees, uses).map(lambda p: node("compose", *p))))
+    return gram, op, draw(vectors), draw(vectors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_cases())
+def test_shared_nodes_match_reference(case):
+    """Each call keeps its own images of the shared nodes: applying the tree
+    to one vector leaves nothing behind for the next."""
+    gram, op, first, second = case
+    space = OneParticleSpace(len(gram), gram, EXACT)
+    depth = MAX_WORD + creation_height(op)
+    for terms in (first, second, first):
+        v, ref = vector(space, depth, terms)
+        got = apply(op, v)
+        assert as_polys(got) == ref_apply(op, ref, gram)
+        assert all(not c.is_zero for c in got.terms.values())
+
+
+def test_shared_sum_cancels_to_zero():
+    space = OneParticleSpace.orthonormal(2, EXACT)
+    s = FockOperator.creation([1, 2]) + FockOperator.annihilation([(1, 3)])
+    v = FockVector(space, 3, {(0,): EXACT.one(), (1, 0): EXACT.of(5)})
+    image = apply(s, v)
+    assert not image.is_zero
+    op = node("sum", s, scaled(2, s), scaled(-3, s))
+    assert apply(op, v).is_zero
+    assert apply(node("sum", s, s, s), v) == image.scale(EXACT.of(3))
+
+
+def test_shared_sum_overflowing_depth_raises_on_first_use():
+    space = OneParticleSpace.orthonormal(1, EXACT)
+    s = FockOperator.annihilation([1]) + FockOperator.creation([1])
+    v = FockVector.basis_word(space, 1, (0,))
+    for op in (node("sum", s, s),
+               node("sum", scaled(2, s), node("compose", FockOperator.creation([1]), s)),
+               node("sum", node("compose", FockOperator.annihilation([1]), s), s)):
+        with pytest.raises(DepthExceededError):
+            apply(op, v)

@@ -7,7 +7,8 @@ import pytest
 
 from qfock import cli, wick
 from qfock.cli import IdentityRow, main
-from qfock.qscalar import QScalar
+from qfock.fock import FockVector, apply
+from qfock.qscalar import EXACT, QScalar
 
 
 def run(capsys, *argv):
@@ -67,6 +68,41 @@ class TestVerify:
                            "--out", str(tmp_path))
         assert code == 0
         assert (tmp_path / "verify.csv").read_text() == out
+
+
+def per_word_residual(space, lhs, rhs):
+    """The sum of (lhs - rhs) e_w over the basis words w of length 1-4, one
+    word at a time."""
+    diff = FockVector(space, 5)
+    words = [()]
+    for _ in range(4):
+        words = [w + (i,) for w in words for i in range(space.dim)]
+        for w in words:
+            v = FockVector.basis_word(space, 5, w)
+            for ww, c in (apply(lhs, v) - apply(rhs, v)).terms.items():
+                diff.add_term(ww, c)
+    return diff
+
+
+class TestCommutationResidual:
+    # the batched vector is the sum of the per-word residuals, so it sees a
+    # broken relation only where zeta pairs to nonzero with the sum of the
+    # basis vectors and eta is nonzero; every draw of these seeds does (seed
+    # 1 draws a zero gram at dim 2, where a(zeta) = 0 and q does not show)
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_batched_matches_per_word_loop(self, seed):
+        rng = random.Random(seed)
+        for dim in (1, 2, 3):
+            state = rng.getstate()
+            case = cli.commutation_relation(rng, dim, EXACT.q())
+            assert cli.commutation_residual(*case).is_zero
+            assert per_word_residual(*case).is_zero
+            # the same draw with the q dropped from the relation
+            rng.setstate(state)
+            broken = cli.commutation_relation(rng, dim, EXACT.one())
+            diff = cli.commutation_residual(*broken)
+            assert not diff.is_zero
+            assert diff == per_word_residual(*broken)
 
 
 # sha256 of full stdout, recorded before the exact scalar kernel moved to

@@ -7,7 +7,7 @@ from qfock.fock import FockOperator, apply
 from qfock.kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
 from qfock.model import (MomentSequence, ProcessModel, TimeGrid,
                          monic_op_coefficients)
-from qfock.qscalar import EXACT, QScalar, q_int
+from qfock.qscalar import EXACT, QScalar, ScalarRing, q_int
 from qfock.wick import vacuum_vector, word_vector
 
 F = Fraction
@@ -68,6 +68,34 @@ class TestRecursion:
     def test_length_cap(self, moments):
         with pytest.raises(ResourceBudgetError):
             ks_poly((1,) * 9, moments)
+
+
+class TestMemo:
+    WORDS = [(1, 1, 1), (2, 1, 1), (3, 1, 1, 1)]
+
+    @staticmethod
+    def fresh(shift=0):
+        return MomentSequence([0] + [F(k + shift, k + 1) for k in range(1, 12)])
+
+    def test_call_order_and_fresh_sequence_agree(self):
+        forward, backward = self.fresh(), self.fresh()
+        got = [ks_poly(u, forward) for u in self.WORDS]
+        assert [ks_poly(u, backward) for u in reversed(self.WORDS)][::-1] == got
+        assert [ks_poly(u, self.fresh()) for u in self.WORDS] == got
+        # a second sequence in between leaves the first one's results alone
+        other = [ks_poly(u, self.fresh(shift=1)) for u in self.WORDS]
+        assert other != got
+        assert [ks_poly(u, forward) for u in reversed(self.WORDS)][::-1] == got
+
+    def test_rings_do_not_mix(self):
+        moments = self.fresh()
+        half = ScalarRing(F(1, 2))
+        exact = ks_poly((2, 1, 1), moments)
+        at_half = ks_poly((2, 1, 1), moments, half)
+        assert exact.ring == EXACT and at_half.ring == half
+        assert exact.terms == at_half.terms
+        assert all(p.ring == half for p in moments.ks_memo[half].values())
+        assert all(p.ring == EXACT for p in moments.ks_memo[EXACT].values())
 
 
 class TestDegenerations:

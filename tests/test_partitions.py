@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfock.errors import UsageError
-from qfock.partitions import (ExtendedPartition, SetPartition, classify,
+from qfock.partitions import (ExtendedPartition, SetPartition,
                               enumerate_partitions, index_tuples, rc, rc_plain)
 from sn_oracle import inversions
+from stpi_forms import classify
 
 P = SetPartition.of
 EP = ExtendedPartition.of
