@@ -17,7 +17,7 @@ from .model import (WeightedPointAlgebra, Letter, MomentSequence, ProcessModel,
                     TimeGrid, letter_pair, monic_op_coefficients,
                     parse_model_config)
 from .partitions import (ExtendedPartition, SetPartition, enumerate_partitions,
-                         index_tuples, rc, rc_plain)
+                         index_tuples, rc)
 from .qscalar import EXACT, QScalar, ScalarRing, q_fact, q_fact_ratio, q_int
 from .stochastic import (AdaptedProcess, BiProcess, ConvergenceTable,
                          ProcessFamily, StepFunction, biprocess_inner,

@@ -5,14 +5,17 @@ basis; operators are lazy expression trees over a closed set of node kinds:
 creation, annihilation, gauge, ring scalar, rational scalar, sum and
 composition.  The empty sum is the zero operator.  Exact identities apply
 the tree to vectors by one recursive kernel (`apply`) that accumulates each
-node's image into a dict its caller passes down, folding the scalar operands
-of a composition into one factor.  Words are range-checked only where they
-enter from outside (`basis_word`, the `terms` argument, `add_term`), and
-each creation payload and gauge column once per node and space, so the words
-that `apply` derives are not checked again.  Operator trees are DAGs (Wick
-operators and fields are shared nodes), and one call of `apply` computes the
-image of its input under a shared node once: a factor that acts first in a
-composition, or a sum from its second use on.  Every scalar is exact;
+node's image into an integer image its caller passes down, folding the
+scalar operands of a composition into one factor.  An integer image is one
+positive int denominator and, per word, a list of int numerators, one per
+power of q; each output word becomes a canonical QScalar once, when `apply`
+returns.  Words are range-checked only where they enter from outside
+(`basis_word`, the `terms` argument, `add_term`), and each leaf payload once
+per node and space, so the words that `apply` derives are not checked again.
+Operator trees are DAGs (Wick operators and fields are shared nodes), and
+one call of `apply` computes the image of its input under a shared node
+once: a factor that acts first in a composition, or a sum from its second
+use on.  Every scalar is exact;
 a float operator-norm estimate instead evaluates the tree at the ring's q0
 and takes a dense matrix realization of it, its compression to words of
 length <= depth, built by one numpy rule per node kind: a creation is
@@ -23,12 +26,12 @@ One-particle vectors have one form, the sparse tuple of their nonzero
 (index, coeff) entries in index order (`SparseVector`).  Public constructors
 also accept a dense coefficient sequence and convert it once, on entry.  The
 gram form has one form too, its sparse rows, and is block-diagonal over its
-orthogonality classes; the space keeps its rows as ring scalars too, and the
-ring-scalar pairing row {i: <zeta, e_i>} of each annihilation payload it has
-been asked for.  Each leaf node keeps, per space it is applied on, its
-payload as ring scalars: a creation its entries, an annihilation its pairing
-row and a gauge each column it has been asked for, the last two times q^k
-for each tensor slot k.
+orthogonality classes; the space keeps its rows as ring scalars too, for
+`inner0`.  Each leaf node keeps, per space it is applied on, its payload as
+int numerators over one denominator: a creation its entries, an
+annihilation its pairing row {i: <zeta, e_i>} and a gauge the columns it has
+been asked for.  An annihilation or gauge acting on tensor slot k multiplies
+by q^k as a shift of k places in the numerator lists, not as a product.
 
 The q-inner product is <u, P_n v>_0 on degree n, P_n the q-symmetrizer
 sum_sigma q^{inv(sigma)} sigma; `innerq` is the one q-product, also of step
@@ -48,10 +51,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DepthExceededError, ResourceBudgetError, UsageError
-from .qscalar import QScalar, ScalarRing, accumulate, add_scaled
+from .qscalar import (QScalar, ScalarRing, _as_fraction, _monomial, _poly,
+                      accumulate, add_scaled)
 
 PN_CAP = 9
 NORM_WORD_CAP = 2048
@@ -79,11 +85,12 @@ class OneParticleSpace:
     sparse (see sparse_vector).  Entries are exact rationals; `scalar_rows`
     holds the same rows as ring scalars, {i: <e_j, e_i>} per j.  The ring's
     q0, if any, is where norm estimates evaluate.  Pairings take one-particle
-    vectors in sparse form.
+    vectors in sparse form; an annihilation node keeps its own pairing row,
+    in ints, per space it is applied on.
 
-    The space also owns two caches, freed with it: the ring-scalar pairing
-    rows of `pair_scalars`, and `pn_factors`, the lower Cholesky factors of
-    the float q-gram blocks of `operator_norm_estimate`, keyed by degree.
+    The space owns one cache, freed with it: `pn_factors`, the lower
+    Cholesky factors of the float q-gram blocks of `operator_norm_estimate`,
+    keyed by degree.
     """
 
     def __init__(self, dim: int, gram: Sequence[Sequence], ring: ScalarRing):
@@ -103,7 +110,6 @@ class OneParticleSpace:
         self.key = object()
         self.scalar_rows = tuple({i: ring.of(g) for i, g in row} for row in self.rows)
         self._classes = self._connected_classes()
-        self._pair_scalars: dict[SparseVector, dict[int, QScalar]] = {}
         self.pn_factors: dict[int, object] = {}
 
     @staticmethod
@@ -119,14 +125,6 @@ class OneParticleSpace:
             for i, g in self.rows[j]:
                 row[i] = row.get(i, 0) + c * g
         return {i: g for i, g in row.items() if g}
-
-    def pair_scalars(self, zeta: SparseVector) -> dict[int, QScalar]:
-        """`pair_row` with ring scalars as values, built once per zeta."""
-        row = self._pair_scalars.get(zeta)
-        if row is None:
-            row = self._pair_scalars[zeta] = {
-                i: self.ring.of(g) for i, g in self.pair_row(zeta).items()}
-        return row
 
     def pair(self, zeta: SparseVector, i: int) -> Fraction:
         """<zeta, e_i> under the gram form."""
@@ -385,12 +383,13 @@ class FockOperator:
     kind: str
     payload: object = None
     operands: tuple["FockOperator", ...] = ()
-    # a leaf's payload as ring scalars, checked against each space it is
-    # applied on and keyed by its `key`, built by `apply` on first use: the
-    # [(i, zeta_i)] of a creation, the pairing row times q^k for each slot k
-    # of an annihilation, and {(i, k): column i times q^k} of a gauge
-    scalars: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    # a leaf's payload as int numerators over one denominator, checked
+    # against each space it is applied on and keyed by its `key`, built by
+    # `apply` on first use: (den, [(i, zeta_i)]) of a creation,
+    # (den, {i: <zeta, e_i>}) of an annihilation, and [den, {i: [(j, T_ji)]}]
+    # of a gauge, over the columns asked for so far
+    payloads: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -494,146 +493,274 @@ def _scalar_factor(op: FockOperator, ring: ScalarRing) -> QScalar:
     return op.payload
 
 
+class _Image:
+    """An operator image inside `apply`: one positive int denominator and,
+    per word, a mutable list of int numerators, one per power of q.  Lists
+    may hold trailing zeros or be all zero until `apply` returns."""
+
+    __slots__ = ("den", "terms")
+
+    def __init__(self, den: int = 1, terms: dict[Word, list[int]] | None = None):
+        self.den = den
+        self.terms = {} if terms is None else terms
+
+    def join(self, d: int) -> int:
+        """Put the image over lcm(den, d), rescaling its numerators if that
+        grows den; returns den // d, the multiplier of a term over d."""
+        den = self.den
+        if den % d:
+            grow = d // gcd(den, d)
+            for num in self.terms.values():
+                if len(num) == 1:  # the common case, without a loop
+                    num[0] *= grow
+                else:
+                    for j, x in enumerate(num):
+                        num[j] = x * grow
+            den = self.den = den * grow
+        return den // d
+
+    def prune(self) -> "_Image":
+        """Drop the words whose numerators are all zero."""
+        self.terms = {w: num for w, num in self.terms.items() if any(num)}
+        return self
+
+
+def _addmul(terms: dict[Word, list[int]], u: Word, num: list[int], z: int,
+            s: int) -> None:
+    """terms[u] += z q^s num, on numerator lists over one denominator; num is
+    read, never kept."""
+    # a constant num, the common case, goes without a loop
+    acc = terms.get(u)
+    if acc is None:
+        acc = [num[0] * z] if len(num) == 1 else [x * z for x in num]
+        terms[u] = [0] * s + acc if s else acc
+        return
+    short = s + len(num) - len(acc)
+    if short > 0:
+        acc += [0] * short
+    if len(num) == 1:
+        acc[s] += num[0] * z
+    else:
+        for j, x in enumerate(num, s):
+            acc[j] += x * z
+
+
+def _add_image(out: _Image, img: _Image, factor: QScalar | None) -> None:
+    """out += factor * img, factor None meaning 1: each power of q in the
+    factor is a multiplier and a shift, so a polynomial factor is convolved
+    with each word's numerators once."""
+    if not img.terms:
+        return
+    if factor is None:
+        mono, df = ((0, 1),), 1
+    else:
+        mono, df = [(s, y) for s, y in enumerate(factor.num) if y], factor.den
+        if not mono:
+            return
+    m = out.join(img.den * df)
+    terms = out.terms
+    for s, y in mono:
+        y *= m
+        for w, num in img.terms.items():
+            _addmul(terms, w, num, y, s)
+
+
+def _ints(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """Rationals as int numerators over their least common denominator."""
+    values = [_as_fraction(x) for x in values]
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
 def apply(op: FockOperator, v: FockVector) -> FockVector:
     """Apply an operator tree to a vector; a creation past the depth is a
     DepthExceededError.
 
-    One recursive kernel accumulates factor * node(terms) into a dict out
-    that its caller passes down: a sum hands out to each operand, and a
-    composition folds its scalar operands into factor, which the factor
-    acting last applies.  The words of v are in range, so the words added
-    are too once each creation payload and gauge column is checked against
-    the space, which happens when the node first builds its scalars for it.
-    An annihilation or gauge keeps its pairing row or column times q^k for
-    slot k, so each term it adds costs one product; a factor is folded into
-    these per application.
+    One recursive kernel accumulates factor * node(image) into an integer
+    image out that its caller passes down: one int denominator and, per
+    word, a list of int numerators, one per power of q.  A sum hands out to
+    each operand, and a composition folds its scalar operands into factor,
+    which the factor acting last applies.  A monomial factor y q^s / d
+    reaches the leaves as a multiplier y and a shift s; a general polynomial
+    factor makes its node's image with factor 1, and is convolved with each
+    word of it once.  A leaf joins out's denominator once per call, and
+    scales its cached payload by the call's multiplier only when that is not
+    1.  Each output word is made a canonical QScalar once, when the call
+    returns, and words that cancelled to zero are dropped.
+
+    Each leaf keeps its payload on its node, per space, as int numerators
+    over one denominator: a creation its entries, an annihilation its
+    pairing row and a gauge the columns it has been asked for.  An
+    annihilation or gauge acting on tensor slot k shifts its terms by k
+    powers of q.  The words of v are in range, so the words added are too
+    once each payload is checked against the space, which happens when the
+    node first builds it for the space.
 
     For the length of the call, the image of v under a shared node is kept,
     by node: under each factor that acts first in a composition, and under
     each sum that acts on v more than once.  A sum's first use accumulates
     straight into out, as an unshared sum does, and only records the node;
-    its second use computes the image with factor 1 into a dict of its own,
-    and that use and every later one add it scaled by their factor.  So a
-    sum used once costs no copy, and the errors a node raises come from its
-    first use, as without the memo.
+    its second use computes the image with factor 1 into an image of its
+    own, and that use and every later one add it scaled by their factor.
+    The images a composition passes on drop their zero words first, so a
+    word that cancelled meets no later factor.  So a sum used once costs no
+    copy, and the errors a node raises come from its first use, as without
+    the memo.
     """
     sp, ring, depth, key = v.space, v.space.ring, v.depth, v.space.key
-    qp = [ring.q_pow(k) for k in range(depth + 1)]
-    vterms = v.terms
-    # by node id, on v: the image of each factor that acts first in a
+    vden = lcm(*(c.den for c in v.terms.values()))
+    vimg = _Image(vden, {w: [x * (vden // c.den) for x in c.num]
+                         for w, c in v.terms.items()})
+    # by node id, on vimg: the image of each factor that acts first in a
     # composition, and of each sum used twice; None marks a sum used once
-    memo: dict[int, dict[Word, QScalar] | None] = {}
+    memo: dict[int, _Image | None] = {}
 
-    def into(op: FockOperator, terms: dict[Word, QScalar],
-             out: dict[Word, QScalar], factor: QScalar | None) -> None:
-        # factor None means 1
+    def image(op: FockOperator, src: _Image) -> _Image:
+        img = _Image()
+        into(op, src, img, None)
+        return img.prune()
+
+    def into(op: FockOperator, src: _Image, out: _Image,
+             factor: QScalar | None) -> None:
+        # factor None means 1, and is never zero
         kind = op.kind
+        if kind == "scalar" or kind == "rational_scalar":
+            c = _scalar_factor(op, ring)
+            _add_image(out, src, c if factor is None else factor * c)
+            return
+        if factor is not None and not _monomial(factor.num):
+            _add_image(out, image(op, src), factor)
+            return
         if kind == "sum":
-            if terms is vterms:
+            if src is vimg:
                 node = id(op)
                 if node in memo:
                     img = memo[node]
                     if img is None:
-                        img = memo[node] = {}
+                        img = memo[node] = _Image()
                         for sub in op.operands:
-                            into(sub, terms, img, None)
-                    add_scaled(out, img, factor)
+                            into(sub, src, img, None)
+                        img.prune()
+                    _add_image(out, img, factor)
                     return
                 memo[node] = None
             for sub in op.operands:
-                into(sub, terms, out, factor)
+                into(sub, src, out, factor)
             return
         if kind == "compose":
-            chain = []
+            factors = []
             for sub in op.operands:
                 if sub.kind == "scalar" or sub.kind == "rational_scalar":
                     c = _scalar_factor(sub, ring)
                     factor = c if factor is None else factor * c
                 else:
-                    chain.append(sub)
+                    factors.append(sub)
             if factor is not None and factor.is_zero:
                 return
-            if not chain:
-                add_scaled(out, terms, factor)
+            if not factors:
+                _add_image(out, src, factor)
                 return
-            for sub in reversed(chain[1:]):
-                nxt = memo.get(id(sub)) if terms is vterms else None
+            for sub in reversed(factors[1:]):
+                nxt = memo.get(id(sub)) if src is vimg else None
                 if nxt is None:
-                    nxt = {}
-                    into(sub, terms, nxt, None)
-                    if terms is vterms:
+                    nxt = image(sub, src)
+                    if src is vimg:
                         memo[id(sub)] = nxt
-                terms = nxt
-            into(chain[0], terms, out, factor)
-            return
-        if kind == "scalar" or kind == "rational_scalar":
-            c = _scalar_factor(op, ring)
-            add_scaled(out, terms, c if factor is None else factor * c)
+                src = nxt
+            into(factors[0], src, out, factor)
             return
 
+        # a leaf: factor is y q^s / df
+        if factor is None:
+            y, s, df = 1, 0, 1
+        else:
+            y, s, df = factor.num[-1], len(factor.num) - 1, factor.den
+        terms = out.terms
         if kind == "creation":
-            zeta = op.scalars.get(key)
-            if zeta is None:
+            pay = op.payloads.get(key)
+            if pay is None:
                 zeta = op.payload
                 if zeta and (zeta[0][0] < 0 or zeta[-1][0] >= sp.dim):
                     raise UsageError(f"creation index out of range in {zeta}")
-                zeta = op.scalars[key] = [(i, ring.of(x)) for i, x in zeta]
-            if factor is not None:
-                zeta = [(i, z * factor) for i, z in zeta]
-            for w, c in terms.items():
+                den, nums = _ints(x for _, x in zeta)
+                pay = op.payloads[key] = den, [(i, z) for (i, _), z in zip(zeta, nums)]
+            if not src.terms:
+                return
+            den, zeta = pay
+            m = out.join(src.den * df * den) * y
+            if m != 1:
+                zeta = [(i, z * m) for i, z in zeta]
+            for w, num in src.terms.items():
                 if len(w) == depth:
                     raise DepthExceededError(
                         f"creation on a degree-{len(w)} word exceeds depth {depth}")
                 for i, z in zeta:
-                    accumulate(out, (i,) + w, c * z)
+                    _addmul(terms, (i,) + w, num, z, s)
             return
         if kind == "annihilation":
-            # rows[k]: the pairing row times q^k, for slot k
-            rows = op.scalars.get(key)
-            if rows is None:
-                rows = op.scalars[key] = [sp.pair_scalars(op.payload)]
-            top = max(map(len, terms), default=0)
-            while len(rows) < top:
-                qk = qp[len(rows)]
-                rows.append({i: g * qk for i, g in rows[0].items()})
-            if factor is not None:
-                rows = [{i: g * factor for i, g in row.items()} for row in rows[:top]]
-            for w, c in terms.items():
+            pay = op.payloads.get(key)
+            if pay is None:
+                row = sp.pair_row(op.payload)
+                den, nums = _ints(row.values())
+                pay = op.payloads[key] = den, dict(zip(row, nums))
+            if not src.terms:
+                return
+            den, row = pay
+            m = out.join(src.den * df * den) * y
+            if m != 1:
+                row = {i: g * m for i, g in row.items()}
+            for w, num in src.terms.items():
                 for k, i in enumerate(w):
-                    g = rows[k].get(i)
+                    g = row.get(i)
                     if g is not None:
-                        accumulate(out, w[:k] + w[k + 1:], c * g)
+                        _addmul(terms, w[:k] + w[k + 1:], num, g, s + k)
             return
         gauge: Gauge = op.payload  # the one kind left
-        # cols[i, k]: column i times q^k, for slot k, checked against sp
-        cols = op.scalars.get(key)
-        if cols is None:
-            cols = op.scalars[key] = {}
-        scaled: dict[tuple[int, int], list[tuple[int, QScalar]]] = {}
-        for w, c in terms.items():
+        # [den, {i: column i as (j, numerator) over den}], checked against sp
+        pay = op.payloads.get(key)
+        if pay is None:
+            pay = op.payloads[key] = [1, {}]
+        cols = pay[1]
+        letters = dict.fromkeys(chain.from_iterable(src.terms))
+        for i in letters:
+            if i not in cols:
+                col = [(j, x) for j, x in gauge.column(i) if x]
+                if any(not 0 <= j < sp.dim for j, _ in col):
+                    raise UsageError(f"gauge column {i} has an index out of range")
+                den, nums = _ints(x for _, x in col)
+                grow = den // gcd(pay[0], den)
+                if grow != 1:
+                    for c in cols.values():
+                        c[:] = [(j, x * grow) for j, x in c]
+                    pay[0] *= grow
+                mul = pay[0] // den
+                cols[i] = [(j, x * mul) for (j, _), x in zip(col, nums)]
+        if not src.terms:
+            return
+        m = out.join(src.den * df * pay[0]) * y
+        if m != 1:
+            cols = {i: [(j, x * m) for j, x in cols[i]] for i in letters}
+        for w, num in src.terms.items():
             for k, i in enumerate(w):
-                col = cols.get((i, k))
-                if col is None:
-                    col = cols.get((i, 0))
-                    if col is None:
-                        col = [(j, ring.of(x)) for j, x in gauge.column(i) if x]
-                        if any(not 0 <= j < sp.dim for j, _ in col):
-                            raise UsageError(
-                                f"gauge column {i} has an index out of range")
-                        cols[i, 0] = col
-                    if k:
-                        col = cols[i, k] = [(j, x * qp[k]) for j, x in col]
-                if factor is not None:
-                    col = scaled.get((i, k))
-                    if col is None:
-                        col = scaled[i, k] = [(j, x * factor) for j, x in cols[i, k]]
                 rest = w[:k] + w[k + 1:]
-                for j, x in col:
-                    accumulate(out, (j,) + rest, c * x)
+                for j, x in cols[i]:
+                    _addmul(terms, (j,) + rest, num, x, s + k)
 
-    out: dict[Word, QScalar] = {}
-    into(op, vterms, out, None)
-    return FockVector._of(sp, depth, out)
+    out = _Image()
+    into(op, vimg, out, None)
+    den = out.den
+    terms: dict[Word, QScalar] = {}
+    # by numerators: images repeat few values over many words, and equal
+    # coefficients may share one immutable scalar
+    made: dict[object, QScalar] = {}
+    for w, num in out.terms.items():
+        key = num[0] if len(num) == 1 else tuple(num)
+        c = made.get(key)
+        if c is None:
+            c = made[key] = _poly(num, den)
+        if c.num:
+            terms[w] = c
+    return FockVector._of(sp, depth, terms)
 
 
 def adjoint(op: FockOperator, space: OneParticleSpace) -> FockOperator:

@@ -129,11 +129,6 @@ def rc(ep: ExtendedPartition) -> int:
     return total
 
 
-def rc_plain(pi: SetPartition) -> int:
-    """rc of the partition with no open blocks."""
-    return rc(ExtendedPartition(pi, frozenset()))
-
-
 def index_tuples(N: int, pi: SetPartition) -> Iterator[tuple[int, ...]]:
     """All tuples in {1..N}^n constant exactly on the blocks of pi (distinct
     values across blocks), streamed."""

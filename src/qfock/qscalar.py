@@ -258,7 +258,8 @@ class ScalarRing:
     """Factory for scalars in Q[q], with an optional evaluation point q0 in
     (-1, 1) at which float results (refinement errors, `moments --q`, norm
     estimates) are read off; q0 None means none.  It keeps the powers of q
-    it has built, since every Fock operator node asks for them per word."""
+    it has built, since `apply_Pn` and the Wick expansions ask for them per
+    word or term."""
 
     def __init__(self, q0: RationalLike | None = None):
         self.q0 = None if q0 is None else _as_fraction(q0)

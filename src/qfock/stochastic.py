@@ -197,15 +197,33 @@ def psi_closed(procs: Sequence[ProcessFamily], t) -> FockOperator:
 
 def st_pi_discrete(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
     """St_pi(t; grid) = Σ over index tuples constant exactly on pi of
-    X(I_{u(1)}) ... X(I_{u(n)})."""
+    X(I_{u(1)}) ... X(I_{u(n)}).
+
+    The tuples go into a trie of their prefixes, and the sum is built from
+    it Horner-wise: a prefix ending in v is X(I_v) composed with the sum of
+    its continuations, so each prefix's field is applied once, to the image
+    of all its continuations together, not once per tuple.
+    """
     atoms = model.grid.prefix(t)
     n = pi.n
     if n > model.fock_depth:
         raise UsageError(f"partition on {n} points exceeds depth {model.fock_depth}")
     fields = {a: model.atom_letter(a, 1).field() for a in atoms}
-    terms = [FockOperator.compose([fields[atoms[v - 1]] for v in tup])
-             for tup in index_tuples(len(atoms), pi)]
-    return FockOperator.opsum(terms)
+    trie: dict = {}
+    for tup in index_tuples(len(atoms), pi):
+        node = trie
+        for v in tup:
+            node = node.setdefault(v, {})
+
+    def total(children: dict) -> FockOperator:
+        # a sum node of its own, not opsum: opsum would flatten the shared
+        # field nodes into their leaves, and apply keeps the images of
+        # shared nodes only
+        ops = [FockOperator.compose([fields[atoms[v - 1]], total(rest)]) if rest
+               else fields[atoms[v - 1]] for v, rest in children.items()]
+        return ops[0] if len(ops) == 1 else FockOperator("sum", None, tuple(ops))
+
+    return total(trie)
 
 
 def st_pi_closed(pi: SetPartition, t, model: ProcessModel) -> FockOperator:

@@ -1,8 +1,9 @@
 """Specialisations of St_pi and the chaos components, kept as test oracles.
 
 The Gaussian (singleton-pair) and free (noncrossing, q = 0) forms of the
-partition-dependent stochastic measures, the block classification they read,
-and the vector of one chaos component.  `qfock` itself never builds these;
+partition-dependent stochastic measures, the block classification they read
+with the crossing count rc_plain it tests for noncrossing, and the vector of
+one chaos component.  `qfock` itself never builds these;
 the tests compare them with `st_pi_closed` and `chaos_decompose`.
 """
 
@@ -11,10 +12,15 @@ from fractions import Fraction
 
 from qfock.fock import FockOperator, FockVector
 from qfock.model import ProcessModel
-from qfock.partitions import ExtendedPartition, SetPartition, rc, rc_plain
+from qfock.partitions import ExtendedPartition, SetPartition, rc
 from qfock.stochastic import (StepFunction, delta_process, psi_closed,
                               yhat_process)
 from qfock.wick import wick_operator, word_vector
+
+
+def rc_plain(pi: SetPartition) -> int:
+    """rc of the partition with no open blocks."""
+    return rc(ExtendedPartition(pi, frozenset()))
 
 
 @dataclass(frozen=True)

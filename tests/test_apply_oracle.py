@@ -3,10 +3,12 @@
 The reference below shares no code with the kernel: a coefficient is a dict
 {power of q: Fraction} with its own sum and product, a pairing is read from
 the dense gram, and every node returns a fresh vector of its own, composed
-factor by factor, with each scalar node applied where it stands.
+factor by factor, with each scalar node applied where it stands.  Every
+coefficient the kernel returns must also be canonical.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,7 +92,17 @@ def as_polys(v):
     return {w: {k: x for k, x in enumerate(c.coeffs) if x} for w, c in v.terms.items()}
 
 
+def assert_canonical(v):
+    """No stored zero, no trailing zero numerator, gcd(den, *num) == 1."""
+    for c in v.terms.values():
+        assert c.num and c.num[-1] and c.den > 0
+        assert gcd(c.den, *c.num) == 1
+
+
 small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+# denominators from 2, 3, 5 and 7, coprime or not
+mixed = st.builds(Fraction, st.integers(-6, 6),
+                  st.sampled_from((1, 2, 3, 4, 5, 6, 7, 10, 14, 15, 21, 35)))
 
 
 def cancelling(parts):
@@ -103,30 +115,38 @@ def cancelling(parts):
 
 
 @st.composite
-def spaces(draw, max_leaves=6):
+def spaces(draw, max_leaves=6, values=small, polys=False):
     """A gram, and strategies for operator trees of at most max_leaves
-    leaves and for vector terms on it."""
+    leaves and for vector terms on it, their rationals drawn from values.
+    With polys, vector coefficients are polynomials in q, and compositions
+    often carry a factor of two or three nonzero powers of q."""
     dim = draw(st.integers(1, 3))
     gram = [[Fraction(0)] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1):
-            gram[i][j] = gram[j][i] = draw(small)
+            gram[i][j] = gram[j][i] = draw(values)
     index = st.integers(0, dim - 1)
-    sparse = st.lists(st.tuples(index, small), max_size=dim)
+    sparse = st.lists(st.tuples(index, values), max_size=dim)
     leaves = st.one_of(
         sparse.map(FockOperator.creation),
         sparse.map(FockOperator.annihilation),
-        st.lists(st.lists(small, min_size=dim, max_size=dim),
+        st.lists(st.lists(values, min_size=dim, max_size=dim),
                  min_size=dim, max_size=dim).map(FockOperator.gauge),
-        st.lists(small, max_size=3).map(QScalar.exact).map(FockOperator.scalar),
-        small.map(lambda c: FockOperator("rational_scalar", c)))
+        st.lists(values, max_size=3).map(QScalar.exact).map(FockOperator.scalar),
+        values.map(lambda c: FockOperator("rational_scalar", c)))
+    nonzero = values.filter(bool)
+    spread = st.lists(nonzero, min_size=2, max_size=3).map(QScalar.exact)
     trees = st.recursive(leaves, lambda kids: st.one_of(
         st.lists(kids, max_size=3).map(lambda ops: FockOperator("sum", None, tuple(ops))),
         st.lists(kids, min_size=2, max_size=4).map(
             lambda ops: FockOperator("compose", None, tuple(ops))),
-        st.tuples(kids, kids, small).map(cancelling)), max_leaves=max_leaves)
+        st.tuples(kids, kids, values).map(cancelling),
+        *([st.tuples(spread, kids).map(
+            lambda p: node("compose", FockOperator.scalar(p[0]), p[1]))] if polys else [])),
+        max_leaves=max_leaves)
     words = st.lists(index, max_size=MAX_WORD).map(tuple)
-    return gram, trees, st.lists(st.tuples(words, small), max_size=5)
+    coeffs = st.lists(values, min_size=1, max_size=3 if polys else 1)
+    return gram, trees, st.lists(st.tuples(words, coeffs), max_size=5)
 
 
 @st.composite
@@ -136,12 +156,13 @@ def cases(draw):
 
 
 def vector(space, depth, terms):
-    """The Fock vector of terms, and the same vector in the reference form."""
+    """The Fock vector of terms, (word, coefficients in increasing powers
+    of q) pairs, and the same vector in the reference form."""
     v = FockVector(space, depth)
     ref = {}
-    for w, c in terms:
-        v.add_term(w, EXACT.of(c))
-        v_add(ref, w, {0: c})
+    for w, cs in terms:
+        v.add_term(w, QScalar.exact(cs))
+        v_add(ref, w, {k: c for k, c in enumerate(cs) if c})
     assert as_polys(v) == ref
     return v, ref
 
@@ -154,7 +175,27 @@ def test_apply_matches_word_by_word_reference(case):
     v, ref = vector(space, MAX_WORD + creation_height(op), terms)
     got = apply(op, v)
     assert as_polys(got) == ref_apply(op, ref, gram)
-    assert all(not c.is_zero for c in got.terms.values())
+    assert_canonical(got)
+
+
+@st.composite
+def mixed_cases(draw):
+    gram, trees, vectors = draw(spaces(values=mixed, polys=True))
+    return gram, draw(trees), draw(vectors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_cases())
+def test_mixed_denominators_match_reference_and_stay_canonical(case):
+    """Payloads, scalars and vector coefficients over denominators built
+    from 2, 3, 5 and 7, polynomial vector coefficients, and compositions
+    scaled by polynomials with several powers of q."""
+    gram, op, terms = case
+    space = OneParticleSpace(len(gram), gram, EXACT)
+    v, ref = vector(space, MAX_WORD + creation_height(op), terms)
+    got = apply(op, v)
+    assert as_polys(got) == ref_apply(op, ref, gram)
+    assert_canonical(got)
 
 
 def node(kind, *ops):
@@ -204,7 +245,7 @@ def test_shared_nodes_match_reference(case):
         v, ref = vector(space, depth, terms)
         got = apply(op, v)
         assert as_polys(got) == ref_apply(op, ref, gram)
-        assert all(not c.is_zero for c in got.terms.values())
+        assert_canonical(got)
 
 
 def test_shared_sum_cancels_to_zero():

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from qfock.errors import UsageError
 from qfock.partitions import (ExtendedPartition, SetPartition,
-                              enumerate_partitions, index_tuples, rc, rc_plain)
+                              enumerate_partitions, index_tuples, rc)
 from sn_oracle import inversions
-from stpi_forms import classify
+from stpi_forms import classify, rc_plain
 
 P = SetPartition.of
 EP = ExtendedPartition.of

@@ -7,6 +7,7 @@ and the weights on the diagonal for a point set.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,12 +137,19 @@ def test_gram_rows_follow_blocks():
 
 @settings(max_examples=60, deadline=None)
 @given(grams(), st.data(), st.sampled_from(RINGS))
-def test_pair_scalars_memoises_pair_row(gram, data, ring):
+def test_annihilation_payload_is_pair_row_over_one_denominator(gram, data, ring):
+    """An annihilation keeps, per space, its pairing row as int numerators
+    over their least common denominator, built on first use and reused."""
     space = OneParticleSpace(len(gram), gram, ring)
     zeta = sparse_vector(data.draw(vectors(len(gram))))
-    row = space.pair_scalars(zeta)
-    assert row == {i: ring.of(g) for i, g in space.pair_row(zeta).items()}
-    assert space.pair_scalars(zeta) is row
+    op = FockOperator.annihilation(zeta)
+    v = FockVector.basis_word(space, DEPTH, (0,))
+    apply(op, v)
+    den, row = op.payloads[space.key]
+    assert {i: Fraction(g, den) for i, g in row.items()} == space.pair_row(zeta)
+    assert gcd(den, *row.values()) == 1
+    apply(op, v)
+    assert op.payloads[space.key][1] is row
 
 
 def dense_rows(gram):

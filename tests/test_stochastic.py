@@ -7,7 +7,7 @@ from qfock.cli import shipped_experiments
 from qfock.errors import ResourceBudgetError, UsageError
 from qfock.fock import FockOperator, FockVector, apply, innerq
 from qfock.model import MomentSequence, ProcessModel, TimeGrid
-from qfock.partitions import SetPartition, enumerate_partitions
+from qfock.partitions import SetPartition, enumerate_partitions, index_tuples
 from qfock.qscalar import EXACT, QScalar, ScalarRing, q_fact
 from qfock.stochastic import (AdaptedProcess, BiProcess, StepFunction,
                               biprocess_inner, biprocess_integral,
@@ -16,6 +16,7 @@ from qfock.stochastic import (AdaptedProcess, BiProcess, StepFunction,
                               l2q_inner, multiple_integral,
                               power_decomposition, st_pi_closed,
                               st_pi_convergence, st_pi_corollary_form,
+                              st_pi_discrete,
                               two_sided_closed, two_sided_defect_vector,
                               two_sided_discrete, x_process)
 from qfock.wick import WickElement, vacuum_vector, word_vector
@@ -192,6 +193,21 @@ class TestStochasticMeasures:
 
     def test_power_decomposition_partial_time(self, model):
         assert power_decomposition(3, F(1, 2), model).exact
+
+    @pytest.mark.parametrize("n_atoms", range(1, 6))
+    def test_discrete_trie_equals_flat_sum(self, n_atoms):
+        """The prefix trie of st_pi_discrete applies to Omega as the sum,
+        over each index tuple, of its own product of fields."""
+        m = two_point(n_atoms=n_atoms, cutoff=4, depth=4)
+        om = vacuum_vector(m)
+        atoms = m.grid.prefix(1)
+        for n in range(1, 5):
+            for pi in enumerate_partitions(n):
+                flat = FockVector(m.space, m.fock_depth)
+                for tup in index_tuples(n_atoms, pi):
+                    word = [m.atom_letter(atoms[v - 1], 1).field() for v in tup]
+                    flat = flat + apply(FockOperator.compose(word), om)
+                assert apply(st_pi_discrete(pi, 1, m), om) == flat, str(pi)
 
     def test_gaussian_specialization(self):
         m = gaussian()

@@ -14,12 +14,13 @@ from qfock.errors import ResourceBudgetError, UsageError
 from qfock.fock import FockOperator, FockVector, apply
 from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
                          TimeGrid, letter_pair)
-from qfock.partitions import enumerate_partitions, rc_plain
+from qfock.partitions import enumerate_partitions
 from qfock.qscalar import EXACT, QScalar, ScalarRing
 from qfock.wick import (WickElement, expansion_ledger, expansion_operator,
                         product_expansion, vacuum_expectation,
                         vacuum_moment, vacuum_vector, wick_operator,
                         word_vector)
+from stpi_forms import rc_plain
 
 F = Fraction
 
