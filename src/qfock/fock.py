@@ -6,12 +6,13 @@ creation, annihilation, gauge, ring scalar, rational scalar, sum and
 composition.  The empty sum is the zero operator.  Exact identities apply
 the tree to vectors by one recursive kernel (`apply`) that accumulates each
 node's image into an integer image its caller passes down, folding the
-scalar operands of a composition into one factor.  An integer image is one
-positive int denominator and, per word, a list of int numerators, one per
-power of q; each output word becomes a canonical QScalar once, when `apply`
-returns.  Words are range-checked only where they enter from outside
-(`basis_word`, the `terms` argument, `add_term`), and each leaf payload once
-per node and space, so the words that `apply` derives are not checked again.
+scalar operands of a composition into one factor.  An integer image
+(`qscalar.IntImage`) is one positive int denominator and, per word, a list
+of int numerators, one per power of q; each output word becomes a canonical
+QScalar once, when `apply` returns.  Words are range-checked only where they
+enter from outside (`basis_word`, the `terms` argument, `add_term`), and each
+leaf payload once per node and space, so the words that `apply` derives are
+not checked again.
 Operator trees are DAGs (Wick operators and fields are shared nodes), and
 one call of `apply` computes the image of its input under a shared node
 once: a factor that acts first in a composition, or a sum from its second
@@ -52,12 +53,12 @@ from dataclasses import dataclass, field
 from functools import reduce
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
-from typing import Iterable, Sequence
+from math import gcd
+from typing import Sequence
 
 from .errors import DepthExceededError, ResourceBudgetError, UsageError
-from .qscalar import (QScalar, ScalarRing, _as_fraction, _monomial, _poly,
-                      accumulate, add_scaled)
+from .qscalar import (IntImage, QScalar, ScalarRing, accumulate, add_scaled,
+                      addmul, int_numerators)
 
 PN_CAP = 9
 NORM_WORD_CAP = 2048
@@ -493,92 +494,14 @@ def _scalar_factor(op: FockOperator, ring: ScalarRing) -> QScalar:
     return op.payload
 
 
-class _Image:
-    """An operator image inside `apply`: one positive int denominator and,
-    per word, a mutable list of int numerators, one per power of q.  Lists
-    may hold trailing zeros or be all zero until `apply` returns."""
-
-    __slots__ = ("den", "terms")
-
-    def __init__(self, den: int = 1, terms: dict[Word, list[int]] | None = None):
-        self.den = den
-        self.terms = {} if terms is None else terms
-
-    def join(self, d: int) -> int:
-        """Put the image over lcm(den, d), rescaling its numerators if that
-        grows den; returns den // d, the multiplier of a term over d."""
-        den = self.den
-        if den % d:
-            grow = d // gcd(den, d)
-            for num in self.terms.values():
-                if len(num) == 1:  # the common case, without a loop
-                    num[0] *= grow
-                else:
-                    for j, x in enumerate(num):
-                        num[j] = x * grow
-            den = self.den = den * grow
-        return den // d
-
-    def prune(self) -> "_Image":
-        """Drop the words whose numerators are all zero."""
-        self.terms = {w: num for w, num in self.terms.items() if any(num)}
-        return self
-
-
-def _addmul(terms: dict[Word, list[int]], u: Word, num: list[int], z: int,
-            s: int) -> None:
-    """terms[u] += z q^s num, on numerator lists over one denominator; num is
-    read, never kept."""
-    # a constant num, the common case, goes without a loop
-    acc = terms.get(u)
-    if acc is None:
-        acc = [num[0] * z] if len(num) == 1 else [x * z for x in num]
-        terms[u] = [0] * s + acc if s else acc
-        return
-    short = s + len(num) - len(acc)
-    if short > 0:
-        acc += [0] * short
-    if len(num) == 1:
-        acc[s] += num[0] * z
-    else:
-        for j, x in enumerate(num, s):
-            acc[j] += x * z
-
-
-def _add_image(out: _Image, img: _Image, factor: QScalar | None) -> None:
-    """out += factor * img, factor None meaning 1: each power of q in the
-    factor is a multiplier and a shift, so a polynomial factor is convolved
-    with each word's numerators once."""
-    if not img.terms:
-        return
-    if factor is None:
-        mono, df = ((0, 1),), 1
-    else:
-        mono, df = [(s, y) for s, y in enumerate(factor.num) if y], factor.den
-        if not mono:
-            return
-    m = out.join(img.den * df)
-    terms = out.terms
-    for s, y in mono:
-        y *= m
-        for w, num in img.terms.items():
-            _addmul(terms, w, num, y, s)
-
-
-def _ints(values: Iterable[Fraction]) -> tuple[int, list[int]]:
-    """Rationals as int numerators over their least common denominator."""
-    values = [_as_fraction(x) for x in values]
-    den = lcm(*(x.denominator for x in values))
-    return den, [x.numerator * (den // x.denominator) for x in values]
-
-
 def apply(op: FockOperator, v: FockVector) -> FockVector:
     """Apply an operator tree to a vector; a creation past the depth is a
     DepthExceededError.
 
     One recursive kernel accumulates factor * node(image) into an integer
-    image out that its caller passes down: one int denominator and, per
-    word, a list of int numerators, one per power of q.  A sum hands out to
+    image out (a `qscalar.IntImage`) that its caller passes down: one int
+    denominator and, per word, a list of int numerators, one per power of
+    q.  A sum hands out to
     each operand, and a composition folds its scalar operands into factor,
     which the factor acting last applies.  A monomial factor y q^s / d
     reaches the leaves as a multiplier y and a shift s; a general polynomial
@@ -608,28 +531,26 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
     the memo.
     """
     sp, ring, depth, key = v.space, v.space.ring, v.depth, v.space.key
-    vden = lcm(*(c.den for c in v.terms.values()))
-    vimg = _Image(vden, {w: [x * (vden // c.den) for x in c.num]
-                         for w, c in v.terms.items()})
+    vimg = IntImage.of(v.terms)
     # by node id, on vimg: the image of each factor that acts first in a
     # composition, and of each sum used twice; None marks a sum used once
-    memo: dict[int, _Image | None] = {}
+    memo: dict[int, IntImage | None] = {}
 
-    def image(op: FockOperator, src: _Image) -> _Image:
-        img = _Image()
+    def image(op: FockOperator, src: IntImage) -> IntImage:
+        img = IntImage()
         into(op, src, img, None)
         return img.prune()
 
-    def into(op: FockOperator, src: _Image, out: _Image,
+    def into(op: FockOperator, src: IntImage, out: IntImage,
              factor: QScalar | None) -> None:
         # factor None means 1, and is never zero
         kind = op.kind
         if kind == "scalar" or kind == "rational_scalar":
             c = _scalar_factor(op, ring)
-            _add_image(out, src, c if factor is None else factor * c)
+            out.add(src, c if factor is None else factor * c)
             return
-        if factor is not None and not _monomial(factor.num):
-            _add_image(out, image(op, src), factor)
+        if factor is not None and not factor.is_monomial:
+            out.add(image(op, src), factor)
             return
         if kind == "sum":
             if src is vimg:
@@ -637,11 +558,11 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
                 if node in memo:
                     img = memo[node]
                     if img is None:
-                        img = memo[node] = _Image()
+                        img = memo[node] = IntImage()
                         for sub in op.operands:
                             into(sub, src, img, None)
                         img.prune()
-                    _add_image(out, img, factor)
+                    out.add(img, factor)
                     return
                 memo[node] = None
             for sub in op.operands:
@@ -658,7 +579,7 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
             if factor is not None and factor.is_zero:
                 return
             if not factors:
-                _add_image(out, src, factor)
+                out.add(src, factor)
                 return
             for sub in reversed(factors[1:]):
                 nxt = memo.get(id(sub)) if src is vimg else None
@@ -682,7 +603,7 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
                 zeta = op.payload
                 if zeta and (zeta[0][0] < 0 or zeta[-1][0] >= sp.dim):
                     raise UsageError(f"creation index out of range in {zeta}")
-                den, nums = _ints(x for _, x in zeta)
+                den, nums = int_numerators(x for _, x in zeta)
                 pay = op.payloads[key] = den, [(i, z) for (i, _), z in zip(zeta, nums)]
             if not src.terms:
                 return
@@ -695,13 +616,13 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
                     raise DepthExceededError(
                         f"creation on a degree-{len(w)} word exceeds depth {depth}")
                 for i, z in zeta:
-                    _addmul(terms, (i,) + w, num, z, s)
+                    addmul(terms, (i,) + w, num, z, s)
             return
         if kind == "annihilation":
             pay = op.payloads.get(key)
             if pay is None:
                 row = sp.pair_row(op.payload)
-                den, nums = _ints(row.values())
+                den, nums = int_numerators(row.values())
                 pay = op.payloads[key] = den, dict(zip(row, nums))
             if not src.terms:
                 return
@@ -713,7 +634,7 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
                 for k, i in enumerate(w):
                     g = row.get(i)
                     if g is not None:
-                        _addmul(terms, w[:k] + w[k + 1:], num, g, s + k)
+                        addmul(terms, w[:k] + w[k + 1:], num, g, s + k)
             return
         gauge: Gauge = op.payload  # the one kind left
         # [den, {i: column i as (j, numerator) over den}], checked against sp
@@ -727,7 +648,7 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
                 col = [(j, x) for j, x in gauge.column(i) if x]
                 if any(not 0 <= j < sp.dim for j, _ in col):
                     raise UsageError(f"gauge column {i} has an index out of range")
-                den, nums = _ints(x for _, x in col)
+                den, nums = int_numerators(x for _, x in col)
                 grow = den // gcd(pay[0], den)
                 if grow != 1:
                     for c in cols.values():
@@ -744,23 +665,11 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
             for k, i in enumerate(w):
                 rest = w[:k] + w[k + 1:]
                 for j, x in cols[i]:
-                    _addmul(terms, (j,) + rest, num, x, s + k)
+                    addmul(terms, (j,) + rest, num, x, s + k)
 
-    out = _Image()
+    out = IntImage()
     into(op, vimg, out, None)
-    den = out.den
-    terms: dict[Word, QScalar] = {}
-    # by numerators: images repeat few values over many words, and equal
-    # coefficients may share one immutable scalar
-    made: dict[object, QScalar] = {}
-    for w, num in out.terms.items():
-        key = num[0] if len(num) == 1 else tuple(num)
-        c = made.get(key)
-        if c is None:
-            c = made[key] = _poly(num, den)
-        if c.num:
-            terms[w] = c
-    return FockVector._of(sp, depth, terms)
+    return FockVector._of(sp, depth, out.scalars())
 
 
 def adjoint(op: FockOperator, space: OneParticleSpace) -> FockOperator:

@@ -8,6 +8,12 @@ polynomials have equal (num, den).  Add, multiply and negate are integer
 convolutions with at most one gcd per result; `coeffs` is a read-only view of
 the coefficients as Fractions.
 
+A sparse combination {key: scalar} has two forms.  `accumulate` and
+`add_scaled` keep it canonical after every term and never store a zero.
+`IntImage` keeps it open while many terms accumulate, as int numerator
+lists over one shared denominator, and makes each coefficient canonical
+once, at the end; `fock.apply` builds every image this way.
+
 A ring may carry a rational evaluation point q0 in (-1, 1).  It changes no
 arithmetic: refinement errors, `moments --q` and norm estimates compute in
 Q[q] (or, for norms, from the exact operator tree) and evaluate at q0 once.
@@ -66,14 +72,18 @@ class QScalar:
 
     @staticmethod
     def exact(coeffs: Iterable[RationalLike]) -> "QScalar":
-        fracs = [_as_fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in fracs))
-        return _poly([c.numerator * (den // c.denominator) for c in fracs], den)
+        den, num = int_numerators(coeffs)
+        return _poly(num, den)
 
     @property
     def is_exact(self) -> bool:
         """Always True: every scalar is a polynomial in Q[q]."""
         return True
+
+    @property
+    def is_monomial(self) -> bool:
+        """True for a nonzero y q^k / d, a nonzero constant among them."""
+        return _monomial(self.num)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -252,6 +262,108 @@ def add_scaled(terms: dict, other: dict, c: QScalar | None = None) -> dict:
         for key, x in other.items():
             accumulate(terms, key, x * c)
     return terms
+
+
+def int_numerators(values: Iterable[RationalLike]) -> tuple[int, list[int]]:
+    """Rationals as int numerators over their least common denominator."""
+    fracs = [_as_fraction(x) for x in values]
+    den = lcm(*(x.denominator for x in fracs))
+    return den, [x.numerator * (den // x.denominator) for x in fracs]
+
+
+def addmul(terms: dict, key, num: list[int], z: int, s: int) -> None:
+    """terms[key] += z q^s num, on the numerator lists of one IntImage; num
+    is read, never kept."""
+    # a constant num goes without a loop: in `fock.apply` a shift carries
+    # each power of q, and 94% of the calls on `verify` and all on `refine`
+    # pass one numerator
+    acc = terms.get(key)
+    if acc is None:
+        acc = [num[0] * z] if len(num) == 1 else [x * z for x in num]
+        terms[key] = [0] * s + acc if s else acc
+        return
+    short = s + len(num) - len(acc)
+    if short > 0:
+        acc += [0] * short
+    if len(num) == 1:
+        acc[s] += num[0] * z
+    else:
+        for j, x in enumerate(num, s):
+            acc[j] += x * z
+
+
+class IntImage:
+    """A sparse combination of Q[q] scalars kept open while many terms
+    accumulate into it: one positive int denominator and, per key, a mutable
+    list of int numerators, one per power of q.  Its lists may hold trailing
+    zeros or be all zero; `scalars` makes each canonical once.  Terms over
+    another denominator d enter through `join`, which returns their
+    multiplier, and `addmul`."""
+
+    __slots__ = ("den", "terms")
+
+    def __init__(self, den: int = 1, terms: dict | None = None):
+        self.den = den
+        self.terms = {} if terms is None else terms
+
+    @staticmethod
+    def of(terms: dict) -> "IntImage":
+        """The image of a sparse combination {key: QScalar}."""
+        den = lcm(*(c.den for c in terms.values()))
+        return IntImage(den, {key: [x * (den // c.den) for x in c.num]
+                              for key, c in terms.items()})
+
+    def join(self, d: int) -> int:
+        """Put the image over lcm(den, d), rescaling its numerators if that
+        grows den; returns den // d, the multiplier of a term over d."""
+        den = self.den
+        if den % d:
+            grow = d // gcd(den, d)
+            for num in self.terms.values():
+                for j, x in enumerate(num):
+                    num[j] = x * grow
+            den = self.den = den * grow
+        return den // d
+
+    def prune(self) -> "IntImage":
+        """Drop the keys whose numerators are all zero."""
+        self.terms = {key: num for key, num in self.terms.items() if any(num)}
+        return self
+
+    def add(self, other: "IntImage", c: QScalar | None = None) -> None:
+        """self += c * other, c None meaning 1: each power of q in c is a
+        multiplier and a shift, so a polynomial c is convolved with each
+        key's numerators once."""
+        if not other.terms:
+            return
+        if c is None:
+            mono, dc = ((0, 1),), 1
+        else:
+            mono, dc = [(s, y) for s, y in enumerate(c.num) if y], c.den
+            if not mono:
+                return
+        m = self.join(other.den * dc)
+        terms = self.terms
+        for s, y in mono:
+            y *= m
+            for key, num in other.terms.items():
+                addmul(terms, key, num, y, s)
+
+    def scalars(self) -> dict:
+        """The combination as {key: canonical QScalar}, without zeros: one
+        gcd per distinct numerator list, and equal coefficients share one
+        immutable scalar."""
+        den = self.den
+        out = {}
+        made: dict[tuple[int, ...], QScalar] = {}
+        for key, num in self.terms.items():
+            nums = tuple(num)
+            c = made.get(nums)
+            if c is None:
+                c = made[nums] = _poly(num, den)
+            if c.num:
+                out[key] = c
+        return out
 
 
 class ScalarRing:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qfock.errors import UsageError
-from qfock.qscalar import EXACT, QScalar, ScalarRing, q_fact, q_fact_ratio, q_int
+from qfock.qscalar import (EXACT, IntImage, QScalar, ScalarRing, accumulate, add_scaled,
+                           addmul, q_fact, q_fact_ratio, q_int)
 from sn_oracle import inversions, sym_group
 
 
@@ -194,6 +195,50 @@ class TestAgainstFractionOracle:
         for c in reversed(o_trim(a)):
             exact_v = exact_v * q0 + c
         assert s.subs(q0) == exact_v
+
+
+combinations = st.dictionaries(st.integers(0, 4), coeff_lists.map(QScalar.exact),
+                               max_size=4)
+
+
+class TestIntImage:
+    """The open form of a sparse combination against the canonical one."""
+
+    @given(combinations,
+           st.lists(st.tuples(combinations, st.none() | coeff_lists.map(QScalar.exact)),
+                    max_size=4),
+           st.lists(st.tuples(st.integers(0, 4), coeff_lists, st.integers(-6, 6),
+                              st.integers(1, 12), st.integers(0, 3)), max_size=4))
+    def test_matches_add_scaled(self, base, sums, terms):
+        want = add_scaled({}, base)
+        img = IntImage.of(base)
+        for other, c in sums:
+            add_scaled(want, other, c)
+            img.add(IntImage.of(other), c)
+        # one term z q^s c / d at a time: join for its denominator, then addmul
+        for key, a, z, d, s in terms:
+            c = QScalar.exact(a)
+            accumulate(want, key, c * QScalar.exact([0] * s + [Fraction(z, d)]))
+            m = img.join(c.den * d)
+            addmul(img.terms, key, list(c.num), z * m, s)
+        got = img.scalars()
+        assert got == want
+        for x in got.values():
+            assert_canonical(x)
+            assert x.num
+
+    def test_join_rescales_and_returns_multiplier(self):
+        img = IntImage.of({0: QScalar.exact([Fraction(1, 4), Fraction(1, 2)])})
+        assert (img.den, img.terms) == (4, {0: [1, 2]})
+        assert img.join(2) == 2 and img.den == 4
+        assert img.join(6) == 2 and (img.den, img.terms) == (12, {0: [3, 6]})
+
+    def test_cancelled_keys_dropped(self):
+        img = IntImage.of({0: EXACT.one(), 1: EXACT.q()})
+        img.add(IntImage.of({0: EXACT.one()}), EXACT.of(-1))
+        assert img.terms[0] == [0]
+        assert img.scalars() == {1: EXACT.q()}
+        assert img.prune().terms == {1: [0, 1]}
 
 
 def test_q_pow_memoised():
