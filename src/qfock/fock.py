@@ -2,14 +2,14 @@
 
 Vectors are graded finite combinations of tensor words over a one-particle
 basis; operators are lazy expression trees over a closed set of node kinds:
-creation, annihilation, gauge, ring scalar, rational scalar, sum and
-composition.  The empty sum is the zero operator.  Exact identities apply
-the tree to vectors by one recursive kernel (`apply`) that accumulates each
-node's image into an integer image its caller passes down, folding the
-scalar operands of a composition into one factor.  An integer image
-(`qscalar.IntImage`) is one positive int denominator and, per word, a list
-of int numerators, one per power of q; each output word becomes a canonical
-QScalar once, when `apply` returns.  Words are range-checked only where they
+creation, annihilation, gauge, scalar, sum and composition.  The empty sum
+is the zero operator.  Exact identities apply the tree to vectors by one
+recursive kernel (`apply`) that accumulates each node's image into an
+integer image its caller passes down, folding the scalar operands of a
+composition into one factor.  An integer image (`qscalar.IntImage`) is one
+positive int denominator and, per word, a list of int numerators, one per
+power of q; each output word becomes a canonical QScalar once, when `apply`
+returns.  Words are range-checked only where they
 enter from outside (`basis_word`, the `terms` argument, `add_term`), and each
 leaf payload once per node and space, so the words that `apply` derives are
 not checked again.
@@ -27,21 +27,25 @@ One-particle vectors have one form, the sparse tuple of their nonzero
 (index, coeff) entries in index order (`SparseVector`).  Public constructors
 also accept a dense coefficient sequence and convert it once, on entry.  The
 gram form has one form too, its sparse rows, and is block-diagonal over its
-orthogonality classes; the space keeps its rows as ring scalars too, for
-`inner0`.  Each leaf node keeps, per space it is applied on, its payload as
-int numerators over one denominator: a creation its entries, an
-annihilation its pairing row {i: <zeta, e_i>} and a gauge the columns it has
-been asked for.  An annihilation or gauge acting on tensor slot k multiplies
-by q^k as a shift of k places in the numerator lists, not as a product.
+orthogonality classes; the space also keeps those rows as int numerators
+over one denominator, from which the pairings and `inner0` compute without
+building a Fraction or a ring scalar per term.  Each leaf node keeps, per
+space it is applied on, its payload as int numerators over one denominator:
+a creation its entries, an annihilation its pairing row {i: <zeta, e_i>}
+and a gauge the columns it has been asked for.  An annihilation or gauge
+acting on tensor slot k multiplies by q^k as a shift of k places in the
+numerator lists, not as a product.
 
 The q-inner product is <u, P_n v>_0 on degree n, P_n the q-symmetrizer
 sum_sigma q^{inv(sigma)} sigma; `innerq` is the one q-product, also of step
 functions (stochastic.l2q_inner).  P_n is built one way, by the
 Bozejko-Speicher factorisation P_n = (1 (x) P_{n-1}) R_n, where
 R_n = sum_k q^k C_k and C_k moves tensor slot k to the front.  `apply_Pn`
-applies it to sparse words in Q[q]; the float q-gram of a norm estimate
-takes it at q0 as n dense numpy products per degree, and the space keeps the
-Cholesky factor of each degree's block it has built.
+applies it to sparse words on an integer image, and `inner0` sums int
+products of gram entries; each makes its result canonical once.  The float
+q-gram of a norm estimate takes it at q0 as n dense numpy products per
+degree, and the space keeps the Cholesky factor of each degree's block it
+has built.
 
 Truncation overflow is always a hard error: identities are asserted only where
 the full result fits under the configured depth.
@@ -83,11 +87,14 @@ class OneParticleSpace:
 
     The gram form is kept only as its sparse rows, rows[j] = the nonzero
     (i, <e_j, e_i>); the constructor takes one row per basis index, dense or
-    sparse (see sparse_vector).  Entries are exact rationals; `scalar_rows`
-    holds the same rows as ring scalars, {i: <e_j, e_i>} per j.  The ring's
-    q0, if any, is where norm estimates evaluate.  Pairings take one-particle
-    vectors in sparse form; an annihilation node keeps its own pairing row,
-    in ints, per space it is applied on.
+    sparse (see sparse_vector).  Entries are exact rationals; `int_rows`
+    holds the same rows as int numerators over the one denominator
+    `gram_den`, {i: gram_den <e_j, e_i>} per j, built once here.  The
+    pairings and `inner0` compute on them and build Fractions or ring
+    scalars only for their results.  The ring's q0, if any, is where norm
+    estimates evaluate.  Pairings take one-particle vectors in sparse form;
+    an annihilation node keeps its own int pairing row (`pair_ints`) per
+    space it is applied on.
 
     The space owns one cache, freed with it: `pn_factors`, the lower
     Cholesky factors of the float q-gram blocks of `operator_norm_estimate`,
@@ -109,7 +116,9 @@ class OneParticleSpace:
         # operator nodes key what they keep per space by this, not by the
         # structural hash of the rows
         self.key = object()
-        self.scalar_rows = tuple({i: ring.of(g) for i, g in row} for row in self.rows)
+        self.gram_den, nums = int_numerators(g for row in self.rows for _, g in row)
+        nums = iter(nums)
+        self.int_rows = tuple({i: next(nums) for i, _ in row} for row in self.rows)
         self._classes = self._connected_classes()
         self.pn_factors: dict[int, object] = {}
 
@@ -117,23 +126,40 @@ class OneParticleSpace:
     def orthonormal(dim: int, ring: ScalarRing) -> "OneParticleSpace":
         return OneParticleSpace(dim, [((i, 1),) for i in range(dim)], ring)
 
-    def pair_row(self, zeta: SparseVector) -> dict[int, Fraction]:
-        """The nonzero pairings {i: <zeta, e_i>} of a sparse vector."""
-        row: dict[int, Fraction] = {}
-        for j, c in zeta:
+    def pair_ints(self, zeta: SparseVector) -> tuple[int, dict[int, int]]:
+        """The nonzero pairings {i: <zeta, e_i>} of a sparse vector as
+        (den, {i: numerator}), in lowest terms: gcd(den, *numerators) == 1."""
+        den, nums = int_numerators(c for _, c in zeta)
+        rows = self.int_rows
+        row: dict[int, int] = {}
+        for (j, _), z in zip(zeta, nums):
             if not 0 <= j < self.dim:
                 raise UsageError(f"basis index {j} out of range")
-            for i, g in self.rows[j]:
-                row[i] = row.get(i, 0) + c * g
-        return {i: g for i, g in row.items() if g}
+            for i, g in rows[j].items():
+                row[i] = row.get(i, 0) + z * g
+        row = {i: g for i, g in row.items() if g}
+        den *= self.gram_den
+        d = gcd(den, *row.values())
+        if d != 1:
+            den //= d
+            row = {i: g // d for i, g in row.items()}
+        return den, row
+
+    def pair_row(self, zeta: SparseVector) -> dict[int, Fraction]:
+        """The nonzero pairings {i: <zeta, e_i>} of a sparse vector."""
+        den, row = self.pair_ints(zeta)
+        return {i: Fraction(g, den) for i, g in row.items()}
 
     def pair(self, zeta: SparseVector, i: int) -> Fraction:
         """<zeta, e_i> under the gram form."""
         return self.pair_row(zeta).get(i, Fraction(0))
 
     def pair_vec(self, zeta: SparseVector, eta: SparseVector) -> Fraction:
-        row = self.pair_row(zeta)
-        return sum((c * row[i] for i, c in eta if i in row), Fraction(0))
+        """<zeta, eta> under the gram form."""
+        den, row = self.pair_ints(zeta)
+        de, nums = int_numerators(c for _, c in eta)
+        return Fraction(sum(z * row[i] for (i, _), z in zip(eta, nums) if i in row),
+                        den * de)
 
     def gram_classes(self) -> tuple[int, ...]:
         """Connected components of the gram nonzero graph: basis vectors in
@@ -266,33 +292,46 @@ def inner0(u: FockVector, v: FockVector) -> QScalar:
     """Degreewise product of gram pairings; cross-degree terms vanish.
 
     Words are bucketed by the gram-orthogonality classes of their slots, so
-    only potentially non-orthogonal pairs are multiplied out.  The pairings
-    of a word of u are summed over the words of v first, and then multiplied
-    by its coefficient once.
+    only potentially non-orthogonal pairs are multiplied out.  Everything is
+    int numerators: u and v each over one denominator, and a pairing of
+    degree-n words a product of n int gram entries over gram_den^n.  The
+    pairings of a word of u are summed over the words of v first, and then
+    multiplied by its coefficient once, into one numerator list per degree
+    n over den_u den_v gram_den^n.  The lists are put over the top degree's
+    denominator at the end, and make one canonical scalar.
     """
     u._check(v)
     sp = u.space
     cls = sp.gram_classes()
+    vimg = IntImage.of(v.terms)
     buckets: dict[tuple[int, ...], list] = {}
-    for w2, cv in v.terms.items():
+    for w2, cv in vimg.terms.items():
         buckets.setdefault(tuple(cls[i] for i in w2), []).append((w2, cv))
-    gram = sp.scalar_rows
-    total = sp.ring.zero()
-    for w, cu in u.terms.items():
-        acc = None
+    gram = sp.int_rows
+    uimg = IntImage.of(u.terms)
+    by_degree: dict[int, list[int]] = {}
+    for w, cu in uimg.terms.items():
+        acc: dict = {}  # the one numerator list under key None
         for w2, cv in buckets.get(tuple(cls[i] for i in w), ()):
-            g = None
+            g = 1
             for a, b in zip(w, w2):
                 x = gram[a].get(b)
                 if x is None:
                     break
-                g = x if g is None else g * x
+                g *= x
             else:
-                x = cv if g is None else cv * g
-                acc = x if acc is None else acc + x
-        if acc is not None:
-            total = total + cu * acc
-    return total
+                addmul(acc, None, cv, g, 0)
+        if acc:
+            for k, y in enumerate(cu):
+                if y:
+                    addmul(by_degree, len(w), acc[None], y, k)
+    if not by_degree:
+        return sp.ring.zero()
+    top, gd = max(by_degree), sp.gram_den
+    total: dict = {}
+    for n, num in by_degree.items():
+        addmul(total, None, num, gd ** (top - n), 0)
+    return QScalar.of_numerators(total[None], uimg.den * vimg.den * gd ** top)
 
 
 def apply_Pn(v: FockVector) -> FockVector:
@@ -301,29 +340,27 @@ def apply_Pn(v: FockVector) -> FockVector:
 
     Step s moves each slot k >= s of a word to place s, with weight q^{k-s},
     and collects equal words, so the work is bounded by the distinct
-    rearrangements of each word rather than by n!.  A word of length <= s+1
-    passes step s unchanged.  A degree above PN_CAP is refused up front.
+    rearrangements of each word rather than by n!.  The words' numerators
+    stay over v's one denominator (a `qscalar.IntImage`): a move is a shift
+    of k-s places, and each word becomes canonical once, at the end.  A
+    word of length <= s+1 passes step s unchanged.  A degree above PN_CAP
+    is refused up front.
     """
     top = v.top_degree()
     if top > PN_CAP:
         raise ResourceBudgetError(f"apply_Pn degree {top} exceeds cap {PN_CAP}")
-    qp = [v.space.ring.q_pow(k) for k in range(top)]
-    cur = v.terms
+    img = IntImage.of(v.terms)
     for s in range(top - 1):
-        nxt: dict[Word, QScalar] = {}
-        for w, c in cur.items():
+        nxt: dict[Word, list[int]] = {}
+        for w, num in img.terms.items():
             if len(w) <= s + 1:
-                nxt[w] = c  # no moved word has this length
+                nxt[w] = num  # no moved word has this length
                 continue
             head = w[:s]
             for k in range(s, len(w)):
-                u = head + w[k:k + 1] + w[s:k] + w[k + 1:]
-                x = c * qp[k - s] if k > s else c
-                prev = nxt.get(u)
-                nxt[u] = x if prev is None else prev + x
-        cur = nxt
-    return FockVector._of(v.space, v.depth,
-                          {w: c for w, c in cur.items() if not c.is_zero})
+                addmul(nxt, head + w[k:k + 1] + w[s:k] + w[k + 1:], num, 1, k - s)
+        img.terms = nxt
+    return FockVector._of(v.space, v.depth, img.scalars())
 
 
 def innerq(u: FockVector, v: FockVector) -> QScalar:
@@ -369,8 +406,8 @@ class DenseGauge(Gauge):
         return self.matrix
 
 
-_KINDS = frozenset(("creation", "annihilation", "gauge", "scalar",
-                    "rational_scalar", "sum", "compose"))
+_KINDS = frozenset(("creation", "annihilation", "gauge", "scalar", "sum",
+                    "compose"))
 
 
 @dataclass(frozen=True)
@@ -378,9 +415,8 @@ class FockOperator:
     """Lazy operator expression tree on the truncated Fock space."""
 
     # creation, annihilation: a sparse one-particle vector; gauge: a Gauge;
-    # scalar: a ring scalar; rational_scalar: a Fraction; sum, compose:
-    # operands, the rightmost factor acting first.  The empty sum is the zero
-    # operator.
+    # scalar: a QScalar; sum, compose: operands, the rightmost factor acting
+    # first.  The empty sum is the zero operator.
     kind: str
     payload: object = None
     operands: tuple["FockOperator", ...] = ()
@@ -464,7 +500,7 @@ class FockOperator:
     def scale_by(self, x) -> "FockOperator":
         """Scale by a rational."""
         return FockOperator("compose", None,
-                            (FockOperator("rational_scalar", Fraction(x)), self))
+                            (FockOperator.scalar(QScalar.exact((x,))), self))
 
 
 def field_operator(zeta: Sequence, gauge: Gauge | None,
@@ -485,13 +521,6 @@ def field_operator(zeta: Sequence, gauge: Gauge | None,
     if not parts:
         return FockOperator.scalar(ring.zero())
     return FockOperator.opsum(parts)
-
-
-def _scalar_factor(op: FockOperator, ring: ScalarRing) -> QScalar:
-    """The ring scalar of a scalar or rational_scalar node."""
-    if op.kind == "rational_scalar":
-        return ring.of(op.payload)
-    return op.payload
 
 
 def apply(op: FockOperator, v: FockVector) -> FockVector:
@@ -530,7 +559,7 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
     copy, and the errors a node raises come from its first use, as without
     the memo.
     """
-    sp, ring, depth, key = v.space, v.space.ring, v.depth, v.space.key
+    sp, depth, key = v.space, v.depth, v.space.key
     vimg = IntImage.of(v.terms)
     # by node id, on vimg: the image of each factor that acts first in a
     # composition, and of each sum used twice; None marks a sum used once
@@ -545,8 +574,8 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
              factor: QScalar | None) -> None:
         # factor None means 1, and is never zero
         kind = op.kind
-        if kind == "scalar" or kind == "rational_scalar":
-            c = _scalar_factor(op, ring)
+        if kind == "scalar":
+            c = op.payload
             out.add(src, c if factor is None else factor * c)
             return
         if factor is not None and not factor.is_monomial:
@@ -571,8 +600,8 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
         if kind == "compose":
             factors = []
             for sub in op.operands:
-                if sub.kind == "scalar" or sub.kind == "rational_scalar":
-                    c = _scalar_factor(sub, ring)
+                if sub.kind == "scalar":
+                    c = sub.payload
                     factor = c if factor is None else factor * c
                 else:
                     factors.append(sub)
@@ -621,9 +650,7 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
         if kind == "annihilation":
             pay = op.payloads.get(key)
             if pay is None:
-                row = sp.pair_row(op.payload)
-                den, nums = int_numerators(row.values())
-                pay = op.payloads[key] = den, dict(zip(row, nums))
+                pay = op.payloads[key] = sp.pair_ints(op.payload)
             if not src.terms:
                 return
             den, row = pay
@@ -679,7 +706,7 @@ def adjoint(op: FockOperator, space: OneParticleSpace) -> FockOperator:
     form must be nonsingular when gauges occur.
     """
     kind = op.kind
-    if kind in ("scalar", "rational_scalar"):
+    if kind == "scalar":
         return op
     if kind == "creation":
         return FockOperator.annihilation(op.payload)
@@ -824,11 +851,11 @@ def _compression(op: FockOperator, space: OneParticleSpace, depth: int):
         return out
 
     def scalar(op: FockOperator) -> float:
-        return float(_scalar_factor(op, ring).subs(ring.q0))
+        return float(op.payload.subs(ring.q0))
 
     def build(op: FockOperator):
         kind = op.kind
-        if kind == "scalar" or kind == "rational_scalar":
+        if kind == "scalar":
             return scalar(op) * np.eye(size)
         if kind == "sum":
             out = np.zeros((size, size))
@@ -838,7 +865,7 @@ def _compression(op: FockOperator, space: OneParticleSpace, depth: int):
         if kind == "compose":
             c, mats = 1.0, []
             for sub in op.operands:
-                if sub.kind == "scalar" or sub.kind == "rational_scalar":
+                if sub.kind == "scalar":
                     c *= scalar(sub)
                 else:
                     mats.append(build(sub))

@@ -12,7 +12,10 @@ A sparse combination {key: scalar} has two forms.  `accumulate` and
 `add_scaled` keep it canonical after every term and never store a zero.
 `IntImage` keeps it open while many terms accumulate, as int numerator
 lists over one shared denominator, and makes each coefficient canonical
-once, at the end; `fock.apply` builds every image this way.
+once, at the end; `fock.apply` builds every image this way, and the
+q-inner product (`fock.apply_Pn` and `fock.inner0`) computes on int
+numerators too, making one canonical scalar per result through
+`QScalar.of_numerators`.
 
 A ring may carry a rational evaluation point q0 in (-1, 1).  It changes no
 arithmetic: refinement errors, `moments --q` and norm estimates compute in
@@ -73,6 +76,12 @@ class QScalar:
     @staticmethod
     def exact(coeffs: Iterable[RationalLike]) -> "QScalar":
         den, num = int_numerators(coeffs)
+        return _poly(num, den)
+
+    @staticmethod
+    def of_numerators(num: list[int], den: int) -> "QScalar":
+        """The canonical scalar of int numerators, one per power of q, over a
+        positive den; num may hold trailing zeros and is consumed."""
         return _poly(num, den)
 
     @property
@@ -370,8 +379,7 @@ class ScalarRing:
     """Factory for scalars in Q[q], with an optional evaluation point q0 in
     (-1, 1) at which float results (refinement errors, `moments --q`, norm
     estimates) are read off; q0 None means none.  It keeps the powers of q
-    it has built, since `apply_Pn` and the Wick expansions ask for them per
-    word or term."""
+    it has built, since the Wick expansions ask for them per term."""
 
     def __init__(self, q0: RationalLike | None = None):
         self.q0 = None if q0 is None else _as_fraction(q0)

@@ -226,15 +226,25 @@ def st_pi_discrete(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
     return total(trie)
 
 
-def st_pi_closed(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
+def st_pi_closed(pi: SetPartition, t, model: ProcessModel,
+                 prefix: dict[int, Letter] | None = None) -> FockOperator:
     """St_pi(t) = Σ_{S ⊆ pi} q^{rc(S,pi)} R_{pi∖S}(t) W(⊗_{B∈S} prefix letter
-    of power |B|), with R_σ(t) = Π_{B∈σ} t r_{|B|}."""
+    of power |B|), with R_σ(t) = Π_{B∈σ} t r_{|B|}.
+
+    prefix maps a power k to the prefix letter of power k at t and is filled
+    in as needed; a caller that builds several closed forms at one t passes
+    one dict, so each letter is built once and the Wick cache meets the same
+    letter objects."""
     ring = model.ring
     t = Fraction(t)
     sizes = pi.block_sizes()
     if max(sizes) > model.degree_cutoff:
         raise UsageError("block size exceeds the degree cutoff")
-    prefix = {k: model.prefix_letter(t, k) for k in set(sizes)}
+    if prefix is None:
+        prefix = {}
+    for k in sizes:
+        if k not in prefix:
+            prefix[k] = model.prefix_letter(t, k)
     terms = []
     m = pi.size
     for mask in range(1 << m):
@@ -285,7 +295,8 @@ def power_decomposition(n: int, t, model: ProcessModel) -> PowerDecomposition:
     lhs = vacuum_vector(model)
     for _ in range(n):
         lhs = apply(x, lhs)
-    rhs = apply(FockOperator.opsum([st_pi_closed(pi, t, model)
+    prefix: dict[int, Letter] = {}
+    rhs = apply(FockOperator.opsum([st_pi_closed(pi, t, model, prefix)
                                     for pi in enumerate_partitions(n)]),
                 vacuum_vector(model))
     return PowerDecomposition(n, lhs, rhs)
@@ -329,9 +340,8 @@ def st_pi_convergence(pi: SetPartition, t,
         q0 = model.ring.q0
         if q0 is None:
             raise UsageError("convergence experiments need a model with a q0")
-        om = vacuum_vector(model)
-        diff = (apply(st_pi_discrete(pi, t, model), om)
-                - apply(st_pi_closed(pi, t, model), om))
+        diff = apply(st_pi_discrete(pi, t, model) - st_pi_closed(pi, t, model),
+                     vacuum_vector(model))
         err = innerq(diff, diff)
         rows.append(ConvergenceRow(n_atoms, float(model.grid.mesh()),
                                    abs(float(err.subs(q0))), err))

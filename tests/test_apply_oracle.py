@@ -60,8 +60,6 @@ def ref_apply(op, vec, gram):
     for w, c in vec.items():
         if kind == "scalar":
             v_add(out, w, p_mul(c, dict(enumerate(op.payload.coeffs))))
-        elif kind == "rational_scalar":
-            v_add(out, w, p_mul(c, {0: op.payload}))
         elif kind == "creation":
             for i, z in op.payload:
                 v_add(out, (i,) + w, p_mul(c, {0: z}))
@@ -106,10 +104,11 @@ mixed = st.builds(Fraction, st.integers(-6, 6),
 
 
 def cancelling(parts):
-    """c a + b - c a, the two copies of a scaled by the two scalar kinds."""
+    """c a + b - c a, the first copy of a scaled by `scale_by`, the second
+    by a scalar node of its own."""
     a, b, c = parts
     return FockOperator("sum", None, (
-        FockOperator("compose", None, (FockOperator("rational_scalar", c), a)),
+        a.scale_by(c),
         b,
         FockOperator("compose", None, (FockOperator.scalar(EXACT.of(-c)), a))))
 
@@ -133,7 +132,7 @@ def spaces(draw, max_leaves=6, values=small, polys=False):
         st.lists(st.lists(values, min_size=dim, max_size=dim),
                  min_size=dim, max_size=dim).map(FockOperator.gauge),
         st.lists(values, max_size=3).map(QScalar.exact).map(FockOperator.scalar),
-        values.map(lambda c: FockOperator("rational_scalar", c)))
+        values.map(lambda c: FockOperator.scalar(EXACT.of(c))))
     nonzero = values.filter(bool)
     spread = st.lists(nonzero, min_size=2, max_size=3).map(QScalar.exact)
     trees = st.recursive(leaves, lambda kids: st.one_of(
@@ -203,7 +202,7 @@ def node(kind, *ops):
 
 
 def scaled(c, op):
-    return node("compose", FockOperator("rational_scalar", c), op)
+    return op.scale_by(c)
 
 
 @st.composite

@@ -173,7 +173,9 @@ class TestOperators:
         ring = ScalarRing(Fraction(1, 2))
         sp = OneParticleSpace.orthonormal(2, ring)
         v = FockVector.vacuum(sp, 1)
-        out = apply(FockOperator.identity(ring).scale_by(Fraction(1, 3)), v)
+        op = FockOperator.identity(ring).scale_by(Fraction(1, 3))
+        assert op.operands[0] == FockOperator.scalar(ring.of(Fraction(1, 3)))
+        out = apply(op, v)
         assert out.vacuum_coefficient() == ring.of(Fraction(1, 3))
         assert float(out.vacuum_coefficient()) == pytest.approx(1 / 3)
 
@@ -262,7 +264,6 @@ def every_kind():
         "annihilation": FockOperator.annihilation(zeta),
         "gauge": gauge,
         "scalar": FockOperator.scalar(EXACT.of(Fraction(3, 2))),
-        "rational_scalar": FockOperator("rational_scalar", Fraction(-1, 3)),
         "sum": FockOperator("sum", None, (create, gauge)),
         "compose": FockOperator("compose", None, (gauge, create)),
     }
@@ -558,7 +559,7 @@ def compression_cases(draw):
         st.lists(vector, min_size=dim, max_size=dim).map(
             lambda t: FockOperator.gauge(DenseGauge(t))),
         small.map(lambda c: FockOperator.scalar(ring.of(c))),
-        small.map(lambda c: FockOperator("rational_scalar", c)))
+        small.map(lambda c: FockOperator.scalar(EXACT.of(c))))
     op = draw(st.recursive(leaves, lambda kids: st.one_of(
         st.lists(kids, max_size=3).map(lambda ops: FockOperator("sum", None, tuple(ops))),
         st.lists(kids, max_size=3).map(
@@ -578,7 +579,7 @@ def test_dense_compression_of_every_kind_pair():
               FockOperator.gauge([[Fraction(0), Fraction(1)],
                                   [Fraction(2), Fraction(1)]]),
               FockOperator.scalar(ring.of(Fraction(3, 2))),
-              FockOperator("rational_scalar", Fraction(-1, 3))]
+              FockOperator.scalar(EXACT.of(Fraction(-1, 3)))]
     for a in leaves:
         for b in leaves:
             op = a * b + b

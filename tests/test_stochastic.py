@@ -194,6 +194,29 @@ class TestStochasticMeasures:
     def test_power_decomposition_partial_time(self, model):
         assert power_decomposition(3, F(1, 2), model).exact
 
+    def test_power_decomposition_builds_each_prefix_letter_once(self, model,
+                                                                monkeypatch):
+        # every closed form goes through the module name st_pi_closed, and
+        # the prefix letter of each block size is built once per call
+        from qfock import stochastic
+        closed, built = [], []
+        real_closed, real_prefix = stochastic.st_pi_closed, model.prefix_letter
+
+        def st_pi_closed(pi, t, m, prefix=None):
+            closed.append(pi)
+            return real_closed(pi, t, m, prefix)
+
+        def prefix_letter(t, power=1):
+            built.append(power)
+            return real_prefix(t, power)
+
+        monkeypatch.setattr(stochastic, "st_pi_closed", st_pi_closed)
+        monkeypatch.setattr(model, "prefix_letter", prefix_letter)
+        assert power_decomposition(4, 1, model).exact
+        assert len(closed) == len(list(enumerate_partitions(4)))
+        # power 1 once for X(t) itself, and once per block size 1..4
+        assert sorted(built) == [1, 1, 2, 3, 4]
+
     @pytest.mark.parametrize("n_atoms", range(1, 6))
     def test_discrete_trie_equals_flat_sum(self, n_atoms):
         """The prefix trie of st_pi_discrete applies to Omega as the sum,
@@ -268,6 +291,21 @@ class TestStochasticMeasures:
                         for k, c in SQUARED_ERROR[label].items()), EXACT.zero())
             assert row.error == want, row.n_atoms
             assert row.l2_error == abs(float(want.subs(q0)))
+
+    @pytest.mark.parametrize("label", sorted(SQUARED_ERROR))
+    def test_error_of_one_apply_equals_error_of_two(self, label):
+        # st_pi_convergence applies discrete - closed to Omega once; its
+        # error is the squared q-norm of the two images taken apart
+        experiments = {e[0]: e for e in shipped_experiments()}
+        _, pi, factory, _ = experiments[label]
+        table = st_pi_convergence(pi, 1, factory, (1, 2, 3, 4), label)
+        assert [row.n_atoms for row in table.rows] == [1, 2, 3, 4]
+        for row in table.rows:
+            model = factory(row.n_atoms)
+            om = vacuum_vector(model)
+            d = (apply(st_pi_discrete(pi, 1, model), om)
+                 - apply(st_pi_closed(pi, 1, model), om))
+            assert row.error == innerq(d, d), row.n_atoms
 
 
 class TestChaosDecomposition:
