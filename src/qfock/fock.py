@@ -58,7 +58,7 @@ from functools import reduce
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DepthExceededError, ResourceBudgetError, UsageError
 from .qscalar import (IntImage, QScalar, ScalarRing, accumulate, add_scaled,

@@ -11,6 +11,10 @@ Two instances of one "letter" algebra drive everything downstream:
 
 A Letter bundles (one-particle vector, gauge action, mean) so that Wick
 recursion, product expansions and stochastic measures share one code path.
+In both algebras a letter's payload is its one-particle vector xi, in the
+one sparse form of `fock.SparseVector`; `Letter` adds, scales and compares
+payloads once for both, and each algebra keeps only what differs: its
+validating `letter` constructor, the product, gauge, mean and text.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import CutoffExceededError, DegeneracyError, UsageError
 from .fock import (FockOperator, Gauge, OneParticleSpace, SparseVector,
-                   _solve_matrix, field_operator)
+                   _solve_matrix, field_operator, sparse_vector)
 from .qscalar import ScalarRing
 
 Interval = tuple[Fraction, Fraction]
@@ -123,13 +127,16 @@ class TimeGrid:
 class Letter:
     """A generator symbol: one-particle vector + gauge action + mean.
 
-    The payload is a canonical hashable encoding interpreted by the algebra;
-    letters from different algebra instances never mix.
+    The payload is the letter's one-particle vector xi itself, a canonical
+    `SparseVector`: sorted (basis index, Fraction) pairs with no zero.  Sums,
+    scalings, equality and hashing act on it here, the same in every
+    algebra; the algebra supplies the product, gauge, mean and text.
+    Letters from different algebra instances never mix.
     """
 
     __slots__ = ("algebra", "payload")
 
-    def __init__(self, algebra, payload):
+    def __init__(self, algebra, payload: SparseVector):
         self.algebra = algebra
         self.payload = payload
 
@@ -157,13 +164,15 @@ class Letter:
 
     def __add__(self, other: "Letter") -> "Letter":
         self._check(other)
-        return Letter(self.algebra, self.algebra.add(self.payload, other.payload))
+        return Letter(self.algebra, sparse_vector(self.payload + other.payload))
 
     def __sub__(self, other: "Letter") -> "Letter":
         return self + other.scale(-1)
 
     def scale(self, c) -> "Letter":
-        return Letter(self.algebra, self.algebra.scale(self.payload, Fraction(c)))
+        c = Fraction(c)
+        return Letter(self.algebra,
+                      tuple((i, x * c) for i, x in self.payload) if c else ())
 
     @property
     def is_zero(self) -> bool:
@@ -196,26 +205,30 @@ class _ModelGauge(Gauge):
 
     symmetric = True  # multiplication by a real letter is gram-symmetric
 
-    def __init__(self, model: "ProcessModel", payload):
+    def __init__(self, model: "ProcessModel", payload: SparseVector):
         self.model = model
         self.payload = payload
 
     def column(self, i: int):
-        atom, power = self.model.atom_power(i)
-        for (a, k), c in self.payload:
+        model = self.model
+        atom, power = model.atom_power(i)
+        for j, c in self.payload:
+            a, k = model.atom_power(j)
             if a == atom:
-                if power + k > self.model.degree_cutoff:
+                if power + k > model.degree_cutoff:
                     raise CutoffExceededError(
                         f"monomial degree {power + k} exceeds cutoff "
-                        f"{self.model.degree_cutoff}")
-                yield self.model.basis_index(atom, power + k), c
+                        f"{model.degree_cutoff}")
+                yield i + k, c  # x_A^power * x_A^k = x_A^(power+k)
 
 
 class ProcessModel:
     """The grid discretization: basis e_{A,k} = x_A^k for atoms A and powers
     1 <= k <= degree_cutoff, gram <e_{A,j}, e_{B,k}> = delta_{AB} |A| r_{j+k}.
 
-    Letter payloads are sorted tuples of ((atom, power), coefficient).
+    `letter` takes {(atom, power): coefficient}; the payload it builds is the
+    sparse vector over basis_index(atom, power), which orders the entries by
+    atom and then by power.
     """
 
     def __init__(self, ring: ScalarRing, moments: MomentSequence, grid: TimeGrid,
@@ -259,13 +272,15 @@ class ProcessModel:
                 raise UsageError(f"atom index {a} out of range")
             if not 1 <= k <= self.degree_cutoff:
                 raise UsageError(f"power {k} outside 1..{self.degree_cutoff}")
-        payload = tuple(sorted((ak, Fraction(c)) for ak, c in items.items() if c))
-        return Letter(self, payload)
+        return Letter(self, sparse_vector(
+            (self.basis_index(a, k), c) for (a, k), c in items.items()))
 
-    def product(self, p1, p2):
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, k1), c1 in p1:
-            for (a2, k2), c2 in p2:
+    def product(self, p1: SparseVector, p2: SparseVector) -> SparseVector:
+        out: dict[int, Fraction] = {}
+        for i1, c1 in p1:
+            a1, k1 = self.atom_power(i1)
+            for i2, c2 in p2:
+                a2, k2 = self.atom_power(i2)
                 if a1 != a2:
                     continue  # disjoint atoms multiply to 0
                 k = k1 + k2
@@ -273,31 +288,22 @@ class ProcessModel:
                     raise CutoffExceededError(
                         f"letter product degree {k} exceeds cutoff "
                         f"{self.degree_cutoff}")
-                out[(a1, k)] = out.get((a1, k), Fraction(0)) + c1 * c2
-        return tuple(sorted((ak, c) for ak, c in out.items() if c))
+                # e_{A,k1} sits at i1, so e_{A,k1+k2} sits at i1 + k2
+                out[i1 + k2] = out.get(i1 + k2, Fraction(0)) + c1 * c2
+        return tuple(sorted((i, c) for i, c in out.items() if c))
 
-    def add(self, p1, p2):
-        out = dict(p1)
-        for ak, c in p2:
-            out[ak] = out.get(ak, Fraction(0)) + c
-        return tuple(sorted((ak, c) for ak, c in out.items() if c))
+    def xi(self, p: SparseVector) -> SparseVector:
+        return p
 
-    def scale(self, p, c: Fraction):
-        if not c:
-            return ()
-        return tuple((ak, cc * c) for ak, cc in p)
-
-    def xi(self, p) -> SparseVector:
-        return tuple((self.basis_index(a, k), c) for (a, k), c in p)
-
-    def gauge(self, p) -> Gauge | None:
+    def gauge(self, p: SparseVector) -> Gauge | None:
         return _ModelGauge(self, p) if p else None
 
-    def mean(self, p) -> Fraction:
+    def mean(self, p: SparseVector) -> Fraction:
         return Fraction(0)
 
-    def describe(self, p) -> str:
-        return " + ".join(f"{c}*x[A{a}]^{k}" for (a, k), c in p) or "0"
+    def describe(self, p: SparseVector) -> str:
+        terms = ((c, *self.atom_power(i)) for i, c in p)
+        return " + ".join(f"{c}*x[A{a}]^{k}" for c, a, k in terms) or "0"
 
     # -- convenience -------------------------------------------------------
 
@@ -342,17 +348,20 @@ def monic_op_coefficients(moments: MomentSequence, degree: int) -> tuple[Fractio
 class _DiagGauge(Gauge):
     symmetric = True  # pointwise multiplication, diagonal in the basis
 
-    def __init__(self, values):
-        self.values = values
+    def __init__(self, payload: SparseVector):
+        self.values = dict(payload)
 
     def column(self, i: int):
-        if self.values[i]:
+        if i in self.values:
             yield i, self.values[i]
 
 
 class WeightedPointAlgebra:
     """Functions on a finite weighted point set, with the weighted-l2 gram,
-    pointwise multiplication as gauge, and the weighted average as mean."""
+    pointwise multiplication as gauge, and the weighted average as mean.
+
+    `letter` takes the values at every point; the payload it builds is the
+    sparse vector of the nonzero values, indexed by point."""
 
     def __init__(self, points: Sequence, weights: Sequence, ring: ScalarRing,
                  fock_depth: int = 6):
@@ -376,38 +385,25 @@ class WeightedPointAlgebra:
         vals = tuple(Fraction(v) for v in values)
         if len(vals) != len(self.points):
             raise UsageError("function must assign a value to every point")
-        return Letter(self, vals if any(vals) else ())
+        return Letter(self, sparse_vector(vals))
 
-    def product(self, p1, p2):
-        if not p1 or not p2:
-            return ()
-        vals = tuple(a * b for a, b in zip(p1, p2))
-        return vals if any(vals) else ()
+    def product(self, p1: SparseVector, p2: SparseVector) -> SparseVector:
+        values = dict(p2)
+        return tuple((i, c * values[i]) for i, c in p1 if i in values)
 
-    def add(self, p1, p2):
-        p1 = p1 or (Fraction(0),) * len(self.points)
-        p2 = p2 or (Fraction(0),) * len(self.points)
-        vals = tuple(a + b for a, b in zip(p1, p2))
-        return vals if any(vals) else ()
+    def xi(self, p: SparseVector) -> SparseVector:
+        return p
 
-    def scale(self, p, c: Fraction):
-        if not p or not c:
-            return ()
-        return tuple(v * c for v in p)
-
-    def xi(self, p) -> SparseVector:
-        return tuple((i, v) for i, v in enumerate(p) if v)
-
-    def gauge(self, p) -> Gauge | None:
+    def gauge(self, p: SparseVector) -> Gauge | None:
         return _DiagGauge(p) if p else None
 
-    def mean(self, p) -> Fraction:
-        if not p:
-            return Fraction(0)
-        return sum((w * v for w, v in zip(self.weights, p)), Fraction(0))
+    def mean(self, p: SparseVector) -> Fraction:
+        return sum((self.weights[i] * v for i, v in p), Fraction(0))
 
-    def describe(self, p) -> str:
-        return str(tuple(map(str, p or (Fraction(0),) * len(self.points))))
+    def describe(self, p: SparseVector) -> str:
+        values = dict(p)
+        return str(tuple(str(values.get(i, Fraction(0)))
+                         for i in range(len(self.points))))
 
     # -- convenience -------------------------------------------------------
 
@@ -418,7 +414,7 @@ class WeightedPointAlgebra:
         return self.letter([int(j == i) for j in range(len(self.points))])
 
     def sup_norm(self, f: Letter) -> Fraction:
-        return max((abs(v) for v in f.payload), default=Fraction(0))
+        return max((abs(v) for _, v in f.payload), default=Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ A sparse combination {key: scalar} has two forms.  `accumulate` and
 `add_scaled` keep it canonical after every term and never store a zero.
 `IntImage` keeps it open while many terms accumulate, as int numerator
 lists over one shared denominator, and makes each coefficient canonical
-once, at the end; `fock.apply` builds every image this way, and the
+once, at the end; `fock.apply` builds every image this way, the
 q-inner product (`fock.apply_Pn` and `fock.inner0`) computes on int
 numerators too, making one canonical scalar per result through
-`QScalar.of_numerators`.
+`QScalar.of_numerators`, and `wick.vacuum_moment` keeps the arc states of
+each position as one IntImage.
 
 A ring may carry a rational evaluation point q0 in (-1, 1).  It changes no
 arithmetic: refinement errors, `moments --q` and norm estimates compute in
@@ -194,12 +195,6 @@ class QScalar:
         for x in reversed(self.num):
             v = v * q0 + x
         return v / self.den
-
-    def as_fraction(self) -> Fraction:
-        """The value of a constant scalar."""
-        if len(self.num) > 1:
-            raise UsageError(f"not a constant: {self}")
-        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
     def __float__(self) -> float:
         if len(self.num) > 1:

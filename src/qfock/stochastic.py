@@ -99,25 +99,27 @@ def l2q_inner(f: StepFunction, g: StepFunction) -> QScalar:
 
 
 class ProcessFamily:
-    """One integrator process: a letter per atom, plus a deterministic drift
-    rate (nonzero only for the diagonal measures Delta_k)."""
+    """One integrator process: on each atom A the letter
+    Σ_k coeffs[k] x_A^k, plus a deterministic drift rate (nonzero only for
+    the diagonal measures Delta_k)."""
 
     def __init__(self, model: ProcessModel, label: str,
-                 letter_fn: Callable[[int], Letter], drift_rate: Fraction):
+                 coeffs: dict[int, Fraction], drift_rate: Fraction):
         self.model = model
         self.label = label
-        self._letter_fn = letter_fn
+        self.coeffs = coeffs
         self.drift_rate = drift_rate
 
+    def _letter_on(self, atoms: Sequence[int]) -> Letter:
+        return self.model.letter({(a, k): c for a in atoms
+                                  for k, c in self.coeffs.items()})
+
     def letter(self, atom: int) -> Letter:
-        return self._letter_fn(atom)
+        return self._letter_on((atom,))
 
     def interval_letter(self, interval: Interval) -> Letter:
-        """The sum of the atom letters over the grid atoms of [a, b)."""
-        out = self.model.letter({})
-        for a in self.model.grid.atoms_in(interval):
-            out = out + self.letter(a)
-        return out
+        """The letter of the process on the grid atoms of [a, b)."""
+        return self._letter_on(self.model.grid.atoms_in(interval))
 
     def prefix_letter(self, t) -> Letter:
         return self.interval_letter((Fraction(0), Fraction(t)))
@@ -135,21 +137,18 @@ class ProcessFamily:
 
 
 def x_process(model: ProcessModel) -> ProcessFamily:
-    return ProcessFamily(model, "X", lambda a: model.atom_letter(a, 1), Fraction(0))
+    return ProcessFamily(model, "X", {1: Fraction(1)}, Fraction(0))
 
 
 def delta_process(model: ProcessModel, k: int) -> ProcessFamily:
-    return ProcessFamily(model, f"Delta{k}", lambda a: model.atom_letter(a, k),
-                         model.moments.r_at(k))
+    return ProcessFamily(model, f"Delta{k}", {k: Fraction(1)}, model.moments.r_at(k))
 
 
 def yhat_process(model: ProcessModel, k: int) -> ProcessFamily:
     coeffs = monic_op_coefficients(model.moments, k - 1)
-
-    def letter(a: int) -> Letter:
-        return model.letter({(a, j): c for j, c in enumerate(coeffs, start=1) if c})
-
-    return ProcessFamily(model, f"Yhat{k}", letter, Fraction(0))
+    return ProcessFamily(model, f"Yhat{k}",
+                         {j: c for j, c in enumerate(coeffs, start=1) if c},
+                         Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +399,14 @@ def chaos_decompose(v: FockVector, model: ProcessModel) -> dict[tuple[int, ...],
 # adapted processes and Itô integrals
 
 
+def _atom_end(model: ProcessModel, i: int) -> Fraction:
+    """The right end of the grid atom of basis index i."""
+    return model.grid.atoms[model.atom_power(i)[0]][1]
+
+
 def _letter_end(letter: Letter) -> Fraction:
     """Latest time touched by a letter's support."""
-    grid = letter.algebra.grid
-    return max((grid.atoms[a][1] for (a, _), _ in letter.payload),
+    return max((_atom_end(letter.algebra, i) for i, _ in letter.payload),
                default=Fraction(0))
 
 
@@ -507,9 +510,8 @@ def conditional_expectation(a: WickElement, t) -> WickElement:
         raise UsageError(f"time {t} is not a grid boundary")
 
     def restrict(letter: Letter) -> Letter:
-        kept = {ak: c for ak, c in letter.payload
-                if model.grid.atoms[ak[0]][1] <= t}
-        return model.letter(kept)
+        return Letter(model, tuple((i, c) for i, c in letter.payload
+                                   if _atom_end(model, i) <= t))
 
     return a.map_letters(restrict)
 

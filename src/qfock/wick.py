@@ -39,13 +39,14 @@ from .errors import ResourceBudgetError, UsageError
 from .fock import FockOperator, FockVector, apply
 from .model import Letter, letter_pair
 from .partitions import ExtendedPartition, enumerate_partitions, rc
-from .qscalar import QScalar
+from .qscalar import IntImage, QScalar, addmul
 
 MAX_PRODUCT_N = 8
 # Live arc states vacuum_moment may hold after one position.  X(1)^n on the
 # one-letter grid models peaks at 627 states at n = 16 and 3,949 at n = 20
-# (1.9 s on the 2-atom three-point model, on a 2-vCPU Xeon), and n = 21 needs
-# 6,218; the all-ones point set reaches 3,679 at n = 28 (1.3 s).
+# (0.6 s on the 2-atom three-point model and on the 1-atom Gaussian, on a
+# 2-vCPU Xeon), and n = 21 needs 6,218; the all-ones point set reaches 3,679
+# at n = 28 (2.5 s).
 MAX_ARC_STATES = 4000
 
 
@@ -303,25 +304,6 @@ def expansion_ledger(terms: Iterable[ExpansionTerm]) -> str:
     return "\n".join(lines)
 
 
-def _rational(x: Fraction) -> int | Fraction:
-    """x as an int when it is one: int coefficients add and multiply faster."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _add_moved(out: dict, state: tuple, poly: dict[int, int | Fraction],
-               weight: int | Fraction, shift: int) -> None:
-    """out[state] += weight · q^shift · poly."""
-    target = out.get(state)
-    if target is None:
-        target = out[state] = {}
-    if weight == 1:  # opening and staying moves: skip a product per term
-        for k, c in poly.items():
-            target[k + shift] = target.get(k + shift, 0) + c
-    else:
-        for k, c in poly.items():
-            target[k + shift] = target.get(k + shift, 0) + c * weight
-
-
 def vacuum_moment(letters: Sequence[Letter]) -> QScalar:
     """<Ω, X(l_1)...X(l_n) Ω>_q = Σ_π q^{rc(π)} Π_B (block contraction),
     summed by a left-to-right transfer over arc states, not over partitions.
@@ -334,12 +316,15 @@ def vacuum_moment(letters: Sequence[Letter]) -> QScalar:
     p of h; that arc crosses the h-1-p arcs opened after it and still
     pending, so the move carries q^{h-1-p}, and the block then closes (weight
     letter_pair(first, rest·l)) or stays pending at the end of the tuple.
-    Each crossing is so counted once, at its left arc's end.  A state holds
-    its polynomial as exact rationals per power of q, converted to a QScalar
-    once at the end, whatever q0 the algebra's ring carries; it is dropped when it has more pending arcs than
-    positions left, and when more than MAX_ARC_STATES states are live after
-    a position the call is refused.  Letter products and pairings are
-    memoised for the call.
+    Each crossing is so counted once, at its left arc's end.  The states
+    after a position are one `qscalar.IntImage`, state -> int numerators per
+    power of q over one shared denominator, whatever q0 the algebra's ring
+    carries: a move of weight y/d joins d times the previous denominator and
+    adds y times the multiplier it returns, shifted by the crossings, and
+    the moment is made one canonical QScalar at the end.  A state is
+    dropped when it has more pending arcs than positions left, and when
+    more than MAX_ARC_STATES states are live after a position the call is
+    refused.  Letter products and pairings are memoised for the call.
     """
     n = len(letters)
     _same_algebra(letters)
@@ -348,9 +333,9 @@ def vacuum_moment(letters: Sequence[Letter]) -> QScalar:
     # input letters, and block products are interned after them
     known = [None, *distinct]
     ids = {l: i for i, l in enumerate(known) if i}
-    means = [None, *(_rational(l.mean()) for l in distinct)]
+    means = [None, *(l.mean() for l in distinct)]
     products: dict[tuple[int, int], int] = {}
-    pairs: dict[tuple[int, int], int | Fraction] = {}
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
 
     def grow(rest: int, label: int) -> int:
         """The id of rest·l (l itself when rest is empty); -1 if it is 0."""
@@ -368,40 +353,44 @@ def vacuum_moment(letters: Sequence[Letter]) -> QScalar:
             products[key] = out
         return out
 
-    def pair(first: int, rest: int) -> int | Fraction:
+    def pair(first: int, rest: int) -> tuple[int, int]:
+        """letter_pair(first, rest) as (numerator, denominator)."""
         key = (first, rest)
         out = pairs.get(key)
         if out is None:
-            out = pairs[key] = _rational(letter_pair(known[first], known[rest]))
+            x = letter_pair(known[first], known[rest])
+            out = pairs[key] = x.numerator, x.denominator
         return out
 
-    states: dict[tuple, dict[int, int | Fraction]] = {(): {0: 1}}
+    states = IntImage(1, {(): [1]})
     for pos, label in enumerate(labels):
         left = n - 1 - pos  # positions after this one
         mean = means[label]
-        nxt: dict[tuple, dict[int, int | Fraction]] = {}
-        for state, poly in states.items():
+        den = states.den
+        nxt = IntImage()
+        terms, join = nxt.terms, nxt.join
+        for state, num in states.terms.items():
             h = len(state)
             if mean and h <= left:
-                _add_moved(nxt, state, poly, mean, 0)
+                addmul(terms, state, num,
+                       mean.numerator * join(den * mean.denominator), 0)
             if h < left:
-                _add_moved(nxt, state + ((label, 0),), poly, 1, 0)
+                addmul(terms, state + ((label, 0),), num, join(den), 0)
             for p, (first, rest) in enumerate(state):
                 grown = grow(rest, label)
                 if grown < 0:
                     continue  # a zero product pairs to 0 whatever follows
                 others = state[:p] + state[p + 1:]
-                weight = pair(first, grown)
-                if weight:
-                    _add_moved(nxt, others, poly, weight, h - 1 - p)
+                y, d = pair(first, grown)
+                if y:
+                    addmul(terms, others, num, y * join(den * d), h - 1 - p)
                 if h <= left:
-                    _add_moved(nxt, others + ((first, grown),), poly, 1, h - 1 - p)
-        if len(nxt) > MAX_ARC_STATES:
+                    addmul(terms, others + ((first, grown),), num, join(den),
+                           h - 1 - p)
+        if len(terms) > MAX_ARC_STATES:
             raise ResourceBudgetError(
-                f"vacuum_moment needs {len(nxt)} arc states at position "
+                f"vacuum_moment needs {len(terms)} arc states at position "
                 f"{pos + 1} of {n}, over the budget of {MAX_ARC_STATES}")
         states = nxt
 
-    poly = states.get((), {})
-    return QScalar.exact([poly.get(k, 0) for k in range(max(poly, default=-1) + 1)])
-
+    return QScalar.of_numerators(states.terms.get((), []), states.den)

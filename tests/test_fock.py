@@ -1,6 +1,10 @@
+import importlib
+import inspect
 import math
+import pkgutil
 import random
 import tracemalloc
+import typing
 from fractions import Fraction
 from itertools import product
 
@@ -8,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qfock
 from qfock import fock
 from qfock.errors import DepthExceededError, ResourceBudgetError, UsageError
 from qfock.fock import (NORM_WORD_CAP, DenseGauge, FockOperator, FockVector,
@@ -598,3 +603,35 @@ def test_dense_compression_matches_per_word(case):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
     assert operator_norm_estimate(op, space, depth) == pytest.approx(
         norm_oracle(want, gram, depth, q0), rel=1e-9, abs=1e-12 * scale)
+
+
+def _annotated(module):
+    """Every function, method, property getter and class defined in a
+    module, with its qualified name."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif isinstance(obj, type):
+            yield name, obj
+            for attr, member in vars(obj).items():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+@pytest.mark.parametrize("module_name", sorted(
+    info.name for info in pkgutil.iter_modules(qfock.__path__)))
+def test_type_hints_resolve(module_name):
+    """Annotations are strings under `from __future__ import annotations`;
+    each must name something its module imports."""
+    module = importlib.import_module(f"qfock.{module_name}")
+    for name, obj in _annotated(module):
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            pytest.fail(f"{module_name}.{name}: {exc}")

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfock.errors import (CutoffExceededError, DegeneracyError, UsageError)
 from qfock.fock import FockVector, apply
@@ -8,8 +9,9 @@ from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
                          TimeGrid, letter_pair, monic_op_coefficients,
                          parse_model_config)
 from qfock.qscalar import EXACT
-from qfock.stochastic import delta_process, x_process, yhat_process
-from qfock.wick import expansion_ledger, product_expansion
+from qfock.stochastic import (conditional_expectation, delta_process,
+                              x_process, yhat_process)
+from qfock.wick import WickElement, expansion_ledger, product_expansion
 
 F = Fraction
 
@@ -96,6 +98,18 @@ class TestLetterAlgebra:
         a, b = model.atom_letter(0, 1), model.atom_letter(0, 2)
         assert (a + b).scale(2) - a.scale(2) == b.scale(2)
 
+    def test_gauge_cutoff_fires_only_on_a_used_column(self, model):
+        """The gauge of x_A0^cutoff takes every x_A0^k past the cutoff, but
+        only a word that holds atom 0 asks for such a column."""
+        field = model.atom_letter(0, model.degree_cutoff).field()
+        depth = model.fock_depth
+        apply(field, FockVector.vacuum(model.space, depth))
+        apply(field, FockVector.basis_word(
+            model.space, depth, (model.basis_index(1, 1), model.basis_index(2, 3))))
+        with pytest.raises(CutoffExceededError):
+            apply(field, FockVector.basis_word(
+                model.space, depth, (model.basis_index(1, 1), model.basis_index(0, 1))))
+
 
 class TestProcessOperators:
     def test_delta_shifts_by_drift(self, model):
@@ -181,8 +195,9 @@ class TestWeightedPointAlgebra:
 
 
 class TestLetterText:
-    """Letter text is read off the payload, not the sparse one-particle
-    vector, and stays as it was before the sparse form."""
+    """Letter text is read off the sparse payload, which is the one-particle
+    vector, and stays as it was when payloads were (atom, power) tuples on
+    the grid and dense value tuples on the point set."""
 
     def three_point_model(self):
         atoms = [(-1, F(1, 4)), (0, F(1, 2)), (1, F(1, 4))]
@@ -228,6 +243,137 @@ class TestLetterText:
         op = zero.field()
         assert op.kind == "scalar" and op.payload.is_zero
         assert op.payload == EXACT.zero()
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+
+
+class GridReference:
+    """Grid letters in their former payload form, sorted ((atom, power), c)
+    with no zero c, and the algebra written on that form."""
+
+    def __init__(self):
+        # powers 1..2 under cutoff 4, so every product is defined
+        self.algebra = ProcessModel(EXACT, three_point(), TimeGrid.uniform(1, 4), 4, 3)
+        self.draw = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(1, 2)),
+                                    FRACTIONS, max_size=4)
+
+    @staticmethod
+    def canonical(entries):
+        return tuple(sorted((ak, c) for ak, c in dict(entries).items() if c))
+
+    def add(self, p1, p2):
+        out = dict(p1)
+        for ak, c in p2:
+            out[ak] = out.get(ak, 0) + c
+        return self.canonical(out)
+
+    def scale(self, p, c):
+        return self.canonical({ak: x * c for ak, x in p})
+
+    def product(self, p1, p2):
+        out = {}
+        for (a1, k1), c1 in p1:
+            for (a2, k2), c2 in p2:
+                if a1 == a2:
+                    out[(a1, k1 + k2)] = out.get((a1, k1 + k2), 0) + c1 * c2
+        return self.canonical(out)
+
+    def mean(self, p):
+        return 0
+
+    def sparse(self, p):
+        d = self.algebra.degree_cutoff
+        return tuple((a * d + k - 1, c) for (a, k), c in p)
+
+    def letter(self, p):
+        return self.algebra.letter(dict(p))
+
+
+class PointReference:
+    """Point-set letters in their former payload form, the dense tuple of
+    values, and the algebra written on that form."""
+
+    def __init__(self):
+        self.algebra = WeightedPointAlgebra([-1, 0, 2], [F(1, 4), F(1, 2), F(1, 4)], EXACT)
+        self.draw = st.lists(FRACTIONS, min_size=3, max_size=3)
+
+    @staticmethod
+    def canonical(values):
+        return tuple(values)
+
+    def add(self, p1, p2):
+        return tuple(a + b for a, b in zip(p1, p2))
+
+    def scale(self, p, c):
+        return tuple(v * c for v in p)
+
+    def product(self, p1, p2):
+        return tuple(a * b for a, b in zip(p1, p2))
+
+    def mean(self, p):
+        return sum(w * v for w, v in zip(self.algebra.weights, p))
+
+    def sparse(self, p):
+        return tuple((i, v) for i, v in enumerate(p) if v)
+
+    def letter(self, p):
+        return self.algebra.letter(p)
+
+
+REFERENCES = {"grid": GridReference(), "points": PointReference()}
+
+
+def assert_canonical(payload, dim):
+    """A canonical SparseVector: (int index, nonzero Fraction) pairs, the
+    indices in range and strictly increasing."""
+    assert isinstance(payload, tuple)
+    indices = [i for i, _ in payload]
+    assert indices == sorted(set(indices))
+    assert all(0 <= i < dim for i in indices)
+    assert all(type(i) is int and type(c) is Fraction and c for i, c in payload)
+
+
+@st.composite
+def reference_letters(draw):
+    kind = draw(st.sampled_from(sorted(REFERENCES)))
+    ref = REFERENCES[kind]
+    return (kind, ref.canonical(draw(ref.draw)), ref.canonical(draw(ref.draw)),
+            draw(FRACTIONS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reference_letters())
+def test_letter_algebra_matches_former_payload_form(drawn):
+    """+, scale, -, * and mean on the sparse payload against the former
+    forms, on both algebras; on the grid also the restriction of
+    conditional_expectation at every boundary.  Every payload is canonical."""
+    kind, p1, p2, c = drawn
+    ref = REFERENCES[kind]
+    algebra = ref.algebra
+    l1, l2 = ref.letter(p1), ref.letter(p2)
+    cases = [(l1, p1), (l1 + l2, ref.add(p1, p2)), (l1.scale(c), ref.scale(p1, c)),
+             (l1 - l2, ref.add(p1, ref.scale(p2, -1))),
+             (l1 * l2, ref.product(p1, p2))]
+    for got, want in cases:
+        assert_canonical(got.payload, algebra.space.dim)
+        assert got.payload == ref.sparse(want)
+        assert got.xi() == got.payload
+        assert got.is_zero == (not ref.sparse(want))
+        assert got.mean() == ref.mean(want)
+        same = ref.letter(want)
+        assert got == same and hash(got) == hash(same)
+    if kind == "grid":
+        grid = algebra.grid
+        for t in grid.boundaries:
+            kept = tuple((ak, x) for ak, x in p1 if grid.atoms[ak[0]][1] <= t)
+            restricted = conditional_expectation(WickElement.from_word(algebra, (l1,)), t)
+            if not kept:
+                assert restricted.is_zero
+                continue
+            [(word, coeff)] = restricted.terms.items()
+            assert_canonical(word[0].payload, algebra.space.dim)
+            assert word == (ref.letter(kept),) and coeff == EXACT.one()
 
 
 class TestConfigParsing:

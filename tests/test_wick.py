@@ -260,19 +260,24 @@ class TestVacuumMoments:
 
 
 def grid_alphabet():
-    """Three letters of the three-point model on two atoms, with cutoff and
-    depth room for any word of length <= 5 in them."""
+    """Four letters of the three-point model on two atoms, with cutoff and
+    depth room for any word of length <= 5 in them; the last, over 5 and 7,
+    pairs over new denominators, so the transfer's denominator grows inside
+    a position."""
     moments = MomentSequence.from_measure(
         [(-1, F(1, 4)), (0, F(1, 2)), (1, F(1, 4))], 12)
     model = ProcessModel(EXACT, moments, TimeGrid.uniform(1, 2), 6, 6)
     a, b = model.atom_letter(0), model.atom_letter(1)
-    return model, (a, b, a.scale(2) + b.scale(F(-1, 3)))
+    return model, (a, b, a.scale(2) + b.scale(F(-1, 3)),
+                   a.scale(F(3, 5)) + b.scale(F(-2, 7)))
 
 
 def points_alphabet():
-    """Three letters of the 2-point algebra, with nonzero means."""
+    """Four letters of the 2-point algebra, with nonzero means, the last
+    over 5 and 7."""
     alg = WeightedPointAlgebra([-1, 1], [F(1, 2), F(1, 2)], EXACT)
-    return alg, (alg.letter(alg.points), alg.basis_letter(0), alg.letter([2, F(1, 3)]))
+    return alg, (alg.letter(alg.points), alg.basis_letter(0), alg.letter([2, F(1, 3)]),
+                 alg.letter([F(2, 5), F(-3, 7)]))
 
 
 ALPHABETS = {"grid": grid_alphabet(), "points": points_alphabet()}
@@ -280,11 +285,11 @@ ALPHABETS = {"grid": grid_alphabet(), "points": points_alphabet()}
 
 @st.composite
 def words(draw, max_len):
-    """A word over the first 2 or 3 letters of an alphabet; short alphabets
+    """A word over the first 2 to 4 letters of an alphabet; short alphabets
     make repeated letters at different positions the common case, so block
     contents recur within one call with the same and with different orders."""
     algebra, alphabet = ALPHABETS[draw(st.sampled_from(sorted(ALPHABETS)))]
-    k = draw(st.integers(2, 3))
+    k = draw(st.integers(2, len(alphabet)))
     picks = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=max_len))
     return algebra, tuple(alphabet[i] for i in picks)
 
