@@ -93,8 +93,8 @@ class OneParticleSpace:
     pairings and `inner0` compute on them and build Fractions or ring
     scalars only for their results.  The ring's q0, if any, is where norm
     estimates evaluate.  Pairings take one-particle vectors in sparse form;
-    an annihilation node keeps its own int pairing row (`pair_ints`) per
-    space it is applied on.
+    an annihilation node keeps its own int pairing row (`pair_ints`, through
+    `FockOperator.pairing`) per space it is applied on.
 
     The space owns one cache, freed with it: `pn_factors`, the lower
     Cholesky factors of the float q-gram blocks of `operator_norm_estimate`,
@@ -423,8 +423,8 @@ class FockOperator:
     # a leaf's payload as int numerators over one denominator, checked
     # against each space it is applied on and keyed by its `key`, built by
     # `apply` on first use: (den, [(i, zeta_i)]) of a creation,
-    # (den, {i: <zeta, e_i>}) of an annihilation, and [den, {i: [(j, T_ji)]}]
-    # of a gauge, over the columns asked for so far
+    # (den, {i: <zeta, e_i>}) of an annihilation (see `pairing`), and
+    # [den, {i: [(j, T_ji)]}] of a gauge, over the columns asked for so far
     payloads: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -502,13 +502,27 @@ class FockOperator:
         return FockOperator("compose", None,
                             (FockOperator.scalar(QScalar.exact((x,))), self))
 
+    def pairing(self, space: OneParticleSpace) -> tuple[int, dict[int, int]]:
+        """An annihilation node's payload on a space: `space.pair_ints` of
+        its vector, built once per space."""
+        pay = self.payloads.get(space.key)
+        if pay is None:
+            pay = self.payloads[space.key] = space.pair_ints(self.payload)
+        return pay
+
 
 def field_operator(zeta: Sequence, gauge: Gauge | None,
                    mean: Fraction | QScalar | None, ring: ScalarRing) -> FockOperator:
     """a(zeta) + a*(zeta) + p(T) + mean * Id, any summand optional; zeta in
     dense or sparse form."""
+    return sparse_field(sparse_vector(zeta), gauge, mean, ring)
+
+
+def sparse_field(zeta: SparseVector, gauge: Gauge | None,
+                 mean: Fraction | QScalar | None, ring: ScalarRing) -> FockOperator:
+    """field_operator of a canonical sparse vector, taken as it is, as a
+    letter's payload is."""
     parts: list[FockOperator] = []
-    zeta = sparse_vector(zeta)
     if zeta:
         parts.append(FockOperator("creation", zeta))
         parts.append(FockOperator("annihilation", zeta))
@@ -648,12 +662,9 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
                     addmul(terms, (i,) + w, num, z, s)
             return
         if kind == "annihilation":
-            pay = op.payloads.get(key)
-            if pay is None:
-                pay = op.payloads[key] = sp.pair_ints(op.payload)
+            den, row = op.pairing(sp)
             if not src.terms:
                 return
-            den, row = pay
             m = out.join(src.den * df * den) * y
             if m != 1:
                 row = {i: g * m for i, g in row.items()}

@@ -12,9 +12,14 @@ Two instances of one "letter" algebra drive everything downstream:
 A Letter bundles (one-particle vector, gauge action, mean) so that Wick
 recursion, product expansions and stochastic measures share one code path.
 In both algebras a letter's payload is its one-particle vector xi, in the
-one sparse form of `fock.SparseVector`; `Letter` adds, scales and compares
-payloads once for both, and each algebra keeps only what differs: its
-validating `letter` constructor, the product, gauge, mean and text.
+one sparse form of `fock.SparseVector`; `Letter` adds, scales and
+multiplies payloads once for both, and each algebra keeps only what differs:
+its validating `letter` constructor, the product, gauge, mean and text.
+
+Each algebra owns the caches of its letters, so they are freed with it: the
+intern table `letters` (one Letter per canonical payload, so letters compare
+and hash by identity), each letter's field node, int pairing row and
+products, and `wick_cache` (wick.py), keyed by words of letters.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import CutoffExceededError, DegeneracyError, UsageError
 from .fock import (FockOperator, Gauge, OneParticleSpace, SparseVector,
-                   _solve_matrix, field_operator, sparse_vector)
-from .qscalar import ScalarRing
+                   _solve_matrix, sparse_field, sparse_vector)
+from .qscalar import ScalarRing, int_numerators
 
 Interval = tuple[Fraction, Fraction]
 
@@ -83,6 +88,7 @@ class TimeGrid:
             raise UsageError("grid boundaries must strictly increase")
         self.boundaries = tuple(bs)
         self.atoms: tuple[Interval, ...] = tuple(zip(bs, bs[1:]))
+        self._position = {b: i for i, b in enumerate(bs)}  # boundary -> index
 
     @staticmethod
     def uniform(T, N: int) -> "TimeGrid":
@@ -111,9 +117,10 @@ class TimeGrid:
         a, b = Fraction(interval[0]), Fraction(interval[1])
         if a >= b:
             raise UsageError(f"empty interval [{a}, {b})")
-        if a not in self.boundaries or b not in self.boundaries:
+        i, j = self._position.get(a), self._position.get(b)
+        if i is None or j is None:
             raise UsageError(f"interval [{a}, {b}) not aligned with the grid")
-        return tuple(i for i, (x, y) in enumerate(self.atoms) if a <= x and y <= b)
+        return tuple(range(i, j))
 
     def prefix(self, t) -> tuple[int, ...]:
         """Atoms of [0, t)."""
@@ -129,16 +136,35 @@ class Letter:
 
     The payload is the letter's one-particle vector xi itself, a canonical
     `SparseVector`: sorted (basis index, Fraction) pairs with no zero.  Sums,
-    scalings, equality and hashing act on it here, the same in every
-    algebra; the algebra supplies the product, gauge, mean and text.
-    Letters from different algebra instances never mix.
+    scalings and products act on it here, the same in every algebra; the
+    algebra supplies the product, gauge, mean and text.
+
+    Letters are interned in their algebra: `Letter(algebra, payload)` returns
+    the one letter the algebra's `letters` table holds for that canonical
+    payload, making it on first use.  So equal letters are one object,
+    equality and hashing are identity, and every cache keyed by letters
+    (`wick_cache`, the product and vacuum-moment memos) hashes object ids,
+    not Fractions.  Letters from different algebra instances never mix.
+
+    Each letter keeps, built once and freed with its algebra: its field node
+    (`field`), whose creation and annihilation leaves hold its payload and
+    its pairing row as int numerators over one denominator, per space; that
+    pairing row (`pairing`), which `letter_pair` reads; and its products
+    with other letters.
     """
 
-    __slots__ = ("algebra", "payload")
+    __slots__ = ("algebra", "payload", "_field", "_row", "_products")
 
-    def __init__(self, algebra, payload: SparseVector):
-        self.algebra = algebra
-        self.payload = payload
+    def __new__(cls, algebra, payload: SparseVector) -> "Letter":
+        """The algebra's letter of a canonical payload (see sparse_vector)."""
+        self = algebra.letters.get(payload)
+        if self is None:
+            self = algebra.letters[payload] = super().__new__(cls)
+            self.algebra = algebra
+            self.payload = payload
+            self._field = self._row = None
+            self._products = {}  # other letter -> self * other
+        return self
 
     def xi(self) -> SparseVector:
         return self.algebra.xi(self.payload)
@@ -150,9 +176,22 @@ class Letter:
         return self.algebra.mean(self.payload)
 
     def field(self) -> FockOperator:
-        """X(f) = a(xi) + a*(xi) + p(T) + mean."""
-        return field_operator(self.xi(), self.gauge(), self.mean(),
-                              self.algebra.ring)
+        """X(f) = a(xi) + a*(xi) + p(T) + mean, one node per letter."""
+        if self._field is None:
+            self._field = sparse_field(self.xi(), self.gauge(), self.mean(),
+                                       self.algebra.ring)
+        return self._field
+
+    def pairing(self) -> tuple[int, dict[int, int]]:
+        """The nonzero <xi, e_i> on the algebra's space as (den, {i:
+        numerator}) in lowest terms: the row that the annihilation leaf of
+        `field()` keeps, so `apply` and `letter_pair` build it once."""
+        if self._row is None:
+            self._row = (1, {})
+            for op in self.field().operands:
+                if op.kind == "annihilation":
+                    self._row = op.pairing(self.algebra.space)
+        return self._row
 
     def _check(self, other: "Letter") -> None:
         if not isinstance(other, Letter) or other.algebra is not self.algebra:
@@ -160,7 +199,11 @@ class Letter:
 
     def __mul__(self, other: "Letter") -> "Letter":
         self._check(other)
-        return Letter(self.algebra, self.algebra.product(self.payload, other.payload))
+        out = self._products.get(other)
+        if out is None:
+            out = self._products[other] = Letter(
+                self.algebra, self.algebra.product(self.payload, other.payload))
+        return out
 
     def __add__(self, other: "Letter") -> "Letter":
         self._check(other)
@@ -178,21 +221,19 @@ class Letter:
     def is_zero(self) -> bool:
         return not self.payload
 
-    def __eq__(self, other):
-        return (isinstance(other, Letter) and other.algebra is self.algebra
-                and other.payload == self.payload)
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.payload))
-
     def __repr__(self):
         return f"Letter({self.algebra.describe(self.payload)})"
 
 
 def letter_pair(a: Letter, b: Letter) -> Fraction:
-    """<xi_a, xi_b> under the algebra's gram form."""
+    """<xi_a, xi_b> under the algebra's gram form: a's int pairing row
+    against b's one-particle vector."""
     a._check(b)
-    return a.algebra.space.pair_vec(a.xi(), b.xi())
+    den, row = a.pairing()
+    xi = b.xi()
+    db, nums = int_numerators(c for _, c in xi)
+    return Fraction(sum(z * row[i] for (i, _), z in zip(xi, nums) if i in row),
+                    den * db)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +285,7 @@ class ProcessModel:
         self.grid = grid
         self.degree_cutoff = degree_cutoff
         self.fock_depth = fock_depth
+        self.letters: dict = {}  # canonical payload -> its one Letter
         self.wick_cache: dict = {}  # letter word -> its Wick operator (wick.py)
         # the gram is block-diagonal by atom: one d x d block of rows each
         d = degree_cutoff
@@ -375,6 +417,7 @@ class WeightedPointAlgebra:
             raise UsageError("weights must sum to 1")
         self.ring = ring
         self.fock_depth = fock_depth
+        self.letters: dict = {}  # canonical payload -> its one Letter
         self.wick_cache: dict = {}  # letter word -> its Wick operator (wick.py)
         self.space = OneParticleSpace(
             len(self.points), [((i, w),) for i, w in enumerate(self.weights)], ring)

@@ -246,14 +246,15 @@ def st_pi_closed(pi: SetPartition, t, model: ProcessModel,
             prefix[k] = model.prefix_letter(t, k)
     terms = []
     m = pi.size
+    closed = [t * model.moments.r_at(k) for k in sizes]  # t r_{|B|} per block
     for mask in range(1 << m):
         s = frozenset(b for b in range(m) if mask >> b & 1)
-        factor = Fraction(1)
-        for b in range(m):
-            if b not in s:
-                factor *= t * model.moments.r_at(sizes[b])
-        if not factor:
+        factors = [closed[b] for b in range(m) if b not in s]
+        if not all(factors):
             continue
+        factor = Fraction(1)
+        for f in factors:
+            factor *= f
         ep = ExtendedPartition(pi, s)
         word = tuple(prefix[sizes[b]] for b in sorted(s))
         terms.append(wick_operator(model, word).scale(

@@ -25,7 +25,10 @@ transfer over the arcs still pending at each position (the transfer-matrix
 form of the crossing continued fractions of Flajolet and of Kasraoui–Zeng),
 with a budget on the number of live states in place of a cap on n.
 
-Wick operators are memoised per algebra, in its `wick_cache`.
+Wick operators are memoised per algebra, in its `wick_cache`, keyed by the
+word of letters.  Letters are interned in their algebra (model.Letter), so a
+key hashes and compares object ids, never Fraction payloads, and the
+products and pairing rows the recursion asks for are cached on the letters.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ def _same_algebra(letters: Sequence[Letter]):
 
 def wick_operator(algebra, word: Sequence[Letter]) -> FockOperator:
     """The Wick operator of a letter word, memoized in the algebra's
-    `wick_cache`, so the operators are freed with their algebra."""
+    `wick_cache` under the word itself (letters hash by identity), so the
+    operators are freed with their algebra."""
     word = tuple(word)
     cached = algebra.wick_cache.get(word)
     if cached is not None:

@@ -1,0 +1,236 @@
+"""Letters are interned in their algebra, keep their caches there, and pair
+on int numerators.
+
+A letter is one object per (algebra, canonical payload), whatever path built
+it; its field node, int pairing row and products are built once and are
+freed with the algebra; `letter_pair` agrees with the gram form written out
+in Fractions.
+"""
+
+import gc
+import random
+import weakref
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qfock.cli import rand_letter, three_point_model
+from qfock.errors import UsageError
+from qfock.fock import FockVector, OneParticleSpace, apply
+from qfock.model import (Letter, MomentSequence, ProcessModel, TimeGrid,
+                         WeightedPointAlgebra, letter_pair)
+from qfock.qscalar import EXACT
+from qfock.stochastic import conditional_expectation, delta_process, x_process
+from qfock.wick import (WickElement, expansion_operator, product_expansion,
+                        wick_operator)
+
+F = Fraction
+
+
+@pytest.fixture
+def model():
+    return three_point_model(n_atoms=4, cutoff=3, depth=5)
+
+
+@pytest.fixture
+def points():
+    return WeightedPointAlgebra([-1, 0, 2], [F(1, 4), F(1, 2), F(1, 4)], EXACT)
+
+
+class TestInterning:
+    """Every construction path returns the algebra's one letter for a payload."""
+
+    def test_letter(self, model, points):
+        a = model.letter({(0, 1): F(1, 2), (2, 3): -1})
+        assert model.letter({(2, 3): F(-1), (0, 1): F(2, 4)}) is a
+        assert points.letter([1, 0, F(1, 3)]) is points.letter([F(2, 2), 0, F(2, 6)])
+
+    def test_sum_difference_and_scale(self, model):
+        a, b = model.atom_letter(0), model.atom_letter(1, 2)
+        s = a + b
+        assert s is model.letter({(0, 1): 1, (1, 2): 1})
+        assert s is b + a
+        assert s - b is a
+        assert a - a is model.letter({})
+        assert a.scale(F(2, 3)) is model.letter({(0, 1): F(2, 3)})
+        assert s.scale(0) is a.scale(0) is model.letter({})
+
+    def test_product(self, model, points):
+        a = model.atom_letter(0)
+        assert a * a is model.atom_letter(0, 2)
+        assert a * a is a * a
+        assert a * model.atom_letter(1) is model.letter({})
+        f = points.letter([1, 2, 3])
+        assert f * f is points.letter([1, 4, 9])
+
+    def test_basis_letter(self, model, points):
+        for i in range(model.space.dim):
+            assert model.basis_letter(i) is model.atom_letter(*model.atom_power(i))
+        assert points.basis_letter(1) is points.letter([0, 1, 0])
+
+    def test_process_family(self, model):
+        assert x_process(model).letter(2) is model.atom_letter(2)
+        assert x_process(model).prefix_letter(F(1, 2)) is model.prefix_letter(F(1, 2))
+        interval = (F(1, 4), F(3, 4))
+        assert (delta_process(model, 2).interval_letter(interval)
+                is model.interval_letter(interval, 2))
+
+    def test_restriction_of_conditional_expectation(self, model):
+        a = model.letter({(0, 1): 2, (3, 2): F(1, 3)})
+        [word] = conditional_expectation(WickElement.from_word(model, (a,)),
+                                         F(1, 2)).terms
+        assert word == (model.atom_letter(0).scale(2),)
+        assert word[0] is model.letter({(0, 1): 2})
+
+    def test_equality_is_identity(self, model):
+        a = model.atom_letter(0)
+        assert a == model.atom_letter(0) and hash(a) == hash(model.atom_letter(0))
+        assert a != model.atom_letter(1) and a != a.payload
+
+    def test_two_algebras_stay_apart(self, model):
+        other = three_point_model(n_atoms=4, cutoff=3, depth=5)
+        a, b = model.atom_letter(0), other.atom_letter(0)
+        assert a.payload == b.payload
+        assert a is not b and a != b
+        assert a.algebra is model and b.algebra is other
+        for mix in (lambda: a + b, lambda: a - b, lambda: a * b,
+                    lambda: letter_pair(a, b)):
+            with pytest.raises(UsageError):
+                mix()
+        with pytest.raises(UsageError):
+            wick_operator(model, (b,))
+        p = WeightedPointAlgebra([0, 1], [F(1, 2), F(1, 2)], EXACT)
+        q = WeightedPointAlgebra([0, 1], [F(1, 2), F(1, 2)], EXACT)
+        assert p.letter([1, 2]) is not q.letter([1, 2])
+        with pytest.raises(UsageError):
+            p.letter([1, 2]) * q.letter([1, 2])
+
+    def test_one_field_node_per_letter(self, model, points):
+        a = model.letter({(1, 1): F(1, 2)})
+        assert a.field() is a.field()
+        assert model.letter({(1, 1): F(2, 4)}).field() is a.field()
+        assert (a + a).field() is a.scale(2).field()
+        f = points.letter([1, 0, 2])
+        assert f.field() is points.letter([1, 0, 2]).field()
+
+
+def test_pair_ints_runs_once_per_letter_and_space(monkeypatch):
+    """A product_wick run applies each letter's field and pairs letters in
+    the Wick recursion and the block contractions; each payload is paired
+    against the gram rows once, whichever asks first."""
+    calls = []
+    original = OneParticleSpace.pair_ints
+
+    def counted(space, zeta):
+        calls.append((space.key, zeta))
+        return original(space, zeta)
+
+    monkeypatch.setattr(OneParticleSpace, "pair_ints", counted)
+    model = three_point_model(n_atoms=2, cutoff=5, depth=6)
+    om = FockVector.vacuum(model.space, model.fock_depth)
+    rng = random.Random(7)
+    for n in range(1, 6):
+        letters = [rand_letter(model, rng) for _ in range(n)]
+        direct = om
+        for letter in reversed(letters):
+            direct = apply(letter.field(), direct)
+        expanded = apply(expansion_operator(model, product_expansion(letters)), om)
+        assert (direct - expanded).is_zero
+    assert calls
+    assert len(calls) == len(set(calls))
+    assert {key for key, _ in calls} == {model.space.key}
+    assert len(calls) <= len(model.letters)
+
+
+def test_pairing_row_is_kept_per_space(model):
+    """The row letter_pair reads is the algebra space's; the same field node
+    applied on another space pairs under that space's gram."""
+    a = model.letter({(0, 1): 1, (0, 2): F(1, 2)})
+    # |A0| (r_2 + r_3 / 2) = (1 + 0) / 4
+    assert letter_pair(a, model.atom_letter(0)) == F(1, 4)
+    other = OneParticleSpace.orthonormal(model.space.dim, EXACT)
+    image = apply(a.field(), FockVector.basis_word(other, 2, (0,)))
+    assert image.vacuum_coefficient() == EXACT.of(1)
+    assert letter_pair(a, model.atom_letter(0)) == F(1, 4)
+
+
+# rationals whose denominators are products of 2, 3, 5 and 7
+DENOMINATORS = sorted({2 ** a * 3 ** b * 5 ** c * 7 ** d for a in range(3)
+                       for b in range(2) for c in range(2) for d in range(2)})
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(DENOMINATORS))
+
+
+def grid_reference(model: ProcessModel, a: Letter, b: Letter) -> Fraction:
+    """sum over atoms A and powers j, k of a_{A,j} b_{A,k} |A| r_{j+k}."""
+    out = Fraction(0)
+    for i, x in a.payload:
+        atom, j = model.atom_power(i)
+        for i_b, y in b.payload:
+            atom_b, k = model.atom_power(i_b)
+            if atom == atom_b:
+                out += x * y * model.grid.width(atom) * model.moments.r_at(j + k)
+    return out
+
+
+def point_reference(alg: WeightedPointAlgebra, a: Letter, b: Letter) -> Fraction:
+    """sum over points i of w_i a(i) b(i)."""
+    fa, fb = dict(a.payload), dict(b.payload)
+    return sum((w * fa.get(i, 0) * fb.get(i, 0)
+                for i, w in enumerate(alg.weights)), Fraction(0))
+
+
+@st.composite
+def letter_pairs(draw):
+    if draw(st.booleans()):
+        cutoff = 2
+        atoms = list(zip([F(-1, 2), F(1, 3), F(5, 7)], [F(1, 5), F(3, 7), F(13, 35)]))
+        bounds = [0, F(1, 6), F(3, 7), F(4, 5), 1]
+        model = ProcessModel(EXACT, MomentSequence.from_measure(atoms, 2 * cutoff),
+                             TimeGrid(bounds), cutoff, 3)
+        keys = st.tuples(st.integers(0, model.grid.n_atoms - 1),
+                         st.integers(1, cutoff))
+        draw_letter = st.dictionaries(keys, RATIONALS, max_size=4).map(model.letter)
+        return model, draw(draw_letter), draw(draw_letter), grid_reference
+    alg = WeightedPointAlgebra([F(-3, 2), F(1, 7), 2, F(5, 3)],
+                               [F(1, 2), F(1, 3), F(1, 7), F(1, 42)], EXACT)
+    draw_letter = st.lists(RATIONALS, min_size=4, max_size=4).map(alg.letter)
+    return alg, draw(draw_letter), draw(draw_letter), point_reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(letter_pairs())
+def test_letter_pair_matches_fraction_reference(drawn):
+    """On both algebras, the int pairing row against the other letter's
+    vector is the gram form written out in Fractions, symmetric, and the
+    same when asked again from the cached row."""
+    algebra, a, b, reference = drawn
+    want = reference(algebra, a, b)
+    got = letter_pair(a, b)
+    assert type(got) is Fraction and got == want
+    assert letter_pair(b, a) == want
+    assert letter_pair(a, b) == want
+    assert letter_pair(a, a) == reference(algebra, a, a)
+    den, row = a.pairing()
+    assert den > 0 and all(row.values())
+
+
+def test_caches_die_with_their_model():
+    """No module-level table keeps a letter, its field node or a Wick
+    operator alive: a model whose every cache has been filled is freed by
+    the garbage collector once its last outside reference goes."""
+
+    def exercise():
+        model = three_point_model(n_atoms=2, cutoff=5, depth=6)
+        om = FockVector.vacuum(model.space, model.fock_depth)
+        rng = random.Random(3)
+        letters = [rand_letter(model, rng) for _ in range(3)]
+        apply(expansion_operator(model, product_expansion(letters)), om)
+        apply(letters[0].field(), om)
+        letter_pair(letters[0], letters[1] * letters[2])
+        assert model.letters and model.wick_cache
+        return weakref.ref(model), weakref.ref(letters[0].field())
+
+    model_ref, field_ref = exercise()
+    gc.collect()
+    assert model_ref() is None and field_ref() is None
