@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 from .errors import QFockError, UsageError
 from .fock import (FockOperator, FockVector, OneParticleSpace, apply, innerq,
                    sparse_vector)
-from .kspoly import ks_poly, ks_row_formula, q_charlier, q_hermite
+from .kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
 from .model import (WeightedPointAlgebra, MomentSequence, ProcessModel, TimeGrid,
                     _parse_fraction_list, config_entries, config_value,
                     model_from_values, model_values, parse_ring)
@@ -274,13 +274,12 @@ def suite_ks(rng: random.Random) -> list[IdentityRow]:
             diff = ks_poly((j,) + (1,) * n, moments) - ks_row_formula(j, n, moments)
             rows.append(IdentityRow("ks_row_formula", f"j={j},n={n}",
                                     diff.is_zero, str(diff) if not diff.is_zero else "0"))
-    from .kspoly import NCPolynomial
-    h3_target = NCPolynomial(EXACT, {(1, 1, 1): EXACT.one(),
-                                     (1,): -QScalar.parse("2 + q")})
+    h3_target = NCPolynomial({(1, 1, 1): EXACT.one(),
+                              (1,): -QScalar.parse("2 + q")})
     rows.append(IdentityRow("q_hermite_3", "x^3-(2+q)x",
                             (q_hermite(3) - h3_target).is_zero))
-    c2_target = NCPolynomial(EXACT, {(1, 1): EXACT.one(),
-                                     (1,): EXACT.of(-1), (): EXACT.of(-1)})
+    c2_target = NCPolynomial({(1, 1): EXACT.one(),
+                              (1,): EXACT.of(-1), (): EXACT.of(-1)})
     rows.append(IdentityRow("q_charlier_2", "x^2-x-1",
                             (q_charlier(2) - c2_target).is_zero))
 

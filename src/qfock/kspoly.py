@@ -5,8 +5,9 @@ in the power variables x_1, x_2, ...; substituting x_j -> Y_j(I) recovers the
 operator identities.  The one-variable degenerations are the continuous
 q-Hermite and the centered q-Charlier families.
 
-The polynomials A_w are memoised per moment sequence and ring, in the
-sequence's `ks_memo`.
+Coefficients lie in Q[q] (q0 is only an evaluation point, so one set of
+scalars serves every ring), and the polynomials A_w are memoised per moment
+sequence, in the sequence's `ks_memo`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from typing import Sequence
 
 from .errors import ResourceBudgetError, UsageError
 from .model import MomentSequence
-from .qscalar import (EXACT, QScalar, ScalarRing, accumulate, add_scaled,
-                      q_fact_ratio, q_int)
+from .qscalar import EXACT, QScalar, accumulate, add_scaled, q_fact_ratio, q_int
 
 MAX_KS_LEN = 8
 MAX_ROW_N = 6
@@ -26,11 +26,10 @@ Word = tuple[int, ...]
 
 
 class NCPolynomial:
-    """A noncommutative polynomial in variables x_1, x_2, ... over the scalar
-    ring; words are tuples of variable indices."""
+    """A noncommutative polynomial in variables x_1, x_2, ... over Q[q];
+    words are tuples of variable indices."""
 
-    def __init__(self, ring: ScalarRing, terms: dict[Word, QScalar] | None = None):
-        self.ring = ring
+    def __init__(self, terms: dict[Word, QScalar] | None = None):
         self.terms: dict[Word, QScalar] = {}
         if terms:
             for w, c in terms.items():
@@ -40,54 +39,48 @@ class NCPolynomial:
                     self.terms[tuple(w)] = c
 
     @staticmethod
-    def _of(ring: ScalarRing, terms: dict[Word, QScalar]) -> "NCPolynomial":
+    def _of(terms: dict[Word, QScalar]) -> "NCPolynomial":
         """A polynomial taking over terms, whose indices are >= 1 and with
         no zero coefficient."""
-        out = NCPolynomial(ring)
+        out = NCPolynomial()
         out.terms = terms
         return out
 
     @staticmethod
-    def zero(ring: ScalarRing) -> "NCPolynomial":
-        return NCPolynomial(ring)
+    def one() -> "NCPolynomial":
+        return NCPolynomial({(): EXACT.one()})
 
     @staticmethod
-    def one(ring: ScalarRing) -> "NCPolynomial":
-        return NCPolynomial(ring, {(): ring.one()})
+    def x(j: int) -> "NCPolynomial":
+        return NCPolynomial({(j,): EXACT.one()})
 
     @staticmethod
-    def x(j: int, ring: ScalarRing) -> "NCPolynomial":
-        return NCPolynomial(ring, {(j,): ring.one()})
-
-    @staticmethod
-    def const(c, ring: ScalarRing) -> "NCPolynomial":
-        c = c if isinstance(c, QScalar) else ring.of(c)
-        return NCPolynomial(ring, {(): c})
+    def const(c) -> "NCPolynomial":
+        return NCPolynomial({(): c if isinstance(c, QScalar) else EXACT.of(c)})
 
     def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
-        return NCPolynomial._of(self.ring, add_scaled(dict(self.terms), other.terms))
+        return NCPolynomial._of(add_scaled(dict(self.terms), other.terms))
 
     def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
-        return NCPolynomial._of(self.ring, add_scaled(dict(self.terms), other.terms,
-                                                      self.ring.of(-1)))
+        return NCPolynomial._of(add_scaled(dict(self.terms), other.terms,
+                                           EXACT.of(-1)))
 
     def __mul__(self, other: "NCPolynomial") -> "NCPolynomial":
         out: dict[Word, QScalar] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 accumulate(out, w1 + w2, c1 * c2)
-        return NCPolynomial._of(self.ring, out)
+        return NCPolynomial._of(out)
 
     def scale(self, c: QScalar) -> "NCPolynomial":
-        return NCPolynomial._of(self.ring, add_scaled({}, self.terms, c))
+        return NCPolynomial._of(add_scaled({}, self.terms, c))
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other):
-        return (isinstance(other, NCPolynomial) and self.ring == other.ring
-                and self.terms == other.terms)
+        return isinstance(other, NCPolynomial) and self.terms == other.terms
 
     def __str__(self) -> str:
         if not self.terms:
@@ -105,46 +98,44 @@ class NCPolynomial:
 # the orthogonalization recursion
 
 
-def ks_poly(u: Sequence[int], moments: MomentSequence,
-            ring: ScalarRing = EXACT) -> NCPolynomial:
+def ks_poly(u: Sequence[int], moments: MomentSequence) -> NCPolynomial:
     """A_u by the recursion
 
         A_(j,u) = x_j A_u - Σ_i q^{i-1} r_{j+u(i)} A_{u∖u(i)}
                           - Σ_i q^{i-1} A_{(j+u(i), u∖u(i))},
 
     with A_∅ = 1 and A_(j) = x_j.  Every A_w the recursion builds is kept in
-    the sequence's `ks_memo`, per ring, so it is freed with the sequence."""
+    the sequence's `ks_memo`, so it is freed with the sequence."""
     u = tuple(u)
     if any(j < 1 for j in u):
         raise UsageError(f"power indices must be >= 1: {u}")
     if len(u) > MAX_KS_LEN:
         raise ResourceBudgetError(f"ks_poly capped at length {MAX_KS_LEN}")
-    memo: dict[Word, NCPolynomial] = moments.ks_memo.setdefault(ring, {})
+    memo: dict[Word, NCPolynomial] = moments.ks_memo
 
     def rec(word: Word) -> NCPolynomial:
         got = memo.get(word)
         if got is not None:
             return got
         if not word:
-            out = NCPolynomial.one(ring)
+            out = NCPolynomial.one()
         else:
             j, rest = word[0], word[1:]
-            terms = (NCPolynomial.x(j, ring) * rec(rest)).terms
+            terms = (NCPolynomial.x(j) * rec(rest)).terms
             for i, ui in enumerate(rest):
                 removed = rest[:i] + rest[i + 1:]
-                qc = -ring.q_pow(i)
+                qc = -EXACT.q_pow(i)
                 add_scaled(terms, rec(removed).terms,
-                           qc * ring.of(moments.r_at(j + ui)))
+                           qc * EXACT.of(moments.r_at(j + ui)))
                 add_scaled(terms, rec((j + ui,) + removed).terms, qc)
-            out = NCPolynomial._of(ring, terms)
+            out = NCPolynomial._of(terms)
         memo[word] = out
         return out
 
     return rec(u)
 
 
-def ks_row_formula(j: int, n: int, moments: MomentSequence,
-                   ring: ScalarRing = EXACT) -> NCPolynomial:
+def ks_row_formula(j: int, n: int, moments: MomentSequence) -> NCPolynomial:
     """The closed form of A_(j,1,...,1) with n trailing ones:
 
         x_j A^(n) + Σ_{k=1}^n (-1)^k ([n]_q!/[n-k]_q!) (x_{j+k} + r_{j+k}) A^(n-k),
@@ -152,14 +143,13 @@ def ks_row_formula(j: int, n: int, moments: MomentSequence,
     where A^(m) = A_(1,...,1) on m ones."""
     if n > MAX_ROW_N:
         raise ResourceBudgetError(f"ks_row_formula capped at n = {MAX_ROW_N}")
-    a = {m: ks_poly((1,) * m, moments, ring) for m in range(n + 1)}
-    out = NCPolynomial.x(j, ring) * a[n]
+    a = {m: ks_poly((1,) * m, moments) for m in range(n + 1)}
+    out = NCPolynomial.x(j) * a[n]
     for k in range(1, n + 1):
         coeff = q_fact_ratio(n, k)
         if k % 2:
             coeff = -coeff
-        bracket = (NCPolynomial.x(j + k, ring)
-                   + NCPolynomial.const(moments.r_at(j + k), ring))
+        bracket = NCPolynomial.x(j + k) + NCPolynomial.const(moments.r_at(j + k))
         out = out + (bracket * a[n - k]).scale(coeff)
     return out
 
@@ -168,27 +158,26 @@ def ks_row_formula(j: int, n: int, moments: MomentSequence,
 # one-variable degenerations
 
 
-def q_hermite(n: int, ring: ScalarRing = EXACT) -> NCPolynomial:
+def q_hermite(n: int) -> NCPolynomial:
     """H_0 = 1, H_1 = x, H_{n+1} = x H_n - [n]_q H_{n-1}."""
     if not 0 <= n <= MAX_OP_DEGREE:
         raise ResourceBudgetError(f"q_hermite capped at degree {MAX_OP_DEGREE}")
-    h_prev, h = NCPolynomial.one(ring), NCPolynomial.x(1, ring)
+    h_prev, h = NCPolynomial.one(), NCPolynomial.x(1)
     if n == 0:
         return h_prev
     for m in range(1, n):
-        h_prev, h = h, NCPolynomial.x(1, ring) * h - h_prev.scale(q_int(m))
+        h_prev, h = h, NCPolynomial.x(1) * h - h_prev.scale(q_int(m))
     return h
 
 
-def q_charlier(n: int, ring: ScalarRing = EXACT) -> NCPolynomial:
+def q_charlier(n: int) -> NCPolynomial:
     """C_0 = 1, C_1 = x, C_{n+1} = x C_n - [n]_q C_n - [n]_q C_{n-1}."""
     if not 0 <= n <= MAX_OP_DEGREE:
         raise ResourceBudgetError(f"q_charlier capped at degree {MAX_OP_DEGREE}")
-    c_prev, c = NCPolynomial.one(ring), NCPolynomial.x(1, ring)
+    c_prev, c = NCPolynomial.one(), NCPolynomial.x(1)
     if n == 0:
         return c_prev
     for m in range(1, n):
         qm = q_int(m)
-        c_prev, c = c, (NCPolynomial.x(1, ring) * c - c.scale(qm)
-                        - c_prev.scale(qm))
+        c_prev, c = c, NCPolynomial.x(1) * c - c.scale(qm) - c_prev.scale(qm)
     return c

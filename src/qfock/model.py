@@ -47,7 +47,7 @@ class MomentSequence:
         if not self.r or self.r[0] != 0:
             raise UsageError("r_1 must be 0 (centered construction)")
         self.atoms = atoms
-        self.ks_memo: dict = {}  # ring -> {power word: A_u} (kspoly.py)
+        self.ks_memo: dict = {}  # power word -> A_u (kspoly.py)
 
     @staticmethod
     def from_measure(atoms: Iterable[tuple], length: int) -> "MomentSequence":
@@ -236,6 +236,14 @@ def letter_pair(a: Letter, b: Letter) -> Fraction:
                     den * db)
 
 
+def _basis_letter(algebra, i: int) -> Letter:
+    """The letter of the basis vector e_i of the algebra's space, its
+    canonical payload built directly."""
+    if not 0 <= i < algebra.space.dim:
+        raise UsageError(f"basis index {i} out of range")
+    return Letter(algebra, ((i, Fraction(1)),))
+
+
 # ---------------------------------------------------------------------------
 # the grid model
 
@@ -353,8 +361,7 @@ class ProcessModel:
         return self.letter({(atom, power): Fraction(1)})
 
     def basis_letter(self, i: int) -> Letter:
-        atom, power = self.atom_power(i)
-        return self.atom_letter(atom, power)
+        return _basis_letter(self, i)
 
     def interval_letter(self, interval: Interval, power: int = 1) -> Letter:
         """The letter of chi_I x^{power-1}: sum of e_{A,power} over atoms A of I."""
@@ -454,7 +461,7 @@ class WeightedPointAlgebra:
         return self.letter([1] * len(self.points))
 
     def basis_letter(self, i: int) -> Letter:
-        return self.letter([int(j == i) for j in range(len(self.points))])
+        return _basis_letter(self, i)
 
     def sup_norm(self, f: Letter) -> Fraction:
         return max((abs(v) for _, v in f.payload), default=Fraction(0))

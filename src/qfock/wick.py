@@ -14,10 +14,7 @@ covers both the grid model and the compound-Poisson algebra.
 A product X(l_1)...X(l_n) expands over extended partitions (S, π): closed
 blocks contract to scalars (the mean for singletons, a pairing for larger
 blocks), open blocks survive as letters of a Wick word, and each term is
-weighted by q^{rc(S, π)}.  `product_expansion` lists these terms and
-contracts each distinct block content once per call, through a memo that
-lives only for that call and is keyed by the block's letters in position
-order.
+weighted by q^{rc(S, π)}.  `product_expansion` lists these terms.
 
 `vacuum_moment` sums the closed case, φ[X(l_1)...X(l_n)] = Σ_π q^{rc(π)}
 Π_B (block contraction), without listing partitions: a left-to-right
@@ -25,24 +22,29 @@ transfer over the arcs still pending at each position (the transfer-matrix
 form of the crossing continued fractions of Flajolet and of Kasraoui–Zeng),
 with a budget on the number of live states in place of a cap on n.
 
+Letters are interned in their algebra (model.Letter), so they serve as keys
+themselves: a key hashes and compares object ids, never Fraction payloads.
 Wick operators are memoised per algebra, in its `wick_cache`, keyed by the
-word of letters.  Letters are interned in their algebra (model.Letter), so a
-key hashes and compares object ids, never Fraction payloads, and the
-products and pairing rows the recursion asks for are cached on the letters.
+word of letters, and letter products and pairing rows are cached on the
+letters.  Only two memos live for one call: `product_expansion`'s
+closed-block scalars, keyed by the block's letters in position order, and
+`vacuum_moment`'s pairings, keyed by (first letter, product letter).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ResourceBudgetError, UsageError
 from .fock import FockOperator, FockVector, apply
 from .model import Letter, letter_pair
 from .partitions import ExtendedPartition, enumerate_partitions, rc
-from .qscalar import IntImage, QScalar, addmul
+from .qscalar import IntImage, QScalar, accumulate, add_scaled, addmul
 
 MAX_PRODUCT_N = 8
 # Live arc states vacuum_moment may hold after one position.  X(1)^n on the
@@ -168,14 +170,10 @@ class WickElement:
     def __add__(self, other: "WickElement") -> "WickElement":
         if other.algebra is not self.algebra:
             raise UsageError("elements of different algebras")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            cur = out.get(w)
-            out[w] = c if cur is None else cur + c
-        return WickElement(self.algebra, out)
+        return WickElement(self.algebra, add_scaled(dict(self.terms), other.terms))
 
     def scale(self, c: QScalar) -> "WickElement":
-        return WickElement(self.algebra, {w: cc * c for w, cc in self.terms.items()})
+        return WickElement(self.algebra, add_scaled({}, self.terms, c))
 
     @property
     def is_zero(self) -> bool:
@@ -189,10 +187,8 @@ class WickElement:
         out: dict[tuple[Letter, ...], QScalar] = {}
         for w, c in self.terms.items():
             new = tuple(fn(l) for l in w)
-            if any(l.is_zero for l in new):
-                continue
-            cur = out.get(new)
-            out[new] = c if cur is None else cur + c
+            if not any(l.is_zero for l in new):
+                accumulate(out, new, c)
         return WickElement(self.algebra, out)
 
 
@@ -210,49 +206,18 @@ class ExpansionTerm:
     word: tuple[Letter, ...]
 
 
-def _block_scalar(letters: Sequence[Letter], block: tuple[int, ...]) -> Fraction:
+def _block_letter(block: Sequence[Letter]) -> Letter:
+    """The ordered product of a block's letters, each step read off the
+    left factor's product memo."""
+    return reduce(mul, block)
+
+
+def _block_scalar(block: Sequence[Letter]) -> Fraction:
     """Closed-block contraction: mean for singletons, else the pairing of the
     first letter against the ordered product of the rest."""
     if len(block) == 1:
-        return letters[block[0] - 1].mean()
-    rest = letters[block[1] - 1]
-    for i in block[2:]:
-        rest = rest * letters[i - 1]
-    return letter_pair(letters[block[0] - 1], rest)
-
-
-def _block_letter(letters: Sequence[Letter], block: tuple[int, ...]) -> Letter:
-    out = letters[block[0] - 1]
-    for i in block[1:]:
-        out = out * letters[i - 1]
-    return out
-
-
-def _content_labels(letters: Sequence[Letter]) -> tuple[list[Letter], list[int]]:
-    """The distinct letters in order of first appearance, and for each input
-    letter its 1-based position among them."""
-    distinct = list(dict.fromkeys(letters))
-    position = {l: i for i, l in enumerate(distinct, start=1)}
-    return distinct, [position[l] for l in letters]
-
-
-class _ContentMemo(dict):
-    """Per-call memo of a block function by block content.
-
-    A key lists the block's letters as positions into `distinct`, in the
-    block's order: the contraction pairs the first letter against the product
-    of the rest, so two blocks share a value only when their letters agree
-    position by position.
-    """
-
-    def __init__(self, compute, distinct: Sequence[Letter]):
-        super().__init__()
-        self.compute = compute
-        self.distinct = distinct
-
-    def __missing__(self, key: tuple[int, ...]):
-        value = self[key] = self.compute(self.distinct, key)
-        return value
+        return block[0].mean()
+    return letter_pair(block[0], _block_letter(block[1:]))
 
 
 def product_expansion(letters: Sequence[Letter]) -> list[ExpansionTerm]:
@@ -260,31 +225,35 @@ def product_expansion(letters: Sequence[Letter]) -> list[ExpansionTerm]:
 
     Closed singletons contribute the letter mean, which vanishes for centered
     letters — the grid-model constraint Sing(π) ⊆ S emerges rather than being
-    imposed.  Identically zero terms are dropped.
+    imposed.  Identically zero terms are dropped.  A block is the tuple of
+    its letters in position order; each distinct closed block is contracted
+    once per call, and open blocks multiply out through the letters' own
+    product memos.
     """
     n = len(letters)
     _same_algebra(letters)
     if n > MAX_PRODUCT_N:
         raise ResourceBudgetError(
             f"product_expansion capped at n = {MAX_PRODUCT_N}, got {n}")
-    distinct, labels = _content_labels(letters)
-    scalars = _ContentMemo(_block_scalar, distinct)
-    block_letters = _ContentMemo(_block_letter, distinct)
+    scalars: dict[tuple[Letter, ...], Fraction] = {}
     out: list[ExpansionTerm] = []
     for pi in enumerate_partitions(n):
-        keys = [tuple([labels[i - 1] for i in block]) for block in pi.blocks]
+        blocks = [tuple([letters[i - 1] for i in block]) for block in pi.blocks]
         for size in range(pi.size + 1):
             for S in combinations(range(pi.size), size):
                 scalar = Fraction(1)
-                for b, key in enumerate(keys):
+                for b, block in enumerate(blocks):
                     if b in S:
                         continue
-                    scalar *= scalars[key]
+                    x = scalars.get(block)
+                    if x is None:
+                        x = scalars[block] = _block_scalar(block)
+                    scalar *= x
                     if not scalar:
                         break
                 if not scalar:
                     continue
-                word = tuple(block_letters[keys[b]] for b in S)
+                word = tuple(_block_letter(blocks[b]) for b in S)
                 if any(l.is_zero for l in word):
                     continue
                 ep = ExtendedPartition(pi, frozenset(S))
@@ -314,7 +283,8 @@ def vacuum_moment(letters: Sequence[Letter]) -> QScalar:
 
     An arc joins consecutive elements of a block; the state after a position
     is the tuple of blocks with an arc still pending there, in order of their
-    last element, each kept as (first letter, product of its later letters).
+    last element, each kept as (first letter, product of its later letters),
+    the product None while the block has one letter.
     The next letter is a singleton (weight: its mean, a move skipped when the
     mean is 0), opens a block, or ends the pending arc of the block at place
     p of h; that arc crosses the h-1-p arcs opened after it and still
@@ -328,48 +298,19 @@ def vacuum_moment(letters: Sequence[Letter]) -> QScalar:
     the moment is made one canonical QScalar at the end.  A state is
     dropped when it has more pending arcs than positions left, and when
     more than MAX_ARC_STATES states are live after a position the call is
-    refused.  Letter products and pairings are memoised for the call.
+    refused.  Letters are interned, so states hash and compare object ids;
+    block products come from the letters' own product memos, and each
+    distinct pairing is computed once per call.
     """
     n = len(letters)
     _same_algebra(letters)
-    distinct, labels = _content_labels(letters)
-    # letter ids: 0 stands for the empty product, 1..len(distinct) for the
-    # input letters, and block products are interned after them
-    known = [None, *distinct]
-    ids = {l: i for i, l in enumerate(known) if i}
-    means = [None, *(l.mean() for l in distinct)]
-    products: dict[tuple[int, int], int] = {}
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def grow(rest: int, label: int) -> int:
-        """The id of rest·l (l itself when rest is empty); -1 if it is 0."""
-        key = (rest, label)
-        out = products.get(key)
-        if out is None:
-            if not rest:
-                out = label
-            else:
-                prod = known[rest] * known[label]
-                out = -1 if prod.is_zero else ids.get(prod)
-                if out is None:
-                    out = ids[prod] = len(known)
-                    known.append(prod)
-            products[key] = out
-        return out
-
-    def pair(first: int, rest: int) -> tuple[int, int]:
-        """letter_pair(first, rest) as (numerator, denominator)."""
-        key = (first, rest)
-        out = pairs.get(key)
-        if out is None:
-            x = letter_pair(known[first], known[rest])
-            out = pairs[key] = x.numerator, x.denominator
-        return out
+    # (first letter, product letter) -> the pairing as (numerator, denominator)
+    pairs: dict[tuple[Letter, Letter], tuple[int, int]] = {}
 
     states = IntImage(1, {(): [1]})
-    for pos, label in enumerate(labels):
+    for pos, letter in enumerate(letters):
         left = n - 1 - pos  # positions after this one
-        mean = means[label]
+        mean = letter.mean()
         den = states.den
         nxt = IntImage()
         terms, join = nxt.terms, nxt.join
@@ -379,13 +320,20 @@ def vacuum_moment(letters: Sequence[Letter]) -> QScalar:
                 addmul(terms, state, num,
                        mean.numerator * join(den * mean.denominator), 0)
             if h < left:
-                addmul(terms, state + ((label, 0),), num, join(den), 0)
+                addmul(terms, state + ((letter, None),), num, join(den), 0)
             for p, (first, rest) in enumerate(state):
-                grown = grow(rest, label)
-                if grown < 0:
-                    continue  # a zero product pairs to 0 whatever follows
+                if rest is None:
+                    grown = letter
+                else:
+                    grown = rest * letter
+                    if grown.is_zero:
+                        continue  # a zero product pairs to 0 whatever follows
                 others = state[:p] + state[p + 1:]
-                y, d = pair(first, grown)
+                pair = pairs.get((first, grown))
+                if pair is None:
+                    x = letter_pair(first, grown)
+                    pair = pairs[first, grown] = x.numerator, x.denominator
+                y, d = pair
                 if y:
                     addmul(terms, others, num, y * join(den * d), h - 1 - p)
                 if h <= left:

@@ -179,10 +179,10 @@ def test_orthogonalization_polynomials():
             ok = ok and (ks_poly((j,) + (1,) * n, moments)
                          - ks_row_formula(j, n, moments)).is_zero
 
-    h3 = NCPolynomial(EXACT, {(1, 1, 1): EXACT.one(),
-                              (1,): -QScalar.parse("2 + q")})
-    c2 = NCPolynomial(EXACT, {(1, 1): EXACT.one(),
-                              (1,): EXACT.of(-1), (): EXACT.of(-1)})
+    h3 = NCPolynomial({(1, 1, 1): EXACT.one(),
+                       (1,): -QScalar.parse("2 + q")})
+    c2 = NCPolynomial({(1, 1): EXACT.one(),
+                       (1,): EXACT.of(-1), (): EXACT.of(-1)})
     ok = ok and (q_hermite(3) - h3).is_zero and (q_charlier(2) - c2).is_zero
 
     model = three_point_model(n_atoms=2, cutoff=5, depth=6)

@@ -7,7 +7,7 @@ from qfock.fock import FockOperator, apply
 from qfock.kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
 from qfock.model import (MomentSequence, ProcessModel, TimeGrid,
                          monic_op_coefficients)
-from qfock.qscalar import EXACT, QScalar, ScalarRing, q_int
+from qfock.qscalar import EXACT, QScalar, q_int
 from qfock.wick import vacuum_vector, word_vector
 
 F = Fraction
@@ -28,35 +28,35 @@ def moments():
 
 class TestNCPolynomial:
     def test_mul_preserves_order(self):
-        a = NCPolynomial.x(1, EXACT)
-        b = NCPolynomial.x(2, EXACT)
+        a = NCPolynomial.x(1)
+        b = NCPolynomial.x(2)
         assert (a * b).terms == {(1, 2): EXACT.one()}
         assert a * b != b * a
 
     def test_add_cancels(self):
-        a = NCPolynomial.x(1, EXACT)
+        a = NCPolynomial.x(1)
         assert (a - a).is_zero
 
     def test_str_sorted_by_degree(self):
-        p = NCPolynomial(EXACT, {(2, 1): EXACT.one(), (): EXACT.of(3)})
+        p = NCPolynomial({(2, 1): EXACT.one(), (): EXACT.of(3)})
         assert str(p) == "(3) · 1 + (1) · x2 x1"
 
     def test_variable_indices_validated(self):
         with pytest.raises(UsageError):
-            NCPolynomial(EXACT, {(0,): EXACT.one()})
+            NCPolynomial({(0,): EXACT.one()})
 
 
 class TestRecursion:
     def test_base_cases(self, moments):
-        assert ks_poly((), moments) == NCPolynomial.one(EXACT)
-        assert ks_poly((3,), moments) == NCPolynomial.x(3, EXACT)
+        assert ks_poly((), moments) == NCPolynomial.one()
+        assert ks_poly((3,), moments) == NCPolynomial.x(3)
 
     def test_pair_by_hand(self, moments):
         # A_(j,k) = x_j x_k - r_{j+k} - x_{j+k}
         got = ks_poly((2, 1), moments)
-        want = (NCPolynomial.x(2, EXACT) * NCPolynomial.x(1, EXACT)
-                - NCPolynomial.const(moments.r_at(3), EXACT)
-                - NCPolynomial.x(3, EXACT))
+        want = (NCPolynomial.x(2) * NCPolynomial.x(1)
+                - NCPolynomial.const(moments.r_at(3))
+                - NCPolynomial.x(3))
         assert (got - want).is_zero
 
     @pytest.mark.parametrize("j", [1, 2, 3])
@@ -87,33 +87,23 @@ class TestMemo:
         assert other != got
         assert [ks_poly(u, forward) for u in reversed(self.WORDS)][::-1] == got
 
-    def test_rings_do_not_mix(self):
-        moments = self.fresh()
-        half = ScalarRing(F(1, 2))
-        exact = ks_poly((2, 1, 1), moments)
-        at_half = ks_poly((2, 1, 1), moments, half)
-        assert exact.ring == EXACT and at_half.ring == half
-        assert exact.terms == at_half.terms
-        assert all(p.ring == half for p in moments.ks_memo[half].values())
-        assert all(p.ring == EXACT for p in moments.ks_memo[EXACT].values())
-
 
 class TestDegenerations:
     def test_hermite_three(self):
-        target = NCPolynomial(EXACT, {(1, 1, 1): EXACT.one(),
-                                      (1,): -QScalar.parse("2 + q")})
+        target = NCPolynomial({(1, 1, 1): EXACT.one(),
+                               (1,): -QScalar.parse("2 + q")})
         assert (q_hermite(3) - target).is_zero
 
     def test_hermite_recursion_coefficients(self):
         # H_4 = x H_3 - [3]_q H_2
         lhs = q_hermite(4)
-        rhs = (NCPolynomial.x(1, EXACT) * q_hermite(3)
+        rhs = (NCPolynomial.x(1) * q_hermite(3)
                - q_hermite(2).scale(q_int(3)))
         assert (lhs - rhs).is_zero
 
     def test_charlier_two(self):
-        target = NCPolynomial(EXACT, {(1, 1): EXACT.one(),
-                                      (1,): EXACT.of(-1), (): EXACT.of(-1)})
+        target = NCPolynomial({(1, 1): EXACT.one(),
+                               (1,): EXACT.of(-1), (): EXACT.of(-1)})
         assert (q_charlier(2) - target).is_zero
 
     def test_gaussian_moments_give_hermite(self):
@@ -124,8 +114,7 @@ class TestDegenerations:
         for n in range(5):
             a = ks_poly((1,) * n, moments)
             drop_high = NCPolynomial(
-                EXACT, {w: c for w, c in a.terms.items()
-                        if all(j == 1 for j in w)})
+                {w: c for w, c in a.terms.items() if all(j == 1 for j in w)})
             assert (drop_high - q_hermite(n)).is_zero
 
     def test_monic_op_poly_matches_charlier_style(self):

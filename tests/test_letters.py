@@ -69,6 +69,13 @@ class TestInterning:
             assert model.basis_letter(i) is model.atom_letter(*model.atom_power(i))
         assert points.basis_letter(1) is points.letter([0, 1, 0])
 
+    def test_basis_letter_out_of_range(self, model, points):
+        for algebra in (model, points):
+            for i in (-1, algebra.space.dim):
+                with pytest.raises(UsageError,
+                                   match=rf"^basis index {i} out of range$"):
+                    algebra.basis_letter(i)
+
     def test_process_family(self, model):
         assert x_process(model).letter(2) is model.atom_letter(2)
         assert x_process(model).prefix_letter(F(1, 2)) is model.prefix_letter(F(1, 2))

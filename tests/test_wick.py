@@ -3,6 +3,7 @@ import math
 import random
 import re
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from qfock import wick
 from qfock.cli import all_ones_pointset, gaussian_model, three_point_model
-from qfock.errors import ResourceBudgetError, UsageError
+from qfock.errors import CutoffExceededError, ResourceBudgetError, UsageError
 from qfock.fock import FockOperator, FockVector, apply
 from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
                          TimeGrid, letter_pair)
@@ -300,10 +301,63 @@ def apply_product(algebra, letters, v):
     return v
 
 
+def ababa_words():
+    """[a, b, a, b, a] in each algebra: blocks {1,2} and {3,4} hold the same
+    letters, so a memo keyed by letters meets them twice."""
+    grid = three_point_model(n_atoms=2, cutoff=5, depth=6)
+    a, b = grid.atom_letter(0), grid.atom_letter(0) + grid.atom_letter(1)
+    points = WeightedPointAlgebra([-1, 0, 2], [F(1, 4), F(1, 2), F(1, 4)], EXACT)
+    f, g = points.letter([1, 2, 0]), points.letter([0, 1, -1])
+    return [(a, b, a, b, a), (f, g, f, g, f)]
+
+
 class TestBlockMemo:
-    """product_expansion contracts each distinct block content once per call,
-    and vacuum_moment memoises letter products and pairings per call; the
-    results must equal direct Fock application."""
+    """The per-call memos are keyed by the interned letters themselves:
+    product_expansion contracts each distinct closed block (its letters in
+    position order) once per call, and vacuum_moment pairs each distinct
+    (first letter, product letter) once per call; the results must equal
+    direct Fock application."""
+
+    @pytest.mark.parametrize("word", ababa_words())
+    def test_moment_pairs_each_pair_once_per_call(self, monkeypatch, word):
+        calls = Counter()
+
+        def counted(a, b):
+            calls[a, b] += 1
+            return letter_pair(a, b)
+
+        monkeypatch.setattr(wick, "letter_pair", counted)
+        a, b = word[:2]
+        first = vacuum_moment(word)
+        assert (a, b) in calls and max(calls.values()) == 1
+        once = dict(calls)
+        calls.clear()
+        assert vacuum_moment(word) == first
+        assert calls == once  # the memo lives for one call
+
+    @pytest.mark.parametrize("word", ababa_words())
+    def test_expansion_contracts_each_block_once_per_call(self, monkeypatch, word):
+        calls = Counter()
+        block_scalar = wick._block_scalar
+
+        def counted(block):
+            calls[block] += 1
+            return block_scalar(block)
+
+        monkeypatch.setattr(wick, "_block_scalar", counted)
+        a, b = word[:2]
+        first = product_expansion(word)
+        assert (a, b) in calls and max(calls.values()) == 1
+        once = dict(calls)
+        calls.clear()
+        assert product_expansion(word) == first
+        assert calls == once  # the memo lives for one call
+
+    def test_expansion_past_the_cutoff(self):
+        model = three_point_model(n_atoms=1, cutoff=3, depth=4)
+        with pytest.raises(CutoffExceededError,
+                           match=r"^letter product degree 4 exceeds cutoff 3$"):
+            product_expansion([model.atom_letter(0)] * 4)
 
     @given(words(max_len=5))
     @settings(max_examples=30, deadline=None)
