@@ -18,7 +18,8 @@ from .model import (WeightedPointAlgebra, Letter, MomentSequence, ProcessModel,
                     parse_model_config)
 from .partitions import (ExtendedPartition, SetPartition, enumerate_partitions,
                          index_tuples, rc)
-from .qscalar import EXACT, QScalar, ScalarRing, q_fact, q_fact_ratio, q_int
+from .qscalar import (EXACT, ONE, ZERO, QScalar, ScalarRing, const, q_fact,
+                      q_fact_ratio, q_int, q_pow)
 from .stochastic import (AdaptedProcess, BiProcess, ConvergenceTable,
                          ProcessFamily, StepFunction, biprocess_inner,
                          biprocess_integral, chaos_decompose,

@@ -23,7 +23,7 @@ from .model import (WeightedPointAlgebra, MomentSequence, ProcessModel, TimeGrid
                     _parse_fraction_list, config_entries, config_value,
                     model_from_values, model_values, parse_ring)
 from .partitions import SetPartition
-from .qscalar import EXACT, QScalar, ScalarRing, q_fact_ratio
+from .qscalar import EXACT, ONE, QScalar, ScalarRing, const, q_fact_ratio, q_pow
 from .stochastic import (AdaptedProcess, BiProcess, StepFunction,
                          biprocess_inner, biprocess_integral,
                          conditional_expectation, delta_process, ito_integral,
@@ -132,13 +132,13 @@ def commutation_relation(sub: random.Random, dim: int, q: QScalar
                          ) -> tuple[OneParticleSpace, FockOperator, FockOperator]:
     """A random gram on dim basis vectors and the two sides of
     a(zeta) a*(eta) - q a*(eta) a(zeta) = <zeta, eta> Id, zeta and eta random."""
-    space = OneParticleSpace(dim, rand_gram(sub, dim), EXACT)
+    space = OneParticleSpace(dim, rand_gram(sub, dim))
     zeta = sparse_vector(rand_vector(sub, dim))
     eta = sparse_vector(rand_vector(sub, dim))
     lhs = (FockOperator.annihilation(zeta) * FockOperator.creation(eta)
            - FockOperator.compose([FockOperator.creation(eta),
                                    FockOperator.annihilation(zeta)]).scale(q))
-    rhs = FockOperator.scalar(EXACT.of(space.pair_vec(zeta, eta)))
+    rhs = FockOperator.scalar(const(space.pair_vec(zeta, eta)))
     return space, lhs, rhs
 
 
@@ -146,12 +146,11 @@ def commutation_residual(space: OneParticleSpace, lhs: FockOperator,
                          rhs: FockOperator) -> FockVector:
     """lhs - rhs on the sum of the basis words of length 1-4, in a depth-5
     space: by linearity, the sum of the residuals of the words one by one."""
-    one = EXACT.one()
     words = [()]
     ones = {}
     for _ in range(4):
         words = [w + (i,) for w in words for i in range(space.dim)]
-        ones.update(dict.fromkeys(words, one))
+        ones.update(dict.fromkeys(words, ONE))
     return apply(lhs - rhs, FockVector(space, 5, ones))
 
 
@@ -161,7 +160,7 @@ def suite_commutation(rng: random.Random) -> list[IdentityRow]:
     for seed in range(20):
         sub = random.Random(rng.randrange(2 ** 32) + seed)
         dim = 1 + seed % 3
-        diff = commutation_residual(*commutation_relation(sub, dim, EXACT.q()))
+        diff = commutation_residual(*commutation_relation(sub, dim, q_pow(1)))
         rows.append(_vector_row("commutation", f"seed={seed},dim={dim}", diff))
     return rows
 
@@ -214,7 +213,7 @@ def suite_isometry(rng: random.Random) -> list[IdentityRow]:
     fs = [StepFunction.rectangle(model, [(0, Fraction(1, 4)),
                                          (Fraction(1, 4), Fraction(1, 2))]),
           StepFunction.rectangle(model, [(0, Fraction(1, 2)),
-                                         (Fraction(1, 2), 1)]).scale(model.ring.of(2))]
+                                         (Fraction(1, 2), 1)]).scale(const(2))]
     om = vacuum_vector(model)
     for i, f in enumerate(fs):
         for j, g in enumerate(fs):
@@ -274,12 +273,11 @@ def suite_ks(rng: random.Random) -> list[IdentityRow]:
             diff = ks_poly((j,) + (1,) * n, moments) - ks_row_formula(j, n, moments)
             rows.append(IdentityRow("ks_row_formula", f"j={j},n={n}",
                                     diff.is_zero, str(diff) if not diff.is_zero else "0"))
-    h3_target = NCPolynomial({(1, 1, 1): EXACT.one(),
+    h3_target = NCPolynomial({(1, 1, 1): ONE,
                               (1,): -QScalar.parse("2 + q")})
     rows.append(IdentityRow("q_hermite_3", "x^3-(2+q)x",
                             (q_hermite(3) - h3_target).is_zero))
-    c2_target = NCPolynomial({(1, 1): EXACT.one(),
-                              (1,): EXACT.of(-1), (): EXACT.of(-1)})
+    c2_target = NCPolynomial({(1, 1): ONE, (1,): const(-1), (): const(-1)})
     rows.append(IdentityRow("q_charlier_2", "x^2-x-1",
                             (q_charlier(2) - c2_target).is_zero))
 
@@ -304,7 +302,6 @@ def suite_calculus(rng: random.Random) -> list[IdentityRow]:
     """Itô isometry, the conditional-expectation lemma, the two-sided
     integral closed form, and the bi-process isometry."""
     model = two_point_model(n_atoms=4, cutoff=2, depth=6)
-    ring = model.ring
     om = vacuum_vector(model)
     rows = []
     half, quarter = Fraction(1, 2), Fraction(1, 4)
@@ -312,7 +309,7 @@ def suite_calculus(rng: random.Random) -> list[IdentityRow]:
     u_val = WickElement.from_word(model, (model.atom_letter(0),))
     v_val = (WickElement.from_word(model, (model.atom_letter(0),
                                            model.atom_letter(1)))
-             + WickElement.one(model).scale(ring.of(2)))
+             + WickElement.one(model).scale(const(2)))
     u = AdaptedProcess(model, [((half, Fraction(3, 4)), u_val),
                                ((Fraction(3, 4), 1), v_val)])
     v = AdaptedProcess(model, [((half, Fraction(3, 4)), v_val),
@@ -330,7 +327,7 @@ def suite_calculus(rng: random.Random) -> list[IdentityRow]:
         sandwich = FockOperator.compose([x_st, z.operator(), x_st])
         lhs_el = conditional_expectation(
             WickElement.from_vector(model, apply(sandwich, om)), s)
-        rhs_el = z.gamma().scale(ring.of(t - s))
+        rhs_el = z.gamma().scale(const(t - s))
         rows.append(_vector_row("conditional_sandwich", f"z_deg={z.top_degree()}",
                                 lhs_el.vector() - rhs_el.vector()))
 
@@ -347,7 +344,7 @@ def suite_calculus(rng: random.Random) -> list[IdentityRow]:
     om = vacuum_vector(m4)
     u_val = WickElement.from_word(m4, (m4.atom_letter(0),))
     v_val = (WickElement.from_word(m4, (m4.atom_letter(0), m4.atom_letter(1)))
-             + WickElement.one(m4).scale(m4.ring.of(2)))
+             + WickElement.one(m4).scale(const(2)))
     bi_u = BiProcess(m4, [((half, Fraction(3, 4)), [(u_val, v_val)])])
     bi_v = BiProcess(m4, [((half, Fraction(3, 4)), [(v_val, u_val)])])
     for a, b, tag in ((bi_u, bi_u, "uu"), (bi_u, bi_v, "uv"), (bi_v, bi_v, "vv")):
@@ -365,12 +362,11 @@ def suite_traciality(rng: random.Random) -> list[IdentityRow]:
         model = make(n_atoms=2, cutoff=k + 5, depth=6)
         i, j = (Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(1))
         first, second = traciality_witness(model, i, j, k)
-        ring = model.ring
         r2 = model.moments.r_at(2)
         r2k = model.moments.r_at(2 + k)
         area = Fraction(1, 4)
-        expect1 = ring.q_pow(2) * ring.of(r2 * r2k * area)
-        expect2 = ring.q() * ring.of(r2 * r2k * area)
+        expect1 = q_pow(2) * const(r2 * r2k * area)
+        expect2 = q_pow(1) * const(r2 * r2k * area)
         tag = f"k={k},r{2+k}={r2k}"
         rows.append(_scalar_row("traciality_first", tag, first - expect1))
         rows.append(_scalar_row("traciality_second", tag, second - expect2))
@@ -494,9 +490,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     pointset = None
     if "pointset.points" in entries:
-        for name, key in (("grid", "grid"), ("cutoff", "degree_cutoff")):
+        for name in ("grid", "cutoff"):
             if flag[name] is not None:
                 raise UsageError(f"--{name} does not apply to a point-set model")
+        for key in ("grid", "degree_cutoff", "nu.atoms", "moments"):
             if key in entries:
                 raise UsageError(f"model key {key} does not apply to a point-set model")
         pts = config_value(entries, "pointset.points", _parse_fraction_list)
@@ -565,7 +562,7 @@ def cmd_moments(config: RunConfig) -> int:
                 f"nmax {config.nmax} needs degree_cutoff >= {config.nmax - 1}, "
                 f"model has {algebra.degree_cutoff}")
         letter = algebra.prefix_letter(algebra.grid.horizon)
-    q0 = algebra.ring.q0
+    q0 = algebra.space.ring.q0
     for n in range(1, config.nmax + 1):
         m = vacuum_moment([letter] * n)
         # at a q0, the polynomial evaluated there and rounded once

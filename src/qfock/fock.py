@@ -16,12 +16,13 @@ not checked again.
 Operator trees are DAGs (Wick operators and fields are shared nodes), and
 one call of `apply` computes the image of its input under a shared node
 once: a factor that acts first in a composition, or a sum from its second
-use on.  Every scalar is exact;
-a float operator-norm estimate instead evaluates the tree at the ring's q0
-and takes a dense matrix realization of it, its compression to words of
-length <= depth, built by one numpy rule per node kind: a creation is
-zeta (x) 1, and an annihilation or gauge acts on each tensor slot moved to the
-front, with weight q0^k.
+use on.  Every scalar is exact, and no exact path reads an evaluation
+point.  Only a float operator-norm estimate does: it evaluates the tree at
+the q0 of the space's ring (`qscalar.ScalarRing`, only a point) and takes a
+dense matrix realization of it, its compression to words of length <=
+depth, built by one numpy rule per node kind: a creation is zeta (x) 1, and
+an annihilation or gauge acts on each tensor slot moved to the front, with
+weight q0^k.
 
 One-particle vectors have one form, the sparse tuple of their nonzero
 (index, coeff) entries in index order (`SparseVector`).  Public constructors
@@ -29,7 +30,7 @@ also accept a dense coefficient sequence and convert it once, on entry.  The
 gram form has one form too, its sparse rows, and is block-diagonal over its
 orthogonality classes; the space also keeps those rows as int numerators
 over one denominator, from which the pairings and `inner0` compute without
-building a Fraction or a ring scalar per term.  Each leaf node keeps, per
+building a Fraction or a QScalar per term.  Each leaf node keeps, per
 space it is applied on, its payload as int numerators over one denominator:
 a creation its entries, an annihilation its pairing row {i: <zeta, e_i>}
 and a gauge the columns it has been asked for.  An annihilation or gauge
@@ -61,8 +62,8 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DepthExceededError, ResourceBudgetError, UsageError
-from .qscalar import (IntImage, QScalar, ScalarRing, accumulate, add_scaled,
-                      addmul, int_numerators)
+from .qscalar import (EXACT, ONE, ZERO, IntImage, QScalar, ScalarRing,
+                      accumulate, add_scaled, addmul, const, int_numerators)
 
 PN_CAP = 9
 NORM_WORD_CAP = 2048
@@ -90,9 +91,10 @@ class OneParticleSpace:
     sparse (see sparse_vector).  Entries are exact rationals; `int_rows`
     holds the same rows as int numerators over the one denominator
     `gram_den`, {i: gram_den <e_j, e_i>} per j, built once here.  The
-    pairings and `inner0` compute on them and build Fractions or ring
-    scalars only for their results.  The ring's q0, if any, is where norm
-    estimates evaluate.  Pairings take one-particle vectors in sparse form;
+    pairings and `inner0` compute on them and build Fractions or QScalars
+    only for their results.  The ring is only an evaluation point: its q0,
+    if any, is where norm estimates evaluate, and it defaults to `EXACT`,
+    which has none.  Pairings take one-particle vectors in sparse form;
     an annihilation node keeps its own int pairing row (`pair_ints`, through
     `FockOperator.pairing`) per space it is applied on.
 
@@ -101,7 +103,7 @@ class OneParticleSpace:
     keyed by degree.
     """
 
-    def __init__(self, dim: int, gram: Sequence[Sequence], ring: ScalarRing):
+    def __init__(self, dim: int, gram: Sequence[Sequence], ring: ScalarRing = EXACT):
         if len(gram) != dim:
             raise UsageError(f"gram must have {dim} rows, got {len(gram)}")
         self.dim = dim
@@ -123,7 +125,7 @@ class OneParticleSpace:
         self.pn_factors: dict[int, object] = {}
 
     @staticmethod
-    def orthonormal(dim: int, ring: ScalarRing) -> "OneParticleSpace":
+    def orthonormal(dim: int, ring: ScalarRing = EXACT) -> "OneParticleSpace":
         return OneParticleSpace(dim, [((i, 1),) for i in range(dim)], ring)
 
     def pair_ints(self, zeta: SparseVector) -> tuple[int, dict[int, int]]:
@@ -221,11 +223,11 @@ class FockVector:
 
     @staticmethod
     def vacuum(space: OneParticleSpace, depth: int) -> "FockVector":
-        return FockVector(space, depth, {(): space.ring.one()})
+        return FockVector(space, depth, {(): ONE})
 
     @staticmethod
     def basis_word(space: OneParticleSpace, depth: int, word: Word) -> "FockVector":
-        return FockVector(space, depth, {tuple(word): space.ring.one()})
+        return FockVector(space, depth, {tuple(word): ONE})
 
     def add_term(self, word: Word, coeff: QScalar) -> None:
         if len(word) > self.depth:
@@ -248,7 +250,7 @@ class FockVector:
         return self._plus(other, None)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self._plus(other, -self.space.ring.one())
+        return self._plus(other, -ONE)
 
     def scale(self, c: QScalar) -> "FockVector":
         return FockVector._of(self.space, self.depth, add_scaled({}, self.terms, c))
@@ -265,7 +267,7 @@ class FockVector:
         return max((len(w) for w in self.terms), default=0)
 
     def vacuum_coefficient(self) -> QScalar:
-        return self.terms.get((), self.space.ring.zero())
+        return self.terms.get((), ZERO)
 
     def serialize(self) -> str:
         lines = []
@@ -326,7 +328,7 @@ def inner0(u: FockVector, v: FockVector) -> QScalar:
                 if y:
                     addmul(by_degree, len(w), acc[None], y, k)
     if not by_degree:
-        return sp.ring.zero()
+        return ZERO
     top, gd = max(by_degree), sp.gram_den
     total: dict = {}
     for n, num in by_degree.items():
@@ -455,8 +457,8 @@ class FockOperator:
         return FockOperator("scalar", c)
 
     @staticmethod
-    def identity(ring: ScalarRing) -> "FockOperator":
-        return FockOperator("scalar", ring.one())
+    def identity() -> "FockOperator":
+        return FockOperator("scalar", ONE)
 
     @staticmethod
     def opsum(ops: Iterable["FockOperator"]) -> "FockOperator":
@@ -499,8 +501,7 @@ class FockOperator:
 
     def scale_by(self, x) -> "FockOperator":
         """Scale by a rational."""
-        return FockOperator("compose", None,
-                            (FockOperator.scalar(QScalar.exact((x,))), self))
+        return FockOperator("compose", None, (FockOperator.scalar(const(x)), self))
 
     def pairing(self, space: OneParticleSpace) -> tuple[int, dict[int, int]]:
         """An annihilation node's payload on a space: `space.pair_ints` of
@@ -512,16 +513,10 @@ class FockOperator:
 
 
 def field_operator(zeta: Sequence, gauge: Gauge | None,
-                   mean: Fraction | QScalar | None, ring: ScalarRing) -> FockOperator:
+                   mean: Fraction | QScalar | None) -> FockOperator:
     """a(zeta) + a*(zeta) + p(T) + mean * Id, any summand optional; zeta in
-    dense or sparse form."""
-    return sparse_field(sparse_vector(zeta), gauge, mean, ring)
-
-
-def sparse_field(zeta: SparseVector, gauge: Gauge | None,
-                 mean: Fraction | QScalar | None, ring: ScalarRing) -> FockOperator:
-    """field_operator of a canonical sparse vector, taken as it is, as a
-    letter's payload is."""
+    dense or sparse form (see sparse_vector)."""
+    zeta = sparse_vector(zeta)
     parts: list[FockOperator] = []
     if zeta:
         parts.append(FockOperator("creation", zeta))
@@ -529,11 +524,11 @@ def sparse_field(zeta: SparseVector, gauge: Gauge | None,
     if gauge is not None:
         parts.append(FockOperator.gauge(gauge))
     if mean is not None:
-        m = mean if isinstance(mean, QScalar) else ring.of(mean)
+        m = mean if isinstance(mean, QScalar) else const(mean)
         if not m.is_zero:
             parts.append(FockOperator.scalar(m))
     if not parts:
-        return FockOperator.scalar(ring.zero())
+        return FockOperator.scalar(ZERO)
     return FockOperator.opsum(parts)
 
 
@@ -832,8 +827,7 @@ def _compression(op: FockOperator, space: OneParticleSpace, depth: int):
     """
     import numpy as np
 
-    dim, ring = space.dim, space.ring
-    q0 = float(ring.q0)
+    dim, q0 = space.dim, space.ring.q0
     offsets = [0]
     for n in range(depth + 1):
         offsets.append(offsets[-1] + dim ** n)
@@ -858,11 +852,11 @@ def _compression(op: FockOperator, space: OneParticleSpace, depth: int):
             move = moves.get((n, k))
             if move is None:
                 move = moves[n, k] = _slot_to_front(dim, n, k)
-            out += q0 ** k * head[:, move]
+            out += float(q0) ** k * head[:, move]
         return out
 
     def scalar(op: FockOperator) -> float:
-        return float(op.payload.subs(ring.q0))
+        return float(op.payload.subs(q0))
 
     def build(op: FockOperator):
         kind = op.kind

@@ -5,8 +5,8 @@ in the power variables x_1, x_2, ...; substituting x_j -> Y_j(I) recovers the
 operator identities.  The one-variable degenerations are the continuous
 q-Hermite and the centered q-Charlier families.
 
-Coefficients lie in Q[q] (q0 is only an evaluation point, so one set of
-scalars serves every ring), and the polynomials A_w are memoised per moment
+Coefficients lie in Q[q] and come from the module names of `qscalar`; no
+evaluation point enters them.  The polynomials A_w are memoised per moment
 sequence, in the sequence's `ks_memo`.
 """
 
@@ -16,7 +16,8 @@ from typing import Sequence
 
 from .errors import ResourceBudgetError, UsageError
 from .model import MomentSequence
-from .qscalar import EXACT, QScalar, accumulate, add_scaled, q_fact_ratio, q_int
+from .qscalar import (ONE, QScalar, accumulate, add_scaled, const, q_fact_ratio,
+                      q_int, q_pow)
 
 MAX_KS_LEN = 8
 MAX_ROW_N = 6
@@ -48,22 +49,21 @@ class NCPolynomial:
 
     @staticmethod
     def one() -> "NCPolynomial":
-        return NCPolynomial({(): EXACT.one()})
+        return NCPolynomial({(): ONE})
 
     @staticmethod
     def x(j: int) -> "NCPolynomial":
-        return NCPolynomial({(j,): EXACT.one()})
+        return NCPolynomial({(j,): ONE})
 
     @staticmethod
     def const(c) -> "NCPolynomial":
-        return NCPolynomial({(): c if isinstance(c, QScalar) else EXACT.of(c)})
+        return NCPolynomial({(): c if isinstance(c, QScalar) else const(c)})
 
     def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
         return NCPolynomial._of(add_scaled(dict(self.terms), other.terms))
 
     def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
-        return NCPolynomial._of(add_scaled(dict(self.terms), other.terms,
-                                           EXACT.of(-1)))
+        return NCPolynomial._of(add_scaled(dict(self.terms), other.terms, -ONE))
 
     def __mul__(self, other: "NCPolynomial") -> "NCPolynomial":
         out: dict[Word, QScalar] = {}
@@ -124,9 +124,9 @@ def ks_poly(u: Sequence[int], moments: MomentSequence) -> NCPolynomial:
             terms = (NCPolynomial.x(j) * rec(rest)).terms
             for i, ui in enumerate(rest):
                 removed = rest[:i] + rest[i + 1:]
-                qc = -EXACT.q_pow(i)
+                qc = -q_pow(i)
                 add_scaled(terms, rec(removed).terms,
-                           qc * EXACT.of(moments.r_at(j + ui)))
+                           qc * const(moments.r_at(j + ui)))
                 add_scaled(terms, rec((j + ui,) + removed).terms, qc)
             out = NCPolynomial._of(terms)
         memo[word] = out

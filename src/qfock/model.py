@@ -13,8 +13,10 @@ A Letter bundles (one-particle vector, gauge action, mean) so that Wick
 recursion, product expansions and stochastic measures share one code path.
 In both algebras a letter's payload is its one-particle vector xi, in the
 one sparse form of `fock.SparseVector`; `Letter` adds, scales and
-multiplies payloads once for both, and each algebra keeps only what differs:
-its validating `letter` constructor, the product, gauge, mean and text.
+multiplies payloads, and gauges by multiplication, once for both, and each
+algebra keeps only what differs: its validating `letter` constructor, the
+product, mean and text.  An algebra hands its ring, only an evaluation
+point, to its space and keeps no copy.
 
 Each algebra owns the caches of its letters, so they are freed with it: the
 intern table `letters` (one Letter per canonical payload, so letters compare
@@ -29,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import CutoffExceededError, DegeneracyError, UsageError
 from .fock import (FockOperator, Gauge, OneParticleSpace, SparseVector,
-                   _solve_matrix, sparse_field, sparse_vector)
+                   _solve_matrix, field_operator, sparse_vector)
 from .qscalar import ScalarRing, int_numerators
 
 Interval = tuple[Fraction, Fraction]
@@ -136,8 +138,8 @@ class Letter:
 
     The payload is the letter's one-particle vector xi itself, a canonical
     `SparseVector`: sorted (basis index, Fraction) pairs with no zero.  Sums,
-    scalings and products act on it here, the same in every algebra; the
-    algebra supplies the product, gauge, mean and text.
+    scalings, products and the gauge act on it here, the same in every
+    algebra; the algebra supplies the product, mean and text.
 
     Letters are interned in their algebra: `Letter(algebra, payload)` returns
     the one letter the algebra's `letters` table holds for that canonical
@@ -170,7 +172,8 @@ class Letter:
         return self.algebra.xi(self.payload)
 
     def gauge(self) -> Gauge | None:
-        return self.algebra.gauge(self.payload)
+        """Multiplication by the letter (see _LetterGauge); None for 0."""
+        return _LetterGauge(self) if self.payload else None
 
     def mean(self) -> Fraction:
         return self.algebra.mean(self.payload)
@@ -178,8 +181,7 @@ class Letter:
     def field(self) -> FockOperator:
         """X(f) = a(xi) + a*(xi) + p(T) + mean, one node per letter."""
         if self._field is None:
-            self._field = sparse_field(self.xi(), self.gauge(), self.mean(),
-                                       self.algebra.ring)
+            self._field = field_operator(self.xi(), self.gauge(), self.mean())
         return self._field
 
     def pairing(self) -> tuple[int, dict[int, int]]:
@@ -244,31 +246,23 @@ def _basis_letter(algebra, i: int) -> Letter:
     return Letter(algebra, ((i, Fraction(1)),))
 
 
-# ---------------------------------------------------------------------------
-# the grid model
-
-
-class _ModelGauge(Gauge):
-    """Multiplication by a grid-model letter; degree overflow errors fire
-    lazily, only when an offending column is actually used."""
+class _LetterGauge(Gauge):
+    """Multiplication by a letter: column i is the algebra's product of the
+    letter with e_i, so a degree overflow fires lazily, only when an
+    offending column is actually used."""
 
     symmetric = True  # multiplication by a real letter is gram-symmetric
 
-    def __init__(self, model: "ProcessModel", payload: SparseVector):
-        self.model = model
-        self.payload = payload
+    def __init__(self, letter: Letter):
+        self.algebra = letter.algebra
+        self.payload = letter.payload
 
-    def column(self, i: int):
-        model = self.model
-        atom, power = model.atom_power(i)
-        for j, c in self.payload:
-            a, k = model.atom_power(j)
-            if a == atom:
-                if power + k > model.degree_cutoff:
-                    raise CutoffExceededError(
-                        f"monomial degree {power + k} exceeds cutoff "
-                        f"{model.degree_cutoff}")
-                yield i + k, c  # x_A^power * x_A^k = x_A^(power+k)
+    def column(self, i: int) -> SparseVector:
+        return self.algebra.product(self.payload, ((i, 1),))
+
+
+# ---------------------------------------------------------------------------
+# the grid model
 
 
 class ProcessModel:
@@ -288,7 +282,6 @@ class ProcessModel:
             raise UsageError(
                 f"gram at cutoff {degree_cutoff} needs moments through "
                 f"r_{2 * degree_cutoff}, have r_1..r_{moments.K}")
-        self.ring = ring
         self.moments = moments
         self.grid = grid
         self.degree_cutoff = degree_cutoff
@@ -339,14 +332,12 @@ class ProcessModel:
                         f"letter product degree {k} exceeds cutoff "
                         f"{self.degree_cutoff}")
                 # e_{A,k1} sits at i1, so e_{A,k1+k2} sits at i1 + k2
-                out[i1 + k2] = out.get(i1 + k2, Fraction(0)) + c1 * c2
+                j, c = i1 + k2, c1 * c2
+                out[j] = out[j] + c if j in out else c
         return tuple(sorted((i, c) for i, c in out.items() if c))
 
     def xi(self, p: SparseVector) -> SparseVector:
         return p
-
-    def gauge(self, p: SparseVector) -> Gauge | None:
-        return _ModelGauge(self, p) if p else None
 
     def mean(self, p: SparseVector) -> Fraction:
         return Fraction(0)
@@ -394,17 +385,6 @@ def monic_op_coefficients(moments: MomentSequence, degree: int) -> tuple[Fractio
 # the weighted point-set algebra
 
 
-class _DiagGauge(Gauge):
-    symmetric = True  # pointwise multiplication, diagonal in the basis
-
-    def __init__(self, payload: SparseVector):
-        self.values = dict(payload)
-
-    def column(self, i: int):
-        if i in self.values:
-            yield i, self.values[i]
-
-
 class WeightedPointAlgebra:
     """Functions on a finite weighted point set, with the weighted-l2 gram,
     pointwise multiplication as gauge, and the weighted average as mean.
@@ -422,7 +402,6 @@ class WeightedPointAlgebra:
             raise UsageError("weights must be positive")
         if sum(self.weights) != 1:
             raise UsageError("weights must sum to 1")
-        self.ring = ring
         self.fock_depth = fock_depth
         self.letters: dict = {}  # canonical payload -> its one Letter
         self.wick_cache: dict = {}  # letter word -> its Wick operator (wick.py)
@@ -443,9 +422,6 @@ class WeightedPointAlgebra:
 
     def xi(self, p: SparseVector) -> SparseVector:
         return p
-
-    def gauge(self, p: SparseVector) -> Gauge | None:
-        return _DiagGauge(p) if p else None
 
     def mean(self, p: SparseVector) -> Fraction:
         return sum((self.weights[i] * v for i, v in p), Fraction(0))

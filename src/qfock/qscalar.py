@@ -18,9 +18,12 @@ numerators too, making one canonical scalar per result through
 `QScalar.of_numerators`, and `wick.vacuum_moment` keeps the arc states of
 each position as one IntImage.
 
-A ring may carry a rational evaluation point q0 in (-1, 1).  It changes no
-arithmetic: refinement errors, `moments --q` and norm estimates compute in
-Q[q] (or, for norms, from the exact operator tree) and evaluate at q0 once.
+Scalars come from the module names ZERO, ONE, `const` (a rational
+constant) and `q_pow` (q^k).  A `ScalarRing` is only an evaluation point:
+a rational q0 in (-1, 1), or none (`EXACT`).  It builds no scalar and
+changes no arithmetic: refinement errors, `moments --q` and norm estimates
+compute in Q[q] (or, for norms, from the exact operator tree) and evaluate
+at q0 once.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ def _poly(num: list[int], den: int) -> "QScalar":
     while num and not num[-1]:
         num.pop()
     if not num:
-        return _ZERO
+        return ZERO
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
@@ -134,7 +137,7 @@ class QScalar:
     def __mul__(self, other: "QScalar") -> "QScalar":
         a, b = self.num, other.num
         if not a or not b:
-            return _ZERO
+            return ZERO
         # a monomial factor y q^k / d, a constant among them, scales and
         # shifts the other one
         if _monomial(b):
@@ -242,7 +245,21 @@ class QScalar:
                               for i in range(max(coeffs) + 1)])
 
 
-_ZERO = QScalar((), 1)
+ZERO = QScalar((), 1)
+ONE = QScalar((1,), 1)
+
+
+def const(x: RationalLike) -> QScalar:
+    """The constant polynomial x."""
+    x = _as_fraction(x)
+    return QScalar((x.numerator,), x.denominator) if x else ZERO
+
+
+def q_pow(k: int) -> QScalar:
+    """The monomial q^k, k >= 0."""
+    if k < 0:
+        raise UsageError("negative q power")
+    return QScalar((0,) * k + (1,), 1)
 
 
 def accumulate(terms: dict, key, c: QScalar) -> None:
@@ -371,37 +388,15 @@ class IntImage:
 
 
 class ScalarRing:
-    """Factory for scalars in Q[q], with an optional evaluation point q0 in
-    (-1, 1) at which float results (refinement errors, `moments --q`, norm
-    estimates) are read off; q0 None means none.  It keeps the powers of q
-    it has built, since the Wick expansions ask for them per term."""
+    """An optional evaluation point q0 in (-1, 1) at which float results
+    (refinement errors, `moments --q`, norm estimates) are read off; q0 None
+    means none.  It builds no scalars: those are the module's ZERO, ONE,
+    `const` and `q_pow`."""
 
     def __init__(self, q0: RationalLike | None = None):
         self.q0 = None if q0 is None else _as_fraction(q0)
         if self.q0 is not None and not (-1 < self.q0 < 1):
             raise UsageError(f"q0 must lie in (-1, 1), got {self.q0}")
-        self._q_pows: dict[int, QScalar] = {}
-
-    def zero(self) -> QScalar:
-        return _ZERO
-
-    def one(self) -> QScalar:
-        return self.of(1)
-
-    def q(self) -> QScalar:
-        return self.q_pow(1)
-
-    def q_pow(self, k: int) -> QScalar:
-        p = self._q_pows.get(k)
-        if p is None:
-            if k < 0:
-                raise UsageError("negative q power")
-            p = self._q_pows[k] = QScalar((0,) * k + (1,), 1)
-        return p
-
-    def of(self, x: RationalLike) -> QScalar:
-        x = _as_fraction(x)
-        return QScalar((x.numerator,), x.denominator) if x else _ZERO
 
     def __repr__(self):
         return "ScalarRing()" if self.q0 is None else f"ScalarRing(q0={self.q0})"
@@ -427,7 +422,7 @@ def q_fact(n: int) -> QScalar:
     """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
     if n < 0:
         raise UsageError("q_fact needs n >= 0")
-    out = EXACT.one()
+    out = ONE
     for i in range(1, n + 1):
         out = out * q_int(i)
     return out
@@ -437,7 +432,7 @@ def q_fact_ratio(n: int, k: int) -> QScalar:
     """[n]_q! / [n-k]_q! computed as the product [n-k+1]_q ... [n]_q."""
     if not 0 <= k <= n:
         raise UsageError("need 0 <= k <= n")
-    out = EXACT.one()
+    out = ONE
     for i in range(n - k + 1, n + 1):
         out = out * q_int(i)
     return out

@@ -4,8 +4,8 @@ Limits never appear literally: every limit statement splits into an exact
 closed form (grid-independent, verified in Q[q]) and a refinement experiment
 with a slope assertion.  The squared L²(phi) distance between the discrete
 partition sum and its closed form is computed in Q[q], kept as `error`, and
-evaluated once at the model's q0 as the float l2_error; it decays linearly in
-the mesh.
+evaluated once at the q0 of the model's ring as the float l2_error; it
+decays linearly in the mesh.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .fock import (FockOperator, FockVector, OneParticleSpace, adjoint, apply,
 from .model import Interval, Letter, ProcessModel, monic_op_coefficients
 from .partitions import (ExtendedPartition, SetPartition,
                          enumerate_partitions, index_tuples, rc)
-from .qscalar import QScalar, add_scaled
+from .qscalar import ONE, ZERO, QScalar, add_scaled, const, q_pow
 from .wick import WickElement, vacuum_vector, wick_operator, word_vector
 
 
@@ -53,7 +53,7 @@ class StepFunction:
 
         def rec(prefix: tuple[int, ...]):
             if len(prefix) == len(grids):
-                values[prefix] = model.ring.one()
+                values[prefix] = ONE
                 return
             for a in grids[len(prefix)]:
                 rec(prefix + (a,))
@@ -84,8 +84,7 @@ def l2q_inner(f: StepFunction, g: StepFunction) -> QScalar:
         raise UsageError(f"arity mismatch: {f.arity} vs {g.arity}")
     grid = f.model.grid
     space = OneParticleSpace(
-        grid.n_atoms, [((a, grid.width(a)),) for a in range(grid.n_atoms)],
-        f.model.ring)
+        grid.n_atoms, [((a, grid.width(a)),) for a in range(grid.n_atoms)])
     return innerq(FockVector(space, f.arity, f.values),
                   FockVector(space, g.arity, g.values))
 
@@ -126,7 +125,7 @@ class ProcessFamily:
         model = self.model
         width = sum(model.grid.width(a) for a in model.grid.atoms_in(interval))
         return (self.interval_letter(interval).field()
-                + FockOperator.scalar(model.ring.of(width * self.drift_rate)))
+                + FockOperator.scalar(const(width * self.drift_rate)))
 
     def __repr__(self):
         return f"ProcessFamily({self.label})"
@@ -171,7 +170,6 @@ def psi_closed(procs: Sequence[ProcessFamily], t) -> FockOperator:
     if not procs:
         raise UsageError("psi of no processes")
     model = procs[0].model
-    ring = model.ring
     t = Fraction(t)
     prefix = [p.prefix_letter(t) for p in procs]
     drifty = [i for i, p in enumerate(procs) if p.drift_rate]
@@ -182,7 +180,7 @@ def psi_closed(procs: Sequence[ProcessFamily], t) -> FockOperator:
         for i in chosen:
             factor *= t * procs[i].drift_rate
         word = tuple(prefix[i] for i in range(len(procs)) if i not in chosen)
-        terms.append(wick_operator(model, word).scale(ring.of(factor)))
+        terms.append(wick_operator(model, word).scale(const(factor)))
     return FockOperator.opsum(terms)
 
 
@@ -231,7 +229,6 @@ def st_pi_closed(pi: SetPartition, t, model: ProcessModel,
     one dict, so each letter is built once.  Letters are interned, so the
     Wick cache meets the same objects either way; the dict only saves the
     construction, about 30 µs per `prefix_letter` on a 2-vCPU Xeon."""
-    ring = model.ring
     t = Fraction(t)
     sizes = pi.block_sizes()
     if max(sizes) > model.degree_cutoff:
@@ -254,8 +251,7 @@ def st_pi_closed(pi: SetPartition, t, model: ProcessModel,
             factor *= f
         ep = ExtendedPartition(pi, s)
         word = tuple(prefix[sizes[b]] for b in sorted(s))
-        terms.append(wick_operator(model, word).scale(
-            ring.q_pow(rc(ep)) * ring.of(factor)))
+        terms.append(wick_operator(model, word).scale(q_pow(rc(ep)) * const(factor)))
     return FockOperator.opsum(terms)
 
 
@@ -270,7 +266,7 @@ def st_pi_corollary_form(pi: SetPartition, t, model: ProcessModel) -> FockOperat
     if big[0][0] != 1 or big[0][-1] != n:
         raise UsageError("the big block must contain both 1 and n")
     procs = [delta_process(model, k)] + [x_process(model)] * (n - k)
-    return psi_closed(procs, t).scale(model.ring.q_pow(n - k))
+    return psi_closed(procs, t).scale(q_pow(n - k))
 
 
 @dataclass
@@ -327,14 +323,14 @@ def st_pi_convergence(pi: SetPartition, t,
                       model_factory: Callable[[int], ProcessModel],
                       schedule: Sequence[int], label: str = "") -> ConvergenceTable:
     """Squared L²(phi) distance between St_pi(t; grid) and the closed form,
-    per grid size: computed in Q[q], then evaluated at the model's q0, which
-    each model of the factory must carry."""
+    per grid size: computed in Q[q], then evaluated at the q0 of the
+    model's ring, which each model of the factory must carry."""
     if not schedule:
         raise UsageError("empty refinement schedule")
     rows = []
     for n_atoms in schedule:
         model = model_factory(n_atoms)
-        q0 = model.ring.q0
+        q0 = model.space.ring.q0
         if q0 is None:
             raise UsageError("convergence experiments need a model with a q0")
         diff = apply(st_pi_discrete(pi, t, model) - st_pi_closed(pi, t, model),
@@ -380,7 +376,7 @@ def chaos_decompose(v: FockVector, model: ProcessModel) -> dict[tuple[int, ...],
                 bucket = out.setdefault(u, {})
                 atoms = tuple(a for a, _ in slots)
                 cur = bucket.get(atoms)
-                add = c * model.ring.of(coeff)
+                add = c * const(coeff)
                 bucket[atoms] = add if cur is None else cur + add
                 return
             _, k = slots[pos]
@@ -449,16 +445,15 @@ def ito_integral(u: AdaptedProcess, side: str) -> FockOperator:
 def ito_isometry_rhs(u: AdaptedProcess, v: AdaptedProcess) -> QScalar:
     """r₂ ∫ <U(t), V(t)>_phi dt for processes on a common decomposition."""
     model = u.model
-    ring = model.ring
     r2 = model.moments.r_at(2)
     by_interval = {i: val for i, val in v.pieces}
-    total = ring.zero()
+    total = ZERO
     for interval, uval in u.pieces:
         vval = by_interval.get(interval)
         if vval is None:
             continue
         width = interval[1] - interval[0]
-        total = total + ring.of(r2 * width) * innerq(uval.vector(), vval.vector())
+        total = total + const(r2 * width) * innerq(uval.vector(), vval.vector())
     return total
 
 
@@ -567,11 +562,10 @@ def biprocess_inner(u: BiProcess, v: BiProcess) -> QScalar:
         raise UsageError("bi-processes on different models")
     if u.decomposition() != v.decomposition():
         raise UsageError("bi-processes on different interval decompositions")
-    ring = model.ring
     om = vacuum_vector(model)
-    total = ring.zero()
+    total = ZERO
     for ((a, b), upairs), (_, vpairs) in zip(u.pieces, v.pieces):
-        width = ring.of(b - a)
+        width = const(b - a)
         for a1, b1 in upairs:
             b1om = apply(b1.operator(), om)
             for a2, b2 in vpairs:

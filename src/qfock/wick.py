@@ -44,7 +44,8 @@ from .errors import ResourceBudgetError, UsageError
 from .fock import FockOperator, FockVector, apply
 from .model import Letter, letter_pair
 from .partitions import ExtendedPartition, enumerate_partitions, rc
-from .qscalar import IntImage, QScalar, accumulate, add_scaled, addmul
+from .qscalar import (ONE, IntImage, QScalar, accumulate, add_scaled, addmul,
+                      const, q_pow)
 
 MAX_PRODUCT_N = 8
 # Live arc states vacuum_moment may hold after one position.  X(1)^n on the
@@ -73,9 +74,8 @@ def wick_operator(algebra, word: Sequence[Letter]) -> FockOperator:
     if cached is not None:
         return cached
 
-    ring = algebra.ring
     if not word:
-        op = FockOperator.identity(ring)
+        op = FockOperator.identity()
     else:
         l0, rest = word[0], word[1:]
         if l0.algebra is not algebra:
@@ -84,17 +84,16 @@ def wick_operator(algebra, word: Sequence[Letter]) -> FockOperator:
         terms = [l0.field() * w_rest if rest else l0.field()]
         for i, li in enumerate(rest, start=1):
             removed = rest[:i - 1] + rest[i:]
-            qc = ring.q_pow(i - 1)
+            qc = q_pow(i - 1)
             pr = letter_pair(l0, li)
             if pr:
-                terms.append(wick_operator(algebra, removed).scale(
-                    -(qc * ring.of(pr))))
+                terms.append(wick_operator(algebra, removed).scale(-(qc * const(pr))))
             prod = l0 * li
             if not prod.is_zero:
                 terms.append(wick_operator(algebra, (prod,) + removed).scale(-qc))
         m = l0.mean()
         if m:
-            terms.append(w_rest.scale(-ring.of(m)))
+            terms.append(w_rest.scale(const(-m)))
         op = FockOperator.opsum(terms)
 
     algebra.wick_cache[word] = op
@@ -103,14 +102,13 @@ def wick_operator(algebra, word: Sequence[Letter]) -> FockOperator:
 
 def word_vector(algebra, word: Sequence[Letter], depth: int) -> FockVector:
     """The tensor xi_1 ⊗ ... ⊗ xi_n as a Fock vector (Ω for the empty word)."""
-    ring = algebra.ring
-    out = FockVector(algebra.space, depth, {(): ring.one()})
+    out = FockVector(algebra.space, depth, {(): ONE})
     for letter in reversed(tuple(word)):
         xi = letter.xi()
         nxt = FockVector(algebra.space, depth)
         for w, c in out.terms.items():
             for i, x in xi:
-                nxt.add_term((i,) + w, c * ring.of(x))
+                nxt.add_term((i,) + w, c * const(x))
         out = nxt
     return out
 
@@ -133,11 +131,11 @@ class WickElement:
 
     @staticmethod
     def from_word(algebra, word: Iterable[Letter], coeff: QScalar | None = None) -> "WickElement":
-        return WickElement(algebra, {tuple(word): coeff or algebra.ring.one()})
+        return WickElement(algebra, {tuple(word): coeff or ONE})
 
     @staticmethod
     def one(algebra) -> "WickElement":
-        return WickElement(algebra, {(): algebra.ring.one()})
+        return WickElement(algebra, {(): ONE})
 
     @staticmethod
     def from_vector(algebra, v: FockVector) -> "WickElement":
@@ -163,9 +161,8 @@ class WickElement:
 
     def gamma(self) -> "WickElement":
         """Degree-n Wick components scaled by q^n."""
-        ring = self.algebra.ring
         return WickElement(self.algebra,
-                           {w: c * ring.q_pow(len(w)) for w, c in self.terms.items()})
+                           {w: c * q_pow(len(w)) for w, c in self.terms.items()})
 
     def __add__(self, other: "WickElement") -> "WickElement":
         if other.algebra is not self.algebra:
@@ -262,8 +259,7 @@ def product_expansion(letters: Sequence[Letter]) -> list[ExpansionTerm]:
 
 
 def expansion_operator(algebra, terms: Iterable[ExpansionTerm]) -> FockOperator:
-    ring = algebra.ring
-    parts = [wick_operator(algebra, t.word).scale(ring.q_pow(t.q_power) * ring.of(t.scalar))
+    parts = [wick_operator(algebra, t.word).scale(q_pow(t.q_power) * const(t.scalar))
              for t in terms]
     return FockOperator.opsum(parts)
 
@@ -290,16 +286,17 @@ def vacuum_moment(letters: Sequence[Letter]) -> QScalar:
     p of h; that arc crosses the h-1-p arcs opened after it and still
     pending, so the move carries q^{h-1-p}, and the block then closes (weight
     letter_pair(first, rest·l)) or stays pending at the end of the tuple.
-    Each crossing is so counted once, at its left arc's end.  The states
-    after a position are one `qscalar.IntImage`, state -> int numerators per
-    power of q over one shared denominator, whatever q0 the algebra's ring
-    carries: a move of weight y/d joins d times the previous denominator and
-    adds y times the multiplier it returns, shifted by the crossings, and
-    the moment is made one canonical QScalar at the end.  A state is
-    dropped when it has more pending arcs than positions left, and when
-    more than MAX_ARC_STATES states are live after a position the call is
-    refused.  Letters are interned, so states hash and compare object ids;
-    block products come from the letters' own product memos, and each
+    Each crossing is so counted once, at its left arc's end.  The moment is
+    a polynomial in q, and no evaluation point enters it (`moments --q`
+    reads it at q0 afterwards).  The states after a position are one
+    `qscalar.IntImage`, state -> int numerators per power of q over one
+    shared denominator: a move of weight y/d joins d times the previous
+    denominator and adds y times the multiplier it returns, shifted by the
+    crossings, and the moment is made one canonical QScalar at the end.  A
+    state is dropped when it has more pending arcs than positions left, and
+    when more than MAX_ARC_STATES states are live after a position the call
+    is refused.  Letters are interned, so states hash and compare object
+    ids; block products come from the letters' own product memos, and each
     distinct pairing is computed once per call.
     """
     n = len(letters)

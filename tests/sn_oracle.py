@@ -9,6 +9,7 @@ from typing import Sequence
 
 from qfock.errors import UsageError
 from qfock.fock import FockVector
+from qfock.qscalar import q_pow
 
 
 def inversions(sigma: Sequence[int]) -> int:
@@ -26,10 +27,9 @@ def sym_group(n: int):
 
 def apply_Pn_sum(v: FockVector) -> FockVector:
     """Replace each degree-n word by its q-weighted sum of permutations."""
-    ring = v.space.ring
     out = FockVector(v.space, v.depth)
     for w, c in v.terms.items():
         for sigma in sym_group(len(w)):
             pw = tuple(w[s - 1] for s in sigma)
-            out.add_term(pw, c * ring.q_pow(inversions(sigma)))
+            out.add_term(pw, c * q_pow(inversions(sigma)))
     return out

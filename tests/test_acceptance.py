@@ -15,7 +15,7 @@ from qfock.fock import (FockOperator, FockVector, OneParticleSpace, apply,
 from qfock.kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
 from qfock.model import WeightedPointAlgebra, MomentSequence
 from qfock.partitions import SetPartition, enumerate_partitions
-from qfock.qscalar import EXACT, QScalar, ScalarRing, q_fact_ratio
+from qfock.qscalar import ONE, QScalar, ScalarRing, const, q_fact_ratio, q_pow
 from qfock.stochastic import (AdaptedProcess, BiProcess, StepFunction,
                               biprocess_inner, biprocess_integral,
                               conditional_expectation, delta_process,
@@ -44,14 +44,14 @@ def test_commutation_relation_exact():
     for seed in range(20):
         rng = random.Random(seed)
         dim = rng.randint(1, 3)
-        sp = OneParticleSpace(dim, rand_gram(rng, dim), EXACT)
+        sp = OneParticleSpace(dim, rand_gram(rng, dim))
         zeta = sparse_vector(rand_vector(rng, dim))
         eta = sparse_vector(rand_vector(rng, dim))
         lhs = (FockOperator.annihilation(zeta) * FockOperator.creation(eta)
                - FockOperator.compose([FockOperator.creation(eta),
                                        FockOperator.annihilation(zeta)])
-               .scale(EXACT.q()))
-        c = EXACT.of(sp.pair_vec(zeta, eta))
+               .scale(q_pow(1)))
+        c = const(sp.pair_vec(zeta, eta))
         words = [()]
         for _ in range(4):
             words = [w + (i,) for w in words for i in range(dim)]
@@ -110,12 +110,12 @@ def test_multiple_integral_isometry_and_chaos_orthogonality():
         tuples = [t for t in permutations(range(4), arity)]
         vecs = {}
         for t in tuples:
-            f = StepFunction(model, arity, {t: EXACT.one()})
+            f = StepFunction(model, arity, {t: ONE})
             vecs[t] = apply(multiple_integral(f, procs), om)
         for t1 in tuples:
-            f1 = StepFunction(model, arity, {t1: EXACT.one()})
+            f1 = StepFunction(model, arity, {t1: ONE})
             for t2 in tuples:
-                f2 = StepFunction(model, arity, {t2: EXACT.one()})
+                f2 = StepFunction(model, arity, {t2: ONE})
                 ok = ok and innerq(vecs[t1], vecs[t2]) == l2q_inner(f1, f2)
 
     # chaoses for different polynomial multi-indices are orthogonal
@@ -123,7 +123,7 @@ def test_multiple_integral_isometry_and_chaos_orthogonality():
     comp = {}
     for u in multis:
         f = StepFunction(model, len(u),
-                         {tuple(range(len(u))): EXACT.one()})
+                         {tuple(range(len(u))): ONE})
         comp[u] = chaos_component_vector(model, u, f)
     for u in multis:
         for v in multis:
@@ -179,10 +179,10 @@ def test_orthogonalization_polynomials():
             ok = ok and (ks_poly((j,) + (1,) * n, moments)
                          - ks_row_formula(j, n, moments)).is_zero
 
-    h3 = NCPolynomial({(1, 1, 1): EXACT.one(),
+    h3 = NCPolynomial({(1, 1, 1): ONE,
                        (1,): -QScalar.parse("2 + q")})
-    c2 = NCPolynomial({(1, 1): EXACT.one(),
-                       (1,): EXACT.of(-1), (): EXACT.of(-1)})
+    c2 = NCPolynomial({(1, 1): ONE,
+                       (1,): const(-1), (): const(-1)})
     ok = ok and (q_hermite(3) - h3).is_zero and (q_charlier(2) - c2).is_zero
 
     model = three_point_model(n_atoms=2, cutoff=5, depth=6)
@@ -204,7 +204,6 @@ def test_orthogonalization_polynomials():
 
 def test_ito_calculus():
     model = two_point_model(n_atoms=4, cutoff=2, depth=6)
-    ring = model.ring
     om = vacuum_vector(model)
     ok = True
     half, threeq = F(1, 2), F(3, 4)
@@ -212,7 +211,7 @@ def test_ito_calculus():
     u_val = WickElement.from_word(model, (model.atom_letter(0),))
     v_val = (WickElement.from_word(model, (model.atom_letter(0),
                                            model.atom_letter(1)))
-             + WickElement.one(model).scale(ring.of(2)))
+             + WickElement.one(model).scale(const(2)))
     w_val = WickElement.from_word(
         model, (model.atom_letter(0), model.atom_letter(1),
                 model.atom_letter(0)))
@@ -228,7 +227,7 @@ def test_ito_calculus():
         sandwich = FockOperator.compose([x_st, z.operator(), x_st])
         lhs_el = conditional_expectation(
             WickElement.from_vector(model, apply(sandwich, om)), half)
-        rhs_el = z.gamma().scale(ring.of((threeq - half) * model.moments.r_at(2)))
+        rhs_el = z.gamma().scale(const((threeq - half) * model.moments.r_at(2)))
         ok = ok and (lhs_el.vector() - rhs_el.vector()).is_zero
 
     adapted = AdaptedProcess(model, [((half, 1), u_val)])
@@ -240,7 +239,7 @@ def test_ito_calculus():
     gom = vacuum_vector(gm)
     gu = WickElement.from_word(gm, (gm.atom_letter(0),))
     gv = (WickElement.from_word(gm, (gm.atom_letter(0), gm.atom_letter(1)))
-          + WickElement.one(gm).scale(gm.ring.of(2)))
+          + WickElement.one(gm).scale(const(2)))
     bi_u = BiProcess(gm, [((half, threeq), [(gu, gv)])])
     bi_v = BiProcess(gm, [((half, threeq), [(gv, gu)])])
     for a, b in ((bi_u, bi_u), (bi_u, bi_v), (bi_v, bi_v)):
@@ -258,12 +257,11 @@ def test_traciality_dichotomy():
         model = make(n_atoms=2, cutoff=k + 5, depth=6)
         i, j = (F(0), F(1, 2)), (F(1, 2), F(1))
         first, second = traciality_witness(model, i, j, k)
-        ring = model.ring
         r2 = model.moments.r_at(2)
         r2k = model.moments.r_at(2 + k)
         area = F(1, 4)
-        ok = ok and first == ring.q_pow(2) * ring.of(r2 * r2k * area)
-        ok = ok and second == ring.q() * ring.of(r2 * r2k * area)
+        ok = ok and first == q_pow(2) * const(r2 * r2k * area)
+        ok = ok and second == q_pow(1) * const(r2 * r2k * area)
         ok = ok and (first - second).is_zero == (r2k == 0)
     report("traciality witness pair and dichotomy", ok)
 

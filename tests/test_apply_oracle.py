@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from qfock.errors import DepthExceededError
 from qfock.fock import FockOperator, FockVector, OneParticleSpace, apply
-from qfock.qscalar import EXACT, QScalar
+from qfock.qscalar import ONE, QScalar, const
 
 MAX_WORD = 3
 
@@ -110,7 +110,7 @@ def cancelling(parts):
     return FockOperator("sum", None, (
         a.scale_by(c),
         b,
-        FockOperator("compose", None, (FockOperator.scalar(EXACT.of(-c)), a))))
+        FockOperator("compose", None, (FockOperator.scalar(const(-c)), a))))
 
 
 @st.composite
@@ -132,7 +132,7 @@ def spaces(draw, max_leaves=6, values=small, polys=False):
         st.lists(st.lists(values, min_size=dim, max_size=dim),
                  min_size=dim, max_size=dim).map(FockOperator.gauge),
         st.lists(values, max_size=3).map(QScalar.exact).map(FockOperator.scalar),
-        values.map(lambda c: FockOperator.scalar(EXACT.of(c))))
+        values.map(lambda c: FockOperator.scalar(const(c))))
     nonzero = values.filter(bool)
     spread = st.lists(nonzero, min_size=2, max_size=3).map(QScalar.exact)
     trees = st.recursive(leaves, lambda kids: st.one_of(
@@ -170,7 +170,7 @@ def vector(space, depth, terms):
 @given(cases())
 def test_apply_matches_word_by_word_reference(case):
     gram, op, terms = case
-    space = OneParticleSpace(len(gram), gram, EXACT)
+    space = OneParticleSpace(len(gram), gram)
     v, ref = vector(space, MAX_WORD + creation_height(op), terms)
     got = apply(op, v)
     assert as_polys(got) == ref_apply(op, ref, gram)
@@ -190,7 +190,7 @@ def test_mixed_denominators_match_reference_and_stay_canonical(case):
     from 2, 3, 5 and 7, polynomial vector coefficients, and compositions
     scaled by polynomials with several powers of q."""
     gram, op, terms = case
-    space = OneParticleSpace(len(gram), gram, EXACT)
+    space = OneParticleSpace(len(gram), gram)
     v, ref = vector(space, MAX_WORD + creation_height(op), terms)
     got = apply(op, v)
     assert as_polys(got) == ref_apply(op, ref, gram)
@@ -238,7 +238,7 @@ def test_shared_nodes_match_reference(case):
     """Each call keeps its own images of the shared nodes: applying the tree
     to one vector leaves nothing behind for the next."""
     gram, op, first, second = case
-    space = OneParticleSpace(len(gram), gram, EXACT)
+    space = OneParticleSpace(len(gram), gram)
     depth = MAX_WORD + creation_height(op)
     for terms in (first, second, first):
         v, ref = vector(space, depth, terms)
@@ -248,18 +248,18 @@ def test_shared_nodes_match_reference(case):
 
 
 def test_shared_sum_cancels_to_zero():
-    space = OneParticleSpace.orthonormal(2, EXACT)
+    space = OneParticleSpace.orthonormal(2)
     s = FockOperator.creation([1, 2]) + FockOperator.annihilation([(1, 3)])
-    v = FockVector(space, 3, {(0,): EXACT.one(), (1, 0): EXACT.of(5)})
+    v = FockVector(space, 3, {(0,): ONE, (1, 0): const(5)})
     image = apply(s, v)
     assert not image.is_zero
     op = node("sum", s, scaled(2, s), scaled(-3, s))
     assert apply(op, v).is_zero
-    assert apply(node("sum", s, s, s), v) == image.scale(EXACT.of(3))
+    assert apply(node("sum", s, s, s), v) == image.scale(const(3))
 
 
 def test_shared_sum_overflowing_depth_raises_on_first_use():
-    space = OneParticleSpace.orthonormal(1, EXACT)
+    space = OneParticleSpace.orthonormal(1)
     s = FockOperator.annihilation([1]) + FockOperator.creation([1])
     v = FockVector.basis_word(space, 1, (0,))
     for op in (node("sum", s, s),

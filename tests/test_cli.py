@@ -8,7 +8,7 @@ import pytest
 from qfock import cli, wick
 from qfock.cli import IdentityRow, main
 from qfock.fock import FockVector, apply
-from qfock.qscalar import EXACT, QScalar
+from qfock.qscalar import ONE, QScalar, q_pow
 
 
 def run(capsys, *argv):
@@ -94,12 +94,12 @@ class TestCommutationResidual:
         rng = random.Random(seed)
         for dim in (1, 2, 3):
             state = rng.getstate()
-            case = cli.commutation_relation(rng, dim, EXACT.q())
+            case = cli.commutation_relation(rng, dim, q_pow(1))
             assert cli.commutation_residual(*case).is_zero
             assert per_word_residual(*case).is_zero
             # the same draw with the q dropped from the relation
             rng.setstate(state)
-            broken = cli.commutation_relation(rng, dim, EXACT.one())
+            broken = cli.commutation_relation(rng, dim, ONE)
             diff = cli.commutation_residual(*broken)
             assert not diff.is_zero
             assert diff == per_word_residual(*broken)
@@ -195,7 +195,9 @@ class TestMoments:
         assert flag in lines[0]
 
     @pytest.mark.parametrize("key, value", [("degree_cutoff", "1"),
-                                            ("grid", "uniform(1, 7)")])
+                                            ("grid", "uniform(1, 7)"),
+                                            ("nu.atoms", "[(5, 1)]"),
+                                            ("moments", "[0, 1]")])
     def test_pointset_refuses_grid_keys(self, capsys, tmp_path, key, value):
         cfg = tmp_path / "app.cfg"
         cfg.write_text("q = exact\n"

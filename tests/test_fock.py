@@ -19,19 +19,19 @@ from qfock.fock import (NORM_WORD_CAP, DenseGauge, FockOperator, FockVector,
                         OneParticleSpace, adjoint, apply, apply_Pn,
                         field_operator, inner0, innerq,
                         operator_norm_estimate, sparse_vector)
-from qfock.qscalar import EXACT, QScalar, ScalarRing, q_fact
+from qfock.qscalar import EXACT, ONE, ZERO, QScalar, ScalarRing, const, q_fact, q_pow
 from sn_oracle import apply_Pn_sum, inversions, sym_group
 
 
 @pytest.fixture
 def space2():
-    return OneParticleSpace.orthonormal(2, EXACT)
+    return OneParticleSpace.orthonormal(2)
 
 
 def vec(space, depth, *terms):
     v = FockVector(space, depth)
     for word, c in terms:
-        v.add_term(word, c if isinstance(c, QScalar) else EXACT.of(c))
+        v.add_term(word, c if isinstance(c, QScalar) else const(c))
     return v
 
 
@@ -39,7 +39,7 @@ class TestFockVector:
     def test_depth_enforced(self, space2):
         v = FockVector(space2, 2)
         with pytest.raises(DepthExceededError):
-            v.add_term((0, 1, 0), EXACT.one())
+            v.add_term((0, 1, 0), ONE)
 
     def test_cancellation(self, space2):
         v = vec(space2, 3, ((0, 1), 1), ((0, 1), -1))
@@ -54,9 +54,9 @@ class TestFockVector:
         with pytest.raises(error):
             FockVector.basis_word(space2, 2, word)
         with pytest.raises(error):
-            FockVector(space2, 2, {word: EXACT.one()})
+            FockVector(space2, 2, {word: ONE})
         with pytest.raises(error):
-            FockVector(space2, 2).add_term(word, EXACT.one())
+            FockVector(space2, 2).add_term(word, ONE)
 
     def test_sum_refuses_words_past_its_depth(self, space2):
         long = vec(space2, 3, ((0, 1, 0), 1))
@@ -74,31 +74,31 @@ class TestInnerProducts:
     def test_inner0_orthonormal(self, space2):
         u = vec(space2, 2, ((0, 1), 1))
         v = vec(space2, 2, ((0, 1), 1), ((1, 0), 5))
-        assert inner0(u, v) == EXACT.one()
+        assert inner0(u, v) == ONE
 
     def test_innerq_two_letters(self, space2):
         # <e0 x e1, e1 x e0>_q = q for an orthonormal gram
         u = vec(space2, 2, ((0, 1), 1))
         v = vec(space2, 2, ((1, 0), 1))
-        assert innerq(u, v) == EXACT.q()
+        assert innerq(u, v) == q_pow(1)
 
     def test_innerq_repeated_letter(self, space2):
         u = vec(space2, 2, ((0, 0), 1))
-        assert innerq(u, u) == EXACT.one() + EXACT.q()
+        assert innerq(u, u) == ONE + q_pow(1)
 
     def test_gram_weighted(self):
         g = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-        sp = OneParticleSpace(2, g, EXACT)
+        sp = OneParticleSpace(2, g)
         u = vec(sp, 1, ((0,), 1))
         v = vec(sp, 1, ((1,), 1))
-        assert inner0(u, v) == EXACT.one()
+        assert inner0(u, v) == ONE
 
     def test_pn_budget(self, space2):
         # degree 10 is the first one refused, with or without a q0
         at_q0 = OneParticleSpace.orthonormal(2, ScalarRing(Fraction(3, 10)))
         for sp in (space2, at_q0):
             v = FockVector(sp, 10)
-            v.add_term((0,) * 10, sp.ring.one())
+            v.add_term((0,) * 10, ONE)
             with pytest.raises(ResourceBudgetError):
                 apply_Pn(v)
 
@@ -113,9 +113,9 @@ class TestInnerProducts:
         out = apply_Pn(FockVector.basis_word(sp, 9, w))
         stab = q_fact(5) * q_fact(4)
         assert len(out.terms) == 126
-        total = sum(out.terms.values(), ring.zero())
+        total = sum(out.terms.values(), ZERO)
         assert out.terms[w] == stab
-        assert out.terms[w[::-1]] == ring.q_pow(20) * stab
+        assert out.terms[w[::-1]] == q_pow(20) * stab
         assert total == q_fact(9)
 
     @settings(max_examples=80, deadline=None)
@@ -130,13 +130,13 @@ class TestInnerProducts:
         coeffs = st.fractions(-3, 3, max_denominator=4)
         terms = data.draw(st.dictionaries(words, coeffs, max_size=5))
         v = FockVector(OneParticleSpace.orthonormal(dim, ring), 6,
-                       {w: ring.of(c) for w, c in terms.items()})
+                       {w: const(c) for w, c in terms.items()})
         assert apply_Pn(v) == apply_Pn_sum(v)
 
     def test_asymmetric_gram_rejected(self):
         g = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
         with pytest.raises(UsageError):
-            OneParticleSpace(2, g, EXACT)
+            OneParticleSpace(2, g)
 
 
 class TestOperators:
@@ -144,20 +144,20 @@ class TestOperators:
         om = FockVector.vacuum(space2, 3)
         a = FockOperator.creation([Fraction(1), Fraction(0)])
         out = apply(a, apply(a, om))
-        assert out.terms == {(0, 0): EXACT.one()}
+        assert out.terms == {(0, 0): ONE}
 
     def test_annihilation_q_weights(self, space2):
         # a(e0) on e1 x e0 pairs the second slot with weight q
         v = vec(space2, 2, ((1, 0), 1))
         out = apply(FockOperator.annihilation([Fraction(1), Fraction(0)]), v)
-        assert out.terms == {(1,): EXACT.q()}
+        assert out.terms == {(1,): q_pow(1)}
 
     def test_gauge_moves_to_front(self, space2):
         t = DenseGauge([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]])
         # T e1 = e0, T e0 = 0
         v = vec(space2, 2, ((0, 1), 1))
         out = apply(FockOperator.gauge(t), v)
-        assert out.terms == {(0, 0): EXACT.q()}
+        assert out.terms == {(0, 0): q_pow(1)}
 
     @pytest.mark.parametrize("op", [
         FockOperator.creation([(2, 1)]),
@@ -171,17 +171,17 @@ class TestOperators:
         with pytest.raises(UsageError, match="out of range"):
             apply(op, v)
         with pytest.raises(UsageError, match="out of range"):
-            apply(op.scale_by(3) + FockOperator.identity(EXACT), v)
+            apply(op.scale_by(3) + FockOperator.identity(), v)
 
     def test_scale_by_rational_works_in_float_mode(self):
         # read at the ring's q0, as a float
         ring = ScalarRing(Fraction(1, 2))
         sp = OneParticleSpace.orthonormal(2, ring)
         v = FockVector.vacuum(sp, 1)
-        op = FockOperator.identity(ring).scale_by(Fraction(1, 3))
-        assert op.operands[0] == FockOperator.scalar(ring.of(Fraction(1, 3)))
+        op = FockOperator.identity().scale_by(Fraction(1, 3))
+        assert op.operands[0] == FockOperator.scalar(const(Fraction(1, 3)))
         out = apply(op, v)
-        assert out.vacuum_coefficient() == ring.of(Fraction(1, 3))
+        assert out.vacuum_coefficient() == const(Fraction(1, 3))
         assert float(out.vacuum_coefficient()) == pytest.approx(1 / 3)
 
     def test_leaf_scalars_kept_per_space(self):
@@ -196,14 +196,14 @@ class TestOperators:
         for make in leaves:
             op = make()
             for gram in (g1, g2, g1):
-                sp = OneParticleSpace(2, gram, EXACT)
+                sp = OneParticleSpace(2, gram)
                 v = vec(sp, 3, ((0, 1), 1), ((1,), Fraction(1, 2)))
                 assert apply(op, v) == apply(make(), v)
-                assert apply(op.scale_by(3), v) == apply(make(), v).scale(EXACT.of(3))
+                assert apply(op.scale_by(3), v) == apply(make(), v).scale(const(3))
         create = FockOperator.creation([(2, 1)])
-        apply(create, FockVector.vacuum(OneParticleSpace.orthonormal(3, EXACT), 1))
+        apply(create, FockVector.vacuum(OneParticleSpace.orthonormal(3), 1))
         with pytest.raises(UsageError, match="out of range"):
-            apply(create, FockVector.vacuum(OneParticleSpace.orthonormal(2, EXACT), 1))
+            apply(create, FockVector.vacuum(OneParticleSpace.orthonormal(2), 1))
 
     def test_products_sharing_their_first_factor(self, space2):
         # a sum of products whose first factor is one node object applies
@@ -214,7 +214,7 @@ class TestOperators:
             return field_operator([Fraction(1), Fraction(2)],
                                   DenseGauge([[Fraction(0), Fraction(1)],
                                               [Fraction(1), Fraction(1)]]),
-                                  Fraction(1, 2), EXACT)
+                                  Fraction(1, 2))
 
         def products(f):
             create = FockOperator.creation([Fraction(1), Fraction(0)])
@@ -222,7 +222,7 @@ class TestOperators:
                       f()]
             return ([FockOperator.compose([create, f(), f()])]
                     + [FockOperator.compose([o, f()]) for o in others]
-                    + [FockOperator.compose([f(), create, f()]).scale(EXACT.q())])
+                    + [FockOperator.compose([f(), create, f()]).scale(q_pow(1))])
 
         shared = field()
         v = vec(space2, 5, ((), 1), ((0, 1), Fraction(-1, 3)))
@@ -252,9 +252,9 @@ class TestOperators:
 
     def test_field_operator_number_moment(self, space2):
         # <Omega, X(e0)^2 Omega> = <e0, e0> = 1 with no gauge and zero mean
-        x = field_operator([Fraction(1), Fraction(0)], None, None, EXACT)
+        x = field_operator([Fraction(1), Fraction(0)], None, None)
         om = FockVector.vacuum(space2, 2)
-        assert apply(x, apply(x, om)).vacuum_coefficient() == EXACT.one()
+        assert apply(x, apply(x, om)).vacuum_coefficient() == ONE
 
 
 def every_kind():
@@ -268,7 +268,7 @@ def every_kind():
         "creation": create,
         "annihilation": FockOperator.annihilation(zeta),
         "gauge": gauge,
-        "scalar": FockOperator.scalar(EXACT.of(Fraction(3, 2))),
+        "scalar": FockOperator.scalar(const(Fraction(3, 2))),
         "sum": FockOperator("sum", None, (create, gauge)),
         "compose": FockOperator("compose", None, (gauge, create)),
     }
@@ -302,19 +302,19 @@ class TestCommutation:
         for i in range(dim):
             for j in range(i + 1):
                 g[i][j] = g[j][i] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-        sp = OneParticleSpace(dim, g, EXACT)
+        sp = OneParticleSpace(dim, g)
         zeta = sparse_vector([Fraction(rng.randint(-2, 2)) for _ in range(dim)])
         eta = sparse_vector([Fraction(rng.randint(-2, 2)) for _ in range(dim)])
         lhs = (FockOperator.annihilation(zeta) * FockOperator.creation(eta)
                - FockOperator.compose([FockOperator.creation(eta),
-                                       FockOperator.annihilation(zeta)]).scale(EXACT.q()))
+                                       FockOperator.annihilation(zeta)]).scale(q_pow(1)))
         c = sp.pair_vec(zeta, eta)
         words = [()]
         for _ in range(3):
             words = [w + (i,) for w in words for i in range(dim)]
             for w in words:
                 v = FockVector.basis_word(sp, 4, w)
-                assert (apply(lhs, v) - v.scale(EXACT.of(c))).is_zero
+                assert (apply(lhs, v) - v.scale(const(c))).is_zero
 
 
 class TestAdjointAndProjection:
@@ -326,7 +326,7 @@ class TestAdjointAndProjection:
 
     def test_adjoint_gauge_gram(self):
         g = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-        sp = OneParticleSpace(2, g, EXACT)
+        sp = OneParticleSpace(2, g)
         t = FockOperator.gauge([[Fraction(0), Fraction(1)],
                                 [Fraction(1), Fraction(1)]])
         ts = adjoint(t, sp)
@@ -338,7 +338,7 @@ class TestAdjointAndProjection:
 
     def test_adjoint_singular_gram(self):
         g = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]]
-        sp = OneParticleSpace(2, g, EXACT)
+        sp = OneParticleSpace(2, g)
         t = FockOperator.gauge([[Fraction(0), Fraction(1)],
                                 [Fraction(1), Fraction(0)]])
         with pytest.raises(UsageError):
@@ -350,7 +350,7 @@ class TestNormEstimates:
         # a float estimate needs a q0 to evaluate at; the ring without one
         # is refused
         with pytest.raises(UsageError, match="has a q0"):
-            operator_norm_estimate(FockOperator.identity(EXACT), space2, 2)
+            operator_norm_estimate(FockOperator.identity(), space2, 2)
 
     @pytest.mark.parametrize("depth", range(6))
     def test_q0_zero_is_an_evaluation_point(self, depth):
@@ -360,7 +360,7 @@ class TestNormEstimates:
         ring = ScalarRing(0)
         assert ring.q0 is not None and ring.q0 == 0
         sp = OneParticleSpace.orthonormal(1, ring)
-        x = field_operator([Fraction(1)], None, None, ring)
+        x = field_operator([Fraction(1)], None, None)
         assert operator_norm_estimate(x, sp, depth) == pytest.approx(
             2 * math.cos(math.pi / (depth + 2)), rel=1e-12, abs=1e-12)
 
@@ -368,7 +368,7 @@ class TestNormEstimates:
     def test_identity_norm(self, q0):
         ring = ScalarRing(q0)
         sp = OneParticleSpace.orthonormal(2, ring)
-        n = operator_norm_estimate(FockOperator.identity(ring), sp, 4)
+        n = operator_norm_estimate(FockOperator.identity(), sp, 4)
         assert n == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("q0", [0, Fraction(3, 10), Fraction(-7, 10)])
@@ -380,12 +380,12 @@ class TestNormEstimates:
         x = field_operator([Fraction(1), Fraction(-2)],
                            DenseGauge([[Fraction(0), Fraction(1)],
                                        [Fraction(1), Fraction(1)]]),
-                           Fraction(1, 2), ring)
+                           Fraction(1, 2))
         n = operator_norm_estimate(x, sp, 4)
         assert n > 0
         assert operator_norm_estimate(x.scale_by(2), sp, 4) == pytest.approx(
             2 * n, rel=1e-12)
-        half = FockOperator.compose([FockOperator.scalar(ring.of(Fraction(1, 2))),
+        half = FockOperator.compose([FockOperator.scalar(const(Fraction(1, 2))),
                                      x, x.scale_by(-1)])
         assert operator_norm_estimate(half, sp, 4) == pytest.approx(
             operator_norm_estimate(x * x, sp, 4) / 2, rel=1e-12)
@@ -409,7 +409,7 @@ class TestNormEstimates:
             with pytest.raises(ResourceBudgetError,
                                match=f"needs 9841 basis words, over the limit "
                                      f"of {NORM_WORD_CAP}"):
-                operator_norm_estimate(FockOperator.identity(ring), sp, 8)
+                operator_norm_estimate(FockOperator.identity(), sp, 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -420,7 +420,7 @@ class TestNormEstimates:
     def test_word_cap_admits(self, dim, depth):
         ring = ScalarRing(Fraction(3, 10))
         sp = OneParticleSpace.orthonormal(dim, ring)
-        n = operator_norm_estimate(FockOperator.identity(ring), sp, depth)
+        n = operator_norm_estimate(FockOperator.identity(), sp, depth)
         assert n == pytest.approx(1.0, abs=1e-9)
 
 
@@ -563,8 +563,7 @@ def compression_cases(draw):
         vector.map(FockOperator.annihilation),
         st.lists(vector, min_size=dim, max_size=dim).map(
             lambda t: FockOperator.gauge(DenseGauge(t))),
-        small.map(lambda c: FockOperator.scalar(ring.of(c))),
-        small.map(lambda c: FockOperator.scalar(EXACT.of(c))))
+        small.map(lambda c: FockOperator.scalar(const(c))))
     op = draw(st.recursive(leaves, lambda kids: st.one_of(
         st.lists(kids, max_size=3).map(lambda ops: FockOperator("sum", None, tuple(ops))),
         st.lists(kids, max_size=3).map(
@@ -583,8 +582,8 @@ def test_dense_compression_of_every_kind_pair():
               FockOperator.annihilation([Fraction(2), Fraction(1)]),
               FockOperator.gauge([[Fraction(0), Fraction(1)],
                                   [Fraction(2), Fraction(1)]]),
-              FockOperator.scalar(ring.of(Fraction(3, 2))),
-              FockOperator.scalar(EXACT.of(Fraction(-1, 3)))]
+              FockOperator.scalar(const(Fraction(3, 2))),
+              FockOperator.scalar(const(Fraction(-1, 3)))]
     for a in leaves:
         for b in leaves:
             op = a * b + b

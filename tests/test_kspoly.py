@@ -7,7 +7,7 @@ from qfock.fock import FockOperator, apply
 from qfock.kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
 from qfock.model import (MomentSequence, ProcessModel, TimeGrid,
                          monic_op_coefficients)
-from qfock.qscalar import EXACT, QScalar, q_int
+from qfock.qscalar import EXACT, ONE, QScalar, const, q_int
 from qfock.wick import vacuum_vector, word_vector
 
 F = Fraction
@@ -30,7 +30,7 @@ class TestNCPolynomial:
     def test_mul_preserves_order(self):
         a = NCPolynomial.x(1)
         b = NCPolynomial.x(2)
-        assert (a * b).terms == {(1, 2): EXACT.one()}
+        assert (a * b).terms == {(1, 2): ONE}
         assert a * b != b * a
 
     def test_add_cancels(self):
@@ -38,12 +38,12 @@ class TestNCPolynomial:
         assert (a - a).is_zero
 
     def test_str_sorted_by_degree(self):
-        p = NCPolynomial({(2, 1): EXACT.one(), (): EXACT.of(3)})
+        p = NCPolynomial({(2, 1): ONE, (): const(3)})
         assert str(p) == "(3) · 1 + (1) · x2 x1"
 
     def test_variable_indices_validated(self):
         with pytest.raises(UsageError):
-            NCPolynomial({(0,): EXACT.one()})
+            NCPolynomial({(0,): ONE})
 
 
 class TestRecursion:
@@ -90,7 +90,7 @@ class TestMemo:
 
 class TestDegenerations:
     def test_hermite_three(self):
-        target = NCPolynomial({(1, 1, 1): EXACT.one(),
+        target = NCPolynomial({(1, 1, 1): ONE,
                                (1,): -QScalar.parse("2 + q")})
         assert (q_hermite(3) - target).is_zero
 
@@ -102,8 +102,8 @@ class TestDegenerations:
         assert (lhs - rhs).is_zero
 
     def test_charlier_two(self):
-        target = NCPolynomial({(1, 1): EXACT.one(),
-                               (1,): EXACT.of(-1), (): EXACT.of(-1)})
+        target = NCPolynomial({(1, 1): ONE,
+                               (1,): const(-1), (): const(-1)})
         assert (q_charlier(2) - target).is_zero
 
     def test_gaussian_moments_give_hermite(self):

@@ -1,10 +1,11 @@
-"""Letters are interned in their algebra, keep their caches there, and pair
-on int numerators.
+"""Letters are interned in their algebra, keep their caches there, pair on
+int numerators and gauge by their algebra's product.
 
 A letter is one object per (algebra, canonical payload), whatever path built
 it; its field node, int pairing row and products are built once and are
 freed with the algebra; `letter_pair` agrees with the gram form written out
-in Fractions.
+in Fractions; a letter's gauge column at e_i agrees with the column each
+algebra once wrote out on its own.
 """
 
 import gc
@@ -16,11 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfock.cli import rand_letter, three_point_model
-from qfock.errors import UsageError
+from qfock.errors import CutoffExceededError, UsageError
 from qfock.fock import FockVector, OneParticleSpace, apply
 from qfock.model import (Letter, MomentSequence, ProcessModel, TimeGrid,
                          WeightedPointAlgebra, letter_pair)
-from qfock.qscalar import EXACT
+from qfock.qscalar import EXACT, const
 from qfock.stochastic import conditional_expectation, delta_process, x_process
 from qfock.wick import (WickElement, expansion_operator, product_expansion,
                         wick_operator)
@@ -156,9 +157,9 @@ def test_pairing_row_is_kept_per_space(model):
     a = model.letter({(0, 1): 1, (0, 2): F(1, 2)})
     # |A0| (r_2 + r_3 / 2) = (1 + 0) / 4
     assert letter_pair(a, model.atom_letter(0)) == F(1, 4)
-    other = OneParticleSpace.orthonormal(model.space.dim, EXACT)
+    other = OneParticleSpace.orthonormal(model.space.dim)
     image = apply(a.field(), FockVector.basis_word(other, 2, (0,)))
-    assert image.vacuum_coefficient() == EXACT.of(1)
+    assert image.vacuum_coefficient() == const(1)
     assert letter_pair(a, model.atom_letter(0)) == F(1, 4)
 
 
@@ -220,6 +221,47 @@ def test_letter_pair_matches_fraction_reference(drawn):
     assert letter_pair(a, a) == reference(algebra, a, a)
     den, row = a.pairing()
     assert den > 0 and all(row.values())
+
+
+def former_gauge_column(algebra, letter: Letter, i: int) -> list:
+    """T e_i for multiplication by a letter, as each algebra wrote it out on
+    its own: a grid letter takes x_A^p to x_A^(p+k) by each of its terms
+    x_A^k on the atom of e_i, and refuses a power past the cutoff; a
+    point-set letter scales e_i by its value at point i."""
+    if isinstance(algebra, WeightedPointAlgebra):
+        values = dict(letter.payload)
+        return [(i, values[i])] if i in values else []
+    atom, power = algebra.atom_power(i)
+    out = []
+    for j, c in letter.payload:
+        a, k = algebra.atom_power(j)
+        if a == atom:
+            if power + k > algebra.degree_cutoff:
+                raise CutoffExceededError(f"degree {power + k}")
+            out.append((i + k, c))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(letter_pairs())
+def test_gauge_columns_match_former_per_algebra_forms(drawn):
+    """On both algebras, the one letter gauge has at every basis index the
+    column each algebra's own gauge had, and raises where it raised."""
+    algebra, a, b, _ = drawn
+    for letter in (a, b):
+        gauge = letter.gauge()
+        if letter.is_zero:
+            assert gauge is None
+            continue
+        assert gauge.symmetric
+        for i in range(algebra.space.dim):
+            try:
+                want = former_gauge_column(algebra, letter, i)
+            except CutoffExceededError:
+                with pytest.raises(CutoffExceededError, match="letter product degree"):
+                    gauge.column(i)
+            else:
+                assert list(gauge.column(i)) == want
 
 
 def test_caches_die_with_their_model():

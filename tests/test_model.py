@@ -8,7 +8,7 @@ from qfock.fock import FockVector, apply
 from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
                          TimeGrid, letter_pair, monic_op_coefficients,
                          parse_model_config)
-from qfock.qscalar import EXACT
+from qfock.qscalar import EXACT, ONE, ZERO, const
 from qfock.stochastic import (conditional_expectation, delta_process,
                               x_process, yhat_process)
 from qfock.wick import WickElement, expansion_ledger, product_expansion
@@ -106,7 +106,9 @@ class TestLetterAlgebra:
         apply(field, FockVector.vacuum(model.space, depth))
         apply(field, FockVector.basis_word(
             model.space, depth, (model.basis_index(1, 1), model.basis_index(2, 3))))
-        with pytest.raises(CutoffExceededError):
+        with pytest.raises(CutoffExceededError,
+                           match=f"letter product degree {model.degree_cutoff + 1} "
+                                 f"exceeds cutoff {model.degree_cutoff}"):
             apply(field, FockVector.basis_word(
                 model.space, depth, (model.basis_index(1, 1), model.basis_index(0, 1))))
 
@@ -116,7 +118,7 @@ class TestProcessOperators:
         om = FockVector.vacuum(model.space, model.fock_depth)
         y2 = apply(model.interval_letter((0, F(1, 2)), 2).field(), om)
         d2 = apply(delta_process(model, 2).operator((0, F(1, 2))), om)
-        drift = EXACT.of(F(1, 2) * model.moments.r_at(2))
+        drift = const(F(1, 2) * model.moments.r_at(2))
         assert (d2 - y2).vacuum_coefficient() == drift
 
     def test_x_second_moment(self, model):
@@ -124,7 +126,7 @@ class TestProcessOperators:
         x = x_process(model).operator((0, F(1, 2)))
         om = FockVector.vacuum(model.space, model.fock_depth)
         val = apply(x, apply(x, om)).vacuum_coefficient()
-        assert val == EXACT.of(F(1, 2) * model.moments.r_at(2))
+        assert val == const(F(1, 2) * model.moments.r_at(2))
 
 
 class TestOrthogonalPolynomials:
@@ -178,7 +180,7 @@ class TestWeightedPointAlgebra:
         f = alg.letter(alg.points)  # mean 0
         om = FockVector.vacuum(alg.space, 4)
         x = f.field()
-        assert apply(x, apply(x, om)).vacuum_coefficient() == EXACT.one()
+        assert apply(x, apply(x, om)).vacuum_coefficient() == ONE
 
     def test_sup_norm(self):
         alg = WeightedPointAlgebra([-2, 1], [F(1, 2), F(1, 2)], EXACT)
@@ -242,7 +244,7 @@ class TestLetterText:
             zero = WeightedPointAlgebra([0, 1], [F(1, 2), F(1, 2)], EXACT).letter([0, 0])
         op = zero.field()
         assert op.kind == "scalar" and op.payload.is_zero
-        assert op.payload == EXACT.zero()
+        assert op.payload == ZERO
 
 
 FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
@@ -373,7 +375,7 @@ def test_letter_algebra_matches_former_payload_form(drawn):
                 continue
             [(word, coeff)] = restricted.terms.items()
             assert_canonical(word[0].payload, algebra.space.dim)
-            assert word == (ref.letter(kept),) and coeff == EXACT.one()
+            assert word == (ref.letter(kept),) and coeff == ONE
 
 
 class TestConfigParsing:

@@ -14,20 +14,20 @@ from hypothesis import given, settings, strategies as st
 
 from qfock import fock
 from qfock.fock import FockVector, OneParticleSpace, apply_Pn, inner0, innerq
-from qfock.qscalar import EXACT, QScalar
+from qfock.qscalar import ONE, ZERO, QScalar, const, q_pow
 
 MAX_DEGREE = 4
 
 
 def ref_inner0(u, v):
-    """<u, v>_0 with a ring scalar per gram entry and per product."""
+    """<u, v>_0 with a QScalar per gram entry and per product."""
     sp = u.space
     cls = sp.gram_classes()
-    gram = tuple({i: EXACT.of(g) for i, g in row} for row in sp.rows)
+    gram = tuple({i: const(g) for i, g in row} for row in sp.rows)
     buckets = {}
     for w2, cv in v.terms.items():
         buckets.setdefault(tuple(cls[i] for i in w2), []).append((w2, cv))
-    total = EXACT.zero()
+    total = ZERO
     for w, cu in u.terms.items():
         acc = None
         for w2, cv in buckets.get(tuple(cls[i] for i in w), ()):
@@ -46,9 +46,9 @@ def ref_inner0(u, v):
 
 
 def ref_apply_Pn(v):
-    """P_n by the Bozejko-Speicher factorisation, a ring scalar per term."""
+    """P_n by the Bozejko-Speicher factorisation, a QScalar per term."""
     top = v.top_degree()
-    qp = [EXACT.q_pow(k) for k in range(top)]
+    qp = [q_pow(k) for k in range(top)]
     cur = v.terms
     for s in range(top - 1):
         nxt = {}
@@ -107,7 +107,7 @@ def vectors(dim):
 @st.composite
 def cases(draw):
     gram = draw(grams())
-    space = OneParticleSpace(len(gram), gram, EXACT)
+    space = OneParticleSpace(len(gram), gram)
     u, v, w = (FockVector(space, MAX_DEGREE, draw(vectors(len(gram))))
                for _ in range(3))
     return u, v, w
@@ -143,16 +143,16 @@ def test_zero_and_cancelling_results():
     g = [[Fraction(1, 2), 0, Fraction(1, 3)],
          [0, Fraction(5, 7), 0],
          [Fraction(1, 3), 0, Fraction(2, 5)]]
-    sp = OneParticleSpace(3, g, EXACT)
-    u = FockVector(sp, 2, {(0,): EXACT.one(), (0, 0): EXACT.of(-3)})
-    v = FockVector(sp, 2, {(0,): EXACT.of(Fraction(1, 2)),
-                           (0, 0): EXACT.of(Fraction(1, 3))})
-    assert ref_inner0(u, v) == EXACT.zero()
-    assert inner0(u, v) == EXACT.zero()
+    sp = OneParticleSpace(3, g)
+    u = FockVector(sp, 2, {(0,): ONE, (0, 0): const(-3)})
+    v = FockVector(sp, 2, {(0,): const(Fraction(1, 2)),
+                           (0, 0): const(Fraction(1, 3))})
+    assert ref_inner0(u, v) == ZERO
+    assert inner0(u, v) == ZERO
     assert_canonical(inner0(u, v))
-    e1 = FockVector(sp, 2, {(1,): EXACT.one(), (1, 1): EXACT.q()})
+    e1 = FockVector(sp, 2, {(1,): ONE, (1, 1): q_pow(1)})
     for x in (inner0(u, e1), innerq(u, e1), innerq(e1, u)):
-        assert x == EXACT.zero()
+        assert x == ZERO
         assert_canonical(x)
     assert innerq(e1, e1) == ref_inner0(e1, ref_apply_Pn(e1))
 
@@ -172,9 +172,9 @@ def test_innerq_calls_inner0_and_apply_Pn_once_each(monkeypatch):
 
     monkeypatch.setattr(fock, "inner0", counted("inner0"))
     monkeypatch.setattr(fock, "apply_Pn", counted("apply_Pn"))
-    sp = OneParticleSpace.orthonormal(2, EXACT)
-    u = FockVector(sp, 2, {(0, 1): EXACT.one(), (1,): EXACT.q()})
-    assert innerq(u, u) == EXACT.one() + EXACT.q_pow(2)
+    sp = OneParticleSpace.orthonormal(2)
+    u = FockVector(sp, 2, {(0, 1): ONE, (1,): q_pow(1)})
+    assert innerq(u, u) == ONE + q_pow(2)
     assert sorted(calls) == ["apply_Pn", "inner0"]
 
 
@@ -187,7 +187,7 @@ def dense_pair(gram, zeta, eta):
 def test_pairings_in_lowest_terms(data):
     gram = data.draw(grams())
     dim = len(gram)
-    space = OneParticleSpace(dim, gram, EXACT)
+    space = OneParticleSpace(dim, gram)
     sparse = st.lists(st.tuples(st.integers(0, dim - 1), mixed), max_size=dim).map(
         fock.sparse_vector)
     zeta, eta = data.draw(sparse), data.draw(sparse)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qfock.errors import UsageError
-from qfock.qscalar import (EXACT, IntImage, QScalar, ScalarRing, accumulate, add_scaled,
-                           addmul, q_fact, q_fact_ratio, q_int)
+from qfock.qscalar import (EXACT, ONE, ZERO, IntImage, QScalar, ScalarRing,
+                           accumulate, add_scaled, addmul, const, q_fact,
+                           q_fact_ratio, q_int, q_pow)
 from sn_oracle import inversions, sym_group
 
 
@@ -68,7 +69,7 @@ class TestQCombinatorics:
 
     def test_q_fact_ratio(self):
         assert q_fact_ratio(4, 2) == q_int(3) * q_int(4)
-        assert q_fact_ratio(4, 0) == EXACT.one()
+        assert q_fact_ratio(4, 0) == ONE
         with pytest.raises(UsageError):
             q_fact_ratio(2, 3)
 
@@ -145,10 +146,10 @@ class TestAgainstFractionOracle:
     def test_canonical_across_routes(self, a, k, pad):
         direct = QScalar.exact(a)
         padded = QScalar.exact(list(a) + [0] * pad)
-        summed = EXACT.zero()
+        summed = ZERO
         for i, c in enumerate(a):
-            summed = summed + EXACT.of(c) * EXACT.q_pow(i)
-        rescaled = direct * EXACT.of(Fraction(1, k)) * EXACT.of(k)
+            summed = summed + const(c) * q_pow(i)
+        rescaled = direct * const(Fraction(1, k)) * const(k)
         for s in (direct, padded, summed, rescaled):
             assert_canonical(s)
             assert s == direct
@@ -156,7 +157,7 @@ class TestAgainstFractionOracle:
             assert (s.num, s.den) == (direct.num, direct.den)
 
     def test_canonical_examples(self):
-        assert EXACT.of(Fraction(1, 2)) * EXACT.of(2) == EXACT.one()
+        assert const(Fraction(1, 2)) * const(2) == ONE
         assert (QScalar.exact([Fraction(2, 4), 0])
                 == QScalar.exact([Fraction(1, 2)]))
         half = QScalar.exact([Fraction(1, 2), Fraction(1, 2)])
@@ -166,9 +167,9 @@ class TestAgainstFractionOracle:
     def test_constant_factor_examples(self):
         # a constant factor scales the other one, and 1 returns it as it is
         p = QScalar.exact([Fraction(1, 3), 0, 2])
-        assert p * EXACT.one() is p and EXACT.one() * p is p
+        assert p * ONE is p and ONE * p is p
         for c in (Fraction(3), Fraction(3, 2), Fraction(-1), Fraction(1, 6)):
-            for got in (p * EXACT.of(c), EXACT.of(c) * p):
+            for got in (p * const(c), const(c) * p):
                 assert_canonical(got)
                 assert got.coeffs == tuple(x * c for x in p.coeffs)
 
@@ -234,32 +235,39 @@ class TestIntImage:
         assert img.join(6) == 2 and (img.den, img.terms) == (12, {0: [3, 6]})
 
     def test_cancelled_keys_dropped(self):
-        img = IntImage.of({0: EXACT.one(), 1: EXACT.q()})
-        img.add(IntImage.of({0: EXACT.one()}), EXACT.of(-1))
+        img = IntImage.of({0: ONE, 1: q_pow(1)})
+        img.add(IntImage.of({0: ONE}), const(-1))
         assert img.terms[0] == [0]
-        assert img.scalars() == {1: EXACT.q()}
+        assert img.scalars() == {1: q_pow(1)}
         assert img.prune().terms == {1: [0, 1]}
 
 
-def test_q_pow_memoised():
-    r = ScalarRing(Fraction(1, 3))
-    assert r.q_pow(3) is r.q_pow(3)
-    assert r.q_pow(3) == poly(0, 0, 0, 1)
-    assert EXACT.q_pow(2) == poly(0, 0, 1)
+def test_module_constructors():
+    # the module builds every scalar: ZERO, ONE, a rational constant and q^k
+    assert ZERO == poly() and ZERO.is_zero and const(0) is ZERO
+    assert ONE == poly(1) and q_pow(0) == ONE
+    assert const(Fraction(-1, 2)) == poly(Fraction(-1, 2))
+    assert const("3/4") == const(Fraction(3, 4)) and const(2).den == 1
+    assert q_pow(2) == poly(0, 0, 1) and q_pow(2).is_exact
+    assert q_pow(2).is_monomial and const(3).is_monomial
+    assert q_pow(2).subs(Fraction(1, 3)) == Fraction(1, 9)
     with pytest.raises(UsageError):
-        EXACT.q_pow(-1)
+        q_pow(-1)
+    with pytest.raises(UsageError, match="non-constant"):
+        float(q_pow(1))
+    assert not hasattr(ONE, "val") and not hasattr(ONE, "q0")
 
 
-def test_ring_modes():
-    # a q0 is only where results are evaluated: the ring at q0 builds the
-    # same exact scalars as the ring without one
+def test_ring_is_only_a_point():
+    # a ring is a validated optional q0, where float results are read off,
+    # and builds no scalars
     assert EXACT.q0 is None
     r = ScalarRing(Fraction(1, 3))
     assert r.q0 == Fraction(1, 3) and r != EXACT
-    assert r.q_pow(2) == EXACT.q_pow(2) and r.q_pow(2).is_exact
-    assert r.of(Fraction(1, 2)) == EXACT.of(Fraction(1, 2))
-    assert r.q_pow(2).subs(r.q0) == Fraction(1, 9)
+    assert r == ScalarRing("1/3") and hash(r) == hash(ScalarRing("1/3"))
+    assert repr(r) == "ScalarRing(q0=1/3)" and repr(EXACT) == "ScalarRing()"
     assert ScalarRing(0).q0 is not None and ScalarRing(0) != EXACT
-    with pytest.raises(UsageError, match="non-constant"):
-        float(r.q())
-    assert not hasattr(r.one(), "val") and not hasattr(r.one(), "q0")
+    with pytest.raises(UsageError, match="q0 must lie in"):
+        ScalarRing(Fraction(-3, 2))
+    for name in ("of", "one", "zero", "q", "q_pow"):
+        assert not hasattr(r, name) and not hasattr(EXACT, name)

@@ -17,7 +17,7 @@ from qfock.fock import (FockOperator, FockVector, OneParticleSpace, apply,
                         sparse_vector)
 from qfock.model import (MomentSequence, ProcessModel, TimeGrid,
                          WeightedPointAlgebra)
-from qfock.qscalar import EXACT, ScalarRing
+from qfock.qscalar import EXACT, ScalarRing, const, q_pow
 
 RINGS = (EXACT, ScalarRing(Fraction(3, 10)))
 DEPTH = 4
@@ -35,13 +35,12 @@ def dense_pair_vec(gram, zeta, eta):
 
 
 def dense_annihilation(space, gram, zeta, v):
-    ring = space.ring
     out = FockVector(space, v.depth)
     for w, c in v.terms.items():
         for k in range(len(w)):
             g = dense_pair(gram, zeta, w[k])
             if g:
-                out.add_term(w[:k] + w[k + 1:], c * ring.q_pow(k) * ring.of(g))
+                out.add_term(w[:k] + w[k + 1:], c * q_pow(k) * const(g))
     return out
 
 
@@ -93,7 +92,7 @@ def test_sparse_pairing_matches_dense_oracle(case):
 
     v = FockVector(space, DEPTH)
     for w, c in terms:
-        v.add_term(w, ring.of(c))
+        v.add_term(w, const(c))
     expected = dense_annihilation(space, gram, zeta, v)
     # the constructor takes either form and stores the sparse one
     for given_form in (zeta, sz):
@@ -121,7 +120,7 @@ def test_sparse_vector_adds_repeated_indices():
 
 
 def test_pair_row_rejects_out_of_range_index():
-    space = OneParticleSpace.orthonormal(2, EXACT)
+    space = OneParticleSpace.orthonormal(2)
     with pytest.raises(UsageError):
         space.pair_row(((2, Fraction(1)),))
 
@@ -129,7 +128,7 @@ def test_pair_row_rejects_out_of_range_index():
 def test_gram_rows_follow_blocks():
     g = [[Fraction(x) for x in row] for row in
          ([2, 0, 1], [0, 0, 0], [1, 0, 3])]
-    space = OneParticleSpace(3, g, EXACT)
+    space = OneParticleSpace(3, g)
     assert space.rows == (((0, Fraction(2)), (2, Fraction(1))), (),
                           ((0, Fraction(1)), (2, Fraction(3))))
     assert space.gram_classes() == (0, 1, 0)
@@ -172,7 +171,7 @@ def test_dense_and_sparse_rows_give_one_space(gram, ring, data):
 def test_sparse_rows_add_repeated_indices():
     half = Fraction(1, 2)
     space = OneParticleSpace(2, [[(1, half), (0, 2), (1, half)], [(0, 1)]], EXACT)
-    assert space == OneParticleSpace(2, [[2, 1], [1, 0]], EXACT)
+    assert space == OneParticleSpace(2, [[2, 1], [1, 0]])
 
 
 @pytest.mark.parametrize("rows,message", [
@@ -188,11 +187,11 @@ def test_sparse_rows_add_repeated_indices():
         "too_many_rows"])
 def test_constructor_rejects_bad_rows(rows, message):
     with pytest.raises(UsageError, match=message):
-        OneParticleSpace(2, rows, EXACT)
+        OneParticleSpace(2, rows)
 
 
 def test_space_keeps_only_rows():
-    space = OneParticleSpace(2, [[1, 0], [0, 2]], EXACT)
+    space = OneParticleSpace(2, [[1, 0], [0, 2]])
     assert not hasattr(space, "gram")
     assert space.rows == (((0, Fraction(1)),), ((1, Fraction(2)),))
 

@@ -8,7 +8,7 @@ from qfock.errors import ResourceBudgetError, UsageError
 from qfock.fock import FockOperator, FockVector, apply, innerq
 from qfock.model import MomentSequence, ProcessModel, TimeGrid
 from qfock.partitions import SetPartition, enumerate_partitions, index_tuples
-from qfock.qscalar import EXACT, QScalar, ScalarRing, q_fact
+from qfock.qscalar import EXACT, ONE, ZERO, QScalar, ScalarRing, const, q_fact, q_pow
 from qfock.stochastic import (AdaptedProcess, BiProcess, StepFunction,
                               biprocess_inner, biprocess_integral,
                               chaos_decompose, conditional_expectation,
@@ -62,8 +62,8 @@ def model():
 def l2q_inner_oracle(f: StepFunction, g: StepFunction) -> QScalar:
     """Σ_u F(u) |u| Σ_σ q^{inv(σ)} G(u∘σ⁻¹), by a sum over S_n on the step
     functions themselves, with no Fock space."""
-    ring, grid, n = f.model.ring, f.model.grid, f.arity
-    total = ring.zero()
+    grid, n = f.model.grid, f.arity
+    total = ZERO
     perms = [(s, inversions(s)) for s in sym_group(n)]
     for u, cf in f.values.items():
         weight = Fraction(1)
@@ -75,7 +75,7 @@ def l2q_inner_oracle(f: StepFunction, g: StepFunction) -> QScalar:
                 v[sigma[i] - 1] = u[i]
             cg = g.values.get(tuple(v))
             if cg is not None:
-                total = total + cf * cg * ring.q_pow(inv) * ring.of(weight)
+                total = total + cf * cg * q_pow(inv) * const(weight)
     return total
 
 
@@ -98,7 +98,7 @@ def step_function_pairs(draw):
     # a permuted copy of each support tuple makes the q-terms show up
     for tup in list(f)[:2]:
         g[tuple(reversed(tup))] = F(1)
-    return tuple(StepFunction(model, arity, {t: ring.of(c) for t, c in h.items()})
+    return tuple(StepFunction(model, arity, {t: const(c) for t, c in h.items()})
                  for h in (f, g))
 
 
@@ -110,24 +110,23 @@ class TestStepFunctions:
 
     def test_arity_validated(self, model):
         with pytest.raises(UsageError):
-            StepFunction(model, 2, {(0,): EXACT.one()})
+            StepFunction(model, 2, {(0,): ONE})
 
     def test_l2q_off_diagonal_pair(self, model):
-        f = StepFunction(model, 2, {(0, 1): EXACT.one()})
-        assert l2q_inner(f, f) == EXACT.of(F(1, 16))
+        f = StepFunction(model, 2, {(0, 1): ONE})
+        assert l2q_inner(f, f) == const(F(1, 16))
 
     def test_l2q_diagonal_pair_gets_q(self, model):
-        f = StepFunction(model, 2, {(0, 0): EXACT.one()})
-        assert l2q_inner(f, f) == (EXACT.one() + EXACT.q()) * EXACT.of(F(1, 16))
+        f = StepFunction(model, 2, {(0, 0): ONE})
+        assert l2q_inner(f, f) == (ONE + q_pow(1)) * const(F(1, 16))
 
     def test_l2q_arity_cap(self, model):
-        f = StepFunction(model, 9, {(0,) * 9: EXACT.one()})
-        assert l2q_inner(f, f) == q_fact(9) * EXACT.of(F(1, 4) ** 9)
+        f = StepFunction(model, 9, {(0,) * 9: ONE})
+        assert l2q_inner(f, f) == q_fact(9) * const(F(1, 4) ** 9)
         # arity 10 is the first one refused, with or without a q0
         model_at_q0 = three_point(ring=ScalarRing(F(3, 10)))
         for m in (model, model_at_q0):
-            one = m.ring.one()
-            f = StepFunction(m, 10, {tuple(range(4)) * 2 + (0, 1): one})
+            f = StepFunction(m, 10, {tuple(range(4)) * 2 + (0, 1): ONE})
             with pytest.raises(ResourceBudgetError):
                 l2q_inner(f, f)
 
@@ -138,11 +137,11 @@ class TestStepFunctions:
         assert l2q_inner(f, g) == l2q_inner_oracle(f, g)
 
     def test_l2q_checks_model_and_arity(self, model):
-        f = StepFunction(model, 1, {(0,): EXACT.one()})
+        f = StepFunction(model, 1, {(0,): ONE})
         with pytest.raises(UsageError):
-            l2q_inner(f, StepFunction(model, 2, {(0, 1): EXACT.one()}))
+            l2q_inner(f, StepFunction(model, 2, {(0, 1): ONE}))
         with pytest.raises(UsageError):
-            l2q_inner(f, StepFunction(three_point(), 1, {(0,): EXACT.one()}))
+            l2q_inner(f, StepFunction(three_point(), 1, {(0,): ONE}))
 
 
 class TestProcessFamilies:
@@ -154,7 +153,7 @@ class TestProcessFamilies:
         for k in range(1, model.degree_cutoff + 1):
             y_k = model.letter({(1, k): 1, (2, k): 1}).field()
             want = apply(y_k, om) + om.scale(
-                EXACT.of(F(1, 2) * model.moments.r_at(k)))
+                const(F(1, 2) * model.moments.r_at(k)))
             assert apply(delta_process(model, k).operator(interval), om) == want
 
     def test_prefix_letter_is_interval_letter(self, model):
@@ -166,7 +165,7 @@ class TestProcessFamilies:
 
 class TestMultipleIntegrals:
     def test_diagonal_support_rejected(self, model):
-        f = StepFunction(model, 2, {(1, 1): EXACT.one()})
+        f = StepFunction(model, 2, {(1, 1): ONE})
         with pytest.raises(UsageError):
             multiple_integral(f, [x_process(model)] * 2)
 
@@ -287,8 +286,8 @@ class TestStochasticMeasures:
         table = st_pi_convergence(pi, 1, factory, (1, 2, 3, 4, 8), label)
         for row in table.rows:
             delta = F(1, row.n_atoms)
-            want = sum((QScalar.parse(c) * EXACT.of(delta ** k)
-                        for k, c in SQUARED_ERROR[label].items()), EXACT.zero())
+            want = sum((QScalar.parse(c) * const(delta ** k)
+                        for k, c in SQUARED_ERROR[label].items()), ZERO)
             assert row.error == want, row.n_atoms
             assert row.l2_error == abs(float(want.subs(q0)))
 
@@ -316,7 +315,7 @@ class TestChaosDecomposition:
         l1 = model.atom_letter(0, 2)
         l2 = model.atom_letter(1, 1)
         v = (word_vector(model, (l1, l2), model.fock_depth)
-             + word_vector(model, (l2,), model.fock_depth).scale(EXACT.of(3)))
+             + word_vector(model, (l2,), model.fock_depth).scale(const(3)))
         comps = chaos_decompose(v, model)
         back = FockVector(model.space, model.fock_depth)
         vecs = {}
@@ -344,7 +343,7 @@ class TestItoCalculus:
         u_val = WickElement.from_word(model, (model.atom_letter(0),))
         v_val = (WickElement.from_word(model, (model.atom_letter(0),
                                                model.atom_letter(1)))
-                 + WickElement.one(model).scale(model.ring.of(2)))
+                 + WickElement.one(model).scale(const(2)))
         u = AdaptedProcess(model, [((self.half, self.threeq), u_val),
                                    ((self.threeq, 1), v_val)])
         v = AdaptedProcess(model, [((self.half, self.threeq), v_val),
@@ -394,7 +393,7 @@ class TestItoCalculus:
             sandwich = FockOperator.compose([x_st, z.operator(), x_st])
             lhs = conditional_expectation(
                 WickElement.from_vector(m, apply(sandwich, om)), s)
-            rhs = z.gamma().scale(m.ring.of((t - s) * m.moments.r_at(2)))
+            rhs = z.gamma().scale(const((t - s) * m.moments.r_at(2)))
             assert (lhs.vector() - rhs.vector()).is_zero
 
     def test_two_sided_defect_identity(self):
@@ -410,7 +409,7 @@ class TestItoCalculus:
         m = gaussian()
         u_val = WickElement.from_word(m, (m.atom_letter(0),))
         v_val = (WickElement.from_word(m, (m.atom_letter(0), m.atom_letter(1)))
-                 + WickElement.one(m).scale(m.ring.of(2)))
+                 + WickElement.one(m).scale(const(2)))
         bi_u = BiProcess(m, [((self.half, self.threeq), [(u_val, v_val)])])
         bi_v = BiProcess(m, [((self.half, self.threeq), [(v_val, u_val)])])
         om = vacuum_vector(m)

@@ -16,7 +16,7 @@ from qfock.fock import FockOperator, FockVector, apply
 from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
                          TimeGrid, letter_pair)
 from qfock.partitions import enumerate_partitions
-from qfock.qscalar import EXACT, QScalar, ScalarRing
+from qfock.qscalar import EXACT, ZERO, QScalar, ScalarRing, const, q_pow
 from qfock.wick import (WickElement, expansion_ledger, expansion_operator,
                         product_expansion, vacuum_expectation,
                         vacuum_moment, vacuum_vector, wick_operator,
@@ -34,9 +34,8 @@ def partition_sum_moment(letters) -> QScalar:
     """Σ_π q^{rc(π)} Π_B (block contraction) over all Bell(n) partitions: a
     singleton contracts to its mean, a larger block to the pairing of its
     first letter with the ordered product of the rest."""
-    ring = letters[0].algebra.ring
     contraction = {}
-    total = ring.zero()
+    total = ZERO
     for pi in enumerate_partitions(len(letters)):
         val = Fraction(1)
         for block in pi.blocks:
@@ -51,7 +50,7 @@ def partition_sum_moment(letters) -> QScalar:
                     contraction[key] = letter_pair(key[0], rest)
             val *= contraction[key]
         if val:
-            total = total + ring.q_pow(rc_plain(pi)) * ring.of(val)
+            total = total + q_pow(rc_plain(pi)) * const(val)
     return total
 
 
@@ -75,7 +74,7 @@ def touchard_riordan(n: int) -> QScalar:
     Touchard–Riordan formula: for n = 2m,
     (1-q)^m m_n = Σ_k (-1)^k q^{k(k+1)/2} (C(2m, m-k) - C(2m, m-k-1))."""
     if n % 2:
-        return EXACT.zero()
+        return ZERO
     m = n // 2
     num = [0] * (m * (m + 1) // 2 + 1)
     for k in range(m + 1):
@@ -386,9 +385,8 @@ class TestBlockMemo:
 
 def gamma_q(v: FockVector) -> FockVector:
     """Second quantization of q·Id on vectors: degree n scaled by q^n."""
-    ring = v.space.ring
     return FockVector(v.space, v.depth,
-                      {w: c * ring.q_pow(len(w)) for w, c in v.terms.items()})
+                      {w: c * q_pow(len(w)) for w, c in v.terms.items()})
 
 
 def right_field(letter, v: FockVector) -> FockVector:
@@ -408,7 +406,7 @@ class TestWickElement:
         rng = random.Random(3)
         v = word_vector(model, random_word(model, rng, 3), model.fock_depth)
         v = v + word_vector(model, random_word(model, rng, 1),
-                            model.fock_depth).scale(EXACT.of(F(1, 2)))
+                            model.fock_depth).scale(const(F(1, 2)))
         el = WickElement.from_vector(model, v)
         assert el.vector() == v
         om = FockVector.vacuum(model.space, model.fock_depth)
@@ -430,7 +428,7 @@ class TestWickElement:
     def test_vacuum_expectation(self, model):
         l = model.atom_letter(0)
         assert vacuum_expectation(model, l.field() * l.field()) == \
-            EXACT.of(F(1, 3))  # |A| r_2 = 1/3 * 1
+            const(F(1, 3))  # |A| r_2 = 1/3 * 1
 
 
 class TestRightOperators:
