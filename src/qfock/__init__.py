@@ -14,8 +14,7 @@ from .fock import (FockOperator, FockVector, Gauge, DenseGauge,
                    sparse_vector)
 from .kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
 from .model import (WeightedPointAlgebra, Letter, MomentSequence, ProcessModel,
-                    TimeGrid, letter_pair, monic_op_coefficients,
-                    parse_model_config)
+                    TimeGrid, letter_pair, monic_op_coefficients)
 from .partitions import (ExtendedPartition, SetPartition, enumerate_partitions,
                          index_tuples, rc)
 from .qscalar import (EXACT, ONE, ZERO, QScalar, ScalarRing, const, q_fact,

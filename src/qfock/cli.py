@@ -19,9 +19,7 @@ from .errors import QFockError, UsageError
 from .fock import (FockOperator, FockVector, OneParticleSpace, apply, innerq,
                    sparse_vector)
 from .kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
-from .model import (WeightedPointAlgebra, MomentSequence, ProcessModel, TimeGrid,
-                    _parse_fraction_list, config_entries, config_value,
-                    model_from_values, model_values, parse_ring)
+from .model import WeightedPointAlgebra, MomentSequence, ProcessModel, TimeGrid
 from .partitions import SetPartition
 from .qscalar import EXACT, ONE, QScalar, ScalarRing, const, q_fact_ratio, q_pow
 from .stochastic import (AdaptedProcess, BiProcess, StepFunction,
@@ -42,39 +40,39 @@ from .wick import (WickElement, expansion_operator, product_expansion,
 
 
 def gaussian_model(n_atoms: int = 2, cutoff: int = 4,
-                   depth: int = 6, ring: ScalarRing = EXACT) -> ProcessModel:
+                   depth: int = 6) -> ProcessModel:
     """nu = delta_0: r_2 = 1 and all higher moments vanish (q-Brownian)."""
     moments = MomentSequence([0, 1] + [0] * (2 * cutoff - 2))
-    return ProcessModel(ring, moments, TimeGrid.uniform(1, n_atoms), cutoff, depth)
+    return ProcessModel(EXACT, moments, TimeGrid.uniform(1, n_atoms), cutoff, depth)
 
 
 def all_ones_model(n_atoms: int = 2, cutoff: int = 5,
-                   depth: int = 6, ring: ScalarRing = EXACT) -> ProcessModel:
+                   depth: int = 6) -> ProcessModel:
     """nu = delta_1: every moment r_k (k >= 2) equals 1 (q-Poisson-like)."""
     moments = MomentSequence([0] + [1] * (2 * cutoff - 1))
-    return ProcessModel(ring, moments, TimeGrid.uniform(1, n_atoms), cutoff, depth)
+    return ProcessModel(EXACT, moments, TimeGrid.uniform(1, n_atoms), cutoff, depth)
 
 
 def two_point_model(n_atoms: int = 2, cutoff: int = 2,
-                    depth: int = 6, ring: ScalarRing = EXACT) -> ProcessModel:
+                    depth: int = 6) -> ProcessModel:
     """nu = (delta_{-1} + delta_1)/2: r_2 = 1, odd moments 0, nonsingular
     per-atom gram at cutoff 2."""
     moments = MomentSequence.from_measure([(-1, Fraction(1, 2)), (1, Fraction(1, 2))],
                                           2 * cutoff)
-    return ProcessModel(ring, moments, TimeGrid.uniform(1, n_atoms), cutoff, depth)
+    return ProcessModel(EXACT, moments, TimeGrid.uniform(1, n_atoms), cutoff, depth)
 
 
 def three_point_model(n_atoms: int = 2, cutoff: int = 3,
-                      depth: int = 6, ring: ScalarRing = EXACT) -> ProcessModel:
+                      depth: int = 6) -> ProcessModel:
     """nu = delta_{-1}/4 + delta_0/2 + delta_1/4: orthogonal polynomials exist
     through degree 2 with nonzero norms."""
     atoms = [(-1, Fraction(1, 4)), (0, Fraction(1, 2)), (1, Fraction(1, 4))]
     moments = MomentSequence.from_measure(atoms, 2 * cutoff)
-    return ProcessModel(ring, moments, TimeGrid.uniform(1, n_atoms), cutoff, depth)
+    return ProcessModel(EXACT, moments, TimeGrid.uniform(1, n_atoms), cutoff, depth)
 
 
-def all_ones_pointset(ring: ScalarRing = EXACT) -> WeightedPointAlgebra:
-    return WeightedPointAlgebra([1], [1], ring)
+def all_ones_pointset() -> WeightedPointAlgebra:
+    return WeightedPointAlgebra([1], [1], EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +419,162 @@ DEFAULT_SCHEDULE = (4, 8, 16, 32, 64)
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
+# configuration: one key table for config files and flags
+
+
+def _fraction_list(text: str) -> list[Fraction]:
+    body = text.strip().lstrip("[").rstrip("]").strip()
+    if not body:
+        return []
+    return [Fraction(tok.strip()) for tok in body.split(",")]
+
+
+def _pair_list(text: str) -> list[tuple[Fraction, Fraction]]:
+    body = text.strip().lstrip("[").rstrip("]")
+    out = []
+    for chunk in body.split(")"):
+        chunk = chunk.strip().lstrip(",").strip().lstrip("(")
+        if not chunk:
+            continue
+        x, w = chunk.split(",")
+        out.append((Fraction(x.strip()), Fraction(w.strip())))
+    return out
+
+
+def _grid(text: str) -> TimeGrid:
+    if text.startswith("uniform"):
+        body = text[len("uniform"):].strip().lstrip("(").rstrip(")")
+        t_s, n_s = body.split(",")
+        return TimeGrid.uniform(Fraction(t_s.strip()), int(n_s.strip()))
+    return TimeGrid(_fraction_list(text))
+
+
+def _ring(text: str) -> ScalarRing:
+    """The ring of a q value: exact, or a rational q0 in (-1, 1) to
+    evaluate at."""
+    return ScalarRing() if text == "exact" else ScalarRing(Fraction(text))
+
+
+def _suites(text: str) -> tuple[str, ...]:
+    suites = tuple(s.strip() for s in text.split(",") if s.strip())
+    if not suites:
+        raise UsageError(f"empty suite list {text!r} "
+                         f"(available: {', '.join(SUITES)})")
+    unknown = set(suites) - set(SUITES)
+    if unknown:
+        raise UsageError(f"unknown suites: {sorted(unknown)} "
+                         f"(available: {', '.join(SUITES)})")
+    return suites
+
+
+def _nmax(text: str) -> int:
+    nmax = int(text)
+    if nmax < 1:
+        raise UsageError(f"nmax must be >= 1, got {nmax}")
+    return nmax
+
+
+# every config key with the converter of its text, in checking order
+KEYS: dict[str, Callable[[str], object]] = {
+    "q": _ring,
+    "degree_cutoff": int,
+    "fock_depth": int,
+    "grid": _grid,
+    "moments": _fraction_list,
+    "nu.atoms": _pair_list,
+    "pointset.points": _fraction_list,
+    "pointset.weights": _fraction_list,
+    "suite": _suites,
+    "seed": int,
+    "nmax": _nmax,
+}
+# the run keys, each with the RunConfig field it sets; the rest name the model
+RUN_KEYS = {"suite": "suites", "seed": "seed", "nmax": "nmax"}
+
+# every flag: the key it overrides (None for --model, which names the file),
+# the key's text for the flag's value, and its help
+FLAGS = {
+    "model": (None, "", "model config file"),
+    "suite": ("suite", "{}", "comma-separated suite names"),
+    "seed": ("seed", "{}", "random seed"),
+    "q": ("q", "{}", "rational q0 to evaluate at, or 'exact'"),
+    "nmax": ("nmax", "{}", "maximum product/moment length"),
+    "cutoff": ("degree_cutoff", "{}", "letter degree cutoff"),
+    "grid": ("grid", "uniform(1, {})", "uniform grid size over [0,1)"),
+}
+# the flags each command reads besides --out; argparse rejects any other
+# with exit 2, since verify runs fixed models and converge fixed experiments
+COMMAND_FLAGS = {
+    "verify": ("model", "suite", "seed"),
+    "converge": (),
+    "moments": ("model", "q", "nmax", "cutoff", "grid"),
+}
+
+
+def parse_config(text: str, overrides: dict[str, str] | None = None) -> dict:
+    """The "key = value" lines of a config file (`#` starts a comment), each
+    override replacing its key, converted through KEYS.  A key outside KEYS,
+    a key given twice in the file, or a malformed value is a usage error
+    naming the key."""
+    entries: dict[str, str] = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            key, eq, value = line.partition("=")
+            key = key.strip()
+            if not eq:
+                raise UsageError(f"malformed config line: {raw!r}")
+            if key not in KEYS:
+                raise UsageError(f"unknown config key {key!r} "
+                                 f"(known: {', '.join(KEYS)})")
+            if key in entries:
+                raise UsageError(f"config key {key} given twice")
+            entries[key] = value.strip()
+    entries.update(overrides or {})
+    values = {}
+    for key, convert in KEYS.items():
+        if key in entries:
+            try:
+                values[key] = convert(entries[key])
+            except (ValueError, ZeroDivisionError) as exc:
+                raise UsageError(
+                    f"bad config value {key} = {entries[key]!r}") from exc
+    return values
+
+
+def build_model(values: dict) -> ProcessModel | WeightedPointAlgebra:
+    """The algebra that converted model keys (see parse_config) name.
+
+    pointset.points selects the weighted point set, with pointset.weights
+    and, when given, q and fock_depth.  Otherwise the grid model: q, grid,
+    degree_cutoff and fock_depth, and nu.atoms or moments; when both are
+    given they are validated against each other.
+    """
+    if "pointset.points" in values:
+        return WeightedPointAlgebra(values["pointset.points"],
+                                    values.get("pointset.weights", []),
+                                    values.get("q", EXACT),
+                                    values.get("fock_depth", 6))
+    missing = {"q", "grid", "degree_cutoff", "fock_depth"} - set(values)
+    if missing:
+        raise UsageError(f"config missing keys: {sorted(missing)}")
+    degree_cutoff = values["degree_cutoff"]
+
+    n_moments = max(2 * degree_cutoff, 2)
+    moments = None
+    if "moments" in values:
+        moments = MomentSequence(values["moments"])
+    if "nu.atoms" in values:
+        derived = MomentSequence.from_measure(
+            values["nu.atoms"], moments.K if moments else n_moments)
+        if moments is not None and moments.r != derived.r:
+            raise UsageError("moments and nu.atoms disagree")
+        moments = derived
+    if moments is None:
+        raise UsageError("config needs nu.atoms or moments")
+
+    return ProcessModel(values["q"], moments, values["grid"], degree_cutoff,
+                        values["fock_depth"])
 
 
 DEFAULT_MODEL_TEXT = """\
@@ -433,78 +586,39 @@ fock_depth = 6
 """
 
 
-DEFAULT_NMAX = 4
-
-
 @dataclass
 class RunConfig:
-    # the converted model keys (see model.model_values)
-    model: dict = field(default_factory=lambda: model_values(
-        config_entries(DEFAULT_MODEL_TEXT)))
+    # the converted model keys (see parse_config); only cmd_moments builds
+    # them into an algebra
+    model: dict = field(default_factory=lambda: parse_config(DEFAULT_MODEL_TEXT))
     out_dir: Path | None = None
     suites: tuple[str, ...] = tuple(SUITES)
     seed: int = 0
-    nmax: int = DEFAULT_NMAX
-    pointset: WeightedPointAlgebra | None = None
+    nmax: int = 4
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    # a command's parser registers only the flags that command reads
-    flag = {name: getattr(args, name, None) for name in FLAGS}
     text = DEFAULT_MODEL_TEXT
-    if flag["model"]:
+    # a command's parser registers only the flags that command reads
+    if getattr(args, "model", None):
         try:
-            text = Path(flag["model"]).read_text()
+            text = Path(args.model).read_text()
         except OSError as exc:
             raise UsageError(f"cannot read model file: {exc}") from exc
-    entries = config_entries(text)
+    # flags win over file keys: the key each given flag sets -> the flag
+    given = {key: name for name, (key, _, _) in FLAGS.items()
+             if key and getattr(args, name, None) is not None}
+    values = parse_config(text, {key: FLAGS[name][1].format(getattr(args, name))
+                                 for key, name in given.items()})
 
-    # flags win over file keys
-    overrides = {}
-    if flag["q"] is not None:
-        overrides["q"] = flag["q"]
-    if flag["cutoff"] is not None:
-        overrides["degree_cutoff"] = str(flag["cutoff"])
-    if flag["grid"] is not None:
-        overrides["grid"] = f"uniform(1, {flag['grid']})"
-    entries.update(overrides)
-
-    suites = tuple(SUITES)
-    raw_suites = flag["suite"] if flag["suite"] is not None else entries.get("suite")
-    if raw_suites is not None:
-        suites = tuple(s.strip() for s in raw_suites.split(",") if s.strip())
-        if not suites:
-            raise UsageError(f"empty suite list {raw_suites!r} "
-                             f"(available: {', '.join(SUITES)})")
-        unknown = set(suites) - set(SUITES)
-        if unknown:
-            raise UsageError(f"unknown suites: {sorted(unknown)} "
-                             f"(available: {', '.join(SUITES)})")
-
-    seed = (flag["seed"] if flag["seed"] is not None
-            else config_value(entries, "seed", int, "0"))
-    nmax = (flag["nmax"] if flag["nmax"] is not None
-            else config_value(entries, "nmax", int, str(DEFAULT_NMAX)))
-    if nmax < 1:
-        raise UsageError(f"nmax must be >= 1, got {nmax}")
-
-    pointset = None
-    if "pointset.points" in entries:
-        for name in ("grid", "cutoff"):
-            if flag[name] is not None:
-                raise UsageError(f"--{name} does not apply to a point-set model")
+    if "pointset.points" in values:
+        # a point set has no grid, letter cutoff or canonical measure
         for key in ("grid", "degree_cutoff", "nu.atoms", "moments"):
-            if key in entries:
-                raise UsageError(f"model key {key} does not apply to a point-set model")
-        pts = config_value(entries, "pointset.points", _parse_fraction_list)
-        ws = config_value(entries, "pointset.weights", _parse_fraction_list, "")
-        ring = config_value(entries, "q", parse_ring, "exact")
-        pointset = WeightedPointAlgebra(pts, ws, ring)
-    # every command checks the model keys it was given, read or not
-    model = model_values(entries)
-
-    out_dir = Path(args.out) if args.out else None
-    return RunConfig(model, out_dir, suites, seed, nmax, pointset)
+            if key in values:
+                source = f"--{given[key]}" if key in given else f"model key {key}"
+                raise UsageError(f"{source} does not apply to a point-set model")
+    run = {RUN_KEYS[key]: values.pop(key) for key in RUN_KEYS if key in values}
+    return RunConfig(values, Path(args.out) if args.out else None, **run)
 
 
 def _emit(lines: list[str], out_dir: Path | None, name: str) -> None:
@@ -551,11 +665,10 @@ def cmd_converge(config: RunConfig) -> int:
 
 def cmd_moments(config: RunConfig) -> int:
     lines = ["n,moment"]
-    if config.pointset is not None:
-        algebra = config.pointset
+    algebra = build_model(config.model)
+    if isinstance(algebra, WeightedPointAlgebra):
         letter = algebra.one()
     else:
-        algebra = model_from_values(config.model)
         # a closed block of size n multiplies n-1 power-1 letters together
         if config.nmax > algebra.degree_cutoff + 1:
             raise UsageError(
@@ -571,24 +684,6 @@ def cmd_moments(config: RunConfig) -> int:
     return 0
 
 
-# the flags each command reads besides --out; argparse rejects any other
-# with exit 2, since verify runs fixed models and converge fixed experiments
-FLAGS = {
-    "model": dict(help="model config file"),
-    "suite": dict(help="comma-separated suite names"),
-    "seed": dict(type=int, help="random seed"),
-    "q": dict(help="rational q0 to evaluate at, or 'exact'"),
-    "nmax": dict(type=int, help="maximum product/moment length"),
-    "cutoff": dict(type=int, help="letter degree cutoff"),
-    "grid": dict(type=int, help="uniform grid size over [0,1)"),
-}
-COMMAND_FLAGS = {
-    "verify": ("model", "suite", "seed"),
-    "converge": (),
-    "moments": ("model", "q", "nmax", "cutoff", "grid"),
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="qfock",
@@ -601,7 +696,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", help="output directory for CSV reports")
         for flag in COMMAND_FLAGS[name]:
-            p.add_argument(f"--{flag}", **FLAGS[flag])
+            p.add_argument(f"--{flag}", help=FLAGS[flag][2])
 
     args = parser.parse_args(argv)
     try:

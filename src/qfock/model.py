@@ -9,6 +9,9 @@ Two instances of one "letter" algebra drive everything downstream:
   weighted-l2 inner product, pointwise multiplication as gauge, and the
   weighted average as mean.
 
+The config keys that name a model, and the one function that builds either
+algebra from them, live in `qfock.cli`; this module holds only the math.
+
 A Letter bundles (one-particle vector, gauge action, mean) so that Wick
 recursion, product expansions and stochastic measures share one code path.
 In both algebras a letter's payload is its one-particle vector xi, in the
@@ -27,7 +30,7 @@ products, and `wick_cache` (wick.py), keyed by words of letters.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CutoffExceededError, DegeneracyError, UsageError
 from .fock import (FockOperator, Gauge, OneParticleSpace, SparseVector,
@@ -44,11 +47,10 @@ class MomentSequence:
     the centering term and must be 0.
     """
 
-    def __init__(self, values: Sequence, atoms=None):
+    def __init__(self, values: Sequence):
         self.r = tuple(Fraction(v) for v in values)
         if not self.r or self.r[0] != 0:
             raise UsageError("r_1 must be 0 (centered construction)")
-        self.atoms = atoms
         self.ks_memo: dict = {}  # power word -> A_u (kspoly.py)
 
     @staticmethod
@@ -62,7 +64,7 @@ class MomentSequence:
         values = [Fraction(0)]
         for k in range(length - 1):
             values.append(sum((w * x ** k for x, w in pts), Fraction(0)))
-        return MomentSequence(values, atoms=pts)
+        return MomentSequence(values)
 
     @property
     def K(self) -> int:
@@ -441,115 +443,3 @@ class WeightedPointAlgebra:
 
     def sup_norm(self, f: Letter) -> Fraction:
         return max((abs(v) for _, v in f.payload), default=Fraction(0))
-
-
-# ---------------------------------------------------------------------------
-# config files
-
-
-def _parse_fraction_list(text: str) -> list[Fraction]:
-    body = text.strip().lstrip("[").rstrip("]").strip()
-    if not body:
-        return []
-    return [Fraction(tok.strip()) for tok in body.split(",")]
-
-
-def _parse_pair_list(text: str) -> list[tuple[Fraction, Fraction]]:
-    body = text.strip().lstrip("[").rstrip("]")
-    out = []
-    for chunk in body.split(")"):
-        chunk = chunk.strip().lstrip(",").strip().lstrip("(")
-        if not chunk:
-            continue
-        x, w = chunk.split(",")
-        out.append((Fraction(x.strip()), Fraction(w.strip())))
-    return out
-
-
-def _parse_grid(text: str) -> TimeGrid:
-    if text.startswith("uniform"):
-        body = text[len("uniform"):].strip().lstrip("(").rstrip(")")
-        t_s, n_s = body.split(",")
-        return TimeGrid.uniform(Fraction(t_s.strip()), int(n_s.strip()))
-    return TimeGrid(_parse_fraction_list(text))
-
-
-def parse_ring(text: str) -> ScalarRing:
-    """The ring of a config `q` value: "exact" or a rational in (-1, 1)."""
-    return ScalarRing() if text == "exact" else ScalarRing(Fraction(text))
-
-
-def config_entries(text: str) -> dict[str, str]:
-    """The "key = value" lines of a config file; `#` starts a comment."""
-    entries: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise UsageError(f"malformed config line: {raw!r}")
-            entries[key.strip()] = value.strip()
-    return entries
-
-
-def config_value(entries: dict[str, str], key: str, convert: Callable,
-                 default: str | None = None):
-    """convert(entries.get(key, default)); a malformed value is a usage error."""
-    text = entries.get(key, default)
-    try:
-        return convert(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad config value {key} = {text!r}") from exc
-
-
-# the model keys of a config file, each with its converter, in checking order
-MODEL_KEYS: tuple[tuple[str, Callable], ...] = (
-    ("q", parse_ring),
-    ("degree_cutoff", int),
-    ("fock_depth", int),
-    ("grid", _parse_grid),
-    ("moments", _parse_fraction_list),
-    ("nu.atoms", _parse_pair_list),
-)
-
-
-def model_values(entries: dict[str, str]) -> dict:
-    """Each model key present in entries, converted; a malformed value is a
-    usage error naming the key."""
-    return {key: config_value(entries, key, convert)
-            for key, convert in MODEL_KEYS if key in entries}
-
-
-def model_from_values(values: dict) -> ProcessModel:
-    """Build a ProcessModel from converted model keys (see `model_values`).
-
-    Keys: q (= "exact" or a rational in (-1,1)), nu.atoms = [(x,w),...] or
-    moments = [r1,...], grid = uniform(T, N) or an explicit boundary list,
-    degree_cutoff, fock_depth.  When both nu.atoms and moments are given they
-    are validated against each other.
-    """
-    missing = {"q", "grid", "degree_cutoff", "fock_depth"} - set(values)
-    if missing:
-        raise UsageError(f"config missing keys: {sorted(missing)}")
-    degree_cutoff = values["degree_cutoff"]
-
-    n_moments = max(2 * degree_cutoff, 2)
-    moments = None
-    if "moments" in values:
-        moments = MomentSequence(values["moments"])
-    if "nu.atoms" in values:
-        derived = MomentSequence.from_measure(
-            values["nu.atoms"], moments.K if moments else n_moments)
-        if moments is not None and moments.r != derived.r:
-            raise UsageError("moments and nu.atoms disagree")
-        moments = derived
-    if moments is None:
-        raise UsageError("config needs nu.atoms or moments")
-
-    return ProcessModel(values["q"], moments, values["grid"], degree_cutoff,
-                        values["fock_depth"])
-
-
-def parse_model_config(text: str) -> ProcessModel:
-    """Build a ProcessModel from the "key = value" lines of a config file."""
-    return model_from_values(model_values(config_entries(text)))

@@ -7,8 +7,11 @@ import pytest
 
 from qfock import cli, wick
 from qfock.cli import IdentityRow, main
+from qfock.errors import UsageError
 from qfock.fock import FockVector, apply
 from qfock.qscalar import ONE, QScalar, q_pow
+
+F = Fraction
 
 
 def run(capsys, *argv):
@@ -180,6 +183,23 @@ class TestMoments:
         assert code == 0
         assert out.strip().splitlines()[-1] == "4,14 + q"
 
+    def test_pointset_fock_depth_reaches_algebra(self, capsys, tmp_path,
+                                                 monkeypatch):
+        built = []
+        real = cli.build_model
+        monkeypatch.setattr(cli, "build_model",
+                            lambda values: built.append(real(values)) or built[-1])
+        cfg = tmp_path / "app.cfg"
+        cfg.write_text("pointset.points = [1]\n"
+                       "pointset.weights = [1]\n"
+                       "fock_depth = 3\n")
+        code, out, _ = run(capsys, "moments", "--model", str(cfg), "--nmax", "4")
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "4,14 + q"
+        [algebra] = built
+        assert isinstance(algebra, cli.WeightedPointAlgebra)
+        assert algebra.fock_depth == 3
+
     @pytest.mark.parametrize("flag", ["--grid", "--cutoff"])
     def test_pointset_refuses_grid_flags(self, capsys, tmp_path, flag):
         cfg = tmp_path / "app.cfg"
@@ -329,6 +349,33 @@ class TestFlagPrecedence:
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
+    # (command, file line, flag, flag value, the setting read off the run
+    # config, its value from the file, its value from the flag)
+    @pytest.mark.parametrize("command,line,flag,value,read,from_file,from_flag", [
+        ("moments", "q = exact", "--q", "1/2",
+         lambda c: c.model["q"].q0, None, F(1, 2)),
+        ("moments", "degree_cutoff = 2", "--cutoff", "4",
+         lambda c: c.model["degree_cutoff"], 2, 4),
+        ("moments", "grid = uniform(1, 2)", "--grid", "5",
+         lambda c: c.model["grid"].n_atoms, 2, 5),
+        ("moments", "nmax = 2", "--nmax", "3", lambda c: c.nmax, 2, 3),
+        ("verify", "suite = ks", "--suite", "moments",
+         lambda c: c.suites, ("ks",), ("moments",)),
+        ("verify", "seed = 3", "--seed", "5", lambda c: c.seed, 3, 5),
+    ], ids=["q", "cutoff", "grid", "nmax", "suite", "seed"])
+    def test_each_flag_wins_over_its_file_key(self, capsys, tmp_path, monkeypatch,
+                                              command, line, flag, value, read,
+                                              from_file, from_flag):
+        configs = []
+        monkeypatch.setattr(cli, f"cmd_{command}",
+                            lambda config: configs.append(config) or 0)
+        cfg = tmp_path / "m.cfg"
+        text = "" if command == "verify" else MODEL_TEXT.replace(line, "")
+        cfg.write_text(text + line + "\n")
+        assert run(capsys, command, "--model", str(cfg)) == (0, "", "")
+        assert run(capsys, command, "--model", str(cfg), flag, value) == (0, "", "")
+        assert [read(c) for c in configs] == [from_file, from_flag]
+
 
 MODEL_TEXT = ("q = exact\n"
               "nu.atoms = [(-1, 1/2), (1, 1/2)]\n"
@@ -369,6 +416,90 @@ class TestConfigValues:
         code, _, err = run(capsys, "moments", "--model", str(tmp_path / "none"))
         assert code == 2
         assert err.startswith("error: cannot read model file")
+
+    @pytest.mark.parametrize("command,text,key", [
+        ("moments", MODEL_TEXT + "nmx = 2\n", "nmx"),
+        ("moments", MODEL_TEXT + "depth = 4\n", "depth"),
+        ("verify", "sede = 5\n", "sede"),
+        ("verify", MODEL_TEXT + "suites = moments\n", "suites"),
+    ], ids=["moments_nmx", "moments_depth", "verify_sede", "verify_suites"])
+    def test_unknown_key_exits_2(self, capsys, tmp_path, command, text, key):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, command, "--model", str(cfg))
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert repr(key) in lines[0]
+
+    @pytest.mark.parametrize("command,text,key", [
+        # at cutoff 1, nmax 2 runs: only the repeat can refuse it
+        ("moments", MODEL_TEXT.replace("degree_cutoff = 2",
+                                       "degree_cutoff = 3\ndegree_cutoff = 1")
+         + "nmax = 2\n", "degree_cutoff"),
+        ("verify", "seed = 1\nseed = 1\n", "seed"),
+    ], ids=["moments_degree_cutoff", "verify_seed"])
+    def test_repeated_key_exits_2(self, capsys, tmp_path, command, text, key):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, command, "--model", str(cfg))
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert key in lines[0]
+
+
+def parse_model_config(text):
+    """The model that a config file's text names, through the cli parser."""
+    return cli.build_model(cli.parse_config(text))
+
+
+class TestConfigParsing:
+    def test_full_config(self):
+        model = parse_model_config(
+            "q = exact\n"
+            "nu.atoms = [(-1, 1/2), (1, 1/2)]\n"
+            "grid = uniform(1, 4)\n"
+            "degree_cutoff = 2\n"
+            "fock_depth = 5\n")
+        assert model.space.ring.q0 is None
+        assert model.grid.n_atoms == 4
+        assert model.degree_cutoff == 2
+        assert model.moments.r_at(2) == 1
+
+    def test_explicit_boundaries_and_moments(self):
+        model = parse_model_config(
+            "q = 1/2\n"
+            "moments = [0, 1, 0, 1]\n"
+            "grid = [0, 1/2, 1]\n"
+            "degree_cutoff = 2\n"
+            "fock_depth = 4\n")
+        assert model.space.ring.q0 == F(1, 2)
+        assert model.grid.boundaries == (0, F(1, 2), 1)
+
+    def test_conflicting_moments_rejected(self):
+        with pytest.raises(UsageError):
+            parse_model_config(
+                "q = exact\n"
+                "nu.atoms = [(1, 1)]\n"
+                "moments = [0, 2]\n"
+                "grid = uniform(1, 2)\n"
+                "degree_cutoff = 1\n"
+                "fock_depth = 3\n")
+
+    def test_missing_keys(self):
+        with pytest.raises(UsageError):
+            parse_model_config("q = exact\n")
+
+    def test_comments_ignored(self):
+        model = parse_model_config(
+            "# a comment\n"
+            "q = exact  # inline\n"
+            "moments = [0, 1]\n"
+            "grid = uniform(1, 2)\n"
+            "degree_cutoff = 1\n"
+            "fock_depth = 3\n")
+        assert model.moments.r_at(2) == 1
 
 
 UNREAD = [("verify", flag) for flag in ("--q", "--depth", "--cutoff", "--grid",

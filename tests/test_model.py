@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from qfock.errors import (CutoffExceededError, DegeneracyError, UsageError)
 from qfock.fock import FockVector, apply
 from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
-                         TimeGrid, letter_pair, monic_op_coefficients,
-                         parse_model_config)
+                         TimeGrid, letter_pair, monic_op_coefficients)
 from qfock.qscalar import EXACT, ONE, ZERO, const
 from qfock.stochastic import (conditional_expectation, delta_process,
                               x_process, yhat_process)
@@ -376,51 +375,3 @@ def test_letter_algebra_matches_former_payload_form(drawn):
             [(word, coeff)] = restricted.terms.items()
             assert_canonical(word[0].payload, algebra.space.dim)
             assert word == (ref.letter(kept),) and coeff == ONE
-
-
-class TestConfigParsing:
-    def test_full_config(self):
-        model = parse_model_config(
-            "q = exact\n"
-            "nu.atoms = [(-1, 1/2), (1, 1/2)]\n"
-            "grid = uniform(1, 4)\n"
-            "degree_cutoff = 2\n"
-            "fock_depth = 5\n")
-        assert model.space.ring.q0 is None
-        assert model.grid.n_atoms == 4
-        assert model.degree_cutoff == 2
-        assert model.moments.r_at(2) == 1
-
-    def test_explicit_boundaries_and_moments(self):
-        model = parse_model_config(
-            "q = 1/2\n"
-            "moments = [0, 1, 0, 1]\n"
-            "grid = [0, 1/2, 1]\n"
-            "degree_cutoff = 2\n"
-            "fock_depth = 4\n")
-        assert model.space.ring.q0 == F(1, 2)
-        assert model.grid.boundaries == (0, F(1, 2), 1)
-
-    def test_conflicting_moments_rejected(self):
-        with pytest.raises(UsageError):
-            parse_model_config(
-                "q = exact\n"
-                "nu.atoms = [(1, 1)]\n"
-                "moments = [0, 2]\n"
-                "grid = uniform(1, 2)\n"
-                "degree_cutoff = 1\n"
-                "fock_depth = 3\n")
-
-    def test_missing_keys(self):
-        with pytest.raises(UsageError):
-            parse_model_config("q = exact\n")
-
-    def test_comments_ignored(self):
-        model = parse_model_config(
-            "# a comment\n"
-            "q = exact  # inline\n"
-            "moments = [0, 1]\n"
-            "grid = uniform(1, 2)\n"
-            "degree_cutoff = 1\n"
-            "fock_depth = 3\n")
-        assert model.moments.r_at(2) == 1

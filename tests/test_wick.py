@@ -245,8 +245,11 @@ class TestVacuumMoments:
         ring = ScalarRing(q0)
         cases = [
             (three_point_model(n_atoms=2, cutoff=9).prefix_letter(1),
-             three_point_model(n_atoms=2, cutoff=9, ring=ring).prefix_letter(1)),
-            (all_ones_pointset().one(), all_ones_pointset(ring).one()),
+             ProcessModel(ring, MomentSequence.from_measure(
+                 [(-1, F(1, 4)), (0, F(1, 2)), (1, F(1, 4))], 18),
+                 TimeGrid.uniform(1, 2), 9, 6).prefix_letter(1)),
+            (all_ones_pointset().one(),
+             WeightedPointAlgebra([1], [1], ring).one()),
             (WeightedPointAlgebra([-1, 2], [F(2, 3), F(1, 3)], EXACT).letter([-1, 2]),
              WeightedPointAlgebra([-1, 2], [F(2, 3), F(1, 3)], ring).letter([-1, 2])),
         ]
