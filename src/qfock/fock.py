@@ -74,7 +74,18 @@ SparseVector = tuple[tuple[int, Fraction], ...]
 
 def sparse_vector(zeta: Sequence) -> SparseVector:
     """The sparse form of a one-particle vector given densely (a coefficient
-    per basis index) or sparsely (index, coeff) pairs; repeated indices add."""
+    per basis index) or sparsely (index, coeff) pairs; repeated indices add.
+    A tuple already in sparse form (int indices increasing from 0, nonzero
+    Fraction coefficients) is checked in one pass and returned as it is."""
+    if type(zeta) is tuple:
+        last = -1
+        for e in zeta:
+            if (type(e) is not tuple or len(e) != 2 or type(e[0]) is not int
+                    or e[0] <= last or type(e[1]) is not Fraction or not e[1]):
+                break
+            last = e[0]
+        else:
+            return zeta
     zeta = tuple(zeta)
     entries = zeta if zeta and isinstance(zeta[0], tuple) else enumerate(zeta)
     acc: dict[int, Fraction] = {}
@@ -90,12 +101,13 @@ class OneParticleSpace:
     (i, <e_j, e_i>); the constructor takes one row per basis index, dense or
     sparse (see sparse_vector).  Entries are exact rationals; `int_rows`
     holds the same rows as int numerators over the one denominator
-    `gram_den`, {i: gram_den <e_j, e_i>} per j, built once here.  The
-    pairings and `inner0` compute on them and build Fractions or QScalars
-    only for their results.  The ring is only an evaluation point: its q0,
-    if any, is where norm estimates evaluate, and it defaults to `EXACT`,
-    which has none.  Pairings take one-particle vectors in sparse form;
-    an annihilation node keeps its own int pairing row (`pair_ints`, through
+    `gram_den`, {i: gram_den <e_j, e_i>} per j, built once here; the index
+    range and symmetry are checked on them.  The pairings and `inner0`
+    compute on them and build Fractions or QScalars only for their results.
+    The ring is only an evaluation point: its q0, if any, is where norm
+    estimates evaluate, and it defaults to `EXACT`, which has none.
+    Pairings take one-particle vectors in sparse form; an annihilation node
+    keeps its own int pairing row (`pair_ints`, through
     `FockOperator.pairing`) per space it is applied on.
 
     The space owns one cache, freed with it: `pn_factors`, the lower
@@ -108,19 +120,19 @@ class OneParticleSpace:
             raise UsageError(f"gram must have {dim} rows, got {len(gram)}")
         self.dim = dim
         self.rows: tuple[SparseVector, ...] = tuple(map(sparse_vector, gram))
-        entries = {(j, i): g for j, row in enumerate(self.rows) for i, g in row}
-        for (j, i), g in entries.items():
-            if not 0 <= i < dim:
-                raise UsageError(f"gram row {j}: basis index {i} out of range")
-            if entries.get((i, j)) != g:
-                raise UsageError("gram must be symmetric")
+        self.gram_den, nums = int_numerators(g for row in self.rows for _, g in row)
+        nums = iter(nums)
+        self.int_rows = tuple({i: next(nums) for i, _ in row} for row in self.rows)
+        for j, row in enumerate(self.int_rows):
+            for i, g in row.items():
+                if not 0 <= i < dim:
+                    raise UsageError(f"gram row {j}: basis index {i} out of range")
+                if self.int_rows[i].get(j) != g:
+                    raise UsageError("gram must be symmetric")
         self.ring = ring
         # operator nodes key what they keep per space by this, not by the
         # structural hash of the rows
         self.key = object()
-        self.gram_den, nums = int_numerators(g for row in self.rows for _, g in row)
-        nums = iter(nums)
-        self.int_rows = tuple({i: next(nums) for i, _ in row} for row in self.rows)
         self._classes = self._connected_classes()
         self.pn_factors: dict[int, object] = {}
 

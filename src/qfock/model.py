@@ -17,9 +17,10 @@ recursion, product expansions and stochastic measures share one code path.
 In both algebras a letter's payload is its one-particle vector xi, in the
 one sparse form of `fock.SparseVector`; `Letter` adds, scales and
 multiplies payloads, and gauges by multiplication, once for both, and each
-algebra keeps only what differs: its validating `letter` constructor, the
-product, mean and text.  An algebra hands its ring, only an evaluation
-point, to its space and keeps no copy.
+algebra keeps only what differs: its validating `letter` constructor,
+`basis_product` (a payload times a basis vector), mean and text.  An
+algebra hands its ring, only an evaluation point, to its space and keeps
+no copy.
 
 Each algebra owns the caches of its letters, so they are freed with it: the
 intern table `letters` (one Letter per canonical payload, so letters compare
@@ -29,6 +30,7 @@ products, and `wick_cache` (wick.py), keyed by words of letters.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -38,6 +40,7 @@ from .fock import (FockOperator, Gauge, OneParticleSpace, SparseVector,
 from .qscalar import ScalarRing, int_numerators
 
 Interval = tuple[Fraction, Fraction]
+_ONE = Fraction(1)  # the coefficient of the convenience letters
 
 
 class MomentSequence:
@@ -141,7 +144,7 @@ class Letter:
     The payload is the letter's one-particle vector xi itself, a canonical
     `SparseVector`: sorted (basis index, Fraction) pairs with no zero.  Sums,
     scalings, products and the gauge act on it here, the same in every
-    algebra; the algebra supplies the product, mean and text.
+    algebra; the algebra supplies `basis_product`, the mean and the text.
 
     Letters are interned in their algebra: `Letter(algebra, payload)` returns
     the one letter the algebra's `letters` table holds for that canonical
@@ -202,11 +205,18 @@ class Letter:
             raise UsageError("letters from different algebra instances")
 
     def __mul__(self, other: "Letter") -> "Letter":
+        """The bilinear extension of the algebra's basis product, the one the
+        letter gauge's columns use: the sum of c (other e_i) over self's (i, c)."""
         self._check(other)
         out = self._products.get(other)
         if out is None:
+            acc: dict[int, Fraction] = {}
+            for i, c in self.payload:
+                for j, x in self.algebra.basis_product(other.payload, i):
+                    x *= c
+                    acc[j] = acc[j] + x if j in acc else x
             out = self._products[other] = Letter(
-                self.algebra, self.algebra.product(self.payload, other.payload))
+                self.algebra, tuple(sorted((j, x) for j, x in acc.items() if x)))
         return out
 
     def __add__(self, other: "Letter") -> "Letter":
@@ -245,13 +255,13 @@ def _basis_letter(algebra, i: int) -> Letter:
     canonical payload built directly."""
     if not 0 <= i < algebra.space.dim:
         raise UsageError(f"basis index {i} out of range")
-    return Letter(algebra, ((i, Fraction(1)),))
+    return Letter(algebra, ((i, _ONE),))
 
 
 class _LetterGauge(Gauge):
-    """Multiplication by a letter: column i is the algebra's product of the
-    letter with e_i, so a degree overflow fires lazily, only when an
-    offending column is actually used."""
+    """Multiplication by a letter: column i is the algebra's basis product
+    of the letter's payload with e_i, so a degree overflow fires lazily,
+    only when an offending column is actually used."""
 
     symmetric = True  # multiplication by a real letter is gram-symmetric
 
@@ -260,7 +270,7 @@ class _LetterGauge(Gauge):
         self.payload = letter.payload
 
     def column(self, i: int) -> SparseVector:
-        return self.algebra.product(self.payload, ((i, 1),))
+        return self.algebra.basis_product(self.payload, i)
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +300,19 @@ class ProcessModel:
         self.fock_depth = fock_depth
         self.letters: dict = {}  # canonical payload -> its one Letter
         self.wick_cache: dict = {}  # letter word -> its Wick operator (wick.py)
-        # the gram is block-diagonal by atom: one d x d block of rows each
+        # the gram is block-diagonal by atom: a d x d block of rows w r_{j+k},
+        # zeros (odd moments) dropped, built once per width w
         d = degree_cutoff
+        blocks: dict[Fraction, list] = {}
         rows = []
         for a in range(grid.n_atoms):
             w = grid.width(a)
-            rows.extend([(a * d + k - 1, w * moments.r_at(j + k))
-                         for k in range(1, d + 1)] for j in range(1, d + 1))
+            block = blocks.get(w)
+            if block is None:
+                block = blocks[w] = [
+                    [(k, w * r) for k in range(d) if (r := moments.r_at(j + k + 2))]
+                    for j in range(d)]
+            rows.extend(tuple((a * d + k, g) for k, g in row) for row in block)
         self.space = OneParticleSpace(grid.n_atoms * d, rows, ring)
 
     # -- basis bookkeeping -------------------------------------------------
@@ -317,26 +333,23 @@ class ProcessModel:
                 raise UsageError(f"atom index {a} out of range")
             if not 1 <= k <= self.degree_cutoff:
                 raise UsageError(f"power {k} outside 1..{self.degree_cutoff}")
-        return Letter(self, sparse_vector(
-            (self.basis_index(a, k), c) for (a, k), c in items.items()))
+        # the convenience letters' entries are in basis order: they pass as is
+        return Letter(self, sparse_vector(tuple(
+            (self.basis_index(a, k), c) for (a, k), c in items.items())))
 
-    def product(self, p1: SparseVector, p2: SparseVector) -> SparseVector:
-        out: dict[int, Fraction] = {}
-        for i1, c1 in p1:
-            a1, k1 = self.atom_power(i1)
-            for i2, c2 in p2:
-                a2, k2 = self.atom_power(i2)
-                if a1 != a2:
-                    continue  # disjoint atoms multiply to 0
-                k = k1 + k2
-                if k > self.degree_cutoff:
-                    raise CutoffExceededError(
-                        f"letter product degree {k} exceeds cutoff "
-                        f"{self.degree_cutoff}")
-                # e_{A,k1} sits at i1, so e_{A,k1+k2} sits at i1 + k2
-                j, c = i1 + k2, c1 * c2
-                out[j] = out[j] + c if j in out else c
-        return tuple(sorted((i, c) for i, c in out.items() if c))
+    def basis_product(self, p: SparseVector, i: int) -> SparseVector:
+        """p e_i: each term c x_A^k of p on the atom A of e_i = x_A^m, found
+        by bisection, becomes c x_A^(k+m) at its index plus m; a power past
+        the cutoff is a CutoffExceededError."""
+        d = self.degree_cutoff
+        lo, m = i - i % d, i % d + 1  # x_A^1 sits at lo
+        out = []
+        for j, c in p[bisect_left(p, (lo,)):bisect_left(p, (lo + d,))]:
+            if j - lo + 1 + m > d:
+                raise CutoffExceededError(
+                    f"letter product degree {j - lo + 1 + m} exceeds cutoff {d}")
+            out.append((j + m, c))
+        return tuple(out)
 
     def xi(self, p: SparseVector) -> SparseVector:
         return p
@@ -351,15 +364,14 @@ class ProcessModel:
     # -- convenience -------------------------------------------------------
 
     def atom_letter(self, atom: int, power: int = 1) -> Letter:
-        return self.letter({(atom, power): Fraction(1)})
+        return self.letter({(atom, power): _ONE})
 
     def basis_letter(self, i: int) -> Letter:
         return _basis_letter(self, i)
 
     def interval_letter(self, interval: Interval, power: int = 1) -> Letter:
         """The letter of chi_I x^{power-1}: sum of e_{A,power} over atoms A of I."""
-        return self.letter({(a, power): Fraction(1)
-                            for a in self.grid.atoms_in(interval)})
+        return self.letter({(a, power): _ONE for a in self.grid.atoms_in(interval)})
 
     def prefix_letter(self, t, power: int = 1) -> Letter:
         return self.interval_letter((Fraction(0), Fraction(t)), power)
@@ -404,6 +416,8 @@ class WeightedPointAlgebra:
             raise UsageError("weights must be positive")
         if sum(self.weights) != 1:
             raise UsageError("weights must sum to 1")
+        if fock_depth < 1:
+            raise UsageError("fock_depth must be >= 1")
         self.fock_depth = fock_depth
         self.letters: dict = {}  # canonical payload -> its one Letter
         self.wick_cache: dict = {}  # letter word -> its Wick operator (wick.py)
@@ -418,9 +432,9 @@ class WeightedPointAlgebra:
             raise UsageError("function must assign a value to every point")
         return Letter(self, sparse_vector(vals))
 
-    def product(self, p1: SparseVector, p2: SparseVector) -> SparseVector:
-        values = dict(p2)
-        return tuple((i, c * values[i]) for i, c in p1 if i in values)
+    def basis_product(self, p: SparseVector, i: int) -> SparseVector:
+        """p e_i: e_i scaled by the value of p at point i."""
+        return tuple(e for e in p if e[0] == i)
 
     def xi(self, p: SparseVector) -> SparseVector:
         return p

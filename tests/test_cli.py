@@ -200,6 +200,21 @@ class TestMoments:
         assert isinstance(algebra, cli.WeightedPointAlgebra)
         assert algebra.fock_depth == 3
 
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_pointset_refuses_depth_below_one(self, capsys, tmp_path, depth):
+        # as the grid model does: a point-set depth of 0 or less is refused
+        # when the algebra is built, not read as an empty Fock space
+        cfg = tmp_path / "app.cfg"
+        cfg.write_text("pointset.points = [1]\n"
+                       "pointset.weights = [1]\n"
+                       f"fock_depth = {depth}\n")
+        code, out, err = run(capsys, "moments", "--model", str(cfg), "--nmax", "4")
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "fock_depth must be >= 1" in lines[0]
+
     @pytest.mark.parametrize("flag", ["--grid", "--cutoff"])
     def test_pointset_refuses_grid_flags(self, capsys, tmp_path, flag):
         cfg = tmp_path / "app.cfg"

@@ -135,8 +135,12 @@ class TestInnerProducts:
 
     def test_asymmetric_gram_rejected(self):
         g = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
-        with pytest.raises(UsageError):
-            OneParticleSpace(2, g)
+        # the same gram as canonical sparse rows, which sparse_vector keeps
+        # as they are: they are checked all the same
+        rows = [((0, Fraction(1)), (1, Fraction(2))), ((1, Fraction(1)),)]
+        for gram in (g, rows):
+            with pytest.raises(UsageError, match="symmetric"):
+                OneParticleSpace(2, gram)
 
 
 class TestOperators:

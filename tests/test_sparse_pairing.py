@@ -113,6 +113,51 @@ def test_sparse_vector_round_trip(dense):
     assert sparse_vector(sv) == sv
 
 
+def reference_sparse_vector(zeta):
+    """The accumulate-and-sort form: every entry made a Fraction and added
+    into its index, zeros dropped, sorted by index."""
+    zeta = tuple(zeta)
+    entries = zeta if zeta and isinstance(zeta[0], tuple) else enumerate(zeta)
+    acc = {}
+    for i, c in entries:
+        acc[i] = acc.get(i, Fraction(0)) + Fraction(c)
+    return tuple(sorted((i, c) for i, c in acc.items() if c))
+
+
+coefficients = st.one_of(fractions, st.integers(-3, 3),
+                         fractions.map(str), st.integers(-3, 3).map(str))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), coefficients), max_size=8),
+       st.lists(coefficients, max_size=6))
+def test_sparse_vector_matches_reference(pairs, dense):
+    """A canonical tuple comes back as it is; unsorted pairs, repeated
+    indices, zero coefficients, int or str coefficients, and dense input
+    give exactly what the accumulate-and-sort form gives."""
+    for given_form in (pairs, tuple(pairs), dense, tuple(dense)):
+        want = reference_sparse_vector(given_form)
+        got = sparse_vector(given_form)
+        assert got == want
+        assert all(type(i) is int and type(c) is Fraction for i, c in got)
+        assert sparse_vector(want) is want
+
+
+@pytest.mark.parametrize("zeta", [
+    ((1, Fraction(1)), (0, Fraction(2))),
+    ((0, Fraction(1)), (0, Fraction(2))),
+    ((0, Fraction(1)), (1, Fraction(0))),
+    ((0, Fraction(1)), (1, 2)),
+    ((0, Fraction(1)), (1, "1/2")),
+    (Fraction(1), Fraction(2)),
+], ids=["unsorted", "repeated", "zero", "int", "str", "dense"])
+def test_sparse_vector_normalises_near_canonical_tuples(zeta):
+    # each is one entry away from the canonical form, so it is rebuilt
+    got = sparse_vector(zeta)
+    assert got == reference_sparse_vector(zeta) and got is not zeta
+    assert all(type(c) is Fraction for _, c in got)
+
+
 def test_sparse_vector_adds_repeated_indices():
     sv = sparse_vector([(2, Fraction(1)), (0, 3), (2, Fraction(-1, 2)), (1, 0)])
     assert sv == ((0, Fraction(3)), (2, Fraction(1, 2)))
@@ -174,6 +219,9 @@ def test_sparse_rows_add_repeated_indices():
     assert space == OneParticleSpace(2, [[2, 1], [1, 0]])
 
 
+ONE_F, TWO_F, THREE_F = Fraction(1), Fraction(2), Fraction(3)
+
+
 @pytest.mark.parametrize("rows,message", [
     ([[(0, 1)], [(2, 1)]], "basis index 2 out of range"),
     ([[(0, 1)], [(-1, 1)]], "basis index -1 out of range"),
@@ -182,9 +230,17 @@ def test_sparse_rows_add_repeated_indices():
     ([[(0, 1), (1, 2)], [(0, 3), (1, 1)]], "symmetric"),
     ([[(0, 1)]], "2 rows"),
     ([[1, 0], [0, 1], [0, 0]], "2 rows"),
+    # rows already in canonical sparse form, which sparse_vector passes
+    # through unchanged, are checked all the same
+    ([((0, ONE_F),), ((1, ONE_F), (2, ONE_F))], "basis index 2 out of range"),
+    ([((0, ONE_F),), ((1, ONE_F), (5, ONE_F))], "basis index 5 out of range"),
+    ([((0, ONE_F), (1, TWO_F)), ((1, ONE_F),)], "symmetric"),
+    ([((0, ONE_F), (1, TWO_F)), ((0, THREE_F), (1, ONE_F))], "symmetric"),
 ], ids=["index_past_dim", "negative_index", "dense_row_too_long",
         "asymmetric_missing", "asymmetric_value", "too_few_rows",
-        "too_many_rows"])
+        "too_many_rows", "canonical_index_past_dim",
+        "canonical_index_far_past_dim", "canonical_asymmetric_missing",
+        "canonical_asymmetric_value"])
 def test_constructor_rejects_bad_rows(rows, message):
     with pytest.raises(UsageError, match=message):
         OneParticleSpace(2, rows)
@@ -269,6 +325,39 @@ def test_model_rows_match_dense_formula(case, ring):
     assert model.space.dim == len(gram)
     assert model.space.rows == dense_rows(gram)
     assert first_appearance(model.space.gram_classes()) == nonzero_components(gram)
+
+
+@pytest.mark.parametrize("boundaries", [
+    [0, Fraction(1, 4), Fraction(1, 2), 1],
+    [0, Fraction(1, 8), Fraction(1, 2), Fraction(2, 3), 1, Fraction(7, 4)],
+], ids=["widths_quarter_quarter_half", "widths_all_distinct"])
+@pytest.mark.parametrize("r,d", [
+    ([0, 1, 2, 3, 5, 8], 3),
+    # the symmetric two-point measure: every odd moment is zero
+    ([0, 1, 0, 1, 0, 1, 0, 1], 4),
+    ([0, 1, 0, 1, 0, 1, 0, 1], 1),
+    ([0, Fraction(2, 3)], 1),
+], ids=["all_moments_nonzero", "zero_odd_moments", "zero_odd_cutoff_1",
+        "cutoff_1"])
+def test_grid_gram_blocks_follow_each_width(boundaries, r, d):
+    """On grids whose widths repeat or all differ, each atom's rows are its
+    own width times r_{j+k}, zeros dropped, in the Fraction rows and in
+    int_rows: a block kept for one width and given to another atom of a
+    different width shows here."""
+    bounds = [Fraction(b) for b in boundaries]
+    widths = [b - a for a, b in zip(bounds, bounds[1:])]
+    model = ProcessModel(EXACT, MomentSequence(r), TimeGrid(bounds), d, 3)
+    # <x_A^j, x_A^k> = |A| r_{j+k} at basis indices A d + j - 1, A d + k - 1;
+    # r[0] is r_1
+    want = tuple(tuple((a * d + k - 1, w * r[j + k - 1]) for k in range(1, d + 1)
+                       if r[j + k - 1])
+                 for a, w in enumerate(widths) for j in range(1, d + 1))
+    space = model.space
+    assert space.rows == want
+    assert all(type(g) is Fraction for row in space.rows for _, g in row)
+    assert space.int_rows == tuple(
+        {i: g * space.gram_den for i, g in row} for row in want)
+    assert all(type(g) is int for row in space.int_rows for g in row.values())
 
 
 def test_gaussian_model_rows_drop_zero_moments():
