@@ -30,8 +30,7 @@ from .stochastic import (AdaptedProcess, BiProcess, ConvergenceTable,
                          traciality_witness, two_sided_closed,
                          two_sided_defect_vector, two_sided_discrete,
                          x_process, yhat_process)
-from .wick import (WickElement, expansion_ledger, expansion_operator,
-                   product_expansion, vacuum_expectation,
+from .wick import (WickElement, product_expansion, vacuum_expectation,
                    vacuum_moment, vacuum_vector, wick_operator, word_vector)
 
 __version__ = "0.1.0"

@@ -31,8 +31,8 @@ from .stochastic import (AdaptedProcess, BiProcess, StepFunction,
                          traciality_witness,
                          two_sided_closed, two_sided_defect_vector,
                          two_sided_discrete, x_process, yhat_process)
-from .wick import (WickElement, expansion_operator, product_expansion,
-                   vacuum_expectation, vacuum_vector, vacuum_moment)
+from .wick import (WickElement, product_expansion, vacuum_expectation,
+                   vacuum_vector, vacuum_moment)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def suite_product_wick(rng: random.Random) -> list[IdentityRow]:
         direct = om
         for letter in reversed(letters):
             direct = apply(letter.field(), direct)
-        expanded = apply(expansion_operator(model, product_expansion(letters)), om)
+        expanded = apply(product_expansion(letters).operator(), om)
         rows.append(_vector_row("product_wick", f"n={n}", direct - expanded))
     return rows
 

@@ -14,45 +14,39 @@ covers both the grid model and the compound-Poisson algebra.
 A product X(l_1)...X(l_n) expands over extended partitions (S, π): closed
 blocks contract to scalars (the mean for singletons, a pairing for larger
 blocks), open blocks survive as letters of a Wick word, and each term is
-weighted by q^{rc(S, π)}.  `product_expansion` lists these terms.
-
-`vacuum_moment` sums the closed case, φ[X(l_1)...X(l_n)] = Σ_π q^{rc(π)}
-Π_B (block contraction), without listing partitions: a left-to-right
-transfer over the arcs still pending at each position (the transfer-matrix
-form of the crossing continued fractions of Flajolet and of Kasraoui–Zeng),
-with a budget on the number of live states in place of a cap on n.
+weighted by q^{rc(S, π)}.  One right-to-left transfer over the arcs still
+pending at each position (the transfer-matrix form of the crossing continued
+fractions of Flajolet and of Kasraoui–Zeng) sums these terms without listing
+partitions: `product_expansion` keeps the states still pending after the
+first position as Wick words, and `vacuum_moment` keeps only the closed case,
+φ[X(l_1)...X(l_n)] = Σ_π q^{rc(π)} Π_B (block contraction).  Both share one
+budget, MAX_ARC_STATES live states after a position, in place of a cap on n.
 
 Letters are interned in their algebra (model.Letter), so they serve as keys
 themselves: a key hashes and compares object ids, never Fraction payloads.
 Wick operators are memoised per algebra, in its `wick_cache`, keyed by the
 word of letters, and letter products and pairing rows are cached on the
-letters.  Only two memos live for one call: `product_expansion`'s
-closed-block scalars, keyed by the block's letters in position order, and
-`vacuum_moment`'s pairings, keyed by (first letter, product letter).
+letters.  Only one memo lives for one call: the transfer's pairings, keyed
+by (letter, block product).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import reduce
-from itertools import combinations
-from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ResourceBudgetError, UsageError
 from .fock import FockOperator, FockVector, apply
 from .model import Letter, letter_pair
-from .partitions import ExtendedPartition, enumerate_partitions, rc
 from .qscalar import (ONE, IntImage, QScalar, accumulate, add_scaled, addmul,
                       const, q_pow)
 
-MAX_PRODUCT_N = 8
-# Live arc states vacuum_moment may hold after one position.  X(1)^n on the
-# one-letter grid models peaks at 627 states at n = 16 and 3,949 at n = 20
-# (0.6 s on the 2-atom three-point model and on the 1-atom Gaussian, on a
-# 2-vCPU Xeon), and n = 21 needs 6,218; the all-ones point set reaches 3,679
-# at n = 28 (2.5 s).
+# Live arc states the transfer may hold after one position, in either case.
+# The moment of X(1)^n on the one-letter grid models peaks at 627 states at
+# n = 16 and 3,949 at n = 20 (0.6 s on the 2-atom three-point model and on
+# the 1-atom Gaussian, on a 2-vCPU Xeon), and n = 21 needs 6,218; on the
+# all-ones point set, where 1·1 = 1, n = 28 peaks at 15.  The expansion of
+# X(1)^12 on the three-point model ends on 2,731 states (0.12 s), and
+# X(1)^13 needs 5,461.
 MAX_ARC_STATES = 4000
 
 
@@ -190,156 +184,97 @@ class WickElement:
 
 
 # ---------------------------------------------------------------------------
-# partition expansions
+# the arc-state transfer
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
-    """One (S, π) contribution: q^rc · scalar · W(word)."""
+def _arc_transfer(letters: Sequence[Letter], closed: bool) -> IntImage:
+    """Σ over extended partitions of X(l_1)...X(l_n), by a right-to-left
+    transfer over the arcs still pending at each position.
 
-    ep: ExtendedPartition
-    q_power: int
-    scalar: Fraction
-    word: tuple[Letter, ...]
+    An arc joins consecutive elements of a block; an open block is one whose
+    arc is still pending after the first position, to -∞.  The state after a
+    position is the tuple of blocks with a pending arc, in order of their
+    least element read so far, latest last, each kept as the product of its
+    letters read so far.  The letter l is a closed singleton (weight: its
+    mean, a move skipped when the mean is 0), opens a block (skipped when l
+    is zero), or ends the pending arc of the block P at place p of h.  That
+    arc is crossed by the h-1-p arcs pending from blocks read since P, so
+    the move carries q^{h-1-p}, and each crossing is counted once, at its
+    right arc's left end.  The block then closes (weight letter_pair(l, P))
+    or stays pending, last, as l·P (skipped when l·P is zero).
 
-
-def _block_letter(block: Sequence[Letter]) -> Letter:
-    """The ordered product of a block's letters, each step read off the
-    left factor's product memo."""
-    return reduce(mul, block)
-
-
-def _block_scalar(block: Sequence[Letter]) -> Fraction:
-    """Closed-block contraction: mean for singletons, else the pairing of the
-    first letter against the ordered product of the rest."""
-    if len(block) == 1:
-        return block[0].mean()
-    return letter_pair(block[0], _block_letter(block[1:]))
-
-
-def product_expansion(letters: Sequence[Letter]) -> list[ExpansionTerm]:
-    """The expansion of X(l_1)...X(l_n) over extended partitions.
-
-    Closed singletons contribute the letter mean, which vanishes for centered
-    letters — the grid-model constraint Sing(π) ⊆ S emerges rather than being
-    imposed.  Identically zero terms are dropped.  A block is the tuple of
-    its letters in position order; each distinct closed block is contracted
-    once per call, and open blocks multiply out through the letters' own
-    product memos.
+    The states after a position are one `qscalar.IntImage`, state -> int
+    numerators per power of q over one shared denominator: a move of weight
+    y/d joins d times the previous denominator and adds y times the
+    multiplier it returns, shifted by the crossings.  In the closed case a
+    state is dropped when it has more pending arcs than positions left.
+    More than MAX_ARC_STATES live states after a position refuse the call.
+    Letters are interned, so states hash and compare object ids; products
+    come from the letters' own product memos, and each distinct pairing is
+    computed once per call.
     """
     n = len(letters)
-    _same_algebra(letters)
-    if n > MAX_PRODUCT_N:
-        raise ResourceBudgetError(
-            f"product_expansion capped at n = {MAX_PRODUCT_N}, got {n}")
-    scalars: dict[tuple[Letter, ...], Fraction] = {}
-    out: list[ExpansionTerm] = []
-    for pi in enumerate_partitions(n):
-        blocks = [tuple([letters[i - 1] for i in block]) for block in pi.blocks]
-        for size in range(pi.size + 1):
-            for S in combinations(range(pi.size), size):
-                scalar = Fraction(1)
-                for b, block in enumerate(blocks):
-                    if b in S:
-                        continue
-                    x = scalars.get(block)
-                    if x is None:
-                        x = scalars[block] = _block_scalar(block)
-                    scalar *= x
-                    if not scalar:
-                        break
-                if not scalar:
-                    continue
-                word = tuple(_block_letter(blocks[b]) for b in S)
-                if any(l.is_zero for l in word):
-                    continue
-                ep = ExtendedPartition(pi, frozenset(S))
-                out.append(ExpansionTerm(ep, rc(ep), scalar, word))
-    return out
-
-
-def expansion_operator(algebra, terms: Iterable[ExpansionTerm]) -> FockOperator:
-    parts = [wick_operator(algebra, t.word).scale(q_pow(t.q_power) * const(t.scalar))
-             for t in terms]
-    return FockOperator.opsum(parts)
-
-
-def expansion_ledger(terms: Iterable[ExpansionTerm]) -> str:
-    """Human-readable expansion: one line per (S, π)."""
-    lines = []
-    for t in terms:
-        word = " ⊗ ".join(l.algebra.describe(l.payload) for l in t.word) or "1"
-        lines.append(f"{t.ep} | rc={t.q_power} | scalar={t.scalar} | W({word})")
-    return "\n".join(lines)
-
-
-def vacuum_moment(letters: Sequence[Letter]) -> QScalar:
-    """<Ω, X(l_1)...X(l_n) Ω>_q = Σ_π q^{rc(π)} Π_B (block contraction),
-    summed by a left-to-right transfer over arc states, not over partitions.
-
-    An arc joins consecutive elements of a block; the state after a position
-    is the tuple of blocks with an arc still pending there, in order of their
-    last element, each kept as (first letter, product of its later letters),
-    the product None while the block has one letter.
-    The next letter is a singleton (weight: its mean, a move skipped when the
-    mean is 0), opens a block, or ends the pending arc of the block at place
-    p of h; that arc crosses the h-1-p arcs opened after it and still
-    pending, so the move carries q^{h-1-p}, and the block then closes (weight
-    letter_pair(first, rest·l)) or stays pending at the end of the tuple.
-    Each crossing is so counted once, at its left arc's end.  The moment is
-    a polynomial in q, and no evaluation point enters it (`moments --q`
-    reads it at q0 afterwards).  The states after a position are one
-    `qscalar.IntImage`, state -> int numerators per power of q over one
-    shared denominator: a move of weight y/d joins d times the previous
-    denominator and adds y times the multiplier it returns, shifted by the
-    crossings, and the moment is made one canonical QScalar at the end.  A
-    state is dropped when it has more pending arcs than positions left, and
-    when more than MAX_ARC_STATES states are live after a position the call
-    is refused.  Letters are interned, so states hash and compare object
-    ids; block products come from the letters' own product memos, and each
-    distinct pairing is computed once per call.
-    """
-    n = len(letters)
-    _same_algebra(letters)
-    # (first letter, product letter) -> the pairing as (numerator, denominator)
+    # (letter, product letter) -> the pairing as (numerator, denominator)
     pairs: dict[tuple[Letter, Letter], tuple[int, int]] = {}
 
     states = IntImage(1, {(): [1]})
-    for pos, letter in enumerate(letters):
-        left = n - 1 - pos  # positions after this one
+    for pos in range(n - 1, -1, -1):
+        letter = letters[pos]
+        room = pos if closed else n  # a closed arc needs a position left
         mean = letter.mean()
         den = states.den
         nxt = IntImage()
         terms, join = nxt.terms, nxt.join
         for state, num in states.terms.items():
             h = len(state)
-            if mean and h <= left:
+            if mean and h <= room:
                 addmul(terms, state, num,
                        mean.numerator * join(den * mean.denominator), 0)
-            if h < left:
-                addmul(terms, state + ((letter, None),), num, join(den), 0)
-            for p, (first, rest) in enumerate(state):
-                if rest is None:
-                    grown = letter
-                else:
-                    grown = rest * letter
-                    if grown.is_zero:
-                        continue  # a zero product pairs to 0 whatever follows
+            if h < room and not letter.is_zero:
+                addmul(terms, state + (letter,), num, join(den), 0)
+            for p, block in enumerate(state):
                 others = state[:p] + state[p + 1:]
-                pair = pairs.get((first, grown))
+                pair = pairs.get((letter, block))
                 if pair is None:
-                    x = letter_pair(first, grown)
-                    pair = pairs[first, grown] = x.numerator, x.denominator
+                    x = letter_pair(letter, block)
+                    pair = pairs[letter, block] = x.numerator, x.denominator
                 y, d = pair
                 if y:
                     addmul(terms, others, num, y * join(den * d), h - 1 - p)
-                if h <= left:
-                    addmul(terms, others + ((first, grown),), num, join(den),
-                           h - 1 - p)
+                if h <= room:
+                    grown = letter * block
+                    if not grown.is_zero:
+                        addmul(terms, others + (grown,), num, join(den),
+                               h - 1 - p)
         if len(terms) > MAX_ARC_STATES:
             raise ResourceBudgetError(
-                f"vacuum_moment needs {len(terms)} arc states at position "
-                f"{pos + 1} of {n}, over the budget of {MAX_ARC_STATES}")
+                f"{'vacuum_moment' if closed else 'product_expansion'} needs "
+                f"{len(terms)} arc states at position {pos + 1} of {n}, over "
+                f"the budget of {MAX_ARC_STATES}")
         states = nxt
+    return states
 
+
+def product_expansion(letters: Sequence[Letter]) -> WickElement:
+    """X(l_1)...X(l_n) = Σ_{(S, π)} q^{rc(S, π)} Π_{B ∉ S} (contraction of B)
+    W(⊗_{B ∈ S} product of B), summed per Wick word: the open case of the
+    arc-state transfer, each state left after the first position read as
+    its word, least elements in increasing order.
+
+    Closed singletons contribute the letter mean, which vanishes for centered
+    letters — the grid-model constraint Sing(π) ⊆ S emerges rather than being
+    imposed — and a word holding a zero letter drops out.
+    """
+    algebra = _same_algebra(letters)
+    states = _arc_transfer(letters, closed=False).scalars()
+    return WickElement(algebra, {state[::-1]: c for state, c in states.items()})
+
+
+def vacuum_moment(letters: Sequence[Letter]) -> QScalar:
+    """<Ω, X(l_1)...X(l_n) Ω>_q = Σ_π q^{rc(π)} Π_B (block contraction): the
+    closed case of the arc-state transfer, read off its empty state.  The
+    moment is a polynomial in q, and no evaluation point enters it
+    (`moments --q` reads it at q0 afterwards)."""
+    _same_algebra(letters)
+    states = _arc_transfer(letters, closed=True)
     return QScalar.of_numerators(states.terms.get((), []), states.den)

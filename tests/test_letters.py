@@ -23,8 +23,7 @@ from qfock.model import (Letter, MomentSequence, ProcessModel, TimeGrid,
                          WeightedPointAlgebra, letter_pair)
 from qfock.qscalar import EXACT, const
 from qfock.stochastic import conditional_expectation, delta_process, x_process
-from qfock.wick import (WickElement, expansion_operator, product_expansion,
-                        wick_operator)
+from qfock.wick import WickElement, product_expansion, wick_operator
 
 F = Fraction
 
@@ -143,7 +142,7 @@ def test_pair_ints_runs_once_per_letter_and_space(monkeypatch):
         direct = om
         for letter in reversed(letters):
             direct = apply(letter.field(), direct)
-        expanded = apply(expansion_operator(model, product_expansion(letters)), om)
+        expanded = apply(product_expansion(letters).operator(), om)
         assert (direct - expanded).is_zero
     assert calls
     assert len(calls) == len(set(calls))
@@ -274,7 +273,7 @@ def test_caches_die_with_their_model():
         om = FockVector.vacuum(model.space, model.fock_depth)
         rng = random.Random(3)
         letters = [rand_letter(model, rng) for _ in range(3)]
-        apply(expansion_operator(model, product_expansion(letters)), om)
+        apply(product_expansion(letters).operator(), om)
         apply(letters[0].field(), om)
         letter_pair(letters[0], letters[1] * letters[2])
         assert model.letters and model.wick_cache

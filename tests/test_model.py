@@ -7,10 +7,10 @@ from qfock.errors import (CutoffExceededError, DegeneracyError, UsageError)
 from qfock.fock import FockVector, apply
 from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
                          TimeGrid, letter_pair, monic_op_coefficients)
-from qfock.qscalar import EXACT, ONE, ZERO, const
+from qfock.qscalar import EXACT, ONE, ZERO, QScalar, const
 from qfock.stochastic import (conditional_expectation, delta_process,
                               x_process, yhat_process)
-from qfock.wick import WickElement, expansion_ledger, product_expansion
+from qfock.wick import WickElement, product_expansion
 
 F = Fraction
 
@@ -212,11 +212,11 @@ class TestLetterText:
         assert repr(mixed) == "Letter(-3/2*x[A0]^1 + 1*x[A0]^3)"
         assert repr(model.letter({})) == "Letter(0)"
         assert mixed.xi() == ((0, F(-3, 2)), (2, F(1)))
-        assert expansion_ledger(product_expansion([a, a, b])) == (
-            "{1,2}{3}* | rc=0 | scalar=1/2 | W(1*x[A1]^2)\n"
-            "{1,2}*{3}* | rc=0 | scalar=1 | W(1*x[A0]^2 ⊗ 1*x[A1]^2)\n"
-            "{1}*{2}*{3}* | rc=0 | scalar=1 | "
-            "W(1*x[A0]^1 ⊗ 1*x[A0]^1 ⊗ 1*x[A1]^2)")
+        # one (S, π) per word: {1,2}{3}*, {1,2}*{3}* and {1}*{2}*{3}*
+        assert product_expansion([a, a, b]).terms == {
+            (b,): const(F(1, 2)),
+            (model.atom_letter(0, 2), b): ONE,
+            (a, a, b): ONE}
 
     def test_point_set(self):
         alg = WeightedPointAlgebra([-1, 0, 2], [F(1, 4), F(1, 2), F(1, 4)], EXACT)
@@ -224,16 +224,19 @@ class TestLetterText:
         assert repr(f) == "Letter(('-1', '0', '2'))"
         assert repr(alg.letter([0, 0, 0])) == "Letter(('0', '0', '0'))"
         assert repr(g.scale(F(2, 3))) == "Letter(('0', '2/3', '0'))"
-        ledger = expansion_ledger(product_expansion([f, g, f])).splitlines()
-        assert len(ledger) == 12
-        assert ledger[:4] == [
-            "{1,3}{2} | rc=0 | scalar=5/8 | W(1)",
-            "{1,3}*{2} | rc=0 | scalar=1/2 | W(('1', '0', '4'))",
-            "{1,3}{2}* | rc=1 | scalar=5/4 | W(('0', '1', '0'))",
-            "{1,3}*{2}* | rc=1 | scalar=1 | "
-            "W(('1', '0', '4') ⊗ ('0', '1', '0'))"]
-        assert ledger[-1] == ("{1}*{2}*{3}* | rc=0 | scalar=1 | "
-                              "W(('-1', '0', '2') ⊗ ('0', '1', '0') ⊗ ('-1', '0', '2'))")
+        ff = alg.letter([1, 0, 4])
+        # the twelve (S, π) with a nonzero scalar, summed per word; {1,3}
+        # crosses an open {2} once
+        assert product_expansion([f, g, f]).terms == {
+            (): const(F(5, 8) + F(1, 32)),       # {1,3}{2}, {1}{2}{3}
+            (ff,): const(F(1, 2)),                # {1,3}*{2}
+            (g,): QScalar.parse("1/16 + 5/4*q"),  # {1}{2}*{3}, {1,3}{2}*
+            (ff, g): QScalar.parse("q"),          # {1,3}*{2}*
+            (f,): const(F(1, 8) + F(1, 8)),       # {1}*{2}{3}, {1}{2}{3}*
+            (f, g): const(F(1, 4)),               # {1}*{2}*{3}
+            (f, f): const(F(1, 2)),               # {1}*{2}{3}*
+            (g, f): const(F(1, 4)),               # {1}{2}*{3}*
+            (f, g, f): ONE}                       # {1}*{2}*{3}*
 
     @pytest.mark.parametrize("algebra", ["grid", "points"])
     def test_zero_letter_field_is_scalar_zero(self, algebra):

@@ -5,6 +5,8 @@ import re
 import weakref
 from collections import Counter
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,10 +19,10 @@ from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
                          TimeGrid, letter_pair)
 from qfock.partitions import enumerate_partitions
 from qfock.qscalar import EXACT, ZERO, QScalar, ScalarRing, const, q_pow
-from qfock.wick import (WickElement, expansion_ledger, expansion_operator,
-                        product_expansion, vacuum_expectation,
+from qfock.wick import (WickElement, product_expansion, vacuum_expectation,
                         vacuum_moment, vacuum_vector, wick_operator,
                         word_vector)
+from expansion_oracle import block_scalar, expansion_by_word
 from stpi_forms import rc_plain
 
 F = Fraction
@@ -156,21 +158,37 @@ class TestProductExpansion:
         rng = random.Random(10 + n)
         letters = random_word(model, rng, n)
         direct = FockOperator.compose([l.field() for l in letters])
-        expanded = expansion_operator(model, product_expansion(letters))
+        expanded = product_expansion(letters).operator()
         om = FockVector.vacuum(model.space, model.fock_depth)
         probe = word_vector(model, random_word(model, rng, 2), model.fock_depth)
         for v in (om, probe):
             assert (apply(direct, v) - apply(expanded, v)).is_zero
 
-    def test_ledger_format(self, model):
-        terms = product_expansion(random_word(model, random.Random(0), 2))
-        text = expansion_ledger(terms)
-        assert len(text.splitlines()) == len(terms)
-        assert all("rc=" in line and "W(" in line for line in text.splitlines())
+    def test_budget_admits_twelve_letters(self):
+        # the same arc-state budget as the moments: X(1)^12 ends on 2,731
+        # states, one per Wick word
+        x = three_point_model(n_atoms=2, cutoff=14).prefix_letter(1)
+        assert len(product_expansion([x] * 12).terms) == 2731
 
-    def test_budget(self, model):
-        with pytest.raises(ResourceBudgetError):
-            product_expansion((model.atom_letter(0),) * 9)
+    def test_budget(self):
+        # the transfer reads right to left: X(1)^13 first needs more than
+        # the budget after position 1, the last one read, with 5,461 states
+        x = three_point_model(n_atoms=2, cutoff=14).prefix_letter(1)
+        with pytest.raises(ResourceBudgetError) as info:
+            product_expansion([x] * 13)
+        needed, pos, limit = re.search(
+            r"needs (\d+) arc states at position (\d+) of 13, over the "
+            r"budget of (\d+)$", str(info.value)).groups()
+        assert (int(needed), int(pos)) == (5461, 1)
+        assert int(limit) == wick.MAX_ARC_STATES
+
+    @pytest.mark.parametrize("algebra", ["grid", "points"])
+    def test_zero_letter_expands_to_zero(self, algebra):
+        _, alphabet = ALPHABETS[algebra]
+        zero = alphabet[-1]
+        assert zero.is_zero
+        for word in [(zero,), alphabet[:2] + (zero,), (alphabet[0], zero) * 2]:
+            assert product_expansion(word).is_zero, word
 
 
 class TestVacuumMoments:
@@ -263,24 +281,25 @@ class TestVacuumMoments:
 
 
 def grid_alphabet():
-    """Four letters of the three-point model on two atoms, with cutoff and
-    depth room for any word of length <= 5 in them; the last, over 5 and 7,
+    """Four letters of the three-point model on two atoms, and the zero
+    letter, with cutoff room for a block of any word of length <= 8 in them
+    and depth room for any word of length <= 5; the fourth, over 5 and 7,
     pairs over new denominators, so the transfer's denominator grows inside
     a position."""
     moments = MomentSequence.from_measure(
-        [(-1, F(1, 4)), (0, F(1, 2)), (1, F(1, 4))], 12)
-    model = ProcessModel(EXACT, moments, TimeGrid.uniform(1, 2), 6, 6)
+        [(-1, F(1, 4)), (0, F(1, 2)), (1, F(1, 4))], 14)
+    model = ProcessModel(EXACT, moments, TimeGrid.uniform(1, 2), 7, 6)
     a, b = model.atom_letter(0), model.atom_letter(1)
     return model, (a, b, a.scale(2) + b.scale(F(-1, 3)),
-                   a.scale(F(3, 5)) + b.scale(F(-2, 7)))
+                   a.scale(F(3, 5)) + b.scale(F(-2, 7)), model.letter({}))
 
 
 def points_alphabet():
-    """Four letters of the 2-point algebra, with nonzero means, the last
-    over 5 and 7."""
+    """Four letters of the 2-point algebra, with nonzero means, the fourth
+    over 5 and 7, and the zero letter."""
     alg = WeightedPointAlgebra([-1, 1], [F(1, 2), F(1, 2)], EXACT)
     return alg, (alg.letter(alg.points), alg.basis_letter(0), alg.letter([2, F(1, 3)]),
-                 alg.letter([F(2, 5), F(-3, 7)]))
+                 alg.letter([F(2, 5), F(-3, 7)]), alg.letter([0, 0]))
 
 
 ALPHABETS = {"grid": grid_alphabet(), "points": points_alphabet()}
@@ -288,9 +307,10 @@ ALPHABETS = {"grid": grid_alphabet(), "points": points_alphabet()}
 
 @st.composite
 def words(draw, max_len):
-    """A word over the first 2 to 4 letters of an alphabet; short alphabets
-    make repeated letters at different positions the common case, so block
-    contents recur within one call with the same and with different orders."""
+    """A word over the first 2 to 5 letters of an alphabet, the zero letter
+    among them when all 5 are; short alphabets make repeated letters at
+    different positions the common case, so block contents recur within one
+    call with the same and with different orders."""
     algebra, alphabet = ALPHABETS[draw(st.sampled_from(sorted(ALPHABETS)))]
     k = draw(st.integers(2, len(alphabet)))
     picks = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=max_len))
@@ -313,12 +333,15 @@ def ababa_words():
     return [(a, b, a, b, a), (f, g, f, g, f)]
 
 
+def expansion_terms(letters):
+    return product_expansion(letters).terms
+
+
 class TestBlockMemo:
-    """The per-call memos are keyed by the interned letters themselves:
-    product_expansion contracts each distinct closed block (its letters in
-    position order) once per call, and vacuum_moment pairs each distinct
-    (first letter, product letter) once per call; the results must equal
-    direct Fock application."""
+    """The transfer's per-call memo is keyed by the interned letters
+    themselves: both of its callers pair each distinct (letter, block
+    product) once per call; the results must equal direct Fock application
+    and the partition-sum oracles."""
 
     @pytest.mark.parametrize("word", ababa_words())
     def test_moment_pairs_each_pair_once_per_call(self, monkeypatch, word):
@@ -330,30 +353,14 @@ class TestBlockMemo:
 
         monkeypatch.setattr(wick, "letter_pair", counted)
         a, b = word[:2]
-        first = vacuum_moment(word)
-        assert (a, b) in calls and max(calls.values()) == 1
-        once = dict(calls)
-        calls.clear()
-        assert vacuum_moment(word) == first
-        assert calls == once  # the memo lives for one call
-
-    @pytest.mark.parametrize("word", ababa_words())
-    def test_expansion_contracts_each_block_once_per_call(self, monkeypatch, word):
-        calls = Counter()
-        block_scalar = wick._block_scalar
-
-        def counted(block):
-            calls[block] += 1
-            return block_scalar(block)
-
-        monkeypatch.setattr(wick, "_block_scalar", counted)
-        a, b = word[:2]
-        first = product_expansion(word)
-        assert (a, b) in calls and max(calls.values()) == 1
-        once = dict(calls)
-        calls.clear()
-        assert product_expansion(word) == first
-        assert calls == once  # the memo lives for one call
+        for caller in (vacuum_moment, expansion_terms):
+            calls.clear()
+            first = caller(word)
+            assert (a, b) in calls and max(calls.values()) == 1, caller
+            once = dict(calls)
+            calls.clear()
+            assert caller(word) == first
+            assert calls == once  # the memo lives for one call
 
     def test_expansion_past_the_cutoff(self):
         model = three_point_model(n_atoms=1, cutoff=3, depth=4)
@@ -382,8 +389,95 @@ class TestBlockMemo:
     def test_expansion_equals_direct(self, drawn):
         algebra, letters = drawn
         om = vacuum_vector(algebra)
-        expanded = apply(expansion_operator(algebra, product_expansion(letters)), om)
+        expanded = apply(product_expansion(letters).operator(), om)
         assert (expanded - apply_product(algebra, letters, om)).is_zero
+
+    @given(words(max_len=7))
+    @settings(max_examples=40, deadline=None)
+    def test_expansion_equals_partition_oracle(self, drawn):
+        """Per Wick word, the transfer against the sum over every partition
+        times every subset of its blocks."""
+        _, letters = drawn
+        assert product_expansion(letters).terms == expansion_by_word(letters)
+
+
+# ---------------------------------------------------------------------------
+# endpoint oracles: at q = 1 every partition counts, at q = 0 only the
+# noncrossing ones, and each block contributes its contraction as a cumulant
+
+
+def classical_moment(letters) -> Fraction:
+    """m(l_1...l_n) = Σ_{B ∋ 1} κ(B) m(letters outside B): the classical
+    moment–cumulant recursion, the sum over all set partitions."""
+    @cache
+    def m(word):
+        if not word:
+            return Fraction(1)
+        first, rest = word[0], word[1:]
+        total = Fraction(0)
+        for size in range(len(rest) + 1):
+            for chosen in combinations(range(len(rest)), size):
+                block = (first,) + tuple(rest[i] for i in chosen)
+                others = tuple(l for i, l in enumerate(rest) if i not in chosen)
+                total += kappa(block) * m(others)
+        return total
+
+    kappa = cache(block_scalar)
+    return m(tuple(letters))
+
+
+def free_moment(letters) -> Fraction:
+    """m(l_1...l_n) = Σ_{B ∋ 1} κ(B) Π m(letters in each gap of B): the free
+    moment–cumulant recursion, the sum over noncrossing partitions, whose
+    other blocks each lie in one gap between consecutive elements of B or
+    after its last."""
+    @cache
+    def m(word):
+        if not word:
+            return Fraction(1)
+        n = len(word)
+        total = Fraction(0)
+        for size in range(n):
+            for chosen in combinations(range(1, n), size):
+                elems = (0,) + chosen
+                val = kappa(tuple(word[i] for i in elems))
+                for lo, hi in zip(elems, elems[1:] + (n,)):
+                    if not val:
+                        break
+                    val *= m(word[lo + 1:hi])
+                total += val
+        return total
+
+    kappa = cache(block_scalar)
+    return m(tuple(letters))
+
+
+class TestEndpointOracles:
+    def test_oracles_pinned(self):
+        x = gaussian_model(n_atoms=1, cutoff=4).prefix_letter(1)
+        assert (classical_moment([x] * 4), free_moment([x] * 4)) == (3, 2)
+        one = all_ones_pointset().one()
+        # Bell(5) and Catalan(5)
+        assert (classical_moment([one] * 5), free_moment([one] * 5)) == (52, 42)
+
+    @pytest.mark.parametrize("family", ["gaussian", "three_point"])
+    def test_powers(self, family):
+        if family == "gaussian":
+            x = gaussian_model(n_atoms=1, cutoff=12).prefix_letter(1)
+        else:
+            x = three_point_model(n_atoms=2, cutoff=12).prefix_letter(1)
+        for n in range(1, 13):
+            moment = vacuum_moment([x] * n)
+            assert moment.subs(0) == free_moment([x] * n), n
+            assert moment.subs(1) == classical_moment([x] * n), n
+
+    @given(words(max_len=8))
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_words(self, drawn):
+        _, letters = drawn
+        moment = vacuum_moment(letters)
+        assert moment.subs(0) == free_moment(letters)
+        assert moment.subs(1) == classical_moment(letters)
 
 
 def gamma_q(v: FockVector) -> FockVector:
