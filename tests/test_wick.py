@@ -339,12 +339,12 @@ def expansion_terms(letters):
 
 class TestBlockMemo:
     """The transfer's per-call memo is keyed by the interned letters
-    themselves: both of its callers pair each distinct (letter, block
-    product) once per call; the results must equal direct Fock application
-    and the partition-sum oracles."""
+    themselves: both of its callers, vacuum_moment and product_expansion,
+    pair each distinct (letter, block product) once per call; the results
+    must equal direct Fock application and the partition-sum oracles."""
 
-    @pytest.mark.parametrize("word", ababa_words())
-    def test_moment_pairs_each_pair_once_per_call(self, monkeypatch, word):
+    @staticmethod
+    def assert_pairs_once_per_call(monkeypatch, caller, word):
         calls = Counter()
 
         def counted(a, b):
@@ -353,14 +353,23 @@ class TestBlockMemo:
 
         monkeypatch.setattr(wick, "letter_pair", counted)
         a, b = word[:2]
-        for caller in (vacuum_moment, expansion_terms):
-            calls.clear()
-            first = caller(word)
-            assert (a, b) in calls and max(calls.values()) == 1, caller
-            once = dict(calls)
-            calls.clear()
-            assert caller(word) == first
-            assert calls == once  # the memo lives for one call
+        first = caller(word)
+        assert (a, b) in calls and max(calls.values()) == 1
+        once = dict(calls)
+        calls.clear()
+        assert caller(word) == first
+        assert calls == once  # the memo lives for one call
+
+    @pytest.mark.parametrize("word", ababa_words())
+    def test_moment_pairs_each_pair_once_per_call(self, monkeypatch, word):
+        self.assert_pairs_once_per_call(monkeypatch, vacuum_moment, word)
+
+    @pytest.mark.parametrize("word", ababa_words())
+    def test_expansion_contracts_each_block_once_per_call(self, monkeypatch, word):
+        # a closed block's contraction is the pairing of its first letter
+        # with the product of the rest, so one pairing per distinct pair
+        # is one contraction per distinct block
+        self.assert_pairs_once_per_call(monkeypatch, expansion_terms, word)
 
     def test_expansion_past_the_cutoff(self):
         model = three_point_model(n_atoms=1, cutoff=3, depth=4)
