@@ -8,10 +8,9 @@ point set.
 
 from .errors import (CutoffExceededError, DegeneracyError, DepthExceededError,
                      QFockError, ResourceBudgetError, UsageError)
-from .fock import (FockOperator, FockVector, Gauge, DenseGauge,
-                   OneParticleSpace, SparseVector, adjoint, apply, apply_Pn,
-                   field_operator, inner0, innerq, operator_norm_estimate,
-                   sparse_vector)
+from .fock import (FockOperator, FockVector, Gauge, OneParticleSpace,
+                   SparseVector, adjoint, apply, apply_Pn, field_operator,
+                   inner0, innerq, operator_norm_estimate, sparse_vector)
 from .kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
 from .model import (WeightedPointAlgebra, Letter, MomentSequence, ProcessModel,
                     TimeGrid, letter_pair, monic_op_coefficients)

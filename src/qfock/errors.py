@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all qfock modules."""
+"""Exception hierarchy shared by all qfock modules, and their size check."""
 
 
 class QFockError(Exception):
@@ -29,3 +29,12 @@ class ResourceBudgetError(QFockError):
     """A work budget was exceeded: a cap on a size (a symmetric group, a
     partition count, a polynomial length or degree, a norm-estimate depth) or
     the live arc-state budget of `wick.vacuum_moment`."""
+
+
+def check_size(what: str, size: int, limit: int, least: int = 0) -> None:
+    """Refuse a size below least (UsageError) or over limit
+    (ResourceBudgetError), naming the size asked for and the bound."""
+    if size < least:
+        raise UsageError(f"{what} {size}, below the least of {least}")
+    if size > limit:
+        raise ResourceBudgetError(f"{what} {size}, over the limit of {limit}")

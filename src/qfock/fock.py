@@ -10,8 +10,9 @@ composition into one factor.  An integer image (`qscalar.IntImage`) is one
 positive int denominator and, per word, a list of int numerators, one per
 power of q; each output word becomes a canonical QScalar once, when `apply`
 returns.  Words are range-checked only where they
-enter from outside (`basis_word`, the `terms` argument, `add_term`), and each
-leaf payload once per node and space, so the words that `apply` derives are
+enter from outside (`basis_word`, the `terms` argument, `add_term`), each
+creation and annihilation payload once per node and space, and each gauge
+column once per call that reads it, so the words that `apply` derives are
 not checked again.
 Operator trees are DAGs (Wick operators and fields are shared nodes), and
 one call of `apply` computes the image of its input under a shared node
@@ -30,12 +31,13 @@ also accept a dense coefficient sequence and convert it once, on entry.  The
 gram form has one form too, its sparse rows, and is block-diagonal over its
 orthogonality classes; the space also keeps those rows as int numerators
 over one denominator, from which the pairings and `inner0` compute without
-building a Fraction or a QScalar per term.  Each leaf node keeps, per
-space it is applied on, its payload as int numerators over one denominator:
-a creation its entries, an annihilation its pairing row {i: <zeta, e_i>}
-and a gauge the columns it has been asked for.  An annihilation or gauge
-acting on tensor slot k multiplies by q^k as a shift of k places in the
-numerator lists, not as a product.
+building a Fraction or a QScalar per term.  A creation or annihilation
+node keeps, per space it is applied on, its payload as int numerators over
+one denominator: its entries or its pairing row {i: <zeta, e_i>}.  A gauge
+is multiplication by a real function (`Gauge`), so it is its own adjoint,
+and it keeps its own int columns over one denominator.  An annihilation or
+gauge acting on tensor slot k multiplies by q^k as a shift of k places in
+the numerator lists, not as a product.
 
 The q-inner product is <u, P_n v>_0 on degree n, P_n the q-symmetrizer
 sum_sigma q^{inv(sigma)} sigma; `innerq` is the one q-product, also of step
@@ -61,7 +63,7 @@ from itertools import chain
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import DepthExceededError, ResourceBudgetError, UsageError
+from .errors import DepthExceededError, ResourceBudgetError, UsageError, check_size
 from .qscalar import (EXACT, ONE, ZERO, IntImage, QScalar, ScalarRing,
                       accumulate, add_scaled, addmul, const, int_numerators)
 
@@ -361,8 +363,7 @@ def apply_Pn(v: FockVector) -> FockVector:
     is refused up front.
     """
     top = v.top_degree()
-    if top > PN_CAP:
-        raise ResourceBudgetError(f"apply_Pn degree {top} exceeds cap {PN_CAP}")
+    check_size("apply_Pn degree", top, PN_CAP)
     img = IntImage.of(v.terms)
     for s in range(top - 1):
         nxt: dict[Word, list[int]] = {}
@@ -387,37 +388,18 @@ def innerq(u: FockVector, v: FockVector) -> QScalar:
 
 
 class Gauge:
-    """Protocol for the one-particle action inside a gauge operator: column(i)
-    yields (j, coeff) pairs of T e_i in the basis.
-
-    Implementations that are symmetric for the ambient gram form (such as
-    multiplication by a real function) set `symmetric`, letting the adjoint
-    avoid materializing the matrix.
+    """Protocol for the one-particle action inside a gauge operator, the
+    multiplication by a real function (`model._LetterGauge`): `den` is a
+    positive int, and column(i) the (j, int numerator) pairs of T e_i over
+    den, in increasing j.  A column is computed when it is asked for, so an
+    implementation can refuse one lazily.  A gauge is symmetric for the
+    ambient gram form by contract, so it is its own adjoint.
     """
 
-    symmetric = False
+    den: int
 
-    def column(self, i: int) -> Iterable[tuple[int, Fraction]]:
+    def column(self, i: int) -> Sequence[tuple[int, int]]:
         raise NotImplementedError
-
-    def as_matrix(self, dim: int) -> tuple[tuple[Fraction, ...], ...]:
-        cols = [dict(self.column(i)) for i in range(dim)]
-        return tuple(tuple(cols[i].get(j, Fraction(0)) for i in range(dim))
-                     for j in range(dim))
-
-
-class DenseGauge(Gauge):
-    def __init__(self, matrix: Sequence[Sequence[Fraction]]):
-        # matrix[j][i] = coefficient of e_j in T e_i
-        self.matrix = tuple(tuple(Fraction(x) for x in row) for row in matrix)
-
-    def column(self, i: int):
-        for j, row in enumerate(self.matrix):
-            if row[i]:
-                yield j, row[i]
-
-    def as_matrix(self, dim: int):
-        return self.matrix
 
 
 _KINDS = frozenset(("creation", "annihilation", "gauge", "scalar", "sum",
@@ -434,11 +416,11 @@ class FockOperator:
     kind: str
     payload: object = None
     operands: tuple["FockOperator", ...] = ()
-    # a leaf's payload as int numerators over one denominator, checked
-    # against each space it is applied on and keyed by its `key`, built by
-    # `apply` on first use: (den, [(i, zeta_i)]) of a creation,
-    # (den, {i: <zeta, e_i>}) of an annihilation (see `pairing`), and
-    # [den, {i: [(j, T_ji)]}] of a gauge, over the columns asked for so far
+    # a creation or annihilation payload as int numerators over one
+    # denominator, checked against each space it is applied on and keyed by
+    # its `key`, built by `apply` on first use: (den, [(i, zeta_i)]) of a
+    # creation and (den, {i: <zeta, e_i>}) of an annihilation (see
+    # `pairing`); a gauge keeps its int columns itself
     payloads: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -459,9 +441,7 @@ class FockOperator:
         return FockOperator("annihilation", sparse_vector(zeta))
 
     @staticmethod
-    def gauge(g: Gauge | Sequence[Sequence[Fraction]]) -> "FockOperator":
-        if not isinstance(g, Gauge):
-            g = DenseGauge(g)
+    def gauge(g: Gauge) -> "FockOperator":
         return FockOperator("gauge", g)
 
     @staticmethod
@@ -561,13 +541,13 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
     1.  Each output word is made a canonical QScalar once, when the call
     returns, and words that cancelled to zero are dropped.
 
-    Each leaf keeps its payload on its node, per space, as int numerators
-    over one denominator: a creation its entries, an annihilation its
-    pairing row and a gauge the columns it has been asked for.  An
-    annihilation or gauge acting on tensor slot k shifts its terms by k
-    powers of q.  The words of v are in range, so the words added are too
-    once each payload is checked against the space, which happens when the
-    node first builds it for the space.
+    A creation or annihilation keeps its payload on its node, per space, as
+    int numerators over one denominator: its entries or its pairing row; a
+    gauge reads its int columns over `den` from the gauge.  An annihilation
+    or gauge acting on tensor slot k shifts its terms by k powers of q.  The
+    words of v are in range, so the words added are too once each payload is
+    checked against the space: by a node when it first builds it for the
+    space, and a gauge column by each call that reads it.
 
     For the length of the call, the image of v under a shared node is kept,
     by node: under each factor that acts first in a composition, and under
@@ -682,30 +662,16 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
                         addmul(terms, w[:k] + w[k + 1:], num, g, s + k)
             return
         gauge: Gauge = op.payload  # the one kind left
-        # [den, {i: column i as (j, numerator) over den}], checked against sp
-        pay = op.payloads.get(key)
-        if pay is None:
-            pay = op.payloads[key] = [1, {}]
-        cols = pay[1]
-        letters = dict.fromkeys(chain.from_iterable(src.terms))
-        for i in letters:
-            if i not in cols:
-                col = [(j, x) for j, x in gauge.column(i) if x]
-                if any(not 0 <= j < sp.dim for j, _ in col):
-                    raise UsageError(f"gauge column {i} has an index out of range")
-                den, nums = int_numerators(x for _, x in col)
-                grow = den // gcd(pay[0], den)
-                if grow != 1:
-                    for c in cols.values():
-                        c[:] = [(j, x * grow) for j, x in c]
-                    pay[0] *= grow
-                mul = pay[0] // den
-                cols[i] = [(j, x * mul) for (j, _), x in zip(col, nums)]
         if not src.terms:
             return
-        m = out.join(src.den * df * pay[0]) * y
+        cols = {}  # the columns read, checked against sp
+        for i in dict.fromkeys(chain.from_iterable(src.terms)):
+            col = cols[i] = gauge.column(i)
+            if col and (col[0][0] < 0 or col[-1][0] >= sp.dim):
+                raise UsageError(f"gauge column {i} has an index out of range")
+        m = out.join(src.den * df * gauge.den) * y
         if m != 1:
-            cols = {i: [(j, x * m) for j, x in cols[i]] for i in letters}
+            cols = {i: [(j, x * m) for j, x in col] for i, col in cols.items()}
         for w, num in src.terms.items():
             for k, i in enumerate(w):
                 rest = w[:k] + w[k + 1:]
@@ -717,59 +683,19 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
     return FockVector._of(sp, depth, out.scalars())
 
 
-def adjoint(op: FockOperator, space: OneParticleSpace) -> FockOperator:
-    """Adjoint with respect to the q-inner product (real coefficients).
-
-    Gauge adjoints need the gram-adjoint of the one-particle map, so the gram
-    form must be nonsingular when gauges occur.
-    """
+def adjoint(op: FockOperator) -> FockOperator:
+    """Adjoint with respect to the q-inner product (real coefficients); a
+    gauge is gram-symmetric by contract, so its own adjoint."""
     kind = op.kind
-    if kind == "scalar":
+    if kind in ("scalar", "gauge"):
         return op
     if kind == "creation":
         return FockOperator.annihilation(op.payload)
     if kind == "annihilation":
         return FockOperator.creation(op.payload)
     if kind == "sum":
-        return FockOperator.opsum([adjoint(o, space) for o in op.operands])
-    if kind == "compose":
-        return FockOperator.compose([adjoint(o, space) for o in reversed(op.operands)])
-    g: Gauge = op.payload  # the one kind left
-    if g.symmetric:
-        return op
-    t = g.as_matrix(space.dim)  # t[j][i] = coeff of e_j in T e_i
-    tt = [[t[i][j] for i in range(space.dim)] for j in range(space.dim)]
-    gram = [[r.get(i, Fraction(0)) for i in range(space.dim)]
-            for r in map(dict, space.rows)]
-    # T* = G^{-1} T^t G
-    ttg = _matmul(tt, gram)
-    tstar = _solve_matrix(gram, ttg)
-    return FockOperator.gauge(DenseGauge(tstar))
-
-
-def _matmul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return [[sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0))
-             for j in range(p)] for i in range(n)]
-
-
-def _solve_matrix(a, b):
-    """Solve A X = B exactly over the rationals (Gaussian elimination)."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(x) for x in brow]
-         for row, brow in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise UsageError("singular gram form: gauge adjoint undefined")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+        return FockOperator.opsum(map(adjoint, op.operands))
+    return FockOperator.compose(map(adjoint, reversed(op.operands)))
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +826,11 @@ def _compression(op: FockOperator, space: OneParticleSpace, depth: int):
             for n in range(1, depth + 1):
                 m[deg(n - 1), deg(n)] = slots(_kron_eye(row, dim ** (n - 1)), n)
         elif depth:  # a gauge; degree 0 has no slot, so no block there
-            t = np.array(op.payload.as_matrix(dim), dtype=float)
+            gauge: Gauge = op.payload
+            t = np.zeros((dim, dim))
+            for i in range(dim):
+                for j, x in gauge.column(i):
+                    t[j, i] = x / gauge.den
             for n in range(1, depth + 1):
                 m[deg(n), deg(n)] = slots(_kron_eye(t, dim ** (n - 1)), n)
         return m

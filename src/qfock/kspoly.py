@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ResourceBudgetError, UsageError
+from .errors import UsageError, check_size
 from .model import MomentSequence
 from .qscalar import (ONE, QScalar, accumulate, add_scaled, const, q_fact_ratio,
                       q_int, q_pow)
@@ -109,8 +109,7 @@ def ks_poly(u: Sequence[int], moments: MomentSequence) -> NCPolynomial:
     u = tuple(u)
     if any(j < 1 for j in u):
         raise UsageError(f"power indices must be >= 1: {u}")
-    if len(u) > MAX_KS_LEN:
-        raise ResourceBudgetError(f"ks_poly capped at length {MAX_KS_LEN}")
+    check_size("ks_poly word length", len(u), MAX_KS_LEN)
     memo: dict[Word, NCPolynomial] = moments.ks_memo
 
     def rec(word: Word) -> NCPolynomial:
@@ -141,8 +140,7 @@ def ks_row_formula(j: int, n: int, moments: MomentSequence) -> NCPolynomial:
         x_j A^(n) + Σ_{k=1}^n (-1)^k ([n]_q!/[n-k]_q!) (x_{j+k} + r_{j+k}) A^(n-k),
 
     where A^(m) = A_(1,...,1) on m ones."""
-    if n > MAX_ROW_N:
-        raise ResourceBudgetError(f"ks_row_formula capped at n = {MAX_ROW_N}")
+    check_size("ks_row_formula n =", n, MAX_ROW_N)
     a = {m: ks_poly((1,) * m, moments) for m in range(n + 1)}
     out = NCPolynomial.x(j) * a[n]
     for k in range(1, n + 1):
@@ -160,8 +158,7 @@ def ks_row_formula(j: int, n: int, moments: MomentSequence) -> NCPolynomial:
 
 def q_hermite(n: int) -> NCPolynomial:
     """H_0 = 1, H_1 = x, H_{n+1} = x H_n - [n]_q H_{n-1}."""
-    if not 0 <= n <= MAX_OP_DEGREE:
-        raise ResourceBudgetError(f"q_hermite capped at degree {MAX_OP_DEGREE}")
+    check_size("q_hermite degree", n, MAX_OP_DEGREE)
     h_prev, h = NCPolynomial.one(), NCPolynomial.x(1)
     if n == 0:
         return h_prev
@@ -172,8 +169,7 @@ def q_hermite(n: int) -> NCPolynomial:
 
 def q_charlier(n: int) -> NCPolynomial:
     """C_0 = 1, C_1 = x, C_{n+1} = x C_n - [n]_q C_n - [n]_q C_{n-1}."""
-    if not 0 <= n <= MAX_OP_DEGREE:
-        raise ResourceBudgetError(f"q_charlier capped at degree {MAX_OP_DEGREE}")
+    check_size("q_charlier degree", n, MAX_OP_DEGREE)
     c_prev, c = NCPolynomial.one(), NCPolynomial.x(1)
     if n == 0:
         return c_prev

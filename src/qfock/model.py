@@ -18,13 +18,14 @@ In both algebras a letter's payload is its one-particle vector xi, in the
 one sparse form of `fock.SparseVector`; `Letter` adds, scales and
 multiplies payloads, and gauges by multiplication, once for both, and each
 algebra keeps only what differs: its validating `letter` constructor,
-`basis_product` (a payload times a basis vector), mean and text.  An
-algebra hands its ring, only an evaluation point, to its space and keeps
-no copy.
+`basis_product` (a payload, of Fraction or int coefficients, times a basis
+vector), mean and text.  An algebra hands its ring, only an evaluation
+point, to its space and keeps no copy.
 
 Each algebra owns the caches of its letters, so they are freed with it: the
 intern table `letters` (one Letter per canonical payload, so letters compare
-and hash by identity), each letter's field node, int pairing row and
+and hash by identity), each letter's int payload, gauge and the int columns
+it builds (for every node and space), field node, int pairing row and
 products, and `wick_cache` (wick.py), keyed by words of letters.
 """
 
@@ -36,7 +37,7 @@ from typing import Iterable, Sequence
 
 from .errors import CutoffExceededError, DegeneracyError, UsageError
 from .fock import (FockOperator, Gauge, OneParticleSpace, SparseVector,
-                   _solve_matrix, field_operator, sparse_vector)
+                   field_operator, sparse_vector)
 from .qscalar import ScalarRing, int_numerators
 
 Interval = tuple[Fraction, Fraction]
@@ -153,14 +154,16 @@ class Letter:
     (`wick_cache`, the product and vacuum-moment memos) hashes object ids,
     not Fractions.  Letters from different algebra instances never mix.
 
-    Each letter keeps, built once and freed with its algebra: its field node
-    (`field`), whose creation and annihilation leaves hold its payload and
-    its pairing row as int numerators over one denominator, per space; that
-    pairing row (`pairing`), which `letter_pair` reads; and its products
-    with other letters.
+    Each letter keeps, built once and freed with its algebra: its payload
+    as (den, ((i, int numerator), ...)) (`ints`); its gauge (`gauge`); its
+    field node (`field`), whose creation and annihilation leaves hold its
+    payload and its pairing row as ints per space; that pairing row
+    (`pairing`), which `letter_pair` reads with the other letter's `ints`;
+    and its products with other letters.
     """
 
-    __slots__ = ("algebra", "payload", "_field", "_row", "_products")
+    __slots__ = ("algebra", "payload", "ints", "_gauge", "_field", "_row",
+                 "_products")
 
     def __new__(cls, algebra, payload: SparseVector) -> "Letter":
         """The algebra's letter of a canonical payload (see sparse_vector)."""
@@ -169,7 +172,9 @@ class Letter:
             self = algebra.letters[payload] = super().__new__(cls)
             self.algebra = algebra
             self.payload = payload
-            self._field = self._row = None
+            den, nums = int_numerators(c for _, c in payload)
+            self.ints = den, tuple((i, z) for (i, _), z in zip(payload, nums))
+            self._gauge = self._field = self._row = None
             self._products = {}  # other letter -> self * other
         return self
 
@@ -177,8 +182,10 @@ class Letter:
         return self.algebra.xi(self.payload)
 
     def gauge(self) -> Gauge | None:
-        """Multiplication by the letter (see _LetterGauge); None for 0."""
-        return _LetterGauge(self) if self.payload else None
+        """Multiplication by the letter (see _LetterGauge), kept; None for 0."""
+        if self._gauge is None and self.payload:
+            self._gauge = _LetterGauge(self)
+        return self._gauge
 
     def mean(self) -> Fraction:
         return self.algebra.mean(self.payload)
@@ -241,13 +248,11 @@ class Letter:
 
 def letter_pair(a: Letter, b: Letter) -> Fraction:
     """<xi_a, xi_b> under the algebra's gram form: a's int pairing row
-    against b's one-particle vector."""
+    against b's int payload, its one-particle vector."""
     a._check(b)
     den, row = a.pairing()
-    xi = b.xi()
-    db, nums = int_numerators(c for _, c in xi)
-    return Fraction(sum(z * row[i] for (i, _), z in zip(xi, nums) if i in row),
-                    den * db)
+    db, xi = b.ints
+    return Fraction(sum(z * row[i] for i, z in xi if i in row), den * db)
 
 
 def _basis_letter(algebra, i: int) -> Letter:
@@ -259,18 +264,21 @@ def _basis_letter(algebra, i: int) -> Letter:
 
 
 class _LetterGauge(Gauge):
-    """Multiplication by a letter: column i is the algebra's basis product
-    of the letter's payload with e_i, so a degree overflow fires lazily,
-    only when an offending column is actually used."""
-
-    symmetric = True  # multiplication by a real letter is gram-symmetric
+    """Multiplication by a letter, gram-symmetric as the letter is real:
+    column i is the algebra's basis product of the letter's int payload
+    with e_i, kept from its first use, so a degree overflow fires only when
+    an offending column is used, and at every such use."""
 
     def __init__(self, letter: Letter):
         self.algebra = letter.algebra
-        self.payload = letter.payload
+        self.den, self.payload = letter.ints
+        self.columns: dict[int, tuple[tuple[int, int], ...]] = {}
 
-    def column(self, i: int) -> SparseVector:
-        return self.algebra.basis_product(self.payload, i)
+    def column(self, i: int) -> tuple[tuple[int, int], ...]:
+        col = self.columns.get(i)
+        if col is None:
+            col = self.columns[i] = self.algebra.basis_product(self.payload, i)
+        return col
 
 
 # ---------------------------------------------------------------------------
@@ -377,22 +385,38 @@ class ProcessModel:
         return self.interval_letter((Fraction(0), Fraction(t)), power)
 
 
+def _solve_matrix(a, b):
+    """Solve A x = b exactly over the rationals (Gaussian elimination)."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            raise UsageError("singular matrix")
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[n] for row in m]
+
+
 def monic_op_coefficients(moments: MomentSequence, degree: int) -> tuple[Fraction, ...]:
     """Coefficients c_0..c_degree (c_degree = 1) of the monic polynomial of
     the given degree orthogonal to all lower degrees under
     <x^a, x^b> = r_{a+b+2}."""
     n = degree
-    if n == 0:
-        return (Fraction(1),)
     h = moments.hankel(n)
-    rhs = [[-moments.r_at(n + m + 2)] for m in range(n)]
+    rhs = [-moments.r_at(n + m + 2) for m in range(n)]
     try:
         sol = _solve_matrix(h, rhs)
     except UsageError as exc:
         raise DegeneracyError(
             f"Hankel matrix of order {n} is singular "
             f"(measure supported on fewer than {n + 1} points)") from exc
-    return tuple(sol[m][0] for m in range(n)) + (Fraction(1),)
+    return (*sol, Fraction(1))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import UsageError
+from .errors import UsageError, check_size
 
 MAX_ENUM_N = 12
 
@@ -82,8 +82,7 @@ class ExtendedPartition:
 
 def enumerate_partitions(n: int) -> Iterator[SetPartition]:
     """All partitions of {1..n} in restricted-growth-string order, streamed."""
-    if not 1 <= n <= MAX_ENUM_N:
-        raise UsageError(f"enumerate_partitions supports 1 <= n <= {MAX_ENUM_N}")
+    check_size("enumerate_partitions n =", n, MAX_ENUM_N, least=1)
 
     # rgs[i] is the block of element i + 1 and top[i] = max(rgs[:i + 1]); a
     # block's elements come in increasing order and blocks in order of their

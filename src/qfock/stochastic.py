@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import log
 from typing import Callable, Sequence
 
-from .errors import UsageError
+from .errors import UsageError, check_size
 from .fock import (FockOperator, FockVector, OneParticleSpace, adjoint, apply,
                    innerq)
 from .model import Interval, Letter, ProcessModel, monic_op_coefficients
@@ -23,6 +23,8 @@ from .partitions import (ExtendedPartition, SetPartition,
                          enumerate_partitions, index_tuples, rc)
 from .qscalar import ONE, ZERO, QScalar, add_scaled, const, q_pow
 from .wick import WickElement, vacuum_vector, wick_operator, word_vector
+
+MAX_POWER_N = 6  # power_decomposition sums over the Bell(n) partitions
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +285,7 @@ class PowerDecomposition:
 
 def power_decomposition(n: int, t, model: ProcessModel) -> PowerDecomposition:
     """X(t)^n Ω versus Σ_pi St_pi(t) Ω, via closed forms."""
-    if n < 1 or n > 6:
-        raise UsageError("power_decomposition supports 1 <= n <= 6")
+    check_size("power_decomposition n =", n, MAX_POWER_N, least=1)
     x = model.prefix_letter(t, 1).field()
     lhs = vacuum_vector(model)
     for _ in range(n):
@@ -551,7 +552,7 @@ def biprocess_integral(u: BiProcess) -> FockOperator:
 def _gamma_of_product(model: ProcessModel, a1: WickElement, a2: WickElement) -> FockOperator:
     """Γ_q(q)(A₁* A₂) as an operator, via the Ω-vector of A₁* A₂."""
     om = vacuum_vector(model)
-    z = apply(adjoint(a1.operator(), model.space), apply(a2.operator(), om))
+    z = apply(adjoint(a1.operator()), apply(a2.operator(), om))
     gammaz = WickElement.from_vector(model, z).gamma()
     return gammaz.operator()
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from qfock.errors import DepthExceededError
 from qfock.fock import FockOperator, FockVector, OneParticleSpace, apply
 from qfock.qscalar import ONE, QScalar, const
+from matrix_gauge import matrix_gauge
 
 MAX_WORD = 3
 
@@ -67,7 +68,8 @@ def ref_apply(op, vec, gram):
             for k, i in enumerate(w):
                 g = sum(z * gram[j][i] for j, z in op.payload)
                 v_add(out, w[:k] + w[k + 1:], p_mul(c, {k: g}))
-        else:  # gauge: matrix[j][i] is the coefficient of e_j in T e_i
+        else:  # gauge (a MatrixGauge): matrix[j][i] is the coefficient of
+            # e_j in T e_i
             m = op.payload.matrix
             for k, i in enumerate(w):
                 for j in range(len(m)):
@@ -130,7 +132,7 @@ def spaces(draw, max_leaves=6, values=small, polys=False):
         sparse.map(FockOperator.creation),
         sparse.map(FockOperator.annihilation),
         st.lists(st.lists(values, min_size=dim, max_size=dim),
-                 min_size=dim, max_size=dim).map(FockOperator.gauge),
+                 min_size=dim, max_size=dim).map(matrix_gauge),
         st.lists(values, max_size=3).map(QScalar.exact).map(FockOperator.scalar),
         values.map(lambda c: FockOperator.scalar(const(c))))
     nonzero = values.filter(bool)

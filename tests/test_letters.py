@@ -2,10 +2,11 @@
 int numerators and gauge by their algebra's product.
 
 A letter is one object per (algebra, canonical payload), whatever path built
-it; its field node, int pairing row and products are built once and are
-freed with the algebra; `letter_pair` agrees with the gram form written out
-in Fractions; a letter's gauge column at e_i agrees with the column each
-algebra once wrote out on its own.
+it; its field node, int pairing row, gauge and products are built once and
+are freed with the algebra; `letter_pair` agrees with the gram form written
+out in Fractions; a letter's gauge column at e_i, over the letter's one
+denominator, agrees with the column each algebra once wrote out on its own,
+and is built once per letter.
 """
 
 import gc
@@ -18,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from qfock.cli import rand_letter, three_point_model
 from qfock.errors import CutoffExceededError, UsageError
-from qfock.fock import FockVector, OneParticleSpace, apply
+from qfock import model as model_module
+from qfock.fock import FockOperator, FockVector, OneParticleSpace, apply
 from qfock.model import (Letter, MomentSequence, ProcessModel, TimeGrid,
                          WeightedPointAlgebra, letter_pair)
 from qfock.qscalar import EXACT, const
@@ -220,6 +222,17 @@ def test_letter_pair_matches_fraction_reference(drawn):
     assert letter_pair(a, a) == reference(algebra, a, a)
     den, row = a.pairing()
     assert den > 0 and all(row.values())
+    den, ints = b.ints
+    assert tuple((i, F(z, den)) for i, z in ints) == b.payload
+    assert all(type(z) is int for _, z in ints)
+
+
+def test_letter_pair_reads_the_int_payload(model, monkeypatch):
+    """Once its letters exist, `letter_pair` builds no int form of a payload."""
+    a, b = model.atom_letter(0, 1), model.interval_letter((0, F(1, 2)), 2)
+    want = grid_reference(model, a, b)
+    monkeypatch.setattr(model_module, "int_numerators", None)
+    assert letter_pair(a, b) == want and letter_pair(b, a) == want
 
 
 def former_gauge_column(algebra, letter: Letter, i: int) -> list:
@@ -245,14 +258,16 @@ def former_gauge_column(algebra, letter: Letter, i: int) -> list:
 @given(letter_pairs())
 def test_gauge_columns_match_former_per_algebra_forms(drawn):
     """On both algebras, the one letter gauge has at every basis index the
-    column each algebra's own gauge had, and raises where it raised."""
+    column each algebra's own gauge had, as int numerators over the
+    letter's denominator, and raises where it raised."""
     algebra, a, b, _ = drawn
     for letter in (a, b):
         gauge = letter.gauge()
         if letter.is_zero:
             assert gauge is None
             continue
-        assert gauge.symmetric
+        assert gauge is letter.gauge()
+        assert (gauge.den, gauge.payload) == letter.ints
         for i in range(algebra.space.dim):
             try:
                 want = former_gauge_column(algebra, letter, i)
@@ -260,7 +275,46 @@ def test_gauge_columns_match_former_per_algebra_forms(drawn):
                 with pytest.raises(CutoffExceededError, match="letter product degree"):
                     gauge.column(i)
             else:
-                assert list(gauge.column(i)) == want
+                col = gauge.column(i)
+                assert all(type(x) is int for _, x in col)
+                assert [(j, F(x, gauge.den)) for j, x in col] == want
+
+
+def test_gauge_column_past_the_cutoff_is_not_kept(model):
+    """A column past the cutoff raises at every use, directly or through
+    `apply`, and is not kept; the columns under the cutoff are."""
+    letter = model.atom_letter(0, 2)
+    gauge = letter.gauge()
+    low, top = model.basis_index(0, 1), model.basis_index(0, 2)
+    assert gauge.column(low) == ((model.basis_index(0, 3), 1),)
+    node = FockOperator.gauge(gauge)
+    for _ in range(2):
+        with pytest.raises(CutoffExceededError, match="letter product degree 4"):
+            gauge.column(top)
+        with pytest.raises(CutoffExceededError, match="letter product degree 4"):
+            apply(node, FockVector.basis_word(model.space, 2, (low, top)))
+    assert list(gauge.columns) == [low]
+
+
+def test_letter_gauge_columns_built_once(model, monkeypatch):
+    """Two gauge nodes of one letter, and its field, applied twice to a
+    vector over three basis indices build each of the three columns once:
+    the columns belong to the letter, not to a node or a call."""
+    calls = []
+    basis_product = model.basis_product
+    monkeypatch.setattr(model, "basis_product",
+                        lambda p, i: calls.append(i) or basis_product(p, i))
+    letter = model.atom_letter(0, 1) + model.atom_letter(1, 1).scale(F(2, 3))
+    v = FockVector(model.space, 3, {
+        (model.basis_index(0, 1), model.basis_index(1, 2)): const(1),
+        (model.basis_index(2, 1),): const(F(1, 5))})
+    images = []
+    for op in (FockOperator.gauge(letter.gauge()), FockOperator.gauge(letter.gauge()),
+               letter.field()):
+        for _ in range(2):
+            images.append(apply(op, v))
+    assert sorted(calls) == sorted(i for w in v.terms for i in w)
+    assert images[0] == images[2] and not images[0].is_zero
 
 
 def test_caches_die_with_their_model():

@@ -4,7 +4,7 @@ from math import perm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfock.errors import UsageError
+from qfock.errors import ResourceBudgetError, UsageError
 from qfock.partitions import (ExtendedPartition, SetPartition,
                               enumerate_partitions, index_tuples, rc)
 from sn_oracle import inversions
@@ -142,7 +142,7 @@ class TestEnumeration:
         assert len(seen) == bell_number(6)
 
     def test_budget(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ResourceBudgetError):
             next(enumerate_partitions(13))
 
     def test_bell_values(self):

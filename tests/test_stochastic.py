@@ -6,14 +6,17 @@ from hypothesis import given, settings, strategies as st
 from qfock.cli import shipped_experiments
 from qfock.errors import ResourceBudgetError, UsageError
 from qfock.fock import FockOperator, FockVector, apply, innerq
+from qfock.kspoly import (MAX_KS_LEN, MAX_OP_DEGREE, MAX_ROW_N, ks_poly,
+                          ks_row_formula, q_charlier, q_hermite)
 from qfock.model import MomentSequence, ProcessModel, TimeGrid
-from qfock.partitions import SetPartition, enumerate_partitions, index_tuples
+from qfock.partitions import (MAX_ENUM_N, SetPartition, enumerate_partitions,
+                              index_tuples)
 from qfock.qscalar import EXACT, ONE, ZERO, QScalar, ScalarRing, const, q_fact, q_pow
 from qfock.stochastic import (AdaptedProcess, BiProcess, StepFunction,
                               biprocess_inner, biprocess_integral,
                               chaos_decompose, conditional_expectation,
                               delta_process, ito_integral, ito_isometry_rhs,
-                              l2q_inner, multiple_integral,
+                              MAX_POWER_N, l2q_inner, multiple_integral,
                               power_decomposition, st_pi_closed,
                               st_pi_convergence, st_pi_corollary_form,
                               st_pi_discrete,
@@ -433,3 +436,38 @@ class TestItoCalculus:
         om = vacuum_vector(m)
         assert apply(ito_integral(adapted, "left"), om) == \
             apply(biprocess_integral(bi), om)
+
+
+# each budgeted function at one past its limit, with that size and the limit
+OVER_BUDGET = [
+    ("ks_poly", lambda m: ks_poly((1,) * 9, m.moments), 9, MAX_KS_LEN),
+    ("ks_row_formula", lambda m: ks_row_formula(1, 7, m.moments), 7, MAX_ROW_N),
+    ("q_hermite", lambda m: q_hermite(21), 21, MAX_OP_DEGREE),
+    ("q_charlier", lambda m: q_charlier(21), 21, MAX_OP_DEGREE),
+    ("enumerate_partitions", lambda m: next(enumerate_partitions(13)), 13, MAX_ENUM_N),
+    ("power_decomposition", lambda m: power_decomposition(7, 1, m), 7, MAX_POWER_N),
+]
+
+
+@pytest.mark.parametrize("name, call, size, limit", OVER_BUDGET,
+                         ids=[case[0] for case in OVER_BUDGET])
+def test_budget_refusal_names_size_and_limit(name, call, size, limit):
+    """One past its limit, each budgeted function raises ResourceBudgetError
+    naming the size asked for and the limit, before any work."""
+    assert size == limit + 1
+    with pytest.raises(ResourceBudgetError,
+                       match=rf"^{name}\b.* {size}, over the limit of {limit}$"):
+        call(three_point())
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: next(enumerate_partitions(0)),
+    lambda m: power_decomposition(0, 1, m),
+    lambda m: q_hermite(-1),
+    lambda m: q_charlier(-1),
+    lambda m: ks_row_formula(1, -1, m.moments)],
+    ids=["enumerate_partitions", "power_decomposition", "q_hermite",
+         "q_charlier", "ks_row_formula"])
+def test_size_below_its_least_is_a_usage_error(call):
+    with pytest.raises(UsageError, match="below the least of"):
+        call(three_point())
