@@ -96,6 +96,7 @@ class TimeGrid:
             raise UsageError("grid boundaries must strictly increase")
         self.boundaries = tuple(bs)
         self.atoms: tuple[Interval, ...] = tuple(zip(bs, bs[1:]))
+        self.widths: tuple[Fraction, ...] = tuple(b - a for a, b in self.atoms)
         self._position = {b: i for i, b in enumerate(bs)}  # boundary -> index
 
     @staticmethod
@@ -114,11 +115,10 @@ class TimeGrid:
         return self.boundaries[-1]
 
     def width(self, i: int) -> Fraction:
-        a, b = self.atoms[i]
-        return b - a
+        return self.widths[i]
 
     def mesh(self) -> Fraction:
-        return max(self.width(i) for i in range(self.n_atoms))
+        return max(self.widths)
 
     def atoms_in(self, interval: Interval) -> tuple[int, ...]:
         """Indices of the atoms composing [a, b); errors if not grid-aligned."""

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import qfock
 from qfock import fock
-from qfock.errors import DepthExceededError, ResourceBudgetError, UsageError
+from qfock.errors import (CutoffExceededError, DepthExceededError,
+                          ResourceBudgetError, UsageError)
 from qfock.fock import (NORM_WORD_CAP, FockOperator, FockVector,
                         OneParticleSpace, adjoint, apply, apply_Pn,
                         field_operator, inner0, innerq,
@@ -416,7 +417,16 @@ class TestNormEstimates:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert sp.pn_factors == {}
+        assert sp.pn_blocks == {}
+
+    def test_singular_q_gram_is_refused(self):
+        # a singular 0-gram makes the degree-1 q-gram singular: the refusal
+        # names the degree, and only the degrees below it are kept
+        sp = OneParticleSpace(2, [[1, 1], [1, 1]], ScalarRing(Fraction(3, 10)))
+        with pytest.raises(ResourceBudgetError,
+                           match="q-gram numerically singular at degree 1"):
+            operator_norm_estimate(FockOperator.identity(), sp, 2)
+        assert sorted(sp.pn_blocks) == [0]
 
     @pytest.mark.parametrize("dim, depth", [(1, 9), (2, 8)])
     def test_word_cap_admits(self, dim, depth):
@@ -424,6 +434,53 @@ class TestNormEstimates:
         sp = OneParticleSpace.orthonormal(dim, ring)
         n = operator_norm_estimate(FockOperator.identity(), sp, depth)
         assert n == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("c", [0, Fraction(3, 2)])
+    @pytest.mark.parametrize("q0", [0, Fraction(3, 10), Fraction(-1, 2),
+                                    Fraction(7, 10)])
+    @pytest.mark.parametrize("depth", [3, 6, 10, 40])
+    def test_one_letter_is_the_q_hermite_jacobi_matrix(self, depth, q0, c):
+        # at dim 1, orthonormal, e^{(x)n} has q-norm^2 [n]_q!, so in the
+        # normalized basis a(e) + a*(e) is the Jacobi matrix of the continuous
+        # q-Hermite recurrence x H_n = H_{n+1} + [n]_q H_{n-1}, off-diagonals
+        # sqrt([n]_q); a gauge by c adds c [n]_q on the diagonal (q-Charlier).
+        # With c >= 0 the norm is the largest eigenvalue (negating the
+        # off-diagonals is a similarity, so |lowest| <= top when the diagonal
+        # is >= 0); the Sturm counts below isolate it, in rationals at q0,
+        # within 1e-12 relative of the estimate
+        sp = OneParticleSpace.orthonormal(1, ScalarRing(q0))
+        x = field_operator([Fraction(1)], MatrixGauge([[c]]) if c else None, None)
+        est = operator_norm_estimate(x, sp, depth)
+        q_ints = [sum(Fraction(q0) ** k for k in range(n)) for n in range(depth + 1)]
+        diag = [c * b for b in q_ints]
+        eps = Fraction(est) / 10 ** 12
+        assert eigenvalues_above(Fraction(est) - eps, diag, q_ints) == 1
+        assert eigenvalues_above(Fraction(est) + eps, diag, q_ints) == 0
+
+    def test_grid_model_letter_field_exceeds_the_cutoff(self):
+        # estimates run on point-set algebras: on a grid model, a letter's
+        # gauge multiplies the top power past the degree cutoff
+        atoms = [(-1, Fraction(1, 4)), (0, Fraction(1, 2)), (1, Fraction(1, 4))]
+        model = ProcessModel(ScalarRing(Fraction(3, 10)),
+                             MomentSequence.from_measure(atoms, 6),
+                             TimeGrid.uniform(1, 2), 3, 2)
+        with pytest.raises(CutoffExceededError,
+                           match="letter product degree 4 exceeds cutoff 3"):
+            operator_norm_estimate(model.prefix_letter(1).field(), model.space, 2)
+
+
+def eigenvalues_above(x, diag, off2):
+    """The number of eigenvalues above x of the Jacobi matrix with diagonal
+    diag[0..d] and squared off-diagonals off2[1..d]: the sign changes of the
+    Sturm sequence of its leading minors p_k(x) = det(x - J_k), in exact
+    rationals; x must be no zero of any p_k."""
+    prev, cur = Fraction(1), x - diag[0]
+    signs = [1, cur]
+    for a, b2 in zip(diag[1:], off2[1:]):
+        prev, cur = cur, (x - a) * cur - b2 * prev
+        signs.append(cur)
+    assert all(signs)
+    return sum((a > 0) != (b > 0) for a, b in zip(signs, signs[1:]))
 
 
 def pn_oracle(gram, n, q0):
@@ -475,14 +532,14 @@ class TestQGram:
         monkeypatch.setattr(fock, "_pn_matrix", counting)
         ring = ScalarRing(Fraction(3, 10))
         sp = OneParticleSpace.orthonormal(2, ring)
-        assert sp.pn_factors == {}
+        assert sp.pn_blocks == {}
         op = matrix_gauge([[Fraction(1), Fraction(0)],
                            [Fraction(0), Fraction(2)]])
         first = operator_norm_estimate(op, sp, 3)
-        assert built == [0, 1, 2, 3] and sorted(sp.pn_factors) == [0, 1, 2, 3]
+        assert built == [0, 1, 2, 3] and sorted(sp.pn_blocks) == [0, 1, 2, 3]
         assert operator_norm_estimate(op, sp, 3) == first
         assert built == [0, 1, 2, 3]
-        assert OneParticleSpace.orthonormal(2, ring).pn_factors == {}
+        assert OneParticleSpace.orthonormal(2, ring).pn_blocks == {}
 
     def test_no_module_cache(self):
         assert not hasattr(fock, "_PN_MATRIX_CACHE")
