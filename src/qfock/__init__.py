@@ -19,13 +19,12 @@ from .partitions import (ExtendedPartition, SetPartition, enumerate_partitions,
 from .qscalar import (EXACT, ONE, ZERO, QScalar, ScalarRing, const, q_fact,
                       q_fact_ratio, q_int, q_pow)
 from .stochastic import (AdaptedProcess, BiProcess, ConvergenceTable,
-                         ProcessFamily, StepFunction, biprocess_inner,
-                         biprocess_integral, chaos_decompose,
-                         conditional_expectation, delta_process, ito_integral,
-                         ito_isometry_rhs,
+                         ProcessFamily, biprocess_inner, biprocess_integral,
+                         chaos_decompose, conditional_expectation,
+                         delta_process, ito_integral, ito_isometry_rhs,
                          l2q_inner, multiple_integral, power_decomposition,
                          psi_closed, st_pi_closed, st_pi_convergence,
-                         st_pi_corollary_form, st_pi_discrete,
+                         st_pi_corollary_form, st_pi_discrete, step_rectangle,
                          traciality_witness, two_sided_closed,
                          two_sided_defect_vector, two_sided_discrete,
                          x_process, yhat_process)

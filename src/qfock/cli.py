@@ -22,15 +22,15 @@ from .kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
 from .model import WeightedPointAlgebra, MomentSequence, ProcessModel, TimeGrid
 from .partitions import SetPartition
 from .qscalar import EXACT, ONE, QScalar, ScalarRing, const, q_fact_ratio, q_pow
-from .stochastic import (AdaptedProcess, BiProcess, StepFunction,
-                         biprocess_inner, biprocess_integral,
-                         conditional_expectation, delta_process, ito_integral,
-                         ito_isometry_rhs, l2q_inner, multiple_integral,
-                         power_decomposition, psi_closed, st_pi_closed,
-                         st_pi_convergence, st_pi_corollary_form,
-                         traciality_witness,
-                         two_sided_closed, two_sided_defect_vector,
-                         two_sided_discrete, x_process, yhat_process)
+from .stochastic import (AdaptedProcess, BiProcess, biprocess_inner,
+                         biprocess_integral, conditional_expectation,
+                         delta_process, ito_integral, ito_isometry_rhs,
+                         l2q_inner, multiple_integral, power_decomposition,
+                         psi_closed, st_pi_closed, st_pi_convergence,
+                         st_pi_corollary_form, step_rectangle,
+                         traciality_witness, two_sided_closed,
+                         two_sided_defect_vector, two_sided_discrete,
+                         x_process, yhat_process)
 from .wick import (WickElement, product_expansion, vacuum_expectation,
                    vacuum_vector, vacuum_moment)
 
@@ -87,6 +87,10 @@ def rand_vector(rng: random.Random, dim: int) -> list[Fraction]:
     return [rand_fraction(rng) for _ in range(dim)]
 
 
+# the coefficients a commutation row draws for its basis words, none zero
+NONZERO = tuple(const(c) for c in (-3, -2, -1, 1, 2, 3))
+
+
 def rand_gram(rng: random.Random, dim: int) -> list[list[Fraction]]:
     g = [[Fraction(0)] * dim for _ in range(dim)]
     for i in range(dim):
@@ -129,10 +133,20 @@ def _scalar_row(name: str, params: str, diff: QScalar) -> IdentityRow:
 def commutation_relation(sub: random.Random, dim: int, q: QScalar
                          ) -> tuple[OneParticleSpace, FockOperator, FockOperator]:
     """A random gram on dim basis vectors and the two sides of
-    a(zeta) a*(eta) - q a*(eta) a(zeta) = <zeta, eta> Id, zeta and eta random."""
-    space = OneParticleSpace(dim, rand_gram(sub, dim))
+    a(zeta) a*(eta) - q a*(eta) a(zeta) = <zeta, eta> Id, zeta and eta random.
+
+    So that the q term cannot vanish, a zero gram is redrawn, then zeta while
+    its pairing row is empty, and eta while it is zero."""
+    gram = rand_gram(sub, dim)
+    while not any(any(row) for row in gram):
+        gram = rand_gram(sub, dim)
+    space = OneParticleSpace(dim, gram)
     zeta = sparse_vector(rand_vector(sub, dim))
+    while not space.pair_ints(zeta)[1]:
+        zeta = sparse_vector(rand_vector(sub, dim))
     eta = sparse_vector(rand_vector(sub, dim))
+    while not eta:
+        eta = sparse_vector(rand_vector(sub, dim))
     lhs = (FockOperator.annihilation(zeta) * FockOperator.creation(eta)
            - FockOperator.compose([FockOperator.creation(eta),
                                    FockOperator.annihilation(zeta)]).scale(q))
@@ -140,16 +154,16 @@ def commutation_relation(sub: random.Random, dim: int, q: QScalar
     return space, lhs, rhs
 
 
-def commutation_residual(space: OneParticleSpace, lhs: FockOperator,
-                         rhs: FockOperator) -> FockVector:
-    """lhs - rhs on the sum of the basis words of length 1-4, in a depth-5
-    space: by linearity, the sum of the residuals of the words one by one."""
+def commutation_residual(sub: random.Random, space: OneParticleSpace,
+                         lhs: FockOperator, rhs: FockOperator) -> FockVector:
+    """lhs - rhs on a vector with a coefficient drawn from NONZERO by sub
+    on every basis word of length 1-4, in a depth-5 space."""
     words = [()]
-    ones = {}
+    terms = {}
     for _ in range(4):
         words = [w + (i,) for w in words for i in range(space.dim)]
-        ones.update(dict.fromkeys(words, ONE))
-    return apply(lhs - rhs, FockVector(space, 5, ones))
+        terms.update((w, sub.choice(NONZERO)) for w in words)
+    return apply(lhs - rhs, FockVector(space, 5, terms))
 
 
 def suite_commutation(rng: random.Random) -> list[IdentityRow]:
@@ -158,7 +172,7 @@ def suite_commutation(rng: random.Random) -> list[IdentityRow]:
     for seed in range(20):
         sub = random.Random(rng.randrange(2 ** 32) + seed)
         dim = 1 + seed % 3
-        diff = commutation_residual(*commutation_relation(sub, dim, q_pow(1)))
+        diff = commutation_residual(sub, *commutation_relation(sub, dim, q_pow(1)))
         rows.append(_vector_row("commutation", f"seed={seed},dim={dim}", diff))
     return rows
 
@@ -208,10 +222,10 @@ def suite_isometry(rng: random.Random) -> list[IdentityRow]:
     xs = [x_process(model)] * 3
     rows = []
     # isometry on a few off-diagonal rectangles, arity 2 and 3
-    fs = [StepFunction.rectangle(model, [(0, Fraction(1, 4)),
-                                         (Fraction(1, 4), Fraction(1, 2))]),
-          StepFunction.rectangle(model, [(0, Fraction(1, 2)),
-                                         (Fraction(1, 2), 1)]).scale(const(2))]
+    fs = [step_rectangle(model, [(0, Fraction(1, 4)),
+                                 (Fraction(1, 4), Fraction(1, 2))]),
+          step_rectangle(model, [(0, Fraction(1, 2)),
+                                 (Fraction(1, 2), 1)]).scale(const(2))]
     om = vacuum_vector(model)
     for i, f in enumerate(fs):
         for j, g in enumerate(fs):
@@ -219,9 +233,9 @@ def suite_isometry(rng: random.Random) -> list[IdentityRow]:
                          apply(multiple_integral(g, xs[:2]), om))
             rows.append(_scalar_row("integral_isometry", f"arity=2,f={i},g={j}",
                                     lhs - l2q_inner(f, g)))
-    f3 = StepFunction.rectangle(model, [(0, Fraction(1, 4)),
-                                        (Fraction(1, 4), Fraction(1, 2)),
-                                        (Fraction(1, 2), Fraction(3, 4))])
+    f3 = step_rectangle(model, [(0, Fraction(1, 4)),
+                                (Fraction(1, 4), Fraction(1, 2)),
+                                (Fraction(1, 2), Fraction(3, 4))])
     lhs = innerq(apply(multiple_integral(f3, xs), om),
                  apply(multiple_integral(f3, xs), om))
     rows.append(_scalar_row("integral_isometry", "arity=3",
@@ -229,11 +243,11 @@ def suite_isometry(rng: random.Random) -> list[IdentityRow]:
 
     # chaos orthogonality for distinct multisets of polynomial degrees
     procs = {k: yhat_process(model, k) for k in (1, 2, 3)}
-    f2 = StepFunction.rectangle(model, [(0, Fraction(1, 4)),
-                                        (Fraction(1, 4), Fraction(1, 2))])
+    f2 = step_rectangle(model, [(0, Fraction(1, 4)),
+                                (Fraction(1, 4), Fraction(1, 2))])
     multis = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 2)]
     vecs = {}
-    f1 = StepFunction.rectangle(model, [(0, Fraction(1, 4))])
+    f1 = step_rectangle(model, [(0, Fraction(1, 4))])
     for u in multis:
         fu = f1 if len(u) == 1 else f2
         vecs[u] = apply(multiple_integral(fu, [procs[k] for k in u]), om)
@@ -602,8 +616,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     # a command's parser registers only the flags that command reads
     if getattr(args, "model", None):
         try:
-            text = Path(args.model).read_text()
-        except OSError as exc:
+            text = Path(args.model).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read model file: {exc}") from exc
     # flags win over file keys: the key each given flag sets -> the flag
     given = {key: name for name, (key, _, _) in FLAGS.items()
@@ -618,15 +632,26 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 source = f"--{given[key]}" if key in given else f"model key {key}"
                 raise UsageError(f"{source} does not apply to a point-set model")
     run = {RUN_KEYS[key]: values.pop(key) for key in RUN_KEYS if key in values}
-    return RunConfig(values, Path(args.out) if args.out else None, **run)
+    out_dir = Path(args.out) if args.out else None
+    if out_dir is not None:
+        # before any work, so an unusable --out costs none
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create output directory: {exc}") from exc
+    return RunConfig(values, out_dir, **run)
 
 
 def _emit(lines: list[str], out_dir: Path | None, name: str) -> None:
+    """The report on stdout, and into out_dir when given; the file is
+    written first, so a report that cannot be written is not printed."""
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / name).write_text(text)
+        try:
+            (out_dir / name).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write report: {exc}") from exc
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -393,13 +393,14 @@ def innerq(u: FockVector, v: FockVector) -> QScalar:
 
 class Gauge:
     """Protocol for the one-particle action inside a gauge operator, the
-    multiplication by a real function (`model._LetterGauge`): `den` is a
-    positive int, and column(i) the (j, int numerator) pairs of T e_i over
-    den, in increasing j.  A column is computed when it is asked for, so an
-    implementation can refuse one lazily.  A gauge is symmetric for the
-    ambient gram form by contract, so it is its own adjoint.
+    multiplication by a real function (a `model.Letter` is its own): `den`
+    is a positive int, and column(i) the (j, int numerator) pairs of T e_i
+    over den, in increasing j.  A column is computed when it is asked for,
+    so an implementation can refuse one lazily.  A gauge is symmetric for
+    the ambient gram form by contract, so it is its own adjoint.
     """
 
+    __slots__ = ()
     den: int
 
     def column(self, i: int) -> Sequence[tuple[int, int]]:
@@ -487,17 +488,15 @@ class FockOperator:
         return FockOperator.opsum([self, other])
 
     def __sub__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator.opsum([self, other.scale_by(-1)])
+        return FockOperator.opsum([self, other.scale(-ONE)])
 
     def __mul__(self, other: "FockOperator") -> "FockOperator":
         return FockOperator.compose([self, other])
 
     def scale(self, c: QScalar) -> "FockOperator":
-        return FockOperator.compose([FockOperator.scalar(c), self])
-
-    def scale_by(self, x) -> "FockOperator":
-        """Scale by a rational."""
-        return FockOperator("compose", None, (FockOperator.scalar(const(x)), self))
+        """c times self: one composition node over self, which stays whole,
+        so a shared node stays shared."""
+        return FockOperator("compose", None, (FockOperator.scalar(c), self))
 
     def pairing(self, space: OneParticleSpace) -> tuple[int, dict[int, int]]:
         """An annihilation node's payload on a space: `space.pair_ints` of
@@ -732,20 +731,18 @@ def _pn_matrix(dim: int, n: int, q0: float, rows):
     entry (w, w') is <w, P_n w'>_0, words in lexicographic order.  The gram
     comes as one row per basis index, dense or sparse.
 
-    Bozejko-Speicher: P_m = (1 (x) P_{m-1}) R_m (see _slot_sum), so P_n is n
-    numpy products from P_0 = 1; the gram part is G^{(x)n}.
+    Bozejko-Speicher: P_m = (1 (x) P_{m-1}) R_m (see _slot_sum), and
+    G^{(x)m} (1 (x) P_{m-1}) = G (x) (G^{(x)(m-1)} P_{m-1}), so the product
+    is n numpy products from degree 0, Gram_m = (G (x) Gram_{m-1}) R_m.
     """
     import numpy as np
 
     g = np.array([[float(r.get(i, 0)) for i in range(dim)]
                   for r in map(dict, map(sparse_vector, rows))])
-    eye = np.eye(dim)
-    p = np.ones((1, 1))
-    gn = np.ones((1, 1))
+    gram = np.ones((1, 1))
     for m in range(1, n + 1):
-        p = np.kron(eye, p) @ _slot_sum(dim, m, q0)
-        gn = np.kron(gn, g)
-    return gn @ p
+        gram = np.kron(g, gram) @ _slot_sum(dim, m, q0)
+    return gram
 
 
 def _pn_blocks(space: OneParticleSpace, n: int):

@@ -24,15 +24,17 @@ point, to its space and keeps no copy.
 
 Each algebra owns the caches of its letters, so they are freed with it: the
 intern table `letters` (one Letter per canonical payload, so letters compare
-and hash by identity), each letter's int payload, gauge and the int columns
-it builds (for every node and space), field node, int pairing row and
-products, and `wick_cache` (wick.py), keyed by words of letters.
+and hash by identity), each letter's int payload, the int gauge columns it
+builds (for every node and space, as a letter is its own gauge), field node,
+int pairing row and products, and `wick_cache` (wick.py), keyed by words of
+letters.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CutoffExceededError, DegeneracyError, UsageError
@@ -117,6 +119,13 @@ class TimeGrid:
     def width(self, i: int) -> Fraction:
         return self.widths[i]
 
+    @cached_property
+    def space(self) -> OneParticleSpace:
+        """The space of step functions: one basis vector per atom, of norm²
+        its width, orthogonal to the others."""
+        return OneParticleSpace(self.n_atoms,
+                                [((a, w),) for a, w in enumerate(self.widths)])
+
     def mesh(self) -> Fraction:
         return max(self.widths)
 
@@ -139,7 +148,7 @@ class TimeGrid:
 # letters
 
 
-class Letter:
+class Letter(Gauge):
     """A generator symbol: one-particle vector + gauge action + mean.
 
     The payload is the letter's one-particle vector xi itself, a canonical
@@ -154,15 +163,21 @@ class Letter:
     (`wick_cache`, the product and vacuum-moment memos) hashes object ids,
     not Fractions.  Letters from different algebra instances never mix.
 
+    A letter is its own gauge (`fock.Gauge`): multiplication by it,
+    gram-symmetric as the letter is real.  Column i is the algebra's basis
+    product of its int payload with e_i, over its denominator `den`, kept in
+    `columns` from its first use, so a degree overflow fires only when an
+    offending column is used, and at every such use.
+
     Each letter keeps, built once and freed with its algebra: its payload
-    as (den, ((i, int numerator), ...)) (`ints`); its gauge (`gauge`); its
-    field node (`field`), whose creation and annihilation leaves hold its
-    payload and its pairing row as ints per space; that pairing row
-    (`pairing`), which `letter_pair` reads with the other letter's `ints`;
-    and its products with other letters.
+    as (den, ((i, int numerator), ...)) (`ints`); its gauge columns
+    (`columns`); its field node (`field`), whose creation and annihilation
+    leaves hold its payload and its pairing row as ints per space; that
+    pairing row (`pairing`), which `letter_pair` reads with the other
+    letter's `ints`; and its products with other letters.
     """
 
-    __slots__ = ("algebra", "payload", "ints", "_gauge", "_field", "_row",
+    __slots__ = ("algebra", "payload", "ints", "columns", "_field", "_row",
                  "_products")
 
     def __new__(cls, algebra, payload: SparseVector) -> "Letter":
@@ -174,18 +189,27 @@ class Letter:
             self.payload = payload
             den, nums = int_numerators(c for _, c in payload)
             self.ints = den, tuple((i, z) for (i, _), z in zip(payload, nums))
-            self._gauge = self._field = self._row = None
+            self.columns = {}  # basis index -> its gauge column
+            self._field = self._row = None
             self._products = {}  # other letter -> self * other
         return self
 
     def xi(self) -> SparseVector:
         return self.algebra.xi(self.payload)
 
-    def gauge(self) -> Gauge | None:
-        """Multiplication by the letter (see _LetterGauge), kept; None for 0."""
-        if self._gauge is None and self.payload:
-            self._gauge = _LetterGauge(self)
-        return self._gauge
+    @property
+    def den(self) -> int:
+        return self.ints[0]
+
+    def column(self, i: int) -> tuple[tuple[int, int], ...]:
+        col = self.columns.get(i)
+        if col is None:
+            col = self.columns[i] = self.algebra.basis_product(self.ints[1], i)
+        return col
+
+    def gauge(self) -> Letter | None:
+        """Multiplication by the letter: the letter itself; None for 0."""
+        return self if self.payload else None
 
     def mean(self) -> Fraction:
         return self.algebra.mean(self.payload)
@@ -213,7 +237,7 @@ class Letter:
 
     def __mul__(self, other: "Letter") -> "Letter":
         """The bilinear extension of the algebra's basis product, the one the
-        letter gauge's columns use: the sum of c (other e_i) over self's (i, c)."""
+        gauge columns use: the sum of c (other e_i) over self's (i, c)."""
         self._check(other)
         out = self._products.get(other)
         if out is None:
@@ -261,24 +285,6 @@ def _basis_letter(algebra, i: int) -> Letter:
     if not 0 <= i < algebra.space.dim:
         raise UsageError(f"basis index {i} out of range")
     return Letter(algebra, ((i, _ONE),))
-
-
-class _LetterGauge(Gauge):
-    """Multiplication by a letter, gram-symmetric as the letter is real:
-    column i is the algebra's basis product of the letter's int payload
-    with e_i, kept from its first use, so a degree overflow fires only when
-    an offending column is used, and at every such use."""
-
-    def __init__(self, letter: Letter):
-        self.algebra = letter.algebra
-        self.den, self.payload = letter.ints
-        self.columns: dict[int, tuple[tuple[int, int], ...]] = {}
-
-    def column(self, i: int) -> tuple[tuple[int, int], ...]:
-        col = self.columns.get(i)
-        if col is None:
-            col = self.columns[i] = self.algebra.basis_product(self.payload, i)
-        return col
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
 from math import log
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import UsageError, check_size
-from .fock import (FockOperator, FockVector, OneParticleSpace, adjoint, apply,
-                   innerq)
+from .fock import FockOperator, FockVector, adjoint, apply, innerq
 from .model import Interval, Letter, ProcessModel, monic_op_coefficients
 from .partitions import (ExtendedPartition, SetPartition,
                          enumerate_partitions, index_tuples, rc)
-from .qscalar import ONE, ZERO, QScalar, add_scaled, const, q_pow
+from .qscalar import ONE, ZERO, QScalar, const, q_pow
 from .wick import WickElement, vacuum_vector, wick_operator, word_vector
 
 MAX_POWER_N = 6  # power_decomposition sums over the Bell(n) partitions
@@ -29,66 +29,35 @@ MAX_POWER_N = 6  # power_decomposition sums over the Bell(n) partitions
 
 # ---------------------------------------------------------------------------
 # step functions and the q-inner product on them
+#
+# A step function of arity n is a homogeneous FockVector of depth n on its
+# grid's space (`TimeGrid.space`): a tensor over the atoms, every word of
+# length n, each atom of norm² its width.
 
 
-class StepFunction:
-    """A finitely supported function on n-tuples of grid atoms."""
-
-    def __init__(self, model: ProcessModel, arity: int,
-                 values: dict[tuple[int, ...], QScalar]):
-        self.model = model
-        self.arity = arity
-        self.values: dict[tuple[int, ...], QScalar] = {}
-        for tup, c in values.items():
-            if len(tup) != arity:
-                raise UsageError(f"tuple {tup} does not have arity {arity}")
-            if any(not 0 <= a < model.grid.n_atoms for a in tup):
-                raise UsageError(f"atom index out of range in {tup}")
-            if not c.is_zero:
-                self.values[tup] = c
-
-    @staticmethod
-    def rectangle(model: ProcessModel, intervals: Sequence[Interval]) -> "StepFunction":
-        """The indicator of I_1 x ... x I_n."""
-        grids = [model.grid.atoms_in(i) for i in intervals]
-        values: dict[tuple[int, ...], QScalar] = {}
-
-        def rec(prefix: tuple[int, ...]):
-            if len(prefix) == len(grids):
-                values[prefix] = ONE
-                return
-            for a in grids[len(prefix)]:
-                rec(prefix + (a,))
-
-        rec(())
-        return StepFunction(model, len(grids), values)
-
-    def is_off_diagonal(self) -> bool:
-        return all(len(set(t)) == len(t) for t in self.values)
-
-    def scale(self, c: QScalar) -> "StepFunction":
-        return StepFunction(self.model, self.arity, add_scaled({}, self.values, c))
-
-    def __add__(self, other: "StepFunction") -> "StepFunction":
-        if other.model is not self.model or other.arity != self.arity:
-            raise UsageError("mismatched step functions")
-        return StepFunction(self.model, self.arity,
-                            add_scaled(dict(self.values), other.values))
+def step_rectangle(model: ProcessModel, intervals: Sequence[Interval]) -> FockVector:
+    """The indicator of I_1 x ... x I_n."""
+    grid = model.grid
+    return FockVector(grid.space, len(intervals),
+                      dict.fromkeys(product(*map(grid.atoms_in, intervals)), ONE))
 
 
-def l2q_inner(f: StepFunction, g: StepFunction) -> QScalar:
+def _arity(f: FockVector) -> int:
+    """The arity of a step function: its depth, the length of every word."""
+    for tup in f.terms:
+        if len(tup) != f.depth:
+            raise UsageError(f"tuple {tup} does not have arity {f.depth}")
+    return f.depth
+
+
+def l2q_inner(f: FockVector, g: FockVector) -> QScalar:
     """The q-symmetrized overlap sum Σ_σ q^{i(σ)} ∫ F(t) G(t∘σ): the q-Fock
-    product of F and G as tensors over the atoms, each atom of norm² its
-    width."""
-    if f.model is not g.model:
-        raise UsageError("step functions on different models")
-    if f.arity != g.arity:
-        raise UsageError(f"arity mismatch: {f.arity} vs {g.arity}")
-    grid = f.model.grid
-    space = OneParticleSpace(
-        grid.n_atoms, [((a, grid.width(a)),) for a in range(grid.n_atoms)])
-    return innerq(FockVector(space, f.arity, f.values),
-                  FockVector(space, g.arity, g.values))
+    product of F and G as tensors over the atoms."""
+    if f.space is not g.space:
+        raise UsageError("step functions on different grids")
+    if _arity(f) != _arity(g):
+        raise UsageError(f"arity mismatch: {f.depth} vs {g.depth}")
+    return innerq(f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +121,17 @@ def yhat_process(model: ProcessModel, k: int) -> ProcessFamily:
 # multiple Wiener-Itô integrals
 
 
-def multiple_integral(f: StepFunction, procs: Sequence[ProcessFamily]) -> FockOperator:
+def multiple_integral(f: FockVector, procs: Sequence[ProcessFamily]) -> FockOperator:
     """Σ_u F(u) proc_1(I_{u(1)}) ... proc_n(I_{u(n)}), off-diagonal F only."""
-    if len(procs) != f.arity:
-        raise UsageError(f"need {f.arity} integrator processes, got {len(procs)}")
-    if not f.is_off_diagonal():
+    n = _arity(f)
+    if len(procs) != n:
+        raise UsageError(f"need {n} integrator processes, got {len(procs)}")
+    if any(p.model.grid.space is not f.space for p in procs):
+        raise UsageError("step function and processes on different grids")
+    if any(len(set(tup)) != n for tup in f.terms):
         raise UsageError("multiple integrals require off-diagonal support")
     terms = []
-    for tup, c in f.values.items():
+    for tup, c in f.terms.items():
         factors = [procs[i].letter(a).field() for i, a in enumerate(tup)]
         terms.append(FockOperator.compose(factors).scale(c))
     return FockOperator.opsum(terms)
@@ -362,24 +334,23 @@ def _monomials_in_op_basis(model: ProcessModel) -> list[list[Fraction]]:
     return gamma
 
 
-def chaos_decompose(v: FockVector, model: ProcessModel) -> dict[tuple[int, ...], StepFunction]:
+def chaos_decompose(v: FockVector, model: ProcessModel) -> dict[tuple[int, ...], FockVector]:
     """Expand v in the basis {atoms ⊗ monic orthogonal polynomials}: the
     degree-n term of the multi-index u is the step function F_u with
     v = Σ_u Σ_{a⃗} F_u(a⃗) ⊗_i (e-letter of P_{u(i)-1} on atom a_i)."""
     if v.space != model.space:
         raise UsageError("vector does not live on this model's space")
     gamma = _monomials_in_op_basis(model)
-    out: dict[tuple[int, ...], dict[tuple[int, ...], QScalar]] = {}
+    out: dict[tuple[int, ...], FockVector] = {}
     for word, c in v.terms.items():
         slots = [model.atom_power(i) for i in word]
+        atoms = tuple(a for a, _ in slots)
 
         def rec(pos: int, u: tuple[int, ...], coeff: Fraction):
             if pos == len(slots):
-                bucket = out.setdefault(u, {})
-                atoms = tuple(a for a, _ in slots)
-                cur = bucket.get(atoms)
-                add = c * const(coeff)
-                bucket[atoms] = add if cur is None else cur + add
+                if u not in out:
+                    out[u] = FockVector(model.grid.space, len(u))
+                out[u].add_term(atoms, c * const(coeff))
                 return
             _, k = slots[pos]
             for j in range(1, k + 1):
@@ -387,8 +358,7 @@ def chaos_decompose(v: FockVector, model: ProcessModel) -> dict[tuple[int, ...],
                     rec(pos + 1, u + (j,), coeff * gamma[k][j])
 
         rec(0, (), Fraction(1))
-    return {u: StepFunction(model, len(u), vals) for u, vals in out.items()
-            if any(not c.is_zero for c in vals.values())}
+    return {u: f for u, f in out.items() if not f.is_zero}
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +370,14 @@ def _atom_end(model: ProcessModel, i: int) -> Fraction:
     return model.grid.atoms[model.atom_power(i)[0]][1]
 
 
-def _letter_end(letter: Letter) -> Fraction:
-    """Latest time touched by a letter's support."""
-    return max((_atom_end(letter.algebra, i) for i, _ in letter.payload),
-               default=Fraction(0))
+def _check_adapted(values: Iterable[WickElement], start: Fraction,
+                   message: str) -> None:
+    """Refuse values with a letter whose support reaches past start."""
+    for u in values:
+        for word in u.terms:
+            for letter in word:
+                if any(_atom_end(letter.algebra, i) > start for i, _ in letter.payload):
+                    raise UsageError(message)
 
 
 class AdaptedProcess:
@@ -418,12 +392,8 @@ class AdaptedProcess:
             a, b = Fraction(a), Fraction(b)
             if u.algebra is not model:
                 raise UsageError("process values from a different model")
-            for word in u.terms:
-                for letter in word:
-                    if _letter_end(letter) > a:
-                        raise UsageError(
-                            f"process value on [{a},{b}) uses letters past {a}: "
-                            "not adapted")
+            _check_adapted((u,), a, f"process value on [{a},{b}) uses letters "
+                                    f"past {a}: not adapted")
             self.pieces.append(((a, b), u))
         intervals = sorted(i for i, _ in self.pieces)
         for (_, b1), (a2, _) in zip(intervals, intervals[1:]):
@@ -525,13 +495,8 @@ class BiProcess:
         self.pieces = []
         for (a, b), pairs in pieces:
             a, b = Fraction(a), Fraction(b)
-            for left, right in pairs:
-                for element in (left, right):
-                    for word in element.terms:
-                        for letter in word:
-                            if _letter_end(letter) > a:
-                                raise UsageError(
-                                    f"bi-process value on [{a},{b}) not adapted")
+            _check_adapted(chain.from_iterable(pairs), a,
+                           f"bi-process value on [{a},{b}) not adapted")
             self.pieces.append(((a, b), tuple(pairs)))
 
     def decomposition(self) -> tuple[Interval, ...]:

@@ -14,8 +14,7 @@ from qfock.fock import FockOperator, FockVector
 from qfock.model import ProcessModel
 from qfock.partitions import ExtendedPartition, SetPartition, rc
 from qfock.qscalar import ZERO, const, q_pow
-from qfock.stochastic import (StepFunction, delta_process, psi_closed,
-                              yhat_process)
+from qfock.stochastic import delta_process, psi_closed, yhat_process
 from qfock.wick import wick_operator, word_vector
 
 
@@ -80,11 +79,11 @@ def st_pi_free_form(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
 
 
 def chaos_component_vector(model: ProcessModel, u: tuple[int, ...],
-                           f: StepFunction) -> FockVector:
+                           f: FockVector) -> FockVector:
     """Σ_{a⃗} F_u(a⃗) ⊗_i (Yhat_{u(i)} letter on atom a_i)."""
     procs = {k: yhat_process(model, k) for k in set(u)}
     out = FockVector(model.space, model.fock_depth)
-    for atoms, c in f.values.items():
+    for atoms, c in f.terms.items():
         word = tuple(procs[k].letter(a) for a, k in zip(atoms, u))
         out = out + word_vector(model, word, model.fock_depth).scale(c)
     return out

@@ -16,15 +16,14 @@ from qfock.kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_he
 from qfock.model import WeightedPointAlgebra, MomentSequence
 from qfock.partitions import SetPartition, enumerate_partitions
 from qfock.qscalar import ONE, QScalar, ScalarRing, const, q_fact_ratio, q_pow
-from qfock.stochastic import (AdaptedProcess, BiProcess, StepFunction,
-                              biprocess_inner, biprocess_integral,
-                              conditional_expectation, delta_process,
-                              ito_integral, ito_isometry_rhs, l2q_inner,
-                              multiple_integral, power_decomposition,
-                              psi_closed, st_pi_closed, st_pi_convergence,
-                              st_pi_corollary_form, two_sided_closed,
-                              two_sided_defect_vector, two_sided_discrete,
-                              x_process)
+from qfock.stochastic import (AdaptedProcess, BiProcess, biprocess_inner,
+                              biprocess_integral, conditional_expectation,
+                              delta_process, ito_integral, ito_isometry_rhs,
+                              l2q_inner, multiple_integral,
+                              power_decomposition, psi_closed, st_pi_closed,
+                              st_pi_convergence, st_pi_corollary_form,
+                              two_sided_closed, two_sided_defect_vector,
+                              two_sided_discrete, x_process)
 from qfock.wick import (WickElement, product_expansion, vacuum_vector,
                         vacuum_moment)
 from stpi_forms import (chaos_component_vector, st_pi_free_form,
@@ -110,20 +109,19 @@ def test_multiple_integral_isometry_and_chaos_orthogonality():
         tuples = [t for t in permutations(range(4), arity)]
         vecs = {}
         for t in tuples:
-            f = StepFunction(model, arity, {t: ONE})
+            f = FockVector(model.grid.space, arity, {t: ONE})
             vecs[t] = apply(multiple_integral(f, procs), om)
         for t1 in tuples:
-            f1 = StepFunction(model, arity, {t1: ONE})
+            f1 = FockVector(model.grid.space, arity, {t1: ONE})
             for t2 in tuples:
-                f2 = StepFunction(model, arity, {t2: ONE})
+                f2 = FockVector(model.grid.space, arity, {t2: ONE})
                 ok = ok and innerq(vecs[t1], vecs[t2]) == l2q_inner(f1, f2)
 
     # chaoses for different polynomial multi-indices are orthogonal
     multis = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (3, 1)]
     comp = {}
     for u in multis:
-        f = StepFunction(model, len(u),
-                         {tuple(range(len(u))): ONE})
+        f = FockVector(model.grid.space, len(u), {tuple(range(len(u))): ONE})
         comp[u] = chaos_component_vector(model, u, f)
     for u in multis:
         for v in multis:

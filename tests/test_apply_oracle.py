@@ -106,11 +106,11 @@ mixed = st.builds(Fraction, st.integers(-6, 6),
 
 
 def cancelling(parts):
-    """c a + b - c a, the first copy of a scaled by `scale_by`, the second
+    """c a + b - c a, the first copy of a scaled by `scale`, the second
     by a scalar node of its own."""
     a, b, c = parts
     return FockOperator("sum", None, (
-        a.scale_by(c),
+        a.scale(const(c)),
         b,
         FockOperator("compose", None, (FockOperator.scalar(const(-c)), a))))
 
@@ -204,7 +204,7 @@ def node(kind, *ops):
 
 
 def scaled(c, op):
-    return op.scale_by(c)
+    return op.scale(const(c))
 
 
 @st.composite

@@ -73,39 +73,56 @@ class TestVerify:
         assert (tmp_path / "verify.csv").read_text() == out
 
 
-def per_word_residual(space, lhs, rhs):
-    """The sum of (lhs - rhs) e_w over the basis words w of length 1-4, one
-    word at a time."""
+def per_word_residual(sub, space, lhs, rhs):
+    """The sum of c_w (lhs - rhs) e_w over the basis words w of length 1-4,
+    one word at a time, each c_w drawn from sub as the batched vector draws
+    it."""
     diff = FockVector(space, 5)
     words = [()]
     for _ in range(4):
         words = [w + (i,) for w in words for i in range(space.dim)]
         for w in words:
-            v = FockVector.basis_word(space, 5, w)
+            v = FockVector.basis_word(space, 5, w).scale(sub.choice(cli.NONZERO))
             for ww, c in (apply(lhs, v) - apply(rhs, v)).terms.items():
                 diff.add_term(ww, c)
     return diff
 
 
 class TestCommutationResidual:
-    # the batched vector is the sum of the per-word residuals, so it sees a
-    # broken relation only where zeta pairs to nonzero with the sum of the
-    # basis vectors and eta is nonzero; every draw of these seeds does (seed
-    # 1 draws a zero gram at dim 2, where a(zeta) = 0 and q does not show)
-    @pytest.mark.parametrize("seed", [0, 2, 3])
+    # the batched vector is the sum of the per-word residuals, each scaled
+    # by its drawn coefficient; the draws redraw a zero gram, a zeta that
+    # pairs to zero with every basis vector and a zero eta, so every draw
+    # sees the q term dropped
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_batched_matches_per_word_loop(self, seed):
         rng = random.Random(seed)
         for dim in (1, 2, 3):
             state = rng.getstate()
             case = cli.commutation_relation(rng, dim, q_pow(1))
-            assert cli.commutation_residual(*case).is_zero
-            assert per_word_residual(*case).is_zero
+            coeffs = rng.getstate()
+            assert cli.commutation_residual(rng, *case).is_zero
+            rng.setstate(coeffs)
+            assert per_word_residual(rng, *case).is_zero
             # the same draw with the q dropped from the relation
             rng.setstate(state)
             broken = cli.commutation_relation(rng, dim, ONE)
-            diff = cli.commutation_residual(*broken)
+            coeffs = rng.getstate()
+            diff = cli.commutation_residual(rng, *broken)
             assert not diff.is_zero
-            assert diff == per_word_residual(*broken)
+            rng.setstate(coeffs)
+            assert diff == per_word_residual(rng, *broken)
+
+    def test_every_verify_row_sees_q_dropped(self, monkeypatch):
+        """With q replaced by 1 in the relation, each of the 320 commutation
+        rows of `verify --seed 0..15` reads nonzero."""
+        monkeypatch.setattr(cli, "q_pow", lambda k: ONE)
+        rows = []
+        for seed in range(16):
+            # commutation is the first suite, so its sub-seed is the first draw
+            sub = random.Random(seed).randrange(2 ** 32)
+            rows.extend(cli.SUITES["commutation"](random.Random(sub)))
+        assert list(cli.SUITES)[0] == "commutation"
+        assert len(rows) == 320 and not any(row.ok for row in rows)
 
 
 # sha256 of full stdout, recorded before the exact scalar kernel moved to
@@ -431,6 +448,41 @@ class TestConfigValues:
         code, _, err = run(capsys, "moments", "--model", str(tmp_path / "none"))
         assert code == 2
         assert err.startswith("error: cannot read model file")
+
+    @pytest.mark.parametrize("command", ["verify", "moments"])
+    def test_model_file_not_utf8_exits_2(self, capsys, tmp_path, command):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_bytes(MODEL_TEXT.encode("utf-16"))
+        code, out, err = run(capsys, command, "--model", str(cfg))
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot read model file")
+
+    @pytest.mark.parametrize("command", ["verify", "moments"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    def test_out_not_a_directory_exits_2(self, capsys, tmp_path, command, below):
+        """An --out that cannot be a directory is refused before any work,
+        so nothing is printed first."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out_dir = blocker / "x" if below else blocker
+        code, out, err = run(capsys, command, "--out", str(out_dir))
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot create output directory")
+
+    @pytest.mark.parametrize("command,report", [("verify", "verify.csv"),
+                                                ("moments", "moments.csv")])
+    def test_unwritable_report_exits_2(self, capsys, tmp_path, command, report):
+        """A report file that cannot be written is a usage error, and the
+        report is not printed either."""
+        (tmp_path / report).mkdir()
+        argv = ["--suite", "moments"] if command == "verify" else []
+        code, out, err = run(capsys, command, *argv, "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write report")
 
     @pytest.mark.parametrize("command,text,key", [
         ("moments", MODEL_TEXT + "nmx = 2\n", "nmx"),

@@ -178,14 +178,14 @@ class TestOperators:
         with pytest.raises(UsageError, match="out of range"):
             apply(op, v)
         with pytest.raises(UsageError, match="out of range"):
-            apply(op.scale_by(3) + FockOperator.identity(), v)
+            apply(op.scale(const(3)) + FockOperator.identity(), v)
 
     def test_scale_by_rational_works_in_float_mode(self):
         # read at the ring's q0, as a float
         ring = ScalarRing(Fraction(1, 2))
         sp = OneParticleSpace.orthonormal(2, ring)
         v = FockVector.vacuum(sp, 1)
-        op = FockOperator.identity().scale_by(Fraction(1, 3))
+        op = FockOperator.identity().scale(const(Fraction(1, 3)))
         assert op.operands[0] == FockOperator.scalar(const(Fraction(1, 3)))
         out = apply(op, v)
         assert out.vacuum_coefficient() == const(Fraction(1, 3))
@@ -206,7 +206,7 @@ class TestOperators:
                 sp = OneParticleSpace(2, gram)
                 v = vec(sp, 3, ((0, 1), 1), ((1,), Fraction(1, 2)))
                 assert apply(op, v) == apply(make(), v)
-                assert apply(op.scale_by(3), v) == apply(make(), v).scale(const(3))
+                assert apply(op.scale(const(3)), v) == apply(make(), v).scale(const(3))
         create = FockOperator.creation([(2, 1)])
         apply(create, FockVector.vacuum(OneParticleSpace.orthonormal(3), 1))
         with pytest.raises(UsageError, match="out of range"):
@@ -386,10 +386,10 @@ class TestNormEstimates:
                            Fraction(1, 2))
         n = operator_norm_estimate(x, sp, 4)
         assert n > 0
-        assert operator_norm_estimate(x.scale_by(2), sp, 4) == pytest.approx(
+        assert operator_norm_estimate(x.scale(const(2)), sp, 4) == pytest.approx(
             2 * n, rel=1e-12)
         half = FockOperator.compose([FockOperator.scalar(const(Fraction(1, 2))),
-                                     x, x.scale_by(-1)])
+                                     x, x.scale(const(-1))])
         assert operator_norm_estimate(half, sp, 4) == pytest.approx(
             operator_norm_estimate(x * x, sp, 4) / 2, rel=1e-12)
 

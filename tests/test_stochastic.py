@@ -12,14 +12,14 @@ from qfock.model import MomentSequence, ProcessModel, TimeGrid
 from qfock.partitions import (MAX_ENUM_N, SetPartition, enumerate_partitions,
                               index_tuples)
 from qfock.qscalar import EXACT, ONE, ZERO, QScalar, ScalarRing, const, q_fact, q_pow
-from qfock.stochastic import (AdaptedProcess, BiProcess, StepFunction,
-                              biprocess_inner, biprocess_integral,
-                              chaos_decompose, conditional_expectation,
-                              delta_process, ito_integral, ito_isometry_rhs,
-                              MAX_POWER_N, l2q_inner, multiple_integral,
+from qfock.stochastic import (AdaptedProcess, BiProcess, biprocess_inner,
+                              biprocess_integral, chaos_decompose,
+                              conditional_expectation, delta_process,
+                              ito_integral, ito_isometry_rhs, MAX_POWER_N,
+                              l2q_inner, multiple_integral,
                               power_decomposition, st_pi_closed,
                               st_pi_convergence, st_pi_corollary_form,
-                              st_pi_discrete,
+                              st_pi_discrete, step_rectangle,
                               two_sided_closed, two_sided_defect_vector,
                               two_sided_discrete, x_process)
 from qfock.wick import WickElement, vacuum_vector, word_vector
@@ -62,13 +62,20 @@ def model():
     return three_point()
 
 
-def l2q_inner_oracle(f: StepFunction, g: StepFunction) -> QScalar:
-    """Σ_u F(u) |u| Σ_σ q^{inv(σ)} G(u∘σ⁻¹), by a sum over S_n on the step
-    functions themselves, with no Fock space."""
-    grid, n = f.model.grid, f.arity
+def step(model, arity, values) -> FockVector:
+    """The step function of arity `arity` on the model's grid with the given
+    values on tuples of atoms."""
+    return FockVector(model.grid.space, arity, values)
+
+
+def l2q_inner_oracle(grid: TimeGrid, f: FockVector, g: FockVector) -> QScalar:
+    """Σ_u F(u) |u| Σ_σ q^{inv(σ)} G(u∘σ⁻¹), by a sum over S_n on the
+    values of the step functions and the widths of the grid's atoms, with
+    no inner product of the Fock space."""
+    n = f.depth
     total = ZERO
     perms = [(s, inversions(s)) for s in sym_group(n)]
-    for u, cf in f.values.items():
+    for u, cf in f.terms.items():
         weight = Fraction(1)
         for a in u:
             weight *= grid.width(a)
@@ -76,7 +83,7 @@ def l2q_inner_oracle(f: StepFunction, g: StepFunction) -> QScalar:
             v = [0] * n
             for i in range(n):
                 v[sigma[i] - 1] = u[i]
-            cg = g.values.get(tuple(v))
+            cg = g.terms.get(tuple(v))
             if cg is not None:
                 total = total + cf * cg * q_pow(inv) * const(weight)
     return total
@@ -84,8 +91,9 @@ def l2q_inner_oracle(f: StepFunction, g: StepFunction) -> QScalar:
 
 @st.composite
 def step_function_pairs(draw):
-    """Two step functions of one arity <= 4 on a random grid, with small
-    rational values and supports that often overlap up to permutation."""
+    """A random grid and two step functions of one arity <= 4 on it, with
+    small rational values and supports that often overlap up to
+    permutation."""
     widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     bounds = [F(0)]
     for w in widths:
@@ -101,50 +109,54 @@ def step_function_pairs(draw):
     # a permuted copy of each support tuple makes the q-terms show up
     for tup in list(f)[:2]:
         g[tuple(reversed(tup))] = F(1)
-    return tuple(StepFunction(model, arity, {t: const(c) for t, c in h.items()})
-                 for h in (f, g))
+    return (model.grid, *(step(model, arity, {t: const(c) for t, c in h.items()})
+                          for h in (f, g)))
 
 
 class TestStepFunctions:
     def test_rectangle_support(self, model):
-        f = StepFunction.rectangle(model, [(0, F(1, 2)), (F(1, 2), 1)])
-        assert set(f.values) == {(a, b) for a in (0, 1) for b in (2, 3)}
-        assert f.is_off_diagonal()
+        f = step_rectangle(model, [(0, F(1, 2)), (F(1, 2), 1)])
+        assert f.space is model.grid.space and f.depth == 2
+        assert f.terms == {(a, b): ONE for a in (0, 1) for b in (2, 3)}
 
     def test_arity_validated(self, model):
-        with pytest.raises(UsageError):
-            StepFunction(model, 2, {(0,): ONE})
+        # a tuple shorter than the arity is refused where it is used
+        f = step(model, 2, {(0,): ONE})
+        with pytest.raises(UsageError, match="does not have arity 2"):
+            l2q_inner(f, f)
+        with pytest.raises(UsageError, match="does not have arity 2"):
+            multiple_integral(f, [x_process(model)] * 2)
 
     def test_l2q_off_diagonal_pair(self, model):
-        f = StepFunction(model, 2, {(0, 1): ONE})
+        f = step(model, 2, {(0, 1): ONE})
         assert l2q_inner(f, f) == const(F(1, 16))
 
     def test_l2q_diagonal_pair_gets_q(self, model):
-        f = StepFunction(model, 2, {(0, 0): ONE})
+        f = step(model, 2, {(0, 0): ONE})
         assert l2q_inner(f, f) == (ONE + q_pow(1)) * const(F(1, 16))
 
     def test_l2q_arity_cap(self, model):
-        f = StepFunction(model, 9, {(0,) * 9: ONE})
+        f = step(model, 9, {(0,) * 9: ONE})
         assert l2q_inner(f, f) == q_fact(9) * const(F(1, 4) ** 9)
         # arity 10 is the first one refused, with or without a q0
         model_at_q0 = three_point(ring=ScalarRing(F(3, 10)))
         for m in (model, model_at_q0):
-            f = StepFunction(m, 10, {tuple(range(4)) * 2 + (0, 1): ONE})
+            f = step(m, 10, {tuple(range(4)) * 2 + (0, 1): ONE})
             with pytest.raises(ResourceBudgetError):
                 l2q_inner(f, f)
 
     @given(step_function_pairs())
     @settings(max_examples=60, deadline=None)
-    def test_l2q_matches_permutation_sum(self, pair):
-        f, g = pair
-        assert l2q_inner(f, g) == l2q_inner_oracle(f, g)
+    def test_l2q_matches_permutation_sum(self, drawn):
+        grid, f, g = drawn
+        assert l2q_inner(f, g) == l2q_inner_oracle(grid, f, g)
 
     def test_l2q_checks_model_and_arity(self, model):
-        f = StepFunction(model, 1, {(0,): ONE})
-        with pytest.raises(UsageError):
-            l2q_inner(f, StepFunction(model, 2, {(0, 1): ONE}))
-        with pytest.raises(UsageError):
-            l2q_inner(f, StepFunction(three_point(), 1, {(0,): ONE}))
+        f = step(model, 1, {(0,): ONE})
+        with pytest.raises(UsageError, match="arity mismatch"):
+            l2q_inner(f, step(model, 2, {(0, 1): ONE}))
+        with pytest.raises(UsageError, match="different grids"):
+            l2q_inner(f, step(three_point(), 1, {(0,): ONE}))
 
 
 class TestProcessFamilies:
@@ -168,8 +180,13 @@ class TestProcessFamilies:
 
 class TestMultipleIntegrals:
     def test_diagonal_support_rejected(self, model):
-        f = StepFunction(model, 2, {(1, 1): ONE})
+        f = step(model, 2, {(1, 1): ONE})
         with pytest.raises(UsageError):
+            multiple_integral(f, [x_process(model)] * 2)
+
+    def test_step_function_on_another_grid_rejected(self, model):
+        f = step(three_point(), 2, {(0, 1): ONE})
+        with pytest.raises(UsageError, match="different grids"):
             multiple_integral(f, [x_process(model)] * 2)
 
     @pytest.mark.parametrize("ivs", [
@@ -179,8 +196,8 @@ class TestMultipleIntegrals:
     ])
     def test_isometry_on_rectangles(self, model, ivs):
         procs = [x_process(model)] * 2
-        f = StepFunction.rectangle(model, ivs)
-        g = StepFunction.rectangle(model, list(reversed(ivs)))
+        f = step_rectangle(model, ivs)
+        g = step_rectangle(model, list(reversed(ivs)))
         om = vacuum_vector(model)
         for h1, h2 in ((f, f), (f, g), (g, g)):
             lhs = innerq(apply(multiple_integral(h1, procs), om),
