@@ -12,14 +12,16 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import QFockError, UsageError
+from .errors import QFockError, UsageError, check_size
 from .fock import (FockOperator, FockVector, OneParticleSpace, apply, innerq,
                    sparse_vector)
 from .kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
-from .model import WeightedPointAlgebra, MomentSequence, ProcessModel, TimeGrid
+from .model import (MomentSequence, ProcessModel, TimeGrid, WeightedPointAlgebra,
+                    ldl_psd)
 from .partitions import SetPartition
 from .qscalar import EXACT, ONE, QScalar, ScalarRing, const, q_fact_ratio, q_pow
 from .stochastic import (AdaptedProcess, BiProcess, biprocess_inner,
@@ -39,36 +41,39 @@ from .wick import (WickElement, product_expansion, vacuum_expectation,
 # canonical models
 
 
-def gaussian_model(n_atoms: int = 2, cutoff: int = 4,
-                   depth: int = 6) -> ProcessModel:
-    """nu = delta_0: r_2 = 1 and all higher moments vanish (q-Brownian)."""
-    moments = MomentSequence([0, 1] + [0] * (2 * cutoff - 2))
-    return ProcessModel(EXACT, moments, TimeGrid.uniform(1, n_atoms), cutoff, depth)
+# the canonical Levy measures nu, as (x, weight) atoms
+GAUSSIAN = ((0, 1),)  # delta_0: r_2 = 1, higher moments 0 (q-Brownian)
+ALL_ONES = ((1, 1),)  # delta_1: every r_k, k >= 2, is 1 (q-Poisson-like)
+# (delta_{-1} + delta_1)/2: r_2 = 1, odd moments 0, nonsingular per-atom
+# gram at cutoff 2
+TWO_POINT = ((-1, Fraction(1, 2)), (1, Fraction(1, 2)))
+# delta_{-1}/4 + delta_0/2 + delta_1/4: orthogonal polynomials exist through
+# degree 2 with nonzero norms
+THREE_POINT = ((-1, Fraction(1, 4)), (0, Fraction(1, 2)), (1, Fraction(1, 4)))
 
 
-def all_ones_model(n_atoms: int = 2, cutoff: int = 5,
-                   depth: int = 6) -> ProcessModel:
-    """nu = delta_1: every moment r_k (k >= 2) equals 1 (q-Poisson-like)."""
-    moments = MomentSequence([0] + [1] * (2 * cutoff - 1))
-    return ProcessModel(EXACT, moments, TimeGrid.uniform(1, n_atoms), cutoff, depth)
+def grid_model(nu: Sequence[tuple], n_atoms: int, cutoff: int, depth: int,
+               ring: ScalarRing = EXACT) -> ProcessModel:
+    """The grid model of the measure nu on n_atoms equal atoms of [0, 1),
+    its moments read through r_{2 cutoff}."""
+    return ProcessModel(ring, MomentSequence.from_measure(nu, 2 * cutoff),
+                        TimeGrid.uniform(1, n_atoms), cutoff, depth)
 
 
-def two_point_model(n_atoms: int = 2, cutoff: int = 2,
-                    depth: int = 6) -> ProcessModel:
-    """nu = (delta_{-1} + delta_1)/2: r_2 = 1, odd moments 0, nonsingular
-    per-atom gram at cutoff 2."""
-    moments = MomentSequence.from_measure([(-1, Fraction(1, 2)), (1, Fraction(1, 2))],
-                                          2 * cutoff)
-    return ProcessModel(EXACT, moments, TimeGrid.uniform(1, n_atoms), cutoff, depth)
+def gaussian_model(n_atoms: int = 2, cutoff: int = 4, depth: int = 6) -> ProcessModel:
+    return grid_model(GAUSSIAN, n_atoms, cutoff, depth)
 
 
-def three_point_model(n_atoms: int = 2, cutoff: int = 3,
-                      depth: int = 6) -> ProcessModel:
-    """nu = delta_{-1}/4 + delta_0/2 + delta_1/4: orthogonal polynomials exist
-    through degree 2 with nonzero norms."""
-    atoms = [(-1, Fraction(1, 4)), (0, Fraction(1, 2)), (1, Fraction(1, 4))]
-    moments = MomentSequence.from_measure(atoms, 2 * cutoff)
-    return ProcessModel(EXACT, moments, TimeGrid.uniform(1, n_atoms), cutoff, depth)
+def all_ones_model(n_atoms: int = 2, cutoff: int = 5, depth: int = 6) -> ProcessModel:
+    return grid_model(ALL_ONES, n_atoms, cutoff, depth)
+
+
+def two_point_model(n_atoms: int = 2, cutoff: int = 2, depth: int = 6) -> ProcessModel:
+    return grid_model(TWO_POINT, n_atoms, cutoff, depth)
+
+
+def three_point_model(n_atoms: int = 2, cutoff: int = 3, depth: int = 6) -> ProcessModel:
+    return grid_model(THREE_POINT, n_atoms, cutoff, depth)
 
 
 def all_ones_pointset() -> WeightedPointAlgebra:
@@ -126,7 +131,8 @@ def _vector_row(name: str, params: str, diff: FockVector) -> IdentityRow:
     return IdentityRow(name, params, False, diff.serialize().replace("\n", "; "))
 
 
-def _scalar_row(name: str, params: str, diff: QScalar) -> IdentityRow:
+def _scalar_row(name: str, params: str, diff: QScalar | NCPolynomial) -> IdentityRow:
+    """A row of a scalar or polynomial residual, which prints 0 when zero."""
     return IdentityRow(name, params, diff.is_zero, str(diff))
 
 
@@ -264,8 +270,8 @@ def suite_stpi(rng: random.Random) -> list[IdentityRow]:
     model = three_point_model(n_atoms=2, cutoff=5, depth=6)
     rows = []
     for n in range(1, 6):
-        rows.append(IdentityRow("power_decomposition", f"n={n}",
-                                power_decomposition(n, 1, model).exact))
+        rows.append(_vector_row("power_decomposition", f"n={n}",
+                                power_decomposition(n, 1, model)))
     om = vacuum_vector(model)
     for blocks in ([[1, 4], [2], [3]], [[1, 2, 4], [3]], [[1, 2, 3, 4]]):
         pi = SetPartition.of(blocks)
@@ -282,16 +288,14 @@ def suite_ks(rng: random.Random) -> list[IdentityRow]:
     rows = []
     for j in range(1, 4):
         for n in range(1, 6):
-            diff = ks_poly((j,) + (1,) * n, moments) - ks_row_formula(j, n, moments)
-            rows.append(IdentityRow("ks_row_formula", f"j={j},n={n}",
-                                    diff.is_zero, str(diff) if not diff.is_zero else "0"))
+            rows.append(_scalar_row("ks_row_formula", f"j={j},n={n}",
+                                    ks_poly((j,) + (1,) * n, moments)
+                                    - ks_row_formula(j, n, moments)))
     h3_target = NCPolynomial({(1, 1, 1): ONE,
                               (1,): -QScalar.parse("2 + q")})
-    rows.append(IdentityRow("q_hermite_3", "x^3-(2+q)x",
-                            (q_hermite(3) - h3_target).is_zero))
+    rows.append(_scalar_row("q_hermite_3", "x^3-(2+q)x", q_hermite(3) - h3_target))
     c2_target = NCPolynomial({(1, 1): ONE, (1,): const(-1), (): const(-1)})
-    rows.append(IdentityRow("q_charlier_2", "x^2-x-1",
-                            (q_charlier(2) - c2_target).is_zero))
+    rows.append(_scalar_row("q_charlier_2", "x^2-x-1", q_charlier(2) - c2_target))
 
     model = three_point_model(n_atoms=2, cutoff=5, depth=6)
     om = vacuum_vector(model)
@@ -406,27 +410,18 @@ SUITES: dict[str, Callable[[random.Random], list[IdentityRow]]] = {
 
 def shipped_experiments() -> list[tuple[str, SetPartition, Callable[[int], ProcessModel], Fraction]]:
     """(label, pi, model factory, q) for the refinement experiments."""
-    def grid_factory(moments_fn, cutoff, q):
-        def make(n_atoms: int) -> ProcessModel:
-            ring = ScalarRing(q)
-            return ProcessModel(ring, moments_fn(), TimeGrid.uniform(1, n_atoms),
-                                cutoff, 6)
-        return make
-
-    ones = lambda c: MomentSequence([0] + [1] * (2 * c - 1))
-    twop = lambda c: MomentSequence.from_measure(
-        [(-1, Fraction(1, 2)), (1, Fraction(1, 2))], 2 * c)
     pair = SetPartition.of([[1, 2]])
     split = SetPartition.of([[1], [2]])
     triple = SetPartition.of([[1, 2, 3]])
     mixed = SetPartition.of([[1, 2], [3]])
-    return [
-        ("pair_free", pair, grid_factory(lambda: ones(2), 2, Fraction(0)), Fraction(0)),
-        ("pair_q_half", pair, grid_factory(lambda: twop(2), 2, Fraction(1, 2)), Fraction(1, 2)),
-        ("split_q_half", split, grid_factory(lambda: twop(2), 2, Fraction(1, 2)), Fraction(1, 2)),
-        ("triple_ones", triple, grid_factory(lambda: ones(3), 3, Fraction(1, 2)), Fraction(1, 2)),
-        ("mixed_ones", mixed, grid_factory(lambda: ones(3), 3, Fraction(1, 3)), Fraction(1, 3)),
-    ]
+    runs = [("pair_free", pair, ALL_ONES, 2, Fraction(0)),
+            ("pair_q_half", pair, TWO_POINT, 2, Fraction(1, 2)),
+            ("split_q_half", split, TWO_POINT, 2, Fraction(1, 2)),
+            ("triple_ones", triple, ALL_ONES, 3, Fraction(1, 2)),
+            ("mixed_ones", mixed, ALL_ONES, 3, Fraction(1, 3))]
+    return [(label, pi, partial(grid_model, nu, cutoff=cutoff, depth=6,
+                                ring=ScalarRing(q)), q)
+            for label, pi, nu, cutoff, q in runs]
 
 
 DEFAULT_SCHEDULE = (4, 8, 16, 32, 64)
@@ -434,6 +429,11 @@ DEFAULT_SCHEDULE = (4, 8, 16, 32, 64)
 
 # ---------------------------------------------------------------------------
 # configuration: one key table for config files and flags
+
+# the grid model's build grows with its atoms x cutoff^2 gram entries, and
+# the largest model these admit has 256 x 32^2 = 262,144 of them
+MAX_DEGREE_CUTOFF = 32
+MAX_GRID_ATOMS = 256
 
 
 def _fraction_list(text: str) -> list[Fraction]:
@@ -456,11 +456,22 @@ def _pair_list(text: str) -> list[tuple[Fraction, Fraction]]:
 
 
 def _grid(text: str) -> TimeGrid:
+    """uniform(T, N), or an explicit boundary list, whose commas count its
+    atoms; the atom count is checked before any boundary is built."""
     if text.startswith("uniform"):
         body = text[len("uniform"):].strip().lstrip("(").rstrip(")")
         t_s, n_s = body.split(",")
-        return TimeGrid.uniform(Fraction(t_s.strip()), int(n_s.strip()))
+        n = int(n_s.strip())
+        check_size("grid atoms", n, MAX_GRID_ATOMS, least=1)
+        return TimeGrid.uniform(Fraction(t_s.strip()), n)
+    check_size("grid atoms", text.count(","), MAX_GRID_ATOMS, least=1)
     return TimeGrid(_fraction_list(text))
+
+
+def _degree_cutoff(text: str) -> int:
+    cutoff = int(text)
+    check_size("degree_cutoff", cutoff, MAX_DEGREE_CUTOFF, least=1)
+    return cutoff
 
 
 def _ring(text: str) -> ScalarRing:
@@ -491,7 +502,7 @@ def _nmax(text: str) -> int:
 # every config key with the converter of its text, in checking order
 KEYS: dict[str, Callable[[str], object]] = {
     "q": _ring,
-    "degree_cutoff": int,
+    "degree_cutoff": _degree_cutoff,
     "fock_depth": int,
     "grid": _grid,
     "moments": _fraction_list,
@@ -574,18 +585,26 @@ def build_model(values: dict) -> ProcessModel | WeightedPointAlgebra:
         raise UsageError(f"config missing keys: {sorted(missing)}")
     degree_cutoff = values["degree_cutoff"]
 
-    n_moments = max(2 * degree_cutoff, 2)
     moments = None
     if "moments" in values:
         moments = MomentSequence(values["moments"])
     if "nu.atoms" in values:
         derived = MomentSequence.from_measure(
-            values["nu.atoms"], moments.K if moments else n_moments)
+            values["nu.atoms"], moments.K if moments else 2 * degree_cutoff)
         if moments is not None and moments.r != derived.r:
             raise UsageError("moments and nu.atoms disagree")
         moments = derived
-    if moments is None:
+    elif moments is None:
         raise UsageError("config needs nu.atoms or moments")
+    else:
+        # a measure's moments make a positive gram; a list's must be checked,
+        # as far as it reaches: the model refuses one short of the cutoff
+        m = min(degree_cutoff, moments.K // 2)
+        try:
+            ldl_psd(moments.hankel(m))
+        except UsageError as exc:
+            raise UsageError(f"moments are not those of a measure: the Hankel "
+                             f"form [r_(j+k)], j, k = 1..{m}, is {exc}") from exc
 
     return ProcessModel(values["q"], moments, values["grid"], degree_cutoff,
                         values["fock_depth"])
@@ -692,7 +711,8 @@ def cmd_moments(config: RunConfig) -> int:
     lines = ["n,moment"]
     algebra = build_model(config.model)
     if isinstance(algebra, WeightedPointAlgebra):
-        letter = algebra.one()
+        # f(x) = x: the compound-Poisson process with jumps at the points
+        letter = algebra.letter(algebra.points)
     else:
         # a closed block of size n multiplies n-1 power-1 letters together
         if config.nmax > algebra.degree_cutoff + 1:

@@ -46,11 +46,11 @@ Bozejko-Speicher factorisation P_n = (1 (x) P_{n-1}) R_n, where
 R_n = sum_k q^k C_k and C_k moves tensor slot k to the front.  `apply_Pn`
 applies it to sparse words on an integer image, and `inner0` sums int
 products of gram entries; each makes its result canonical once.  The float
-q-gram of a norm estimate takes it at q0 as n dense numpy products per
-degree.  Norm estimates keep on the space, per degree n, the dense R_n at
-q0, which their annihilation and gauge blocks multiply, and the Cholesky
-factor of the degree's q-gram block with its inverse, which whiten their
-matrices without a solve.
+q-gram of a norm estimate takes it at q0 by one dense step per degree.
+Norm estimates keep on the space, per degree n, the dense R_n at q0, which
+that step and their annihilation and gauge blocks share, the q-gram, and
+its Cholesky factor with its inverse, which whiten their matrices without
+a solve.
 
 Truncation overflow is always a hard error: identities are asserted only where
 the full result fits under the configured depth.
@@ -114,10 +114,9 @@ class OneParticleSpace:
     keeps its own int pairing row (`pair_ints`, through
     `FockOperator.pairing`) per space it is applied on.
 
-    The space owns one cache, freed with it: `pn_blocks`, keyed by degree n,
-    the float arrays of `operator_norm_estimate` at the ring's q0, built
-    together once per degree (see `_pn_blocks`): the slot sum R_n, the lower
-    Cholesky factor L_n of the degree-n q-gram and its inverse.
+    The space owns one cache, freed with it: `pn_blocks`, a list in degree
+    order of the float arrays of `operator_norm_estimate` at the ring's q0,
+    each degree built once from the one below (see `_pn_blocks`).
     """
 
     def __init__(self, dim: int, gram: Sequence[Sequence], ring: ScalarRing = EXACT):
@@ -140,7 +139,7 @@ class OneParticleSpace:
         # structural hash of the rows
         self.key = object()
         self._classes = self._connected_classes()
-        self.pn_blocks: dict[int, tuple] = {}
+        self.pn_blocks: list[tuple] = []
 
     @staticmethod
     def orthonormal(dim: int, ring: ScalarRing = EXACT) -> "OneParticleSpace":
@@ -726,35 +725,35 @@ def _slot_sum(dim: int, n: int, q0: float):
     return r
 
 
-def _pn_matrix(dim: int, n: int, q0: float, rows):
-    """The 0-gram of degree-n words composed with P_n, as a dense float array:
-    entry (w, w') is <w, P_n w'>_0, words in lexicographic order.  The gram
-    comes as one row per basis index, dense or sparse.
-
-    Bozejko-Speicher: P_m = (1 (x) P_{m-1}) R_m (see _slot_sum), and
-    G^{(x)m} (1 (x) P_{m-1}) = G (x) (G^{(x)(m-1)} P_{m-1}), so the product
-    is n numpy products from degree 0, Gram_m = (G (x) Gram_{m-1}) R_m.
-    """
+def _pn_matrix(g, below, r):
+    """The degree-n q-gram, entry (w, w') = <w, P_n w'>_0 in lexicographic
+    order, from the dense one-particle gram g, the q-gram below and r = R_n:
+    Gram_n = (G (x) Gram_{n-1}) R_n, as P_n = (1 (x) P_{n-1}) R_n (Bozejko-
+    Speicher) and G^{(x)n} (1 (x) P_{n-1}) = G (x) (G^{(x)(n-1)} P_{n-1})."""
     import numpy as np
 
-    g = np.array([[float(r.get(i, 0)) for i in range(dim)]
-                  for r in map(dict, map(sparse_vector, rows))])
-    gram = np.ones((1, 1))
-    for m in range(1, n + 1):
-        gram = np.kron(g, gram) @ _slot_sum(dim, m, q0)
-    return gram
+    return np.kron(g, below) @ r
 
 
-def _pn_blocks(space: OneParticleSpace, n: int):
-    """(R_n, L_n, L_n^{-1}) of degree n at the ring's q0, built together once
-    per space: the slot sum (see _slot_sum), and the lower Cholesky factor
-    of the degree-n q-gram, P_n = L_n L_n^T, with its inverse."""
+def _pn_blocks(space: OneParticleSpace, depth: int) -> list:
+    """The space's blocks of degrees 0..depth at the ring's q0, each
+    (R_n, Gram_n, L_n, L_n^{-1}): the slot sum (see _slot_sum), the q-gram,
+    its lower Cholesky factor and that factor's inverse.  A missing degree
+    is built once, from the one below; the degree-1 q-gram is G itself
+    (P_1 = 1), so the dense G is built once per space and read from there."""
     import numpy as np
 
-    blocks = space.pn_blocks.get(n)
-    if blocks is None:
-        q0 = float(space.ring.q0)
-        gram = _pn_matrix(space.dim, n, q0, space.rows)
+    blocks = space.pn_blocks
+    q0 = float(space.ring.q0)
+    if not blocks:
+        one = np.ones((1, 1))
+        blocks.append((_slot_sum(space.dim, 0, q0), one, one, one))
+    for n in range(len(blocks), depth + 1):
+        g = blocks[1][1] if n > 1 else np.array(
+            [[float(row.get(i, 0)) for i in range(space.dim)]
+             for row in map(dict, space.rows)])
+        r = _slot_sum(space.dim, n, q0)
+        gram = _pn_matrix(g, blocks[-1][1], r)
         try:
             factor = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError as exc:
@@ -762,9 +761,8 @@ def _pn_blocks(space: OneParticleSpace, n: int):
             raise ResourceBudgetError(
                 f"q-gram numerically singular at degree {n} (cond ~ {cond:.3e})"
             ) from exc
-        blocks = space.pn_blocks[n] = (_slot_sum(space.dim, n, q0), factor,
-                                       np.linalg.inv(factor))
-    return blocks
+        blocks.append((r, gram, factor, np.linalg.inv(factor)))
+    return blocks[:depth + 1]
 
 
 def _front(t, r):
@@ -789,6 +787,7 @@ def _compression(op: FockOperator, space: OneParticleSpace, depth: int):
     import numpy as np
 
     dim, q0 = space.dim, space.ring.q0
+    blocks = _pn_blocks(space, depth)
     offsets = [0]
     for n in range(depth + 1):
         offsets.append(offsets[-1] + dim ** n)
@@ -804,7 +803,7 @@ def _compression(op: FockOperator, space: OneParticleSpace, depth: int):
         return v
 
     def slots(t, n: int):
-        return _front(t, _pn_blocks(space, n)[0])
+        return _front(t, blocks[n][0])
 
     def scalar(op: FockOperator) -> float:
         return float(op.payload.subs(q0))
@@ -868,11 +867,11 @@ def operator_norm_estimate(op: FockOperator, space: OneParticleSpace,
     and 180 at q0 = 7/10, degree 7.
 
     The basis may hold at most NORM_WORD_CAP words; a larger request is
-    refused before anything is built, and then degrees 0..depth of the
-    space's blocks are fetched in order.  Estimates run on point-set
-    algebras (`model.WeightedPointAlgebra`): on a grid model, the gauge of
-    a letter, and so its field, multiplies past the degree cutoff at the
-    top power and raises CutoffExceededError.
+    refused before anything is built, and then the space's blocks of
+    degrees 0..depth are fetched.  Estimates run on point-set algebras
+    (`model.WeightedPointAlgebra`): on a grid model, the gauge of a letter,
+    and so its field, multiplies past the degree cutoff at the top power and
+    raises CutoffExceededError.
     """
     import numpy as np
 
@@ -883,10 +882,10 @@ def operator_norm_estimate(op: FockOperator, space: OneParticleSpace,
         raise ResourceBudgetError(
             f"norm estimate at dim {space.dim}, depth {depth} needs {size} basis "
             f"words, over the limit of {NORM_WORD_CAP}")
-    blocks = [_pn_blocks(space, n) for n in range(depth + 1)]
+    blocks = _pn_blocks(space, depth)
     m = _compression(op, space, depth)
     offset = 0
-    for _, f, f_inv in blocks:
+    for _, _, f, f_inv in blocks:
         block = slice(offset, offset + len(f))
         m[block, :] = f.T @ m[block, :]
         m[:, block] = m[:, block] @ f_inv.T

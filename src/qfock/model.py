@@ -409,6 +409,32 @@ def _solve_matrix(a, b):
     return [row[n] for row in m]
 
 
+def ldl_psd(a: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """The exact LDL^T of a symmetric positive semidefinite rational matrix,
+    without pivoting: L unit lower triangular, as rows, and the pivots
+    d_1, ..., d_m >= 0, with a = L diag(d) L^T; a zero pivot keeps the
+    identity's column in L.  A matrix that is not positive semidefinite is
+    a UsageError naming the first pivot that shows it: a negative one, or
+    a zero one over a nonzero column (then a principal 2 x 2 minor
+    [[0, b], [b, c]] has determinant -b^2 < 0)."""
+    m = len(a)
+    s = [[Fraction(x) for x in row] for row in a]  # Schur complements, in place
+    low = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    pivots = []
+    for k in range(m):
+        p = s[k][k]
+        if p < 0 or not p and any(s[i][k] for i in range(k + 1, m)):
+            raise UsageError(f"not positive semidefinite: pivot d_{k + 1} = {p}"
+                             + ("" if p else " over a nonzero column"))
+        pivots.append(p)
+        if p:
+            for i in range(k + 1, m):
+                low[i][k] = c = s[i][k] / p
+                for j in range(k + 1, m):
+                    s[i][j] -= c * s[k][j]
+    return low, pivots
+
+
 def monic_op_coefficients(moments: MomentSequence, degree: int) -> tuple[Fraction, ...]:
     """Coefficients c_0..c_degree (c_degree = 1) of the monic polynomial of
     the given degree orthogonal to all lower degrees under

@@ -244,19 +244,9 @@ def st_pi_corollary_form(pi: SetPartition, t, model: ProcessModel) -> FockOperat
     return psi_closed(procs, t).scale(q_pow(n - k))
 
 
-@dataclass
-class PowerDecomposition:
-    n: int
-    lhs: FockVector
-    rhs: FockVector
-
-    @property
-    def exact(self) -> bool:
-        return (self.lhs - self.rhs).is_zero
-
-
-def power_decomposition(n: int, t, model: ProcessModel) -> PowerDecomposition:
-    """X(t)^n Ω versus Σ_pi St_pi(t) Ω, via closed forms."""
+def power_decomposition(n: int, t, model: ProcessModel) -> FockVector:
+    """The residual X(t)^n Ω − Σ_pi St_pi(t) Ω, via closed forms: zero when
+    the power decomposes."""
     check_size("power_decomposition n =", n, MAX_POWER_N, least=1)
     x = model.prefix_letter(t, 1).field()
     lhs = vacuum_vector(model)
@@ -266,7 +256,7 @@ def power_decomposition(n: int, t, model: ProcessModel) -> PowerDecomposition:
     rhs = apply(FockOperator.opsum([st_pi_closed(pi, t, model, prefix)
                                     for pi in enumerate_partitions(n)]),
                 vacuum_vector(model))
-    return PowerDecomposition(n, lhs, rhs)
+    return lhs - rhs
 
 
 @dataclass

@@ -135,7 +135,7 @@ def test_stochastic_measure_closed_forms():
     om = vacuum_vector(model)
     ok = True
     for n in range(1, 6):
-        ok = ok and power_decomposition(n, 1, model).exact
+        ok = ok and power_decomposition(n, 1, model).is_zero
 
     gm = gaussian_model(n_atoms=2, cutoff=4, depth=6)
     gom = vacuum_vector(gm)

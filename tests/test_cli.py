@@ -1,15 +1,18 @@
 import hashlib
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from qfock import cli, wick
+from qfock import cli, stochastic, wick
 from qfock.cli import IdentityRow, main
 from qfock.errors import UsageError
 from qfock.fock import FockVector, apply
-from qfock.qscalar import ONE, QScalar, q_pow
+from qfock.kspoly import NCPolynomial
+from qfock.model import ldl_psd
+from qfock.qscalar import ONE, QScalar, const, q_pow
 
 F = Fraction
 
@@ -38,6 +41,24 @@ class TestVerify:
         assert code == 1
         assert "# FAILED: made_up_identity" in out
         assert 'made_up_identity,n=1,no,"q - 1"' in out
+
+    def test_failing_rows_print_their_residual(self, capsys, monkeypatch):
+        # St_pi doubled breaks every power_decomposition row, and an extra x1
+        # in q_hermite breaks q_hermite_3: each prints its nonzero residual
+        st_pi, h = stochastic.st_pi_closed, cli.q_hermite
+        monkeypatch.setattr(stochastic, "st_pi_closed",
+                            lambda *args: st_pi(*args).scale(const(2)))
+        monkeypatch.setattr(cli, "q_hermite", lambda n: h(n) + NCPolynomial.x(1))
+        code, out, _ = run(capsys, "verify", "--suite", "stpi,ks")
+        assert code == 1
+        rows = {tuple(line.split(",", 2)[:2]): line.split(",", 2)[2]
+                for line in out.splitlines()[1:-1]}
+        for n in range(1, 6):
+            status, residual = rows["power_decomposition", f"n={n}"].split(",", 1)
+            assert status == "no" and residual not in ('"0"', '""')
+        assert rows["q_hermite_3", "x^3-(2+q)x"] == 'no,"(1) · x1"'
+        assert rows["q_charlier_2", "x^2-x-1"] == 'yes,"0"'
+        assert out.splitlines()[-1] == "# FAILED: power_decomposition,q_hermite_3"
 
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nope")
@@ -199,6 +220,22 @@ class TestMoments:
                            "--nmax", "4")
         assert code == 0
         assert out.strip().splitlines()[-1] == "4,14 + q"
+
+    @pytest.mark.parametrize("points", [[1, 2], [5, -7]])
+    def test_pointset_moments_read_the_points(self, capsys, tmp_path, points):
+        # X(f) for f(x) = x: up to n = 3 no partition crosses, so the moments
+        # are the classical compound-Poisson ones, from the cumulants
+        # k_1 = sum w x and k_n = sum w x^n
+        cfg = tmp_path / "app.cfg"
+        cfg.write_text(f"pointset.points = {points}\n"
+                       "pointset.weights = [1/2, 1/2]\n")
+        code, out, _ = run(capsys, "moments", "--model", str(cfg), "--nmax", "3")
+        assert code == 0
+        k = {n: sum(F(x) ** n for x in points) / 2 for n in (1, 2, 3)}
+        want = [k[1], k[2] + k[1] ** 2, k[3] + 3 * k[1] * k[2] + k[1] ** 3]
+        assert out.splitlines()[1:] == [f"{n},{m}" for n, m in enumerate(want, 1)]
+        assert want == ([F(3, 2), F(19, 4), F(153, 8)] if points == [1, 2]
+                        else [-1, 38, -221])
 
     def test_pointset_fock_depth_reaches_algebra(self, capsys, tmp_path,
                                                  monkeypatch):
@@ -514,6 +551,98 @@ class TestConfigValues:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert key in lines[0]
+
+
+class TestModelChecks:
+    """An explicit moment list must be a moment sequence, and the grid
+    model's sizes have budgets checked when their keys are converted."""
+
+    def refused(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in err
+        return lines[0]
+
+    def test_moments_list_with_negative_pivot_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(MODEL_TEXT.replace("nu.atoms = [(-1, 1/2), (1, 1/2)]",
+                                          "moments = [0, -1, 0, 1, 0, 1, 0, 1, 0, 1]")
+                       .replace("degree_cutoff = 2", "degree_cutoff = 3"))
+        line = self.refused(capsys, "moments", "--model", str(cfg), "--nmax", "4")
+        assert "not positive semidefinite: pivot d_1 = -1" in line
+
+    def test_moments_list_zero_pivot_over_nonzero_column_exits_2(self, capsys,
+                                                                   tmp_path):
+        # r_2 = 0 but r_3 = 1: [[0, 1], [1, 1]] is indefinite
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(MODEL_TEXT.replace("nu.atoms = [(-1, 1/2), (1, 1/2)]",
+                                          "moments = [0, 0, 1, 1]"))
+        line = self.refused(capsys, "moments", "--model", str(cfg), "--nmax", "2")
+        assert "pivot d_1 = 0 over a nonzero column" in line
+
+    def test_short_moment_list_is_refused_by_the_model(self, capsys, tmp_path):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(MODEL_TEXT.replace("nu.atoms = [(-1, 1/2), (1, 1/2)]",
+                                          "moments = [0, 1, 0, 1]")
+                       .replace("degree_cutoff = 2", "degree_cutoff = 3"))
+        line = self.refused(capsys, "moments", "--model", str(cfg))
+        assert line.endswith("gram at cutoff 3 needs moments through r_6, have r_1..r_4")
+
+    @pytest.mark.parametrize("moments, cutoff", [
+        ("[0, 1, 1, 1, 1, 1, 1, 1, 1, 1]", 5),  # all ones: rank 1
+        ("[0, 1, 0, 0, 0, 0]", 3),  # delta_0: rank 1
+    ])
+    def test_singular_moment_lists_are_admitted(self, moments, cutoff):
+        model = parse_model_config(
+            MODEL_TEXT.replace("nu.atoms = [(-1, 1/2), (1, 1/2)]", f"moments = {moments}")
+            .replace("degree_cutoff = 2", f"degree_cutoff = {cutoff}"))
+        assert model.degree_cutoff == cutoff
+
+    def test_ldl_reconstructs_and_names_first_bad_pivot(self):
+        a = [[4, 2, 2], [2, 5, 3], [2, 3, 6]]
+        low, d = ldl_psd(a)
+        assert d == [4, 4, 4]
+        assert all(sum(low[i][k] * d[k] * low[j][k] for k in range(3)) == a[i][j]
+                   for i in range(3) for j in range(3))
+        with pytest.raises(UsageError, match="pivot d_2 = 0 over a nonzero column"):
+            ldl_psd([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+        with pytest.raises(UsageError, match="pivot d_2 = -1$"):
+            ldl_psd([[1, 1], [1, 0]])
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--grid", "100000000"), "grid atoms 100000000, over the limit of 256"),
+        (("--cutoff", "1000000"), "degree_cutoff 1000000, over the limit of 32"),
+        (("--grid", "0"), "grid atoms 0, below the least of 1"),
+        (("--cutoff", "0"), "degree_cutoff 0, below the least of 1"),
+    ], ids=["grid", "cutoff", "grid_zero", "cutoff_zero"])
+    def test_size_refused_before_any_allocation(self, capsys, monkeypatch,
+                                                argv, message):
+        monkeypatch.setattr(cli.TimeGrid, "uniform", None)
+        monkeypatch.setattr(cli, "ProcessModel", None)
+        tracemalloc.start()
+        try:
+            line = self.refused(capsys, "moments", *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert line.endswith(message)
+        assert peak < 1 << 20
+
+    def test_explicit_grid_counts_its_atoms(self, capsys, tmp_path):
+        cfg = tmp_path / "m.cfg"
+        bounds = ", ".join(str(i) for i in range(258))
+        cfg.write_text(MODEL_TEXT.replace("grid = uniform(1, 2)", f"grid = [{bounds}]"))
+        line = self.refused(capsys, "moments", "--model", str(cfg))
+        assert line.endswith("grid atoms 257, over the limit of 256")
+        at_limit = parse_model_config(
+            MODEL_TEXT.replace("grid = uniform(1, 2)", f"grid = [{bounds[:-5]}]"))
+        assert at_limit.grid.n_atoms == 256
+
+    def test_limits_are_admitted(self):
+        values = cli.parse_config("grid = uniform(1, 256)\ndegree_cutoff = 32\n")
+        assert values["grid"].n_atoms == 256 and values["degree_cutoff"] == 32
 
 
 def parse_model_config(text):

@@ -417,7 +417,7 @@ class TestNormEstimates:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert sp.pn_blocks == {}
+        assert sp.pn_blocks == []
 
     def test_singular_q_gram_is_refused(self):
         # a singular 0-gram makes the degree-1 q-gram singular: the refusal
@@ -426,7 +426,7 @@ class TestNormEstimates:
         with pytest.raises(ResourceBudgetError,
                            match="q-gram numerically singular at degree 1"):
             operator_norm_estimate(FockOperator.identity(), sp, 2)
-        assert sorted(sp.pn_blocks) == [0]
+        assert len(sp.pn_blocks) == 1
 
     @pytest.mark.parametrize("dim, depth", [(1, 9), (2, 8)])
     def test_word_cap_admits(self, dim, depth):
@@ -517,29 +517,65 @@ class TestQGram:
     @settings(max_examples=60, deadline=None)
     @given(pn_cases())
     def test_matches_permutation_sum(self, case):
+        # the drawn grams may be indefinite, so the step is iterated here,
+        # not through _pn_blocks' Cholesky
         gram, n, q0 = case
-        new = fock._pn_matrix(len(gram), n, q0, gram)
+        dim = len(gram)
+        g = np.array([[float(x) for x in row] for row in gram])
+        new = np.ones((1, 1))
+        for m in range(1, n + 1):
+            new = fock._pn_matrix(g, new, fock._slot_sum(dim, m, q0))
         assert np.allclose(new, pn_oracle(gram, n, q0), rtol=1e-12, atol=1e-12)
 
+    @staticmethod
+    def count_builds(monkeypatch):
+        """The degrees of the slot sums and q-gram steps built from now on;
+        a step's degree is that of the slot sum it was given, which must be
+        one built here."""
+        built = {"_slot_sum": [], "_pn_matrix": []}
+        degree = {}  # id of a built slot sum -> its degree
+        slot_sum, step = fock._slot_sum, fock._pn_matrix
+
+        def counting_slot_sum(dim, n, q0):
+            built["_slot_sum"].append(n)
+            r = slot_sum(dim, n, q0)
+            degree[id(r)] = n
+            return r
+
+        def counting_step(g, below, r):
+            built["_pn_matrix"].append(degree[id(r)])
+            return step(g, below, r)
+
+        monkeypatch.setattr(fock, "_slot_sum", counting_slot_sum)
+        monkeypatch.setattr(fock, "_pn_matrix", counting_step)
+        return built
+
     def test_blocks_built_once_per_space(self, monkeypatch):
-        built = []
-        real = fock._pn_matrix
-
-        def counting(dim, n, q0, gram):
-            built.append(n)
-            return real(dim, n, q0, gram)
-
-        monkeypatch.setattr(fock, "_pn_matrix", counting)
+        built = self.count_builds(monkeypatch)
         ring = ScalarRing(Fraction(3, 10))
         sp = OneParticleSpace.orthonormal(2, ring)
-        assert sp.pn_blocks == {}
+        assert sp.pn_blocks == []
         op = matrix_gauge([[Fraction(1), Fraction(0)],
                            [Fraction(0), Fraction(2)]])
         first = operator_norm_estimate(op, sp, 3)
-        assert built == [0, 1, 2, 3] and sorted(sp.pn_blocks) == [0, 1, 2, 3]
+        assert built == {"_slot_sum": [0, 1, 2, 3], "_pn_matrix": [1, 2, 3]}
+        assert len(sp.pn_blocks) == 4
         assert operator_norm_estimate(op, sp, 3) == first
-        assert built == [0, 1, 2, 3]
-        assert OneParticleSpace.orthonormal(2, ring).pn_blocks == {}
+        assert operator_norm_estimate(op, sp, 2) < first
+        assert built == {"_slot_sum": [0, 1, 2, 3], "_pn_matrix": [1, 2, 3]}
+        operator_norm_estimate(op, sp, 5)
+        assert built == {"_slot_sum": [0, 1, 2, 3, 4, 5],
+                         "_pn_matrix": [1, 2, 3, 4, 5]}
+        assert OneParticleSpace.orthonormal(2, ring).pn_blocks == []
+
+    def test_cold_estimate_builds_each_degree_once(self, monkeypatch):
+        # one recursion over degrees: depth d takes d + 1 slot sums (degree 0
+        # included) and d steps, not d(d + 1)/2 of each
+        built = self.count_builds(monkeypatch)
+        sp = OneParticleSpace.orthonormal(1, ScalarRing(Fraction(3, 10)))
+        x = field_operator([Fraction(1)], None, None)
+        operator_norm_estimate(x, sp, 10)
+        assert built == {"_slot_sum": list(range(11)), "_pn_matrix": list(range(1, 11))}
 
     def test_no_module_cache(self):
         assert not hasattr(fock, "_PN_MATRIX_CACHE")
