@@ -13,7 +13,7 @@ from .fock import (FockOperator, FockVector, Gauge, OneParticleSpace,
                    inner0, innerq, operator_norm_estimate, sparse_vector)
 from .kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
 from .model import (WeightedPointAlgebra, Letter, MomentSequence, ProcessModel,
-                    TimeGrid, letter_pair, monic_op_coefficients)
+                    TimeGrid, letter_pair)
 from .partitions import (ExtendedPartition, SetPartition, enumerate_partitions,
                          index_tuples, rc)
 from .qscalar import (EXACT, ONE, ZERO, QScalar, ScalarRing, const, q_fact,

@@ -20,8 +20,7 @@ from .errors import QFockError, UsageError, check_size
 from .fock import (FockOperator, FockVector, OneParticleSpace, apply, innerq,
                    sparse_vector)
 from .kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
-from .model import (MomentSequence, ProcessModel, TimeGrid, WeightedPointAlgebra,
-                    ldl_psd)
+from .model import MomentSequence, ProcessModel, TimeGrid, WeightedPointAlgebra
 from .partitions import SetPartition
 from .qscalar import EXACT, ONE, QScalar, ScalarRing, const, q_fact_ratio, q_pow
 from .stochastic import (AdaptedProcess, BiProcess, biprocess_inner,
@@ -434,13 +433,28 @@ DEFAULT_SCHEDULE = (4, 8, 16, 32, 64)
 # the largest model these admit has 256 x 32^2 = 262,144 of them
 MAX_DEGREE_CUTOFF = 32
 MAX_GRID_ATOMS = 256
+# moments to order 40, the Gaussian target; a point set has no letter cutoff
+# to bound it, and on the one-point set --nmax 64 takes about 9 s
+MAX_NMAX = 40
+# Fraction("1e10000000") builds 10^10000000 and takes seconds; 10^1000 is
+# no larger than a 1000-digit literal, which int() admits anyway
+MAX_DECIMAL_EXPONENT = 1000
+
+
+def _rational(text: str) -> Fraction:
+    """A config rational, its decimal exponent checked before Fraction
+    builds the power of ten."""
+    _, e, exponent = text.lower().partition("e")
+    if e:
+        check_size("decimal exponent", abs(int(exponent)), MAX_DECIMAL_EXPONENT)
+    return Fraction(text)
 
 
 def _fraction_list(text: str) -> list[Fraction]:
     body = text.strip().lstrip("[").rstrip("]").strip()
     if not body:
         return []
-    return [Fraction(tok.strip()) for tok in body.split(",")]
+    return [_rational(tok.strip()) for tok in body.split(",")]
 
 
 def _pair_list(text: str) -> list[tuple[Fraction, Fraction]]:
@@ -451,7 +465,7 @@ def _pair_list(text: str) -> list[tuple[Fraction, Fraction]]:
         if not chunk:
             continue
         x, w = chunk.split(",")
-        out.append((Fraction(x.strip()), Fraction(w.strip())))
+        out.append((_rational(x.strip()), _rational(w.strip())))
     return out
 
 
@@ -463,7 +477,7 @@ def _grid(text: str) -> TimeGrid:
         t_s, n_s = body.split(",")
         n = int(n_s.strip())
         check_size("grid atoms", n, MAX_GRID_ATOMS, least=1)
-        return TimeGrid.uniform(Fraction(t_s.strip()), n)
+        return TimeGrid.uniform(_rational(t_s.strip()), n)
     check_size("grid atoms", text.count(","), MAX_GRID_ATOMS, least=1)
     return TimeGrid(_fraction_list(text))
 
@@ -477,7 +491,7 @@ def _degree_cutoff(text: str) -> int:
 def _ring(text: str) -> ScalarRing:
     """The ring of a q value: exact, or a rational q0 in (-1, 1) to
     evaluate at."""
-    return ScalarRing() if text == "exact" else ScalarRing(Fraction(text))
+    return ScalarRing() if text == "exact" else ScalarRing(_rational(text))
 
 
 def _suites(text: str) -> tuple[str, ...]:
@@ -494,8 +508,7 @@ def _suites(text: str) -> tuple[str, ...]:
 
 def _nmax(text: str) -> int:
     nmax = int(text)
-    if nmax < 1:
-        raise UsageError(f"nmax must be >= 1, got {nmax}")
+    check_size("nmax", nmax, MAX_NMAX, least=1)
     return nmax
 
 
@@ -573,7 +586,8 @@ def build_model(values: dict) -> ProcessModel | WeightedPointAlgebra:
     pointset.points selects the weighted point set, with pointset.weights
     and, when given, q and fock_depth.  Otherwise the grid model: q, grid,
     degree_cutoff and fock_depth, and nu.atoms or moments; when both are
-    given they are validated against each other.
+    given they are validated against each other, and the model checks that
+    the moments are a measure's.
     """
     if "pointset.points" in values:
         return WeightedPointAlgebra(values["pointset.points"],
@@ -596,15 +610,6 @@ def build_model(values: dict) -> ProcessModel | WeightedPointAlgebra:
         moments = derived
     elif moments is None:
         raise UsageError("config needs nu.atoms or moments")
-    else:
-        # a measure's moments make a positive gram; a list's must be checked,
-        # as far as it reaches: the model refuses one short of the cutoff
-        m = min(degree_cutoff, moments.K // 2)
-        try:
-            ldl_psd(moments.hankel(m))
-        except UsageError as exc:
-            raise UsageError(f"moments are not those of a measure: the Hankel "
-                             f"form [r_(j+k)], j, k = 1..{m}, is {exc}") from exc
 
     return ProcessModel(values["q"], moments, values["grid"], degree_cutoff,
                         values["fock_depth"])
@@ -723,8 +728,14 @@ def cmd_moments(config: RunConfig) -> int:
     q0 = algebra.space.ring.q0
     for n in range(1, config.nmax + 1):
         m = vacuum_moment([letter] * n)
-        # at a q0, the polynomial evaluated there and rounded once
-        lines.append(f"{n},{m}" if q0 is None else f"{n},{float(m.subs(q0))!r}")
+        if q0 is not None:
+            # the polynomial evaluated at q0 and rounded once
+            try:
+                m = float(m.subs(q0))
+            except OverflowError:
+                raise UsageError(f"moment {n} at q0 = {q0} is too large for "
+                                 f"a float; q = exact prints it") from None
+        lines.append(f"{n},{m}")
     _emit(lines, config.out_dir, "moments.csv")
     return 0
 

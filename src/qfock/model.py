@@ -295,6 +295,14 @@ class ProcessModel:
     """The grid discretization: basis e_{A,k} = x_A^k for atoms A and powers
     1 <= k <= degree_cutoff, gram <e_{A,j}, e_{B,k}> = delta_{AB} |A| r_{j+k}.
 
+    The model factors the Hankel form H = [r_{j+k}], j, k = 1..degree_cutoff,
+    once, H = L diag(d) L^T by `ldl_psd`, and keeps (L, d) as
+    `hankel_factor`.  That is its positivity check: moments whose H is not
+    positive semidefinite are refused, naming the pivot that shows it.
+    Each atom's gram block is its width times H; row k of L^-1 is the
+    monic orthogonal polynomial P_k (`monic_op`), and row k of L expands
+    x^k in P_0..P_k.
+
     `letter` takes {(atom, power): coefficient}; the payload it builds is the
     sparse vector over basis_index(atom, power), which orders the entries by
     atom and then by power.
@@ -308,24 +316,28 @@ class ProcessModel:
             raise UsageError(
                 f"gram at cutoff {degree_cutoff} needs moments through "
                 f"r_{2 * degree_cutoff}, have r_1..r_{moments.K}")
+        d = degree_cutoff
+        hankel = moments.hankel(d)
+        try:
+            self.hankel_factor = ldl_psd(hankel)
+        except UsageError as exc:
+            raise UsageError(f"moments are not those of a measure: the Hankel "
+                             f"form [r_(j+k)], j, k = 1..{d}, is {exc}") from exc
         self.moments = moments
         self.grid = grid
         self.degree_cutoff = degree_cutoff
         self.fock_depth = fock_depth
         self.letters: dict = {}  # canonical payload -> its one Letter
         self.wick_cache: dict = {}  # letter word -> its Wick operator (wick.py)
-        # the gram is block-diagonal by atom: a d x d block of rows w r_{j+k},
-        # zeros (odd moments) dropped, built once per width w
-        d = degree_cutoff
+        # the gram is block-diagonal by atom: w times the Hankel form, zeros
+        # (odd moments) dropped, built once per width w
         blocks: dict[Fraction, list] = {}
         rows = []
-        for a in range(grid.n_atoms):
-            w = grid.width(a)
+        for a, w in enumerate(grid.widths):
             block = blocks.get(w)
             if block is None:
-                block = blocks[w] = [
-                    [(k, w * r) for k in range(d) if (r := moments.r_at(j + k + 2))]
-                    for j in range(d)]
+                block = blocks[w] = [[(k, w * r) for k, r in enumerate(row) if r]
+                                     for row in hankel]
             rows.extend(tuple((a * d + k, g) for k, g in row) for row in block)
         self.space = OneParticleSpace(grid.n_atoms * d, rows, ring)
 
@@ -337,6 +349,29 @@ class ProcessModel:
     def atom_power(self, i: int) -> tuple[int, int]:
         a, p = divmod(i, self.degree_cutoff)
         return a, p + 1
+
+    # -- orthogonal polynomials ---------------------------------------------
+
+    def monic_op(self, k: int) -> tuple[Fraction, ...]:
+        """Coefficients c_0..c_k (c_k = 1) of the monic polynomial P_k
+        orthogonal to all lower degrees under <x^a, x^b> = r_{a+b+2}: row k
+        of L^-1, where L diag(d) L^T is the Hankel form (`hankel_factor`).
+        P_k exists when d_1..d_k are nonzero, i.e. when nu has at least k
+        support points; its letter has powers 1..k+1, so k < degree_cutoff."""
+        low, pivots = self.hankel_factor
+        if not 0 <= k < self.degree_cutoff:
+            raise UsageError(f"degree {k} outside 0..{self.degree_cutoff - 1} "
+                             f"at cutoff {self.degree_cutoff}")
+        if 0 in pivots[:k]:
+            raise DegeneracyError(
+                f"Hankel matrix of order {k} is singular, pivot "
+                f"d_{pivots.index(0) + 1} = 0 (measure supported on fewer "
+                f"than {k} points)")
+        # solve c L = e_k from the right: c_j = -sum_{i > j} c_i L[i][j]
+        c = [Fraction(0)] * k + [Fraction(1)]
+        for j in range(k - 1, -1, -1):
+            c[j] = -sum(c[i] * low[i][j] for i in range(j + 1, k + 1))
+        return tuple(c)
 
     # -- letter-algebra protocol -------------------------------------------
 
@@ -391,24 +426,6 @@ class ProcessModel:
         return self.interval_letter((Fraction(0), Fraction(t)), power)
 
 
-def _solve_matrix(a, b):
-    """Solve A x = b exactly over the rationals (Gaussian elimination)."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise UsageError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n] for row in m]
-
-
 def ldl_psd(a: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[Fraction]]:
     """The exact LDL^T of a symmetric positive semidefinite rational matrix,
     without pivoting: L unit lower triangular, as rows, and the pivots
@@ -433,22 +450,6 @@ def ldl_psd(a: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[Fraction]
                 for j in range(k + 1, m):
                     s[i][j] -= c * s[k][j]
     return low, pivots
-
-
-def monic_op_coefficients(moments: MomentSequence, degree: int) -> tuple[Fraction, ...]:
-    """Coefficients c_0..c_degree (c_degree = 1) of the monic polynomial of
-    the given degree orthogonal to all lower degrees under
-    <x^a, x^b> = r_{a+b+2}."""
-    n = degree
-    h = moments.hankel(n)
-    rhs = [-moments.r_at(n + m + 2) for m in range(n)]
-    try:
-        sol = _solve_matrix(h, rhs)
-    except UsageError as exc:
-        raise DegeneracyError(
-            f"Hankel matrix of order {n} is singular "
-            f"(measure supported on fewer than {n + 1} points)") from exc
-    return (*sol, Fraction(1))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import UsageError, check_size
 from .fock import FockOperator, FockVector, adjoint, apply, innerq
-from .model import Interval, Letter, ProcessModel, monic_op_coefficients
+from .model import Interval, Letter, ProcessModel
 from .partitions import (ExtendedPartition, SetPartition,
                          enumerate_partitions, index_tuples, rc)
 from .qscalar import ONE, ZERO, QScalar, const, q_pow
@@ -111,7 +111,10 @@ def delta_process(model: ProcessModel, k: int) -> ProcessFamily:
 
 
 def yhat_process(model: ProcessModel, k: int) -> ProcessFamily:
-    coeffs = monic_op_coefficients(model.moments, k - 1)
+    """The orthogonalised power process Yhat_k: on each atom the letter of
+    the monic orthogonal polynomial P_{k-1} (`ProcessModel.monic_op`), whose
+    coefficient of x^j sits at power j + 1."""
+    coeffs = model.monic_op(k - 1)
     return ProcessFamily(model, f"Yhat{k}",
                          {j: c for j, c in enumerate(coeffs, start=1) if c},
                          Fraction(0))
@@ -309,28 +312,18 @@ def st_pi_convergence(pi: SetPartition, t,
 # chaos decomposition
 
 
-def _monomials_in_op_basis(model: ProcessModel) -> list[list[Fraction]]:
-    """gamma[k][j]: x^{k-1} = Σ_j gamma[k][j] P_{j-1}, 1-based in k and j."""
-    d = model.degree_cutoff
-    gamma = [[Fraction(0)] * (d + 1) for _ in range(d + 1)]
-    for k in range(1, d + 1):
-        # invert the unitriangular system P_{k-1} = x^{k-1} + lower terms
-        coeffs = monic_op_coefficients(model.moments, k - 1)
-        gamma[k][k] = Fraction(1)
-        for j in range(1, k):
-            # subtract coeffs[j-1] * x^{j-1}, already expressed in OPs
-            for i in range(1, j + 1):
-                gamma[k][i] -= coeffs[j - 1] * gamma[j][i]
-    return gamma
-
-
 def chaos_decompose(v: FockVector, model: ProcessModel) -> dict[tuple[int, ...], FockVector]:
     """Expand v in the basis {atoms ⊗ monic orthogonal polynomials}: the
     degree-n term of the multi-index u is the step function F_u with
-    v = Σ_u Σ_{a⃗} F_u(a⃗) ⊗_i (e-letter of P_{u(i)-1} on atom a_i)."""
+    v = Σ_u Σ_{a⃗} F_u(a⃗) ⊗_i (e-letter of P_{u(i)-1} on atom a_i).
+
+    The change of basis is the model's Hankel factor L: x^k = Σ_j L[k][j] P_j.
+    It needs P_0..P_{d-1} at cutoff d, so a measure on fewer than d - 1
+    points is a DegeneracyError."""
     if v.space != model.space:
         raise UsageError("vector does not live on this model's space")
-    gamma = _monomials_in_op_basis(model)
+    model.monic_op(model.degree_cutoff - 1)  # P_{d-1} exists, so all lower do
+    low = model.hankel_factor[0]
     out: dict[tuple[int, ...], FockVector] = {}
     for word, c in v.terms.items():
         slots = [model.atom_power(i) for i in word]
@@ -342,10 +335,10 @@ def chaos_decompose(v: FockVector, model: ProcessModel) -> dict[tuple[int, ...],
                     out[u] = FockVector(model.grid.space, len(u))
                 out[u].add_term(atoms, c * const(coeff))
                 return
-            _, k = slots[pos]
-            for j in range(1, k + 1):
-                if gamma[k][j]:
-                    rec(pos + 1, u + (j,), coeff * gamma[k][j])
+            _, k = slots[pos]  # basis power k is x^{k-1}
+            for j, g in enumerate(low[k - 1][:k], start=1):
+                if g:
+                    rec(pos + 1, u + (j,), coeff * g)
 
         rec(0, (), Fraction(1))
     return {u: f for u, f in out.items() if not f.is_zero}

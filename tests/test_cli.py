@@ -316,7 +316,27 @@ class TestMoments:
         assert "nmax" in err
         code, _, err = run(capsys, "moments", "--nmax", "0")
         assert code == 2
-        assert "nmax must be >= 1" in err
+        assert err.strip().endswith("nmax 0, below the least of 1")
+
+    def test_moment_too_large_for_a_float_exits_2(self, capsys, tmp_path):
+        # 10^200 is a valid point, but the second moment, about 10^400, is
+        # no float at any q0
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("q = 1/2\npointset.points = [1e200]\npointset.weights = [1]\n")
+        code, out, err = run(capsys, "moments", "--model", str(cfg), "--nmax", "2")
+        assert code == 2 and out == ""
+        assert err.strip() == ("error: moment 2 at q0 = 1/2 is too large for a "
+                               "float; q = exact prints it")
+
+    def test_nmax_budget_holds_on_point_sets(self, capsys, tmp_path):
+        # a point set has no letter cutoff to bound --nmax: the budget does
+        cfg = tmp_path / "ones.cfg"
+        cfg.write_text("q = exact\npointset.points = [1]\npointset.weights = [1]\n")
+        code, out, err = run(capsys, "moments", "--model", str(cfg), "--nmax",
+                             str(cli.MAX_NMAX + 1))
+        assert code == 2 and out == ""
+        assert err.strip().endswith(
+            f"nmax {cli.MAX_NMAX + 1}, over the limit of {cli.MAX_NMAX}")
 
     def test_state_budget_refusal(self, capsys, tmp_path):
         # the Gaussian model runs X(1)^n to n = 20 and needs 6,218 arc
@@ -639,6 +659,38 @@ class TestModelChecks:
         at_limit = parse_model_config(
             MODEL_TEXT.replace("grid = uniform(1, 2)", f"grid = [{bounds[:-5]}]"))
         assert at_limit.grid.n_atoms == 256
+
+    @pytest.mark.parametrize("argv", [
+        ("--q", "1e-10000000"),
+        ("--q", "1E+10000000"),
+        ("--model", "TEXT grid = uniform(1e10000000, 2)"),
+        ("--model", "TEXT moments = [0, 1, 1e-10000000]"),
+        ("--model", "TEXT nu.atoms = [(1, 5e10000000)]"),
+        ("--model", "TEXT pointset.points = [1e-10000000]"),
+    ], ids=["q", "q_upper", "uniform_horizon", "moments", "atom_weight", "points"])
+    def test_decimal_exponent_refused_before_fraction(self, capsys, tmp_path,
+                                                      monkeypatch, argv):
+        # Fraction would build 10^10000000 first, about 10 s
+        def guarded(*args):
+            assert not any("10000000" in a for a in args if isinstance(a, str))
+            return F(*args)
+
+        monkeypatch.setattr(cli, "Fraction", guarded)
+        argv = list(argv)
+        if "--model" in argv:
+            i = argv.index("--model") + 1
+            cfg = tmp_path / "m.cfg"
+            cfg.write_text(argv[i].removeprefix("TEXT "))
+            argv[i] = str(cfg)
+        line = self.refused(capsys, "moments", *argv)
+        assert line.endswith(f"decimal exponent 10000000, over the limit of "
+                             f"{cli.MAX_DECIMAL_EXPONENT}")
+
+    def test_decimal_exponent_at_limit_is_read(self):
+        limit = cli.MAX_DECIMAL_EXPONENT
+        values = cli.parse_config(f"q = 1e-{limit}\nmoments = [0, 25E-1]\n")
+        assert values["q"].q0 == F(1, 10 ** limit)
+        assert values["moments"] == [0, F(5, 2)]
 
     def test_limits_are_admitted(self):
         values = cli.parse_config("grid = uniform(1, 256)\ndegree_cutoff = 32\n")

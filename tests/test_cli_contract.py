@@ -1,0 +1,156 @@
+"""The exit contract of `qfock moments` as a property.
+
+Config texts are drawn from a grammar over every key of `cli.KEYS` (valid,
+boundary, malformed and over-limit values), with repeated and unknown keys,
+malformed lines, comments, blank lines and flags that override keys, and run
+through `cli.main` in process.  Every run exits 0 or 2; exit 2 prints one
+`error:` line, no traceback and no report; exit 0 prints `n,moment` with
+nmax rows; and the order of the lines and the comments between them do not
+change what is printed.
+"""
+
+import contextlib
+import io
+import itertools
+
+from hypothesis import given, settings, strategies as st
+
+from qfock import cli
+from qfock.qscalar import QScalar
+
+# value texts per config key: valid ones (some at a bound), then malformed
+# ones and ones over a limit
+VALUES = {
+    "q": (["exact", "1/2", "-1/3", "0", "25e-2", "1e-1000"],
+          ["1", "-1", "1/0", "half", "", "1e-1001", "1e-10000000",
+           "1E+10000000"]),
+    "degree_cutoff": (["1", "2", "3", "32"],
+                      ["0", "-1", "33", "1000000", "x", "2.5"]),
+    "fock_depth": (["1", "3", "6"], ["0", "-1", "x"]),
+    "grid": (["uniform(1, 1)", "uniform(1, 2)", "uniform(3/2, 3)",
+              "[0, 1/3, 1]", "uniform(1, 256)"],
+             ["uniform(1, 0)", "uniform(1, 257)", "uniform(0, 2)", "[0]",
+              "[0, 1, 1/2]", "uniform(1e10000000, 2)", "uniform(1,", "[a, b]"]),
+    # a moment list is valid to cutoff 3 when its Hankel form is positive
+    # semidefinite; the short one only to cutoff 1
+    "moments": (["[0, 1, 0, 1, 0, 1]", "[0, 1, 0, 0, 0, 0]",
+                 "[0, 1, 3/2, 5/2, 9/2, 17/2]", "[0, 1]"],
+                ["[0, -1, 0, 1, 0, 1]", "[0, 0, 1, 1]", "[1, 1]", "[]",
+                 "[0, 1e-10000000]", "[0, x]"]),
+    "nu.atoms": (["[(-1, 1/2), (1, 1/2)]", "[(0, 1)]", "[(1, 1)]",
+                  "[(1, 1/2), (2, 1/2)]", "[(1e1000, 1)]"],
+                 ["[(1, -1)]", "[]", "[(1)]", "[(1, 1e10000000)]"]),
+    "pointset.points": (["[1]", "[1, 2]", "[-1, 0, 1]", "[1e1000]"],
+                        ["[]", "[1e-10000000]", "[x]"]),
+    "pointset.weights": (["[1]", "[1/2, 1/2]", "[1/4, 1/2, 1/4]"],
+                         ["[1/2]", "[0]", "[2]", "[1e-10000000]", "x"]),
+    "suite": (["moments", "calculus,ks"], ["", "nope"]),
+    "seed": (["0", "7"], ["-1", "x"]),
+    "nmax": (["1", "2", "3"], ["0", "-1", str(cli.MAX_NMAX + 1), "x"]),
+}
+assert set(VALUES) == set(cli.KEYS)
+
+# value texts per flag of `moments` (--model aside)
+FLAG_VALUES = {"q": VALUES["q"], "nmax": VALUES["nmax"],
+               "cutoff": VALUES["degree_cutoff"],
+               "grid": (["1", "2", "256"], ["0", "257", "x"])}
+assert set(FLAG_VALUES) | {"model"} == set(cli.COMMAND_FLAGS["moments"])
+
+# the keys of a file that names each kind of model, and of one that names
+# none
+MODELS = [("q", "grid", "degree_cutoff", "fock_depth", "nu.atoms"),
+          ("q", "grid", "degree_cutoff", "fock_depth", "moments", "nmax"),
+          ("pointset.points", "pointset.weights"),
+          ("q", "pointset.points", "pointset.weights", "fock_depth"),
+          ()]
+
+
+def value(table, key):
+    """A value text for key: a valid one three times in four."""
+    valid, bad = table[key]
+    return st.integers(0, 3).flatmap(
+        lambda i: st.sampled_from(bad if i == 3 else valid))
+
+
+# an unknown key, a line without "=" and one without a key
+junk = st.sampled_from(["nmx = 2", "Q = exact", "grid uniform(1, 2)", "= 3"])
+comments = st.sampled_from(["", "   ", "# a comment", "  # q = 1/2"])
+
+
+@st.composite
+def runs(draw):
+    """The entry lines of a config file, or None for no file, and the
+    `moments` argv besides --model.  A file holds a model's keys and up to
+    two others, and one time in four a junk line or a repeated one."""
+    keys = draw(st.none() | st.sampled_from(MODELS))
+    lines = None
+    if keys is not None:
+        others = sorted(set(VALUES) - set(keys))
+        keys += tuple(draw(st.lists(st.sampled_from(others), max_size=2,
+                                    unique=True)))
+        lines = [f"{key} = {draw(value(VALUES, key))}" for key in keys]
+        if draw(st.integers(0, 3)) == 3:
+            lines.append(draw(junk | st.sampled_from(lines) if lines else junk))
+    flags = draw(st.dictionaries(st.sampled_from(sorted(FLAG_VALUES)),
+                                 st.just(None), max_size=3))
+    argv = [f"--{flag}={draw(value(FLAG_VALUES, flag))}" for flag in flags]
+    return lines, argv
+
+
+def moments(argv, text, path):
+    """Exit code, stdout and stderr of `moments` on the config text."""
+    if text is not None:
+        path.write_text(text)
+        argv = [*argv, f"--model={path}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["moments", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def effective_nmax(lines, argv) -> int:
+    """The nmax a successful run printed: the flag's, the file's or the
+    default."""
+    for arg in argv:
+        if arg.startswith("--nmax="):
+            return int(arg.partition("=")[2])
+    for line in lines or ():
+        key, _, value = line.partition("=")
+        if key.strip() == "nmax":
+            return int(value)
+    return cli.RunConfig().nmax
+
+
+@settings(max_examples=150, deadline=2000)
+@given(runs(), st.randoms(use_true_random=False),
+       st.lists(comments, min_size=1, max_size=4))
+def test_moments_exit_contract(tmp_path_factory, run, rng, extra):
+    lines, argv = run
+    path = tmp_path_factory.getbasetemp() / "contract.cfg"
+    text = None if lines is None else "\n".join(lines) + "\n"
+    code, out, err = moments(argv, text, path)
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    else:
+        assert err == ""
+        rows = out.splitlines()
+        assert rows[0] == "n,moment"
+        assert len(rows) == effective_nmax(lines, argv) + 1
+        for n, row in enumerate(rows[1:], 1):
+            head, _, value = row.partition(",")
+            assert head == str(n)
+            try:
+                float(value)
+            except ValueError:
+                assert str(QScalar.parse(value)) == value
+    if lines is not None:
+        # the same entries in another order, with comments and blank lines
+        shuffled = lines[:]
+        rng.shuffle(shuffled)
+        mixed = [x for pair in itertools.zip_longest(shuffled, extra)
+                 for x in pair if x is not None]
+        again = moments(argv, "\n".join(mixed) + "\n", path)
+        assert again[:2] == (code, out)

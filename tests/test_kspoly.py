@@ -5,8 +5,7 @@ import pytest
 from qfock.errors import ResourceBudgetError, UsageError
 from qfock.fock import FockOperator, apply
 from qfock.kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
-from qfock.model import (MomentSequence, ProcessModel, TimeGrid,
-                         monic_op_coefficients)
+from qfock.model import MomentSequence, ProcessModel, TimeGrid
 from qfock.qscalar import EXACT, ONE, QScalar, const, q_int
 from qfock.wick import vacuum_vector, word_vector
 
@@ -120,7 +119,8 @@ class TestDegenerations:
     def test_monic_op_poly_matches_charlier_style(self):
         # nu = delta_1 gives r_k = 1 for k >= 2; the degree-1 monic OP is x - 1
         moments = MomentSequence([0, 1, 1, 1])
-        assert monic_op_coefficients(moments, 1) == (-1, 1)
+        model = ProcessModel(EXACT, moments, TimeGrid.uniform(1, 1), 2, 2)
+        assert model.monic_op(1) == (-1, 1)
 
 
 @pytest.fixture(scope="module")

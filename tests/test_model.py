@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from qfock.errors import (CutoffExceededError, DegeneracyError, UsageError)
 from qfock.fock import FockVector, apply
 from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
-                         TimeGrid, letter_pair, monic_op_coefficients)
+                         TimeGrid, letter_pair)
 from qfock.qscalar import EXACT, ONE, ZERO, QScalar, const
 from qfock.stochastic import (conditional_expectation, delta_process,
                               x_process, yhat_process)
@@ -129,20 +129,70 @@ class TestProcessOperators:
 
 
 class TestOrthogonalPolynomials:
-    def test_monic_orthogonality(self):
-        m = three_point()
+    def test_monic_orthogonality(self, model):
+        m = model.moments
         for deg in range(3):
-            c = monic_op_coefficients(m, deg)
+            c = model.monic_op(deg)
             assert c[-1] == 1
             # <P_deg, x^b> = 0 for b < deg under <x^a, x^b> = r_{a+b+2}
             for b in range(deg):
                 val = sum(c[a] * m.r_at(a + b + 2) for a in range(deg + 1))
                 assert val == 0
+        # the letter of P_k has powers 1..k+1, within the cutoff 3
+        for deg in (-1, 3):
+            with pytest.raises(UsageError, match=f"degree {deg} outside 0..2"):
+                model.monic_op(deg)
 
     def test_degenerate_measure(self):
         m = MomentSequence.from_measure([(1, 1)], 8)  # one support point
         with pytest.raises(DegeneracyError):
-            monic_op_coefficients(m, 2)
+            ProcessModel(EXACT, m, TimeGrid.uniform(1, 1), 3, 2).monic_op(2)
+
+    def test_indefinite_moments_refused_naming_the_pivot(self):
+        # r_2 = -1: <x_A, x_A> = -|A|, so the one-particle gram is not positive
+        with pytest.raises(UsageError, match="not positive semidefinite: "
+                                             "pivot d_1 = -1$"):
+            ProcessModel(EXACT, MomentSequence([0, -1, 0, 1, 0, 1]),
+                         TimeGrid.uniform(1, 2), 3, 4)
+
+    def test_two_point_measure_admits_degree_two(self):
+        m = MomentSequence.from_measure([(-1, F(1, 2)), (1, F(1, 2))], 6)
+        model = ProcessModel(EXACT, m, TimeGrid.uniform(1, 1), 3, 2)
+        assert model.monic_op(2) == (-1, 0, 1)  # x^2 - 1
+        with pytest.raises(DegeneracyError, match="fewer than 3 points"):
+            ProcessModel(EXACT, MomentSequence.from_measure(
+                [(-1, F(1, 2)), (1, F(1, 2))], 8), TimeGrid.uniform(1, 1),
+                4, 2).monic_op(3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from([0, 1, -1, 2, F(1, 2), F(-3, 2)]) | st.fractions(-3, 3, max_denominator=4),
+        st.fractions(F(1, 8), 3, max_denominator=8)), min_size=1, max_size=4),
+        st.integers(1, 6))
+    def test_hankel_factor_gives_the_orthogonal_polynomials(self, atoms, d):
+        """Against the measure itself: P_k is monic and orthogonal to x^b,
+        b < k, under nu; x^k = sum_j L[k][j] P_j; and P_k is refused
+        exactly when nu has fewer than k distinct atoms."""
+        model = ProcessModel(EXACT, MomentSequence.from_measure(atoms, 2 * d),
+                             TimeGrid.uniform(1, 1), d, 2)
+        support = len({x for x, _ in atoms})
+        low = model.hankel_factor[0]
+        ops = []
+        for k in range(d):
+            if support < k:
+                with pytest.raises(DegeneracyError):
+                    model.monic_op(k)
+                continue
+            c = model.monic_op(k)
+            assert len(c) == k + 1 and c[k] == 1
+            for b in range(k):
+                assert sum(w * x ** b * sum(ca * x ** a for a, ca in enumerate(c))
+                           for x, w in atoms) == 0
+            ops.append(c)
+            # x^k as a polynomial: sum_j L[k][j] P_j, P_j padded to degree k
+            expansion = [sum(low[k][j] * (p[a] if a < len(p) else 0)
+                             for j, p in enumerate(ops)) for a in range(k + 1)]
+            assert expansion == [int(a == k) for a in range(k + 1)]
 
     def test_yhat_letters_orthogonal(self, model):
         # Yhat_j(I) and Yhat_k(I) have orthogonal letters for j != k

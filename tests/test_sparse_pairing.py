@@ -332,7 +332,8 @@ def test_model_rows_match_dense_formula(case, ring):
     [0, Fraction(1, 8), Fraction(1, 2), Fraction(2, 3), 1, Fraction(7, 4)],
 ], ids=["widths_quarter_quarter_half", "widths_all_distinct"])
 @pytest.mark.parametrize("r,d", [
-    ([0, 1, 2, 3, 5, 8], 3),
+    # nu = (delta_1 + delta_2) / 2: every moment nonzero
+    ([0, 1, Fraction(3, 2), Fraction(5, 2), Fraction(9, 2), Fraction(17, 2)], 3),
     # the symmetric two-point measure: every odd moment is zero
     ([0, 1, 0, 1, 0, 1, 0, 1], 4),
     ([0, 1, 0, 1, 0, 1, 0, 1], 1),
