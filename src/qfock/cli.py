@@ -234,15 +234,15 @@ def suite_isometry(rng: random.Random) -> list[IdentityRow]:
     om = vacuum_vector(model)
     for i, f in enumerate(fs):
         for j, g in enumerate(fs):
-            lhs = innerq(apply(multiple_integral(f, xs[:2]), om),
-                         apply(multiple_integral(g, xs[:2]), om))
+            lhs = innerq(apply(multiple_integral(f, xs[:2]).operator(), om),
+                         apply(multiple_integral(g, xs[:2]).operator(), om))
             rows.append(_scalar_row("integral_isometry", f"arity=2,f={i},g={j}",
                                     lhs - l2q_inner(f, g)))
     f3 = step_rectangle(model, [(0, Fraction(1, 4)),
                                 (Fraction(1, 4), Fraction(1, 2)),
                                 (Fraction(1, 2), Fraction(3, 4))])
-    lhs = innerq(apply(multiple_integral(f3, xs), om),
-                 apply(multiple_integral(f3, xs), om))
+    v3 = apply(multiple_integral(f3, xs).operator(), om)
+    lhs = innerq(v3, v3)
     rows.append(_scalar_row("integral_isometry", "arity=3",
                             lhs - l2q_inner(f3, f3)))
 
@@ -255,7 +255,7 @@ def suite_isometry(rng: random.Random) -> list[IdentityRow]:
     f1 = step_rectangle(model, [(0, Fraction(1, 4))])
     for u in multis:
         fu = f1 if len(u) == 1 else f2
-        vecs[u] = apply(multiple_integral(fu, [procs[k] for k in u]), om)
+        vecs[u] = apply(multiple_integral(fu, [procs[k] for k in u]).operator(), om)
     for u in multis:
         for v in multis:
             if sorted(u) != sorted(v):
@@ -274,8 +274,8 @@ def suite_stpi(rng: random.Random) -> list[IdentityRow]:
     om = vacuum_vector(model)
     for blocks in ([[1, 4], [2], [3]], [[1, 2, 4], [3]], [[1, 2, 3, 4]]):
         pi = SetPartition.of(blocks)
-        diff = (apply(st_pi_closed(pi, 1, model), om)
-                - apply(st_pi_corollary_form(pi, 1, model), om))
+        diff = (apply(st_pi_closed(pi, 1, model).operator(), om)
+                - apply(st_pi_corollary_form(pi, 1, model).operator(), om))
         rows.append(_vector_row("stpi_corollary", f"pi={pi}", diff))
     return rows
 
@@ -299,13 +299,13 @@ def suite_ks(rng: random.Random) -> list[IdentityRow]:
     model = three_point_model(n_atoms=2, cutoff=5, depth=6)
     om = vacuum_vector(model)
     for n in range(1, 5):
-        lhs = apply(psi_closed([x_process(model)] * (n + 1), 1), om)
+        lhs = apply(psi_closed([x_process(model)] * (n + 1), 1).operator(), om)
         rhs = FockVector(model.space, model.fock_depth)
         for k in range(n + 1):
             coeff = q_fact_ratio(n, k)
             if k % 2:
                 coeff = -coeff
-            psi = (apply(psi_closed([x_process(model)] * (n - k), 1), om)
+            psi = (apply(psi_closed([x_process(model)] * (n - k), 1).operator(), om)
                    if n - k else om)
             delta = delta_process(model, k + 1).operator((Fraction(0), Fraction(1)))
             rhs = rhs + apply(delta, psi).scale(coeff)
@@ -439,6 +439,13 @@ MAX_NMAX = 40
 # Fraction("1e10000000") builds 10^10000000 and takes seconds; 10^1000 is
 # no larger than a 1000-digit literal, which int() admits anyway
 MAX_DECIMAL_EXPONENT = 1000
+# list lengths, counted by their commas before any rational is built: no
+# model reads a moment past r_(2 cutoff), and the point-set algebra scans a
+# letter's whole payload per basis product (on a 2-vCPU Xeon, 256 points at
+# --nmax 4 take 0.26 s, and 20,000 took 18 s)
+MAX_MOMENTS = 2 * MAX_DEGREE_CUTOFF
+MAX_NU_ATOMS = 256
+MAX_POINTS = 256
 
 
 def _rational(text: str) -> Fraction:
@@ -450,22 +457,34 @@ def _rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _fraction_list(text: str) -> list[Fraction]:
+def _fraction_list(text: str, what: str, limit: int) -> list[Fraction]:
+    """A list of rationals, at most limit of them, counted by their commas
+    before any is built."""
     body = text.strip().lstrip("[").rstrip("]").strip()
     if not body:
         return []
+    check_size(what, body.count(",") + 1, limit)
     return [_rational(tok.strip()) for tok in body.split(",")]
 
 
 def _pair_list(text: str) -> list[tuple[Fraction, Fraction]]:
-    body = text.strip().lstrip("[").rstrip("]")
+    """`[(x, w), ...]`, at most MAX_NU_ATOMS pairs, counted by their commas
+    before any rational is built; any other text is a ValueError."""
+    body = text.strip()
+    if body[:1] != "[" or body[-1:] != "]":
+        raise ValueError("not a [...] list")
+    body = body[1:-1]
+    tokens = body.split(",") if body.strip() else []
+    if len(tokens) % 2:
+        raise ValueError("not a list of (x, w) pairs")
+    check_size("nu.atoms", len(tokens) // 2, MAX_NU_ATOMS)
     out = []
-    for chunk in body.split(")"):
-        chunk = chunk.strip().lstrip(",").strip().lstrip("(")
-        if not chunk:
-            continue
-        x, w = chunk.split(",")
-        out.append((_rational(x.strip()), _rational(w.strip())))
+    for x, w in zip(tokens[::2], tokens[1::2]):
+        x, w = x.strip(), w.strip()
+        if (x[:1] != "(" or w[-1:] != ")" or "(" in x[1:] + w
+                or ")" in x + w[:-1]):
+            raise ValueError(f"not an (x, w) pair: {x}, {w}")
+        out.append((_rational(x[1:]), _rational(w[:-1])))
     return out
 
 
@@ -479,7 +498,7 @@ def _grid(text: str) -> TimeGrid:
         check_size("grid atoms", n, MAX_GRID_ATOMS, least=1)
         return TimeGrid.uniform(_rational(t_s.strip()), n)
     check_size("grid atoms", text.count(","), MAX_GRID_ATOMS, least=1)
-    return TimeGrid(_fraction_list(text))
+    return TimeGrid(_fraction_list(text, "grid boundaries", MAX_GRID_ATOMS + 1))
 
 
 def _degree_cutoff(text: str) -> int:
@@ -518,10 +537,12 @@ KEYS: dict[str, Callable[[str], object]] = {
     "degree_cutoff": _degree_cutoff,
     "fock_depth": int,
     "grid": _grid,
-    "moments": _fraction_list,
+    "moments": partial(_fraction_list, what="moments", limit=MAX_MOMENTS),
     "nu.atoms": _pair_list,
-    "pointset.points": _fraction_list,
-    "pointset.weights": _fraction_list,
+    "pointset.points": partial(_fraction_list, what="pointset.points",
+                               limit=MAX_POINTS),
+    "pointset.weights": partial(_fraction_list, what="pointset.weights",
+                                limit=MAX_POINTS),
     "suite": _suites,
     "seed": int,
     "nmax": _nmax,

@@ -2,18 +2,19 @@
 
 Vectors are graded finite combinations of tensor words over a one-particle
 basis; operators are lazy expression trees over a closed set of node kinds:
-creation, annihilation, gauge, scalar, sum and composition.  The empty sum
-is the zero operator.  Exact identities apply the tree to vectors by one
-recursive kernel (`apply`) that accumulates each node's image into an
-integer image its caller passes down, folding the scalar operands of a
-composition into one factor.  An integer image (`qscalar.IntImage`) is one
-positive int denominator and, per word, a list of int numerators, one per
-power of q; each output word becomes a canonical QScalar once, when `apply`
-returns.  Words are range-checked only where they
-enter from outside (`basis_word`, the `terms` argument, `add_term`), each
-creation and annihilation payload once per node and space, and each gauge
-column once per call that reads it, so the words that `apply` derives are
-not checked again.
+creation, annihilation, gauge, scalar, sum and composition.  A sum or
+composition is one node over its operands as given, never flattened, so a
+shared operand stays one node; the empty sum is the one zero operator.
+Exact identities apply the tree to vectors by one recursive kernel
+(`apply`) that accumulates each node's image into an integer image its
+caller passes down, folding the scalar operands of a composition into one
+factor.  An integer image (`qscalar.IntImage`) is one positive int
+denominator and, per word, a list of int numerators, one per power of q;
+each output word becomes a canonical QScalar once, when `apply` returns.
+Words are range-checked only where they enter from outside (`basis_word`,
+the `terms` argument, `add_term`), each creation and annihilation payload
+once per node and space, and each gauge column once per call that reads
+it, so the words that `apply` derives are not checked again.
 Operator trees are DAGs (Wick operators and fields are shared nodes), and
 one call of `apply` computes the image of its input under a shared node
 once: a factor that acts first in a composition, or a sum from its second
@@ -458,28 +459,17 @@ class FockOperator:
 
     @staticmethod
     def opsum(ops: Iterable["FockOperator"]) -> "FockOperator":
-        flat: list[FockOperator] = []
-        for op in ops:
-            if op.kind == "sum":
-                flat.extend(op.operands)
-            else:
-                flat.append(op)
-        if len(flat) == 1:
-            return flat[0]
-        return FockOperator("sum", None, tuple(flat))
+        """The sum of ops: the one operand, or one node over ops as given,
+        so a nested sum stays one shared operand; the empty sum is zero."""
+        ops = tuple(ops)
+        return ops[0] if len(ops) == 1 else FockOperator("sum", None, ops)
 
     @staticmethod
     def compose(ops: Iterable["FockOperator"]) -> "FockOperator":
-        """Composition; the rightmost factor acts first."""
-        flat: list[FockOperator] = []
-        for op in ops:
-            if op.kind == "compose":
-                flat.extend(op.operands)
-            else:
-                flat.append(op)
-        if len(flat) == 1:
-            return flat[0]
-        return FockOperator("compose", None, tuple(flat))
+        """The composition of ops, the rightmost acting first: the one
+        operand, or one node over ops as given."""
+        ops = tuple(ops)
+        return ops[0] if len(ops) == 1 else FockOperator("compose", None, ops)
 
     # -- sugar -------------------------------------------------------------
 
@@ -493,9 +483,7 @@ class FockOperator:
         return FockOperator.compose([self, other])
 
     def scale(self, c: QScalar) -> "FockOperator":
-        """c times self: one composition node over self, which stays whole,
-        so a shared node stays shared."""
-        return FockOperator("compose", None, (FockOperator.scalar(c), self))
+        return FockOperator.compose([FockOperator.scalar(c), self])
 
     def pairing(self, space: OneParticleSpace) -> tuple[int, dict[int, int]]:
         """An annihilation node's payload on a space: `space.pair_ints` of
@@ -509,7 +497,8 @@ class FockOperator:
 def field_operator(zeta: Sequence, gauge: Gauge | None,
                    mean: Fraction | QScalar | None) -> FockOperator:
     """a(zeta) + a*(zeta) + p(T) + mean * Id, any summand optional; zeta in
-    dense or sparse form (see sparse_vector)."""
+    dense or sparse form (see sparse_vector).  With no summand it is the
+    empty sum, the zero operator."""
     zeta = sparse_vector(zeta)
     parts: list[FockOperator] = []
     if zeta:
@@ -521,8 +510,6 @@ def field_operator(zeta: Sequence, gauge: Gauge | None,
         m = mean if isinstance(mean, QScalar) else const(mean)
         if not m.is_zero:
             parts.append(FockOperator.scalar(m))
-    if not parts:
-        return FockOperator.scalar(ZERO)
     return FockOperator.opsum(parts)
 
 

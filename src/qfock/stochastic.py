@@ -5,7 +5,9 @@ closed form (grid-independent, verified in Q[q]) and a refinement experiment
 with a slope assertion.  The squared L²(phi) distance between the discrete
 partition sum and its closed form is computed in Q[q], kept as `error`, and
 evaluated once at the q0 of the model's ring as the float l2_error; it
-decays linearly in the mesh.
+decays linearly in the mesh.  Each sum of Wick products Σ c W(word) (the
+closed forms of St_pi and psi, and the multiple integrals) is a
+`WickElement`, whose `operator()` builds it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .fock import FockOperator, FockVector, adjoint, apply, innerq
 from .model import Interval, Letter, ProcessModel
 from .partitions import (ExtendedPartition, SetPartition,
                          enumerate_partitions, index_tuples, rc)
-from .qscalar import ONE, ZERO, QScalar, const, q_pow
-from .wick import WickElement, vacuum_vector, wick_operator, word_vector
+from .qscalar import ONE, ZERO, QScalar, accumulate, const, q_pow
+from .wick import WickElement, vacuum_vector, word_vector
 
 MAX_POWER_N = 6  # power_decomposition sums over the Bell(n) partitions
 
@@ -124,41 +126,47 @@ def yhat_process(model: ProcessModel, k: int) -> ProcessFamily:
 # multiple Wiener-Itô integrals
 
 
-def multiple_integral(f: FockVector, procs: Sequence[ProcessFamily]) -> FockOperator:
-    """Σ_u F(u) proc_1(I_{u(1)}) ... proc_n(I_{u(n)}), off-diagonal F only."""
+def multiple_integral(f: FockVector, procs: Sequence[ProcessFamily]) -> WickElement:
+    """Σ_a F(a) W(proc_1 letter on a_1 ⊗ ... ⊗ proc_n letter on a_n), F of
+    any support and arity n >= 1.  Its vector is Σ_a F(a) ⊗_i xi_i, as
+    W(v)Ω = v: with Yhat processes, the chaos component of F.  Off the
+    diagonal its operator is the field product proc_1(I_{a_1}) ...
+    proc_n(I_{a_n}): letters on distinct atoms pair and multiply to zero."""
     n = _arity(f)
     if len(procs) != n:
         raise UsageError(f"need {n} integrator processes, got {len(procs)}")
-    if any(p.model.grid.space is not f.space for p in procs):
+    if not n:
+        raise UsageError("a multiple integral needs arity >= 1")
+    model = procs[0].model
+    if any(p.model is not model for p in procs):
+        raise UsageError("processes of different models")
+    if model.grid.space is not f.space:
         raise UsageError("step function and processes on different grids")
-    if any(len(set(tup)) != n for tup in f.terms):
-        raise UsageError("multiple integrals require off-diagonal support")
-    terms = []
+    terms: dict = {}
     for tup, c in f.terms.items():
-        factors = [procs[i].letter(a).field() for i, a in enumerate(tup)]
-        terms.append(FockOperator.compose(factors).scale(c))
-    return FockOperator.opsum(terms)
+        accumulate(terms, tuple(p.letter(a) for p, a in zip(procs, tup)), c)
+    return WickElement(model, terms)
 
 
-def psi_closed(procs: Sequence[ProcessFamily], t) -> FockOperator:
+def psi_closed(procs: Sequence[ProcessFamily], t) -> WickElement:
     """Closed form of the full stochastic measure psi(Z_1, ..., Z_m)(t):
     drift positions split off multilinearly, the rest is a Wick product of
-    prefix letters."""
+    prefix letters; equal words merge into one term."""
     if not procs:
         raise UsageError("psi of no processes")
     model = procs[0].model
     t = Fraction(t)
     prefix = [p.prefix_letter(t) for p in procs]
     drifty = [i for i, p in enumerate(procs) if p.drift_rate]
-    terms = []
+    terms: dict = {}
     for mask in range(1 << len(drifty)):
         chosen = {drifty[b] for b in range(len(drifty)) if mask >> b & 1}
         factor = Fraction(1)
         for i in chosen:
             factor *= t * procs[i].drift_rate
         word = tuple(prefix[i] for i in range(len(procs)) if i not in chosen)
-        terms.append(wick_operator(model, word).scale(const(factor)))
-    return FockOperator.opsum(terms)
+        accumulate(terms, word, const(factor))
+    return WickElement(model, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +194,18 @@ def st_pi_discrete(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
             node = node.setdefault(v, {})
 
     def total(children: dict) -> FockOperator:
-        # a sum node of its own, not opsum: opsum would flatten the shared
-        # field nodes into their leaves, and apply keeps the images of
-        # shared nodes only
-        ops = [FockOperator.compose([fields[atoms[v - 1]], total(rest)]) if rest
-               else fields[atoms[v - 1]] for v, rest in children.items()]
-        return ops[0] if len(ops) == 1 else FockOperator("sum", None, tuple(ops))
+        return FockOperator.opsum(
+            FockOperator.compose([fields[atoms[v - 1]], total(rest)]) if rest
+            else fields[atoms[v - 1]] for v, rest in children.items())
 
     return total(trie)
 
 
 def st_pi_closed(pi: SetPartition, t, model: ProcessModel,
-                 prefix: dict[int, Letter] | None = None) -> FockOperator:
+                 prefix: dict[int, Letter] | None = None) -> WickElement:
     """St_pi(t) = Σ_{S ⊆ pi} q^{rc(S,pi)} R_{pi∖S}(t) W(⊗_{B∈S} prefix letter
-    of power |B|), with R_σ(t) = Π_{B∈σ} t r_{|B|}.
+    of power |B|), with R_σ(t) = Π_{B∈σ} t r_{|B|}; subsets S with equal
+    words merge into one term.
 
     prefix maps a power k to the prefix letter of power k at t and is filled
     in as needed; a caller that builds several closed forms at one t passes
@@ -216,7 +222,7 @@ def st_pi_closed(pi: SetPartition, t, model: ProcessModel,
     for k in sizes:
         if k not in prefix:
             prefix[k] = model.prefix_letter(t, k)
-    terms = []
+    terms: dict = {}
     m = pi.size
     closed = [t * model.moments.r_at(k) for k in sizes]  # t r_{|B|} per block
     for mask in range(1 << m):
@@ -229,11 +235,11 @@ def st_pi_closed(pi: SetPartition, t, model: ProcessModel,
             factor *= f
         ep = ExtendedPartition(pi, s)
         word = tuple(prefix[sizes[b]] for b in sorted(s))
-        terms.append(wick_operator(model, word).scale(q_pow(rc(ep)) * const(factor)))
-    return FockOperator.opsum(terms)
+        accumulate(terms, word, q_pow(rc(ep)) * const(factor))
+    return WickElement(model, terms)
 
 
-def st_pi_corollary_form(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
+def st_pi_corollary_form(pi: SetPartition, t, model: ProcessModel) -> WickElement:
     """For pi with one block of size k containing both endpoints and
     singletons elsewhere: q^{n-k} psi(Delta_k, X, ..., X)(t)."""
     n = pi.n
@@ -249,16 +255,17 @@ def st_pi_corollary_form(pi: SetPartition, t, model: ProcessModel) -> FockOperat
 
 def power_decomposition(n: int, t, model: ProcessModel) -> FockVector:
     """The residual X(t)^n Ω − Σ_pi St_pi(t) Ω, via closed forms: zero when
-    the power decomposes."""
+    the power decomposes.  The closed forms sum to one element, whose
+    operator is applied once."""
     check_size("power_decomposition n =", n, MAX_POWER_N, least=1)
     x = model.prefix_letter(t, 1).field()
     lhs = vacuum_vector(model)
     for _ in range(n):
         lhs = apply(x, lhs)
     prefix: dict[int, Letter] = {}
-    rhs = apply(FockOperator.opsum([st_pi_closed(pi, t, model, prefix)
-                                    for pi in enumerate_partitions(n)]),
-                vacuum_vector(model))
+    closed = sum((st_pi_closed(pi, t, model, prefix)
+                  for pi in enumerate_partitions(n)), WickElement(model, {}))
+    rhs = apply(closed.operator(), vacuum_vector(model))
     return lhs - rhs
 
 
@@ -300,7 +307,8 @@ def st_pi_convergence(pi: SetPartition, t,
         q0 = model.space.ring.q0
         if q0 is None:
             raise UsageError("convergence experiments need a model with a q0")
-        diff = apply(st_pi_discrete(pi, t, model) - st_pi_closed(pi, t, model),
+        diff = apply(st_pi_discrete(pi, t, model)
+                     - st_pi_closed(pi, t, model).operator(),
                      vacuum_vector(model))
         err = innerq(diff, diff)
         rows.append(ConvergenceRow(n_atoms, float(model.grid.mesh()),

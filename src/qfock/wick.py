@@ -125,7 +125,7 @@ class WickElement:
 
     @staticmethod
     def from_word(algebra, word: Iterable[Letter], coeff: QScalar | None = None) -> "WickElement":
-        return WickElement(algebra, {tuple(word): coeff or ONE})
+        return WickElement(algebra, {tuple(word): ONE if coeff is None else coeff})
 
     @staticmethod
     def one(algebra) -> "WickElement":
@@ -141,6 +141,7 @@ class WickElement:
         return WickElement(algebra, terms)
 
     def operator(self) -> FockOperator:
+        """Σ c W(word): the one place a sum of Wick products is built."""
         return FockOperator.opsum(
             [wick_operator(self.algebra, w).scale(c)
              for w, c in self.terms.items()])

@@ -1,21 +1,20 @@
-"""Specialisations of St_pi and the chaos components, kept as test oracles.
+"""Specialisations of St_pi, kept as test oracles.
 
 The Gaussian (singleton-pair) and free (noncrossing, q = 0) forms of the
-partition-dependent stochastic measures, the block classification they read
-with the crossing count rc_plain it tests for noncrossing, and the vector of
-one chaos component.  `qfock` itself never builds these;
-the tests compare them with `st_pi_closed` and `chaos_decompose`.
+partition-dependent stochastic measures, as Wick elements, and the block
+classification they read with the crossing count rc_plain it tests for
+noncrossing.  `qfock` itself never builds these; the tests compare them
+with `st_pi_closed`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qfock.fock import FockOperator, FockVector
 from qfock.model import ProcessModel
 from qfock.partitions import ExtendedPartition, SetPartition, rc
-from qfock.qscalar import ZERO, const, q_pow
-from qfock.stochastic import delta_process, psi_closed, yhat_process
-from qfock.wick import wick_operator, word_vector
+from qfock.qscalar import const, q_pow
+from qfock.stochastic import delta_process, psi_closed
+from qfock.wick import WickElement
 
 
 def rc_plain(pi: SetPartition) -> int:
@@ -50,40 +49,30 @@ def classify(pi: SetPartition) -> Classification:
     return Classification(True, singles, pairs, tuple(inner), tuple(outer))
 
 
-def st_pi_gaussian_form(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
+def st_pi_gaussian_form(pi: SetPartition, t, model: ProcessModel) -> WickElement:
     """The singleton-pair specialization q^{rc(Sing,pi)} t^{|Pairs|}
-    psi_{|Sing|}(t); the zero operator when pi has a block of size > 2."""
+    psi_{|Sing|}(t); zero when pi has a block of size > 2."""
     t = Fraction(t)
     cls = classify(pi)
     if len(cls.singletons) + len(cls.pairs) != pi.size:
-        return FockOperator.scalar(ZERO)
+        return WickElement(model, {})
     sing = frozenset(i for i, b in enumerate(pi.blocks) if len(b) == 1)
     ep = ExtendedPartition(pi, sing)
     word = (model.prefix_letter(t, 1),) * len(cls.singletons)
-    return wick_operator(model, word).scale(
-        q_pow(rc(ep)) * const(t ** len(cls.pairs)))
+    return WickElement.from_word(model, word,
+                                 q_pow(rc(ep)) * const(t ** len(cls.pairs)))
 
 
-def st_pi_free_form(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
+def st_pi_free_form(pi: SetPartition, t, model: ProcessModel) -> WickElement:
     """The noncrossing specialization R_{Inner}(t) psi(Delta_{|B|}: B in
-    Outer); the zero operator for crossing pi.  Meaningful at q = 0."""
+    Outer); zero for crossing pi.  Meaningful at q = 0."""
     t = Fraction(t)
     cls = classify(pi)
     if not cls.is_noncrossing:
-        return FockOperator.scalar(ZERO)
+        return WickElement(model, {})
     factor = Fraction(1)
     for b in cls.inner_blocks:
         factor *= t * model.moments.r_at(len(b))
     procs = [delta_process(model, len(b)) for b in cls.outer_blocks]
     return psi_closed(procs, t).scale(const(factor))
 
-
-def chaos_component_vector(model: ProcessModel, u: tuple[int, ...],
-                           f: FockVector) -> FockVector:
-    """Σ_{a⃗} F_u(a⃗) ⊗_i (Yhat_{u(i)} letter on atom a_i)."""
-    procs = {k: yhat_process(model, k) for k in set(u)}
-    out = FockVector(model.space, model.fock_depth)
-    for atoms, c in f.terms.items():
-        word = tuple(procs[k].letter(a) for a, k in zip(atoms, u))
-        out = out + word_vector(model, word, model.fock_depth).scale(c)
-    return out

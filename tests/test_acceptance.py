@@ -23,11 +23,10 @@ from qfock.stochastic import (AdaptedProcess, BiProcess, biprocess_inner,
                               power_decomposition, psi_closed, st_pi_closed,
                               st_pi_convergence, st_pi_corollary_form,
                               two_sided_closed, two_sided_defect_vector,
-                              two_sided_discrete, x_process)
+                              two_sided_discrete, x_process, yhat_process)
 from qfock.wick import (WickElement, product_expansion, vacuum_vector,
                         vacuum_moment)
-from stpi_forms import (chaos_component_vector, st_pi_free_form,
-                        st_pi_gaussian_form)
+from stpi_forms import st_pi_free_form, st_pi_gaussian_form
 
 F = Fraction
 
@@ -110,7 +109,7 @@ def test_multiple_integral_isometry_and_chaos_orthogonality():
         vecs = {}
         for t in tuples:
             f = FockVector(model.grid.space, arity, {t: ONE})
-            vecs[t] = apply(multiple_integral(f, procs), om)
+            vecs[t] = apply(multiple_integral(f, procs).operator(), om)
         for t1 in tuples:
             f1 = FockVector(model.grid.space, arity, {t1: ONE})
             for t2 in tuples:
@@ -122,7 +121,7 @@ def test_multiple_integral_isometry_and_chaos_orthogonality():
     comp = {}
     for u in multis:
         f = FockVector(model.grid.space, len(u), {tuple(range(len(u))): ONE})
-        comp[u] = chaos_component_vector(model, u, f)
+        comp[u] = multiple_integral(f, [yhat_process(model, k) for k in u]).vector()
     for u in multis:
         for v in multis:
             if sorted(u) != sorted(v):
@@ -140,20 +139,20 @@ def test_stochastic_measure_closed_forms():
     gm = gaussian_model(n_atoms=2, cutoff=4, depth=6)
     gom = vacuum_vector(gm)
     for pi in enumerate_partitions(4):
-        diff = (apply(st_pi_closed(pi, 1, gm), gom)
-                - apply(st_pi_gaussian_form(pi, 1, gm), gom))
+        diff = (apply(st_pi_closed(pi, 1, gm).operator(), gom)
+                - apply(st_pi_gaussian_form(pi, 1, gm).operator(), gom))
         ok = ok and innerq(diff, diff).is_zero
 
     for pi in enumerate_partitions(4):
-        diff = (apply(st_pi_closed(pi, 1, model), om)
-                - apply(st_pi_free_form(pi, 1, model), om))
+        diff = (apply(st_pi_closed(pi, 1, model).operator(), om)
+                - apply(st_pi_free_form(pi, 1, model).operator(), om))
         ok = ok and all(c.subs(0) == 0 for c in diff.terms.values())
 
     for blocks in ([[1, 5], [2], [3], [4]], [[1, 2, 5], [3], [4]],
                    [[1, 2, 3, 4, 5]]):
         pi = SetPartition.of(blocks)
-        diff = (apply(st_pi_closed(pi, 1, model), om)
-                - apply(st_pi_corollary_form(pi, 1, model), om))
+        diff = (apply(st_pi_closed(pi, 1, model).operator(), om)
+                - apply(st_pi_corollary_form(pi, 1, model).operator(), om))
         ok = ok and diff.is_zero
     report("St_pi closed forms, specializations, corollary (n <= 5)", ok)
 
@@ -186,13 +185,13 @@ def test_orthogonalization_polynomials():
     model = three_point_model(n_atoms=2, cutoff=5, depth=6)
     om = vacuum_vector(model)
     for n in range(1, 5):
-        lhs = apply(psi_closed([x_process(model)] * (n + 1), 1), om)
+        lhs = apply(psi_closed([x_process(model)] * (n + 1), 1).operator(), om)
         rhs = FockVector(model.space, model.fock_depth)
         for k in range(n + 1):
             coeff = q_fact_ratio(n, k)
             if k % 2:
                 coeff = -coeff
-            psi = (apply(psi_closed([x_process(model)] * (n - k), 1), om)
+            psi = (apply(psi_closed([x_process(model)] * (n - k), 1).operator(), om)
                    if n - k else om)
             delta = delta_process(model, k + 1).operator((F(0), F(1)))
             rhs = rhs + apply(delta, psi).scale(coeff)

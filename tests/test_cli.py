@@ -696,6 +696,50 @@ class TestModelChecks:
         values = cli.parse_config("grid = uniform(1, 256)\ndegree_cutoff = 32\n")
         assert values["grid"].n_atoms == 256 and values["degree_cutoff"] == 32
 
+    @pytest.mark.parametrize("key, item, limit", [
+        ("moments", "0", "MAX_MOMENTS"),
+        ("nu.atoms", "(1, 1)", "MAX_NU_ATOMS"),
+        ("pointset.points", "1", "MAX_POINTS"),
+        ("pointset.weights", "1", "MAX_POINTS"),
+    ])
+    def test_list_length_refused_before_any_rational(self, capsys, tmp_path,
+                                                     monkeypatch, key, item, limit):
+        # without the limit, 32,000 moments with a nu.atoms of x = 1000
+        # build 1000^k for every k before the lists are compared
+        def guarded(text):
+            raise AssertionError(f"built {text}")
+
+        monkeypatch.setattr(cli, "_rational", guarded)
+        limit = getattr(cli, limit)
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(f"{key} = [{', '.join([item] * (limit + 1))}]\n")
+        line = self.refused(capsys, "moments", "--model", str(cfg))
+        assert line.endswith(f"{key} {limit + 1}, over the limit of {limit}")
+
+    def test_list_limits_and_pair_spacing_are_admitted(self):
+        moments = ["0", "1"] + ["0"] * (cli.MAX_MOMENTS - 2)
+        points = ["1"] * cli.MAX_POINTS
+        values = cli.parse_config(
+            f"moments = [{', '.join(moments)}]\n"
+            f"nu.atoms = [{', '.join(['(0, 1)'] * cli.MAX_NU_ATOMS)}]\n"
+            f"pointset.points = [{', '.join(points)}]\n"
+            f"pointset.weights = [{', '.join(points)}]\n")
+        assert len(values["moments"]) == cli.MAX_MOMENTS
+        assert values["nu.atoms"] == [(0, 1)] * cli.MAX_NU_ATOMS
+        assert len(values["pointset.points"]) == len(values["pointset.weights"]) == 256
+        # a strict pair list still reads any spacing, and the empty list
+        values = cli.parse_config("nu.atoms = [ ( -1 , 1/2 ),(1,1/2) ]\n")
+        assert values["nu.atoms"] == [(-1, F(1, 2)), (1, F(1, 2))]
+        assert cli.parse_config("nu.atoms = []\n")["nu.atoms"] == []
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]", "[(1, 2), 3, 4]", "[(1, 1/2)(-1, 1/2)]", "[((1, 1))]",
+        "(1, 1)", "[(1, 1)", "[(1, 1), ]", "[(1 1)]", "[(1, 1)) (]",
+    ])
+    def test_malformed_pair_lists_refused(self, text):
+        with pytest.raises(UsageError, match="bad config value nu.atoms"):
+            cli.parse_config(f"nu.atoms = {text}\n")
+
 
 def parse_model_config(text):
     """The model that a config file's text names, through the cli parser."""

@@ -18,6 +18,12 @@ from hypothesis import given, settings, strategies as st
 from qfock import cli
 from qfock.qscalar import QScalar
 
+
+def listed(items):
+    """The config text of a list of value texts."""
+    return "[" + ", ".join(items) + "]"
+
+
 # value texts per config key: valid ones (some at a bound), then malformed
 # ones and ones over a limit
 VALUES = {
@@ -34,16 +40,25 @@ VALUES = {
     # a moment list is valid to cutoff 3 when its Hankel form is positive
     # semidefinite; the short one only to cutoff 1
     "moments": (["[0, 1, 0, 1, 0, 1]", "[0, 1, 0, 0, 0, 0]",
-                 "[0, 1, 3/2, 5/2, 9/2, 17/2]", "[0, 1]"],
+                 "[0, 1, 3/2, 5/2, 9/2, 17/2]", "[0, 1]",
+                 listed(["0", "1"] + ["0"] * (cli.MAX_MOMENTS - 2))],
                 ["[0, -1, 0, 1, 0, 1]", "[0, 0, 1, 1]", "[1, 1]", "[]",
-                 "[0, 1e-10000000]", "[0, x]"]),
+                 "[0, 1e-10000000]", "[0, x]",
+                 listed(["0", "1"] + ["0"] * (cli.MAX_MOMENTS - 1))]),
     "nu.atoms": (["[(-1, 1/2), (1, 1/2)]", "[(0, 1)]", "[(1, 1)]",
-                  "[(1, 1/2), (2, 1/2)]", "[(1e1000, 1)]"],
-                 ["[(1, -1)]", "[]", "[(1)]", "[(1, 1e10000000)]"]),
-    "pointset.points": (["[1]", "[1, 2]", "[-1, 0, 1]", "[1e1000]"],
-                        ["[]", "[1e-10000000]", "[x]"]),
-    "pointset.weights": (["[1]", "[1/2, 1/2]", "[1/4, 1/2, 1/4]"],
-                         ["[1/2]", "[0]", "[2]", "[1e-10000000]", "x"]),
+                  "[(1, 1/2), (2, 1/2)]", "[(1e1000, 1)]",
+                  listed(["(1, 1/256)"] * cli.MAX_NU_ATOMS)],
+                 ["[(1, -1)]", "[]", "[(1)]", "[(1, 1e10000000)]", "[1, 2]",
+                  "[(1, 2), 3, 4]", "[(1, 1/2)(-1, 1/2)]", "[((1, 1))]",
+                  listed(["(1, 1)"] * (cli.MAX_NU_ATOMS + 1))]),
+    "pointset.points": (["[1]", "[1, 2]", "[-1, 0, 1]", "[1e1000]",
+                         listed(map(str, range(cli.MAX_POINTS)))],
+                        ["[]", "[1e-10000000]", "[x]",
+                         listed(["1"] * (cli.MAX_POINTS + 1))]),
+    "pointset.weights": (["[1]", "[1/2, 1/2]", "[1/4, 1/2, 1/4]",
+                          listed([f"1/{cli.MAX_POINTS}"] * cli.MAX_POINTS)],
+                         ["[1/2]", "[0]", "[2]", "[1e-10000000]", "x",
+                          listed(["0"] * (cli.MAX_POINTS + 1))]),
     "suite": (["moments", "calculus,ks"], ["", "nope"]),
     "seed": (["0", "7"], ["-1", "x"]),
     "nmax": (["1", "2", "3"], ["0", "-1", str(cli.MAX_NMAX + 1), "x"]),

@@ -269,6 +269,22 @@ class TestOperators:
         assert apply(zero * a, v).is_zero and apply(a * zero, v).is_zero
         assert apply(zero + a, v) == apply(a, v)
 
+    def test_constructors_keep_their_operands(self):
+        # a nested sum or composition stays one operand, the same node, and
+        # a scaling is one composition over its operand
+        a = FockOperator.creation([Fraction(1), Fraction(2)])
+        b = FockOperator.annihilation([Fraction(0), Fraction(1)])
+        inner_sum, inner_prod = a + b, a * b
+        outer = FockOperator.opsum([inner_sum, a])
+        assert outer.kind == "sum" and len(outer.operands) == 2
+        assert outer.operands[0] is inner_sum and outer.operands[1] is a
+        prod = FockOperator.compose([b, inner_prod])
+        assert prod.kind == "compose" and len(prod.operands) == 2
+        assert prod.operands[1] is inner_prod
+        scaled = inner_prod.scale(q_pow(1))
+        assert scaled.kind == "compose" and scaled.operands[1] is inner_prod
+        assert FockOperator.opsum([a]) is a and FockOperator.compose([a]) is a
+
     def test_field_operator_number_moment(self, space2):
         # <Omega, X(e0)^2 Omega> = <e0, e0> = 1 with no gauge and zero mean
         x = field_operator([Fraction(1), Fraction(0)], None, None)

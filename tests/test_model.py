@@ -7,7 +7,7 @@ from qfock.errors import (CutoffExceededError, DegeneracyError, UsageError)
 from qfock.fock import FockVector, apply
 from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
                          TimeGrid, letter_pair)
-from qfock.qscalar import EXACT, ONE, ZERO, QScalar, const
+from qfock.qscalar import EXACT, ONE, QScalar, const
 from qfock.stochastic import (conditional_expectation, delta_process,
                               x_process, yhat_process)
 from qfock.wick import WickElement, product_expansion
@@ -289,14 +289,15 @@ class TestLetterText:
             (f, g, f): ONE}                       # {1}*{2}*{3}*
 
     @pytest.mark.parametrize("algebra", ["grid", "points"])
-    def test_zero_letter_field_is_scalar_zero(self, algebra):
+    def test_zero_letter_field_is_empty_sum(self, algebra):
+        # the empty sum is the one zero operator
         if algebra == "grid":
             zero = self.three_point_model().letter({})
         else:
             zero = WeightedPointAlgebra([0, 1], [F(1, 2), F(1, 2)], EXACT).letter([0, 0])
         op = zero.field()
-        assert op.kind == "scalar" and op.payload.is_zero
-        assert op.payload == ZERO
+        assert op.kind == "sum" and op.operands == ()
+        assert apply(op, FockVector.vacuum(zero.algebra.space, 2)).is_zero
 
 
 FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))

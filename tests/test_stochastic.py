@@ -9,8 +9,8 @@ from qfock.fock import FockOperator, FockVector, apply, innerq
 from qfock.kspoly import (MAX_KS_LEN, MAX_OP_DEGREE, MAX_ROW_N, ks_poly,
                           ks_row_formula, q_charlier, q_hermite)
 from qfock.model import MomentSequence, ProcessModel, TimeGrid
-from qfock.partitions import (MAX_ENUM_N, SetPartition, enumerate_partitions,
-                              index_tuples)
+from qfock.partitions import (MAX_ENUM_N, ExtendedPartition, SetPartition,
+                              enumerate_partitions, index_tuples, rc)
 from qfock.qscalar import EXACT, ONE, ZERO, QScalar, ScalarRing, const, q_fact, q_pow
 from qfock.stochastic import (AdaptedProcess, BiProcess, biprocess_inner,
                               biprocess_integral, chaos_decompose,
@@ -21,11 +21,10 @@ from qfock.stochastic import (AdaptedProcess, BiProcess, biprocess_inner,
                               st_pi_convergence, st_pi_corollary_form,
                               st_pi_discrete, step_rectangle,
                               two_sided_closed, two_sided_defect_vector,
-                              two_sided_discrete, x_process)
-from qfock.wick import WickElement, vacuum_vector, word_vector
+                              two_sided_discrete, x_process, yhat_process)
+from qfock.wick import WickElement, vacuum_vector, wick_operator, word_vector
 from sn_oracle import inversions, sym_group
-from stpi_forms import (chaos_component_vector, st_pi_free_form,
-                        st_pi_gaussian_form)
+from stpi_forms import st_pi_free_form, st_pi_gaussian_form
 
 F = Fraction
 
@@ -60,6 +59,19 @@ def gaussian(n_atoms=4, cutoff=4, depth=6, ring=EXACT):
 @pytest.fixture(scope="module")
 def model():
     return three_point()
+
+
+@pytest.fixture(scope="module")
+def chaos_model():
+    """Cutoff 3, the most the three-point measure's polynomials allow."""
+    return three_point(n_atoms=2, cutoff=3)
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """Two atoms at cutoff 7: products of power-2 letters on vectors of
+    powers up to 3 stay under the cutoff."""
+    return three_point(n_atoms=2, cutoff=7)
 
 
 def step(model, arity, values) -> FockVector:
@@ -171,6 +183,13 @@ class TestProcessFamilies:
                 const(F(1, 2) * model.moments.r_at(k)))
             assert apply(delta_process(model, k).operator(interval), om) == want
 
+    def test_operator_keeps_the_letter_field_shared(self, model):
+        interval = (F(1, 4), F(3, 4))
+        proc = delta_process(model, 2)
+        op = proc.operator(interval)
+        assert op.kind == "sum" and len(op.operands) == 2
+        assert op.operands[0] is proc.interval_letter(interval).field()
+
     def test_prefix_letter_is_interval_letter(self, model):
         proc = delta_process(model, 2)
         assert proc.prefix_letter(F(1, 2)) == proc.interval_letter((0, F(1, 2)))
@@ -178,11 +197,72 @@ class TestProcessFamilies:
             (0, F(1, 2)), 2)
 
 
+def random_vector(model, max_power, max_len):
+    """Fock vectors over the basis vectors of power <= max_power, in words of
+    length <= max_len, with small rational coefficients."""
+    d = model.degree_cutoff
+    index = st.sampled_from([i for i in range(model.space.dim) if i % d < max_power])
+    words = st.lists(index, max_size=max_len).map(tuple)
+    return st.dictionaries(words, st.fractions(-3, 3, max_denominator=3).filter(bool),
+                           min_size=1, max_size=4).map(
+        lambda terms: FockVector(model.space, model.fock_depth,
+                                 {w: const(c) for w, c in terms.items()}))
+
+
+# (label, the integrator processes) of the off-diagonal check, on the
+# three-point model at cutoff 5: Yhat_3 has powers up to 3
+OFF_DIAGONAL_PROCS = {
+    "X,X": lambda m: [x_process(m)] * 2,
+    "Yhat1,Yhat2": lambda m: [yhat_process(m, 1), yhat_process(m, 2)],
+    "Delta2,X": lambda m: [delta_process(m, 2), x_process(m)],
+    "Yhat3,Yhat3": lambda m: [yhat_process(m, 3)] * 2,
+    "Delta3": lambda m: [delta_process(m, 3)],
+}
+
+
 class TestMultipleIntegrals:
-    def test_diagonal_support_rejected(self, model):
-        f = step(model, 2, {(1, 1): ONE})
-        with pytest.raises(UsageError):
-            multiple_integral(f, [x_process(model)] * 2)
+    def test_diagonal_support_gives_the_word_vector(self, model):
+        # on the diagonal the integral is the Wick product, W(v) Omega = v,
+        # not the field product, which adds the contraction of the pair
+        x = x_process(model)
+        integral = multiple_integral(step(model, 2, {(1, 1): const(2)}), [x] * 2)
+        word = (x.letter(1),) * 2
+        assert integral.terms == {word: const(2)}
+        om = vacuum_vector(model)
+        want = word_vector(model, word, model.fock_depth).scale(const(2))
+        assert integral.vector() == want
+        assert apply(integral.operator(), om) == want
+        product = FockOperator.compose([x.letter(1).field()] * 2)
+        assert apply(product, om).scale(const(2)) != want
+
+    def test_arity_zero_refused(self, model):
+        with pytest.raises(UsageError, match="arity >= 1"):
+            multiple_integral(step(model, 0, {(): ONE}), [])
+
+    def test_processes_of_different_models_refused(self, model):
+        f = step(model, 2, {(0, 1): ONE})
+        other = three_point(n_atoms=4)
+        with pytest.raises(UsageError, match="different models"):
+            multiple_integral(f, [x_process(model), x_process(other)])
+
+    @pytest.mark.parametrize("label", sorted(OFF_DIAGONAL_PROCS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_off_diagonal_operator_is_the_field_product(self, model, label, data):
+        # letters on distinct atoms pair and multiply to zero and have mean
+        # 0, so the Wick product of their word is the product of their fields
+        procs = OFF_DIAGONAL_PROCS[label](model)
+        n = len(procs)
+        tuples = st.permutations(range(model.grid.n_atoms)).map(lambda p: tuple(p[:n]))
+        values = data.draw(st.dictionaries(
+            tuples, st.fractions(-3, 3, max_denominator=3).filter(bool),
+            min_size=1, max_size=3))
+        f = step(model, n, {t: const(c) for t, c in values.items()})
+        product = FockOperator.opsum(
+            FockOperator.compose([p.letter(a).field() for p, a in zip(procs, t)])
+            .scale(c) for t, c in f.terms.items())
+        v = data.draw(random_vector(model, 2, 3))
+        assert apply(multiple_integral(f, procs).operator(), v) == apply(product, v)
 
     def test_step_function_on_another_grid_rejected(self, model):
         f = step(three_point(), 2, {(0, 1): ONE})
@@ -200,8 +280,8 @@ class TestMultipleIntegrals:
         g = step_rectangle(model, list(reversed(ivs)))
         om = vacuum_vector(model)
         for h1, h2 in ((f, f), (f, g), (g, g)):
-            lhs = innerq(apply(multiple_integral(h1, procs), om),
-                         apply(multiple_integral(h2, procs), om))
+            lhs = innerq(apply(multiple_integral(h1, procs).operator(), om),
+                         apply(multiple_integral(h2, procs).operator(), om))
             assert lhs == l2q_inner(h1, h2)
 
 
@@ -257,15 +337,15 @@ class TestStochasticMeasures:
         for pi in enumerate_partitions(4):
             # blocks of size > 2 leave null-vector words behind, so compare
             # in the q-seminorm rather than termwise
-            diff = (apply(st_pi_closed(pi, 1, m), om)
-                    - apply(st_pi_gaussian_form(pi, 1, m), om))
+            diff = (apply(st_pi_closed(pi, 1, m).operator(), om)
+                    - apply(st_pi_gaussian_form(pi, 1, m).operator(), om))
             assert innerq(diff, diff).is_zero, str(pi)
 
     def test_free_specialization_at_q_zero(self, model):
         om = vacuum_vector(model)
         for pi in enumerate_partitions(3):
-            diff = (apply(st_pi_closed(pi, 1, model), om)
-                    - apply(st_pi_free_form(pi, 1, model), om))
+            diff = (apply(st_pi_closed(pi, 1, model).operator(), om)
+                    - apply(st_pi_free_form(pi, 1, model).operator(), om))
             for c in diff.terms.values():
                 assert c.subs(0) == 0, str(pi)
 
@@ -277,9 +357,29 @@ class TestStochasticMeasures:
     def test_corollary_form(self, model, blocks):
         pi = SetPartition.of(blocks)
         om = vacuum_vector(model)
-        lhs = apply(st_pi_closed(pi, 1, model), om)
-        rhs = apply(st_pi_corollary_form(pi, 1, model), om)
+        lhs = apply(st_pi_closed(pi, 1, model).operator(), om)
+        rhs = apply(st_pi_corollary_form(pi, 1, model).operator(), om)
         assert (lhs - rhs).is_zero
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_closed_form_merges_equal_words(self, wide, data):
+        # the subsets {1,2} and {3,4} of pi = {1,2}{3,4} leave the same word,
+        # one prefix letter of power 2: one term, and the same operator as
+        # the sum over subsets built term by term from wick_operator
+        pi = SetPartition.of([[1, 2], [3, 4]])
+        closed = st_pi_closed(pi, F(1, 2), wide)
+        x2 = wide.prefix_letter(F(1, 2), 2)
+        r2 = F(1, 2) * wide.moments.r_at(2)
+        assert closed.terms == {(): const(r2 * r2), (x2,): const(2 * r2),
+                                (x2, x2): ONE}
+        per_subset = FockOperator.opsum(
+            wick_operator(wide, (x2,) * len(s)).scale(
+                q_pow(rc(ExtendedPartition(pi, frozenset(s))))
+                * const(r2 ** (2 - len(s))))
+            for s in ((), (0,), (1,), (0, 1)))
+        v = data.draw(random_vector(wide, 3, 2))
+        assert apply(closed.operator(), v) == apply(per_subset, v)
 
     def test_discrete_converges(self):
         pi = SetPartition.of([[1, 2]])
@@ -323,8 +423,18 @@ class TestStochasticMeasures:
             model = factory(row.n_atoms)
             om = vacuum_vector(model)
             d = (apply(st_pi_discrete(pi, 1, model), om)
-                 - apply(st_pi_closed(pi, 1, model), om))
+                 - apply(st_pi_closed(pi, 1, model).operator(), om))
             assert row.error == innerq(d, d), row.n_atoms
+
+
+def chaos_rebuild(model, comps):
+    """The vacuum coefficient times Omega plus Σ_u the vector of the
+    multiple integral of F_u against Yhat_{u(1)}, ..., Yhat_{u(n)}."""
+    out = FockVector(model.space, model.fock_depth)
+    for u, f in comps.items():
+        out = out + (multiple_integral(f, [yhat_process(model, k) for k in u]).vector()
+                     if u else vacuum_vector(model).scale(f.vacuum_coefficient()))
+    return out
 
 
 class TestChaosDecomposition:
@@ -337,17 +447,24 @@ class TestChaosDecomposition:
         v = (word_vector(model, (l1, l2), model.fock_depth)
              + word_vector(model, (l2,), model.fock_depth).scale(const(3)))
         comps = chaos_decompose(v, model)
-        back = FockVector(model.space, model.fock_depth)
-        vecs = {}
-        for u, f in comps.items():
-            vecs[u] = chaos_component_vector(model, u, f)
-            back = back + vecs[u]
-        assert back == v
+        assert chaos_rebuild(model, comps) == v
+        vecs = {u: multiple_integral(f, [yhat_process(model, k) for k in u]).vector()
+                for u, f in comps.items() if u}
         keys = list(vecs)
         for i in range(len(keys)):
             for j in range(i + 1, len(keys)):
                 if sorted(keys[i]) != sorted(keys[j]):
                     assert innerq(vecs[keys[i]], vecs[keys[j]]).is_zero
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_with_diagonal_words(self, chaos_model, data):
+        # words that repeat an atom give components on the diagonal, which
+        # the multiple integrals take as Wick products
+        v = data.draw(random_vector(chaos_model, 3, 3))
+        v = v + FockVector(chaos_model.space, chaos_model.fock_depth,
+                           {(0, 1): ONE, (2, 0, 1): const(F(-1, 2))})
+        assert chaos_rebuild(chaos_model, chaos_decompose(v, chaos_model)) == v
 
     def test_vacuum_component(self):
         model = three_point(cutoff=3)

@@ -134,6 +134,15 @@ class TestWickOperator:
         om = FockVector.vacuum(model.space, model.fock_depth)
         assert apply(wick_operator(model, ()), om) == om
 
+    def test_one_letter_word_with_a_mean_keeps_its_field(self):
+        # W(l) = X(l) - mean(l): the letter's own field node is an operand
+        alg = WeightedPointAlgebra([1, 2], [F(1, 2), F(1, 2)], EXACT)
+        letter = alg.letter([1, 2])
+        op = wick_operator(alg, (letter,))
+        assert op.kind == "sum" and op.operands[0] is letter.field()
+        om = FockVector.vacuum(alg.space, alg.fock_depth)
+        assert apply(op, om) == word_vector(alg, (letter,), alg.fock_depth)
+
     def test_foreign_letter_rejected(self, model):
         alg = WeightedPointAlgebra([1], [1], EXACT)
         with pytest.raises(UsageError):
