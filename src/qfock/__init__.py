@@ -21,13 +21,12 @@ from .qscalar import (EXACT, ONE, ZERO, QScalar, ScalarRing, const, q_fact,
 from .stochastic import (AdaptedProcess, BiProcess, ConvergenceTable,
                          ProcessFamily, biprocess_inner, biprocess_integral,
                          chaos_decompose, conditional_expectation,
-                         delta_process, ito_integral, ito_isometry_rhs,
-                         l2q_inner, multiple_integral, power_decomposition,
-                         psi_closed, st_pi_closed, st_pi_convergence,
-                         st_pi_corollary_form, st_pi_discrete, step_rectangle,
-                         traciality_witness, two_sided_closed,
-                         two_sided_defect_vector, two_sided_discrete,
-                         x_process, yhat_process)
+                         delta_process, l2q_inner, multiple_integral,
+                         power_decomposition, psi_closed, st_pi_closed,
+                         st_pi_convergence, st_pi_corollary_form,
+                         st_pi_discrete, step_rectangle, traciality_witness,
+                         two_sided_closed, two_sided_defect_vector,
+                         two_sided_discrete, x_process, yhat_process)
 from .wick import (WickElement, product_expansion, vacuum_expectation,
                    vacuum_moment, vacuum_vector, wick_operator, word_vector)
 

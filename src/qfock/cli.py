@@ -25,11 +25,10 @@ from .partitions import SetPartition
 from .qscalar import EXACT, ONE, QScalar, ScalarRing, const, q_fact_ratio, q_pow
 from .stochastic import (AdaptedProcess, BiProcess, biprocess_inner,
                          biprocess_integral, conditional_expectation,
-                         delta_process, ito_integral, ito_isometry_rhs,
-                         l2q_inner, multiple_integral, power_decomposition,
-                         psi_closed, st_pi_closed, st_pi_convergence,
-                         st_pi_corollary_form, step_rectangle,
-                         traciality_witness, two_sided_closed,
+                         delta_process, l2q_inner, multiple_integral,
+                         power_decomposition, psi_closed, st_pi_closed,
+                         st_pi_convergence, st_pi_corollary_form,
+                         step_rectangle, traciality_witness, two_sided_closed,
                          two_sided_defect_vector, two_sided_discrete,
                          x_process, yhat_process)
 from .wick import (WickElement, product_expansion, vacuum_expectation,
@@ -330,19 +329,20 @@ def suite_calculus(rng: random.Random) -> list[IdentityRow]:
     v = AdaptedProcess(model, [((half, Fraction(3, 4)), v_val),
                                ((Fraction(3, 4), 1), u_val)])
     for side in ("left", "right"):
-        lhs = innerq(apply(ito_integral(u, side), om),
-                     apply(ito_integral(v, side), om))
+        bu, bv = u.bi(side), v.bi(side)
+        lhs = innerq(apply(biprocess_integral(bu), om),
+                     apply(biprocess_integral(bv), om))
         rows.append(_scalar_row("ito_isometry", f"side={side}",
-                                lhs - ito_isometry_rhs(u, v)))
+                                lhs - biprocess_inner(bu, bv)))
 
-    # E_s[X([s,t)) Z X([s,t))] = (t-s) r_2 Gamma_q(q)(Z), r_2 = 1 here
+    # E_s[X([s,t)) Z X([s,t))] = (t-s) r_2 Gamma_q(q)(Z)
     s, t = half, Fraction(3, 4)
     x_st = model.interval_letter((s, t)).field()
     for z in (u_val, v_val):
         sandwich = FockOperator.compose([x_st, z.operator(), x_st])
         lhs_el = conditional_expectation(
             WickElement.from_vector(model, apply(sandwich, om)), s)
-        rhs_el = z.gamma().scale(const(t - s))
+        rhs_el = z.gamma().scale(const((t - s) * model.moments.r_at(2)))
         rows.append(_vector_row("conditional_sandwich", f"z_deg={z.top_degree()}",
                                 lhs_el.vector() - rhs_el.vector()))
 
@@ -352,9 +352,9 @@ def suite_calculus(rng: random.Random) -> list[IdentityRow]:
     rows.append(_vector_row("two_sided_defect", "elementary",
                             disc - closed - two_sided_defect_vector(adapted)))
 
-    # bi-process isometry is exact in the Gaussian specialization, where
-    # letter products are null vectors; with gauge terms it only holds in the
-    # refinement limit
+    # a general bi-process isometry is exact in the Gaussian specialization,
+    # where letter products are null vectors, and else only in the
+    # refinement limit; U⊗1 and 1⊗U, above, are exact on every model
     m4 = gaussian_model(n_atoms=4, cutoff=4, depth=6)
     om = vacuum_vector(m4)
     u_val = WickElement.from_word(m4, (m4.atom_letter(0),))
@@ -549,6 +549,9 @@ KEYS: dict[str, Callable[[str], object]] = {
 }
 # the run keys, each with the RunConfig field it sets; the rest name the model
 RUN_KEYS = {"suite": "suites", "seed": "seed", "nmax": "nmax"}
+# the keys each command reads from a --model file, which holds no other
+COMMAND_KEYS = {"verify": ("suite", "seed"),
+                "moments": tuple(k for k in KEYS if k not in ("suite", "seed"))}
 
 # every flag: the key it overrides (None for --model, which names the file),
 # the key's text for the flag's value, and its help
@@ -669,6 +672,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
              if key and getattr(args, name, None) is not None}
     values = parse_config(text, {key: FLAGS[name][1].format(getattr(args, name))
                                  for key, name in given.items()})
+    if getattr(args, "model", None):
+        # a flag sets only a key its command reads, so these are file keys;
+        # the default model text is not the user's, and is not checked
+        unread = [key for key in values if key not in COMMAND_KEYS[args.command]]
+        if unread:
+            raise UsageError(f"{args.command} does not read config keys "
+                             f"{', '.join(unread)} (it reads "
+                             f"{', '.join(COMMAND_KEYS[args.command])})")
 
     if "pointset.points" in values:
         # a point set has no grid, letter cutoff or canonical measure

@@ -126,20 +126,29 @@ def yhat_process(model: ProcessModel, k: int) -> ProcessFamily:
 # multiple Wiener-Itô integrals
 
 
+def _model_of(procs: Sequence[ProcessFamily]) -> ProcessModel:
+    """The one model of a nonempty list of processes."""
+    model = procs[0].model
+    if any(p.model is not model for p in procs):
+        raise UsageError("processes of different models")
+    return model
+
+
 def multiple_integral(f: FockVector, procs: Sequence[ProcessFamily]) -> WickElement:
     """Σ_a F(a) W(proc_1 letter on a_1 ⊗ ... ⊗ proc_n letter on a_n), F of
     any support and arity n >= 1.  Its vector is Σ_a F(a) ⊗_i xi_i, as
-    W(v)Ω = v: with Yhat processes, the chaos component of F.  Off the
-    diagonal its operator is the field product proc_1(I_{a_1}) ...
-    proc_n(I_{a_n}): letters on distinct atoms pair and multiply to zero."""
+    W(v)Ω = v: with Yhat processes, the chaos component of F, at any
+    cutoff.  Off the diagonal its operator is the field product
+    proc_1(I_{a_1}) ... proc_n(I_{a_n}): letters on distinct atoms pair and
+    multiply to zero.  On a diagonal word the operator multiplies the
+    letters on one atom, so it needs a degree cutoff of at least their
+    summed powers: Yhat_2 ⊗ Yhat_2 on (a, a) needs 4."""
     n = _arity(f)
     if len(procs) != n:
         raise UsageError(f"need {n} integrator processes, got {len(procs)}")
     if not n:
         raise UsageError("a multiple integral needs arity >= 1")
-    model = procs[0].model
-    if any(p.model is not model for p in procs):
-        raise UsageError("processes of different models")
+    model = _model_of(procs)
     if model.grid.space is not f.space:
         raise UsageError("step function and processes on different grids")
     terms: dict = {}
@@ -154,7 +163,7 @@ def psi_closed(procs: Sequence[ProcessFamily], t) -> WickElement:
     prefix letters; equal words merge into one term."""
     if not procs:
         raise UsageError("psi of no processes")
-    model = procs[0].model
+    model = _model_of(procs)
     t = Fraction(t)
     prefix = [p.prefix_letter(t) for p in procs]
     drifty = [i for i, p in enumerate(procs) if p.drift_rate]
@@ -361,14 +370,28 @@ def _atom_end(model: ProcessModel, i: int) -> Fraction:
     return model.grid.atoms[model.atom_power(i)[0]][1]
 
 
-def _check_adapted(values: Iterable[WickElement], start: Fraction,
-                   message: str) -> None:
-    """Refuse values with a letter whose support reaches past start."""
-    for u in values:
-        for word in u.terms:
-            for letter in word:
-                if any(_atom_end(letter.algebra, i) > start for i, _ in letter.payload):
-                    raise UsageError(message)
+def _checked_pieces(model: ProcessModel, pieces: Iterable, values=lambda u: (u,)) -> list:
+    """The pieces (I, value) of a process with Fraction ends, once checked:
+    each I is a nonempty run of grid atoms, the intervals are disjoint, and
+    the elements values(value) belong to model, their letters ending by the
+    start of I."""
+    out = []
+    for (a, b), piece in pieces:
+        a, b = Fraction(a), Fraction(b)
+        model.grid.atoms_in((a, b))
+        for u in values(piece):
+            letters = [l for word in u.terms for l in word]
+            if u.algebra is not model or any(l.algebra is not model for l in letters):
+                raise UsageError("process values from a different model")
+            if any(_atom_end(model, i) > a for l in letters for i, _ in l.payload):
+                raise UsageError(f"process value on [{a},{b}) uses letters "
+                                 f"past {a}: not adapted")
+        out.append(((a, b), piece))
+    intervals = sorted(i for i, _ in out)
+    for (_, b1), (a2, _) in zip(intervals, intervals[1:]):
+        if b1 > a2:
+            raise UsageError("process intervals overlap")
+    return out
 
 
 class AdaptedProcess:
@@ -378,46 +401,16 @@ class AdaptedProcess:
     def __init__(self, model: ProcessModel,
                  pieces: Sequence[tuple[Interval, WickElement]]):
         self.model = model
-        self.pieces = []
-        for (a, b), u in pieces:
-            a, b = Fraction(a), Fraction(b)
-            if u.algebra is not model:
-                raise UsageError("process values from a different model")
-            _check_adapted((u,), a, f"process value on [{a},{b}) uses letters "
-                                    f"past {a}: not adapted")
-            self.pieces.append(((a, b), u))
-        intervals = sorted(i for i, _ in self.pieces)
-        for (_, b1), (a2, _) in zip(intervals, intervals[1:]):
-            if b1 > a2:
-                raise UsageError("process intervals overlap")
+        self.pieces = _checked_pieces(model, pieces)
 
-
-def ito_integral(u: AdaptedProcess, side: str) -> FockOperator:
-    """Σ U_i X(I_i) (side="left") or Σ X(I_i) U_i (side="right")."""
-    if side not in ("left", "right"):
-        raise UsageError(f"side must be left or right, got {side!r}")
-    model = u.model
-    terms = []
-    for interval, val in u.pieces:
-        x = model.interval_letter(interval).field()
-        w = val.operator()
-        terms.append(FockOperator.compose([w, x] if side == "left" else [x, w]))
-    return FockOperator.opsum(terms)
-
-
-def ito_isometry_rhs(u: AdaptedProcess, v: AdaptedProcess) -> QScalar:
-    """r₂ ∫ <U(t), V(t)>_phi dt for processes on a common decomposition."""
-    model = u.model
-    r2 = model.moments.r_at(2)
-    by_interval = {i: val for i, val in v.pieces}
-    total = ZERO
-    for interval, uval in u.pieces:
-        vval = by_interval.get(interval)
-        if vval is None:
-            continue
-        width = interval[1] - interval[0]
-        total = total + const(r2 * width) * innerq(uval.vector(), vval.vector())
-    return total
+    def bi(self, side: str) -> BiProcess:
+        """U⊗1 (side="left") or 1⊗U (side="right"), whose bi-process
+        integrals are the Itô integrals Σ U_i X(I_i) and Σ X(I_i) U_i."""
+        if side not in ("left", "right"):
+            raise UsageError(f"side must be left or right, got {side!r}")
+        one = WickElement.one(self.model)
+        return BiProcess(self.model, [(i, [(u, one) if side == "left" else (one, u)])
+                                      for i, u in self.pieces])
 
 
 def two_sided_closed(u: AdaptedProcess) -> FockOperator:
@@ -477,18 +470,14 @@ def conditional_expectation(a: WickElement, t) -> WickElement:
 
 
 class BiProcess:
-    """Finite sum of A ⊗ B pairs of adapted values on a common interval
-    decomposition: pieces are (interval, [(A, B), ...])."""
+    """Finite sum of A ⊗ B pairs of adapted values on disjoint intervals:
+    pieces are (interval, [(A, B), ...])."""
 
     def __init__(self, model: ProcessModel,
                  pieces: Sequence[tuple[Interval, Sequence[tuple[WickElement, WickElement]]]]):
         self.model = model
-        self.pieces = []
-        for (a, b), pairs in pieces:
-            a, b = Fraction(a), Fraction(b)
-            _check_adapted(chain.from_iterable(pairs), a,
-                           f"bi-process value on [{a},{b}) not adapted")
-            self.pieces.append(((a, b), tuple(pairs)))
+        self.pieces = _checked_pieces(
+            model, ((i, tuple(pairs)) for i, pairs in pieces), chain.from_iterable)
 
     def decomposition(self) -> tuple[Interval, ...]:
         return tuple(i for i, _ in self.pieces)
@@ -505,16 +494,10 @@ def biprocess_integral(u: BiProcess) -> FockOperator:
     return FockOperator.opsum(terms)
 
 
-def _gamma_of_product(model: ProcessModel, a1: WickElement, a2: WickElement) -> FockOperator:
-    """Γ_q(q)(A₁* A₂) as an operator, via the Ω-vector of A₁* A₂."""
-    om = vacuum_vector(model)
-    z = apply(adjoint(a1.operator()), apply(a2.operator(), om))
-    gammaz = WickElement.from_vector(model, z).gamma()
-    return gammaz.operator()
-
-
 def biprocess_inner(u: BiProcess, v: BiProcess) -> QScalar:
-    """∫ ⟪U(t), V(t)⟫ dt with ⟪A₁⊗B₁, A₂⊗B₂⟫ = phi[B₁* Γ_q(q)(A₁*A₂) B₂]."""
+    """r₂ ∫ ⟪U(t), V(t)⟫ dt with ⟪A₁⊗B₁, A₂⊗B₂⟫ = phi[B₁* Γ_q(q)(A₁*A₂) B₂]:
+    the one place r₂ enters the isometry.  For U⊗1 and V⊗1, and for 1⊗U and
+    1⊗V, ⟪U, V⟫ = ⟨UΩ, VΩ⟩: the Itô isometry."""
     model = u.model
     if v.model is not model:
         raise UsageError("bi-processes on different models")
@@ -523,13 +506,14 @@ def biprocess_inner(u: BiProcess, v: BiProcess) -> QScalar:
     om = vacuum_vector(model)
     total = ZERO
     for ((a, b), upairs), (_, vpairs) in zip(u.pieces, v.pieces):
-        width = const(b - a)
+        width = const(model.moments.r_at(2) * (b - a))
         for a1, b1 in upairs:
             b1om = apply(b1.operator(), om)
             for a2, b2 in vpairs:
-                g = _gamma_of_product(model, a1, a2)
-                val = innerq(b1om, apply(g, apply(b2.operator(), om)))
-                total = total + width * val
+                # Γ_q(q)(A₁*A₂), read off the Ω-vector of A₁*A₂
+                z = apply(adjoint(a1.operator()), apply(a2.operator(), om))
+                g = WickElement.from_vector(model, z).gamma().operator()
+                total = total + width * innerq(b1om, apply(g, apply(b2.operator(), om)))
     return total
 
 

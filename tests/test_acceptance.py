@@ -18,8 +18,7 @@ from qfock.partitions import SetPartition, enumerate_partitions
 from qfock.qscalar import ONE, QScalar, ScalarRing, const, q_fact_ratio, q_pow
 from qfock.stochastic import (AdaptedProcess, BiProcess, biprocess_inner,
                               biprocess_integral, conditional_expectation,
-                              delta_process, ito_integral, ito_isometry_rhs,
-                              l2q_inner, multiple_integral,
+                              delta_process, l2q_inner, multiple_integral,
                               power_decomposition, psi_closed, st_pi_closed,
                               st_pi_convergence, st_pi_corollary_form,
                               two_sided_closed, two_sided_defect_vector,
@@ -215,9 +214,10 @@ def test_ito_calculus():
     u = AdaptedProcess(model, [((half, threeq), u_val), ((threeq, 1), v_val)])
     v = AdaptedProcess(model, [((half, threeq), v_val), ((threeq, 1), u_val)])
     for side in ("left", "right"):
-        lhs = innerq(apply(ito_integral(u, side), om),
-                     apply(ito_integral(v, side), om))
-        ok = ok and lhs == ito_isometry_rhs(u, v)
+        bu, bv = u.bi(side), v.bi(side)
+        lhs = innerq(apply(biprocess_integral(bu), om),
+                     apply(biprocess_integral(bv), om))
+        ok = ok and lhs == biprocess_inner(bu, bv)
 
     x_st = model.interval_letter((half, threeq)).field()
     for z in (u_val, v_val, w_val):

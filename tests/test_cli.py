@@ -494,6 +494,33 @@ class TestConfigValues:
         assert err.startswith("error: ") and key in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command,text,unread", [
+        ("verify", MODEL_TEXT.replace("q = exact", "q = 1/2")
+         + "nmax = 7\nsuite = ks\nseed = 3\n",
+         "q, degree_cutoff, fock_depth, grid, nu.atoms, nmax"),
+        ("verify", "q = 1/2\nseed = 3\n", "q"),
+        ("moments", MODEL_TEXT + "suite = ks\nseed = 9\n", "suite, seed"),
+        ("moments", MODEL_TEXT + "nmax = 2\nsuite = ks\n", "suite"),
+    ], ids=["verify_model", "verify_q", "moments_suite_seed", "moments_suite"])
+    def test_unread_key_exits_2(self, capsys, tmp_path, command, text, unread):
+        """A file key that the command would ignore is refused, naming the
+        key and the command."""
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, command, "--model", str(cfg))
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {command} does not read config keys "
+                                   f"{unread} (it reads ")
+
+    def test_malformed_value_is_named_before_an_unread_key(self, capsys, tmp_path):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("degree_cutoff = abc\nseed = 3\n")
+        code, _, err = run(capsys, "verify", "--model", str(cfg))
+        assert code == 2
+        assert err == "error: bad config value degree_cutoff = 'abc'\n"
+
     def test_verify_reads_suite_and_seed_only_file(self, capsys, tmp_path):
         cfg = tmp_path / "m.cfg"
         cfg.write_text("suite = moments\nseed = 3\n")

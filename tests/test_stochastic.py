@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfock.cli import shipped_experiments
-from qfock.errors import ResourceBudgetError, UsageError
+from qfock.errors import CutoffExceededError, ResourceBudgetError, UsageError
 from qfock.fock import FockOperator, FockVector, apply, innerq
 from qfock.kspoly import (MAX_KS_LEN, MAX_OP_DEGREE, MAX_ROW_N, ks_poly,
                           ks_row_formula, q_charlier, q_hermite)
@@ -15,9 +15,8 @@ from qfock.qscalar import EXACT, ONE, ZERO, QScalar, ScalarRing, const, q_fact, 
 from qfock.stochastic import (AdaptedProcess, BiProcess, biprocess_inner,
                               biprocess_integral, chaos_decompose,
                               conditional_expectation, delta_process,
-                              ito_integral, ito_isometry_rhs, MAX_POWER_N,
-                              l2q_inner, multiple_integral,
-                              power_decomposition, st_pi_closed,
+                              MAX_POWER_N, l2q_inner, multiple_integral,
+                              power_decomposition, psi_closed, st_pi_closed,
                               st_pi_convergence, st_pi_corollary_form,
                               st_pi_discrete, step_rectangle,
                               two_sided_closed, two_sided_defect_vector,
@@ -51,8 +50,9 @@ def two_point(n_atoms=4, cutoff=2, depth=6, ring=EXACT):
     return ProcessModel(ring, moments, TimeGrid.uniform(1, n_atoms), cutoff, depth)
 
 
-def gaussian(n_atoms=4, cutoff=4, depth=6, ring=EXACT):
-    moments = MomentSequence([0, 1] + [0] * (2 * cutoff - 2))
+def gaussian(n_atoms=4, cutoff=4, depth=6, ring=EXACT, r2=1):
+    """The q-Gaussian of variance r2 per unit time: nu = r2 delta_0."""
+    moments = MomentSequence([0, r2] + [0] * (2 * cutoff - 2))
     return ProcessModel(ring, moments, TimeGrid.uniform(1, n_atoms), cutoff, depth)
 
 
@@ -244,6 +244,29 @@ class TestMultipleIntegrals:
         other = three_point(n_atoms=4)
         with pytest.raises(UsageError, match="different models"):
             multiple_integral(f, [x_process(model), x_process(other)])
+
+    def test_psi_of_processes_of_different_models_refused(self, model):
+        other = three_point(n_atoms=4)
+        with pytest.raises(UsageError, match="different models"):
+            psi_closed([x_process(model), x_process(other)], 1)
+
+    def test_diagonal_word_operator_needs_the_summed_cutoff(self):
+        # x_A0^2 ⊗ x_A0^2 is the chaos component of u = (2, 2) on (A0, A0):
+        # its vector needs no cutoff past 3, but its operator multiplies the
+        # two power-2 letters on A0, which needs a cutoff of 4
+        for cutoff in (3, 4):
+            m = three_point(n_atoms=2, cutoff=cutoff)
+            v = word_vector(m, (m.atom_letter(0, 2),) * 2, m.fock_depth)
+            comps = chaos_decompose(v, m)
+            assert set(comps) == {(2, 2)}
+            integral = multiple_integral(comps[2, 2], [yhat_process(m, 2)] * 2)
+            assert integral.vector() == v
+            if cutoff == 3:
+                with pytest.raises(CutoffExceededError,
+                                   match="degree 4 exceeds cutoff 3"):
+                    integral.operator()
+            else:
+                assert apply(integral.operator(), vacuum_vector(m)) == v
 
     @pytest.mark.parametrize("label", sorted(OFF_DIAGONAL_PROCS))
     @given(data=st.data())
@@ -501,12 +524,27 @@ class TestItoCalculus:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_ito_isometry(self, side):
+        # the Itô closed form r_2 Σ|I_i| <U_i Ω, V_i Ω> against both sides of
+        # the bi-process isometry of U⊗1 (left) or 1⊗U (right), at r_2 = 1
+        # and at r_2 = 2
+        for m in (two_point(), gaussian(r2=2)):
+            _, _, u, v = self.make_processes(m)
+            r2 = m.moments.r_at(2)
+            oracle = sum((const(r2 * (b - a)) * innerq(uval.vector(), vval.vector())
+                          for ((a, b), uval), (_, vval) in zip(u.pieces, v.pieces)),
+                         ZERO)
+            bu, bv = u.bi(side), v.bi(side)
+            om = vacuum_vector(m)
+            lhs = innerq(apply(biprocess_integral(bu), om),
+                         apply(biprocess_integral(bv), om))
+            assert lhs == oracle
+            assert biprocess_inner(bu, bv) == oracle
+
+    def test_bad_side_rejected(self):
         m = two_point()
-        _, _, u, v = self.make_processes(m)
-        om = vacuum_vector(m)
-        lhs = innerq(apply(ito_integral(u, side), om),
-                     apply(ito_integral(v, side), om))
-        assert lhs == ito_isometry_rhs(u, v)
+        _, _, u, _ = self.make_processes(m)
+        with pytest.raises(UsageError, match="side"):
+            u.bi("middle")
 
     def test_conditional_expectation_is_idempotent_and_mean_preserving(self):
         m = two_point()
@@ -555,6 +593,19 @@ class TestItoCalculus:
                          apply(biprocess_integral(b), om))
             assert lhs == biprocess_inner(a, b)
 
+    def test_biprocess_isometry_carries_r2(self):
+        # nu = 2 delta_0: without the factor r_2 the inner product is half
+        # the squared norm, 17/32 + q^2/32 + q^3/32
+        m = gaussian(r2=2)
+        u_val = WickElement.from_word(m, (m.atom_letter(0),))
+        v_val = (WickElement.from_word(m, (m.atom_letter(0), m.atom_letter(1)))
+                 + WickElement.one(m).scale(const(2)))
+        bi = BiProcess(m, [((self.half, self.threeq), [(u_val, v_val)])])
+        w = apply(biprocess_integral(bi), vacuum_vector(m))
+        want = QScalar.parse("17/16 + 1/16*q^2 + 1/16*q^3")
+        assert innerq(w, w) == want
+        assert biprocess_inner(bi, bi) == want
+
     def test_biprocess_adaptedness(self):
         m = two_point()
         future = WickElement.from_word(m, (m.atom_letter(3),))
@@ -562,14 +613,51 @@ class TestItoCalculus:
             BiProcess(m, [((self.half, self.threeq),
                            [(future, WickElement.one(m))])])
 
+    @pytest.mark.parametrize("interval,message", [
+        ((F(3, 4), F(1, 2)), "empty interval"),
+        ((F(1, 2), F(5, 8)), "not aligned"),
+    ], ids=["empty", "off_grid"])
+    def test_interval_off_the_grid_rejected(self, interval, message):
+        m = two_point()
+        one = WickElement.one(m)
+        with pytest.raises(UsageError, match=message):
+            BiProcess(m, [(interval, [(one, one)])])
+        with pytest.raises(UsageError, match=message):
+            AdaptedProcess(m, [(interval, one)])
+
+    def test_biprocess_overlap_rejected(self):
+        m = two_point()
+        one = WickElement.one(m)
+        with pytest.raises(UsageError, match="overlap"):
+            BiProcess(m, [((F(1, 4), self.threeq), [(one, one)]),
+                          ((self.half, 1), [(one, one)])])
+
+    @pytest.mark.parametrize("foreign", [
+        lambda m, other: WickElement.one(other),
+        lambda m, other: WickElement.from_word(m, (other.atom_letter(0),)),
+    ], ids=["element", "letter"])
+    def test_values_of_another_model_rejected(self, foreign):
+        # an element of an equal model built apart, or one of this model
+        # holding such a model's letter
+        m, other = two_point(), two_point()
+        val, one = foreign(m, other), WickElement.one(m)
+        for pair in ((val, one), (one, val)):
+            with pytest.raises(UsageError, match="different model"):
+                BiProcess(m, [((self.half, 1), [pair])])
+        with pytest.raises(UsageError, match="different model"):
+            AdaptedProcess(m, [((self.half, 1), val)])
+
     def test_one_sided_is_a_special_biprocess(self):
+        # U⊗1 integrates to U X(I), and 1⊗U to X(I) U
         m = gaussian()
         val = WickElement.from_word(m, (m.atom_letter(0),))
         adapted = AdaptedProcess(m, [((self.half, 1), val)])
-        bi = BiProcess(m, [((self.half, 1), [(val, WickElement.one(m))])])
+        x = m.interval_letter((self.half, 1)).field()
         om = vacuum_vector(m)
-        assert apply(ito_integral(adapted, "left"), om) == \
-            apply(biprocess_integral(bi), om)
+        for side, ito in (("left", [val.operator(), x]),
+                          ("right", [x, val.operator()])):
+            assert (apply(biprocess_integral(adapted.bi(side)), om)
+                    == apply(FockOperator.compose(ito), om))
 
 
 # each budgeted function at one past its limit, with that size and the limit
