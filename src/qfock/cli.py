@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import QFockError, UsageError, check_size
 from .fock import (FockOperator, FockVector, OneParticleSpace, apply, innerq,
@@ -440,9 +440,9 @@ MAX_NMAX = 40
 # no larger than a 1000-digit literal, which int() admits anyway
 MAX_DECIMAL_EXPONENT = 1000
 # list lengths, counted by their commas before any rational is built: no
-# model reads a moment past r_(2 cutoff), and the point-set algebra scans a
-# letter's whole payload per basis product (on a 2-vCPU Xeon, 256 points at
-# --nmax 4 take 0.26 s, and 20,000 took 18 s)
+# model reads a moment past r_(2 cutoff), and a point set's letters hold a
+# value per point (on a 2-vCPU Xeon, moments to --nmax 18, near the
+# arc-state budget, take 1.4 s in process on 256 points and 3.1 s on 2,000)
 MAX_MOMENTS = 2 * MAX_DEGREE_CUTOFF
 MAX_NU_ATOMS = 256
 MAX_POINTS = 256
@@ -501,10 +501,10 @@ def _grid(text: str) -> TimeGrid:
     return TimeGrid(_fraction_list(text, "grid boundaries", MAX_GRID_ATOMS + 1))
 
 
-def _degree_cutoff(text: str) -> int:
-    cutoff = int(text)
-    check_size("degree_cutoff", cutoff, MAX_DEGREE_CUTOFF, least=1)
-    return cutoff
+def _count(text: str, what: str, limit: int) -> int:
+    n = int(text)
+    check_size(what, n, limit, least=1)
+    return n
 
 
 def _ring(text: str) -> ScalarRing:
@@ -525,51 +525,39 @@ def _suites(text: str) -> tuple[str, ...]:
     return suites
 
 
-def _nmax(text: str) -> int:
-    nmax = int(text)
-    check_size("nmax", nmax, MAX_NMAX, least=1)
-    return nmax
+class Key(NamedTuple):
+    """A config key: the converter of its text, the one command that reads
+    it, and its flag if it has one, with the key's text for the flag's value
+    and the flag's help.  A command's parser has --out, --model if it reads
+    any key, and its keys' flags, and refuses any other flag, since verify
+    runs fixed models and converge fixed experiments."""
+    convert: Callable[[str], object]
+    command: str
+    flag: str | None = None
+    template: str = "{}"
+    help: str | None = None
 
 
-# every config key with the converter of its text, in checking order
-KEYS: dict[str, Callable[[str], object]] = {
-    "q": _ring,
-    "degree_cutoff": _degree_cutoff,
-    "fock_depth": int,
-    "grid": _grid,
-    "moments": partial(_fraction_list, what="moments", limit=MAX_MOMENTS),
-    "nu.atoms": _pair_list,
-    "pointset.points": partial(_fraction_list, what="pointset.points",
-                               limit=MAX_POINTS),
-    "pointset.weights": partial(_fraction_list, what="pointset.weights",
-                                limit=MAX_POINTS),
-    "suite": _suites,
-    "seed": int,
-    "nmax": _nmax,
-}
-# the run keys, each with the RunConfig field it sets; the rest name the model
-RUN_KEYS = {"suite": "suites", "seed": "seed", "nmax": "nmax"}
-# the keys each command reads from a --model file, which holds no other
-COMMAND_KEYS = {"verify": ("suite", "seed"),
-                "moments": tuple(k for k in KEYS if k not in ("suite", "seed"))}
-
-# every flag: the key it overrides (None for --model, which names the file),
-# the key's text for the flag's value, and its help
-FLAGS = {
-    "model": (None, "", "model config file"),
-    "suite": ("suite", "{}", "comma-separated suite names"),
-    "seed": ("seed", "{}", "random seed"),
-    "q": ("q", "{}", "rational q0 to evaluate at, or 'exact'"),
-    "nmax": ("nmax", "{}", "maximum product/moment length"),
-    "cutoff": ("degree_cutoff", "{}", "letter degree cutoff"),
-    "grid": ("grid", "uniform(1, {})", "uniform grid size over [0,1)"),
-}
-# the flags each command reads besides --out; argparse rejects any other
-# with exit 2, since verify runs fixed models and converge fixed experiments
-COMMAND_FLAGS = {
-    "verify": ("model", "suite", "seed"),
-    "converge": (),
-    "moments": ("model", "q", "nmax", "cutoff", "grid"),
+# every config key, in checking order
+KEYS: dict[str, Key] = {
+    "q": Key(_ring, "moments", "q", help="rational q0 to evaluate at, or 'exact'"),
+    "degree_cutoff": Key(partial(_count, what="degree_cutoff",
+                                 limit=MAX_DEGREE_CUTOFF),
+                         "moments", "cutoff", help="letter degree cutoff"),
+    "fock_depth": Key(int, "moments"),
+    "grid": Key(_grid, "moments", "grid", "uniform(1, {})",
+                "uniform grid size over [0,1)"),
+    "moments": Key(partial(_fraction_list, what="moments", limit=MAX_MOMENTS),
+                   "moments"),
+    "nu.atoms": Key(_pair_list, "moments"),
+    "pointset.points": Key(partial(_fraction_list, what="pointset.points",
+                                   limit=MAX_POINTS), "moments"),
+    "pointset.weights": Key(partial(_fraction_list, what="pointset.weights",
+                                    limit=MAX_POINTS), "moments"),
+    "suite": Key(_suites, "verify", "suite", help="comma-separated suite names"),
+    "seed": Key(int, "verify", "seed", help="random seed"),
+    "nmax": Key(partial(_count, what="nmax", limit=MAX_NMAX), "moments", "nmax",
+                help="maximum product/moment length"),
 }
 
 
@@ -594,10 +582,10 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> dict:
             entries[key] = value.strip()
     entries.update(overrides or {})
     values = {}
-    for key, convert in KEYS.items():
+    for key, spec in KEYS.items():
         if key in entries:
             try:
-                values[key] = convert(entries[key])
+                values[key] = spec.convert(entries[key])
             except (ValueError, ZeroDivisionError) as exc:
                 raise UsageError(
                     f"bad config value {key} = {entries[key]!r}") from exc
@@ -650,44 +638,42 @@ fock_depth = 6
 
 @dataclass
 class RunConfig:
-    # the converted model keys (see parse_config); only cmd_moments builds
-    # them into an algebra
-    model: dict = field(default_factory=lambda: parse_config(DEFAULT_MODEL_TEXT))
+    # the converted model keys (see parse_config), which only cmd_moments
+    # builds into an algebra; the run keys are the fields of their names
+    model: dict = field(default_factory=dict)
     out_dir: Path | None = None
-    suites: tuple[str, ...] = tuple(SUITES)
+    suite: tuple[str, ...] = tuple(SUITES)
     seed: int = 0
     nmax: int = 4
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    text = DEFAULT_MODEL_TEXT
+    text = DEFAULT_MODEL_TEXT if args.command == "moments" else ""
     # a command's parser registers only the flags that command reads
     if getattr(args, "model", None):
         try:
             text = Path(args.model).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read model file: {exc}") from exc
-    # flags win over file keys: the key each given flag sets -> the flag
-    given = {key: name for name, (key, _, _) in FLAGS.items()
-             if key and getattr(args, name, None) is not None}
-    values = parse_config(text, {key: FLAGS[name][1].format(getattr(args, name))
-                                 for key, name in given.items()})
-    if getattr(args, "model", None):
-        # a flag sets only a key its command reads, so these are file keys;
-        # the default model text is not the user's, and is not checked
-        unread = [key for key in values if key not in COMMAND_KEYS[args.command]]
-        if unread:
-            raise UsageError(f"{args.command} does not read config keys "
-                             f"{', '.join(unread)} (it reads "
-                             f"{', '.join(COMMAND_KEYS[args.command])})")
+    # flags win over file keys
+    flags = {key: spec for key, spec in KEYS.items()
+             if spec.flag and getattr(args, spec.flag, None) is not None}
+    values = parse_config(text, {key: spec.template.format(getattr(args, spec.flag))
+                                 for key, spec in flags.items()})
+    # a flag sets only a key its command reads, so these are file keys
+    reads = [key for key, spec in KEYS.items() if spec.command == args.command]
+    unread = [key for key in values if key not in reads]
+    if unread:
+        raise UsageError(f"{args.command} does not read config keys "
+                         f"{', '.join(unread)} (it reads {', '.join(reads)})")
 
     if "pointset.points" in values:
         # a point set has no grid, letter cutoff or canonical measure
         for key in ("grid", "degree_cutoff", "nu.atoms", "moments"):
             if key in values:
-                source = f"--{given[key]}" if key in given else f"model key {key}"
+                source = f"--{flags[key].flag}" if key in flags else f"model key {key}"
                 raise UsageError(f"{source} does not apply to a point-set model")
-    run = {RUN_KEYS[key]: values.pop(key) for key in RUN_KEYS if key in values}
+    run = {f.name: values.pop(f.name) for f in fields(RunConfig) if f.name in values}
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         # before any work, so an unusable --out costs none
@@ -718,7 +704,7 @@ def cmd_verify(config: RunConfig) -> int:
     rng = random.Random(config.seed)
     lines = ["identity,params,exact_zero,residual"]
     failed = []
-    for name in config.suites:
+    for name in config.suite:
         for row in SUITES[name](random.Random(rng.randrange(2 ** 32))):
             lines.append(f"{row.identity},{row.params},"
                          f"{'yes' if row.ok else 'no'},\"{row.residual}\"")
@@ -772,28 +758,34 @@ def cmd_moments(config: RunConfig) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # a refusal exits 2 with one `error:` line, like every usage error
+        raise UsageError(message)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qfock",
         description="Exact verification suites and refinement experiments for "
                     "q-deformed Fock space processes.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (("verify", "run exact identity suites"),
-                            ("converge", "run refinement experiments (exact, read at q0)"),
-                            ("moments", "print vacuum moments of X as polynomials in q")):
+    commands = {"verify": (cmd_verify, "run exact identity suites"),
+                "converge": (cmd_converge, "run refinement experiments (exact, read at q0)"),
+                "moments": (cmd_moments, "print vacuum moments of X as polynomials in q")}
+    for name, (_, help_text) in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", help="output directory for CSV reports")
-        for flag in COMMAND_FLAGS[name]:
-            p.add_argument(f"--{flag}", help=FLAGS[flag][2])
+        specs = [spec for spec in KEYS.values() if spec.command == name]
+        if specs:
+            p.add_argument("--model", help="model config file")
+        for spec in specs:
+            if spec.flag:
+                p.add_argument(f"--{spec.flag}", help=spec.help)
 
-    args = parser.parse_args(argv)
     try:
-        config = build_config(args)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "converge":
-            return cmd_converge(config)
-        return cmd_moments(config)
+        args = parser.parse_args(argv)
+        return commands[args.command][0](build_config(args))
     except QFockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -490,8 +490,9 @@ class WeightedPointAlgebra:
         return Letter(self, sparse_vector(vals))
 
     def basis_product(self, p: SparseVector, i: int) -> SparseVector:
-        """p e_i: e_i scaled by the value of p at point i."""
-        return tuple(e for e in p if e[0] == i)
+        """p e_i: e_i scaled by the value of p at point i, found by bisection."""
+        k = bisect_left(p, (i,))
+        return p[k:k + 1] if k < len(p) and p[k][0] == i else ()
 
     def xi(self, p: SparseVector) -> SparseVector:
         return p

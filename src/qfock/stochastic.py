@@ -189,7 +189,8 @@ def st_pi_discrete(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
     The tuples go into a trie of their prefixes, and the sum is built from
     it Horner-wise: a prefix ending in v is X(I_v) composed with the sum of
     its continuations, so each prefix's field is applied once, to the image
-    of all its continuations together, not once per tuple.
+    of all its continuations together, not once per tuple.  A run of single
+    children is one composition of their fields.
     """
     atoms = model.grid.prefix(t)
     n = pi.n
@@ -203,9 +204,14 @@ def st_pi_discrete(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
             node = node.setdefault(v, {})
 
     def total(children: dict) -> FockOperator:
-        return FockOperator.opsum(
-            FockOperator.compose([fields[atoms[v - 1]], total(rest)]) if rest
-            else fields[atoms[v - 1]] for v, rest in children.items())
+        terms = []
+        for v, rest in children.items():
+            factors = [fields[atoms[v - 1]]]
+            while len(rest) == 1:
+                (v, rest), = rest.items()
+                factors.append(fields[atoms[v - 1]])
+            terms.append(FockOperator.compose(factors + [total(rest)] if rest else factors))
+        return FockOperator.opsum(terms)
 
     return total(trie)
 

@@ -1,18 +1,20 @@
-"""The exit contract of `qfock moments` as a property.
+"""The exit contract of `qfock moments` and `qfock verify` as a property.
 
 Config texts are drawn from a grammar over every key of `cli.KEYS` (valid,
 boundary, malformed and over-limit values), with repeated and unknown keys,
 malformed lines, comments, blank lines and flags that override keys, and run
 through `cli.main` in process.  Every run exits 0 or 2; exit 2 prints one
 `error:` line, no traceback and no report; exit 0 prints `n,moment` with
-nmax rows; and the order of the lines and the comments between them do not
-change what is printed.
+nmax rows, or verify's passing rows; and the order of the lines and the
+comments between them do not change what is printed.  A verify file that
+holds a model key is refused, and converge refuses every flag but --out.
 """
 
 import contextlib
 import io
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfock import cli
@@ -69,7 +71,8 @@ assert set(VALUES) == set(cli.KEYS)
 FLAG_VALUES = {"q": VALUES["q"], "nmax": VALUES["nmax"],
                "cutoff": VALUES["degree_cutoff"],
                "grid": (["1", "2", "256"], ["0", "257", "x"])}
-assert set(FLAG_VALUES) | {"model"} == set(cli.COMMAND_FLAGS["moments"])
+assert set(FLAG_VALUES) == {spec.flag for spec in cli.KEYS.values()
+                            if spec.command == "moments" and spec.flag}
 
 # the keys of a file that names each kind of model, and of one that names
 # none
@@ -112,15 +115,29 @@ def runs(draw):
     return lines, argv
 
 
-def moments(argv, text, path):
-    """Exit code, stdout and stderr of `moments` on the config text."""
+def main(command, argv, text, path):
+    """Exit code, stdout and stderr of the command on the config text."""
     if text is not None:
         path.write_text(text)
         argv = [*argv, f"--model={path}"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["moments", *argv])
+        code = cli.main([command, *argv])
     return code, out.getvalue(), err.getvalue()
+
+
+def check_refusal(code, out, err):
+    """Exit 2 prints one `error:` line and nothing on stdout."""
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def mixed(lines, rng, extra):
+    """The same entries in another order, with comments and blank lines."""
+    shuffled = lines[:]
+    rng.shuffle(shuffled)
+    return "\n".join(x for pair in itertools.zip_longest(shuffled, extra)
+                     for x in pair if x is not None) + "\n"
 
 
 def effective_nmax(lines, argv) -> int:
@@ -143,12 +160,11 @@ def test_moments_exit_contract(tmp_path_factory, run, rng, extra):
     lines, argv = run
     path = tmp_path_factory.getbasetemp() / "contract.cfg"
     text = None if lines is None else "\n".join(lines) + "\n"
-    code, out, err = moments(argv, text, path)
+    code, out, err = main("moments", argv, text, path)
     assert code in (0, 2), err
     assert "Traceback" not in err
     if code == 2:
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        check_refusal(code, out, err)
     else:
         assert err == ""
         rows = out.splitlines()
@@ -162,10 +178,82 @@ def test_moments_exit_contract(tmp_path_factory, run, rng, extra):
             except ValueError:
                 assert str(QScalar.parse(value)) == value
     if lines is not None:
-        # the same entries in another order, with comments and blank lines
-        shuffled = lines[:]
-        rng.shuffle(shuffled)
-        mixed = [x for pair in itertools.zip_longest(shuffled, extra)
-                 for x in pair if x is not None]
-        again = moments(argv, "\n".join(mixed) + "\n", path)
-        assert again[:2] == (code, out)
+        assert main("moments", argv, mixed(lines, rng, extra), path)[:2] == (code, out)
+
+
+# value texts for verify's keys and flags: only suites that run in a few ms
+VERIFY_VALUES = {
+    "suite": (["moments", "traciality", "isometry", "calculus",
+               "moments,traciality", " isometry , moments "],
+              ["", ",", "nope", "moments,nope", "ks;moments"]),
+    "seed": (["0", "7", "-1", "4294967296"], ["", "x", "1.5", "0x10"]),
+}
+assert set(VERIFY_VALUES) == {key for key, spec in cli.KEYS.items()
+                              if spec.command == "verify"}
+assert set(VERIFY_VALUES) == {spec.flag for spec in cli.KEYS.values()
+                              if spec.command == "verify" and spec.flag}
+
+
+def drawn(draw, key):
+    """A value text for a verify key or flag, and whether it is valid."""
+    valid, bad = VERIFY_VALUES[key]
+    ok = draw(st.integers(0, 3)) < 3
+    return draw(st.sampled_from(valid if ok else bad)), ok
+
+
+@st.composite
+def verify_runs(draw):
+    """The entry lines of a verify config file, or None for no file, the
+    argv besides --model, and whether the run must pass.  The suite is
+    given in the file, by its flag or both, so no run takes every suite; a
+    file may hold a model key, junk or a repeated line as well."""
+    where = draw(st.sampled_from(["file", "flag", "both"]))
+    in_file = {"suite"} if where != "flag" else set()
+    in_file |= draw(st.sets(st.just("seed")))
+    flags = {"suite"} if where != "file" else set()
+    flags |= draw(st.sets(st.just("seed")))
+    # a key's value is valid when the one read is: the flag's, if given
+    valid, lines, argv = {}, None, []
+    if in_file or draw(st.booleans()):
+        lines = []
+        for key in sorted(in_file):
+            text, valid[key] = drawn(draw, key)
+            lines.append(f"{key} = {text}")
+        extra = draw(st.integers(0, 3))
+        if extra == 3:
+            # a model key verify does not read
+            key = draw(st.sampled_from(sorted(set(VALUES) - set(VERIFY_VALUES))))
+            lines.append(f"{key} = {draw(value(VALUES, key))}")
+        elif extra == 2:
+            lines.append(draw(junk | st.sampled_from(lines) if lines else junk))
+        valid["lines"] = extra < 2
+    for flag in sorted(flags):
+        text, valid[flag] = drawn(draw, flag)
+        argv.append(f"--{flag}={text}")
+    return lines, argv, all(valid.values())
+
+
+@settings(max_examples=60, deadline=2000)
+@given(verify_runs(), st.randoms(use_true_random=False),
+       st.lists(comments, min_size=1, max_size=4))
+def test_verify_exit_contract(tmp_path_factory, run, rng, extra):
+    lines, argv, ok = run
+    path = tmp_path_factory.getbasetemp() / "verify.cfg"
+    text = None if lines is None else "\n".join(lines) + "\n"
+    code, out, err = main("verify", argv, text, path)
+    assert code == (0 if ok else 2), err
+    if code == 2:
+        check_refusal(code, out, err)
+    else:
+        assert err == ""
+        rows = out.splitlines()
+        assert rows[0] == "identity,params,exact_zero,residual"
+        assert len(rows) > 1 and all(",yes," in row for row in rows[1:])
+    if lines is not None:
+        assert main("verify", argv, mixed(lines, rng, extra), path)[:2] == (code, out)
+
+
+@pytest.mark.parametrize("flag", ["model", "suite", "seed", "q", "nmax",
+                                  "cutoff", "grid"])
+def test_converge_refuses_every_flag_but_out(capsys, flag):
+    check_refusal(cli.main(["converge", f"--{flag}=1"]), *capsys.readouterr())
