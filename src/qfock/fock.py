@@ -855,10 +855,10 @@ def operator_norm_estimate(op: FockOperator, space: OneParticleSpace,
 
     The basis may hold at most NORM_WORD_CAP words; a larger request is
     refused before anything is built, and then the space's blocks of
-    degrees 0..depth are fetched.  Estimates run on point-set algebras
-    (`model.WeightedPointAlgebra`): on a grid model, the gauge of a letter,
-    and so its field, multiplies past the degree cutoff at the top power and
-    raises CutoffExceededError.
+    degrees 0..depth are fetched.  On a grid model that does not close
+    (`model.ProcessModel.closes`), unlike every canonical one, the gauge of
+    a letter, and so its field, multiplies past the degree cutoff at the
+    top power and raises CutoffExceededError.
     """
     import numpy as np
 

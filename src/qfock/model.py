@@ -2,9 +2,9 @@
 
 Two instances of one "letter" algebra drive everything downstream:
 
-* the grid model: generators are monomials x_A^k attached to grid atoms A,
-  with inner product <x_A^j, x_B^k> = delta_{AB} |A| r_{j+k} read off a
-  moment sequence, gauge action = multiplication, and mean 0;
+* the grid model: L²(dt ⊗ nu), its basis the monic orthogonal polynomials
+  P_k of nu on each grid atom A, of norm² |A| ||P_k||², read off a moment
+  sequence; gauge action = multiplication by x f, and mean 0;
 * the weighted point-set algebra: functions on a finite weighted point set, with the
   weighted-l2 inner product, pointwise multiplication as gauge, and the
   weighted average as mean.
@@ -19,8 +19,8 @@ one sparse form of `fock.SparseVector`; `Letter` adds, scales and
 multiplies payloads, and gauges by multiplication, once for both, and each
 algebra keeps only what differs: its validating `letter` constructor,
 `basis_product` (a payload, of Fraction or int coefficients, times a basis
-vector), mean and text.  An algebra hands its ring, only an evaluation
-point, to its space and keeps no copy.
+vector, over its `product_den`), mean and text.  An algebra hands its ring,
+only an evaluation point, to its space and keeps no copy.
 
 Each algebra owns the caches of its letters, so they are freed with it: the
 intern table `letters` (one Letter per canonical payload, so letters compare
@@ -35,6 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import CutoffExceededError, DegeneracyError, UsageError
@@ -165,9 +166,10 @@ class Letter(Gauge):
 
     A letter is its own gauge (`fock.Gauge`): multiplication by it,
     gram-symmetric as the letter is real.  Column i is the algebra's basis
-    product of its int payload with e_i, over its denominator `den`, kept in
-    `columns` from its first use, so a degree overflow fires only when an
-    offending column is used, and at every such use.
+    product of its int payload with e_i, over `den` (the payload's times the
+    algebra's `product_den`), kept in `columns` from its first use, so a
+    degree overflow fires only when an offending column is used, and at
+    every such use.
 
     Each letter keeps, built once and freed with its algebra: its payload
     as (den, ((i, int numerator), ...)) (`ints`); its gauge columns
@@ -199,7 +201,7 @@ class Letter(Gauge):
 
     @property
     def den(self) -> int:
-        return self.ints[0]
+        return self.ints[0] * self.algebra.product_den
 
     def column(self, i: int) -> tuple[tuple[int, int], ...]:
         col = self.columns.get(i)
@@ -246,8 +248,8 @@ class Letter(Gauge):
                 for j, x in self.algebra.basis_product(other.payload, i):
                     x *= c
                     acc[j] = acc[j] + x if j in acc else x
-            out = self._products[other] = Letter(
-                self.algebra, tuple(sorted((j, x) for j, x in acc.items() if x)))
+            out = self._products[other] = Letter(self.algebra, tuple(sorted(
+                (j, x / self.algebra.product_den) for j, x in acc.items() if x)))
         return out
 
     def __add__(self, other: "Letter") -> "Letter":
@@ -292,63 +294,92 @@ def _basis_letter(algebra, i: int) -> Letter:
 
 
 class ProcessModel:
-    """The grid discretization: basis e_{A,k} = x_A^k for atoms A and powers
-    1 <= k <= degree_cutoff, gram <e_{A,j}, e_{B,k}> = delta_{AB} |A| r_{j+k}.
+    """The grid discretization of L²(dt ⊗ nu): basis e_{A,k} = P_k at index
+    A rank + k, the monic orthogonal polynomials of nu on each atom A, with
+    the diagonal gram <e_{A,j}, e_{B,k}> = delta_{AB} delta_{jk} |A| d_{k+1}.
 
-    The model factors the Hankel form H = [r_{j+k}], j, k = 1..degree_cutoff,
-    once, H = L diag(d) L^T by `ldl_psd`, and keeps (L, d) as
-    `hankel_factor`.  That is its positivity check: moments whose H is not
-    positive semidefinite are refused, naming the pivot that shows it.
-    Each atom's gram block is its width times H; row k of L^-1 is the
-    monic orthogonal polynomial P_k (`monic_op`), and row k of L expands
-    x^k in P_0..P_k.
+    The model factors the Hankel form H = [r_{j+k}], j, k = 1..m, once,
+    H = L diag(d) L^T by `ldl_psd`, and keeps (L, d) as `hankel_factor`; m
+    is degree_cutoff + 1 when the moments reach r_{2 degree_cutoff + 2}, else
+    degree_cutoff.  H must be positive semidefinite with no nonzero pivot
+    after a zero one, as a measure's is.  Row k of L^-1 is P_k (`monic_op`)
+    and row k of L expands x^k in P_0..P_k.  When d_{s+1} = 0, P_s is null
+    and the model `closes`: each atom keeps P_0..P_{s-1}, and products
+    reduce modulo P_s; else each keeps P_0..P_{degree_cutoff-1}, and a
+    product of letter power past degree_cutoff is a CutoffExceededError.
 
-    `letter` takes {(atom, power): coefficient}; the payload it builds is the
-    sparse vector over basis_index(atom, power), which orders the entries by
-    atom and then by power.
+    `letter` takes {(atom, power): coefficient}, power k naming x^{k-1} up
+    to degree_cutoff, and converts each entry once through row k-1 of L.  A
+    letter product is multiplication by x f g, read off one table of
+    x P_a P_e (`basis_product`).
     """
 
     def __init__(self, ring: ScalarRing, moments: MomentSequence, grid: TimeGrid,
                  degree_cutoff: int, fock_depth: int):
         if degree_cutoff < 1 or fock_depth < 1:
             raise UsageError("degree_cutoff and fock_depth must be >= 1")
-        if moments.K < 2 * degree_cutoff:
-            raise UsageError(
-                f"gram at cutoff {degree_cutoff} needs moments through "
-                f"r_{2 * degree_cutoff}, have r_1..r_{moments.K}")
-        d = degree_cutoff
-        hankel = moments.hankel(d)
+        c = degree_cutoff
+        if moments.K < 2 * c:
+            raise UsageError(f"gram at cutoff {c} needs moments through "
+                             f"r_{2 * c}, have r_1..r_{moments.K}")
+        m = c + 1 if moments.K >= 2 * c + 2 else c
         try:
-            self.hankel_factor = ldl_psd(hankel)
+            low, pivots = self.hankel_factor = ldl_psd(moments.hankel(m))
         except UsageError as exc:
             raise UsageError(f"moments are not those of a measure: the Hankel "
-                             f"form [r_(j+k)], j, k = 1..{d}, is {exc}") from exc
+                             f"form [r_(j+k)], j, k = 1..{m}, is {exc}") from exc
+        s = pivots.index(0) if 0 in pivots else m
+        for k in range(s + 1, m):
+            if pivots[k]:
+                raise UsageError(f"moments are not those of a measure: pivot "
+                                 f"d_{k + 1} = {pivots[k]} after d_{s + 1} = 0")
+        self.closes = s < m
+        self.rank = b = min(s, c)
         self.moments = moments
         self.grid = grid
         self.degree_cutoff = degree_cutoff
         self.fock_depth = fock_depth
         self.letters: dict = {}  # canonical payload -> its one Letter
         self.wick_cache: dict = {}  # letter word -> its Wick operator (wick.py)
-        # the gram is block-diagonal by atom: w times the Hankel form, zeros
-        # (odd moments) dropped, built once per width w
-        blocks: dict[Fraction, list] = {}
-        rows = []
-        for a, w in enumerate(grid.widths):
-            block = blocks.get(w)
-            if block is None:
-                block = blocks[w] = [[(k, w * r) for k, r in enumerate(row) if r]
-                                     for row in hankel]
-            rows.extend(tuple((a * d + k, g) for k, g in row) for row in block)
-        self.space = OneParticleSpace(grid.n_atoms * d, rows, ring)
+        self.space = OneParticleSpace(
+            grid.n_atoms * b, [((a * b + k, w * pivots[k]),)
+                               for a, w in enumerate(grid.widths) for k in range(b)],
+            ring)
+        # x^k in P_0..P_{rank-1}: row k of L, its null part dropped
+        self._powers = [tuple((j, x) for j, x in enumerate(low[k][:b]) if x)
+                        for k in range(c)]
+        self.product_den, self._products = self._product_table()
 
-    # -- basis bookkeeping -------------------------------------------------
+    def _product_table(self) -> tuple[int, list[list]]:
+        """x P_a P_e in P_0..P_{rank-1}, a, e < rank, as (k, int numerator)
+        pairs over one denominator; None past the cutoff of a model that
+        does not close.  By the Jacobi recurrence x P_k = P_{k+1} +
+        beta_k P_k + gamma_k P_{k-1} (P_rank dropped: null, or never reached;
+        gamma_k = d_{k+1} / d_k, beta_0 + ... + beta_{k-1} = L[k][k-1]),
+        P_{a+1} P_e = (x - beta_a) P_a P_e - gamma_a P_{a-1} P_e, on ints:
+        P_a P_e times D^a, D the betas' and gammas' least denominator."""
+        (low, pivots), b = self.hankel_factor, self.rank
+        beta = [low[k + 1][k] - (low[k][k - 1] if k else 0)
+                for k in range(min(b, len(low) - 1))]
+        gamma = [pivots[k] / pivots[k - 1] if k else 0 for k in range(b)]
+        d = lcm(*(x.denominator for x in beta + gamma))
+        beta, gamma = [int(x * d) for x in beta], [int(x * d) for x in gamma]
 
-    def basis_index(self, atom: int, power: int) -> int:
-        return atom * self.degree_cutoff + power - 1
+        def times_x(v: list) -> list:  # D x v
+            return [(k and d * v[k - 1]) + (v[k] and beta[k] * v[k])
+                    + (k + 1 < b and gamma[k + 1] * v[k + 1]) for k in range(b)]
 
-    def atom_power(self, i: int) -> tuple[int, int]:
-        a, p = divmod(i, self.degree_cutoff)
-        return a, p + 1
+        table = [[None] * b for _ in range(b)]
+        for e in range(b):
+            prev, cur = [0] * b, [int(k == e) for k in range(b)]
+            for a in range(b if self.closes else b - 1 - e):
+                x_cur = times_x(cur)  # x P_a P_e, scaled by D^(a+1)
+                table[a][e] = [x * d ** (b - 1 - a) for x in x_cur]
+                prev, cur = cur, [x - beta[a] * y - d * gamma[a] * z
+                                  for x, y, z in zip(x_cur, cur, prev)]
+        g = gcd(d ** b, *(x for row in table for v in row if v for x in v))
+        return d ** b // g, [[v and tuple((k, x // g) for k, x in enumerate(v) if x)
+                              for v in row] for row in table]
 
     # -- orthogonal polynomials ---------------------------------------------
 
@@ -376,29 +407,31 @@ class ProcessModel:
     # -- letter-algebra protocol -------------------------------------------
 
     def letter(self, entries: dict[tuple[int, int], Fraction] | Iterable) -> Letter:
-        items = dict(entries)
-        for (a, k), c in items.items():
+        b, out = self.rank, []
+        for (a, k), c in dict(entries).items():
             if not 0 <= a < self.grid.n_atoms:
                 raise UsageError(f"atom index {a} out of range")
             if not 1 <= k <= self.degree_cutoff:
                 raise UsageError(f"power {k} outside 1..{self.degree_cutoff}")
-        # the convenience letters' entries are in basis order: they pass as is
-        return Letter(self, sparse_vector(tuple(
-            (self.basis_index(a, k), c) for (a, k), c in items.items())))
+            out.extend((a * b + j, x if c == 1 else c * x) for j, x in self._powers[k - 1])
+        # one power on atoms in order is canonical as it is: sparse_vector passes it
+        return Letter(self, sparse_vector(tuple(out)))
 
     def basis_product(self, p: SparseVector, i: int) -> SparseVector:
-        """p e_i: each term c x_A^k of p on the atom A of e_i = x_A^m, found
-        by bisection, becomes c x_A^(k+m) at its index plus m; a power past
-        the cutoff is a CutoffExceededError."""
-        d = self.degree_cutoff
-        lo, m = i - i % d, i % d + 1  # x_A^1 sits at lo
-        out = []
-        for j, c in p[bisect_left(p, (lo,)):bisect_left(p, (lo + d,))]:
-            if j - lo + 1 + m > d:
-                raise CutoffExceededError(
-                    f"letter product degree {j - lo + 1 + m} exceeds cutoff {d}")
-            out.append((j + m, c))
-        return tuple(out)
+        """p e_i over `product_den`: the terms c P_k of p on the atom A of
+        e_i = P_m, found by bisection, each taken to c x P_k P_m by the
+        product table; a product past the cutoff is a CutoffExceededError."""
+        b = self.rank
+        lo, m = i - i % b, i % b  # P_0 on A sits at lo
+        out = [0] * b
+        for j, c in p[bisect_left(p, (lo,)):bisect_left(p, (lo + b,))]:
+            col = self._products[j - lo][m]
+            if col is None:
+                raise CutoffExceededError(f"letter product degree {j - lo + m + 2} "
+                                          f"exceeds cutoff {self.degree_cutoff}")
+            for k, x in col:
+                out[k] += c * x
+        return tuple((lo + k, x) for k, x in enumerate(out) if x)
 
     def xi(self, p: SparseVector) -> SparseVector:
         return p
@@ -407,8 +440,7 @@ class ProcessModel:
         return Fraction(0)
 
     def describe(self, p: SparseVector) -> str:
-        terms = ((c, *self.atom_power(i)) for i, c in p)
-        return " + ".join(f"{c}*x[A{a}]^{k}" for c, a, k in terms) or "0"
+        return " + ".join(f"{c}*P{i % self.rank}[A{i // self.rank}]" for i, c in p) or "0"
 
     # -- convenience -------------------------------------------------------
 
@@ -419,7 +451,7 @@ class ProcessModel:
         return _basis_letter(self, i)
 
     def interval_letter(self, interval: Interval, power: int = 1) -> Letter:
-        """The letter of chi_I x^{power-1}: sum of e_{A,power} over atoms A of I."""
+        """The letter of chi_I x^{power-1}: x^{power-1} on every atom of I."""
         return self.letter({(a, power): _ONE for a in self.grid.atoms_in(interval)})
 
     def prefix_letter(self, t, power: int = 1) -> Letter:
@@ -435,7 +467,7 @@ def ldl_psd(a: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[Fraction]
     a zero one over a nonzero column (then a principal 2 x 2 minor
     [[0, b], [b, c]] has determinant -b^2 < 0)."""
     m = len(a)
-    s = [[Fraction(x) for x in row] for row in a]  # Schur complements, in place
+    s = [[Fraction(x) for x in row] for row in a]  # Schur complements, lower half
     low = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
     pivots = []
     for k in range(m):
@@ -447,8 +479,8 @@ def ldl_psd(a: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[Fraction]
         if p:
             for i in range(k + 1, m):
                 low[i][k] = c = s[i][k] / p
-                for j in range(k + 1, m):
-                    s[i][j] -= c * s[k][j]
+                for j in range(k + 1, i + 1) if c else ():
+                    s[i][j] -= c * s[j][k]
     return low, pivots
 
 
@@ -462,6 +494,8 @@ class WeightedPointAlgebra:
 
     `letter` takes the values at every point; the payload it builds is the
     sparse vector of the nonzero values, indexed by point."""
+
+    product_den = 1  # a basis product is a value: no denominator
 
     def __init__(self, points: Sequence, weights: Sequence, ring: ScalarRing,
                  fock_depth: int = 6):

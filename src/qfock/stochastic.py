@@ -137,12 +137,12 @@ def _model_of(procs: Sequence[ProcessFamily]) -> ProcessModel:
 def multiple_integral(f: FockVector, procs: Sequence[ProcessFamily]) -> WickElement:
     """Σ_a F(a) W(proc_1 letter on a_1 ⊗ ... ⊗ proc_n letter on a_n), F of
     any support and arity n >= 1.  Its vector is Σ_a F(a) ⊗_i xi_i, as
-    W(v)Ω = v: with Yhat processes, the chaos component of F, at any
-    cutoff.  Off the diagonal its operator is the field product
-    proc_1(I_{a_1}) ... proc_n(I_{a_n}): letters on distinct atoms pair and
-    multiply to zero.  On a diagonal word the operator multiplies the
-    letters on one atom, so it needs a degree cutoff of at least their
-    summed powers: Yhat_2 ⊗ Yhat_2 on (a, a) needs 4."""
+    W(v)Ω = v: with Yhat processes, the chaos component of F.  Off the
+    diagonal its operator is the field product proc_1(I_{a_1}) ...
+    proc_n(I_{a_n}): letters on distinct atoms pair and multiply to zero.
+    On a diagonal word it multiplies the letters on one atom: at any cutoff
+    on a model that closes, and else from a cutoff of their summed powers
+    on (Yhat_2 ⊗ Yhat_2 on (a, a) needs 4)."""
     n = _arity(f)
     if len(procs) != n:
         raise UsageError(f"need {n} integrator processes, got {len(procs)}")
@@ -229,9 +229,7 @@ def st_pi_closed(pi: SetPartition, t, model: ProcessModel,
     construction, about 12 µs per `prefix_letter` on a 2-atom model on a
     2-vCPU Xeon."""
     t = Fraction(t)
-    sizes = pi.block_sizes()
-    if max(sizes) > model.degree_cutoff:
-        raise UsageError("block size exceeds the degree cutoff")
+    sizes = pi.block_sizes()  # a size past the cutoff is refused by prefix_letter
     if prefix is None:
         prefix = {}
     for k in sizes:
@@ -340,31 +338,18 @@ def chaos_decompose(v: FockVector, model: ProcessModel) -> dict[tuple[int, ...],
     degree-n term of the multi-index u is the step function F_u with
     v = Σ_u Σ_{a⃗} F_u(a⃗) ⊗_i (e-letter of P_{u(i)-1} on atom a_i).
 
-    The change of basis is the model's Hankel factor L: x^k = Σ_j L[k][j] P_j.
-    It needs P_0..P_{d-1} at cutoff d, so a measure on fewer than d - 1
-    points is a DegeneracyError."""
+    That is the model's own basis, e_{A,k} = P_k on atom A at index
+    A rank + k, so each basis index i only reads as atom i // rank and
+    u-entry i % rank + 1."""
     if v.space != model.space:
         raise UsageError("vector does not live on this model's space")
-    model.monic_op(model.degree_cutoff - 1)  # P_{d-1} exists, so all lower do
-    low = model.hankel_factor[0]
+    b = model.rank
     out: dict[tuple[int, ...], FockVector] = {}
     for word, c in v.terms.items():
-        slots = [model.atom_power(i) for i in word]
-        atoms = tuple(a for a, _ in slots)
-
-        def rec(pos: int, u: tuple[int, ...], coeff: Fraction):
-            if pos == len(slots):
-                if u not in out:
-                    out[u] = FockVector(model.grid.space, len(u))
-                out[u].add_term(atoms, c * const(coeff))
-                return
-            _, k = slots[pos]  # basis power k is x^{k-1}
-            for j, g in enumerate(low[k - 1][:k], start=1):
-                if g:
-                    rec(pos + 1, u + (j,), coeff * g)
-
-        rec(0, (), Fraction(1))
-    return {u: f for u, f in out.items() if not f.is_zero}
+        u = tuple(i % b + 1 for i in word)
+        out.setdefault(u, FockVector(model.grid.space, len(u))).add_term(
+            tuple(i // b for i in word), c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +358,7 @@ def chaos_decompose(v: FockVector, model: ProcessModel) -> dict[tuple[int, ...],
 
 def _atom_end(model: ProcessModel, i: int) -> Fraction:
     """The right end of the grid atom of basis index i."""
-    return model.grid.atoms[model.atom_power(i)[0]][1]
+    return model.grid.atoms[i // model.rank][1]
 
 
 def _checked_pieces(model: ProcessModel, pieces: Iterable, values=lambda u: (u,)) -> list:

@@ -41,12 +41,11 @@ from .qscalar import (ONE, IntImage, QScalar, accumulate, add_scaled, addmul,
                       const, q_pow)
 
 # Live arc states the transfer may hold after one position, in either case.
-# The moment of X(1)^n on the one-letter grid models peaks at 627 states at
-# n = 16 and 3,949 at n = 20 (0.6 s on the 2-atom three-point model and on
-# the 1-atom Gaussian, on a 2-vCPU Xeon), and n = 21 needs 6,218; on the
-# all-ones point set, where 1·1 = 1, n = 28 peaks at 15.  The expansion of
-# X(1)^12 on the three-point model ends on 2,731 states (0.12 s), and
-# X(1)^13 needs 5,461.
+# The moment of X(1)^n on the 2-atom three-point model peaks at 1,083 states
+# at n = 20 (0.2 s on a 2-vCPU Xeon) and 3,402 at n = 23 (1.1 s), and n = 24
+# needs 4,073; where block products are null or the one letter again, n = 40
+# peaks at 11 on the Gaussian and at 21 on the all-ones models.  Expanding
+# X(1)^13 on the three-point model ends on 2,420 states; X(1)^14 needs 4,452.
 MAX_ARC_STATES = 4000
 
 

@@ -181,6 +181,17 @@ def test_moments_at_q0_output_pinned(capsys):
             == "c0cb1e256cdcb9e6e2c02df0f6f451e37c20267b3707e348ca1d58081efe9a8c")
 
 
+def four_point_config(tmp_path):
+    """A model file of nu on four points, at cutoff 3."""
+    cfg = tmp_path / "four.cfg"
+    cfg.write_text("q = exact\n"
+                   "nu.atoms = [(-2, 1/4), (-1, 1/4), (1, 1/4), (2, 1/4)]\n"
+                   "grid = uniform(1, 2)\n"
+                   "degree_cutoff = 3\n"
+                   "fock_depth = 6\n")
+    return cfg
+
+
 class TestMoments:
     def test_default_model_rows(self, capsys):
         code, out, _ = run(capsys, "moments")
@@ -300,20 +311,36 @@ class TestMoments:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert key in lines[0]
 
-    def test_budget_refusal_is_upfront(self, capsys):
-        code, _, err = run(capsys, "moments", "--nmax", "6")
-        assert code == 2
-        assert "degree_cutoff" in err
+    def test_budget_refusal_is_upfront(self, capsys, tmp_path):
+        # four support points at cutoff 3: no null polynomial, so products
+        # stop at the cutoff and a block of 6 letters is refused before any
+        # moment is computed
+        cfg = four_point_config(tmp_path)
+        code, out, err = run(capsys, "moments", "--model", str(cfg), "--nmax", "6")
+        assert code == 2 and out == ""
+        assert err == "error: nmax 6 needs degree_cutoff >= 5, model has 3\n"
+        code, out, _ = run(capsys, "moments", "--model", str(cfg), "--nmax", "4")
+        assert code == 0 and len(out.strip().splitlines()) == 5
 
-    def test_cutoff_flag_unlocks_larger_nmax(self, capsys):
-        code, out, _ = run(capsys, "moments", "--nmax", "6", "--cutoff", "5")
+    def test_cutoff_flag_unlocks_larger_nmax(self, capsys, tmp_path):
+        # from cutoff 4 on, the four-point model closes, and --nmax is no
+        # longer bound by the cutoff; the default three-point model closes
+        # at its cutoff 3, and its table does not depend on the cutoff
+        cfg = four_point_config(tmp_path)
+        code, out, _ = run(capsys, "moments", "--model", str(cfg), "--nmax", "6",
+                           "--cutoff", "4")
         assert code == 0
         assert len(out.strip().splitlines()) == 7
+        code, out, _ = run(capsys, "moments", "--nmax", "8")
+        assert code == 0
+        code, wide, _ = run(capsys, "moments", "--nmax", "8", "--cutoff", "7")
+        assert code == 0 and out == wide
 
     def test_nmax_range_validated(self, capsys):
-        code, _, err = run(capsys, "moments", "--nmax", "9")
+        code, _, err = run(capsys, "moments", "--nmax", str(cli.MAX_NMAX + 1))
         assert code == 2
-        assert "nmax" in err
+        assert err.strip().endswith(
+            f"nmax {cli.MAX_NMAX + 1}, over the limit of {cli.MAX_NMAX}")
         code, _, err = run(capsys, "moments", "--nmax", "0")
         assert code == 2
         assert err.strip().endswith("nmax 0, below the least of 1")
@@ -338,17 +365,10 @@ class TestMoments:
         assert err.strip().endswith(
             f"nmax {cli.MAX_NMAX + 1}, over the limit of {cli.MAX_NMAX}")
 
-    def test_state_budget_refusal(self, capsys, tmp_path):
-        # the Gaussian model runs X(1)^n to n = 20 and needs 6,218 arc
-        # states at n = 21
-        cfg = tmp_path / "gauss.cfg"
-        cfg.write_text("q = exact\n"
-                       "nu.atoms = [(0, 1)]\n"
-                       "grid = uniform(1, 1)\n"
-                       "degree_cutoff = 20\n"
-                       "fock_depth = 6\n")
-        code, out, err = run(capsys, "moments", "--model", str(cfg),
-                             "--nmax", "21")
+    def test_state_budget_refusal(self, capsys):
+        # the default three-point model runs X(1)^n to n = 23 and needs
+        # 4,073 arc states at position 11 of n = 24
+        code, out, err = run(capsys, "moments", "--nmax", "24")
         assert code == 2
         assert out == ""
         lines = err.strip().splitlines()
@@ -629,6 +649,19 @@ class TestModelChecks:
         line = self.refused(capsys, "moments", "--model", str(cfg), "--nmax", "2")
         assert "pivot d_1 = 0 over a nonzero column" in line
 
+    def test_moments_list_with_nonzero_pivot_after_zero_one_exits_2(
+            self, capsys, tmp_path):
+        # r_4 = 0 makes nu = delta_0, whose r_6 is 0, not 1; the Hankel form
+        # [[1, 0, 0], [0, 0, 0], [0, 0, 1]] is positive semidefinite, but a
+        # measure's pivots stay zero after a zero one
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(MODEL_TEXT.replace("nu.atoms = [(-1, 1/2), (1, 1/2)]",
+                                          "moments = [0, 1, 0, 0, 0, 1]")
+                       .replace("degree_cutoff = 2", "degree_cutoff = 3"))
+        line = self.refused(capsys, "moments", "--model", str(cfg), "--nmax", "4")
+        assert line == ("error: moments are not those of a measure: "
+                        "pivot d_3 = 1 after d_2 = 0")
+
     def test_short_moment_list_is_refused_by_the_model(self, capsys, tmp_path):
         cfg = tmp_path / "m.cfg"
         cfg.write_text(MODEL_TEXT.replace("nu.atoms = [(-1, 1/2), (1, 1/2)]",
@@ -827,6 +860,9 @@ UNREAD += [("converge", flag) for flag in ("--model", "--q", "--depth",
                                            "--cutoff", "--grid", "--nmax",
                                            "--suite", "--seed")]
 UNREAD += [("moments", flag) for flag in ("--suite", "--seed", "--depth")]
+# a prefix of a flag the command reads is not that flag
+UNREAD += [("moments", "--cut"), ("moments", "--nm"), ("moments", "--mod"),
+           ("verify", "--su"), ("verify", "--se")]
 
 
 @pytest.mark.parametrize("command,flag", UNREAD)

@@ -20,6 +20,7 @@ from qfock.fock import (NORM_WORD_CAP, FockOperator, FockVector,
                         OneParticleSpace, adjoint, apply, apply_Pn,
                         field_operator, inner0, innerq,
                         operator_norm_estimate, sparse_vector)
+from qfock.cli import grid_model
 from qfock.model import MomentSequence, ProcessModel, TimeGrid
 from qfock.qscalar import EXACT, ONE, ZERO, QScalar, ScalarRing, const, q_fact, q_pow
 from matrix_gauge import MatrixGauge, matrix_gauge
@@ -451,7 +452,7 @@ class TestNormEstimates:
         n = operator_norm_estimate(FockOperator.identity(), sp, depth)
         assert n == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("c", [0, Fraction(3, 2)])
+    @pytest.mark.parametrize("c", [0, Fraction(3, 2), 1])
     @pytest.mark.parametrize("q0", [0, Fraction(3, 10), Fraction(-1, 2),
                                     Fraction(7, 10)])
     @pytest.mark.parametrize("depth", [3, 6, 10, 40])
@@ -463,26 +464,41 @@ class TestNormEstimates:
         # With c >= 0 the norm is the largest eigenvalue (negating the
         # off-diagonals is a similarity, so |lowest| <= top when the diagonal
         # is >= 0); the Sturm counts below isolate it, in rationals at q0,
-        # within 1e-12 relative of the estimate
-        sp = OneParticleSpace.orthonormal(1, ScalarRing(q0))
+        # within 1e-12 relative of the estimate.  The field of X(1) on the
+        # one-atom grid model of nu = delta_0 (c = 0) or delta_1 (c = 1) is
+        # the same matrix: P_0 = 1 has norm² r_2 = 1, and x P_0 P_0 = x is
+        # 0 or 1 in L²(nu)
+        ring = ScalarRing(q0)
+        sp = OneParticleSpace.orthonormal(1, ring)
         x = field_operator([Fraction(1)], MatrixGauge([[c]]) if c else None, None)
-        est = operator_norm_estimate(x, sp, depth)
+        cases = [(x, sp)]
+        if c in (0, 1):
+            model = grid_model(((c, 1),), 1, 4, depth, ring)
+            cases.append((model.prefix_letter(1).field(), model.space))
         q_ints = [sum(Fraction(q0) ** k for k in range(n)) for n in range(depth + 1)]
         diag = [c * b for b in q_ints]
-        eps = Fraction(est) / 10 ** 12
-        assert eigenvalues_above(Fraction(est) - eps, diag, q_ints) == 1
-        assert eigenvalues_above(Fraction(est) + eps, diag, q_ints) == 0
+        for op, space in cases:
+            est = operator_norm_estimate(op, space, depth)
+            eps = Fraction(est) / 10 ** 12
+            assert eigenvalues_above(Fraction(est) - eps, diag, q_ints) == 1
+            assert eigenvalues_above(Fraction(est) + eps, diag, q_ints) == 0
 
     def test_grid_model_letter_field_exceeds_the_cutoff(self):
-        # estimates run on point-set algebras: on a grid model, a letter's
-        # gauge multiplies the top power past the degree cutoff
+        # with moments through r_6 at cutoff 3, the model knows no null
+        # polynomial, and a letter's gauge multiplies the top power past
+        # the cutoff; through r_8, P_3 is null, the model closes, and the
+        # same field is estimated
         atoms = [(-1, Fraction(1, 4)), (0, Fraction(1, 2)), (1, Fraction(1, 4))]
-        model = ProcessModel(ScalarRing(Fraction(3, 10)),
-                             MomentSequence.from_measure(atoms, 6),
+        ring = ScalarRing(Fraction(3, 10))
+        model = ProcessModel(ring, MomentSequence.from_measure(atoms, 6),
                              TimeGrid.uniform(1, 2), 3, 2)
         with pytest.raises(CutoffExceededError,
                            match="letter product degree 4 exceeds cutoff 3"):
             operator_norm_estimate(model.prefix_letter(1).field(), model.space, 2)
+        model = grid_model(atoms, 2, 3, 2, ring)
+        assert model.closes
+        assert operator_norm_estimate(model.prefix_letter(1).field(),
+                                      model.space, 2) > 0
 
 
 def eigenvalues_above(x, diag, off2):

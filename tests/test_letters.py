@@ -4,9 +4,10 @@ int numerators and gauge by their algebra's product.
 A letter is one object per (algebra, canonical payload), whatever path built
 it; its field node, int pairing row, gauge and products are built once and
 are freed with the algebra; `letter_pair` agrees with the gram form written
-out in Fractions; a letter's gauge column at e_i, over the letter's one
-denominator, agrees with the column each algebra once wrote out on its own,
-and is built once per letter.
+out in Fractions; a letter's gauge column at e_i, over its one denominator,
+agrees with a reference per algebra (the value at point i, or on the grid
+the product x f g paired against the measure itself), and is built once per
+letter.
 """
 
 import gc
@@ -20,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 from qfock.cli import rand_letter, three_point_model
 from qfock.errors import CutoffExceededError, UsageError
 from qfock import model as model_module
-from qfock.fock import FockOperator, FockVector, OneParticleSpace, apply
+from qfock.fock import (FockOperator, FockVector, OneParticleSpace, apply,
+                        sparse_vector)
 from qfock.model import (Letter, MomentSequence, ProcessModel, TimeGrid,
                          WeightedPointAlgebra, letter_pair)
 from qfock.qscalar import EXACT, const
@@ -67,8 +69,12 @@ class TestInterning:
         assert f * f is points.letter([1, 4, 9])
 
     def test_basis_letter(self, model, points):
+        # e_i is P_k on atom A, i = A rank + k, written here in monomials
+        b = model.rank
         for i in range(model.space.dim):
-            assert model.basis_letter(i) is model.atom_letter(*model.atom_power(i))
+            op = model.monic_op(i % b)
+            assert model.basis_letter(i) is model.letter(
+                {(i // b, j + 1): c for j, c in enumerate(op) if c})
         assert points.basis_letter(1) is points.letter([0, 1, 0])
 
     def test_basis_letter_out_of_range(self, model, points):
@@ -170,41 +176,46 @@ DENOMINATORS = sorted({2 ** a * 3 ** b * 5 ** c * 7 ** d for a in range(3)
 RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(DENOMINATORS))
 
 
-def grid_reference(model: ProcessModel, a: Letter, b: Letter) -> Fraction:
-    """sum over atoms A and powers j, k of a_{A,j} b_{A,k} |A| r_{j+k}."""
-    out = Fraction(0)
-    for i, x in a.payload:
-        atom, j = model.atom_power(i)
-        for i_b, y in b.payload:
-            atom_b, k = model.atom_power(i_b)
-            if atom == atom_b:
-                out += x * y * model.grid.width(atom) * model.moments.r_at(j + k)
-    return out
+def grid_reference(model: ProcessModel, fa: dict, fb: dict) -> Fraction:
+    """sum over atoms A and powers j, k of a_{A,j} b_{A,k} |A| r_{j+k}, for
+    letters given as {(atom, power): coefficient}."""
+    return sum((x * y * model.grid.width(atom) * model.moments.r_at(j + k)
+                for (atom, j), x in fa.items() for (atom_b, k), y in fb.items()
+                if atom == atom_b), Fraction(0))
 
 
-def point_reference(alg: WeightedPointAlgebra, a: Letter, b: Letter) -> Fraction:
-    """sum over points i of w_i a(i) b(i)."""
-    fa, fb = dict(a.payload), dict(b.payload)
-    return sum((w * fa.get(i, 0) * fb.get(i, 0)
-                for i, w in enumerate(alg.weights)), Fraction(0))
+def point_reference(alg: WeightedPointAlgebra, fa: list, fb: list) -> Fraction:
+    """sum over points i of w_i a(i) b(i), for letters given by values."""
+    return sum((w * x * y for w, x, y in zip(alg.weights, fa, fb)), Fraction(0))
+
+
+# the grid's measure nu, three points, so a model closes from cutoff 3 on
+NU = list(zip([F(-1, 2), F(1, 3), F(5, 7)], [F(1, 5), F(3, 7), F(13, 35)]))
 
 
 @st.composite
 def letter_pairs(draw):
+    """An algebra, two letters with the forms they were built from, and the
+    reference pairing of two forms.  The grid model's cutoff is 2, 3 or 4,
+    with moments through r_{2 cutoff} or r_{2 cutoff + 2}: it closes at
+    cutoff 4, and at cutoff 3 with the longer list."""
     if draw(st.booleans()):
-        cutoff = 2
-        atoms = list(zip([F(-1, 2), F(1, 3), F(5, 7)], [F(1, 5), F(3, 7), F(13, 35)]))
+        cutoff = draw(st.integers(2, 4))
         bounds = [0, F(1, 6), F(3, 7), F(4, 5), 1]
-        model = ProcessModel(EXACT, MomentSequence.from_measure(atoms, 2 * cutoff),
+        length = 2 * cutoff + draw(st.sampled_from((0, 2)))
+        model = ProcessModel(EXACT, MomentSequence.from_measure(NU, length),
                              TimeGrid(bounds), cutoff, 3)
         keys = st.tuples(st.integers(0, model.grid.n_atoms - 1),
                          st.integers(1, cutoff))
-        draw_letter = st.dictionaries(keys, RATIONALS, max_size=4).map(model.letter)
-        return model, draw(draw_letter), draw(draw_letter), grid_reference
-    alg = WeightedPointAlgebra([F(-3, 2), F(1, 7), 2, F(5, 3)],
-                               [F(1, 2), F(1, 3), F(1, 7), F(1, 42)], EXACT)
-    draw_letter = st.lists(RATIONALS, min_size=4, max_size=4).map(alg.letter)
-    return alg, draw(draw_letter), draw(draw_letter), point_reference
+        forms = st.dictionaries(keys, RATIONALS.filter(bool), max_size=4)
+        build, reference = model.letter, grid_reference
+    else:
+        model = WeightedPointAlgebra([F(-3, 2), F(1, 7), 2, F(5, 3)],
+                                     [F(1, 2), F(1, 3), F(1, 7), F(1, 42)], EXACT)
+        forms = st.lists(RATIONALS, min_size=4, max_size=4)
+        build, reference = model.letter, point_reference
+    fa, fb = draw(forms), draw(forms)
+    return model, (build(fa), fa), (build(fb), fb), reference
 
 
 @settings(max_examples=150, deadline=None)
@@ -213,13 +224,13 @@ def test_letter_pair_matches_fraction_reference(drawn):
     """On both algebras, the int pairing row against the other letter's
     vector is the gram form written out in Fractions, symmetric, and the
     same when asked again from the cached row."""
-    algebra, a, b, reference = drawn
-    want = reference(algebra, a, b)
+    algebra, (a, fa), (b, fb), reference = drawn
+    want = reference(algebra, fa, fb)
     got = letter_pair(a, b)
     assert type(got) is Fraction and got == want
     assert letter_pair(b, a) == want
     assert letter_pair(a, b) == want
-    assert letter_pair(a, a) == reference(algebra, a, a)
+    assert letter_pair(a, a) == reference(algebra, fa, fa)
     den, row = a.pairing()
     assert den > 0 and all(row.values())
     den, ints = b.ints
@@ -230,62 +241,90 @@ def test_letter_pair_matches_fraction_reference(drawn):
 def test_letter_pair_reads_the_int_payload(model, monkeypatch):
     """Once its letters exist, `letter_pair` builds no int form of a payload."""
     a, b = model.atom_letter(0, 1), model.interval_letter((0, F(1, 2)), 2)
-    want = grid_reference(model, a, b)
+    want = grid_reference(model, {(0, 1): 1}, {(0, 2): 1, (1, 2): 1})
     monkeypatch.setattr(model_module, "int_numerators", None)
     assert letter_pair(a, b) == want and letter_pair(b, a) == want
 
 
-def former_gauge_column(algebra, letter: Letter, i: int) -> list:
-    """T e_i for multiplication by a letter, as each algebra wrote it out on
-    its own: a grid letter takes x_A^p to x_A^(p+k) by each of its terms
-    x_A^k on the atom of e_i, and refuses a power past the cutoff; a
-    point-set letter scales e_i by its value at point i."""
-    if isinstance(algebra, WeightedPointAlgebra):
-        values = dict(letter.payload)
-        return [(i, values[i])] if i in values else []
-    atom, power = algebra.atom_power(i)
-    out = []
-    for j, c in letter.payload:
-        a, k = algebra.atom_power(j)
-        if a == atom:
-            if power + k > algebra.degree_cutoff:
-                raise CutoffExceededError(f"degree {power + k}")
-            out.append((i + k, c))
-    return out
+def point_gauge_column(alg: WeightedPointAlgebra, values: list, i: int) -> list:
+    """T e_i for multiplication by a point-set letter: e_i scaled by its
+    value at point i."""
+    return [(i, values[i])] if values[i] else []
+
+
+def check_grid_gauge(model: ProcessModel, letter: Letter, form: dict) -> None:
+    """The gauge of a grid letter f, given as {(atom, power): coefficient},
+    against the measure itself.  On a model that does not close, the column
+    at P_k on atom A raises when a term x^{j-1} of f on A makes x f P_k of
+    letter power j + k + 1 past the cutoff.  Every other column is read
+    through the monomial letters g = x_A^m: <f g, x_A^k> must be
+    |A| sum_j f_{A,j} int x^{j+m+k-2} dnu, summed over the points of nu."""
+    gauge, b = letter.gauge(), model.rank
+    cols = {}
+    for i in range(model.space.dim):
+        top = max((j for (a, j) in form if a == i // b), default=0)
+        if not model.closes and top and top + i % b + 1 > model.degree_cutoff:
+            with pytest.raises(CutoffExceededError, match="letter product degree"):
+                gauge.column(i)
+            continue
+        col = cols[i] = gauge.column(i)
+        assert all(type(x) is int for _, x in col)
+    for atom in range(model.grid.n_atoms):
+        for m in range(1, model.degree_cutoff + 1):
+            g = model.atom_letter(atom, m)
+            if any(i not in cols for i, _ in g.payload):
+                continue
+            image: dict = {}
+            for i, c in g.payload:
+                for j, x in cols[i]:
+                    image[j] = image.get(j, 0) + c * F(x, gauge.den)
+            for k in range(1, model.degree_cutoff + 1):
+                got = model.space.pair_vec(sparse_vector(image.items()),
+                                           model.atom_letter(atom, k).payload)
+                assert got == model.grid.width(atom) * sum(
+                    (c * w * x ** (j + m + k - 2) for (a, j), c in form.items()
+                     if a == atom for x, w in NU), F(0))
 
 
 @settings(max_examples=100, deadline=None)
 @given(letter_pairs())
 def test_gauge_columns_match_former_per_algebra_forms(drawn):
-    """On both algebras, the one letter gauge has at every basis index the
-    column each algebra's own gauge had, as int numerators over the
-    letter's denominator, and raises where it raised."""
-    algebra, a, b, _ = drawn
-    for letter in (a, b):
+    """On both algebras, the one letter gauge is multiplication by the
+    letter: on the point set each column is the one the point set's own
+    gauge had, and on the grid the columns are x f P_m, checked against the
+    measure and refused past the cutoff of a model that does not close; all
+    are int numerators over the letter's one denominator."""
+    algebra, *pairs, _ = drawn
+    for letter, form in pairs:
         gauge = letter.gauge()
         if letter.is_zero:
             assert gauge is None
             continue
-        assert gauge is letter and gauge.den == letter.ints[0]
+        assert gauge is letter
+        assert gauge.den == letter.ints[0] * algebra.product_den
+        if isinstance(algebra, ProcessModel):
+            check_grid_gauge(algebra, letter, form)
+            continue
+        assert algebra.product_den == 1
         for i in range(algebra.space.dim):
-            try:
-                want = former_gauge_column(algebra, letter, i)
-            except CutoffExceededError:
-                with pytest.raises(CutoffExceededError, match="letter product degree"):
-                    gauge.column(i)
-            else:
-                col = gauge.column(i)
-                assert all(type(x) is int for _, x in col)
-                assert [(j, F(x, gauge.den)) for j, x in col] == want
+            col = gauge.column(i)
+            assert all(type(x) is int for _, x in col)
+            assert ([(j, F(x, gauge.den)) for j, x in col]
+                    == point_gauge_column(algebra, form, i))
 
 
-def test_gauge_column_past_the_cutoff_is_not_kept(model):
-    """A column past the cutoff raises at every use, directly or through
-    `apply`, and is not kept; the columns under the cutoff are."""
-    letter = model.atom_letter(0, 2)
+def test_gauge_column_past_the_cutoff_is_not_kept():
+    """On a model that does not close, a column past the cutoff raises at
+    every use, directly or through `apply`, and is not kept; the columns
+    under the cutoff are."""
+    model = ProcessModel(EXACT, MomentSequence.from_measure(
+        [(-1, F(1, 4)), (0, F(1, 2)), (1, F(1, 4))], 6), TimeGrid.uniform(1, 2), 3, 4)
+    letter = model.atom_letter(0, 2)  # x = P_1
     gauge = letter.gauge()
-    low, top = model.basis_index(0, 1), model.basis_index(0, 2)
-    assert gauge.column(low) == ((model.basis_index(0, 3), 1),)
+    low, top = 0, 1  # P_0 and P_1 on atom 0
+    # x * x * 1 = x^2 = P_2 + P_0 / 2
+    assert ([(j, F(x, gauge.den)) for j, x in gauge.column(low)]
+            == [(0, F(1, 2)), (2, F(1))])
     node = FockOperator.gauge(gauge)
     for _ in range(2):
         with pytest.raises(CutoffExceededError, match="letter product degree 4"):
@@ -304,9 +343,8 @@ def test_letter_gauge_columns_built_once(model, monkeypatch):
     monkeypatch.setattr(model, "basis_product",
                         lambda p, i: calls.append(i) or basis_product(p, i))
     letter = model.atom_letter(0, 1) + model.atom_letter(1, 1).scale(F(2, 3))
-    v = FockVector(model.space, 3, {
-        (model.basis_index(0, 1), model.basis_index(1, 2)): const(1),
-        (model.basis_index(2, 1),): const(F(1, 5))})
+    b = model.rank  # P_k on atom A sits at A b + k
+    v = FockVector(model.space, 3, {(0, b + 1): const(1), (2 * b,): const(F(1, 5))})
     images = []
     for op in (FockOperator.gauge(letter.gauge()), FockOperator.gauge(letter.gauge()),
                letter.field()):

@@ -26,6 +26,14 @@ def model():
     return ProcessModel(EXACT, three_point(), TimeGrid.uniform(1, 4), 3, 6)
 
 
+@pytest.fixture
+def full_rank():
+    """The same measure with moments through r_6 only: no null polynomial is
+    known at cutoff 3, so letter products stop at the cutoff."""
+    return ProcessModel(EXACT, MomentSequence.from_measure(
+        [(-1, F(1, 3)), (0, F(1, 3)), (1, F(1, 3))], 6), TimeGrid.uniform(1, 4), 3, 6)
+
+
 class TestMomentSequence:
     def test_from_measure_values(self):
         m = MomentSequence.from_measure([(2, F(1, 2)), (-2, F(1, 2))], 6)
@@ -73,9 +81,15 @@ class TestLetterAlgebra:
     def test_cross_atom_product_vanishes(self, model):
         assert (model.atom_letter(0) * model.atom_letter(1)).is_zero
 
-    def test_product_cutoff(self, model):
-        with pytest.raises(CutoffExceededError):
-            model.atom_letter(0, 2) * model.atom_letter(0, 2)
+    def test_product_cutoff(self, model, full_rank):
+        # x * x^1 * x^1 = x^3, which is x on the support {-1, 0, 1}: the
+        # model closes, and the product is the power-2 letter again
+        assert model.closes and not full_rank.closes
+        x = model.atom_letter(0, 2)
+        assert x * x is x
+        with pytest.raises(CutoffExceededError,
+                           match="letter product degree 4 exceeds cutoff 3"):
+            full_rank.atom_letter(0, 2) * full_rank.atom_letter(0, 2)
 
     def test_gram_entry(self, model):
         # <x_A^1, x_A^2> = |A| r_3 = 0 and <x_A^2, x_A^2> = |A| r_4 = 1/4 * 2/3
@@ -97,19 +111,19 @@ class TestLetterAlgebra:
         a, b = model.atom_letter(0, 1), model.atom_letter(0, 2)
         assert (a + b).scale(2) - a.scale(2) == b.scale(2)
 
-    def test_gauge_cutoff_fires_only_on_a_used_column(self, model):
-        """The gauge of x_A0^cutoff takes every x_A0^k past the cutoff, but
-        only a word that holds atom 0 asks for such a column."""
+    def test_gauge_cutoff_fires_only_on_a_used_column(self, full_rank):
+        """On a model that does not close, the gauge of x_A0^cutoff takes
+        every P_k on A0 past the cutoff, but only a word that holds atom 0
+        asks for such a column; P_k on atom A sits at index A rank + k."""
+        model = full_rank
         field = model.atom_letter(0, model.degree_cutoff).field()
-        depth = model.fock_depth
+        depth, b = model.fock_depth, model.rank
         apply(field, FockVector.vacuum(model.space, depth))
-        apply(field, FockVector.basis_word(
-            model.space, depth, (model.basis_index(1, 1), model.basis_index(2, 3))))
+        apply(field, FockVector.basis_word(model.space, depth, (b, 2 * b + 2)))
         with pytest.raises(CutoffExceededError,
                            match=f"letter product degree {model.degree_cutoff + 1} "
                                  f"exceeds cutoff {model.degree_cutoff}"):
-            apply(field, FockVector.basis_word(
-                model.space, depth, (model.basis_index(1, 1), model.basis_index(0, 1))))
+            apply(field, FockVector.basis_word(model.space, depth, (b, 0)))
 
 
 class TestProcessOperators:
@@ -247,8 +261,8 @@ class TestWeightedPointAlgebra:
 
 class TestLetterText:
     """Letter text is read off the sparse payload, which is the one-particle
-    vector, and stays as it was when payloads were (atom, power) tuples on
-    the grid and dense value tuples on the point set."""
+    vector: its P_k per atom on the grid, and the dense value tuple on the
+    point set."""
 
     def three_point_model(self):
         atoms = [(-1, F(1, 4)), (0, F(1, 2)), (1, F(1, 4))]
@@ -258,10 +272,11 @@ class TestLetterText:
     def test_grid_model(self):
         model = self.three_point_model()
         a, b = model.atom_letter(0), model.atom_letter(1, 2)
+        # x^2 = P_2 + P_0 / 2, with P_2 = x^2 - 1/2
         mixed = a.scale(F(-3, 2)) + model.atom_letter(0, 3)
-        assert repr(mixed) == "Letter(-3/2*x[A0]^1 + 1*x[A0]^3)"
+        assert repr(mixed) == "Letter(-1*P0[A0] + 1*P2[A0])"
         assert repr(model.letter({})) == "Letter(0)"
-        assert mixed.xi() == ((0, F(-3, 2)), (2, F(1)))
+        assert mixed.xi() == ((0, F(-1)), (2, F(1)))
         # one (S, π) per word: {1,2}{3}*, {1,2}*{3}* and {1}*{2}*{3}*
         assert product_expansion([a, a, b]).terms == {
             (b,): const(F(1, 2)),
@@ -304,8 +319,10 @@ FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
 
 
 class GridReference:
-    """Grid letters in their former payload form, sorted ((atom, power), c)
-    with no zero c, and the algebra written on that form."""
+    """Grid letters as monomials, sorted ((atom, power), c) with no zero c,
+    and the algebra written on that form: power k names x^{k-1}, a product
+    adds powers, and the norm² of a letter is sum_A |A| sum c_j c_k
+    r_{j+k}, from the moments alone."""
 
     def __init__(self):
         # powers 1..2 under cutoff 4, so every product is defined
@@ -337,9 +354,11 @@ class GridReference:
     def mean(self, p):
         return 0
 
-    def sparse(self, p):
-        d = self.algebra.degree_cutoff
-        return tuple((a * d + k - 1, c) for (a, k), c in p)
+    def norm2(self, p):
+        r, width = self.algebra.moments.r_at, self.algebra.grid.width
+        return sum((c1 * c2 * width(a1) * r(k1 + k2)
+                    for (a1, k1), c1 in p for (a2, k2), c2 in p if a1 == a2),
+                   Fraction(0))
 
     def letter(self, p):
         return self.algebra.letter(dict(p))
@@ -372,6 +391,9 @@ class PointReference:
     def sparse(self, p):
         return tuple((i, v) for i, v in enumerate(p) if v)
 
+    def norm2(self, p):
+        return sum((w * v * v for w, v in zip(self.algebra.weights, p)), Fraction(0))
+
     def letter(self, p):
         return self.algebra.letter(p)
 
@@ -400,9 +422,11 @@ def reference_letters(draw):
 @settings(max_examples=150, deadline=None)
 @given(reference_letters())
 def test_letter_algebra_matches_former_payload_form(drawn):
-    """+, scale, -, * and mean on the sparse payload against the former
-    forms, on both algebras; on the grid also the restriction of
-    conditional_expectation at every boundary.  Every payload is canonical."""
+    """+, scale, -, * and mean on the sparse payload against the reference
+    forms, on both algebras, each result the letter of the reference result,
+    zero exactly when its norm² is; on the grid also the restriction of
+    conditional_expectation at every boundary.  Every payload is canonical,
+    and on the point set it is the vector of values."""
     kind, p1, p2, c = drawn
     ref = REFERENCES[kind]
     algebra = ref.algebra
@@ -412,9 +436,11 @@ def test_letter_algebra_matches_former_payload_form(drawn):
              (l1 * l2, ref.product(p1, p2))]
     for got, want in cases:
         assert_canonical(got.payload, algebra.space.dim)
-        assert got.payload == ref.sparse(want)
+        if kind == "points":
+            assert got.payload == ref.sparse(want)
         assert got.xi() == got.payload
-        assert got.is_zero == (not ref.sparse(want))
+        assert letter_pair(got, got) == ref.norm2(want)
+        assert got.is_zero == (ref.norm2(want) == 0)
         assert got.mean() == ref.mean(want)
         same = ref.letter(want)
         assert got == same and hash(got) == hash(same)

@@ -2,8 +2,9 @@
 
 The dense loops below are the oracle: they read every gram entry and share no
 code with the sparse gram rows of OneParticleSpace.  The model grams are
-written out densely from their formulas, delta_AB |A| r_{j+k} for the grid
-and the weights on the diagonal for a point set.
+written out densely from their formulas: for the grid, delta_AB |A| r_{j+k}
+between the monomial letters x_A^j and x_B^k, which the model's orthogonal
+basis must reproduce, and for a point set the weights on the diagonal.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from qfock.errors import UsageError
 from qfock.fock import (FockOperator, FockVector, OneParticleSpace, apply,
                         sparse_vector)
 from qfock.model import (MomentSequence, ProcessModel, TimeGrid,
-                         WeightedPointAlgebra)
+                         WeightedPointAlgebra, letter_pair)
 from qfock.qscalar import EXACT, ScalarRing, const, q_pow
 
 RINGS = (EXACT, ScalarRing(Fraction(3, 10)))
@@ -211,6 +212,7 @@ def test_dense_and_sparse_rows_give_one_space(gram, ring, data):
     assert dense_space.rows == sparse_space.rows == dense_rows(gram)
     assert dense_space == sparse_space
     assert hash(dense_space) == hash(sparse_space)
+    assert first_appearance(sparse_space.gram_classes()) == nonzero_components(gram)
 
 
 def test_sparse_rows_add_repeated_indices():
@@ -253,8 +255,8 @@ def test_space_keeps_only_rows():
 
 
 def dense_model_gram(widths, r, d):
-    """<x_A^j, x_B^k> = delta_AB |A| r_{j+k}, basis index A*d + k - 1; r[0]
-    is r_1."""
+    """<x_A^j, x_B^k> = delta_AB |A| r_{j+k} at (A*d + j - 1, B*d + k - 1);
+    r[0] is r_1."""
     dim = len(widths) * d
     gram = [[Fraction(0)] * dim for _ in range(dim)]
     for a, width in enumerate(widths):
@@ -313,46 +315,53 @@ def grid_models(draw):
     boundaries = [Fraction(0)]
     for width in widths:
         boundaries.append(boundaries[-1] + width)
-    return d, r, widths, boundaries
+    return (d, r, widths, boundaries), len({Fraction(x) for x, _ in atoms})
 
 
 @settings(max_examples=80, deadline=None)
 @given(grid_models(), st.sampled_from(RINGS))
 def test_model_rows_match_dense_formula(case, ring):
-    d, r, widths, boundaries = case
+    """The basis is orthogonal, one positive diagonal entry per vector and
+    min(support, cutoff) vectors per atom, and the monomial letters pair as
+    the dense formula says."""
+    (d, r, widths, boundaries), support = case
     model = ProcessModel(ring, MomentSequence(r), TimeGrid(boundaries), d, 3)
+    assert model.space.dim == len(widths) * min(support, d)
+    assert all(len(row) == 1 and row[0][0] == i and row[0][1] > 0
+               for i, row in enumerate(model.space.rows))
+    assert model.space.gram_classes() == tuple(range(model.space.dim))
     gram = dense_model_gram(widths, r, d)
-    assert model.space.dim == len(gram)
-    assert model.space.rows == dense_rows(gram)
-    assert first_appearance(model.space.gram_classes()) == nonzero_components(gram)
+    letters = [model.atom_letter(a, k) for a in range(len(widths))
+               for k in range(1, d + 1)]
+    assert [[letter_pair(x, y) for y in letters] for x in letters] == gram
 
 
 @pytest.mark.parametrize("boundaries", [
     [0, Fraction(1, 4), Fraction(1, 2), 1],
     [0, Fraction(1, 8), Fraction(1, 2), Fraction(2, 3), 1, Fraction(7, 4)],
 ], ids=["widths_quarter_quarter_half", "widths_all_distinct"])
-@pytest.mark.parametrize("r,d", [
-    # nu = (delta_1 + delta_2) / 2: every moment nonzero
-    ([0, 1, Fraction(3, 2), Fraction(5, 2), Fraction(9, 2), Fraction(17, 2)], 3),
-    # the symmetric two-point measure: every odd moment is zero
-    ([0, 1, 0, 1, 0, 1, 0, 1], 4),
-    ([0, 1, 0, 1, 0, 1, 0, 1], 1),
-    ([0, Fraction(2, 3)], 1),
+@pytest.mark.parametrize("r,d,norms", [
+    # nu = (delta_1 + delta_2) / 2: every moment nonzero; P_1 = x - 3/2
+    ([0, 1, Fraction(3, 2), Fraction(5, 2), Fraction(9, 2), Fraction(17, 2)], 3,
+     [1, Fraction(1, 4)]),
+    # the symmetric two-point measure: every odd moment is zero; P_1 = x
+    ([0, 1, 0, 1, 0, 1, 0, 1], 4, [1, 1]),
+    ([0, 1, 0, 1, 0, 1, 0, 1], 1, [1]),
+    ([0, Fraction(2, 3)], 1, [Fraction(2, 3)]),
 ], ids=["all_moments_nonzero", "zero_odd_moments", "zero_odd_cutoff_1",
         "cutoff_1"])
-def test_grid_gram_blocks_follow_each_width(boundaries, r, d):
+def test_grid_gram_blocks_follow_each_width(boundaries, r, d, norms):
     """On grids whose widths repeat or all differ, each atom's rows are its
-    own width times r_{j+k}, zeros dropped, in the Fraction rows and in
-    int_rows: a block kept for one width and given to another atom of a
-    different width shows here."""
+    own width times the norms ||P_k||² of nu's orthogonal polynomials, in
+    the Fraction rows and in int_rows: a row kept for one width and given
+    to another atom of a different width shows here."""
     bounds = [Fraction(b) for b in boundaries]
     widths = [b - a for a, b in zip(bounds, bounds[1:])]
     model = ProcessModel(EXACT, MomentSequence(r), TimeGrid(bounds), d, 3)
-    # <x_A^j, x_A^k> = |A| r_{j+k} at basis indices A d + j - 1, A d + k - 1;
-    # r[0] is r_1
-    want = tuple(tuple((a * d + k - 1, w * r[j + k - 1]) for k in range(1, d + 1)
-                       if r[j + k - 1])
-                 for a, w in enumerate(widths) for j in range(1, d + 1))
+    # <P_j, P_k> on atom A = delta_jk |A| ||P_k||², at index A len(norms) + k
+    n = len(norms)
+    want = tuple(((a * n + k, w * g),) for a, w in enumerate(widths)
+                 for k, g in enumerate(norms))
     space = model.space
     assert space.rows == want
     assert all(type(g) is Fraction for row in space.rows for _, g in row)
@@ -365,10 +374,11 @@ def test_gaussian_model_rows_drop_zero_moments():
     model = ProcessModel(EXACT, MomentSequence([0, 1, 0, 0, 0, 0]),
                          TimeGrid([0, Fraction(1, 3), 1]), 3, 3)
     third, two_thirds = Fraction(1, 3), Fraction(2, 3)
-    # only <x_A, x_A> = |A| r_2 survives in each 3 x 3 block
-    assert model.space.rows == (((0, third),), (), (),
-                                ((3, two_thirds),), (), ())
-    assert model.space.gram_classes() == (0, 1, 2, 3, 4, 5)
+    # nu = delta_0: x and x^2 are null, so each atom keeps P_0 = 1 alone,
+    # of norm² |A| r_2
+    assert model.space.rows == (((0, third),), ((1, two_thirds),))
+    assert model.space.gram_classes() == (0, 1)
+    assert model.atom_letter(1, 2).is_zero and model.atom_letter(1, 3).is_zero
 
 
 def test_point_set_rows_are_its_weights():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfock.cli import shipped_experiments
+from qfock.cli import shipped_experiments, three_point_model
 from qfock.errors import CutoffExceededError, ResourceBudgetError, UsageError
 from qfock.fock import FockOperator, FockVector, apply, innerq
 from qfock.kspoly import (MAX_KS_LEN, MAX_OP_DEGREE, MAX_ROW_N, ks_poly,
@@ -198,10 +198,10 @@ class TestProcessFamilies:
 
 
 def random_vector(model, max_power, max_len):
-    """Fock vectors over the basis vectors of power <= max_power, in words of
+    """Fock vectors over the basis vectors P_k, k < max_power, in words of
     length <= max_len, with small rational coefficients."""
-    d = model.degree_cutoff
-    index = st.sampled_from([i for i in range(model.space.dim) if i % d < max_power])
+    b = model.rank  # P_k on atom A sits at A b + k
+    index = st.sampled_from([i for i in range(model.space.dim) if i % b < max_power])
     words = st.lists(index, max_size=max_len).map(tuple)
     return st.dictionaries(words, st.fractions(-3, 3, max_denominator=3).filter(bool),
                            min_size=1, max_size=4).map(
@@ -251,22 +251,30 @@ class TestMultipleIntegrals:
             psi_closed([x_process(model), x_process(other)], 1)
 
     def test_diagonal_word_operator_needs_the_summed_cutoff(self):
-        # x_A0^2 ⊗ x_A0^2 is the chaos component of u = (2, 2) on (A0, A0):
-        # its vector needs no cutoff past 3, but its operator multiplies the
-        # two power-2 letters on A0, which needs a cutoff of 4
-        for cutoff in (3, 4):
-            m = three_point(n_atoms=2, cutoff=cutoff)
-            v = word_vector(m, (m.atom_letter(0, 2),) * 2, m.fock_depth)
-            comps = chaos_decompose(v, m)
-            assert set(comps) == {(2, 2)}
-            integral = multiple_integral(comps[2, 2], [yhat_process(m, 2)] * 2)
-            assert integral.vector() == v
-            if cutoff == 3:
-                with pytest.raises(CutoffExceededError,
-                                   match="degree 4 exceeds cutoff 3"):
-                    integral.operator()
-            else:
-                assert apply(integral.operator(), vacuum_vector(m)) == v
+        # x_A0^2 ⊗ x_A0^2 is the chaos component of u = (2, 2) on (A0, A0),
+        # and x_A0^3 ⊗ x_A0 ⊗ x_A0^2 has the component u = (1, 1, 2), since
+        # x^2 = P_2 + P_0 / 2.  Their operators multiply letters on A0 past
+        # the cutoff 3: the model with moments through r_8 closes, and each
+        # operator takes Ω to the vector; with moments through r_6 only, the
+        # first is refused
+        m = three_point_model(n_atoms=2, cutoff=3)
+        assert m.closes
+        om = vacuum_vector(m)
+        for powers, u in (((2, 2), (2, 2)), ((3, 1, 2), (1, 1, 2))):
+            v = word_vector(m, [m.atom_letter(0, k) for k in powers], m.fock_depth)
+            integral = multiple_integral(chaos_decompose(v, m)[u],
+                                         [yhat_process(m, k) for k in u])
+            assert not integral.vector().is_zero
+            assert apply(integral.operator(), om) == integral.vector()
+        m = three_point(n_atoms=2, cutoff=3)
+        assert not m.closes
+        v = word_vector(m, (m.atom_letter(0, 2),) * 2, m.fock_depth)
+        comps = chaos_decompose(v, m)
+        assert set(comps) == {(2, 2)}
+        integral = multiple_integral(comps[2, 2], [yhat_process(m, 2)] * 2)
+        assert integral.vector() == v
+        with pytest.raises(CutoffExceededError, match="degree 4 exceeds cutoff 3"):
+            integral.operator()
 
     @pytest.mark.parametrize("label", sorted(OFF_DIAGONAL_PROCS))
     @given(data=st.data())

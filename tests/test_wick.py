@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfock import wick
-from qfock.cli import all_ones_pointset, gaussian_model, three_point_model
+from qfock.cli import (all_ones_model, all_ones_pointset, gaussian_model,
+                       three_point_model)
 from qfock.errors import CutoffExceededError, ResourceBudgetError, UsageError
 from qfock.fock import FockOperator, FockVector, apply
 from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
@@ -174,21 +175,22 @@ class TestProductExpansion:
             assert (apply(direct, v) - apply(expanded, v)).is_zero
 
     def test_budget_admits_twelve_letters(self):
-        # the same arc-state budget as the moments: X(1)^12 ends on 2,731
-        # states, one per Wick word
-        x = three_point_model(n_atoms=2, cutoff=14).prefix_letter(1)
-        assert len(product_expansion([x] * 12).terms) == 2731
+        # the same arc-state budget as the moments: X(1)^12 ends on 1,316
+        # states and X(1)^13 on 2,420, one per Wick word
+        x = three_point_model(n_atoms=2, cutoff=3).prefix_letter(1)
+        assert len(product_expansion([x] * 12).terms) == 1316
+        assert len(product_expansion([x] * 13).terms) == 2420
 
     def test_budget(self):
-        # the transfer reads right to left: X(1)^13 first needs more than
-        # the budget after position 1, the last one read, with 5,461 states
-        x = three_point_model(n_atoms=2, cutoff=14).prefix_letter(1)
+        # the transfer reads right to left: X(1)^14 first needs more than
+        # the budget after position 1, the last one read, with 4,452 states
+        x = three_point_model(n_atoms=2, cutoff=3).prefix_letter(1)
         with pytest.raises(ResourceBudgetError) as info:
-            product_expansion([x] * 13)
+            product_expansion([x] * 14)
         needed, pos, limit = re.search(
-            r"needs (\d+) arc states at position (\d+) of 13, over the "
+            r"needs (\d+) arc states at position (\d+) of 14, over the "
             r"budget of (\d+)$", str(info.value)).groups()
-        assert (int(needed), int(pos)) == (5461, 1)
+        assert (int(needed), int(pos)) == (4452, 1)
         assert int(limit) == wick.MAX_ARC_STATES
 
     @pytest.mark.parametrize("algebra", ["grid", "points"])
@@ -232,12 +234,15 @@ class TestVacuumMoments:
         assert val.subs(0) == 42  # Catalan(5)
 
     def test_budget(self):
-        # X(1)^21 on the Gaussian model needs 6,218 live arc states
-        x = gaussian_model(n_atoms=1, cutoff=20).prefix_letter(1)
+        # X(1)^24 on the three-point model needs 4,073 live arc states
+        # after position 11
+        x = three_point_model(n_atoms=2, cutoff=3).prefix_letter(1)
         with pytest.raises(ResourceBudgetError) as info:
-            vacuum_moment([x] * 21)
-        needed, limit = re.search(r"needs (\d+) arc states .* budget of (\d+)",
-                                  str(info.value)).groups()
+            vacuum_moment([x] * 24)
+        needed, pos, limit = re.search(
+            r"needs (\d+) arc states at position (\d+) of 24, over the "
+            r"budget of (\d+)$", str(info.value)).groups()
+        assert (int(needed), int(pos)) == (4073, 11)
         assert int(needed) > int(limit) == wick.MAX_ARC_STATES
 
     @pytest.mark.parametrize("family", ["gaussian", "three_point", "all_ones"])
@@ -251,10 +256,24 @@ class TestVacuumMoments:
         for n in range(1, 10):
             assert vacuum_moment([x] * n) == partition_sum_moment([x] * n), n
 
-    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("n", range(1, 41))
     def test_gaussian_is_touchard_riordan(self, n):
-        x = gaussian_model(n_atoms=1, cutoff=15).prefix_letter(1)
+        # at the default cutoff 4: the Gaussian's products are null, so the
+        # cutoff does not bound n
+        x = gaussian_model(n_atoms=1).prefix_letter(1)
         assert vacuum_moment([x] * n) == touchard_riordan(n)
+
+    def test_all_ones_grid_shifted_by_its_mean_is_the_point_set(self):
+        # nu = delta_1: the grid's X(1) is centred, and the point set's X(1)
+        # is the same process plus its mean 1, so
+        # phi[(X + 1)^n] = sum_k C(n, k) phi[X^k]
+        x = all_ones_model().prefix_letter(1)
+        one = all_ones_pointset().one()
+        centred = [const(1)] + [vacuum_moment([x] * k) for k in range(1, 31)]
+        for n in range(1, 31):
+            shifted = sum((const(math.comb(n, k)) * centred[k] for k in range(n + 1)),
+                          ZERO)
+            assert shifted == vacuum_moment([one] * n), n
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_all_ones_is_q_charlier(self, n):
@@ -381,7 +400,11 @@ class TestBlockMemo:
         self.assert_pairs_once_per_call(monkeypatch, expansion_terms, word)
 
     def test_expansion_past_the_cutoff(self):
-        model = three_point_model(n_atoms=1, cutoff=3, depth=4)
+        # moments through r_6 at cutoff 3: no null polynomial is known, so
+        # the product of four power-1 letters is past the cutoff
+        model = ProcessModel(EXACT, MomentSequence.from_measure(
+            [(-1, F(1, 4)), (0, F(1, 2)), (1, F(1, 4))], 6),
+            TimeGrid.uniform(1, 1), 3, 4)
         with pytest.raises(CutoffExceededError,
                            match=r"^letter product degree 4 exceeds cutoff 3$"):
             product_expansion([model.atom_letter(0)] * 4)
