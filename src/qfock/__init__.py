@@ -27,7 +27,8 @@ from .stochastic import (AdaptedProcess, BiProcess, ConvergenceTable,
                          st_pi_discrete, step_rectangle, traciality_witness,
                          two_sided_closed, two_sided_defect_vector,
                          two_sided_discrete, x_process, yhat_process)
-from .wick import (WickElement, product_expansion, vacuum_expectation,
-                   vacuum_moment, vacuum_vector, wick_operator, word_vector)
+from .wick import (WickElement, product_expansion, suffix_moments,
+                   vacuum_expectation, vacuum_moment, vacuum_vector,
+                   wick_operator, word_vector)
 
 __version__ = "0.1.0"

@@ -31,8 +31,8 @@ from .stochastic import (AdaptedProcess, BiProcess, biprocess_inner,
                          step_rectangle, traciality_witness, two_sided_closed,
                          two_sided_defect_vector, two_sided_discrete,
                          x_process, yhat_process)
-from .wick import (WickElement, product_expansion, vacuum_expectation,
-                   vacuum_vector, vacuum_moment)
+from .wick import (WickElement, product_expansion, suffix_moments,
+                   vacuum_expectation, vacuum_vector, vacuum_moment)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +435,8 @@ DEFAULT_SCHEDULE = (4, 8, 16, 32, 64)
 MAX_DEGREE_CUTOFF = 32
 MAX_GRID_ATOMS = 256
 # moments to order 40, the Gaussian target; a point set has no letter cutoff
-# to bound it, and on the one-point set --nmax 64 takes about 9 s
+# to bound it, and on the one-point set the table to order 64 takes about
+# 0.6 s in process on a 2-vCPU Xeon
 MAX_NMAX = 40
 # Fraction("1e10000000") builds 10^10000000 and takes seconds; 10^1000 is
 # no larger than a 1000-digit literal, which int() admits anyway
@@ -443,7 +444,7 @@ MAX_DECIMAL_EXPONENT = 1000
 # list lengths, counted by their commas before any rational is built: a
 # model needs r_1..r_(2 cutoff), and a point set's letters hold a value per
 # point (on a 2-vCPU Xeon, moments to --nmax 18, near the arc-state budget,
-# take 1.4 s in process on 256 points and 3.1 s on 2,000)
+# take 0.5 s in process on 256 points and 1.3 s on 2,000)
 MAX_MOMENTS = 2 * MAX_DEGREE_CUTOFF
 MAX_NU_ATOMS = 256
 MAX_POINTS = 256
@@ -745,8 +746,8 @@ def cmd_moments(config: RunConfig) -> int:
                 f"model has {algebra.degree_cutoff}")
         letter = algebra.prefix_letter(algebra.grid.horizon)
     q0 = algebra.space.ring.q0
-    for n in range(1, config.nmax + 1):
-        m = vacuum_moment([letter] * n)
+    # every suffix of [letter] * nmax is a lower power: one transfer
+    for n, m in enumerate(suffix_moments([letter] * config.nmax), 1):
         if q0 is not None:
             # the polynomial evaluated at q0 and rounded once
             try:

@@ -844,14 +844,18 @@ def operator_norm_estimate(op: FockOperator, space: OneParticleSpace,
 
     The compression is a dense matrix M (see _compression).  With the
     per-degree factors P_n = L_n L_n^T and their inverses that the space
-    keeps (see _pn_blocks), the estimate is ||L^T M L^{-T}||_2, each
-    degree's rows multiplied by L_n^T and its columns by L_n^{-T}, with no
-    solve per call.  The kept inverse is accurate enough: a product by a
-    computed inverse of L_n errs, like a solve against L_n, by cond(L_n)
-    times the unit roundoff relative to ||L_n^{-1}||, and cond(L_n), the
-    square root of the degree-n q-gram's, stays small at the sizes the cap
-    admits: on an orthonormal 2-dim space it is 12 at q0 = 3/10, degree 10,
-    and 180 at q0 = 7/10, degree 7.
+    keeps (see _pn_blocks), the estimate is ||W||_2 for W = L^T M L^{-T},
+    each degree's rows multiplied by L_n^T and its columns by L_n^{-T}, with
+    no solve per call.  It is read as the square root of the top eigenvalue
+    of W^T W, one path for every operator, self-adjoint or not: a symmetric
+    eigensolver returns that eigenvalue with absolute error O(ε ||W||²), so
+    σ_max keeps a relative error O(ε), at a fraction of the cost of an SVD.
+    The kept inverse is accurate enough: a product by a computed inverse of
+    L_n errs, like a solve against L_n, by cond(L_n) times the unit
+    roundoff relative to ||L_n^{-1}||, and cond(L_n), the square root of
+    the degree-n q-gram's, stays small at the sizes the cap admits: on an
+    orthonormal 2-dim space it is 12 at q0 = 3/10, degree 10, and 180 at
+    q0 = 7/10, degree 7.
 
     The basis may hold at most NORM_WORD_CAP words; a larger request is
     refused before anything is built, and then the space's blocks of
@@ -877,4 +881,5 @@ def operator_norm_estimate(op: FockOperator, space: OneParticleSpace,
         m[block, :] = f.T @ m[block, :]
         m[:, block] = m[:, block] @ f_inv.T
         offset += len(f)
-    return float(np.linalg.norm(m, 2))
+    # max(0, .): a rounding may leave the top eigenvalue of a zero W below 0
+    return float(np.sqrt(max(np.linalg.eigvalsh(m.T @ m)[-1], 0.0)))

@@ -176,11 +176,11 @@ class Letter(Gauge):
     (`columns`); its field node (`field`), whose creation and annihilation
     leaves hold its payload and its pairing row as ints per space; that
     pairing row (`pairing`), which `letter_pair` reads with the other
-    letter's `ints`; and its products with other letters.
+    letter's `ints`; its mean (`mean`); and its products with other letters.
     """
 
     __slots__ = ("algebra", "payload", "ints", "columns", "_field", "_row",
-                 "_products")
+                 "_mean", "_products")
 
     def __new__(cls, algebra, payload: SparseVector) -> "Letter":
         """The algebra's letter of a canonical payload (see sparse_vector)."""
@@ -192,7 +192,7 @@ class Letter(Gauge):
             den, nums = int_numerators(c for _, c in payload)
             self.ints = den, tuple((i, z) for (i, _), z in zip(payload, nums))
             self.columns = {}  # basis index -> its gauge column
-            self._field = self._row = None
+            self._field = self._row = self._mean = None
             self._products = {}  # other letter -> self * other
         return self
 
@@ -214,7 +214,12 @@ class Letter(Gauge):
         return self if self.payload else None
 
     def mean(self) -> Fraction:
-        return self.algebra.mean(self.payload)
+        """The algebra's mean of the payload, computed on the first call and
+        kept: the letter is interned and immutable, and the arc-state
+        transfer asks for it once per position."""
+        if self._mean is None:
+            self._mean = self.algebra.mean(self.payload)
+        return self._mean
 
     def field(self) -> FockOperator:
         """X(f) = a(xi) + a*(xi) + p(T) + mean, one node per letter."""

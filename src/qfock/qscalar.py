@@ -15,8 +15,10 @@ lists over one shared denominator, and makes each coefficient canonical
 once, at the end; `fock.apply` builds every image this way, the
 q-inner product (`fock.apply_Pn` and `fock.inner0`) computes on int
 numerators too, making one canonical scalar per result through
-`QScalar.of_numerators`, and `wick.vacuum_moment` keeps the arc states of
-each position as one IntImage.
+`QScalar.of_numerators`.  The arc-state transfer of `wick` keeps each
+polynomial as one int, its value at q = 2^width (`pack`), on which adding,
+scaling by an int and multiplying by q^k are single int operations;
+`unpack` reads the numerators back while each fits its width.
 
 Scalars come from the module names ZERO, ONE, `const` (a rational
 constant) and `q_pow` (q^k).  A `ScalarRing` is only an evaluation point:
@@ -205,22 +207,28 @@ class QScalar:
         return self.num[0] / self.den if self.num else 0.0
 
     def __str__(self) -> str:
-        if not self.num:
+        """The coefficients in increasing powers of q, each in lowest terms,
+        e.g. "1 - 1/2*q + q^2": each is reduced from num[i] over den with
+        one gcd, so the text is that of the Fraction coefficients."""
+        num, den = self.num, self.den
+        if not num:
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
+        for i, x in enumerate(num):
+            if not x:
                 continue
-            mag = abs(c)
-            if i == 0:
-                term = str(mag)
+            mag = -x if x < 0 else x
+            if i and mag == den:
+                term = "q" if i == 1 else f"q^{i}"
             else:
-                var = "q" if i == 1 else f"q^{i}"
-                term = var if mag == 1 else f"{mag}*{var}"
+                g = gcd(mag, den)
+                term = str(mag // g) if g == den else f"{mag // g}/{den // g}"
+                if i:
+                    term += "*q" if i == 1 else f"*q^{i}"
             if not parts:
-                parts.append(term if c > 0 else f"-{term}")
+                parts.append(term if x > 0 else f"-{term}")
             else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
+                parts.append(f"+ {term}" if x > 0 else f"- {term}")
         return " ".join(parts)
 
     __repr__ = __str__
@@ -311,6 +319,31 @@ def addmul(terms: dict, key, num: list[int], z: int, s: int) -> None:
     else:
         for j, x in enumerate(num, s):
             acc[j] += x * z
+
+
+def pack(num: list[int], width: int) -> int:
+    """The value at q = 2^width of the polynomial of int coefficients num,
+    in increasing powers of q: one int holds the polynomial, and adding
+    packed values, scaling them by an int and shifting them by k·width bits
+    (a factor q^k) act on the polynomial, each one C-level int operation."""
+    v = 0
+    for x in reversed(num):
+        v = (v << width) + x
+    return v
+
+
+def unpack(v: int, width: int) -> list[int]:
+    """The int coefficients, in increasing powers of q, of the polynomial
+    whose value at q = 2^width is v, each in [-2^(width-1), 2^(width-1)):
+    the inverse of `pack` on polynomials whose coefficients fit there."""
+    mask, half, out = (1 << width) - 1, 1 << (width - 1), []
+    while v:
+        x = v & mask
+        if x >= half:
+            x -= mask + 1
+        out.append(x)
+        v = (v - x) >> width
+    return out
 
 
 class IntImage:

@@ -488,7 +488,11 @@ def biprocess_integral(u: BiProcess) -> FockOperator:
 def biprocess_inner(u: BiProcess, v: BiProcess) -> QScalar:
     """r₂ ∫ ⟪U(t), V(t)⟫ dt with ⟪A₁⊗B₁, A₂⊗B₂⟫ = phi[B₁* Γ_q(q)(A₁*A₂) B₂]:
     the one place r₂ enters the isometry.  For U⊗1 and V⊗1, and for 1⊗U and
-    1⊗V, ⟪U, V⟫ = ⟨UΩ, VΩ⟩: the Itô isometry."""
+    1⊗V, ⟪U, V⟫ = ⟨UΩ, VΩ⟩: the Itô isometry.
+
+    Γ_q(q)(A₁*A₂) is read off z = A₁*A₂Ω, whose Wick pre-image it scales
+    by q^n in degree n.  Where B₂ = c·1, as in U⊗1, Γ_q(q)(A₁*A₂)B₂Ω is
+    c Σ_n q^n z_n, and no Wick operator is built."""
     model = u.model
     if v.model is not model:
         raise UsageError("bi-processes on different models")
@@ -501,10 +505,15 @@ def biprocess_inner(u: BiProcess, v: BiProcess) -> QScalar:
         for a1, b1 in upairs:
             b1om = apply(b1.operator(), om)
             for a2, b2 in vpairs:
-                # Γ_q(q)(A₁*A₂), read off the Ω-vector of A₁*A₂
                 z = apply(adjoint(a1.operator()), apply(a2.operator(), om))
-                g = WickElement.from_vector(model, z).gamma().operator()
-                total = total + width * innerq(b1om, apply(g, apply(b2.operator(), om)))
+                if b2.top_degree():
+                    g = WickElement.from_vector(model, z).gamma().operator()
+                    right = apply(g, apply(b2.operator(), om))
+                else:
+                    right = FockVector(z.space, z.depth, {
+                        w: x * q_pow(len(w)) for w, x in z.terms.items()
+                    }).scale(b2.terms.get((), ZERO))
+                total = total + width * innerq(b1om, right)
     return total
 
 

@@ -19,8 +19,11 @@ pending at each position (the transfer-matrix form of the crossing continued
 fractions of Flajolet and of Kasraoui–Zeng) sums these terms without listing
 partitions: `product_expansion` keeps the states still pending after the
 first position as Wick words, and `vacuum_moment` keeps only the closed case,
-φ[X(l_1)...X(l_n)] = Σ_π q^{rc(π)} Π_B (block contraction).  Both share one
-budget, MAX_ARC_STATES live states after a position, in place of a cap on n.
+φ[X(l_1)...X(l_n)] = Σ_π q^{rc(π)} Π_B (block contraction).  The closed
+transfer's empty state after each position is the moment of the suffix read
+so far, and `suffix_moments` returns them all from one transfer.  All share
+one budget, MAX_ARC_STATES live states after a position, in place of a cap
+on n.  Each state's polynomial is one int, its value at a power of two.
 
 Letters are interned in their algebra (model.Letter), so they serve as keys
 themselves: a key hashes and compares object ids, never Fraction payloads.
@@ -32,17 +35,18 @@ by (letter, block product).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceBudgetError, UsageError
 from .fock import FockOperator, FockVector, apply
 from .model import Letter, letter_pair
-from .qscalar import (ONE, IntImage, QScalar, accumulate, add_scaled, addmul,
-                      const, q_pow)
+from .qscalar import (ONE, QScalar, accumulate, add_scaled, const, pack,
+                      q_pow, unpack)
 
 # Live arc states the transfer may hold after one position, in either case.
 # The moment of X(1)^n on the 2-atom three-point model peaks at 1,083 states
-# at n = 20 (0.2 s on a 2-vCPU Xeon) and 3,402 at n = 23 (1.1 s), and n = 24
+# at n = 20 (0.1 s on a 2-vCPU Xeon) and 3,402 at n = 23 (0.4 s), and n = 24
 # needs 4,073; where block products are null or the one letter again, n = 40
 # peaks at 11 on the Gaussian and at 21 on the all-ones models.  Expanding
 # X(1)^13 on the three-point model ends on 2,420 states; X(1)^14 needs 4,452.
@@ -187,7 +191,8 @@ class WickElement:
 # the arc-state transfer
 
 
-def _arc_transfer(letters: Sequence[Letter], closed: bool) -> IntImage:
+def _arc_transfer(letters: Sequence[Letter],
+                  closed: bool) -> Iterator[tuple[dict, int, int]]:
     """Σ over extended partitions of X(l_1)...X(l_n), by a right-to-left
     transfer over the arcs still pending at each position.
 
@@ -203,56 +208,100 @@ def _arc_transfer(letters: Sequence[Letter], closed: bool) -> IntImage:
     right arc's left end.  The block then closes (weight letter_pair(l, P))
     or stays pending, last, as l·P (skipped when l·P is zero).
 
-    The states after a position are one `qscalar.IntImage`, state -> int
-    numerators per power of q over one shared denominator: a move of weight
-    y/d joins d times the previous denominator and adds y times the
-    multiplier it returns, shifted by the crossings.  In the closed case a
-    state is dropped when it has more pending arcs than positions left.
-    More than MAX_ARC_STATES live states after a position refuse the call.
-    Letters are interned, so states hash and compare object ids; products
-    come from the letters' own product memos, and each distinct pairing is
-    computed once per call.
+    Each state holds a polynomial of int numerators over the position's one
+    denominator, kept as its value at q = 2^width (`qscalar.pack`): a move
+    of weight y/d multiplies by y times the new denominator over d times
+    the old one, and its q^k shifts by k·width bits, one int operation
+    whatever the degree.  A position's denominator takes the lcm of its
+    weights' denominators at once.  One bound on the sum of |coefficients|
+    over all states grows, at each position, by the largest total
+    multiplier of one state's moves; before it reaches 2^(width-1) the
+    states are repacked at a larger width, so `qscalar.unpack` recovers
+    every coefficient.  In the closed case a state is dropped when it has
+    more pending arcs than positions left.  More than MAX_ARC_STATES live
+    states after a position refuse the call.  Letters are interned, so
+    states hash and compare object ids; products come from the letters' own
+    product memos, and each distinct pairing is computed once per call.
+
+    (values, den, width) is yielded after each position, right to left.  In
+    the closed case the empty state after position pos holds the moment of
+    the suffix l_pos...l_n: a path of that suffix to the empty state has at
+    most i - pos pending arcs after position i, within the i that the
+    pruning allows, so no such path is dropped.
     """
     n = len(letters)
     # (letter, product letter) -> the pairing as (numerator, denominator)
     pairs: dict[tuple[Letter, Letter], tuple[int, int]] = {}
 
-    states = IntImage(1, {(): [1]})
+    # bound >= the sum of |numerator coefficients| over all states
+    values, den, width, bound = {(): 1}, 1, 64, 1
     for pos in range(n - 1, -1, -1):
         letter = letters[pos]
         room = pos if closed else n  # a closed arc needs a position left
         mean = letter.mean()
-        den = states.den
-        nxt = IntImage()
-        terms, join = nxt.terms, nxt.join
-        for state, num in states.terms.items():
+        step = mean.denominator  # the position's denominator is den * step
+        closing = {}  # block -> its pairing, then the multiplier of it
+        for block in set().union(*values):
+            pair = pairs.get((letter, block))
+            if pair is None:
+                x = letter_pair(letter, block)
+                pair = pairs[letter, block] = x.numerator, x.denominator
+            closing[block] = pair
+            step = lcm(step, pair[1])
+        size = step  # the largest |multiplier| of a move
+        for block, (y, d) in closing.items():
+            y = closing[block] = y * (step // d)
+            if abs(y) > size:
+                size = abs(y)
+        by_mean = mean.numerator * (step // mean.denominator)
+        # a state has at most n - pos - 1 blocks, so its moves' multipliers
+        # sum to at most |by_mean| + (n - pos) (size + step)
+        bound *= abs(by_mean) + (n - pos) * (size + step)
+        if bound.bit_length() >= width:
+            wider = max(2 * width, bound.bit_length() + 1)
+            values = {state: pack(unpack(v, width), wider)
+                      for state, v in values.items()}
+            width = wider
+        opens = not letter.is_zero
+        nxt = {}
+        for state, v in values.items():
             h = len(state)
-            if mean and h <= room:
-                addmul(terms, state, num,
-                       mean.numerator * join(den * mean.denominator), 0)
-            if h < room and not letter.is_zero:
-                addmul(terms, state + (letter,), num, join(den), 0)
+            if by_mean and h <= room:
+                nxt[state] = nxt.get(state, 0) + v * by_mean
+            if opens and h < room:
+                key = state + (letter,)
+                nxt[key] = nxt.get(key, 0) + v * step
             for p, block in enumerate(state):
                 others = state[:p] + state[p + 1:]
-                pair = pairs.get((letter, block))
-                if pair is None:
-                    x = letter_pair(letter, block)
-                    pair = pairs[letter, block] = x.numerator, x.denominator
-                y, d = pair
+                shift = width * (h - 1 - p)
+                y = closing[block]
                 if y:
-                    addmul(terms, others, num, y * join(den * d), h - 1 - p)
+                    nxt[others] = nxt.get(others, 0) + (v * y << shift)
                 if h <= room:
                     grown = letter * block
                     if not grown.is_zero:
-                        addmul(terms, others + (grown,), num, join(den),
-                               h - 1 - p)
-        if len(terms) > MAX_ARC_STATES:
+                        key = others + (grown,)
+                        nxt[key] = nxt.get(key, 0) + (v * step << shift)
+        if len(nxt) > MAX_ARC_STATES:
             raise ResourceBudgetError(
                 f"{'vacuum_moment' if closed else 'product_expansion'} needs "
-                f"{len(terms)} arc states at position {pos + 1} of {n}, over "
+                f"{len(nxt)} arc states at position {pos + 1} of {n}, over "
                 f"the budget of {MAX_ARC_STATES}")
-        states = nxt
-    return states
+        values, den = nxt, den * step
+        yield values, den, width
+
+
+def _scalar(value: int, den: int, width: int) -> QScalar:
+    """The canonical scalar of a packed state value over den."""
+    return QScalar.of_numerators(unpack(value, width), den)
+
+
+def _final_states(letters: Sequence[Letter],
+                  closed: bool) -> tuple[dict, int, int]:
+    """The arc states left after the first position."""
+    for final in _arc_transfer(letters, closed):
+        pass
+    return final
 
 
 def product_expansion(letters: Sequence[Letter]) -> WickElement:
@@ -266,15 +315,27 @@ def product_expansion(letters: Sequence[Letter]) -> WickElement:
     imposed — and a word holding a zero letter drops out.
     """
     algebra = _same_algebra(letters)
-    states = _arc_transfer(letters, closed=False).scalars()
-    return WickElement(algebra, {state[::-1]: c for state, c in states.items()})
+    values, den, width = _final_states(letters, closed=False)
+    return WickElement(algebra, {state[::-1]: _scalar(v, den, width)
+                                 for state, v in values.items()})
 
 
 def vacuum_moment(letters: Sequence[Letter]) -> QScalar:
     """<Ω, X(l_1)...X(l_n) Ω>_q = Σ_π q^{rc(π)} Π_B (block contraction): the
-    closed case of the arc-state transfer, read off its empty state.  The
-    moment is a polynomial in q, and no evaluation point enters it
-    (`moments --q` reads it at q0 afterwards)."""
+    closed case of the arc-state transfer, read off its empty state after
+    the first position and of no other.  The moment is a polynomial in q,
+    and no evaluation point enters it (`moments --q` reads it at q0
+    afterwards)."""
     _same_algebra(letters)
-    states = _arc_transfer(letters, closed=True)
-    return QScalar.of_numerators(states.terms.get((), []), states.den)
+    values, den, width = _final_states(letters, closed=True)
+    return _scalar(values.get((), 0), den, width)
+
+
+def suffix_moments(letters: Sequence[Letter]) -> list[QScalar]:
+    """[vacuum_moment(letters[n - m:]) for m = 1..n], read off the empty
+    state after each position of one closed transfer of the whole word, so
+    X^m for m = 1..n costs one transfer of [X] * n.  Its budget is that of
+    the whole word: the suffixes share its looser pruning."""
+    _same_algebra(letters)
+    return [_scalar(values.get((), 0), den, width)
+            for values, den, width in _arc_transfer(letters, closed=True)]

@@ -345,6 +345,24 @@ class TestMoments:
         assert code == 2
         assert err.strip().endswith("nmax 0, below the least of 1")
 
+    def test_rows_come_from_one_transfer(self, capsys, monkeypatch):
+        # every order is a suffix of the top one: one transfer of X(1)^8
+        words = []
+        monkeypatch.setattr(cli, "suffix_moments",
+                            lambda w: words.append(w) or wick.suffix_moments(w))
+        code, out, _ = run(capsys, "moments", "--nmax", "8", "--cutoff", "7")
+        assert code == 0 and len(words) == 1 and len(words[0]) == 8
+        x = words[0][0]
+        assert out.strip().splitlines()[1:] == [
+            f"{n},{wick.vacuum_moment([x] * n)}" for n in range(1, 9)]
+
+    def test_arc_state_refusal_prints_no_row(self, capsys):
+        # the one transfer of X(1)^24 is refused before any row is printed
+        code, out, err = run(capsys, "moments", "--nmax", "24")
+        assert code == 2 and out == ""
+        assert err.strip() == ("error: vacuum_moment needs 4073 arc states at "
+                               "position 11 of 24, over the budget of 4000")
+
     def test_moment_too_large_for_a_float_exits_2(self, capsys, tmp_path):
         # 10^200 is a valid point, but the second moment, about 10^400, is
         # no float at any q0

@@ -410,6 +410,28 @@ class TestNormEstimates:
         assert operator_norm_estimate(half, sp, 4) == pytest.approx(
             operator_norm_estimate(x * x, sp, 4) / 2, rel=1e-12)
 
+    @pytest.mark.parametrize("q0", [0, Fraction(3, 10), Fraction(-7, 10)])
+    def test_not_self_adjoint_matches_the_svd(self, q0):
+        # a lone creation, and a creation plus a gauge, whiten to matrices
+        # that are not symmetric: sqrt of the top eigenvalue of W^T W is the
+        # SVD's largest singular value of W
+        sp = OneParticleSpace(2, [[Fraction(2), Fraction(1)],
+                                  [Fraction(1), Fraction(3)]], ScalarRing(q0))
+        create = FockOperator.creation([Fraction(1), Fraction(-2)])
+        gauged = create + matrix_gauge([[Fraction(0), Fraction(1)],
+                                        [Fraction(2), Fraction(1)]])
+        for op in (create, gauged):
+            w = fock._compression(op, sp, 4)
+            offset = 0
+            for _, _, f, f_inv in fock._pn_blocks(sp, 4):
+                block = slice(offset, offset + len(f))
+                w[block, :] = f.T @ w[block, :]
+                w[:, block] = w[:, block] @ f_inv.T
+                offset += len(f)
+            assert not np.allclose(w, w.T)
+            assert operator_norm_estimate(op, sp, 4) == pytest.approx(
+                float(np.linalg.norm(w, 2)), rel=1e-12)
+
     def test_gauge_norm_bound(self):
         # ||p(T)|| <= max(1, 1/(1-q)) ||T|| on the truncation
         ring = ScalarRing(Fraction(1, 2))

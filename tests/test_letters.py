@@ -2,12 +2,12 @@
 int numerators and gauge by their algebra's product.
 
 A letter is one object per (algebra, canonical payload), whatever path built
-it; its field node, int pairing row, gauge and products are built once and
-are freed with the algebra; `letter_pair` agrees with the gram form written
-out in Fractions; a letter's gauge column at e_i, over its one denominator,
-agrees with a reference per algebra (the value at point i, or on the grid
-the product x f g paired against the measure itself), and is built once per
-letter.
+it; its field node, int pairing row, mean, gauge and products are built
+once and are freed with the algebra; `letter_pair` agrees with the gram
+form written out in Fractions; a letter's gauge column at e_i, over its one
+denominator, agrees with a reference per algebra (the value at point i, or
+on the grid the product x f g paired against the measure itself), and is
+built once per letter.
 """
 
 import gc
@@ -27,7 +27,8 @@ from qfock.model import (Letter, MomentSequence, ProcessModel, TimeGrid,
                          WeightedPointAlgebra, letter_pair)
 from qfock.qscalar import EXACT, const
 from qfock.stochastic import conditional_expectation, delta_process, x_process
-from qfock.wick import WickElement, product_expansion, wick_operator
+from qfock.wick import (WickElement, product_expansion, vacuum_moment,
+                        wick_operator)
 
 F = Fraction
 
@@ -373,3 +374,51 @@ def test_caches_die_with_their_model():
     model_ref, field_ref = exercise()
     gc.collect()
     assert model_ref() is None and field_ref() is None
+
+
+@st.composite
+def algebra_letters(draw):
+    """An algebra of either kind and two letters of it: the grid model of NU
+    at cutoff 3, where letter products close, or a 4-point set."""
+    if draw(st.booleans()):
+        model = ProcessModel(EXACT, MomentSequence.from_measure(NU, 8),
+                             TimeGrid([0, F(1, 6), F(3, 7), F(4, 5), 1]), 3, 3)
+        keys = st.tuples(st.integers(0, model.grid.n_atoms - 1), st.integers(1, 3))
+        forms = st.dictionaries(keys, RATIONALS.filter(bool), max_size=4)
+    else:
+        model = WeightedPointAlgebra([F(-3, 2), F(1, 7), 2, F(5, 3)],
+                                     [F(1, 2), F(1, 3), F(1, 7), F(1, 42)], EXACT)
+        forms = st.lists(RATIONALS, min_size=4, max_size=4)
+    return model, model.letter(draw(forms)), model.letter(draw(forms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_letters())
+def test_mean_is_the_algebras(drawn):
+    """A letter's kept mean is its algebra's mean of its payload, for sums
+    and products too, and asking again returns the kept value."""
+    algebra, a, b = drawn
+    for letter in (a, b, a + b, a * b, a * b + a.scale(F(-2, 3))):
+        mean = letter.mean()
+        assert type(mean) is Fraction and mean == algebra.mean(letter.payload)
+        assert letter.mean() is mean
+
+
+@pytest.mark.parametrize("kind", ["grid", "points"])
+def test_mean_computed_once_per_letter(kind, monkeypatch):
+    """The transfer asks for a letter's mean at every position and field()
+    once more; the algebra computes it once per letter."""
+    if kind == "grid":
+        algebra = three_point_model(n_atoms=2, cutoff=3, depth=4)
+        x = algebra.atom_letter(0) + algebra.atom_letter(1, 2)
+    else:
+        algebra = WeightedPointAlgebra([-1, 0, 2], [F(1, 4), F(1, 2), F(1, 4)], EXACT)
+        x = algebra.letter([1, 2, 0])
+    calls = []
+    mean = algebra.mean
+    monkeypatch.setattr(algebra, "mean", lambda p: calls.append(p) or mean(p))
+    y = x * x
+    for _ in range(2):
+        vacuum_moment([x, y] * 3)
+        x.field()
+    assert sorted(calls) == sorted({x.payload, y.payload})

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from qfock.errors import UsageError
 from qfock.qscalar import (EXACT, ONE, ZERO, IntImage, QScalar, ScalarRing,
-                           accumulate, add_scaled, addmul, const, q_fact,
-                           q_fact_ratio, q_int, q_pow)
+                           accumulate, add_scaled, addmul, const, pack, q_fact,
+                           q_fact_ratio, q_int, q_pow, unpack)
 from sn_oracle import inversions, sym_group
 
 
@@ -118,8 +118,36 @@ def o_neg(a):
     return tuple(-x for x in a)
 
 
+def o_str(cs):
+    """The text of a Fraction-tuple polynomial, as QScalar.__str__ printed
+    it when it formatted its Fraction coefficients."""
+    if not cs:
+        return "0"
+    parts = []
+    for i, c in enumerate(cs):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if i == 0:
+            term = str(mag)
+        else:
+            var = "q" if i == 1 else f"q^{i}"
+            term = var if mag == 1 else f"{mag}*{var}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    return " ".join(parts)
+
+
 fractions = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 coeff_lists = st.lists(fractions, max_size=6)
+# zero, ±1 and ±1/d, large numerators and denominators other than 1
+text_coeffs = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 4)]),
+    fractions,
+    st.integers(-10 ** 30, 10 ** 30),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 12)))
 
 
 def assert_canonical(s):
@@ -180,6 +208,17 @@ class TestAgainstFractionOracle:
         assert back == s and back.coeffs == o_trim(a)
         assert str(back) == str(s)
 
+    @given(st.lists(text_coeffs, max_size=8))
+    def test_str_matches_fraction_formatter(self, a):
+        s = QScalar.exact(a)
+        assert str(s) == o_str(o_trim(a))
+        assert QScalar.parse(str(s)) == s
+
+    def test_str_coefficient_examples(self):
+        assert str(poly(0, -1, 0, Fraction(3, 6))) == "-q + 1/2*q^3"
+        assert str(poly(-1, 1, Fraction(-5, 3))) == "-1 + q - 5/3*q^2"
+        assert str(poly(Fraction(1, 3), Fraction(2, 3), 1)) == "1/3 + 2/3*q + q^2"
+
     @given(coeff_lists)
     def test_coeffs_view(self, a):
         s = QScalar.exact(a)
@@ -196,6 +235,44 @@ class TestAgainstFractionOracle:
         for c in reversed(o_trim(a)):
             exact_v = exact_v * q0 + c
         assert s.subs(q0) == exact_v
+
+
+class TestPacked:
+    """A polynomial packed as its value at q = 2^width: unpack inverts pack
+    while each coefficient is below 2^(width-1) in size, and sums, int
+    scalings and shifts by k·width bits act on the polynomial."""
+
+    @staticmethod
+    def fitting(width):
+        half = 2 ** (width - 1) - 1
+        return st.lists(st.one_of(st.integers(-half, half),
+                                  st.sampled_from([0, 1, -1, half, -half])),
+                        max_size=8)
+
+    @given(st.sampled_from([2, 8, 64, 200]).flatmap(
+        lambda w: st.tuples(st.just(w), TestPacked.fitting(w))))
+    def test_round_trip(self, case):
+        width, num = case
+        trimmed = list(num)
+        while trimmed and not trimmed[-1]:
+            trimmed.pop()
+        assert unpack(pack(num, width), width) == trimmed
+
+    @given(coeff_lists.map(lambda a: QScalar.exact(a).num),
+           coeff_lists.map(lambda a: QScalar.exact(a).num),
+           st.integers(-50, 50), st.integers(0, 4))
+    def test_operations_act_on_the_polynomial(self, a, b, z, k):
+        width = 64
+        got = unpack(pack(a, width) * z + (pack(b, width) << k * width), width)
+        want = QScalar.of_numerators(list(a), 1) * const(z) + \
+            QScalar.of_numerators(list(b), 1) * q_pow(k)
+        assert QScalar.of_numerators(got, 1) == want
+
+    def test_examples(self):
+        assert pack([1, -1], 8) == 1 - 256
+        assert unpack(1 - 256, 8) == [1, -1]
+        assert unpack(0, 8) == [] and pack([], 8) == 0
+        assert unpack(pack([0, 0, 3], 4), 4) == [0, 0, 3]
 
 
 combinations = st.dictionaries(st.integers(0, 4), coeff_lists.map(QScalar.exact),

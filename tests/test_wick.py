@@ -20,9 +20,9 @@ from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
                          TimeGrid, letter_pair)
 from qfock.partitions import enumerate_partitions
 from qfock.qscalar import EXACT, ZERO, QScalar, ScalarRing, const, q_pow
-from qfock.wick import (WickElement, product_expansion, vacuum_expectation,
-                        vacuum_moment, vacuum_vector, wick_operator,
-                        word_vector)
+from qfock.wick import (WickElement, product_expansion, suffix_moments,
+                        vacuum_expectation, vacuum_moment, vacuum_vector,
+                        wick_operator, word_vector)
 from expansion_oracle import block_scalar, expansion_by_word
 from stpi_forms import rc_plain
 
@@ -440,6 +440,80 @@ class TestBlockMemo:
         times every subset of its blocks."""
         _, letters = drawn
         assert product_expansion(letters).terms == expansion_by_word(letters)
+
+
+def each_suffix(letters):
+    return [vacuum_moment(letters[len(letters) - m:])
+            for m in range(1, len(letters) + 1)]
+
+
+@st.composite
+def point_sets(draw):
+    """A point set of 1 to 3 distinct small points, int weights normalized,
+    and its identity letter f(x) = x."""
+    points = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(points),
+                            max_size=len(points)))
+    alg = WeightedPointAlgebra(points, [F(w, sum(weights)) for w in weights], EXACT)
+    return alg.letter(alg.points)
+
+
+class TestSuffixMoments:
+    """One closed transfer of a word holds, in its empty state after each
+    position, the moment of each suffix: the pruning of the whole word is
+    looser than that of any suffix, so no suffix path is dropped."""
+
+    @pytest.mark.parametrize("make", [gaussian_model, three_point_model,
+                                      all_ones_model, all_ones_pointset])
+    def test_powers_on_canonical_models(self, make):
+        if make is all_ones_pointset:
+            x = make().one()
+        else:
+            x = make(cutoff=11).prefix_letter(1)
+        assert suffix_moments([x] * 12) == each_suffix([x] * 12)
+
+    @given(point_sets(), st.integers(1, 12))
+    @settings(max_examples=15, deadline=None)
+    def test_powers_on_drawn_point_sets(self, x, n):
+        assert suffix_moments([x] * n) == each_suffix([x] * n)
+
+    @given(st.sampled_from(sorted(ALPHABETS)), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_words_of_distinct_letters(self, name, data):
+        _, alphabet = ALPHABETS[name]
+        letters = tuple(data.draw(st.permutations(alphabet)))
+        letters = letters[:data.draw(st.integers(1, len(letters)))]
+        assert suffix_moments(letters) == each_suffix(letters)
+
+    @given(words(max_len=7))
+    @settings(max_examples=30, deadline=None)
+    def test_mixed_words(self, drawn):
+        _, letters = drawn
+        assert suffix_moments(letters) == each_suffix(letters)
+
+    def test_coefficients_wider_than_the_first_width(self):
+        # a point at 2^40 and weights over 3, 7 and 21: numerators of
+        # hundreds of bits, so the transfer repacks its states wider
+        alg = WeightedPointAlgebra([2 ** 40, -3, F(1, 5)],
+                                   [F(1, 3), F(4, 7), F(2, 21)], EXACT)
+        x = alg.letter(alg.points)
+        widths = [w for _, _, w in wick._arc_transfer([x] * 7, closed=True)]
+        assert widths[0] == 64 < widths[-1]
+        got = suffix_moments([x] * 7)
+        assert got == [partition_sum_moment([x] * m) for m in range(1, 8)]
+        assert max(abs(c).bit_length() for c in got[-1].num) > 64
+        word = (x, alg.letter([1, 2 ** 70, -1]), x, x)
+        assert product_expansion(word).terms == expansion_by_word(word)
+
+    def test_budget_is_that_of_the_whole_word(self):
+        x = three_point_model(n_atoms=2, cutoff=3).prefix_letter(1)
+        with pytest.raises(ResourceBudgetError) as whole:
+            vacuum_moment([x] * 24)
+        with pytest.raises(ResourceBudgetError) as suffixes:
+            suffix_moments([x] * 24)
+        assert str(suffixes.value) == str(whole.value)
+        with pytest.raises(UsageError, match="need at least one letter"):
+            suffix_moments([])
 
 
 # ---------------------------------------------------------------------------
