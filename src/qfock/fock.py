@@ -45,9 +45,13 @@ sum_sigma q^{inv(sigma)} sigma; `innerq` is the one q-product, also of step
 functions (stochastic.l2q_inner).  P_n is built one way, by the
 Bozejko-Speicher factorisation P_n = (1 (x) P_{n-1}) R_n, where
 R_n = sum_k q^k C_k and C_k moves tensor slot k to the front.  `apply_Pn`
-applies it to sparse words on an integer image, and `inner0` sums int
-products of gram entries; each makes its result canonical once.  The float
-q-gram of a norm estimate takes it at q0 by one dense step per degree.
+applies it to sparse words on an integer image, each slot move one index
+getter built per call, and makes each word canonical once.  `inner0` sums
+int products of gram entries: it indexes u's words by the classes of their
+slots and streams v's words against that index, so only the words of v
+that pair with some word of u are opened again.  Each makes its result
+canonical once.  The float q-gram of a norm estimate takes it at q0 by one
+dense step per degree.
 Norm estimates keep on the space, per degree n, the dense R_n at q0, which
 that step and their annihilation and gauge blocks share, the q-gram, and
 its Cholesky factor with its inverse, which whiten their matrices without
@@ -64,6 +68,7 @@ from functools import reduce
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DepthExceededError, ResourceBudgetError, UsageError, check_size
@@ -311,47 +316,54 @@ class FockVector:
 def inner0(u: FockVector, v: FockVector) -> QScalar:
     """Degreewise product of gram pairings; cross-degree terms vanish.
 
-    Words are bucketed by the gram-orthogonality classes of their slots, so
-    only potentially non-orthogonal pairs are multiplied out.  Everything is
-    int numerators: u and v each over one denominator, and a pairing of
-    degree-n words a product of n int gram entries over gram_den^n.  The
-    pairings of a word of u are summed over the words of v first, and then
-    multiplied by its coefficient once, into one numerator list per degree
-    n over den_u den_v gram_den^n.  The lists are put over the top degree's
-    denominator at the end, and make one canonical scalar.
+    Words pair only within their bucket, the tuple of the gram-orthogonality
+    classes of their slots: u's words are indexed by bucket, and v's words
+    are streamed against that index, so a word of v whose bucket holds no
+    word of u costs one key and one lookup.  Everything is int numerators:
+    u over one denominator, and a pairing of degree-n words a product of n
+    int gram entries over gram_den^n.  A word of v is opened, its
+    numerators put over v's one denominator as one multiplier, only when
+    its bucket holds a word of u; each pairing times the two coefficients
+    goes into one numerator list per degree n over den_u den_v gram_den^n,
+    one `addmul` per power of q of the shorter coefficient.  The lists are
+    put over the top degree's denominator at the end, and make one
+    canonical scalar.
     """
     u._check(v)
     sp = u.space
-    cls = sp.gram_classes()
-    vimg = IntImage.of(v.terms)
-    buckets: dict[tuple[int, ...], list] = {}
-    for w2, cv in vimg.terms.items():
-        buckets.setdefault(tuple(cls[i] for i in w2), []).append((w2, cv))
-    gram = sp.int_rows
+    cls = sp.gram_classes().__getitem__
     uimg = IntImage.of(u.terms)
-    by_degree: dict[int, list[int]] = {}
+    buckets: dict[tuple[int, ...], list] = {}
     for w, cu in uimg.terms.items():
-        acc: dict = {}  # the one numerator list under key None
-        for w2, cv in buckets.get(tuple(cls[i] for i in w), ()):
-            g = 1
+        buckets.setdefault(tuple(map(cls, w)), []).append((w, cu))
+    gram = sp.int_rows
+    vden = lcm(*(c.den for c in v.terms.values()))
+    by_degree: dict[int, list[int]] = {}
+    for w2, cv in v.terms.items():
+        words = buckets.get(tuple(map(cls, w2)))
+        if words is None:
+            continue
+        m, c2 = vden // cv.den, cv.num  # the word of v, opened
+        for w, cu in words:
+            g = m
             for a, b in zip(w, w2):
                 x = gram[a].get(b)
                 if x is None:
                     break
                 g *= x
             else:
-                addmul(acc, None, cv, g, 0)
-        if acc:
-            for k, y in enumerate(cu):
-                if y:
-                    addmul(by_degree, len(w), acc[None], y, k)
+                # g cu c2, one addmul per power of the shorter polynomial
+                short, long = (cu, c2) if len(cu) <= len(c2) else (c2, cu)
+                for k, y in enumerate(short):
+                    if y:
+                        addmul(by_degree, len(w), long, y * g, k)
     if not by_degree:
         return ZERO
     top, gd = max(by_degree), sp.gram_den
     total: dict = {}
     for n, num in by_degree.items():
         addmul(total, None, num, gd ** (top - n), 0)
-    return QScalar.of_numerators(total[None], uimg.den * vimg.den * gd ** top)
+    return QScalar.of_numerators(total[None], uimg.den * vden * gd ** top)
 
 
 def apply_Pn(v: FockVector) -> FockVector:
@@ -360,30 +372,50 @@ def apply_Pn(v: FockVector) -> FockVector:
 
     Step s moves each slot k >= s of a word to place s, with weight q^{k-s},
     and collects equal words, so the work is bounded by the distinct
-    rearrangements of each word rather than by n!.  The words' numerators
-    stay over v's one denominator (a `qscalar.IntImage`): a move is a shift
-    of k-s places, and each word becomes canonical once, at the end.  A
-    word of length <= s+1 passes step s unchanged.  A degree above PN_CAP
-    is refused up front.
+    rearrangements of each word rather than by n!.  Each move is one
+    `operator.itemgetter` of the slot order (0..s-1, k, s..k-1, k+1..n-1),
+    built once per call for each degree n and step s met.  The words'
+    numerators stay over v's one denominator (a `qscalar.IntImage`): a move
+    is a shift of k-s places, and each word becomes canonical once, at the
+    end.  A word of length <= s+1 passes step s unchanged.  A degree above
+    PN_CAP is refused up front.
     """
     top = v.top_degree()
     check_size("apply_Pn degree", top, PN_CAP)
     img = IntImage.of(v.terms)
     for s in range(top - 1):
+        moves: dict[int, list] = {}  # degree n -> the getter of each slot k >= s
         nxt: dict[Word, list[int]] = {}
         for w, num in img.terms.items():
-            if len(w) <= s + 1:
+            n = len(w)
+            if n <= s + 1:
                 nxt[w] = num  # no moved word has this length
                 continue
-            head = w[:s]
-            for k in range(s, len(w)):
-                addmul(nxt, head + w[k:k + 1] + w[s:k] + w[k + 1:], num, 1, k - s)
+            getters = moves.get(n)
+            if getters is None:
+                getters = moves[n] = [
+                    itemgetter(*range(s), k, *range(s, k), *range(k + 1, n))
+                    for k in range(s, n)]
+            # a move's multiplier is 1: add num shifted, as addmul would
+            for shift, move in enumerate(getters):
+                key = move(w)
+                acc = nxt.get(key)
+                if acc is None:
+                    nxt[key] = [0] * shift + num
+                    continue
+                short = shift + len(num) - len(acc)
+                if short > 0:
+                    acc += [0] * short
+                for j, x in enumerate(num, shift):
+                    acc[j] += x
         img.terms = nxt
     return FockVector._of(v.space, v.depth, img.scalars())
 
 
 def innerq(u: FockVector, v: FockVector) -> QScalar:
-    """The q-inner product <u, P v>_0."""
+    """The q-inner product <u, P v>_0; vectors on different spaces are
+    refused before P v is built."""
+    u._check(v)
     return inner0(u, apply_Pn(v))
 
 

@@ -176,11 +176,12 @@ class Letter(Gauge):
     (`columns`); its field node (`field`), whose creation and annihilation
     leaves hold its payload and its pairing row as ints per space; that
     pairing row (`pairing`), which `letter_pair` reads with the other
-    letter's `ints`; its mean (`mean`); and its products with other letters.
+    letter's `ints`; its mean (`mean`); and its products and pairings with
+    other letters.
     """
 
     __slots__ = ("algebra", "payload", "ints", "columns", "_field", "_row",
-                 "_mean", "_products")
+                 "_mean", "_products", "_pairs")
 
     def __new__(cls, algebra, payload: SparseVector) -> "Letter":
         """The algebra's letter of a canonical payload (see sparse_vector)."""
@@ -194,6 +195,7 @@ class Letter(Gauge):
             self.columns = {}  # basis index -> its gauge column
             self._field = self._row = self._mean = None
             self._products = {}  # other letter -> self * other
+            self._pairs = {}  # other letter -> letter_pair(self, other)
         return self
 
     def xi(self) -> SparseVector:
@@ -279,11 +281,16 @@ class Letter(Gauge):
 
 def letter_pair(a: Letter, b: Letter) -> Fraction:
     """<xi_a, xi_b> under the algebra's gram form: a's int pairing row
-    against b's int payload, its one-particle vector."""
-    a._check(b)
-    den, row = a.pairing()
-    db, xi = b.ints
-    return Fraction(sum(z * row[i] for i, z in xi if i in row), den * db)
+    against b's int payload, its one-particle vector, computed once and kept
+    on a, as a's products are."""
+    out = a._pairs.get(b)
+    if out is None:
+        a._check(b)
+        den, row = a.pairing()
+        db, xi = b.ints
+        out = a._pairs[b] = Fraction(sum(z * row[i] for i, z in xi if i in row),
+                                     den * db)
+    return out
 
 
 def _basis_letter(algebra, i: int) -> Letter:

@@ -12,10 +12,11 @@ A sparse combination {key: scalar} has two forms.  `accumulate` and
 `add_scaled` keep it canonical after every term and never store a zero.
 `IntImage` keeps it open while many terms accumulate, as int numerator
 lists over one shared denominator, and makes each coefficient canonical
-once, at the end; `fock.apply` builds every image this way, the
-q-inner product (`fock.apply_Pn` and `fock.inner0`) computes on int
-numerators too, making one canonical scalar per result through
-`QScalar.of_numerators`.  The arc-state transfer of `wick` keeps each
+once, at the end; `fock.apply` and `fock.apply_Pn` build every image
+this way.  `fock.inner0` reads one side as an IntImage and the other as
+its canonical scalars, each put over the shared denominator by one
+multiplier only when it pairs, and makes one canonical scalar per result
+through `QScalar.of_numerators`.  The arc-state transfer of `wick` keeps each
 polynomial as one int, its value at q = 2^width (`pack`), on which adding,
 scaling by an int and multiplying by q^k are single int operations;
 `unpack` reads the numerators back while each fits its width.

@@ -221,7 +221,8 @@ def _arc_transfer(letters: Sequence[Letter],
     more pending arcs than positions left.  More than MAX_ARC_STATES live
     states after a position refuse the call.  Letters are interned, so
     states hash and compare object ids; products come from the letters' own
-    product memos, and each distinct pairing is computed once per call.
+    product memos, and each distinct pairing is asked of `letter_pair`, which
+    keeps it on the letter, once per call.
 
     (values, den, width) is yielded after each position, right to left.  In
     the closed case the empty state after position pos holds the moment of

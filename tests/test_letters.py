@@ -2,11 +2,11 @@
 int numerators and gauge by their algebra's product.
 
 A letter is one object per (algebra, canonical payload), whatever path built
-it; its field node, int pairing row, mean, gauge and products are built
-once and are freed with the algebra; `letter_pair` agrees with the gram
-form written out in Fractions; a letter's gauge column at e_i, over its one
-denominator, agrees with a reference per algebra (the value at point i, or
-on the grid the product x f g paired against the measure itself), and is
+it; its field node, int pairing row, mean, gauge, products and pairings are
+built once and are freed with the algebra; `letter_pair` agrees with the
+gram form written out in Fractions; a letter's gauge column at e_i, over its
+one denominator, agrees with a reference per algebra (the value at point i,
+or on the grid the product x f g paired against the measure itself), and is
 built once per letter.
 """
 
@@ -422,3 +422,29 @@ def test_mean_computed_once_per_letter(kind, monkeypatch):
         vacuum_moment([x, y] * 3)
         x.field()
     assert sorted(calls) == sorted({x.payload, y.payload})
+
+
+@pytest.mark.parametrize("kind", ["grid", "points"])
+def test_pairing_computed_once_per_pair(kind, monkeypatch):
+    """`letter_pair` keeps each pairing on its first letter: moments asked
+    again, in calls of their own, pair no letters anew, and a kept pairing
+    is returned as it is."""
+    if kind == "grid":
+        algebra = three_point_model(n_atoms=2, cutoff=3, depth=4)
+        x = algebra.atom_letter(0) + algebra.atom_letter(1, 2)
+    else:
+        algebra = WeightedPointAlgebra([-1, 0, 2], [F(1, 4), F(1, 2), F(1, 4)], EXACT)
+        x = algebra.letter([1, 2, 0])
+    calls = []
+    pairing = Letter.pairing
+    monkeypatch.setattr(Letter, "pairing",
+                        lambda self: calls.append(self) or pairing(self))
+    y = x * x
+    first = vacuum_moment([x, y] * 3)
+    made = len(calls)
+    assert made == sum(len(l._pairs) for l in algebra.letters.values()) > 1
+    assert vacuum_moment([x, y] * 3) == first
+    assert vacuum_moment([x, y] * 2) == vacuum_moment([x, y] * 2)
+    assert len(calls) == made
+    assert letter_pair(x, y) is letter_pair(x, y)
+    assert letter_pair(x, y) == letter_pair(y, x)

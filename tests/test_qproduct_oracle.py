@@ -3,18 +3,27 @@
 `fock.inner0` and `fock.apply_Pn` compute on int numerators over one
 denominator and make each result canonical once.  The reference below is
 the per-term form they replaced: every gram entry, product and sum is a
-canonical QScalar of its own.  The pairings are checked against a dense
+canonical QScalar of its own.  It buckets words by the classes of their
+slots, as `inner0` does; `dense_inner0` shares nothing with either: it
+sums every pair of words of one degree in Fractions, one list of
+coefficients per power of q, and takes P_n as the sum over S_n
+(`sn_oracle.apply_Pn_sum`).  The pairings are checked against a dense
 Fraction sum over the gram.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfock import fock
-from qfock.fock import FockVector, OneParticleSpace, apply_Pn, inner0, innerq
+from qfock.errors import ResourceBudgetError, UsageError
+from qfock.fock import (PN_CAP, FockVector, OneParticleSpace, apply_Pn, inner0,
+                        innerq)
 from qfock.qscalar import ONE, ZERO, QScalar, const, q_pow
+from sn_oracle import apply_Pn_sum
 
 MAX_DEGREE = 4
 
@@ -201,3 +210,131 @@ def test_pairings_in_lowest_terms(data):
     assert space.pair_vec(zeta, eta) == dense_pair(gram, zeta, eta)
     for i in range(dim):
         assert space.pair(zeta, i) == want[i]
+
+
+def test_innerq_refuses_other_space_before_apply_Pn(monkeypatch):
+    # the space check comes first: P_n v is never built for a refused pair
+    calls = []
+    real = fock.apply_Pn
+
+    def counted(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(fock, "apply_Pn", counted)
+    u = FockVector(OneParticleSpace.orthonormal(2), 3, {(0, 1, 1): ONE})
+    v = FockVector(OneParticleSpace.orthonormal(3), 3, {(2, 1, 0): ONE})
+    with pytest.raises(UsageError, match="vectors live on different spaces"):
+        innerq(u, v)
+    with pytest.raises(UsageError, match="vectors live on different spaces"):
+        inner0(u, v)
+    assert calls == []
+
+
+def dense_inner0(u, v):
+    """<u, v>_0 with no buckets: for every pair of words of one degree, the
+    Fraction coefficients of u_w v_w' times the product of the gram
+    entries g(w_k, w'_k), a zero entry included; the coefficients of q^j
+    in one list."""
+    sp = u.space
+    gram = [[Fraction(0)] * sp.dim for _ in range(sp.dim)]
+    for j, row in enumerate(sp.rows):
+        for i, g in row:
+            gram[j][i] = g
+    out = [Fraction(0)] * 64
+    for (w, cu), (w2, cv) in product(u.terms.items(), v.terms.items()):
+        if len(w) != len(w2):
+            continue
+        g = Fraction(1)
+        for a, b in zip(w, w2):
+            g *= gram[a][b]
+        for i, x in enumerate(cu.coeffs):
+            for j, y in enumerate(cv.coeffs):
+                out[i + j] += g * x * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+# per word, a polynomial whose coefficients have their own denominators
+word_coeffs = st.lists(mixed, min_size=1, max_size=3).map(QScalar.exact).filter(bool)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A space whose classes are all singletons (a diagonal gram) or one
+    with classes of several indices, and two vectors of degrees 0-3.  Each
+    side also holds a degree-4 word of one letter whose class the other
+    side's degree-4 word does not share, so some word of v pairs with no
+    word of u and some word of u with no word of v."""
+    dim = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        diag = draw(st.lists(mixed.filter(bool), min_size=dim, max_size=dim))
+        gram = [[diag[i] if i == j else Fraction(0) for j in range(dim)]
+                for i in range(dim)]
+    else:
+        label = [0, 1] + [draw(st.integers(0, 1)) for _ in range(dim - 2)]
+        gram = [[Fraction(0)] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i + 1):
+                if label[i] == label[j]:
+                    gram[i][j] = gram[j][i] = draw(mixed)
+    space = OneParticleSpace(dim, gram)
+    cls = space.gram_classes()
+    a = draw(st.integers(0, dim - 1))
+    b = draw(st.sampled_from([i for i in range(dim) if cls[i] != cls[a]]))
+    words = st.lists(st.integers(0, dim - 1), max_size=3).map(tuple)
+    u, v = (FockVector(space, 4, draw(st.dictionaries(words, word_coeffs, max_size=5))
+                       | {(x,) * 4: draw(word_coeffs)})
+            for x in (a, b))
+    return u, v
+
+
+@settings(max_examples=120, deadline=None)
+@given(oracle_cases())
+def test_q_product_matches_dense_sum(case):
+    u, v = case
+    for a, b in ((u, v), (v, u), (u, u), (v, v)):
+        assert inner0(a, b).coeffs == dense_inner0(a, b)
+        assert innerq(a, b).coeffs == dense_inner0(a, apply_Pn_sum(b))
+
+
+def test_apply_Pn_builds_one_getter_per_degree_step_and_slot(monkeypatch):
+    # one word of repeated letters per degree 0-6, in one vector and one at
+    # a time: every (n, s, k) move is made, and in one call each is built
+    # once, as the slot order (0..s-1, k, s..k-1, k+1..n-1)
+    built = []
+    real = fock.itemgetter
+
+    def counted(*order):
+        built.append(order)
+        return real(*order)
+
+    monkeypatch.setattr(fock, "itemgetter", counted)
+    sp = OneParticleSpace.orthonormal(3)
+    letters = (0, 1, 0, 2, 1, 0)
+    words = [letters[:n] for n in range(7)]
+    want = sorted((*range(s), k, *range(s, k), *range(k + 1, n))
+                  for n in range(2, 7) for s in range(n - 1) for k in range(s, n))
+    v = FockVector(sp, 6, {w: const(Fraction(n + 1, 2 ** n)) + q_pow(n)
+                           for n, w in enumerate(words)})
+    assert apply_Pn(v) == apply_Pn_sum(v)
+    assert sorted(built) == want
+    for w in words:
+        one = FockVector.basis_word(sp, 6, w)
+        assert apply_Pn(one) == apply_Pn_sum(one)
+
+
+def test_apply_Pn_refuses_degree_10_before_any_work(monkeypatch):
+    assert PN_CAP == 9
+    made = []
+    monkeypatch.setattr(fock.IntImage, "of", staticmethod(made.append))
+    monkeypatch.setattr(fock, "itemgetter", made.append)
+    sp = OneParticleSpace.orthonormal(2)
+    v = FockVector(sp, 10, {(0, 1) * 5: ONE, (1,): ONE})
+    with pytest.raises(ResourceBudgetError,
+                       match="apply_Pn degree 10, over the limit of 9"):
+        apply_Pn(v)
+    with pytest.raises(ResourceBudgetError, match="apply_Pn degree 10"):
+        innerq(v, v)
+    assert made == []
