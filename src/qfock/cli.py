@@ -2,7 +2,8 @@
 
 Exit status is 0 iff every exact residual is the zero polynomial; usage and
 budget problems exit 2 before any work starts.  Reports are plain CSV on
-stdout, mirrored into --out when given.
+stdout, mirrored into --out when given.  A model file names the process
+only; q, the point moments are read at, is a run key like nmax.
 """
 
 from __future__ import annotations
@@ -509,10 +510,10 @@ def _count(text: str, what: str, limit: int) -> int:
     return n
 
 
-def _ring(text: str) -> ScalarRing:
-    """The ring of a q value: exact, or a rational q0 in (-1, 1) to
-    evaluate at."""
-    return ScalarRing() if text == "exact" else ScalarRing(_rational(text))
+def _q(text: str) -> Fraction | None:
+    """A q value: None for exact, or a rational q0 in (-1, 1) to evaluate
+    at, checked as a ScalarRing checks it."""
+    return None if text == "exact" else ScalarRing(_rational(text)).q0
 
 
 def _suites(text: str) -> tuple[str, ...]:
@@ -542,11 +543,10 @@ class Key(NamedTuple):
 
 # every config key, in checking order
 KEYS: dict[str, Key] = {
-    "q": Key(_ring, "moments", "q", help="rational q0 to evaluate at, or 'exact'"),
+    "q": Key(_q, "moments", "q", help="rational q0 to evaluate at, or 'exact'"),
     "degree_cutoff": Key(partial(_count, what="degree_cutoff",
                                  limit=MAX_DEGREE_CUTOFF),
                          "moments", "cutoff", help="letter degree cutoff"),
-    "fock_depth": Key(int, "moments"),
     "grid": Key(_grid, "moments", "grid", "uniform(1, {})",
                 "uniform grid size over [0,1)"),
     "moments": Key(partial(_fraction_list, what="moments", limit=MAX_MOMENTS),
@@ -595,20 +595,18 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> dict:
 
 
 def build_model(values: dict) -> ProcessModel | WeightedPointAlgebra:
-    """The algebra that converted model keys (see parse_config) name.
+    """The process that converted model keys (see parse_config) name, as an
+    exact algebra at the default Fock depth; q is a run key.
 
-    pointset.points selects the weighted point set, with pointset.weights
-    and, when given, q and fock_depth.  Otherwise the grid model: q, grid,
-    degree_cutoff and fock_depth, and nu.atoms or moments; when both are
-    given they are validated against each other, and the model checks that
-    the moments are a measure's.
+    pointset.points selects the weighted point set, with pointset.weights.
+    Otherwise the grid model: grid and degree_cutoff, and nu.atoms or
+    moments; when both are given they are validated against each other, and
+    the model checks that the moments are a measure's.
     """
     if "pointset.points" in values:
         return WeightedPointAlgebra(values["pointset.points"],
-                                    values.get("pointset.weights", []),
-                                    values.get("q", EXACT),
-                                    values.get("fock_depth", 6))
-    missing = {"q", "grid", "degree_cutoff", "fock_depth"} - set(values)
+                                    values.get("pointset.weights", []), EXACT)
+    missing = {"grid", "degree_cutoff"} - set(values)
     if missing:
         raise UsageError(f"config missing keys: {sorted(missing)}")
     degree_cutoff = values["degree_cutoff"]
@@ -625,28 +623,27 @@ def build_model(values: dict) -> ProcessModel | WeightedPointAlgebra:
     elif moments is None:
         raise UsageError("config needs nu.atoms or moments")
 
-    return ProcessModel(values["q"], moments, values["grid"], degree_cutoff,
-                        values["fock_depth"])
+    return ProcessModel(EXACT, moments, values["grid"], degree_cutoff)
 
 
 DEFAULT_MODEL_TEXT = """\
-q = exact
 nu.atoms = [(-1, 1/4), (0, 1/2), (1, 1/4)]
 grid = uniform(1, 2)
 degree_cutoff = 3
-fock_depth = 6
 """
 
 
 @dataclass
 class RunConfig:
     # the converted model keys (see parse_config), which only cmd_moments
-    # builds into an algebra; the run keys are the fields of their names
+    # builds into an algebra; the run keys are the fields of their names,
+    # q among them: the point moments are read at, None for exact
     model: dict = field(default_factory=dict)
     out_dir: Path | None = None
     suite: tuple[str, ...] = tuple(SUITES)
     seed: int = 0
     nmax: int = 4
+    q: Fraction | None = None
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -745,7 +742,7 @@ def cmd_moments(config: RunConfig) -> int:
                 f"nmax {config.nmax} needs degree_cutoff >= {config.nmax - 1}, "
                 f"model has {algebra.degree_cutoff}")
         letter = algebra.prefix_letter(algebra.grid.horizon)
-    q0 = algebra.space.ring.q0
+    q0 = config.q
     # every suffix of [letter] * nmax is a lower power: one transfer
     for n, m in enumerate(suffix_moments([letter] * config.nmax), 1):
         if q0 is not None:

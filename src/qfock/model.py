@@ -327,7 +327,7 @@ class ProcessModel:
     """
 
     def __init__(self, ring: ScalarRing, moments: MomentSequence, grid: TimeGrid,
-                 degree_cutoff: int, fock_depth: int):
+                 degree_cutoff: int, fock_depth: int = 6):
         if degree_cutoff < 1 or fock_depth < 1:
             raise UsageError("degree_cutoff and fock_depth must be >= 1")
         c = degree_cutoff

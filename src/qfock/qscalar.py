@@ -183,7 +183,7 @@ class QScalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("exact", self.coeffs))
+        return hash((self.num, self.den))
 
     def __bool__(self) -> bool:
         return bool(self.num)

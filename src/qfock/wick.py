@@ -149,9 +149,9 @@ class WickElement:
             [wick_operator(self.algebra, w).scale(c)
              for w, c in self.terms.items()])
 
-    def vector(self, depth: int | None = None) -> FockVector:
+    def vector(self) -> FockVector:
         """The image of Ω: Σ coeff · (xi-word tensor)."""
-        depth = self.algebra.fock_depth if depth is None else depth
+        depth = self.algebra.fock_depth
         out = FockVector(self.algebra.space, depth)
         for w, c in self.terms.items():
             out = out + word_vector(self.algebra, w, depth).scale(c)

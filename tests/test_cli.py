@@ -187,8 +187,7 @@ def four_point_config(tmp_path):
     cfg.write_text("q = exact\n"
                    "nu.atoms = [(-2, 1/4), (-1, 1/4), (1, 1/4), (2, 1/4)]\n"
                    "grid = uniform(1, 2)\n"
-                   "degree_cutoff = 3\n"
-                   "fock_depth = 6\n")
+                   "degree_cutoff = 3\n")
     return cfg
 
 
@@ -248,37 +247,35 @@ class TestMoments:
         assert want == ([F(3, 2), F(19, 4), F(153, 8)] if points == [1, 2]
                         else [-1, 38, -221])
 
-    def test_pointset_fock_depth_reaches_algebra(self, capsys, tmp_path,
-                                                 monkeypatch):
-        built = []
-        real = cli.build_model
-        monkeypatch.setattr(cli, "build_model",
-                            lambda values: built.append(real(values)) or built[-1])
+    @pytest.mark.parametrize("model", ["grid", "pointset"])
+    def test_fock_depth_is_an_unknown_key(self, capsys, tmp_path, model):
+        # moments builds no Fock vector, so no model file carries a depth:
+        # the key is refused as unknown, not read and ignored
         cfg = tmp_path / "app.cfg"
-        cfg.write_text("pointset.points = [1]\n"
-                       "pointset.weights = [1]\n"
-                       "fock_depth = 3\n")
-        code, out, _ = run(capsys, "moments", "--model", str(cfg), "--nmax", "4")
-        assert code == 0
-        assert out.strip().splitlines()[-1] == "4,14 + q"
-        [algebra] = built
-        assert isinstance(algebra, cli.WeightedPointAlgebra)
-        assert algebra.fock_depth == 3
-
-    @pytest.mark.parametrize("depth", ["0", "-1"])
-    def test_pointset_refuses_depth_below_one(self, capsys, tmp_path, depth):
-        # as the grid model does: a point-set depth of 0 or less is refused
-        # when the algebra is built, not read as an empty Fock space
-        cfg = tmp_path / "app.cfg"
-        cfg.write_text("pointset.points = [1]\n"
-                       "pointset.weights = [1]\n"
-                       f"fock_depth = {depth}\n")
+        cfg.write_text(("nu.atoms = [(0, 1)]\ngrid = [0, 1]\ndegree_cutoff = 3\n"
+                        if model == "grid" else
+                        "pointset.points = [1]\npointset.weights = [1]\n")
+                       + "fock_depth = 6\n")
         code, out, err = run(capsys, "moments", "--model", str(cfg), "--nmax", "4")
         assert code == 2
         assert out == ""
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "fock_depth must be >= 1" in lines[0]
+        assert "unknown config key 'fock_depth'" in lines[0]
+
+    def test_grid_file_without_q_is_exact(self, capsys, tmp_path):
+        # q is a run key with the default exact, not a key of the model
+        body = ("nu.atoms = [(-1, 1/4), (0, 1/2), (1, 1/4)]\n"
+                "grid = [0, 1/4, 1/2, 1]\ndegree_cutoff = 3\n")
+        outs = []
+        for text in (body, "q = exact\n" + body):
+            cfg = tmp_path / "app.cfg"
+            cfg.write_text(text)
+            code, out, _ = run(capsys, "moments", "--model", str(cfg), "--nmax", "6")
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert outs[0].splitlines()[-1] == "6,17/2 + 9*q + 9/2*q^2 + q^3"
 
     @pytest.mark.parametrize("flag", ["--grid", "--cutoff"])
     def test_pointset_refuses_grid_flags(self, capsys, tmp_path, flag):
@@ -457,7 +454,6 @@ class TestFlagPrecedence:
                        "nu.atoms = [(-1, 1/2), (1, 1/2)]\n"
                        "grid = uniform(1, 2)\n"
                        "degree_cutoff = 2\n"
-                       "fock_depth = 6\n"
                        "nmax = 2\n")
         code, out, _ = run(capsys, "moments", "--model", str(cfg),
                            "--nmax", "3")
@@ -470,7 +466,6 @@ class TestFlagPrecedence:
                        "nu.atoms = [(-1, 1/2), (1, 1/2)]\n"
                        "grid = uniform(1, 2)\n"
                        "degree_cutoff = 2\n"
-                       "fock_depth = 6\n"
                        "nmax = 2\n")
         code, out, _ = run(capsys, "moments", "--model", str(cfg))
         assert code == 0
@@ -480,7 +475,7 @@ class TestFlagPrecedence:
     # config, its value from the file, its value from the flag)
     @pytest.mark.parametrize("command,line,flag,value,read,from_file,from_flag", [
         ("moments", "q = exact", "--q", "1/2",
-         lambda c: c.model["q"].q0, None, F(1, 2)),
+         lambda c: c.q, None, F(1, 2)),
         ("moments", "degree_cutoff = 2", "--cutoff", "4",
          lambda c: c.model["degree_cutoff"], 2, 4),
         ("moments", "grid = uniform(1, 2)", "--grid", "5",
@@ -507,8 +502,7 @@ class TestFlagPrecedence:
 MODEL_TEXT = ("q = exact\n"
               "nu.atoms = [(-1, 1/2), (1, 1/2)]\n"
               "grid = uniform(1, 2)\n"
-              "degree_cutoff = 2\n"
-              "fock_depth = 6\n")
+              "degree_cutoff = 2\n")
 
 
 class TestConfigValues:
@@ -519,7 +513,7 @@ class TestConfigValues:
         ("moments", "degree_cutoff = 2", "degree_cutoff = abc"),
         ("moments", "q = exact", "q = 1/0"),
         ("moments", "grid = uniform(1, 2)", "grid = nonsense"),
-        ("verify", "fock_depth = 6", "fock_depth = 6\nseed = x"),
+        ("verify", "degree_cutoff = 2", "degree_cutoff = 2\nseed = x"),
         ("verify", "degree_cutoff = 2", "degree_cutoff = abc"),
     ], ids=["degree_cutoff", "q", "grid", "seed", "verify_degree_cutoff"])
     def test_bad_value_exits_2(self, capsys, tmp_path, command, old, new):
@@ -535,7 +529,7 @@ class TestConfigValues:
     @pytest.mark.parametrize("command,text,unread", [
         ("verify", MODEL_TEXT.replace("q = exact", "q = 1/2")
          + "nmax = 7\nsuite = ks\nseed = 3\n",
-         "q, degree_cutoff, fock_depth, grid, nu.atoms, nmax"),
+         "q, degree_cutoff, grid, nu.atoms, nmax"),
         ("verify", "q = 1/2\nseed = 3\n", "q"),
         ("moments", MODEL_TEXT + "suite = ks\nseed = 9\n", "suite, seed"),
         ("moments", MODEL_TEXT + "nmax = 2\nsuite = ks\n", "suite"),
@@ -767,7 +761,7 @@ class TestModelChecks:
     def test_decimal_exponent_at_limit_is_read(self):
         limit = cli.MAX_DECIMAL_EXPONENT
         values = cli.parse_config(f"q = 1e-{limit}\nmoments = [0, 25E-1]\n")
-        assert values["q"].q0 == F(1, 10 ** limit)
+        assert values["q"] == F(1, 10 ** limit)
         assert values["moments"] == [0, F(5, 2)]
 
     def test_limits_are_admitted(self):
@@ -826,50 +820,54 @@ def parse_model_config(text):
 
 class TestConfigParsing:
     def test_full_config(self):
-        model = parse_model_config(
+        values = cli.parse_config(
             "q = exact\n"
             "nu.atoms = [(-1, 1/2), (1, 1/2)]\n"
             "grid = uniform(1, 4)\n"
-            "degree_cutoff = 2\n"
-            "fock_depth = 5\n")
-        assert model.space.ring.q0 is None
+            "degree_cutoff = 2\n")
+        assert values["q"] is None
+        model = cli.build_model(values)
         assert model.grid.n_atoms == 4
         assert model.degree_cutoff == 2
         assert model.moments.r_at(2) == 1
 
     def test_explicit_boundaries_and_moments(self):
-        model = parse_model_config(
+        values = cli.parse_config(
             "q = 1/2\n"
             "moments = [0, 1, 0, 1]\n"
             "grid = [0, 1/2, 1]\n"
-            "degree_cutoff = 2\n"
-            "fock_depth = 4\n")
-        assert model.space.ring.q0 == F(1, 2)
+            "degree_cutoff = 2\n")
+        assert values["q"] == F(1, 2)
+        model = cli.build_model(values)
         assert model.grid.boundaries == (0, F(1, 2), 1)
+        # q converts as a ScalarRing checks its point
+        for q in ("1", "-1", "3/2"):
+            with pytest.raises(UsageError, match=rf"^q0 must lie in \(-1, 1\), got {q}$"):
+                cli.parse_config(f"q = {q}\n")
 
     def test_conflicting_moments_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="^moments and nu.atoms disagree$"):
             parse_model_config(
                 "q = exact\n"
                 "nu.atoms = [(1, 1)]\n"
                 "moments = [0, 2]\n"
                 "grid = uniform(1, 2)\n"
-                "degree_cutoff = 1\n"
-                "fock_depth = 3\n")
+                "degree_cutoff = 1\n")
 
     def test_missing_keys(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"^config missing keys: "
+                                             r"\['degree_cutoff', 'grid'\]$"):
             parse_model_config("q = exact\n")
 
     def test_comments_ignored(self):
-        model = parse_model_config(
+        values = cli.parse_config(
             "# a comment\n"
             "q = exact  # inline\n"
             "moments = [0, 1]\n"
             "grid = uniform(1, 2)\n"
-            "degree_cutoff = 1\n"
-            "fock_depth = 3\n")
-        assert model.moments.r_at(2) == 1
+            "degree_cutoff = 1\n")
+        assert values["q"] is None
+        assert cli.build_model(values).moments.r_at(2) == 1
 
 
 UNREAD = [("verify", flag) for flag in ("--q", "--depth", "--cutoff", "--grid",

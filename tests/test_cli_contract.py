@@ -34,7 +34,6 @@ VALUES = {
            "1E+10000000"]),
     "degree_cutoff": (["1", "2", "3", "32"],
                       ["0", "-1", "33", "1000000", "x", "2.5"]),
-    "fock_depth": (["1", "3", "6"], ["0", "-1", "x"]),
     "grid": (["uniform(1, 1)", "uniform(1, 2)", "uniform(3/2, 3)",
               "[0, 1/3, 1]", "uniform(1, 256)"],
              ["uniform(1, 0)", "uniform(1, 257)", "uniform(0, 2)", "[0]",
@@ -74,12 +73,12 @@ FLAG_VALUES = {"q": VALUES["q"], "nmax": VALUES["nmax"],
 assert set(FLAG_VALUES) == {spec.flag for spec in cli.KEYS.values()
                             if spec.command == "moments" and spec.flag}
 
-# the keys of a file that names each kind of model, and of one that names
-# none
-MODELS = [("q", "grid", "degree_cutoff", "fock_depth", "nu.atoms"),
-          ("q", "grid", "degree_cutoff", "fock_depth", "moments", "nmax"),
+# the keys of a file that names each kind of model, with and without the
+# run key q, and of one that names none
+MODELS = [("q", "grid", "degree_cutoff", "nu.atoms"),
+          ("grid", "degree_cutoff", "moments", "nmax"),
           ("pointset.points", "pointset.weights"),
-          ("q", "pointset.points", "pointset.weights", "fock_depth"),
+          ("q", "pointset.points", "pointset.weights"),
           ()]
 
 

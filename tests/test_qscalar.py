@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -178,10 +178,15 @@ class TestAgainstFractionOracle:
         for i, c in enumerate(a):
             summed = summed + const(c) * q_pow(i)
         rescaled = direct * const(Fraction(1, k)) * const(k)
+        # the canonical pair, read off the Fraction oracle: the least common
+        # denominator and the int numerators over it
+        coeffs = o_trim(a)
+        den = lcm(1, *(c.denominator for c in coeffs))
+        pair = (tuple(int(c * den) for c in coeffs), den)
         for s in (direct, padded, summed, rescaled):
             assert_canonical(s)
             assert s == direct
-            assert hash(s) == hash(direct) == hash(("exact", o_trim(a)))
+            assert hash(s) == hash(direct) == hash(pair)
             assert (s.num, s.den) == (direct.num, direct.den)
 
     def test_canonical_examples(self):
