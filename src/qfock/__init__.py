@@ -29,6 +29,6 @@ from .stochastic import (AdaptedProcess, BiProcess, ConvergenceTable,
                          two_sided_discrete, x_process, yhat_process)
 from .wick import (WickElement, product_expansion, suffix_moments,
                    vacuum_expectation, vacuum_moment, vacuum_vector,
-                   wick_operator, word_vector)
+                   wick_operator)
 
 __version__ = "0.1.0"

@@ -512,8 +512,12 @@ def _count(text: str, what: str, limit: int) -> int:
 
 def _q(text: str) -> Fraction | None:
     """A q value: None for exact, or a rational q0 in (-1, 1) to evaluate
-    at, checked as a ScalarRing checks it."""
-    return None if text == "exact" else ScalarRing(_rational(text)).q0
+    at, checked as a ScalarRing checks it: a q0 outside is a bad value."""
+    q0 = None if text == "exact" else _rational(text)
+    try:
+        return ScalarRing(q0).q0
+    except UsageError as exc:
+        raise UsageError(f"bad config value q = {text!r}: {exc}") from exc
 
 
 def _suites(text: str) -> tuple[str, ...]:

@@ -18,16 +18,17 @@ In both algebras a letter's payload is its one-particle vector xi, in the
 one sparse form of `fock.SparseVector`; `Letter` adds, scales and
 multiplies payloads, and gauges by multiplication, once for both, and each
 algebra keeps only what differs: its validating `letter` constructor,
-`basis_product` (a payload, of Fraction or int coefficients, times a basis
-vector, over its `product_den`), mean and text.  An algebra hands its ring,
-only an evaluation point, to its space and keeps no copy.
+`basis_product` (an int payload times a basis vector, over its
+`product_den`), mean and text.  An algebra hands its ring, only an
+evaluation point, to its space and keeps no copy.
 
 Each algebra owns the caches of its letters, so they are freed with it: the
 intern table `letters` (one Letter per canonical payload, so letters compare
 and hash by identity), each letter's int payload, the int gauge columns it
-builds (for every node and space, as a letter is its own gauge), field node,
-int pairing row and products, and `wick_cache` (wick.py), keyed by words of
-letters.
+builds (for every node and space, as a letter is its own gauge, and for its
+products: a product reads the other letter's columns), field node, int
+pairing row and products, the grid model's interval letters (`intervals`),
+and `wick_cache` (wick.py), keyed by words of letters.
 """
 
 from __future__ import annotations
@@ -168,8 +169,9 @@ class Letter(Gauge):
     gram-symmetric as the letter is real.  Column i is the algebra's basis
     product of its int payload with e_i, over `den` (the payload's times the
     algebra's `product_den`), kept in `columns` from its first use, so a
-    degree overflow fires only when an offending column is used, and at
-    every such use.
+    degree overflow fires only when an offending column is used, by a gauge
+    or by a product, which sums other's columns over self's int payload, and
+    at every such use.
 
     Each letter keeps, built once and freed with its algebra: its payload
     as (den, ((i, int numerator), ...)) (`ints`); its gauge columns
@@ -245,18 +247,19 @@ class Letter(Gauge):
             raise UsageError("letters from different algebra instances")
 
     def __mul__(self, other: "Letter") -> "Letter":
-        """The bilinear extension of the algebra's basis product, the one the
-        gauge columns use: the sum of c (other e_i) over self's (i, c)."""
+        """The bilinear extension of the algebra's basis product: the sum of
+        z other.column(i) over self's int payload (i, z), one Fraction per
+        entry, so products and gauges share one column cache."""
         self._check(other)
         out = self._products.get(other)
         if out is None:
-            acc: dict[int, Fraction] = {}
-            for i, c in self.payload:
-                for j, x in self.algebra.basis_product(other.payload, i):
-                    x *= c
-                    acc[j] = acc[j] + x if j in acc else x
-            out = self._products[other] = Letter(self.algebra, tuple(sorted(
-                (j, x / self.algebra.product_den) for j, x in acc.items() if x)))
+            acc: dict[int, int] = {}
+            den, nums = self.ints
+            for i, z in nums:
+                for j, x in other.column(i):
+                    acc[j] = acc.get(j, 0) + z * x
+            out = self._products[other] = Letter(self.algebra, tuple(
+                (j, Fraction(x, den * other.den)) for j, x in sorted(acc.items()) if x))
         return out
 
     def __add__(self, other: "Letter") -> "Letter":
@@ -352,6 +355,7 @@ class ProcessModel:
         self.degree_cutoff = degree_cutoff
         self.fock_depth = fock_depth
         self.letters: dict = {}  # canonical payload -> its one Letter
+        self.intervals: dict = {}  # (a, b, power) -> its interval letter
         self.wick_cache: dict = {}  # letter word -> its Wick operator (wick.py)
         self.space = OneParticleSpace(
             grid.n_atoms * b, [((a * b + k, w * pivots[k]),)
@@ -429,12 +433,17 @@ class ProcessModel:
         # one power on atoms in order is canonical as it is: sparse_vector passes it
         return Letter(self, sparse_vector(tuple(out)))
 
+    def basis_place(self, i: int) -> tuple[int, int]:
+        """(A, k) of basis index i: e_{A,k} = P_k on atom A sits at A rank + k."""
+        return divmod(i, self.rank)
+
     def basis_product(self, p: SparseVector, i: int) -> SparseVector:
-        """p e_i over `product_den`: the terms c P_k of p on the atom A of
-        e_i = P_m, found by bisection, each taken to c x P_k P_m by the
+        """p e_i over `product_den`, p an int payload: its terms c P_k on the
+        atom of e_i = P_m, found by bisection, each taken to c x P_k P_m by the
         product table; a product past the cutoff is a CutoffExceededError."""
         b = self.rank
-        lo, m = i - i % b, i % b  # P_0 on A sits at lo
+        a, m = self.basis_place(i)
+        lo = a * b  # P_0 on A sits at lo
         out = [0] * b
         for j, c in p[bisect_left(p, (lo,)):bisect_left(p, (lo + b,))]:
             col = self._products[j - lo][m]
@@ -452,7 +461,8 @@ class ProcessModel:
         return Fraction(0)
 
     def describe(self, p: SparseVector) -> str:
-        return " + ".join(f"{c}*P{i % self.rank}[A{i // self.rank}]" for i, c in p) or "0"
+        return " + ".join(f"{c}*P{k}[A{a}]" for i, c in p
+                          for a, k in (self.basis_place(i),)) or "0"
 
     # -- convenience -------------------------------------------------------
 
@@ -463,8 +473,14 @@ class ProcessModel:
         return _basis_letter(self, i)
 
     def interval_letter(self, interval: Interval, power: int = 1) -> Letter:
-        """The letter of chi_I x^{power-1}: x^{power-1} on every atom of I."""
-        return self.letter({(a, power): _ONE for a in self.grid.atoms_in(interval)})
+        """The letter of chi_I x^{power-1}: x^{power-1} on every atom of I,
+        built on first use and kept in `intervals`."""
+        key = (interval[0], interval[1], power)
+        out = self.intervals.get(key)
+        if out is None:
+            out = self.intervals[key] = self.letter(
+                {(a, power): _ONE for a in self.grid.atoms_in(interval)})
+        return out
 
     def prefix_letter(self, t, power: int = 1) -> Letter:
         return self.interval_letter((Fraction(0), Fraction(t)), power)

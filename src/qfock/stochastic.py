@@ -24,7 +24,7 @@ from .model import Interval, Letter, ProcessModel
 from .partitions import (ExtendedPartition, SetPartition,
                          enumerate_partitions, index_tuples, rc)
 from .qscalar import ONE, ZERO, QScalar, accumulate, const, q_pow
-from .wick import WickElement, vacuum_vector, word_vector
+from .wick import WickElement, vacuum_vector
 
 MAX_POWER_N = 6  # power_decomposition sums over the Bell(n) partitions
 
@@ -216,25 +216,14 @@ def st_pi_discrete(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
     return total(trie)
 
 
-def st_pi_closed(pi: SetPartition, t, model: ProcessModel,
-                 prefix: dict[int, Letter] | None = None) -> WickElement:
+def st_pi_closed(pi: SetPartition, t, model: ProcessModel) -> WickElement:
     """St_pi(t) = Σ_{S ⊆ pi} q^{rc(S,pi)} R_{pi∖S}(t) W(⊗_{B∈S} prefix letter
     of power |B|), with R_σ(t) = Π_{B∈σ} t r_{|B|}; subsets S with equal
-    words merge into one term.
-
-    prefix maps a power k to the prefix letter of power k at t and is filled
-    in as needed; a caller that builds several closed forms at one t passes
-    one dict, so each letter is built once.  Letters are interned, so the
-    Wick cache meets the same objects either way; the dict only saves the
-    construction, about 12 µs per `prefix_letter` on a 2-atom model on a
-    2-vCPU Xeon."""
+    words merge into one term.  Each block size's prefix letter is read
+    once per call from the model, which builds it once and keeps it."""
     t = Fraction(t)
     sizes = pi.block_sizes()  # a size past the cutoff is refused by prefix_letter
-    if prefix is None:
-        prefix = {}
-    for k in sizes:
-        if k not in prefix:
-            prefix[k] = model.prefix_letter(t, k)
+    prefix = {k: model.prefix_letter(t, k) for k in dict.fromkeys(sizes)}
     terms: dict = {}
     m = pi.size
     closed = [t * model.moments.r_at(k) for k in sizes]  # t r_{|B|} per block
@@ -275,8 +264,7 @@ def power_decomposition(n: int, t, model: ProcessModel) -> FockVector:
     lhs = vacuum_vector(model)
     for _ in range(n):
         lhs = apply(x, lhs)
-    prefix: dict[int, Letter] = {}
-    closed = sum((st_pi_closed(pi, t, model, prefix)
+    closed = sum((st_pi_closed(pi, t, model)
                   for pi in enumerate_partitions(n)), WickElement(model, {}))
     rhs = apply(closed.operator(), vacuum_vector(model))
     return lhs - rhs
@@ -338,17 +326,16 @@ def chaos_decompose(v: FockVector, model: ProcessModel) -> dict[tuple[int, ...],
     degree-n term of the multi-index u is the step function F_u with
     v = Σ_u Σ_{a⃗} F_u(a⃗) ⊗_i (e-letter of P_{u(i)-1} on atom a_i).
 
-    That is the model's own basis, e_{A,k} = P_k on atom A at index
-    A rank + k, so each basis index i only reads as atom i // rank and
-    u-entry i % rank + 1."""
+    That is the model's own basis, e_{A,k} = P_k on atom A, so each basis
+    index only reads as its atom A and u-entry k + 1 (`basis_place`)."""
     if v.space != model.space:
         raise UsageError("vector does not live on this model's space")
-    b = model.rank
     out: dict[tuple[int, ...], FockVector] = {}
     for word, c in v.terms.items():
-        u = tuple(i % b + 1 for i in word)
+        places = [model.basis_place(i) for i in word]
+        u = tuple(k + 1 for _, k in places)
         out.setdefault(u, FockVector(model.grid.space, len(u))).add_term(
-            tuple(i // b for i in word), c)
+            tuple(a for a, _ in places), c)
     return out
 
 
@@ -358,7 +345,7 @@ def chaos_decompose(v: FockVector, model: ProcessModel) -> dict[tuple[int, ...],
 
 def _atom_end(model: ProcessModel, i: int) -> Fraction:
     """The right end of the grid atom of basis index i."""
-    return model.grid.atoms[i // model.rank][1]
+    return model.grid.atoms[model.basis_place(i)[0]][1]
 
 
 def _checked_pieces(model: ProcessModel, pieces: Iterable, values=lambda u: (u,)) -> list:
@@ -425,17 +412,16 @@ def two_sided_discrete(u: AdaptedProcess) -> FockOperator:
 
 
 def two_sided_defect_vector(u: AdaptedProcess) -> FockVector:
-    """The exact finite-grid discrepancy on Ω: Σ_i Σ_{J ⊆ I_i} Σ_words
-    coeff · (xi_J ⊗ word ⊗ xi_J)."""
+    """The exact finite-grid discrepancy on Ω: the vector of the Wick element
+    Σ_i Σ_{J ⊆ I_i} Σ_words coeff · W(xi_J ⊗ word ⊗ xi_J)."""
     model = u.model
-    out = FockVector(model.space, model.fock_depth)
+    words: dict = {}
     for interval, val in u.pieces:
         for a in model.grid.atoms_in(interval):
             la = model.atom_letter(a, 1)
             for word, c in val.terms.items():
-                out = out + word_vector(model, (la,) + word + (la,),
-                                        model.fock_depth).scale(c)
-    return out
+                accumulate(words, (la,) + word + (la,), c)
+    return WickElement(model, words).vector()
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ by (letter, block product).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -97,19 +98,6 @@ def wick_operator(algebra, word: Sequence[Letter]) -> FockOperator:
     return op
 
 
-def word_vector(algebra, word: Sequence[Letter], depth: int) -> FockVector:
-    """The tensor xi_1 ⊗ ... ⊗ xi_n as a Fock vector (Ω for the empty word)."""
-    out = FockVector(algebra.space, depth, {(): ONE})
-    for letter in reversed(tuple(word)):
-        xi = letter.xi()
-        nxt = FockVector(algebra.space, depth)
-        for w, c in out.terms.items():
-            for i, x in xi:
-                nxt.add_term((i,) + w, c * const(x))
-        out = nxt
-    return out
-
-
 def vacuum_vector(algebra) -> FockVector:
     return FockVector.vacuum(algebra.space, algebra.fock_depth)
 
@@ -150,11 +138,16 @@ class WickElement:
              for w, c in self.terms.items()])
 
     def vector(self) -> FockVector:
-        """The image of Ω: Σ coeff · (xi-word tensor)."""
-        depth = self.algebra.fock_depth
-        out = FockVector(self.algebra.space, depth)
-        for w, c in self.terms.items():
-            out = out + word_vector(self.algebra, w, depth).scale(c)
+        """W(v)Ω = v: Σ c · xi_1 ⊗ ... ⊗ xi_n (Ω for the empty word), each
+        word's tensor built on Fractions and added into one term table."""
+        out = FockVector(self.algebra.space, self.algebra.fock_depth)
+        for word, c in self.terms.items():
+            tensor = {(): Fraction(1)}
+            for letter in reversed(word):
+                tensor = {(i,) + w: y * x for w, x in tensor.items()
+                          for i, y in letter.xi()}
+            for w, x in tensor.items():
+                out.add_term(w, c * const(x))
         return out
 
     def gamma(self) -> "WickElement":

@@ -526,6 +526,14 @@ class TestConfigValues:
         assert err.startswith("error: ") and key in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    def test_q_outside_the_interval_names_the_key(self, capsys, tmp_path, source):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(MODEL_TEXT.replace("q = exact", "q = 1" if source == "file" else ""))
+        flag = ["--q", "1"] if source == "flag" else []
+        assert run(capsys, "moments", "--model", str(cfg), *flag) == (
+            2, "", "error: bad config value q = '1': q0 must lie in (-1, 1), got 1\n")
+
     @pytest.mark.parametrize("command,text,unread", [
         ("verify", MODEL_TEXT.replace("q = exact", "q = 1/2")
          + "nmax = 7\nsuite = ks\nseed = 3\n",
@@ -840,9 +848,10 @@ class TestConfigParsing:
         assert values["q"] == F(1, 2)
         model = cli.build_model(values)
         assert model.grid.boundaries == (0, F(1, 2), 1)
-        # q converts as a ScalarRing checks its point
+        # q converts as a ScalarRing checks its point, a refusal naming the key
         for q in ("1", "-1", "3/2"):
-            with pytest.raises(UsageError, match=rf"^q0 must lie in \(-1, 1\), got {q}$"):
+            with pytest.raises(UsageError, match=rf"^bad config value q = '{q}': "
+                                                 rf"q0 must lie in \(-1, 1\), got {q}$"):
                 cli.parse_config(f"q = {q}\n")
 
     def test_conflicting_moments_rejected(self):

@@ -7,7 +7,7 @@ from qfock.fock import FockOperator, apply
 from qfock.kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
 from qfock.model import MomentSequence, ProcessModel, TimeGrid
 from qfock.qscalar import EXACT, ONE, QScalar, const, q_int
-from qfock.wick import vacuum_vector, word_vector
+from qfock.wick import WickElement, vacuum_vector
 
 F = Fraction
 
@@ -141,5 +141,5 @@ class TestSubstitution:
         got = apply(evaluate(a, lambda j: model.interval_letter(interval, j).field()),
                     vacuum_vector(model))
         word = tuple(model.interval_letter(interval, k) for k in u)
-        want = word_vector(model, word, model.fock_depth)
+        want = WickElement.from_word(model, word).vector()
         assert (got - want).is_zero

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -322,13 +323,14 @@ class GridReference:
     """Grid letters as monomials, sorted ((atom, power), c) with no zero c,
     and the algebra written on that form: power k names x^{k-1}, a product
     adds powers, and the norm² of a letter is sum_A |A| sum c_j c_k
-    r_{j+k}, from the moments alone."""
+    r_{j+k}, from the moments alone.  On a model that does not close, a
+    product of powers j and k on one atom with j + k past the cutoff is
+    undefined (None)."""
 
-    def __init__(self):
-        # powers 1..2 under cutoff 4, so every product is defined
-        self.algebra = ProcessModel(EXACT, three_point(), TimeGrid.uniform(1, 4), 4, 3)
-        self.draw = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(1, 2)),
-                                    FRACTIONS, max_size=4)
+    def __init__(self, moments, cutoff, max_power):
+        self.algebra = ProcessModel(EXACT, moments, TimeGrid.uniform(1, 4), cutoff, 3)
+        self.draw = st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(1, max_power)), FRACTIONS, max_size=4)
 
     @staticmethod
     def canonical(entries):
@@ -344,10 +346,12 @@ class GridReference:
         return self.canonical({ak: x * c for ak, x in p})
 
     def product(self, p1, p2):
-        out = {}
+        out, model = {}, self.algebra
         for (a1, k1), c1 in p1:
             for (a2, k2), c2 in p2:
                 if a1 == a2:
+                    if k1 + k2 > model.degree_cutoff and not model.closes:
+                        return None
                     out[(a1, k1 + k2)] = out.get((a1, k1 + k2), 0) + c1 * c2
         return self.canonical(out)
 
@@ -398,7 +402,15 @@ class PointReference:
         return self.algebra.letter(p)
 
 
-REFERENCES = {"grid": GridReference(), "points": PointReference()}
+REFERENCES = {
+    # powers 1..2 under cutoff 4 on a model that closes: every product is defined
+    "grid": GridReference(three_point(), 4, 2),
+    # nu on 4 points at cutoff 3: no pivot vanishes, so the model does not
+    # close, and products of powers 1..3 reach past the cutoff
+    "full_rank": GridReference(MomentSequence.from_measure(
+        [(-1, F(1, 4)), (0, F(1, 4)), (1, F(1, 4)), (2, F(1, 4))], 8), 3, 3),
+    "points": PointReference(),
+}
 
 
 def assert_canonical(payload, dim):
@@ -423,8 +435,10 @@ def reference_letters(draw):
 @given(reference_letters())
 def test_letter_algebra_matches_former_payload_form(drawn):
     """+, scale, -, * and mean on the sparse payload against the reference
-    forms, on both algebras, each result the letter of the reference result,
-    zero exactly when its norm² is; on the grid also the restriction of
+    forms, on both algebras and on a grid model that does not close, each
+    result the letter of the reference result, zero exactly when its norm²
+    is; a product past the cutoff of that model is refused, naming its
+    degree and the cutoff.  On the grid also the restriction of
     conditional_expectation at every boundary.  Every payload is canonical,
     and on the point set it is the vector of values."""
     kind, p1, p2, c = drawn
@@ -432,8 +446,16 @@ def test_letter_algebra_matches_former_payload_form(drawn):
     algebra = ref.algebra
     l1, l2 = ref.letter(p1), ref.letter(p2)
     cases = [(l1, p1), (l1 + l2, ref.add(p1, p2)), (l1.scale(c), ref.scale(p1, c)),
-             (l1 - l2, ref.add(p1, ref.scale(p2, -1))),
-             (l1 * l2, ref.product(p1, p2))]
+             (l1 - l2, ref.add(p1, ref.scale(p2, -1)))]
+    product = ref.product(p1, p2)
+    if product is None:
+        with pytest.raises(CutoffExceededError) as info:
+            l1 * l2
+        d, cutoff = map(int, re.fullmatch(r"letter product degree (\d+) exceeds cutoff (\d+)",
+                                          str(info.value)).groups())
+        assert cutoff == algebra.degree_cutoff < d
+    else:
+        cases.append((l1 * l2, product))
     for got, want in cases:
         assert_canonical(got.payload, algebra.space.dim)
         if kind == "points":
@@ -444,7 +466,7 @@ def test_letter_algebra_matches_former_payload_form(drawn):
         assert got.mean() == ref.mean(want)
         same = ref.letter(want)
         assert got == same and hash(got) == hash(same)
-    if kind == "grid":
+    if kind != "points":
         grid = algebra.grid
         for t in grid.boundaries:
             kept = tuple((ak, x) for ak, x in p1 if grid.atoms[ak[0]][1] <= t)

@@ -21,7 +21,7 @@ from qfock.stochastic import (AdaptedProcess, BiProcess, biprocess_inner,
                               st_pi_discrete, step_rectangle,
                               two_sided_closed, two_sided_defect_vector,
                               two_sided_discrete, x_process, yhat_process)
-from qfock.wick import WickElement, vacuum_vector, wick_operator, word_vector
+from qfock.wick import WickElement, vacuum_vector, wick_operator
 from sn_oracle import inversions, sym_group
 from stpi_forms import st_pi_free_form, st_pi_gaussian_form
 
@@ -229,7 +229,7 @@ class TestMultipleIntegrals:
         word = (x.letter(1),) * 2
         assert integral.terms == {word: const(2)}
         om = vacuum_vector(model)
-        want = word_vector(model, word, model.fock_depth).scale(const(2))
+        want = WickElement.from_word(model, word).vector().scale(const(2))
         assert integral.vector() == want
         assert apply(integral.operator(), om) == want
         product = FockOperator.compose([x.letter(1).field()] * 2)
@@ -261,14 +261,14 @@ class TestMultipleIntegrals:
         assert m.closes
         om = vacuum_vector(m)
         for powers, u in (((2, 2), (2, 2)), ((3, 1, 2), (1, 1, 2))):
-            v = word_vector(m, [m.atom_letter(0, k) for k in powers], m.fock_depth)
+            v = WickElement.from_word(m, [m.atom_letter(0, k) for k in powers]).vector()
             integral = multiple_integral(chaos_decompose(v, m)[u],
                                          [yhat_process(m, k) for k in u])
             assert not integral.vector().is_zero
             assert apply(integral.operator(), om) == integral.vector()
         m = three_point(n_atoms=2, cutoff=3)
         assert not m.closes
-        v = word_vector(m, (m.atom_letter(0, 2),) * 2, m.fock_depth)
+        v = WickElement.from_word(m, (m.atom_letter(0, 2),) * 2).vector()
         comps = chaos_decompose(v, m)
         assert set(comps) == {(2, 2)}
         integral = multiple_integral(comps[2, 2], [yhat_process(m, 2)] * 2)
@@ -324,28 +324,31 @@ class TestStochasticMeasures:
     def test_power_decomposition_partial_time(self, model):
         assert power_decomposition(3, F(1, 2), model).is_zero
 
-    def test_power_decomposition_builds_each_prefix_letter_once(self, model,
-                                                                monkeypatch):
+    def test_power_decomposition_builds_each_prefix_letter_once(self, monkeypatch):
         # every closed form goes through the module name st_pi_closed, and
-        # the prefix letter of each block size is built once per call
+        # each (interval, power) letter is built once per model, counted at
+        # ProcessModel.letter: the model keeps its interval letters, so a
+        # second decomposition at the same t builds none
         from qfock import stochastic
+        model = three_point()
         closed, built = [], []
-        real_closed, real_prefix = stochastic.st_pi_closed, model.prefix_letter
+        real_closed, real_letter = stochastic.st_pi_closed, model.letter
 
-        def st_pi_closed(pi, t, m, prefix=None):
+        def st_pi_closed(pi, t, m):
             closed.append(pi)
-            return real_closed(pi, t, m, prefix)
+            return real_closed(pi, t, m)
 
-        def prefix_letter(t, power=1):
-            built.append(power)
-            return real_prefix(t, power)
+        def letter(entries):
+            built.extend({k for _, k in entries})
+            return real_letter(entries)
 
         monkeypatch.setattr(stochastic, "st_pi_closed", st_pi_closed)
-        monkeypatch.setattr(model, "prefix_letter", prefix_letter)
-        assert power_decomposition(4, 1, model).is_zero
-        assert len(closed) == len(list(enumerate_partitions(4)))
-        # power 1 once for X(t) itself, and once per block size 1..4
-        assert sorted(built) == [1, 1, 2, 3, 4]
+        monkeypatch.setattr(model, "letter", letter)
+        for _ in range(2):
+            assert power_decomposition(4, 1, model).is_zero
+        assert len(closed) == 2 * len(list(enumerate_partitions(4)))
+        # power 1 for X(t) itself and the singletons, then block sizes 2..4
+        assert sorted(built) == [1, 2, 3, 4]
 
     @pytest.mark.parametrize("n_atoms", range(1, 6))
     def test_discrete_trie_equals_flat_sum(self, n_atoms):
@@ -475,8 +478,8 @@ class TestChaosDecomposition:
         model = three_point(cutoff=3)
         l1 = model.atom_letter(0, 2)
         l2 = model.atom_letter(1, 1)
-        v = (word_vector(model, (l1, l2), model.fock_depth)
-             + word_vector(model, (l2,), model.fock_depth).scale(const(3)))
+        v = (WickElement.from_word(model, (l1, l2)).vector()
+             + WickElement.from_word(model, (l2,)).vector().scale(const(3)))
         comps = chaos_decompose(v, model)
         assert chaos_rebuild(model, comps) == v
         vecs = {u: multiple_integral(f, [yhat_process(model, k) for k in u]).vector()

@@ -22,7 +22,7 @@ from qfock.partitions import enumerate_partitions
 from qfock.qscalar import EXACT, ZERO, QScalar, ScalarRing, const, q_pow
 from qfock.wick import (WickElement, product_expansion, suffix_moments,
                         vacuum_expectation, vacuum_moment, vacuum_vector,
-                        wick_operator, word_vector)
+                        wick_operator)
 from expansion_oracle import block_scalar, expansion_by_word
 from stpi_forms import rc_plain
 
@@ -129,7 +129,7 @@ class TestWickOperator:
         word = random_word(model, rng, n)
         om = FockVector.vacuum(model.space, model.fock_depth)
         got = apply(wick_operator(model, word), om)
-        assert got == word_vector(model, word, model.fock_depth)
+        assert got == WickElement.from_word(model, word).vector()
 
     def test_empty_word_is_identity(self, model):
         om = FockVector.vacuum(model.space, model.fock_depth)
@@ -142,7 +142,7 @@ class TestWickOperator:
         op = wick_operator(alg, (letter,))
         assert op.kind == "sum" and op.operands[0] is letter.field()
         om = FockVector.vacuum(alg.space, alg.fock_depth)
-        assert apply(op, om) == word_vector(alg, (letter,), alg.fock_depth)
+        assert apply(op, om) == WickElement.from_word(alg, (letter,)).vector()
 
     def test_foreign_letter_rejected(self, model):
         alg = WeightedPointAlgebra([1], [1], EXACT)
@@ -170,7 +170,7 @@ class TestProductExpansion:
         direct = FockOperator.compose([l.field() for l in letters])
         expanded = product_expansion(letters).operator()
         om = FockVector.vacuum(model.space, model.fock_depth)
-        probe = word_vector(model, random_word(model, rng, 2), model.fock_depth)
+        probe = WickElement.from_word(model, random_word(model, rng, 2)).vector()
         for v in (om, probe):
             assert (apply(direct, v) - apply(expanded, v)).is_zero
 
@@ -616,9 +616,9 @@ def right_field(letter, v: FockVector) -> FockVector:
 class TestWickElement:
     def test_from_vector_round_trip(self, model):
         rng = random.Random(3)
-        v = word_vector(model, random_word(model, rng, 3), model.fock_depth)
-        v = v + word_vector(model, random_word(model, rng, 1),
-                            model.fock_depth).scale(const(F(1, 2)))
+        v = WickElement.from_word(model, random_word(model, rng, 3)).vector()
+        v = v + WickElement.from_word(model, random_word(model, rng, 1)).vector().scale(
+            const(F(1, 2)))
         el = WickElement.from_vector(model, v)
         assert el.vector() == v
         om = FockVector.vacuum(model.space, model.fock_depth)
@@ -626,7 +626,7 @@ class TestWickElement:
 
     def test_gamma_matches_vector_scaling(self, model):
         rng = random.Random(4)
-        v = word_vector(model, random_word(model, rng, 2), model.fock_depth)
+        v = WickElement.from_word(model, random_word(model, rng, 2)).vector()
         el = WickElement.from_vector(model, v)
         assert el.gamma().vector() == gamma_q(v)
 
@@ -654,7 +654,7 @@ class TestRightOperators:
     def test_commutes_with_left_action(self, model, seed):
         rng = random.Random(seed)
         f, g = model.atom_letter(rng.randrange(3)), model.atom_letter(rng.randrange(3))
-        v = word_vector(model, random_word(model, rng, 2), model.fock_depth)
+        v = WickElement.from_word(model, random_word(model, rng, 2)).vector()
         lr = apply(g.field(), right_field(f, v))
         rl = right_field(f, apply(g.field(), v))
         assert (lr - rl).is_zero
