@@ -432,7 +432,11 @@ DEFAULT_SCHEDULE = (4, 8, 16, 32, 64)
 # configuration: one key table for config files and flags
 
 # a grid model keeps at most cutoff basis vectors per atom, so the largest
-# these admit has 256 x 32 = 8,192; it builds in 0.35 s on a 2-vCPU Xeon
+# these admit has 256 x 32 = 8,192; it builds in 0.35 s on a 2-vCPU Xeon.
+# Its product table grows with nu instead: at cutoff 32, moments --nmax 4
+# takes 0.4 s on nu = sum (p^2/32) delta_p, p = 1..32, and 40 s, the worst
+# case measured, on 256 atoms (k/7, (k mod 5 + 1)/(k mod 3 + 2)), whose
+# table ints reach 79,000 bits
 MAX_DEGREE_CUTOFF = 32
 MAX_GRID_ATOMS = 256
 # moments to order 40, the Gaussian target; a point set has no letter cutoff

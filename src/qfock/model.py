@@ -355,7 +355,7 @@ class ProcessModel:
         self.degree_cutoff = degree_cutoff
         self.fock_depth = fock_depth
         self.letters: dict = {}  # canonical payload -> its one Letter
-        self.intervals: dict = {}  # (a, b, power) -> its interval letter
+        self.intervals: dict = {}  # (first atom, end atom, power) -> its letter
         self.wick_cache: dict = {}  # letter word -> its Wick operator (wick.py)
         self.space = OneParticleSpace(
             grid.n_atoms * b, [((a * b + k, w * pivots[k]),)
@@ -372,8 +372,11 @@ class ProcessModel:
         does not close.  By the Jacobi recurrence x P_k = P_{k+1} +
         beta_k P_k + gamma_k P_{k-1} (P_rank dropped: null, or never reached;
         gamma_k = d_{k+1} / d_k, beta_0 + ... + beta_{k-1} = L[k][k-1]),
-        P_{a+1} P_e = (x - beta_a) P_a P_e - gamma_a P_{a-1} P_e, on ints:
-        P_a P_e times D^a, D the betas' and gammas' least denominator."""
+        P_a P_{e+1} = (x - beta_e) P_a P_e - gamma_e P_a P_{e-1}, for a >= e
+        only, as P_a P_e = P_e P_a; on ints over D, the betas' and gammas'
+        least denominator.  Every vector is kept in lowest terms, as ints
+        over its own denominator, so a step grows no int by more than D; the
+        table takes the lcm of those denominators."""
         (low, pivots), b = self.hankel_factor, self.rank
         beta = [low[k + 1][k] - (low[k][k - 1] if k else 0)
                 for k in range(min(b, len(low) - 1))]
@@ -385,17 +388,34 @@ class ProcessModel:
             return [(k and d * v[k - 1]) + (v[k] and beta[k] * v[k])
                     + (k + 1 < b and gamma[k + 1] * v[k + 1]) for k in range(b)]
 
+        def lowest(den: int, v: list) -> tuple[int, list]:  # v / den
+            g = gcd(den, *v)
+            return (den, v) if g == 1 else (den // g, [x // g for x in v])
+
         table = [[None] * b for _ in range(b)]
+        # a -> P_a P_{e-1} and P_a P_e, each as (its denominator, ints)
+        prev = dict.fromkeys(range(b), (1, [0] * b))
+        cur = {a: (1, [int(k == a) for k in range(b)]) for a in range(b)}
         for e in range(b):
-            prev, cur = [0] * b, [int(k == e) for k in range(b)]
-            for a in range(b if self.closes else b - 1 - e):
-                x_cur = times_x(cur)  # x P_a P_e, scaled by D^(a+1)
-                table[a][e] = [x * d ** (b - 1 - a) for x in x_cur]
-                prev, cur = cur, [x - beta[a] * y - d * gamma[a] * z
-                                  for x, y, z in zip(x_cur, cur, prev)]
-        g = gcd(d ** b, *(x for row in table for v in row if v for x in v))
-        return d ** b // g, [[v and tuple((k, x // g) for k, x in enumerate(v) if x)
-                              for v in row] for row in table]
+            nxt = {}
+            for a in range(e, b if self.closes else b - 1 - e):
+                (s, v), (sp, vp) = cur[a], prev[a]
+                x_v = times_x(v)  # x P_a P_e, over s D
+                table[a][e] = lowest(s * d, x_v)
+                if a > e:
+                    m = lcm(s, sp)  # P_a P_{e+1} over D m
+                    u, w = m // s, gamma[e] * (m // sp)
+                    nxt[a] = lowest(d * m, [(x - beta[e] * y) * u - w * z
+                                            for x, y, z in zip(x_v, v, vp)])
+            prev, cur = cur, nxt
+        den = lcm(*(v[0] for row in table for v in row if v))
+        for a in range(b):
+            for e in range(a + 1):
+                if table[a][e]:
+                    s, v = table[a][e]
+                    m = den // s
+                    table[a][e] = table[e][a] = tuple((k, x * m) for k, x in enumerate(v) if x)
+        return den, table
 
     # -- orthogonal polynomials ---------------------------------------------
 
@@ -467,19 +487,26 @@ class ProcessModel:
     # -- convenience -------------------------------------------------------
 
     def atom_letter(self, atom: int, power: int = 1) -> Letter:
-        return self.letter({(atom, power): _ONE})
+        """x^{power-1} on one atom, refused outside 0..n_atoms-1."""
+        if not 0 <= atom < self.grid.n_atoms:
+            raise UsageError(f"atom index {atom} out of range")
+        return self._run_letter(atom, atom + 1, power)
 
     def basis_letter(self, i: int) -> Letter:
         return _basis_letter(self, i)
 
     def interval_letter(self, interval: Interval, power: int = 1) -> Letter:
-        """The letter of chi_I x^{power-1}: x^{power-1} on every atom of I,
-        built on first use and kept in `intervals`."""
-        key = (interval[0], interval[1], power)
+        """The letter of chi_I x^{power-1}: x^{power-1} on every atom of I."""
+        atoms = self.grid.atoms_in(interval)
+        return self._run_letter(atoms[0], atoms[-1] + 1, power)
+
+    def _run_letter(self, first: int, end: int, power: int) -> Letter:
+        """x^{power-1} on atoms first..end-1, built once, kept in `intervals`."""
+        key = (first, end, power)
         out = self.intervals.get(key)
         if out is None:
             out = self.intervals[key] = self.letter(
-                {(a, power): _ONE for a in self.grid.atoms_in(interval)})
+                {(a, power): _ONE for a in range(first, end)})
         return out
 
     def prefix_letter(self, t, power: int = 1) -> Letter:

@@ -67,9 +67,9 @@ def l2q_inner(f: FockVector, g: FockVector) -> QScalar:
 
 
 class ProcessFamily:
-    """One integrator process: on each atom A the letter
-    Σ_k coeffs[k] x_A^k, plus a deterministic drift rate (nonzero only for
-    the diagonal measures Delta_k)."""
+    """One integrator process: on each atom A the letter Σ_k coeffs[k]
+    x_A^{k-1}, a sum of the model's kept letters (a coefficient of 1 scales
+    nothing), plus a drift rate (nonzero only for the diagonal Delta_k)."""
 
     def __init__(self, model: ProcessModel, label: str,
                  coeffs: dict[int, Fraction], drift_rate: Fraction):
@@ -78,16 +78,17 @@ class ProcessFamily:
         self.coeffs = coeffs
         self.drift_rate = drift_rate
 
-    def _letter_on(self, atoms: Sequence[int]) -> Letter:
-        return self.model.letter({(a, k): c for a in atoms
-                                  for k, c in self.coeffs.items()})
+    def _sum(self, power_letter: Callable[[int], Letter]) -> Letter:
+        terms = [power_letter(k) if c == 1 else power_letter(k).scale(c)
+                 for k, c in self.coeffs.items()]
+        return sum(terms[1:], terms[0])
 
     def letter(self, atom: int) -> Letter:
-        return self._letter_on((atom,))
+        return self._sum(lambda k: self.model.atom_letter(atom, k))
 
     def interval_letter(self, interval: Interval) -> Letter:
         """The letter of the process on the grid atoms of [a, b)."""
-        return self._letter_on(self.model.grid.atoms_in(interval))
+        return self._sum(lambda k: self.model.interval_letter(interval, k))
 
     def prefix_letter(self, t) -> Letter:
         return self.interval_letter((Fraction(0), Fraction(t)))
@@ -157,25 +158,34 @@ def multiple_integral(f: FockVector, procs: Sequence[ProcessFamily]) -> WickElem
     return WickElement(model, terms)
 
 
+def _subset_sum(model: ProcessModel, letters: Sequence[Letter],
+                closing: Sequence[Fraction],
+                weight: Callable[[list[int]], QScalar] = lambda kept: ONE) -> WickElement:
+    """Σ over the sets C of positions with a nonzero closing factor of
+    weight(kept) Π_{i ∈ C} closing[i] W(letters kept), kept the positions
+    outside C, in order; equal words merge.  A factor of 1 scales nothing."""
+    subsets = [((), Fraction(1))]  # (closed positions, product of their factors)
+    for i, c in enumerate(closing):
+        if c:
+            subsets += [(s + (i,), f * c) for s, f in subsets]
+    terms: dict = {}
+    for s, f in subsets:
+        kept = [i for i in range(len(letters)) if i not in s]
+        w = weight(kept)
+        accumulate(terms, tuple(letters[i] for i in kept), w if f == 1 else w * const(f))
+    return WickElement(model, terms)
+
+
 def psi_closed(procs: Sequence[ProcessFamily], t) -> WickElement:
     """Closed form of the full stochastic measure psi(Z_1, ..., Z_m)(t):
-    drift positions split off multilinearly, the rest is a Wick product of
-    prefix letters; equal words merge into one term."""
+    drift positions split off multilinearly, each closing with t times its
+    drift rate, the rest is a Wick product of prefix letters."""
     if not procs:
         raise UsageError("psi of no processes")
     model = _model_of(procs)
     t = Fraction(t)
-    prefix = [p.prefix_letter(t) for p in procs]
-    drifty = [i for i, p in enumerate(procs) if p.drift_rate]
-    terms: dict = {}
-    for mask in range(1 << len(drifty)):
-        chosen = {drifty[b] for b in range(len(drifty)) if mask >> b & 1}
-        factor = Fraction(1)
-        for i in chosen:
-            factor *= t * procs[i].drift_rate
-        word = tuple(prefix[i] for i in range(len(procs)) if i not in chosen)
-        accumulate(terms, word, const(factor))
-    return WickElement(model, terms)
+    return _subset_sum(model, [p.prefix_letter(t) for p in procs],
+                       [t * p.drift_rate for p in procs])
 
 
 # ---------------------------------------------------------------------------
@@ -218,27 +228,14 @@ def st_pi_discrete(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
 
 def st_pi_closed(pi: SetPartition, t, model: ProcessModel) -> WickElement:
     """St_pi(t) = Σ_{S ⊆ pi} q^{rc(S,pi)} R_{pi∖S}(t) W(⊗_{B∈S} prefix letter
-    of power |B|), with R_σ(t) = Π_{B∈σ} t r_{|B|}; subsets S with equal
-    words merge into one term.  Each block size's prefix letter is read
-    once per call from the model, which builds it once and keeps it."""
+    of power |B|), with R_σ(t) = Π_{B∈σ} t r_{|B|}: the subset sum of psi,
+    each block closing with t r_{|B|}, weighted by q^{rc(S,pi)}.  Each block
+    size's prefix letter is the model's, which builds it once and keeps it."""
     t = Fraction(t)
     sizes = pi.block_sizes()  # a size past the cutoff is refused by prefix_letter
-    prefix = {k: model.prefix_letter(t, k) for k in dict.fromkeys(sizes)}
-    terms: dict = {}
-    m = pi.size
-    closed = [t * model.moments.r_at(k) for k in sizes]  # t r_{|B|} per block
-    for mask in range(1 << m):
-        s = frozenset(b for b in range(m) if mask >> b & 1)
-        factors = [closed[b] for b in range(m) if b not in s]
-        if not all(factors):
-            continue
-        factor = Fraction(1)
-        for f in factors:
-            factor *= f
-        ep = ExtendedPartition(pi, s)
-        word = tuple(prefix[sizes[b]] for b in sorted(s))
-        accumulate(terms, word, q_pow(rc(ep)) * const(factor))
-    return WickElement(model, terms)
+    return _subset_sum(model, [model.prefix_letter(t, k) for k in sizes],
+                       [t * model.moments.r_at(k) for k in sizes],
+                       lambda kept: q_pow(rc(ExtendedPartition(pi, frozenset(kept)))))
 
 
 def st_pi_corollary_form(pi: SetPartition, t, model: ProcessModel) -> WickElement:

@@ -28,9 +28,9 @@ on n.  Each state's polynomial is one int, its value at a power of two.
 Letters are interned in their algebra (model.Letter), so they serve as keys
 themselves: a key hashes and compares object ids, never Fraction payloads.
 Wick operators are memoised per algebra, in its `wick_cache`, keyed by the
-word of letters, and letter products and pairing rows are cached on the
-letters.  Only one memo lives for one call: the transfer's pairings, keyed
-by (letter, block product).
+word of letters, and letter products, pairing rows and pairings are cached
+on the letters.  No memo lives for one call: each pairing is built once per
+algebra.
 """
 
 from __future__ import annotations
@@ -213,9 +213,9 @@ def _arc_transfer(letters: Sequence[Letter],
     every coefficient.  In the closed case a state is dropped when it has
     more pending arcs than positions left.  More than MAX_ARC_STATES live
     states after a position refuse the call.  Letters are interned, so
-    states hash and compare object ids; products come from the letters' own
-    product memos, and each distinct pairing is asked of `letter_pair`, which
-    keeps it on the letter, once per call.
+    states hash and compare object ids; products and pairings come from the
+    letters' own memos: each block's pairing is asked of `letter_pair`, which
+    builds it once per algebra and keeps it on the letter.
 
     (values, den, width) is yielded after each position, right to left.  In
     the closed case the empty state after position pos holds the moment of
@@ -224,9 +224,6 @@ def _arc_transfer(letters: Sequence[Letter],
     pruning allows, so no such path is dropped.
     """
     n = len(letters)
-    # (letter, product letter) -> the pairing as (numerator, denominator)
-    pairs: dict[tuple[Letter, Letter], tuple[int, int]] = {}
-
     # bound >= the sum of |numerator coefficients| over all states
     values, den, width, bound = {(): 1}, 1, 64, 1
     for pos in range(n - 1, -1, -1):
@@ -236,15 +233,12 @@ def _arc_transfer(letters: Sequence[Letter],
         step = mean.denominator  # the position's denominator is den * step
         closing = {}  # block -> its pairing, then the multiplier of it
         for block in set().union(*values):
-            pair = pairs.get((letter, block))
-            if pair is None:
-                x = letter_pair(letter, block)
-                pair = pairs[letter, block] = x.numerator, x.denominator
-            closing[block] = pair
-            step = lcm(step, pair[1])
+            x = closing[block] = letter_pair(letter, block)
+            if step % x.denominator:
+                step = lcm(step, x.denominator)
         size = step  # the largest |multiplier| of a move
-        for block, (y, d) in closing.items():
-            y = closing[block] = y * (step // d)
+        for block, x in closing.items():
+            y = closing[block] = x.numerator * (step // x.denominator)
             if abs(y) > size:
                 size = abs(y)
         by_mean = mean.numerator * (step // mean.denominator)

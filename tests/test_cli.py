@@ -3,6 +3,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -146,39 +147,103 @@ class TestCommutationResidual:
         assert len(rows) == 320 and not any(row.ok for row in rows)
 
 
-# sha256 of full stdout, recorded before the exact scalar kernel moved to
-# integer numerators over one denominator: `verify` checks each identity,
-# `moments` prints Q[q] polynomials in their str form
-def test_verify_output_pinned(capsys):
-    code, out, _ = run(capsys, "verify", "--seed", "0")
+def readme_config() -> str:
+    """The config block that follows "Models are small" in README.md."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^Models are small.*?^```\n(.*?)^```", text, re.M | re.S)
+    assert block and re.search(r"^nu\.atoms = ", block[1], re.M)
+    return block[1]
+
+
+VERIFY_MD5 = "479071606056bfb97e01a6bf34986ab3"  # stdout does not depend on the seed
+ORDER8_MD5 = "7f987cd55668dfea1aa97178aa86f484"
+THREE_POINT_20_MD5 = "d1b74dc5038ff6a9409b0994a97c8f3d"
+GAUSSIAN_20_MD5 = "179ba44cdb616d212e8ba9ddc3918797"
+README_MOMENTS_MD5 = "a265e1b2f75232276f48c4e1e2339aa4"
+CONVERGE_MD5 = "c19ae9f15073a522ade1999160889087"
+
+# The md5 of the full stdout of each run, as recorded in CHANGES.md: the
+# argv, a model file's text (passed as --model) or None, and the digest.
+# An --out run also writes each report file with the same bytes.
+STDOUT_DIGESTS = {
+    # every draw the perfbench verify gate uses
+    **{f"verify_seed{seed}": (["verify", "--seed", str(seed)], None, VERIFY_MD5)
+       for seed in range(16)},
+    "moments_order8": (["moments", "--nmax", "8", "--cutoff", "7"], None, ORDER8_MD5),
+    # X(1)'s law does not depend on the grid, so unequal widths print the
+    # table above; the file has no q line: q = exact is the default
+    "moments_order8_unequal_widths": (
+        ["moments", "--nmax", "8"],
+        "nu.atoms = [(-1, 1/4), (0, 1/2), (1, 1/4)]\ngrid = [0, 1/4, 1/2, 1]\n"
+        "degree_cutoff = 7\n", ORDER8_MD5),
+    # each row is the exact polynomial read at q0 and printed as a float
+    "moments_order8_q_half": (["moments", "--q", "1/2", "--nmax", "8", "--cutoff", "7"],
+                              None, "f49020fd6de1cca523f5062797ea46fd"),
+    "moments_order16": (["moments", "--nmax", "16", "--cutoff", "15"], None,
+                        "fddd999e092da15869789fcb78693b0f"),
+    "moments_three_point_order20": (["moments", "--nmax", "20", "--cutoff", "19"],
+                                    None, THREE_POINT_20_MD5),
+    # the measure has 3 support points, so the model closes at cutoff 3
+    "moments_three_point_order20_default_cutoff": (["moments", "--nmax", "20"], None,
+                                                   THREE_POINT_20_MD5),
+    # one atom of width 1: the Touchard-Riordan polynomials
+    "moments_gaussian_order20": (
+        ["moments", "--nmax", "20"],
+        "q = exact\nnu.atoms = [(0, 1)]\ngrid = [0, 1]\ndegree_cutoff = 19\n",
+        GAUSSIAN_20_MD5),
+    # every letter product is null, so cutoff 4 prints the same table
+    "moments_gaussian_order20_cutoff4": (
+        ["moments", "--nmax", "20"],
+        "q = exact\nnu.atoms = [(0, 1)]\ngrid = [0, 1]\ndegree_cutoff = 4\n",
+        GAUSSIAN_20_MD5),
+    # nu on 4 points at cutoff 3 does not close: block products read the
+    # cutoff branch of the product table
+    "moments_four_point_cutoff3": (
+        ["moments", "--nmax", "4"],
+        "nu.atoms = [(-1, 1/4), (0, 1/4), (1, 1/4), (2, 1/4)]\ngrid = uniform(1, 2)\n"
+        "degree_cutoff = 3\n", "54dac7fc08fd65917cb057ce321665c1"),
+    "moments_all_ones_points_order28": (
+        ["moments", "--nmax", "28"],
+        "q = exact\npointset.points = [1]\npointset.weights = [1]\n",
+        "f89aab9131cc5fbc7ede8fcf31355410"),
+    # X(f) with f(x) = x, jumps at 1 and 2
+    "moments_points_read_their_points": (
+        ["moments", "--nmax", "4"],
+        "q = exact\npointset.points = [1, 2]\npointset.weights = [1/2, 1/2]\n",
+        "c951e16d682d88d5f0eb8f41bcc92cd6"),
+    "moments_nmax6_cutoff5": (["moments", "--nmax", "6", "--cutoff", "5"], None,
+                              "f4a46104c3a6a87134047e0c868a826c"),
+    "moments_nmax6_cutoff5_q_half": (
+        ["moments", "--q", "1/2", "--nmax", "6", "--cutoff", "5"], None,
+        "e007530e9f87bcff0d6fbb171ec2fee2"),
+    "converge": (["converge"], None, CONVERGE_MD5),
+    # the README's command lines, and its config block
+    "readme_verify_calculus_seed7": (["verify", "--suite", "calculus", "--seed", "7"],
+                                     None, "d192798b67ae76065643d1b7a1fd0855"),
+    "readme_moments": (["moments", "--nmax", "4"], None, README_MOMENTS_MD5),
+    "readme_moments_q_half": (["moments", "--nmax", "4", "--q", "1/2"], None,
+                              "c6d4f4eb6527ad6cae459b0073d3edeb"),
+    "readme_converge_out": (["converge", "--out", "{out}"], None, CONVERGE_MD5),
+    "readme_config": (["moments"], readme_config(), README_MOMENTS_MD5),
+}
+
+
+@pytest.mark.parametrize("argv, config, digest", list(STDOUT_DIGESTS.values()),
+                         ids=list(STDOUT_DIGESTS))
+def test_stdout_digest(capsys, tmp_path, argv, config, digest):
+    out_dir, writes = tmp_path / "out", "{out}" in argv
+    argv = [str(out_dir) if a == "{out}" else a for a in argv]
+    if config is not None:
+        model = tmp_path / "model.cfg"
+        model.write_text(config)
+        argv += ["--model", str(model)]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert (hashlib.sha256(out.encode()).hexdigest()
-            == "46b038dc7fce66034d924c782249fa373bcff473d6158c4cfa7625139ef5f366")
-
-
-def test_moments_output_pinned(capsys):
-    code, out, _ = run(capsys, "moments", "--nmax", "6", "--cutoff", "5")
-    assert code == 0
-    assert (hashlib.sha256(out.encode()).hexdigest()
-            == "d84084cbc816c83b969afe43360ab32fb8f942d3b3e28662ef0ec2816089377b")
-
-
-# sha256 of full stdout, recorded while refinement errors and `moments --q`
-# still ran in float arithmetic at q0: both now compute in Q[q] and evaluate
-# at q0 once, and print the same bytes
-def test_converge_output_pinned(capsys):
-    code, out, _ = run(capsys, "converge")
-    assert code == 0
-    assert (hashlib.sha256(out.encode()).hexdigest()
-            == "8f4b575b27ed3b0a138ecff6cf1bfba5e02c74005bf5e11d5c971b7bd6eb31cf")
-
-
-def test_moments_at_q0_output_pinned(capsys):
-    code, out, _ = run(capsys, "moments", "--q", "1/2", "--nmax", "6",
-                       "--cutoff", "5")
-    assert code == 0
-    assert (hashlib.sha256(out.encode()).hexdigest()
-            == "c0cb1e256cdcb9e6e2c02df0f6f451e37c20267b3707e348ca1d58081efe9a8c")
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+    reports = list(out_dir.iterdir()) if writes else []
+    assert bool(reports) == writes
+    for report in reports:
+        assert hashlib.md5(report.read_bytes()).hexdigest() == digest
 
 
 def four_point_config(tmp_path):

@@ -85,6 +85,13 @@ class TestInterning:
                                    match=rf"^basis index {i} out of range$"):
                     algebra.basis_letter(i)
 
+    def test_atom_letter_out_of_range(self, model):
+        # a negative index is refused, not read from the last atom
+        for a in (-1, model.grid.n_atoms):
+            for build in (model.atom_letter, x_process(model).letter):
+                with pytest.raises(UsageError, match=rf"^atom index {a} out of range$"):
+                    build(a)
+
     def test_process_family(self, model):
         assert x_process(model).letter(2) is model.atom_letter(2)
         assert x_process(model).prefix_letter(F(1, 2)) is model.prefix_letter(F(1, 2))

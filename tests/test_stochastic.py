@@ -350,6 +350,23 @@ class TestStochasticMeasures:
         # power 1 for X(t) itself and the singletons, then block sizes 2..4
         assert sorted(built) == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("measure", [
+        lambda m: psi_closed([delta_process(m, 2), x_process(m), x_process(m)], 1),
+        lambda m: st_pi_discrete(SetPartition.of([[1, 2]]), 1, m),
+    ], ids=["psi_delta2_x_x", "st_pi_discrete_pair"])
+    def test_process_letters_built_once_per_model(self, monkeypatch, measure):
+        # the processes' letters are the model's interval letters, counted
+        # where the model builds one: psi builds powers 2 and 1 on [0, 1),
+        # the discrete St_pi power 1 on each of the two atoms, and a model
+        # asked three times builds them once
+        model = three_point_model()
+        built, real_letter = [], model.letter
+        monkeypatch.setattr(model, "letter",
+                            lambda entries: built.append(entries) or real_letter(entries))
+        for _ in range(3):
+            measure(model)
+        assert len(built) == 2
+
     @pytest.mark.parametrize("n_atoms", range(1, 6))
     def test_discrete_trie_equals_flat_sum(self, n_atoms):
         """The prefix trie of st_pi_discrete applies to Omega as the sum,

@@ -16,8 +16,8 @@ from qfock.cli import (all_ones_model, all_ones_pointset, gaussian_model,
                        three_point_model)
 from qfock.errors import CutoffExceededError, ResourceBudgetError, UsageError
 from qfock.fock import FockOperator, FockVector, apply
-from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
-                         TimeGrid, letter_pair)
+from qfock.model import (Letter, WeightedPointAlgebra, MomentSequence,
+                         ProcessModel, TimeGrid, letter_pair)
 from qfock.partitions import enumerate_partitions
 from qfock.qscalar import EXACT, ZERO, QScalar, ScalarRing, const, q_pow
 from qfock.wick import (WickElement, product_expansion, suffix_moments,
@@ -351,14 +351,16 @@ def apply_product(algebra, letters, v):
     return v
 
 
-def ababa_words():
-    """[a, b, a, b, a] in each algebra: blocks {1,2} and {3,4} hold the same
-    letters, so a memo keyed by letters meets them twice."""
+def ababa_grid():
     grid = three_point_model(n_atoms=2, cutoff=5, depth=6)
     a, b = grid.atom_letter(0), grid.atom_letter(0) + grid.atom_letter(1)
+    return a, b, a, b, a
+
+
+def ababa_points():
     points = WeightedPointAlgebra([-1, 0, 2], [F(1, 4), F(1, 2), F(1, 4)], EXACT)
-    f, g = points.letter([1, 2, 0]), points.letter([0, 1, -1])
-    return [(a, b, a, b, a), (f, g, f, g, f)]
+    a, b = points.letter([1, 2, 0]), points.letter([0, 1, -1])
+    return a, b, a, b, a
 
 
 def expansion_terms(letters):
@@ -366,38 +368,51 @@ def expansion_terms(letters):
 
 
 class TestBlockMemo:
-    """The transfer's per-call memo is keyed by the interned letters
-    themselves: both of its callers, vacuum_moment and product_expansion,
-    pair each distinct (letter, block product) once per call; the results
-    must equal direct Fock application and the partition-sum oracles."""
+    """The transfer keeps no memo of its own: it asks `letter_pair`, by that
+    name in `wick`, for each block's pairing, and each (letter, block)
+    pairing is built once per algebra, on the letter, so at most once in a
+    call.  The words [a, b, a, b, a], in a fresh algebra of each kind, hold
+    blocks {1,2} and {3,4} of the same letters, whose pairing is asked
+    twice.  Both callers, vacuum_moment and product_expansion, must equal
+    direct Fock application and the partition-sum oracles."""
 
     @staticmethod
-    def assert_pairs_once_per_call(monkeypatch, caller, word):
-        calls = Counter()
+    def assert_one_pairing_per_algebra(monkeypatch, caller, word):
+        asked, built, pairs = Counter(), Counter(), []
 
         def counted(a, b):
-            calls[a, b] += 1
-            return letter_pair(a, b)
+            asked[a, b] += 1
+            pairs.append((a, b))
+            try:
+                return letter_pair(a, b)
+            finally:
+                pairs.pop()
 
+        def pairing(self):  # what letter_pair reads to build a pairing
+            built[pairs[-1]] += 1
+            return real_pairing(self)
+
+        real_pairing = Letter.pairing
         monkeypatch.setattr(wick, "letter_pair", counted)
-        a, b = word[:2]
+        monkeypatch.setattr(Letter, "pairing", pairing)
         first = caller(word)
-        assert (a, b) in calls and max(calls.values()) == 1
-        once = dict(calls)
-        calls.clear()
+        assert word[:2] in asked and built == Counter(set(asked))
+        once = dict(asked)
+        asked.clear()
         assert caller(word) == first
-        assert calls == once  # the memo lives for one call
+        assert asked == once  # asked again, in a call of its own
+        assert built == Counter(set(once))  # and built no pairing anew
 
-    @pytest.mark.parametrize("word", ababa_words())
+    @pytest.mark.parametrize("word", [ababa_grid, ababa_points], ids=["word0", "word1"])
     def test_moment_pairs_each_pair_once_per_call(self, monkeypatch, word):
-        self.assert_pairs_once_per_call(monkeypatch, vacuum_moment, word)
+        self.assert_one_pairing_per_algebra(monkeypatch, vacuum_moment, word())
 
-    @pytest.mark.parametrize("word", ababa_words())
+    @pytest.mark.parametrize("word", [ababa_grid, ababa_points], ids=["word0", "word1"])
     def test_expansion_contracts_each_block_once_per_call(self, monkeypatch, word):
         # a closed block's contraction is the pairing of its first letter
-        # with the product of the rest, so one pairing per distinct pair
-        # is one contraction per distinct block
-        self.assert_pairs_once_per_call(monkeypatch, expansion_terms, word)
+        # with the product of the rest, so one pairing built per pair is
+        # one contraction built per distinct block
+        self.assert_one_pairing_per_algebra(monkeypatch, expansion_terms, word())
 
     def test_expansion_past_the_cutoff(self):
         # moments through r_6 at cutoff 3: no null polynomial is known, so
