@@ -7,9 +7,9 @@ from itertools import permutations
 
 import pytest
 
-from qfock.cli import (all_ones_pointset, all_ones_model, gaussian_model,
-                       rand_gram, rand_vector, shipped_experiments,
-                       three_point_model, two_point_model, DEFAULT_SCHEDULE)
+from qfock.suites import (all_ones_pointset, all_ones_model, gaussian_model,
+                          rand_gram, rand_vector, shipped_experiments,
+                          three_point_model, two_point_model, DEFAULT_SCHEDULE)
 from qfock.fock import (FockOperator, FockVector, OneParticleSpace, apply,
                         innerq, operator_norm_estimate, sparse_vector)
 from qfock.kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite

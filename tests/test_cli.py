@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib
 import random
 import re
 import tracemalloc
@@ -7,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from qfock import cli, stochastic, wick
-from qfock.cli import IdentityRow, main
+from qfock import cli, stochastic, suites, wick
+from qfock.cli import main
 from qfock.errors import UsageError
 from qfock.fock import FockVector, apply
 from qfock.kspoly import NCPolynomial
@@ -35,21 +37,22 @@ class TestVerify:
 
     def test_failure_names_identity_and_exits_1(self, capsys, monkeypatch):
         def broken(rng):
-            return [IdentityRow("made_up_identity", "n=1", False, "q - 1")]
+            return [suites.IdentityRow("made_up_identity", "n=1", False, "q - 1")]
 
-        monkeypatch.setitem(cli.SUITES, "commutation", broken)
+        monkeypatch.setitem(suites.SUITES, "commutation", broken)
         code, out, _ = run(capsys, "verify", "--suite", "commutation")
         assert code == 1
         assert "# FAILED: made_up_identity" in out
         assert 'made_up_identity,n=1,no,"q - 1"' in out
 
     def test_failing_rows_print_their_residual(self, capsys, monkeypatch):
-        # St_pi doubled breaks every power_decomposition row, and an extra x1
-        # in q_hermite breaks q_hermite_3: each prints its nonzero residual
-        st_pi, h = stochastic.st_pi_closed, cli.q_hermite
+        # St_pi doubled breaks every power_decomposition and stpi_corollary
+        # row, and an extra x1 in q_hermite breaks q_hermite_3: each prints
+        # its nonzero residual
+        st_pi, h = stochastic.st_pi_closed, suites.q_hermite
         monkeypatch.setattr(stochastic, "st_pi_closed",
                             lambda *args: st_pi(*args).scale(const(2)))
-        monkeypatch.setattr(cli, "q_hermite", lambda n: h(n) + NCPolynomial.x(1))
+        monkeypatch.setattr(suites, "q_hermite", lambda n: h(n) + NCPolynomial.x(1))
         code, out, _ = run(capsys, "verify", "--suite", "stpi,ks")
         assert code == 1
         rows = {tuple(line.split(",", 2)[:2]): line.split(",", 2)[2]
@@ -59,7 +62,8 @@ class TestVerify:
             assert status == "no" and residual not in ('"0"', '""')
         assert rows["q_hermite_3", "x^3-(2+q)x"] == 'no,"(1) · x1"'
         assert rows["q_charlier_2", "x^2-x-1"] == 'yes,"0"'
-        assert out.splitlines()[-1] == "# FAILED: power_decomposition,q_hermite_3"
+        assert (out.splitlines()[-1]
+                == "# FAILED: power_decomposition,q_hermite_3,stpi_corollary")
 
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nope")
@@ -104,7 +108,7 @@ def per_word_residual(sub, space, lhs, rhs):
     for _ in range(4):
         words = [w + (i,) for w in words for i in range(space.dim)]
         for w in words:
-            v = FockVector.basis_word(space, 5, w).scale(sub.choice(cli.NONZERO))
+            v = FockVector.basis_word(space, 5, w).scale(sub.choice(suites.NONZERO))
             for ww, c in (apply(lhs, v) - apply(rhs, v)).terms.items():
                 diff.add_term(ww, c)
     return diff
@@ -120,16 +124,16 @@ class TestCommutationResidual:
         rng = random.Random(seed)
         for dim in (1, 2, 3):
             state = rng.getstate()
-            case = cli.commutation_relation(rng, dim, q_pow(1))
+            case = suites.commutation_relation(rng, dim, q_pow(1))
             coeffs = rng.getstate()
-            assert cli.commutation_residual(rng, *case).is_zero
+            assert suites.commutation_residual(rng, *case).is_zero
             rng.setstate(coeffs)
             assert per_word_residual(rng, *case).is_zero
             # the same draw with the q dropped from the relation
             rng.setstate(state)
-            broken = cli.commutation_relation(rng, dim, ONE)
+            broken = suites.commutation_relation(rng, dim, ONE)
             coeffs = rng.getstate()
-            diff = cli.commutation_residual(rng, *broken)
+            diff = suites.commutation_residual(rng, *broken)
             assert not diff.is_zero
             rng.setstate(coeffs)
             assert diff == per_word_residual(rng, *broken)
@@ -137,13 +141,13 @@ class TestCommutationResidual:
     def test_every_verify_row_sees_q_dropped(self, monkeypatch):
         """With q replaced by 1 in the relation, each of the 320 commutation
         rows of `verify --seed 0..15` reads nonzero."""
-        monkeypatch.setattr(cli, "q_pow", lambda k: ONE)
+        monkeypatch.setattr(suites, "q_pow", lambda k: ONE)
         rows = []
         for seed in range(16):
             # commutation is the first suite, so its sub-seed is the first draw
             sub = random.Random(seed).randrange(2 ** 32)
-            rows.extend(cli.SUITES["commutation"](random.Random(sub)))
-        assert list(cli.SUITES)[0] == "commutation"
+            rows.extend(suites.SUITES["commutation"](random.Random(sub)))
+        assert list(suites.SUITES)[0] == "commutation"
         assert len(rows) == 320 and not any(row.ok for row in rows)
 
 
@@ -372,6 +376,18 @@ class TestMoments:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert key in lines[0]
+
+    @pytest.mark.parametrize("grid", [
+        "", "nu.atoms = [(0, 1)]\ngrid = uniform(1, 2)\ndegree_cutoff = 3\n"],
+        ids=["alone", "grid"])
+    def test_weights_need_points(self, capsys, tmp_path, grid):
+        # weights without points are refused, never ignored beside a grid
+        # model or reported as a grid model's missing keys
+        cfg = tmp_path / "app.cfg"
+        cfg.write_text(grid + "pointset.weights = [1]\n")
+        code, out, err = run(capsys, "moments", "--model", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "error: model key pointset.weights needs pointset.points\n"
 
     def test_budget_refusal_is_upfront(self, capsys, tmp_path):
         # four support points at cutoff 3: no null polynomial, so products
@@ -964,8 +980,29 @@ def test_unread_flag_rejected(capsys, command, flag):
 
 def test_random_suites_all_green():
     # every registered suite passes with a fresh rng
-    for name, suite in cli.SUITES.items():
+    for name, suite in suites.SUITES.items():
         rows = suite(random.Random(12345))
         assert rows, name
         bad = [r for r in rows if not r.ok]
         assert not bad, f"{name}: {[r.identity for r in bad]}"
+
+
+def test_suites_call_traced_functions_through_their_modules():
+    """perfbench's tracer rebinds the functions it times and counts on their
+    modules, and on the modules it lists, which qfock.suites is not: a
+    suite that imported one by name would escape it.  perfbench also reads
+    the suites and the canonical models through cli."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent
+                      / "perfbench" / "tracing.py").read_text())
+    tables = {target.id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) for target in node.targets
+              if getattr(target, "id", None) in ("TIMED_FUNCTIONS", "GENERATORS")}
+    assert len(tables) == 2
+    traced = {id(getattr(importlib.import_module(f"qfock.{module}"), attr))
+              for table in tables.values() for _, module, attr in table}
+    assert not [name for name, value in vars(suites).items() if id(value) in traced]
+    assert cli.SUITES is suites.SUITES
+    for name in ("SUITES", "shipped_experiments", "gaussian_model",
+                 "three_point_model", "all_ones_pointset", "cmd_verify",
+                 "RunConfig"):
+        assert hasattr(cli, name), name

@@ -20,7 +20,7 @@ from qfock.fock import (NORM_WORD_CAP, FockOperator, FockVector,
                         OneParticleSpace, adjoint, apply, apply_Pn,
                         field_operator, inner0, innerq,
                         operator_norm_estimate, sparse_vector)
-from qfock.cli import grid_model
+from qfock.suites import grid_model
 from qfock.model import MomentSequence, ProcessModel, TimeGrid
 from qfock.qscalar import EXACT, ONE, ZERO, QScalar, ScalarRing, const, q_fact, q_pow
 from matrix_gauge import MatrixGauge, matrix_gauge

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfock.cli import rand_letter, three_point_model
+from qfock.suites import rand_letter, three_point_model
 from qfock.errors import CutoffExceededError, UsageError
 from qfock import model as model_module
 from qfock.fock import (FockOperator, FockVector, OneParticleSpace, apply,

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfock.cli import shipped_experiments, three_point_model
+from qfock.suites import shipped_experiments, three_point_model
 from qfock.errors import CutoffExceededError, ResourceBudgetError, UsageError
 from qfock.fock import FockOperator, FockVector, apply, innerq
 from qfock.kspoly import (MAX_KS_LEN, MAX_OP_DEGREE, MAX_ROW_N, ks_poly,

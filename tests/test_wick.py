@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfock import wick
-from qfock.cli import (all_ones_model, all_ones_pointset, gaussian_model,
-                       three_point_model)
+from qfock.suites import (all_ones_model, all_ones_pointset, gaussian_model,
+                          three_point_model)
 from qfock.errors import CutoffExceededError, ResourceBudgetError, UsageError
 from qfock.fock import FockOperator, FockVector, apply
 from qfock.model import (Letter, WeightedPointAlgebra, MomentSequence,
