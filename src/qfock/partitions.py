@@ -10,6 +10,7 @@ contract to scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial, prod
 from typing import Iterable, Iterator
 
 from .errors import UsageError, check_size
@@ -147,3 +148,24 @@ def index_tuples(N: int, pi: SetPartition) -> Iterator[tuple[int, ...]]:
                 assigned.pop()
 
     yield from rec([])
+
+
+def kernel_coefficients(pi: SetPartition) -> dict[tuple[int, ...], int]:
+    """The nonzero c_κ of Σ_{ker u = pi} = Σ_κ c_κ Φ_κ over index tuples u,
+    keyed by the owner of each point: its block among κ's blocks of two or
+    more points, numbered from 1 by least element, or 0 at a singleton.  Φ_κ
+    sums over the tuples constant on each such block, distinct across them,
+    and free at the singletons.  By Möbius inversion of ψ_σ = Σ_{π ≥ σ} St_π
+    (Rota–Wallstrom), c_κ sums μ(pi, σ) = Π_B (−1)^{k−1}(k−1)!, k the blocks
+    of pi in B, over the σ ≥ pi whose blocks of two or more points merge
+    into κ's."""
+    out: dict = {}
+    for sigma in enumerate_partitions(pi.size):
+        mu = prod((-1) ** (len(b) - 1) * factorial(len(b) - 1) for b in sigma.blocks)
+        big = [b for b in ([e for i in b for e in pi.blocks[i - 1]] for b in sigma.blocks)
+               if len(b) > 1]
+        for tau in ([t.blocks for t in enumerate_partitions(len(big))] if big else [()]):
+            where = {e: j for j, b in enumerate(tau, start=1) for i in b for e in big[i - 1]}
+            owner = tuple(where.get(e, 0) for e in range(pi.lo, pi.hi + 1))
+            out[owner] = out.get(owner, 0) + mu
+    return {k: c for k, c in out.items() if c}

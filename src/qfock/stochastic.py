@@ -5,9 +5,10 @@ closed form (grid-independent, verified in Q[q]) and a refinement experiment
 with a slope assertion.  The squared L²(phi) distance between the discrete
 partition sum and its closed form is computed in Q[q], kept as `error`, and
 evaluated once at the q0 of the model's ring as the float l2_error; it
-decays linearly in the mesh.  Each sum of Wick products Σ c W(word) (the
-closed forms of St_pi and psi, and the multiple integrals) is a
-`WickElement`, whose `operator()` builds it.
+decays linearly in the mesh.  By Möbius inversion the partition sum reads
+the one prefix field X(t) at each singleton, not an atom per branch.  Each
+sum of Wick products Σ c W(word) (the closed forms of St_pi and psi, and
+the multiple integrals) is a `WickElement`, whose `operator()` builds it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import Callable, Iterable, Sequence
 from .errors import UsageError, check_size
 from .fock import FockOperator, FockVector, adjoint, apply, innerq
 from .model import Interval, Letter, ProcessModel
-from .partitions import (ExtendedPartition, SetPartition,
-                         enumerate_partitions, index_tuples, rc)
+from .partitions import (ExtendedPartition, SetPartition, enumerate_partitions,
+                         index_tuples, kernel_coefficients, rc)
 from .qscalar import ONE, ZERO, QScalar, accumulate, const, q_pow
 from .wick import WickElement, vacuum_vector
 
@@ -193,37 +194,45 @@ def psi_closed(procs: Sequence[ProcessFamily], t) -> WickElement:
 
 
 def st_pi_discrete(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
-    """St_pi(t; grid) = Σ over index tuples constant exactly on pi of
-    X(I_{u(1)}) ... X(I_{u(n)}).
-
-    The tuples go into a trie of their prefixes, and the sum is built from
-    it Horner-wise: a prefix ending in v is X(I_v) composed with the sum of
-    its continuations, so each prefix's field is applied once, to the image
-    of all its continuations together, not once per tuple.  A run of single
-    children is one composition of their fields.
+    """St_pi(t; grid) = Σ over index tuples u of kernel exactly pi of
+    X(I_{u(1)}) ... X(I_{u(n)}), as Σ_κ c_κ Φ_κ (`kernel_coefficients`),
+    where a singleton of κ reads X(t) = Σ_v X(I_v): one field, not one
+    branch per atom.  Each Φ_κ's words go into a trie of their prefixes, and
+    Φ_κ is built from it Horner-wise: a prefix ending in v is X(I_v)
+    composed with the sum of its continuations, so each prefix's field is
+    applied once, to the image of all its continuations together.  A run of
+    single children is one composition of their fields.
     """
     atoms = model.grid.prefix(t)
-    n = pi.n
-    if n > model.fock_depth:
-        raise UsageError(f"partition on {n} points exceeds depth {model.fock_depth}")
-    fields = {a: model.atom_letter(a, 1).field() for a in atoms}
-    trie: dict = {}
-    for tup in index_tuples(len(atoms), pi):
-        node = trie
-        for v in tup:
-            node = node.setdefault(v, {})
+    if pi.n > model.fock_depth:
+        raise UsageError(f"partition on {pi.n} points exceeds depth {model.fock_depth}")
+    table = kernel_coefficients(pi)
+    # key 0 is X(t) and key v the field of atoms[v - 1], each built only if read
+    fields = {0: model.prefix_letter(t).field()} if any(0 in o for o in table) else {}
+    if any(map(any, table)):
+        fields.update((v, model.atom_letter(a).field()) for v, a in enumerate(atoms, start=1))
 
     def total(children: dict) -> FockOperator:
         terms = []
         for v, rest in children.items():
-            factors = [fields[atoms[v - 1]]]
+            factors = [fields[v]]
             while len(rest) == 1:
                 (v, rest), = rest.items()
-                factors.append(fields[atoms[v - 1]])
+                factors.append(fields[v])
             terms.append(FockOperator.compose(factors + [total(rest)] if rest else factors))
         return FockOperator.opsum(terms)
 
-    return total(trie)
+    out = []
+    for owner, c in table.items():
+        m = max(owner)  # κ's blocks of two or more points take m distinct atoms
+        trie: dict = {}
+        for tup in (index_tuples(len(atoms), SetPartition.of([j] for j in range(1, m + 1)))
+                    if m else [()]):
+            node = trie
+            for j in owner:
+                node = node.setdefault(tup[j - 1] if j else 0, {})
+        out.append(total(trie) if c == 1 else total(trie).scale(const(c)))
+    return FockOperator.opsum(out)
 
 
 def st_pi_closed(pi: SetPartition, t, model: ProcessModel) -> WickElement:

@@ -4,7 +4,8 @@ The Gaussian (singleton-pair) and free (noncrossing, q = 0) forms of the
 partition-dependent stochastic measures, as Wick elements, and the block
 classification they read with the crossing count rc_plain it tests for
 noncrossing.  `qfock` itself never builds these; the tests compare them
-with `st_pi_closed`.
+with `st_pi_closed`.  `kernel_of` reads an index tuple's kernel, for the
+flat sums that `st_pi_discrete` is checked against.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,14 @@ from qfock.partitions import ExtendedPartition, SetPartition, rc
 from qfock.qscalar import const, q_pow
 from qfock.stochastic import delta_process, psi_closed
 from qfock.wick import WickElement
+
+
+def kernel_of(u) -> SetPartition:
+    """The partition of the positions 1..n of u into its level sets."""
+    level: dict = {}
+    for pos, v in enumerate(u, start=1):
+        level.setdefault(v, []).append(pos)
+    return SetPartition.of(level.values())
 
 
 def rc_plain(pi: SetPartition) -> int:

@@ -1,14 +1,15 @@
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 from math import perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfock.errors import ResourceBudgetError, UsageError
-from qfock.partitions import (ExtendedPartition, SetPartition,
-                              enumerate_partitions, index_tuples, rc)
+from qfock.partitions import (ExtendedPartition, SetPartition, enumerate_partitions,
+                              index_tuples, kernel_coefficients, rc)
 from sn_oracle import inversions
-from stpi_forms import classify, rc_plain
+from stpi_forms import classify, kernel_of, rc_plain
 
 P = SetPartition.of
 EP = ExtendedPartition.of
@@ -240,3 +241,44 @@ class TestIndexTuples:
             seen = set(index_tuples(nvals, pi))
             expected = perm(nvals, pi.size)
             assert len(seen) == expected
+
+
+class TestKernelCoefficients:
+    def test_refinement_experiments(self):
+        # split_q_half is X(t)^2 - Σ_u X_u^2, mixed_ones Σ_u X_u^2 X(t) - Σ_u X_u^3
+        assert kernel_coefficients(P([[1], [2]])) == {(0, 0): 1, (1, 1): -1}
+        assert kernel_coefficients(P([[1, 2], [3]])) == {(1, 1, 0): 1, (1, 1, 1): -1}
+        # blocks numbered by least element: {1,3} before {2,4}
+        assert kernel_coefficients(P([[1, 3], [2], [4]]))[(1, 2, 1, 2)] == -1
+
+    def test_no_singleton_keeps_pi_alone(self):
+        # with no singleton, c_kappa is the Möbius function summed over the
+        # interval [pi, kappa]: 1 at pi, 0 elsewhere
+        for n in range(2, 7):
+            for pi in enumerate_partitions(n):
+                if min(pi.block_sizes()) > 1:
+                    owner = tuple(pi.block_index_of(e) + 1 for e in range(1, n + 1))
+                    assert kernel_coefficients(pi) == {owner: 1}, str(pi)
+
+    def test_signed_tuples_are_the_exact_kernel(self):
+        # Σ_kappa c_kappa Φ_kappa as a signed multiset of tuples over N
+        # atoms, an X(t) standing for every atom: Φ_kappa holds the tuples
+        # constant on each block of kappa of two or more points (the points
+        # of one nonzero owner), distinct across those blocks, and free
+        # elsewhere.  It must hold each tuple of kernel exactly pi once, and
+        # nothing else.
+        for n in range(1, 6):
+            for pi in enumerate_partitions(n):
+                table = kernel_coefficients(pi)
+                for n_atoms in range(1, 5):
+                    signed = Counter()
+                    for u in product(range(n_atoms), repeat=n):
+                        for owner, c in table.items():
+                            values = [{x for x, o in zip(u, owner) if o == j}
+                                      for j in range(1, max(owner) + 1)]
+                            if (all(len(v) == 1 for v in values)
+                                    and len(set().union(*values)) == len(values)):
+                                signed[u] += c
+                    want = Counter(u for u in product(range(n_atoms), repeat=n)
+                                   if kernel_of(u) == pi)
+                    assert +signed == want and not -signed, (str(pi), n_atoms)

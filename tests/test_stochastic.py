@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,7 @@ from qfock.stochastic import (AdaptedProcess, BiProcess, biprocess_inner,
                               two_sided_discrete, x_process, yhat_process)
 from qfock.wick import WickElement, vacuum_vector, wick_operator
 from sn_oracle import inversions, sym_group
-from stpi_forms import st_pi_free_form, st_pi_gaussian_form
+from stpi_forms import kernel_of, st_pi_free_form, st_pi_gaussian_form
 
 F = Fraction
 
@@ -382,6 +384,49 @@ class TestStochasticMeasures:
                     flat = flat + apply(FockOperator.compose(word), om)
                 assert apply(st_pi_discrete(pi, 1, m), om) == flat, str(pi)
 
+    @pytest.mark.parametrize("factory", [partial(two_point, cutoff=4), three_point],
+                             ids=["two_point", "three_point"])
+    def test_discrete_equals_flat_sum_on_a_prefix(self, factory):
+        """St_pi(t; grid) Ω equals the flat sum, over the tuples of N prefix
+        atoms whose kernel is exactly pi, of each tuple's product of atom
+        fields, tuples from itertools.product: at t = 1/2 on 2N atoms, where
+        X(t) is the field of a proper prefix letter, and at t = 1 on N.
+        Where N < |pi| no tuple is left, and the sum cancels to zero."""
+        for n_atoms in range(1, 5):
+            for t, m in ((F(1, 2), factory(n_atoms=2 * n_atoms, depth=4)),
+                         (1, factory(n_atoms=n_atoms, depth=4))):
+                om = vacuum_vector(m)
+                fields = [m.atom_letter(a, 1).field() for a in range(n_atoms)]
+                assert m.grid.prefix(t) == tuple(range(n_atoms))
+                for n in range(1, 5):
+                    flat = {pi: FockVector(m.space, m.fock_depth)
+                            for pi in enumerate_partitions(n)}
+                    for u in product(range(n_atoms), repeat=n):
+                        kernel = kernel_of(u)
+                        flat[kernel] = flat[kernel] + apply(
+                            FockOperator.compose([fields[v] for v in u]), om)
+                    for pi, want in flat.items():
+                        got = apply(st_pi_discrete(pi, t, m), om)
+                        assert got == want, (str(pi), t, n_atoms)
+                        if n_atoms < pi.size:
+                            assert got.is_zero, (str(pi), t, n_atoms)
+
+    @pytest.mark.parametrize("blocks, most", [([[1], [2]], 16), ([[1, 2], [3]], 32)])
+    def test_discrete_reads_at_most_two_tuples_per_atom(self, monkeypatch, blocks, most):
+        # a singleton is one prefix field, not a branch per atom: the
+        # exact-kernel tuples number 16 * 15 = 240 on 16 atoms
+        from qfock import stochastic
+        read, real = [], stochastic.index_tuples
+
+        def index_tuples(n_atoms, pi):
+            for tup in real(n_atoms, pi):
+                read.append(tup)
+                yield tup
+
+        monkeypatch.setattr(stochastic, "index_tuples", index_tuples)
+        st_pi_discrete(SetPartition.of(blocks), 1, two_point(n_atoms=16))
+        assert 0 < len(read) <= most
+
     def test_gaussian_specialization(self):
         m = gaussian()
         om = vacuum_vector(m)
@@ -454,7 +499,7 @@ class TestStochasticMeasures:
         # Q[q] coefficients; l2_error is it evaluated at the experiment's q
         experiments = {e[0]: e for e in shipped_experiments()}
         _, pi, factory, q0 = experiments[label]
-        table = st_pi_convergence(pi, 1, factory, (1, 2, 3, 4, 8), label)
+        table = st_pi_convergence(pi, 1, factory, (1, 2, 3, 4, 8, 16, 64), label)
         for row in table.rows:
             delta = F(1, row.n_atoms)
             want = sum((QScalar.parse(c) * const(delta ** k)
