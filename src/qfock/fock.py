@@ -14,17 +14,19 @@ each output word becomes a canonical QScalar once, when `apply` returns.
 Words are range-checked only where they enter from outside (`basis_word`,
 the `terms` argument, `add_term`), each creation and annihilation payload
 once per node and space, and each gauge column once per call that reads
-it, so the words that `apply` derives are not checked again.
-Operator trees are DAGs (Wick operators and fields are shared nodes), and
-one call of `apply` computes the image of its input under a shared node
-once: a factor that acts first in a composition, or a sum from its second
-use on.  Every scalar is exact, and no exact path reads an evaluation
-point.  Only a float operator-norm estimate does: it evaluates the tree at
-the q0 of the space's ring (`qscalar.ScalarRing`, only a point) and takes a
-dense matrix realization of it, its compression to words of length <=
-depth, built by one numpy rule per node kind: a creation is zeta (x) 1, and
-an annihilation or gauge acts on the front slot of the slot sum R_n below,
-that is on each tensor slot k moved to the front, with weight q0^k.
+it, so the words that `apply` derives are not checked again.  A gauge
+reads only the columns on its support, the indices it does not send to 0.
+Operator trees are DAGs (Wick operators and fields are shared nodes) of
+slotted nodes compared by identity, and one call of `apply` computes the
+image of its input under a shared node once: a factor that acts first in
+a composition, or a sum from its second use on.  Every scalar is exact,
+and no exact path reads an evaluation point.  Only a float operator-norm
+estimate does: it evaluates the tree at the q0 of the space's ring
+(`qscalar.ScalarRing`, only a point) and takes a dense matrix realization
+of it, its compression to words of length <= depth, built by one numpy
+rule per node kind: a creation is zeta (x) 1, and an annihilation or gauge
+acts on the front slot of the slot sum R_n below, that is on each tensor
+slot k moved to the front, with weight q0^k.
 
 One-particle vectors have one form, the sparse tuple of their nonzero
 (index, coeff) entries in index order (`SparseVector`).  Public constructors
@@ -48,10 +50,10 @@ R_n = sum_k q^k C_k and C_k moves tensor slot k to the front.  `apply_Pn`
 applies it to sparse words on an integer image, each slot move one index
 getter built per call, and makes each word canonical once.  `inner0` sums
 int products of gram entries: it indexes u's words by the classes of their
-slots and streams v's words against that index, so only the words of v
-that pair with some word of u are opened again.  Each makes its result
-canonical once.  The float q-gram of a norm estimate takes it at q0 by one
-dense step per degree.
+slots, by the word itself on a diagonal gram, and streams v's words
+against that index, so only the words of v that pair with some word of u
+are opened again.  Each makes its result canonical once.  The float q-gram
+of a norm estimate takes it at q0 by one dense step per degree.
 Norm estimates keep on the space, per degree n, the dense R_n at q0, which
 that step and their annihilation and gauge blocks share, the q-gram, and
 its Cholesky factor with its inverse, which whiten their matrices without
@@ -63,7 +65,6 @@ the full result fits under the configured depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from fractions import Fraction
 from itertools import chain
@@ -120,6 +121,8 @@ class OneParticleSpace:
     keeps its own int pairing row (`pair_ints`, through
     `FockOperator.pairing`) per space it is applied on.
 
+    `diagonal` records, once, that every gram class is one index, as on
+    every grid model and point set.
     The space owns one cache, freed with it: `pn_blocks`, a list in degree
     order of the float arrays of `operator_norm_estimate` at the ring's q0,
     each degree built once from the one below (see `_pn_blocks`).
@@ -145,6 +148,8 @@ class OneParticleSpace:
         # structural hash of the rows
         self.key = object()
         self._classes = self._connected_classes()
+        # each class one index, so a word is its own tuple of classes
+        self.diagonal = self._classes == tuple(range(dim))
         self.pn_blocks: list[tuple] = []
 
     @staticmethod
@@ -319,28 +324,29 @@ def inner0(u: FockVector, v: FockVector) -> QScalar:
     Words pair only within their bucket, the tuple of the gram-orthogonality
     classes of their slots: u's words are indexed by bucket, and v's words
     are streamed against that index, so a word of v whose bucket holds no
-    word of u costs one key and one lookup.  Everything is int numerators:
-    u over one denominator, and a pairing of degree-n words a product of n
-    int gram entries over gram_den^n.  A word of v is opened, its
-    numerators put over v's one denominator as one multiplier, only when
-    its bucket holds a word of u; each pairing times the two coefficients
-    goes into one numerator list per degree n over den_u den_v gram_den^n,
-    one `addmul` per power of q of the shorter coefficient.  The lists are
-    put over the top degree's denominator at the end, and make one
-    canonical scalar.
+    word of u costs one key and one lookup.  On a diagonal gram (`diagonal`,
+    every class one index) a word is its own bucket, and no key is built.
+    Everything is int numerators: u over one denominator, and a pairing of
+    degree-n words a product of n int gram entries over gram_den^n.  A word
+    of v is opened, its numerators put over v's one denominator as one
+    multiplier, only when its bucket holds a word of u; each pairing times
+    the two coefficients goes into one numerator list per degree n over
+    den_u den_v gram_den^n, one `addmul` per power of q of the shorter
+    coefficient.  The lists are put over the top degree's denominator at
+    the end, and make one canonical scalar.
     """
     u._check(v)
     sp = u.space
-    cls = sp.gram_classes().__getitem__
+    cls, diag = sp.gram_classes().__getitem__, sp.diagonal
     uimg = IntImage.of(u.terms)
     buckets: dict[tuple[int, ...], list] = {}
     for w, cu in uimg.terms.items():
-        buckets.setdefault(tuple(map(cls, w)), []).append((w, cu))
+        buckets.setdefault(w if diag else tuple(map(cls, w)), []).append((w, cu))
     gram = sp.int_rows
     vden = lcm(*(c.den for c in v.terms.values()))
     by_degree: dict[int, list[int]] = {}
     for w2, cv in v.terms.items():
-        words = buckets.get(tuple(map(cls, w2)))
+        words = buckets.get(w2 if diag else tuple(map(cls, w2)))
         if words is None:
             continue
         m, c2 = vden // cv.den, cv.num  # the word of v, opened
@@ -425,11 +431,14 @@ def innerq(u: FockVector, v: FockVector) -> QScalar:
 
 class Gauge:
     """Protocol for the one-particle action inside a gauge operator, the
-    multiplication by a real function (a `model.Letter` is its own): `den`
-    is a positive int, and column(i) the (j, int numerator) pairs of T e_i
-    over den, in increasing j.  A column is computed when it is asked for,
-    so an implementation can refuse one lazily.  A gauge is symmetric for
-    the ambient gram form by contract, so it is its own adjoint.
+    multiplication by a real function (a `model.Letter` is its own), of
+    three members: `den`, a positive int; column(i), the (j, int numerator)
+    pairs of T e_i over den, in increasing j; and support(), a set of the
+    basis indices i whose column may be nonzero, every other column being
+    empty.  A column is computed when it is asked for, so an implementation
+    can refuse one lazily; no column off the support is asked for.  A gauge
+    is symmetric for the ambient gram form by contract, so it is its own
+    adjoint.
     """
 
     __slots__ = ()
@@ -438,32 +447,35 @@ class Gauge:
     def column(self, i: int) -> Sequence[tuple[int, int]]:
         raise NotImplementedError
 
+    def support(self) -> frozenset[int]:
+        raise NotImplementedError
+
 
 _KINDS = frozenset(("creation", "annihilation", "gauge", "scalar", "sum",
                     "compose"))
 
 
-@dataclass(frozen=True)
 class FockOperator:
-    """Lazy operator expression tree on the truncated Fock space."""
+    """Lazy operator expression tree on the truncated Fock space.  A node is
+    compared and hashed by identity: every memo over a tree keys its nodes
+    by `id`, so equal subtrees are never walked to compare them."""
 
-    # creation, annihilation: a sparse one-particle vector; gauge: a Gauge;
-    # scalar: a QScalar; sum, compose: operands, the rightmost factor acting
-    # first.  The empty sum is the zero operator.
-    kind: str
-    payload: object = None
-    operands: tuple["FockOperator", ...] = ()
-    # a creation or annihilation payload as int numerators over one
-    # denominator, checked against each space it is applied on and keyed by
-    # its `key`, built by `apply` on first use: (den, [(i, zeta_i)]) of a
-    # creation and (den, {i: <zeta, e_i>}) of an annihilation (see
-    # `pairing`); a gauge keeps its int columns itself
-    payloads: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    __slots__ = ("kind", "payload", "operands", "payloads", "__weakref__")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise UsageError(f"unknown operator kind {self.kind!r}")
+    def __init__(self, kind: str, payload: object = None,
+                 operands: tuple["FockOperator", ...] = ()):
+        # creation, annihilation: a sparse one-particle vector; gauge: a
+        # Gauge; scalar: a QScalar; sum, compose: operands, the rightmost
+        # factor acting first.  The empty sum is the zero operator.
+        if kind not in _KINDS:
+            raise UsageError(f"unknown operator kind {kind!r}")
+        self.kind, self.payload, self.operands = kind, payload, operands
+        # a creation or annihilation payload as int numerators over one
+        # denominator, checked against each space it is applied on and keyed
+        # by its `key`, built by `apply` on first use: (den, [(i, zeta_i)])
+        # of a creation and (den, {i: <zeta, e_i>}) of an annihilation (see
+        # `pairing`); a gauge keeps its int columns itself
+        self.payloads: dict = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -538,10 +550,9 @@ def field_operator(zeta: Sequence, gauge: Gauge | None,
         parts.append(FockOperator("annihilation", zeta))
     if gauge is not None:
         parts.append(FockOperator.gauge(gauge))
-    if mean is not None:
-        m = mean if isinstance(mean, QScalar) else const(mean)
-        if not m.is_zero:
-            parts.append(FockOperator.scalar(m))
+    if mean:  # None or zero adds no summand
+        parts.append(FockOperator.scalar(mean if isinstance(mean, QScalar)
+                                         else const(mean)))
     return FockOperator.opsum(parts)
 
 
@@ -564,11 +575,13 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
 
     A creation or annihilation keeps its payload on its node, per space, as
     int numerators over one denominator: its entries or its pairing row; a
-    gauge reads its int columns over `den` from the gauge.  An annihilation
-    or gauge acting on tensor slot k shifts its terms by k powers of q.  The
+    gauge reads its int columns over `den` from the gauge, only those on its
+    support, and works on slot k of a word only where the index there has a
+    nonzero column.  An annihilation or gauge acting on tensor slot k shifts
+    its terms by k powers of q.  The
     words of v are in range, so the words added are too once each payload is
     checked against the space: by a node when it first builds it for the
-    space, and a gauge column by each call that reads it.
+    space, and a nonzero gauge column by each call that reads it.
 
     For the length of the call, the image of v under a shared node is kept,
     by node: under each factor that acts first in a composition, and under
@@ -685,19 +698,23 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
         gauge: Gauge = op.payload  # the one kind left
         if not src.terms:
             return
-        cols = {}  # the columns read, checked against sp
+        on, cols = gauge.support(), {}  # the nonzero columns read, checked against sp
         for i in dict.fromkeys(chain.from_iterable(src.terms)):
-            col = cols[i] = gauge.column(i)
-            if col and (col[0][0] < 0 or col[-1][0] >= sp.dim):
-                raise UsageError(f"gauge column {i} has an index out of range")
+            col = gauge.column(i) if i in on else None
+            if col:
+                if col[0][0] < 0 or col[-1][0] >= sp.dim:
+                    raise UsageError(f"gauge column {i} has an index out of range")
+                cols[i] = col
         m = out.join(src.den * df * gauge.den) * y
         if m != 1:
             cols = {i: [(j, x * m) for j, x in col] for i, col in cols.items()}
         for w, num in src.terms.items():
             for k, i in enumerate(w):
-                rest = w[:k] + w[k + 1:]
-                for j, x in cols[i]:
-                    addmul(terms, (j,) + rest, num, x, s + k)
+                col = cols.get(i)
+                if col:
+                    rest = w[:k] + w[k + 1:]
+                    for j, x in col:
+                        addmul(terms, (j,) + rest, num, x, s + k)
 
     out = IntImage()
     into(op, vimg, out, None)
@@ -801,7 +818,7 @@ def _compression(op: FockOperator, space: OneParticleSpace, depth: int):
     A creation's block from degree n is zeta (x) 1; an annihilation's or a
     gauge's block on degree n is (T (x) 1) R_n, with the slot sum R_n the
     space keeps (see _pn_blocks): T acts on each slot k moved to the front,
-    with weight q0^k.
+    with weight q0^k; T holds the columns on the gauge's support.
     """
     import numpy as np
 
@@ -859,7 +876,7 @@ def _compression(op: FockOperator, space: OneParticleSpace, depth: int):
         elif depth:  # a gauge; degree 0 has no slot, so no block there
             gauge: Gauge = op.payload
             t = np.zeros((dim, dim))
-            for i in range(dim):
+            for i in sorted(gauge.support()):  # the lowest column past a cutoff raises
                 for j, x in gauge.column(i):
                     t[j, i] = x / gauge.den
             for n in range(1, depth + 1):

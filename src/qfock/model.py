@@ -19,8 +19,9 @@ one sparse form of `fock.SparseVector`; `Letter` adds, scales and
 multiplies payloads, and gauges by multiplication, once for both, and each
 algebra keeps only what differs: its validating `letter` constructor,
 `basis_product` (an int payload times a basis vector, over its
-`product_den`), mean and text.  An algebra hands its ring, only an
-evaluation point, to its space and keeps no copy.
+`product_den`), `support` (where that product may be nonzero), mean and
+text.  An algebra hands its ring, only an evaluation point, to its space
+and keeps no copy.
 
 Each algebra owns the caches of its letters, so they are freed with it: the
 intern table `letters` (one Letter per canonical payload, so letters compare
@@ -175,15 +176,16 @@ class Letter(Gauge):
 
     Each letter keeps, built once and freed with its algebra: its payload
     as (den, ((i, int numerator), ...)) (`ints`); its gauge columns
-    (`columns`); its field node (`field`), whose creation and annihilation
-    leaves hold its payload and its pairing row as ints per space; that
-    pairing row (`pairing`), which `letter_pair` reads with the other
-    letter's `ints`; its mean (`mean`); and its products and pairings with
-    other letters.
+    (`columns`) and their support (`support`), off which every column is
+    empty; its field node (`field`), whose creation and annihilation leaves
+    hold its payload and its pairing row as ints per space; that pairing
+    row (`pairing`), which `letter_pair` reads with the other letter's
+    `ints`; its mean (`mean`); and its products and pairings with other
+    letters.
     """
 
-    __slots__ = ("algebra", "payload", "ints", "columns", "_field", "_row",
-                 "_mean", "_products", "_pairs")
+    __slots__ = ("algebra", "payload", "ints", "columns", "_support", "_field",
+                 "_row", "_mean", "_products", "_pairs")
 
     def __new__(cls, algebra, payload: SparseVector) -> "Letter":
         """The algebra's letter of a canonical payload (see sparse_vector)."""
@@ -195,7 +197,7 @@ class Letter(Gauge):
             den, nums = int_numerators(c for _, c in payload)
             self.ints = den, tuple((i, z) for (i, _), z in zip(payload, nums))
             self.columns = {}  # basis index -> its gauge column
-            self._field = self._row = self._mean = None
+            self._support = self._field = self._row = self._mean = None
             self._products = {}  # other letter -> self * other
             self._pairs = {}  # other letter -> letter_pair(self, other)
         return self
@@ -212,6 +214,12 @@ class Letter(Gauge):
         if col is None:
             col = self.columns[i] = self.algebra.basis_product(self.ints[1], i)
         return col
+
+    def support(self) -> frozenset[int]:
+        """The indices whose gauge column may be nonzero, by the algebra."""
+        if self._support is None:
+            self._support = self.algebra.support(self.ints[1])
+        return self._support
 
     def gauge(self) -> Letter | None:
         """Multiplication by the letter: the letter itself; None for 0."""
@@ -474,6 +482,12 @@ class ProcessModel:
                 out[k] += c * x
         return tuple((lo + k, x) for k, x in enumerate(out) if x)
 
+    def support(self, p: SparseVector) -> frozenset[int]:
+        """Every index on an atom that p touches: p e_i is 0 off them."""
+        b = self.rank
+        return frozenset(j for a in {i // b for i, _ in p}
+                         for j in range(a * b, a * b + b))
+
     def xi(self, p: SparseVector) -> SparseVector:
         return p
 
@@ -582,6 +596,10 @@ class WeightedPointAlgebra:
         """p e_i: e_i scaled by the value of p at point i, found by bisection."""
         k = bisect_left(p, (i,))
         return p[k:k + 1] if k < len(p) and p[k][0] == i else ()
+
+    def support(self, p: SparseVector) -> frozenset[int]:
+        """p's own indices: p e_i is 0 off them."""
+        return frozenset(i for i, _ in p)
 
     def xi(self, p: SparseVector) -> SparseVector:
         return p

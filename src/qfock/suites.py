@@ -295,18 +295,18 @@ def suite_ks(rng: random.Random) -> list[IdentityRow]:
 
     model = three_point_model(n_atoms=2, cutoff=5, depth=6)
     om = vacuum_vector(model)
+    # psi_m(1) Omega for m = 0..5, each built and applied once
+    psi = [om] + [fock.apply(psi_closed([x_process(model)] * m, 1).operator(), om)
+                  for m in range(1, 6)]
     for n in range(1, 5):
-        lhs = fock.apply(psi_closed([x_process(model)] * (n + 1), 1).operator(), om)
         rhs = FockVector(model.space, model.fock_depth)
         for k in range(n + 1):
             coeff = q_fact_ratio(n, k)
             if k % 2:
                 coeff = -coeff
-            psi = (fock.apply(psi_closed([x_process(model)] * (n - k), 1).operator(), om)
-                   if n - k else om)
             delta = delta_process(model, k + 1).operator((Fraction(0), Fraction(1)))
-            rhs = rhs + fock.apply(delta, psi).scale(coeff)
-        rows.append(_vector_row("psi_chain", f"n={n}", lhs - rhs))
+            rhs = rhs + fock.apply(delta, psi[n - k]).scale(coeff)
+        rows.append(_vector_row("psi_chain", f"n={n}", psi[n + 1] - rhs))
     return rows
 
 

@@ -25,6 +25,9 @@ class MatrixGauge(Gauge):
     def column(self, i):
         return self.columns[i]
 
+    def support(self):
+        return frozenset(range(len(self.matrix)))
+
 
 def matrix_gauge(matrix) -> FockOperator:
     """The gauge node of a matrix."""

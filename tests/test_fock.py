@@ -187,7 +187,9 @@ class TestOperators:
         sp = OneParticleSpace.orthonormal(2, ring)
         v = FockVector.vacuum(sp, 1)
         op = FockOperator.identity().scale(const(Fraction(1, 3)))
-        assert op.operands[0] == FockOperator.scalar(const(Fraction(1, 3)))
+        # nodes compare by identity: read the scalar leaf's kind and payload
+        leaf = op.operands[0]
+        assert leaf.kind == "scalar" and leaf.payload == const(Fraction(1, 3))
         out = apply(op, v)
         assert out.vacuum_coefficient() == const(Fraction(1, 3))
         assert float(out.vacuum_coefficient()) == pytest.approx(1 / 3)

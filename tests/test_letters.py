@@ -29,6 +29,7 @@ from qfock.qscalar import EXACT, const
 from qfock.stochastic import conditional_expectation, delta_process, x_process
 from qfock.wick import (WickElement, product_expansion, vacuum_moment,
                         wick_operator)
+from matrix_gauge import matrix_gauge
 
 F = Fraction
 
@@ -272,11 +273,13 @@ def check_grid_gauge(model: ProcessModel, letter: Letter, form: dict) -> None:
     for i in range(model.space.dim):
         top = max((j for (a, j) in form if a == i // b), default=0)
         if not model.closes and top and top + i % b + 1 > model.degree_cutoff:
+            assert i in gauge.support()
             with pytest.raises(CutoffExceededError, match="letter product degree"):
                 gauge.column(i)
             continue
         col = cols[i] = gauge.column(i)
         assert all(type(x) is int for _, x in col)
+        assert not col or i in gauge.support()
     for atom in range(model.grid.n_atoms):
         for m in range(1, model.degree_cutoff + 1):
             g = model.atom_letter(atom, m)
@@ -317,6 +320,7 @@ def test_gauge_columns_match_former_per_algebra_forms(drawn):
         for i in range(algebra.space.dim):
             col = gauge.column(i)
             assert all(type(x) is int for _, x in col)
+            assert bool(col) == (i in gauge.support())
             assert ([(j, F(x, gauge.den)) for j, x in col]
                     == point_gauge_column(algebra, form, i))
 
@@ -344,22 +348,46 @@ def test_gauge_column_past_the_cutoff_is_not_kept():
 
 def test_letter_gauge_columns_built_once(model, monkeypatch):
     """Two gauge nodes of one letter, and its field, applied twice to a
-    vector over three basis indices build each of the three columns once:
-    the columns belong to the letter, not to a node or a call."""
+    vector over three basis indices build the column of each of the two
+    indices on the letter's support once: the columns belong to the letter,
+    not to a node or a call.  The third index, 2b on atom 2, which the
+    letter does not touch, never reaches `basis_product`."""
     calls = []
     basis_product = model.basis_product
     monkeypatch.setattr(model, "basis_product",
                         lambda p, i: calls.append(i) or basis_product(p, i))
     letter = model.atom_letter(0, 1) + model.atom_letter(1, 1).scale(F(2, 3))
     b = model.rank  # P_k on atom A sits at A b + k
+    assert letter.support() == frozenset(range(2 * b))
     v = FockVector(model.space, 3, {(0, b + 1): const(1), (2 * b,): const(F(1, 5))})
     images = []
     for op in (FockOperator.gauge(letter.gauge()), FockOperator.gauge(letter.gauge()),
                letter.field()):
         for _ in range(2):
             images.append(apply(op, v))
-    assert sorted(calls) == sorted(i for w in v.terms for i in w)
+    assert sorted(calls) == [0, b + 1]
     assert images[0] == images[2] and not images[0].is_zero
+
+
+def test_gauge_on_a_long_grid_builds_only_its_atoms_columns(monkeypatch):
+    """At 16 atoms, the gauge of the letter of atom 0 applied to X(1)^2
+    Omega, whose words run over every atom, builds at most `rank` columns,
+    those of atom 0, and its image matches the dense one of a gauge that
+    reads every column."""
+    model = three_point_model(n_atoms=16, cutoff=3, depth=3)
+    x = model.prefix_letter(1).field()
+    v = apply(x, apply(x, FockVector.vacuum(model.space, model.fock_depth)))
+    assert {i // model.rank for w in v.terms for i in w} == set(range(16))
+    letter = model.atom_letter(0)
+    calls = []
+    basis_product = model.basis_product
+    monkeypatch.setattr(model, "basis_product",
+                        lambda p, i: calls.append(i) or basis_product(p, i))
+    got = apply(FockOperator.gauge(letter.gauge()), v)
+    assert 0 < len(calls) <= model.rank and all(i < model.rank for i in calls)
+    cols = [dict(letter.column(i)) for i in range(model.space.dim)]
+    assert got == apply(matrix_gauge([[F(col.get(j, 0), letter.den) for col in cols]
+                                      for j in range(model.space.dim)]), v)
 
 
 def test_caches_die_with_their_model():

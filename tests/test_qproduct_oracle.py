@@ -16,7 +16,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfock import fock
 from qfock.errors import ResourceBudgetError, UsageError
@@ -290,10 +290,28 @@ def oracle_cases(draw):
     return u, v
 
 
+def fixed_case(gram):
+    """Two vectors of degrees 0-3 over every index of a 3-dim gram."""
+    sp = OneParticleSpace(3, gram)
+    u = FockVector(sp, 4, {(): const(Fraction(2, 3)), (0, 1): ONE - q_pow(1),
+                           (2, 0, 1): const(Fraction(-1, 5)), (1, 1, 0): q_pow(2)})
+    v = FockVector(sp, 4, {(0, 1): const(Fraction(3, 7)), (1, 0): ONE + q_pow(1),
+                           (0, 1, 2): const(Fraction(5, 2)), (1, 0, 1): const(-1)})
+    return u, v
+
+
 @settings(max_examples=120, deadline=None)
 @given(oracle_cases())
+# a diagonal gram with no entry 1, so inner0 keys buckets by the word; and
+# a 2 x 2 class block beside a singleton class, keyed by the classes
+@example(fixed_case([[Fraction(2, 3), 0, 0], [0, Fraction(5), 0],
+                     [0, 0, Fraction(-3, 7)]]))
+@example(fixed_case([[Fraction(1, 2), Fraction(1, 3), 0],
+                     [Fraction(1, 3), Fraction(5, 7), 0], [0, 0, Fraction(4)]]))
 def test_q_product_matches_dense_sum(case):
     u, v = case
+    cls = u.space.gram_classes()
+    assert u.space.diagonal == (len(set(cls)) == u.space.dim)
     for a, b in ((u, v), (v, u), (u, u), (v, v)):
         assert inner0(a, b).coeffs == dense_inner0(a, b)
         assert innerq(a, b).coeffs == dense_inner0(a, apply_Pn_sum(b))

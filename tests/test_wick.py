@@ -532,6 +532,55 @@ class TestSuffixMoments:
 
 
 # ---------------------------------------------------------------------------
+# positivity: the vacuum moments of X(1) are those of a probability law
+
+
+@cache
+def x1_moments(name: str, order: int) -> tuple:
+    """m_1..m_order of X(1) as polynomials in q, from `suffix_moments`."""
+    if name == "pointset":
+        x = all_ones_pointset().one()
+    else:
+        make = gaussian_model if name == "gaussian" else three_point_model
+        x = make(n_atoms=1 if name == "gaussian" else 2).prefix_letter(1)
+    return tuple(suffix_moments([x] * order))
+
+
+def hankel_pivots(moments: list) -> list:
+    """The pivots of Gaussian elimination without pivoting, in Fractions, of
+    the Hankel form [m_{i+j}], i, j = 0..len(moments) // 2, m_0 = 1; the
+    elimination stops after the first pivot that is not positive."""
+    m = [Fraction(1)] + moments
+    size = (len(m) + 1) // 2
+    a = [[m[i + j] for j in range(size)] for i in range(size)]
+    pivots = []
+    for k in range(size):
+        p = a[k][k]
+        pivots.append(p)
+        if p <= 0:
+            break
+        for i in range(k + 1, size):
+            f = a[i][k] / p
+            for j in range(k + 1, size):
+                a[i][j] -= f * a[k][j]
+    return pivots
+
+
+@pytest.mark.parametrize("q0", [F(-9, 10), F(-1, 2), F(3, 10), F(9, 10)])
+@pytest.mark.parametrize("name, order", [("gaussian", 40), ("three_point", 22),
+                                         ("pointset", 40)])
+def test_vacuum_moments_are_a_positive_functional(name, order, q0):
+    """At each q0, of both signs, every pivot of the Hankel form of X(1)'s
+    moments is positive, as for a law of infinite support: the 1-atom
+    Gaussian and the all-ones point set to order 40, the 2-atom three-point
+    model to order 22.  A wrong crossing weight in the arc transfer gives a
+    negative pivot at q0 = -1/2 while passing at positive q0."""
+    pivots = hankel_pivots([c.subs(q0) for c in x1_moments(name, order)])
+    assert len(pivots) == order // 2 + 1
+    assert all(p > 0 for p in pivots), pivots
+
+
+# ---------------------------------------------------------------------------
 # endpoint oracles: at q = 1 every partition counts, at q = 0 only the
 # noncrossing ones, and each block contributes its contraction as a cumulant
 
