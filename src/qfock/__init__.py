@@ -14,8 +14,7 @@ from .fock import (FockOperator, FockVector, Gauge, OneParticleSpace,
 from .kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
 from .model import (WeightedPointAlgebra, Letter, MomentSequence, ProcessModel,
                     TimeGrid, letter_pair)
-from .partitions import (ExtendedPartition, SetPartition, enumerate_partitions,
-                         index_tuples, rc)
+from .partitions import SetPartition, enumerate_partitions, index_tuples, rc
 from .qscalar import (EXACT, ONE, ZERO, QScalar, ScalarRing, const, q_fact,
                       q_fact_ratio, q_int, q_pow)
 from .stochastic import (AdaptedProcess, BiProcess, ConvergenceTable,

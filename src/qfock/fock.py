@@ -31,12 +31,13 @@ slot k moved to the front, with weight q0^k.
 One-particle vectors have one form, the sparse tuple of their nonzero
 (index, coeff) entries in index order (`SparseVector`).  Public constructors
 also accept a dense coefficient sequence and convert it once, on entry.  The
-gram form has one form too, its sparse rows, and is block-diagonal over its
-orthogonality classes; the space also keeps those rows as int numerators
-over one denominator, from which the pairings and `inner0` compute without
-building a Fraction or a QScalar per term.  A creation or annihilation
-node keeps, per space it is applied on, its payload as int numerators over
-one denominator: its entries or its pairing row {i: <zeta, e_i>}.  A gauge
+gram form has one form too, its sparse rows as int numerators over one
+denominator, and is block-diagonal over its orthogonality classes; the
+pairings and `inner0` compute on those ints without building a Fraction or
+a QScalar per term.  A space, like an operator node, is compared by
+identity.  A creation or annihilation node keeps, keyed by each space it is
+applied on, its payload as int numerators over one denominator: its
+entries or its pairing row {i: <zeta, e_i>}.  A gauge
 is multiplication by a real function (`Gauge`), so it is its own adjoint,
 and it keeps its own int columns over one denominator.  An annihilation or
 gauge acting on tensor slot k multiplies by q^k as a shift of k places in
@@ -108,21 +109,22 @@ def sparse_vector(zeta: Sequence) -> SparseVector:
 class OneParticleSpace:
     """A finite-dimensional real one-particle space with a symmetric gram form.
 
-    The gram form is kept only as its sparse rows, rows[j] = the nonzero
-    (i, <e_j, e_i>); the constructor takes one row per basis index, dense or
-    sparse (see sparse_vector).  Entries are exact rationals; `int_rows`
-    holds the same rows as int numerators over the one denominator
-    `gram_den`, {i: gram_den <e_j, e_i>} per j, built once here; the index
-    range and symmetry are checked on them.  The pairings and `inner0`
-    compute on them and build Fractions or QScalars only for their results.
+    The gram form is kept only as its sparse rows in ints: `int_rows`, one
+    {i: gram_den <e_j, e_i>} per j, over the one denominator `gram_den`,
+    built once here; the index range and symmetry are checked on them.  The
+    constructor takes one row per basis index, dense or sparse (see
+    sparse_vector), of exact rationals.  The pairings and `inner0` compute
+    on the ints and build Fractions or QScalars only for their results.
     The ring is only an evaluation point: its q0, if any, is where norm
     estimates evaluate, and it defaults to `EXACT`, which has none.
-    Pairings take one-particle vectors in sparse form; an annihilation node
-    keeps its own int pairing row (`pair_ints`, through
-    `FockOperator.pairing`) per space it is applied on.
+    Pairings take one-particle vectors in sparse form.  A space is compared
+    and hashed by identity, so an operator node keys what it keeps per space,
+    such as an annihilation's int pairing row (`pair_ints`, through
+    `FockOperator.pairing`), by the space itself.
 
-    `diagonal` records, once, that every gram class is one index, as on
-    every grid model and point set.
+    `classes` labels each basis index with its gram-orthogonality class, a
+    connected component of the gram's nonzero graph, and `diagonal` records
+    that every class is one index, as on every grid model and point set.
     The space owns one cache, freed with it: `pn_blocks`, a list in degree
     order of the float arrays of `operator_norm_estimate` at the ring's q0,
     each degree built once from the one below (see `_pn_blocks`).
@@ -132,11 +134,11 @@ class OneParticleSpace:
         if len(gram) != dim:
             raise UsageError(f"gram must have {dim} rows, got {len(gram)}")
         self.dim = dim
-        self.rows: tuple[SparseVector, ...] = tuple(map(sparse_vector, gram))
         # sparse_vector leaves Fraction entries: no conversion per entry
-        den = self.gram_den = lcm(*(g.denominator for row in self.rows for _, g in row))
+        rows = tuple(map(sparse_vector, gram))
+        den = self.gram_den = lcm(*(g.denominator for row in rows for _, g in row))
         self.int_rows = tuple({i: g.numerator * (den // g.denominator) for i, g in row}
-                              for row in self.rows)
+                              for row in rows)
         for j, row in enumerate(self.int_rows):
             for i, g in row.items():
                 if not 0 <= i < dim:
@@ -144,12 +146,9 @@ class OneParticleSpace:
                 if self.int_rows[i].get(j) != g:
                     raise UsageError("gram must be symmetric")
         self.ring = ring
-        # operator nodes key what they keep per space by this, not by the
-        # structural hash of the rows
-        self.key = object()
-        self._classes = self._connected_classes()
+        self.classes = self._connected_classes()
         # each class one index, so a word is its own tuple of classes
-        self.diagonal = self._classes == tuple(range(dim))
+        self.diagonal = self.classes == tuple(range(dim))
         self.pn_blocks: list[tuple] = []
 
     @staticmethod
@@ -175,14 +174,10 @@ class OneParticleSpace:
             row = {i: g // d for i, g in row.items()}
         return den, row
 
-    def pair_row(self, zeta: SparseVector) -> dict[int, Fraction]:
-        """The nonzero pairings {i: <zeta, e_i>} of a sparse vector."""
-        den, row = self.pair_ints(zeta)
-        return {i: Fraction(g, den) for i, g in row.items()}
-
     def pair(self, zeta: SparseVector, i: int) -> Fraction:
         """<zeta, e_i> under the gram form."""
-        return self.pair_row(zeta).get(i, Fraction(0))
+        den, row = self.pair_ints(zeta)
+        return Fraction(row.get(i, 0), den)
 
     def pair_vec(self, zeta: SparseVector, eta: SparseVector) -> Fraction:
         """<zeta, eta> under the gram form."""
@@ -191,12 +186,9 @@ class OneParticleSpace:
         return Fraction(sum(z * row[i] for (i, _), z in zip(eta, nums) if i in row),
                         den * de)
 
-    def gram_classes(self) -> tuple[int, ...]:
+    def _connected_classes(self) -> tuple[int, ...]:
         """Connected components of the gram nonzero graph: basis vectors in
         different classes are orthogonal, which prunes pairing sums."""
-        return self._classes
-
-    def _connected_classes(self) -> tuple[int, ...]:
         labels = [-1] * self.dim
         nxt = 0
         for start in range(self.dim):
@@ -205,20 +197,12 @@ class OneParticleSpace:
             stack = [start]
             labels[start] = nxt
             while stack:
-                for j, _ in self.rows[stack.pop()]:
+                for j in self.int_rows[stack.pop()]:
                     if labels[j] == -1:
                         labels[j] = nxt
                         stack.append(j)
             nxt += 1
         return tuple(labels)
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, OneParticleSpace) and self.dim == other.dim
-            and self.rows == other.rows and self.ring == other.ring)
-
-    def __hash__(self):
-        return hash((self.dim, self.rows, self.ring))
 
 
 class FockVector:
@@ -284,7 +268,7 @@ class FockVector:
         return FockVector._of(self.space, self.depth, add_scaled({}, self.terms, c))
 
     def _check(self, other: "FockVector") -> None:
-        if self.space != other.space:
+        if self.space is not other.space:
             raise UsageError("vectors live on different spaces")
 
     @property
@@ -304,7 +288,7 @@ class FockVector:
         return "\n".join(lines)
 
     def __eq__(self, other):
-        return (isinstance(other, FockVector) and self.space == other.space
+        return (isinstance(other, FockVector) and self.space is other.space
                 and self.terms == other.terms)
 
     def __repr__(self):
@@ -337,7 +321,7 @@ def inner0(u: FockVector, v: FockVector) -> QScalar:
     """
     u._check(v)
     sp = u.space
-    cls, diag = sp.gram_classes().__getitem__, sp.diagonal
+    cls, diag = sp.classes.__getitem__, sp.diagonal
     uimg = IntImage.of(u.terms)
     buckets: dict[tuple[int, ...], list] = {}
     for w, cu in uimg.terms.items():
@@ -472,7 +456,7 @@ class FockOperator:
         self.kind, self.payload, self.operands = kind, payload, operands
         # a creation or annihilation payload as int numerators over one
         # denominator, checked against each space it is applied on and keyed
-        # by its `key`, built by `apply` on first use: (den, [(i, zeta_i)])
+        # by that space, built by `apply` on first use: (den, [(i, zeta_i)])
         # of a creation and (den, {i: <zeta, e_i>}) of an annihilation (see
         # `pairing`); a gauge keeps its int columns itself
         self.payloads: dict = {}
@@ -532,9 +516,9 @@ class FockOperator:
     def pairing(self, space: OneParticleSpace) -> tuple[int, dict[int, int]]:
         """An annihilation node's payload on a space: `space.pair_ints` of
         its vector, built once per space."""
-        pay = self.payloads.get(space.key)
+        pay = self.payloads.get(space)
         if pay is None:
-            pay = self.payloads[space.key] = space.pair_ints(self.payload)
+            pay = self.payloads[space] = space.pair_ints(self.payload)
         return pay
 
 
@@ -594,7 +578,7 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
     copy, and the errors a node raises come from its first use, as without
     the memo.
     """
-    sp, depth, key = v.space, v.depth, v.space.key
+    sp, depth = v.space, v.depth
     vimg = IntImage.of(v.terms)
     # by node id, on vimg: the image of each factor that acts first in a
     # composition, and of each sum used twice; None marks a sum used once
@@ -662,13 +646,13 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
             y, s, df = factor.num[-1], len(factor.num) - 1, factor.den
         terms = out.terms
         if kind == "creation":
-            pay = op.payloads.get(key)
+            pay = op.payloads.get(sp)
             if pay is None:
                 zeta = op.payload
                 if zeta and (zeta[0][0] < 0 or zeta[-1][0] >= sp.dim):
                     raise UsageError(f"creation index out of range in {zeta}")
                 den, nums = int_numerators(x for _, x in zeta)
-                pay = op.payloads[key] = den, [(i, z) for (i, _), z in zip(zeta, nums)]
+                pay = op.payloads[sp] = den, [(i, z) for (i, _), z in zip(zeta, nums)]
             if not src.terms:
                 return
             den, zeta = pay
@@ -786,8 +770,8 @@ def _pn_blocks(space: OneParticleSpace, depth: int) -> list:
         blocks.append((_slot_sum(space.dim, 0, q0), one, one, one))
     for n in range(len(blocks), depth + 1):
         g = blocks[1][1] if n > 1 else np.array(
-            [[float(row.get(i, 0)) for i in range(space.dim)]
-             for row in map(dict, space.rows)])
+            [[row.get(i, 0) / space.gram_den for i in range(space.dim)]
+             for row in space.int_rows])
         r = _slot_sum(space.dim, n, q0)
         gram = _pn_matrix(g, blocks[-1][1], r)
         try:
@@ -870,7 +854,8 @@ def _compression(op: FockOperator, space: OneParticleSpace, depth: int):
             for n in range(depth):
                 m[deg(n + 1), deg(n)] = _front(zeta, np.eye(dim ** n))
         elif kind == "annihilation":
-            row = dense(space.pair_row(op.payload).items())[None, :]
+            den, row = space.pair_ints(op.payload)
+            row = dense((i, g / den) for i, g in row.items())[None, :]
             for n in range(1, depth + 1):
                 m[deg(n - 1), deg(n)] = slots(row, n)
         elif depth:  # a gauge; degree 0 has no slot, so no block there

@@ -178,14 +178,14 @@ class Letter(Gauge):
     as (den, ((i, int numerator), ...)) (`ints`); its gauge columns
     (`columns`) and their support (`support`), off which every column is
     empty; its field node (`field`), whose creation and annihilation leaves
-    hold its payload and its pairing row as ints per space; that pairing
-    row (`pairing`), which `letter_pair` reads with the other letter's
-    `ints`; its mean (`mean`); and its products and pairings with other
-    letters.
+    hold its payload and its pairing row as ints per space, the row that
+    `pairing` reads off the leaf and `letter_pair` pairs with the other
+    letter's `ints`; its mean (`mean`); and its products and pairings with
+    other letters.
     """
 
     __slots__ = ("algebra", "payload", "ints", "columns", "_support", "_field",
-                 "_row", "_mean", "_products", "_pairs")
+                 "_mean", "_products", "_pairs")
 
     def __new__(cls, algebra, payload: SparseVector) -> "Letter":
         """The algebra's letter of a canonical payload (see sparse_vector)."""
@@ -197,7 +197,7 @@ class Letter(Gauge):
             den, nums = int_numerators(c for _, c in payload)
             self.ints = den, tuple((i, z) for (i, _), z in zip(payload, nums))
             self.columns = {}  # basis index -> its gauge column
-            self._support = self._field = self._row = self._mean = None
+            self._support = self._field = self._mean = None
             self._products = {}  # other letter -> self * other
             self._pairs = {}  # other letter -> letter_pair(self, other)
         return self
@@ -243,12 +243,10 @@ class Letter(Gauge):
         """The nonzero <xi, e_i> on the algebra's space as (den, {i:
         numerator}) in lowest terms: the row that the annihilation leaf of
         `field()` keeps, so `apply` and `letter_pair` build it once."""
-        if self._row is None:
-            self._row = (1, {})
-            for op in self.field().operands:
-                if op.kind == "annihilation":
-                    self._row = op.pairing(self.algebra.space)
-        return self._row
+        for op in self.field().operands:
+            if op.kind == "annihilation":
+                return op.pairing(self.algebra.space)
+        return 1, {}
 
     def _check(self, other: "Letter") -> None:
         if not isinstance(other, Letter) or other.algebra is not self.algebra:
@@ -257,15 +255,18 @@ class Letter(Gauge):
     def __mul__(self, other: "Letter") -> "Letter":
         """The bilinear extension of the algebra's basis product: the sum of
         z other.column(i) over self's int payload (i, z), one Fraction per
-        entry, so products and gauges share one column cache."""
+        entry, so products and gauges share one column cache.  An index off
+        other's support has an empty column, and none is built for it."""
         self._check(other)
         out = self._products.get(other)
         if out is None:
             acc: dict[int, int] = {}
             den, nums = self.ints
+            on = other.support()
             for i, z in nums:
-                for j, x in other.column(i):
-                    acc[j] = acc.get(j, 0) + z * x
+                if i in on:
+                    for j, x in other.column(i):
+                        acc[j] = acc.get(j, 0) + z * x
             out = self._products[other] = Letter(self.algebra, tuple(
                 (j, Fraction(x, den * other.den)) for j, x in sorted(acc.items()) if x))
         return out

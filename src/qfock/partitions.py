@@ -1,17 +1,18 @@
-"""Set partitions, extended partitions and restricted-crossing statistics.
+"""Set partitions and restricted-crossing statistics.
 
-Blocks are always kept sorted and ordered by their least elements; every
-statistic below operates on that canonical form.  An extended partition is a
-partition together with a set of blocks regarded as "open on the left"; open
-blocks survive as tensor factors in product expansions while closed blocks
-contract to scalars.
+A partition of {1..n} is its blocks, each kept sorted and ordered by its
+least element; every statistic below operates on that canonical form.  A
+set of open blocks, given by their indices, extends a partition for `rc`:
+open blocks survive as tensor factors in product expansions while closed
+blocks contract to scalars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import factorial, prod
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .errors import UsageError, check_size
 
@@ -20,65 +21,36 @@ MAX_ENUM_N = 12
 
 @dataclass(frozen=True)
 class SetPartition:
-    """A partition of a ground set of consecutive integers lo..hi."""
+    """A partition of {1, ..., n} into nonempty blocks."""
 
-    lo: int
-    hi: int  # inclusive; ground set is {lo, ..., hi}
+    n: int
     blocks: tuple[tuple[int, ...], ...]
 
     @staticmethod
-    def of(blocks: Iterable[Iterable[int]], lo: int = 1, hi: int | None = None) -> "SetPartition":
-        bs = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        elems = [e for b in bs for e in b]
-        if not elems:
+    def of(blocks: Iterable[Iterable[int]]) -> "SetPartition":
+        bs = [tuple(sorted(b)) for b in blocks]
+        if not bs:
             raise UsageError("a partition needs at least one block")
+        if not all(bs):
+            raise UsageError("a partition's blocks must be nonempty")
+        bs.sort()
+        elems = [e for b in bs for e in b]
         if len(set(elems)) != len(elems):
             raise UsageError("blocks are not disjoint")
-        if hi is None:
-            hi = max(elems)
-        if sorted(elems) != list(range(lo, hi + 1)):
-            raise UsageError(f"blocks do not cover {{{lo}..{hi}}}: {bs}")
-        return SetPartition(lo, hi, bs)
-
-    @property
-    def n(self) -> int:
-        return self.hi - self.lo + 1
+        n = max(elems)
+        if sorted(elems) != list(range(1, n + 1)):
+            raise UsageError(f"blocks do not cover {{1..{n}}}: {tuple(bs)}")
+        return SetPartition(n, tuple(bs))
 
     @property
     def size(self) -> int:
         return len(self.blocks)
-
-    def block_index_of(self, k: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if k in b:
-                return i
-        raise UsageError(f"{k} not in ground set")
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
 
     def __str__(self) -> str:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
-
-
-@dataclass(frozen=True)
-class ExtendedPartition:
-    """A set partition with a distinguished set of left-open blocks."""
-
-    pi: SetPartition
-    open_blocks: frozenset[int]  # indices into pi.blocks
-
-    @staticmethod
-    def of(pi: SetPartition, open_blocks: Iterable[int] = ()) -> "ExtendedPartition":
-        s = frozenset(open_blocks)
-        if not s <= set(range(pi.size)):
-            raise UsageError(f"open-block indices out of range: {sorted(s)}")
-        return ExtendedPartition(pi, s)
-
-    def __str__(self) -> str:
-        return "".join(
-            "{" + ",".join(map(str, b)) + "}" + ("*" if i in self.open_blocks else "")
-            for i, b in enumerate(self.pi.blocks))
 
 
 def enumerate_partitions(n: int) -> Iterator[SetPartition]:
@@ -94,7 +66,7 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
         blocks: list[list[int]] = [[] for _ in range(top[-1] + 1)]
         for e, b in enumerate(rgs, start=1):
             blocks[b].append(e)
-        yield SetPartition(1, n, tuple(map(tuple, blocks)))
+        yield SetPartition(n, tuple(map(tuple, blocks)))
         # next restricted growth string
         for i in range(n - 1, 0, -1):
             if rgs[i] <= top[i - 1]:
@@ -106,22 +78,24 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
             return
 
 
-def rc(ep: ExtendedPartition) -> int:
-    """Total number of right restricted crossings of an extended partition.
+def rc(pi: SetPartition, open_blocks: Collection[int]) -> int:
+    """Total number of right restricted crossings of pi with the blocks of
+    index in open_blocks held open on the left, rc(S, pi).
 
     Each pair k < j of consecutive elements of a block is crossed by every
     other block with an element between them that is open there: held open
     in S, or starting left of k.
     """
-    blocks = ep.pi.blocks
-    opens = ep.open_blocks
+    blocks = pi.blocks
+    if not all(0 <= i < len(blocks) for i in open_blocks):
+        raise UsageError(f"open-block indices out of range: {sorted(open_blocks)}")
     total = 0
     for b in blocks:
         for k, j in zip(b, b[1:]):
             for i, c in enumerate(blocks):
                 if c[0] >= j:
                     break  # blocks are ordered by least element
-                if (c[0] < k or i in opens) and c is not b:
+                if (c[0] < k or i in open_blocks) and c is not b:
                     for e in c:
                         if e > k:
                             total += e < j  # c's first element past k
@@ -134,20 +108,13 @@ def index_tuples(N: int, pi: SetPartition) -> Iterator[tuple[int, ...]]:
     values across blocks), streamed."""
     if N < 1:
         raise UsageError("need N >= 1")
-    n, m = pi.n, pi.size
-    owner = [pi.block_index_of(i) for i in range(pi.lo, pi.hi + 1)]
-
-    def rec(assigned: list[int]):
-        if len(assigned) == m:
-            yield tuple(assigned[owner[i]] for i in range(n))
-            return
-        for v in range(1, N + 1):
-            if v not in assigned:
-                assigned.append(v)
-                yield from rec(assigned)
-                assigned.pop()
-
-    yield from rec([])
+    owner = [0] * pi.n
+    for b, block in enumerate(pi.blocks):
+        for e in block:
+            owner[e - 1] = b
+    # a value per block, distinct, in lexicographic order
+    for values in permutations(range(1, N + 1), pi.size):
+        yield tuple(values[b] for b in owner)
 
 
 def kernel_coefficients(pi: SetPartition) -> dict[tuple[int, ...], int]:
@@ -166,6 +133,6 @@ def kernel_coefficients(pi: SetPartition) -> dict[tuple[int, ...], int]:
                if len(b) > 1]
         for tau in ([t.blocks for t in enumerate_partitions(len(big))] if big else [()]):
             where = {e: j for j, b in enumerate(tau, start=1) for i in b for e in big[i - 1]}
-            owner = tuple(where.get(e, 0) for e in range(pi.lo, pi.hi + 1))
+            owner = tuple(where.get(e, 0) for e in range(1, pi.n + 1))
             out[owner] = out.get(owner, 0) + mu
     return {k: c for k, c in out.items() if c}

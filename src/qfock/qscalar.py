@@ -23,10 +23,10 @@ scaling by an int and multiplying by q^k are single int operations;
 
 Scalars come from the module names ZERO, ONE, `const` (a rational
 constant) and `q_pow` (q^k).  A `ScalarRing` is only an evaluation point:
-a rational q0 in (-1, 1), or none (`EXACT`).  It builds no scalar and
-changes no arithmetic: refinement errors, `moments --q` and norm estimates
-compute in Q[q] (or, for norms, from the exact operator tree) and evaluate
-at q0 once.
+a rational q0 in (-1, 1), or none (`EXACT`).  It builds no scalar, has
+no equality of its own and changes no arithmetic: refinement errors,
+`moments --q` and norm estimates compute in Q[q] (or, for norms, from the
+exact operator tree) and evaluate at q0 once.
 """
 
 from __future__ import annotations
@@ -431,15 +431,6 @@ class ScalarRing:
         self.q0 = None if q0 is None else _as_fraction(q0)
         if self.q0 is not None and not (-1 < self.q0 < 1):
             raise UsageError(f"q0 must lie in (-1, 1), got {self.q0}")
-
-    def __repr__(self):
-        return "ScalarRing()" if self.q0 is None else f"ScalarRing(q0={self.q0})"
-
-    def __eq__(self, other):
-        return isinstance(other, ScalarRing) and self.q0 == other.q0
-
-    def __hash__(self):
-        return hash(("ScalarRing", self.q0))
 
 
 EXACT = ScalarRing()

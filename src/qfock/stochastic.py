@@ -22,8 +22,8 @@ from typing import Callable, Iterable, Sequence
 from .errors import UsageError, check_size
 from .fock import FockOperator, FockVector, adjoint, apply, innerq
 from .model import Interval, Letter, ProcessModel
-from .partitions import (ExtendedPartition, SetPartition, enumerate_partitions,
-                         index_tuples, kernel_coefficients, rc)
+from .partitions import (SetPartition, enumerate_partitions, index_tuples,
+                         kernel_coefficients, rc)
 from .qscalar import ONE, ZERO, QScalar, accumulate, const, q_pow
 from .wick import WickElement, vacuum_vector
 
@@ -244,7 +244,7 @@ def st_pi_closed(pi: SetPartition, t, model: ProcessModel) -> WickElement:
     sizes = pi.block_sizes()  # a size past the cutoff is refused by prefix_letter
     return _subset_sum(model, [model.prefix_letter(t, k) for k in sizes],
                        [t * model.moments.r_at(k) for k in sizes],
-                       lambda kept: q_pow(rc(ExtendedPartition(pi, frozenset(kept)))))
+                       lambda kept: q_pow(rc(pi, kept)))
 
 
 def st_pi_corollary_form(pi: SetPartition, t, model: ProcessModel) -> WickElement:

@@ -14,7 +14,7 @@ from operator import mul
 from typing import Sequence
 
 from qfock.model import Letter, letter_pair
-from qfock.partitions import ExtendedPartition, enumerate_partitions, rc
+from qfock.partitions import enumerate_partitions, rc
 from qfock.qscalar import QScalar, accumulate, const, q_pow
 
 
@@ -47,6 +47,5 @@ def expansion_by_word(letters: Sequence[Letter]) -> dict[tuple[Letter, ...], QSc
                         scalar *= block_scalar(block)
                 word = tuple(block_letter(blocks[b]) for b in S)
                 if scalar and not any(l.is_zero for l in word):
-                    ep = ExtendedPartition(pi, frozenset(S))
-                    accumulate(out, word, q_pow(rc(ep)) * const(scalar))
+                    accumulate(out, word, q_pow(rc(pi, S)) * const(scalar))
     return out

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from qfock.model import ProcessModel
-from qfock.partitions import ExtendedPartition, SetPartition, rc
+from qfock.partitions import SetPartition, rc
 from qfock.qscalar import const, q_pow
 from qfock.stochastic import delta_process, psi_closed
 from qfock.wick import WickElement
@@ -28,7 +28,7 @@ def kernel_of(u) -> SetPartition:
 
 def rc_plain(pi: SetPartition) -> int:
     """rc of the partition with no open blocks."""
-    return rc(ExtendedPartition(pi, frozenset()))
+    return rc(pi, ())
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,9 @@ def st_pi_gaussian_form(pi: SetPartition, t, model: ProcessModel) -> WickElement
     if len(cls.singletons) + len(cls.pairs) != pi.size:
         return WickElement(model, {})
     sing = frozenset(i for i, b in enumerate(pi.blocks) if len(b) == 1)
-    ep = ExtendedPartition(pi, sing)
     word = (model.prefix_letter(t, 1),) * len(cls.singletons)
     return WickElement.from_word(model, word,
-                                 q_pow(rc(ep)) * const(t ** len(cls.pairs)))
+                                 q_pow(rc(pi, sing)) * const(t ** len(cls.pairs)))
 
 
 def st_pi_free_form(pi: SetPartition, t, model: ProcessModel) -> WickElement:

@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfock import cli
 from qfock.suites import rand_letter, three_point_model
 from qfock.errors import CutoffExceededError, UsageError
 from qfock import model as model_module
@@ -147,7 +148,7 @@ def test_pair_ints_runs_once_per_letter_and_space(monkeypatch):
     original = OneParticleSpace.pair_ints
 
     def counted(space, zeta):
-        calls.append((space.key, zeta))
+        calls.append((space, zeta))
         return original(space, zeta)
 
     monkeypatch.setattr(OneParticleSpace, "pair_ints", counted)
@@ -163,7 +164,7 @@ def test_pair_ints_runs_once_per_letter_and_space(monkeypatch):
         assert (direct - expanded).is_zero
     assert calls
     assert len(calls) == len(set(calls))
-    assert {key for key, _ in calls} == {model.space.key}
+    assert all(space is model.space for space, _ in calls)
     assert len(calls) <= len(model.letters)
 
 
@@ -367,6 +368,26 @@ def test_letter_gauge_columns_built_once(model, monkeypatch):
             images.append(apply(op, v))
     assert sorted(calls) == [0, b + 1]
     assert images[0] == images[2] and not images[0].is_zero
+
+
+def test_products_build_no_column_off_the_other_letters_support(model, monkeypatch,
+                                                              capsys):
+    """A product sums other's columns over self's payload only at indices on
+    other's support: off it a column is empty by the Gauge contract, so it
+    is never built.  `verify --seed 5` builds 100 columns, each on its
+    letter's support; reading every index of self's payload built 145, 45
+    of them off the support."""
+    built = []
+    for cls in (ProcessModel, WeightedPointAlgebra):
+        def counted(self, p, i, basis_product=cls.basis_product):
+            built.append(i in self.support(p))
+            return basis_product(self, p, i)
+        monkeypatch.setattr(cls, "basis_product", counted)
+    assert (model.atom_letter(0) * model.atom_letter(1)).is_zero
+    assert built == []
+    assert cli.main(["verify", "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert len(built) == 100 and all(built)
 
 
 def test_gauge_on_a_long_grid_builds_only_its_atoms_columns(monkeypatch):

@@ -6,58 +6,58 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfock.errors import ResourceBudgetError, UsageError
-from qfock.partitions import (ExtendedPartition, SetPartition, enumerate_partitions,
-                              index_tuples, kernel_coefficients, rc)
+from qfock.partitions import (SetPartition, enumerate_partitions, index_tuples,
+                              kernel_coefficients, rc)
 from sn_oracle import inversions
 from stpi_forms import classify, kernel_of, rc_plain
 
 P = SetPartition.of
-EP = ExtendedPartition.of
 
 
 # ---------------------------------------------------------------------------
-# independent oracles for rc and for pair partitions
+# independent oracles for rc and for pair partitions; S, the open blocks of
+# (S, pi), is a set of block indices
 
 
-def _open_count_in_gap(ep: ExtendedPartition, lo: int, hi: int) -> int:
+def _open_count_in_gap(pi: SetPartition, S, lo: int, hi: int) -> int:
     """Number of blocks meeting {lo..hi} that are open there: in S, or
     reaching left of lo."""
     if lo > hi:
         return 0
     count = 0
-    for i, b in enumerate(ep.pi.blocks):
+    for i, b in enumerate(pi.blocks):
         if any(lo <= e <= hi for e in b):
-            if i in ep.open_blocks or any(e < lo for e in b):
+            if i in S or any(e < lo for e in b):
                 count += 1
     return count
 
 
-def rc_at(ep: ExtendedPartition, k: int) -> int:
+def rc_at(pi: SetPartition, S, k: int) -> int:
     """Right restricted crossings of (S, pi) at the point k."""
-    b = next(b for b in ep.pi.blocks if k in b)
+    b = next(b for b in pi.blocks if k in b)
     if k == b[-1]:
         return 0
     j = min(e for e in b if e > k)
-    return _open_count_in_gap(ep, k + 1, j - 1)
+    return _open_count_in_gap(pi, S, k + 1, j - 1)
 
 
-def rc_per_point(ep: ExtendedPartition) -> int:
+def rc_per_point(pi: SetPartition, S) -> int:
     """rc as the sum of rc_at over every point of the ground set."""
-    return sum(rc_at(ep, k) for k in range(ep.pi.lo, ep.pi.hi + 1))
+    return sum(rc_at(pi, S, k) for k in range(1, pi.n + 1))
 
 
-def rc_alternative(ep: ExtendedPartition) -> int:
+def rc_alternative(pi: SetPartition, S) -> int:
     """rc(S, pi) via rc(pi) plus, for each open block B, the number of blocks
     whose span strictly covers min(B)."""
-    total = rc_plain(ep.pi)
-    for i in ep.open_blocks:
-        mb = ep.pi.blocks[i][0]
-        total += sum(1 for c in ep.pi.blocks if c[0] < mb < c[-1])
+    total = rc_plain(pi)
+    for i in S:
+        mb = pi.blocks[i][0]
+        total += sum(1 for c in pi.blocks if c[0] < mb < c[-1])
     return total
 
 
 def is_pair_partition_kk(pi: SetPartition, k: int) -> bool:
-    if pi.n != 2 * k or pi.lo != 1:
+    if pi.n != 2 * k:
         return False
     return all(len(b) == 2 and b[0] <= k < b[1] for b in pi.blocks)
 
@@ -78,10 +78,11 @@ def crossing_pairs(pi: SetPartition) -> int:
 
 
 def extended_partitions(n: int):
+    """Every (pi, S): a partition of {1..n} and a set of its blocks."""
     for pi in enumerate_partitions(n):
         for size in range(pi.size + 1):
             for s in combinations(range(pi.size), size):
-                yield EP(pi, s)
+                yield pi, frozenset(s)
 
 
 def bell_number(n: int) -> int:
@@ -95,38 +96,44 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-def restrict(ep: ExtendedPartition, k: int, m: int) -> ExtendedPartition:
+def restrict(pi: SetPartition, S, k: int, m: int) -> tuple[SetPartition, frozenset]:
     """Restriction to {k..m}: the trace of each block, open if it was open or
-    reaches left of k.  Elements keep their labels, so the ground set need
-    not start at 1 nor be covered consecutively."""
+    reaches left of k, relabelled by e -> e - k + 1 onto {1..m-k+1}; rc
+    reads only the order of the points."""
     blocks, opens = [], []
-    for i, b in enumerate(ep.pi.blocks):
-        trace = tuple(e for e in b if k <= e <= m)
+    for i, b in enumerate(pi.blocks):
+        trace = tuple(e - k + 1 for e in b if k <= e <= m)
         if trace:
-            if i in ep.open_blocks or b[0] < k:
+            if i in S or b[0] < k:
                 opens.append(trace)
             blocks.append(trace)
-    covered = sorted(e for b in blocks for e in b)
-    pi = SetPartition(covered[0], covered[-1], tuple(sorted(blocks)))
-    return ExtendedPartition(pi, frozenset(pi.blocks.index(b) for b in opens))
+    sub = P(blocks)
+    return sub, frozenset(sub.blocks.index(b) for b in opens)
 
 
 class TestSetPartition:
     def test_canonical_order(self):
         pi = P([[4, 2], [3, 1]])
-        assert pi.blocks == ((1, 3), (2, 4))
+        assert pi.blocks == ((1, 3), (2, 4)) and pi.n == 4
 
     def test_not_disjoint(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="blocks are not disjoint"):
             P([[1, 2], [2, 3]])
 
     def test_not_covering(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"blocks do not cover \{1\.\.3\}"):
             P([[1, 3]])
 
-    def test_extended_str_marks_open_blocks(self):
-        ep = EP(P([[1, 3], [2, 4]]), [0])
-        assert str(ep) == "{1,3}*{2,4}"
+    @pytest.mark.parametrize("blocks", [[[1, 2], []], [[], [1]], [[]]])
+    def test_empty_block(self, blocks):
+        # refused as a usage error, before the blocks are sorted by their
+        # least elements
+        with pytest.raises(UsageError, match="blocks must be nonempty"):
+            P(blocks)
+
+    def test_no_block(self):
+        with pytest.raises(UsageError, match="at least one block"):
+            P([])
 
 
 class TestEnumeration:
@@ -159,32 +166,38 @@ class TestRestrictedCrossings:
     def test_rc_at_uses_restriction_rule(self):
         # for the closed {1,3}{2,4}: the crossing is charged at the point
         # whose successor gap contains the open-on-the-left block
-        ep = EP(P([[1, 3], [2, 4]]))
-        assert rc_at(ep, 2) == 1
-        assert rc(ep) == 1
+        pi = P([[1, 3], [2, 4]])
+        assert rc_at(pi, (), 2) == 1
+        assert rc(pi, ()) == 1
 
     def test_open_blocks_add_crossings(self):
         pi = P([[1, 3], [2]])
-        assert rc(EP(pi)) == 0
-        assert rc(EP(pi, [1])) == 1  # {2} held open crosses the gap of {1,3}
+        assert rc(pi, ()) == 0
+        assert rc(pi, [1]) == 1  # {2} held open crosses the gap of {1,3}
+
+    @pytest.mark.parametrize("opens", [[2], [-1], [0, 5]])
+    def test_open_block_index_out_of_range(self, opens):
+        with pytest.raises(UsageError, match="open-block indices out of range"):
+            rc(P([[1, 3], [2]]), opens)
 
     def test_rc_alternative_agrees(self):
         for n in range(1, 6):
-            for ep in extended_partitions(n):
-                assert rc(ep) == rc_alternative(ep), str(ep)
+            for pi, S in extended_partitions(n):
+                assert rc(pi, S) == rc_alternative(pi, S), f"{pi} S={sorted(S)}"
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_rc_matches_per_point_oracle(self, n):
-        for ep in extended_partitions(n):
-            assert rc(ep) == rc_per_point(ep) == rc_alternative(ep), str(ep)
+        for pi, S in extended_partitions(n):
+            assert rc(pi, S) == rc_per_point(pi, S) == rc_alternative(pi, S), \
+                f"{pi} S={sorted(S)}"
 
     def test_rc_of_restrictions(self):
-        for ep in extended_partitions(5):
+        for pi, S in extended_partitions(5):
             for k in range(1, 6):
                 for m in range(k, 6):
-                    r = restrict(ep, k, m)
-                    assert rc(r) == rc_per_point(r) == rc_alternative(r), \
-                        f"{ep} on [{k},{m}]"
+                    r = restrict(pi, S, k, m)
+                    assert rc(*r) == rc_per_point(*r) == rc_alternative(*r), \
+                        f"{pi} S={sorted(S)} on [{k},{m}]"
 
     def test_pair_partition_rc_equals_crossings(self):
         for pi in enumerate_partitions(6):
@@ -199,11 +212,10 @@ class TestRestrictedCrossings:
                 assert rc_plain(pi) == inversions(sigma)
 
     def test_restrict_keeps_left_reaching_open(self):
-        ep = restrict(EP(P([[1, 4], [2], [3, 5]])), 3, 5)
-        # {1,4} reaches left of 3, so its trace {4} is open
-        opens = {ep.pi.blocks[i] for i in ep.open_blocks}
-        assert (4,) in opens
-        assert (3, 5) in set(ep.pi.blocks)
+        pi, S = restrict(P([[1, 4], [2], [3, 5]]), (), 3, 5)
+        # {1,4} reaches left of 3, so its trace {4}, relabelled {2}, is open
+        assert {pi.blocks[i] for i in S} == {(2,)}
+        assert pi.blocks == ((1, 3), (2,))
 
 
 class TestClassification:
@@ -234,6 +246,16 @@ class TestIndexTuples:
         for t in index_tuples(3, pi):
             assert t[0] == t[2] != t[1]
 
+    def test_order_is_lexicographic(self):
+        # every tuple of kernel exactly pi, in the order of {1..N}^n
+        for n in range(1, 6):
+            for N in range(1, 6):
+                by_kernel: dict = {}
+                for u in product(range(1, N + 1), repeat=n):
+                    by_kernel.setdefault(kernel_of(u), []).append(u)
+                for pi in enumerate_partitions(n):
+                    assert list(index_tuples(N, pi)) == by_kernel.get(pi, []), (str(pi), N)
+
     @given(st.integers(2, 4), st.integers(1, 4))
     @settings(max_examples=20, deadline=None)
     def test_tuples_distinct(self, nvals, n):
@@ -257,7 +279,8 @@ class TestKernelCoefficients:
         for n in range(2, 7):
             for pi in enumerate_partitions(n):
                 if min(pi.block_sizes()) > 1:
-                    owner = tuple(pi.block_index_of(e) + 1 for e in range(1, n + 1))
+                    owner = tuple(next(i for i, b in enumerate(pi.blocks, start=1) if e in b)
+                                  for e in range(1, n + 1))
                     assert kernel_coefficients(pi) == {owner: 1}, str(pi)
 
     def test_signed_tuples_are_the_exact_kernel(self):

@@ -31,8 +31,9 @@ MAX_DEGREE = 4
 def ref_inner0(u, v):
     """<u, v>_0 with a QScalar per gram entry and per product."""
     sp = u.space
-    cls = sp.gram_classes()
-    gram = tuple({i: const(g) for i, g in row} for row in sp.rows)
+    cls = sp.classes
+    gram = tuple({i: const(Fraction(g, sp.gram_den)) for i, g in row.items()}
+                 for row in sp.int_rows)
     buckets = {}
     for w2, cv in v.terms.items():
         buckets.setdefault(tuple(cls[i] for i in w2), []).append((w2, cv))
@@ -206,7 +207,6 @@ def test_pairings_in_lowest_terms(data):
     want = {i: dense_pair(gram, zeta, ((i, Fraction(1)),)) for i in range(dim)}
     assert {i: Fraction(g, den) for i, g in row.items()} == {
         i: x for i, x in want.items() if x}
-    assert space.pair_row(zeta) == {i: x for i, x in want.items() if x}
     assert space.pair_vec(zeta, eta) == dense_pair(gram, zeta, eta)
     for i in range(dim):
         assert space.pair(zeta, i) == want[i]
@@ -238,9 +238,9 @@ def dense_inner0(u, v):
     in one list."""
     sp = u.space
     gram = [[Fraction(0)] * sp.dim for _ in range(sp.dim)]
-    for j, row in enumerate(sp.rows):
-        for i, g in row:
-            gram[j][i] = g
+    for j, row in enumerate(sp.int_rows):
+        for i, g in row.items():
+            gram[j][i] = Fraction(g, sp.gram_den)
     out = [Fraction(0)] * 64
     for (w, cu), (w2, cv) in product(u.terms.items(), v.terms.items()):
         if len(w) != len(w2):
@@ -280,7 +280,7 @@ def oracle_cases(draw):
                 if label[i] == label[j]:
                     gram[i][j] = gram[j][i] = draw(mixed)
     space = OneParticleSpace(dim, gram)
-    cls = space.gram_classes()
+    cls = space.classes
     a = draw(st.integers(0, dim - 1))
     b = draw(st.sampled_from([i for i in range(dim) if cls[i] != cls[a]]))
     words = st.lists(st.integers(0, dim - 1), max_size=3).map(tuple)
@@ -310,7 +310,7 @@ def fixed_case(gram):
                      [Fraction(1, 3), Fraction(5, 7), 0], [0, 0, Fraction(4)]]))
 def test_q_product_matches_dense_sum(case):
     u, v = case
-    cls = u.space.gram_classes()
+    cls = u.space.classes
     assert u.space.diagonal == (len(set(cls)) == u.space.dim)
     for a, b in ((u, v), (v, u), (u, u), (v, v)):
         assert inner0(a, b).coeffs == dense_inner0(a, b)

@@ -345,10 +345,8 @@ def test_ring_is_only_a_point():
     # and builds no scalars
     assert EXACT.q0 is None
     r = ScalarRing(Fraction(1, 3))
-    assert r.q0 == Fraction(1, 3) and r != EXACT
-    assert r == ScalarRing("1/3") and hash(r) == hash(ScalarRing("1/3"))
-    assert repr(r) == "ScalarRing(q0=1/3)" and repr(EXACT) == "ScalarRing()"
-    assert ScalarRing(0).q0 is not None and ScalarRing(0) != EXACT
+    assert r.q0 == Fraction(1, 3) == ScalarRing("1/3").q0
+    assert ScalarRing(0).q0 == 0 and ScalarRing(0).q0 is not None
     with pytest.raises(UsageError, match="q0 must lie in"):
         ScalarRing(Fraction(-3, 2))
     for name in ("of", "one", "zero", "q", "q_pow"):

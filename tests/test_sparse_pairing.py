@@ -1,7 +1,8 @@
 """Sparse one-particle pairings and gram rows against dense oracles.
 
 The dense loops below are the oracle: they read every gram entry and share no
-code with the sparse gram rows of OneParticleSpace.  The model grams are
+code with the sparse int gram rows of OneParticleSpace, which `fraction_rows`
+reads back as Fractions.  The model grams are
 written out densely from their formulas: for the grid, delta_AB |A| r_{j+k}
 between the monomial letters x_A^j and x_B^k, which the model's orthogonal
 basis must reproduce, and for a point set the weights on the diagonal.
@@ -33,6 +34,12 @@ def dense_pair(gram, zeta, i):
 def dense_pair_vec(gram, zeta, eta):
     return sum((zeta[j] * dense_pair(gram, eta, j) for j in range(len(gram))),
                Fraction(0))
+
+
+def fraction_rows(space):
+    """The space's int gram rows over gram_den as sparse Fraction rows."""
+    return tuple(tuple((i, Fraction(g, space.gram_den)) for i, g in row.items())
+                 for row in space.int_rows)
 
 
 def dense_annihilation(space, gram, zeta, v):
@@ -88,7 +95,8 @@ def test_sparse_pairing_matches_dense_oracle(case):
     for i in range(space.dim):
         assert space.pair(sz, i) == dense_pair(gram, zeta, i)
     assert space.pair_vec(sz, se) == dense_pair_vec(gram, zeta, eta)
-    assert space.pair_row(sz) == {
+    den, row = space.pair_ints(sz)
+    assert {i: Fraction(g, den) for i, g in row.items()} == {
         i: g for i in range(space.dim) if (g := dense_pair(gram, zeta, i))}
 
     v = FockVector(space, DEPTH)
@@ -165,36 +173,38 @@ def test_sparse_vector_adds_repeated_indices():
     assert sparse_vector([]) == ()
 
 
-def test_pair_row_rejects_out_of_range_index():
+def test_pair_ints_rejects_out_of_range_index():
     space = OneParticleSpace.orthonormal(2)
-    with pytest.raises(UsageError):
-        space.pair_row(((2, Fraction(1)),))
+    with pytest.raises(UsageError, match="basis index 2 out of range"):
+        space.pair_ints(((2, Fraction(1)),))
 
 
 def test_gram_rows_follow_blocks():
     g = [[Fraction(x) for x in row] for row in
          ([2, 0, 1], [0, 0, 0], [1, 0, 3])]
     space = OneParticleSpace(3, g)
-    assert space.rows == (((0, Fraction(2)), (2, Fraction(1))), (),
-                          ((0, Fraction(1)), (2, Fraction(3))))
-    assert space.gram_classes() == (0, 1, 0)
+    assert space.int_rows == ({0: 2, 2: 1}, {}, {0: 1, 2: 3}) and space.gram_den == 1
+    assert space.classes == (0, 1, 0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(grams(), st.data(), st.sampled_from(RINGS))
 def test_annihilation_payload_is_pair_row_over_one_denominator(gram, data, ring):
-    """An annihilation keeps, per space, its pairing row as int numerators
-    over their least common denominator, built on first use and reused."""
+    """An annihilation keeps, keyed by the space itself, its pairing row as
+    int numerators over their least common denominator, built on first use
+    and reused."""
     space = OneParticleSpace(len(gram), gram, ring)
-    zeta = sparse_vector(data.draw(vectors(len(gram))))
-    op = FockOperator.annihilation(zeta)
+    dense = data.draw(vectors(len(gram)))
+    op = FockOperator.annihilation(dense)
     v = FockVector.basis_word(space, DEPTH, (0,))
     apply(op, v)
-    den, row = op.payloads[space.key]
-    assert {i: Fraction(g, den) for i, g in row.items()} == space.pair_row(zeta)
+    (key, (den, row)), = op.payloads.items()
+    assert key is space
+    assert {i: Fraction(g, den) for i, g in row.items()} == {
+        i: g for i in range(space.dim) if (g := dense_pair(gram, dense, i))}
     assert gcd(den, *row.values()) == 1
     apply(op, v)
-    assert op.payloads[space.key][1] is row
+    assert op.payloads[space][1] is row
 
 
 def dense_rows(gram):
@@ -209,16 +219,19 @@ def test_dense_and_sparse_rows_give_one_space(gram, ring, data):
         [(i, g) for i, g in enumerate(row) if g])) for row in gram]
     dense_space = OneParticleSpace(len(gram), gram, ring)
     sparse_space = OneParticleSpace(len(gram), sparse, ring)
-    assert dense_space.rows == sparse_space.rows == dense_rows(gram)
-    assert dense_space == sparse_space
-    assert hash(dense_space) == hash(sparse_space)
-    assert first_appearance(sparse_space.gram_classes()) == nonzero_components(gram)
+    assert fraction_rows(dense_space) == fraction_rows(sparse_space) == dense_rows(gram)
+    assert dense_space.int_rows == sparse_space.int_rows
+    assert dense_space.gram_den == sparse_space.gram_den
+    assert dense_space.classes == sparse_space.classes
+    assert first_appearance(sparse_space.classes) == nonzero_components(gram)
 
 
 def test_sparse_rows_add_repeated_indices():
     half = Fraction(1, 2)
     space = OneParticleSpace(2, [[(1, half), (0, 2), (1, half)], [(0, 1)]], EXACT)
-    assert space == OneParticleSpace(2, [[2, 1], [1, 0]])
+    dense = OneParticleSpace(2, [[2, 1], [1, 0]])
+    assert space.int_rows == dense.int_rows == ({0: 2, 1: 1}, {0: 1})
+    assert space.gram_den == dense.gram_den == 1
 
 
 ONE_F, TWO_F, THREE_F = Fraction(1), Fraction(2), Fraction(3)
@@ -249,9 +262,11 @@ def test_constructor_rejects_bad_rows(rows, message):
 
 
 def test_space_keeps_only_rows():
-    space = OneParticleSpace(2, [[1, 0], [0, 2]])
-    assert not hasattr(space, "gram")
-    assert space.rows == (((0, Fraction(1)),), ((1, Fraction(2)),))
+    # one form of the gram: int rows over one denominator
+    space = OneParticleSpace(2, [[Fraction(1, 2), 0], [0, Fraction(2, 3)]])
+    assert not hasattr(space, "gram") and not hasattr(space, "rows")
+    assert space.int_rows == ({0: 3}, {1: 4}) and space.gram_den == 6
+    assert fraction_rows(space) == (((0, Fraction(1, 2)),), ((1, Fraction(2, 3)),))
 
 
 def dense_model_gram(widths, r, d):
@@ -328,8 +343,8 @@ def test_model_rows_match_dense_formula(case, ring):
     model = ProcessModel(ring, MomentSequence(r), TimeGrid(boundaries), d, 3)
     assert model.space.dim == len(widths) * min(support, d)
     assert all(len(row) == 1 and row[0][0] == i and row[0][1] > 0
-               for i, row in enumerate(model.space.rows))
-    assert model.space.gram_classes() == tuple(range(model.space.dim))
+               for i, row in enumerate(fraction_rows(model.space)))
+    assert model.space.classes == tuple(range(model.space.dim))
     gram = dense_model_gram(widths, r, d)
     letters = [model.atom_letter(a, k) for a in range(len(widths))
                for k in range(1, d + 1)]
@@ -353,7 +368,7 @@ def test_model_rows_match_dense_formula(case, ring):
 def test_grid_gram_blocks_follow_each_width(boundaries, r, d, norms):
     """On grids whose widths repeat or all differ, each atom's rows are its
     own width times the norms ||P_k||² of nu's orthogonal polynomials, in
-    the Fraction rows and in int_rows: a row kept for one width and given
+    the rows read as Fractions and in int_rows: a row kept for one width and given
     to another atom of a different width shows here."""
     bounds = [Fraction(b) for b in boundaries]
     widths = [b - a for a, b in zip(bounds, bounds[1:])]
@@ -363,8 +378,7 @@ def test_grid_gram_blocks_follow_each_width(boundaries, r, d, norms):
     want = tuple(((a * n + k, w * g),) for a, w in enumerate(widths)
                  for k, g in enumerate(norms))
     space = model.space
-    assert space.rows == want
-    assert all(type(g) is Fraction for row in space.rows for _, g in row)
+    assert fraction_rows(space) == want
     assert space.int_rows == tuple(
         {i: g * space.gram_den for i, g in row} for row in want)
     assert all(type(g) is int for row in space.int_rows for g in row.values())
@@ -376,15 +390,17 @@ def test_gaussian_model_rows_drop_zero_moments():
     third, two_thirds = Fraction(1, 3), Fraction(2, 3)
     # nu = delta_0: x and x^2 are null, so each atom keeps P_0 = 1 alone,
     # of norm² |A| r_2
-    assert model.space.rows == (((0, third),), ((1, two_thirds),))
-    assert model.space.gram_classes() == (0, 1)
+    assert fraction_rows(model.space) == (((0, third),), ((1, two_thirds),))
+    assert model.space.classes == (0, 1)
     assert model.atom_letter(1, 2).is_zero and model.atom_letter(1, 3).is_zero
 
 
 def test_point_set_rows_are_its_weights():
     weights = [Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)]
     alg = WeightedPointAlgebra([-1, 0, 5], weights, EXACT)
-    assert alg.space.rows == tuple(((i, w),) for i, w in enumerate(weights))
-    assert alg.space == OneParticleSpace(
+    assert fraction_rows(alg.space) == tuple(((i, w),) for i, w in enumerate(weights))
+    dense = OneParticleSpace(
         3, [[w if i == j else 0 for j in range(3)] for i, w in enumerate(weights)],
         EXACT)
+    assert alg.space.int_rows == dense.int_rows == ({0: 1}, {1: 3}, {2: 2})
+    assert alg.space.gram_den == dense.gram_den == 6

@@ -11,8 +11,8 @@ from qfock.fock import FockOperator, FockVector, apply, innerq
 from qfock.kspoly import (MAX_KS_LEN, MAX_OP_DEGREE, MAX_ROW_N, ks_poly,
                           ks_row_formula, q_charlier, q_hermite)
 from qfock.model import MomentSequence, ProcessModel, TimeGrid
-from qfock.partitions import (MAX_ENUM_N, ExtendedPartition, SetPartition,
-                              enumerate_partitions, index_tuples, rc)
+from qfock.partitions import (MAX_ENUM_N, SetPartition, enumerate_partitions,
+                              index_tuples, rc)
 from qfock.qscalar import EXACT, ONE, ZERO, QScalar, ScalarRing, const, q_fact, q_pow
 from qfock.stochastic import (AdaptedProcess, BiProcess, biprocess_inner,
                               biprocess_integral, chaos_decompose,
@@ -471,7 +471,7 @@ class TestStochasticMeasures:
                                 (x2, x2): ONE}
         per_subset = FockOperator.opsum(
             wick_operator(wide, (x2,) * len(s)).scale(
-                q_pow(rc(ExtendedPartition(pi, frozenset(s))))
+                q_pow(rc(pi, s))
                 * const(r2 ** (2 - len(s))))
             for s in ((), (0,), (1,), (0, 1)))
         v = data.draw(random_vector(wide, 3, 2))
