@@ -578,18 +578,30 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
     copy, and the errors a node raises come from its first use, as without
     the memo.
     """
-    sp, depth = v.space, v.depth
-    vimg = IntImage.of(v.terms)
-    # by node id, on vimg: the image of each factor that acts first in a
-    # composition, and of each sum used twice; None marks a sum used once
-    memo: dict[int, IntImage | None] = {}
+    kernel = _Kernel(v)
+    out = IntImage()
+    kernel.into(op, kernel.vimg, out, None)
+    return FockVector._of(v.space, v.depth, out.scalars())
 
-    def image(op: FockOperator, src: IntImage) -> IntImage:
+
+class _Kernel:
+    """One call of `apply` on v, and its memo; its methods recurse through
+    the instance, so a call leaves no reference cycle to collect."""
+
+    __slots__ = ("sp", "depth", "vimg", "memo")
+
+    def __init__(self, v: FockVector):
+        self.sp, self.depth, self.vimg = v.space, v.depth, IntImage.of(v.terms)
+        # by node id, on vimg: the image of each factor that acts first in a
+        # composition, and of each sum used twice; None marks a sum used once
+        self.memo: dict[int, IntImage | None] = {}
+
+    def image(self, op: FockOperator, src: IntImage) -> IntImage:
         img = IntImage()
-        into(op, src, img, None)
+        self.into(op, src, img, None)
         return img.prune()
 
-    def into(op: FockOperator, src: IntImage, out: IntImage,
+    def into(self, op: FockOperator, src: IntImage, out: IntImage,
              factor: QScalar | None) -> None:
         # factor None means 1, and is never zero
         kind = op.kind
@@ -598,23 +610,23 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
             out.add(src, c if factor is None else factor * c)
             return
         if factor is not None and not factor.is_monomial:
-            out.add(image(op, src), factor)
+            out.add(self.image(op, src), factor)
             return
         if kind == "sum":
-            if src is vimg:
-                node = id(op)
+            if src is self.vimg:
+                memo, node = self.memo, id(op)
                 if node in memo:
                     img = memo[node]
                     if img is None:
                         img = memo[node] = IntImage()
                         for sub in op.operands:
-                            into(sub, src, img, None)
+                            self.into(sub, src, img, None)
                         img.prune()
                     out.add(img, factor)
                     return
                 memo[node] = None
             for sub in op.operands:
-                into(sub, src, out, factor)
+                self.into(sub, src, out, factor)
             return
         if kind == "compose":
             factors = []
@@ -629,14 +641,15 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
             if not factors:
                 out.add(src, factor)
                 return
+            memo, vimg = self.memo, self.vimg
             for sub in reversed(factors[1:]):
                 nxt = memo.get(id(sub)) if src is vimg else None
                 if nxt is None:
-                    nxt = image(sub, src)
+                    nxt = self.image(sub, src)
                     if src is vimg:
                         memo[id(sub)] = nxt
                 src = nxt
-            into(factors[0], src, out, factor)
+            self.into(factors[0], src, out, factor)
             return
 
         # a leaf: factor is y q^s / df
@@ -644,7 +657,7 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
             y, s, df = 1, 0, 1
         else:
             y, s, df = factor.num[-1], len(factor.num) - 1, factor.den
-        terms = out.terms
+        terms, sp, depth = out.terms, self.sp, self.depth
         if kind == "creation":
             pay = op.payloads.get(sp)
             if pay is None:
@@ -699,10 +712,6 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
                     rest = w[:k] + w[k + 1:]
                     for j, x in col:
                         addmul(terms, (j,) + rest, num, x, s + k)
-
-    out = IntImage()
-    into(op, vimg, out, None)
-    return FockVector._of(sp, depth, out.scalars())
 
 
 def adjoint(op: FockOperator) -> FockOperator:
@@ -804,14 +813,17 @@ def _compression(op: FockOperator, space: OneParticleSpace, depth: int):
     space keeps (see _pn_blocks): T acts on each slot k moved to the front,
     with weight q0^k; T holds the columns on the gauge's support.
     """
-    import numpy as np
-
-    dim, q0 = space.dim, space.ring.q0
-    blocks = _pn_blocks(space, depth)
     offsets = [0]
     for n in range(depth + 1):
-        offsets.append(offsets[-1] + dim ** n)
-    size = offsets[-1]
+        offsets.append(offsets[-1] + space.dim ** n)
+    return _compress(op, space, _pn_blocks(space, depth), offsets)
+
+
+def _compress(op: FockOperator, space: OneParticleSpace, blocks: list, offsets: list):
+    """`_compression` of one node, degree n at offsets[n]:offsets[n + 1]."""
+    import numpy as np
+
+    dim, q0, size, depth = space.dim, space.ring.q0, offsets[-1], len(offsets) - 2
 
     def deg(n: int) -> slice:
         return slice(offsets[n], offsets[n + 1])
@@ -822,53 +834,44 @@ def _compression(op: FockOperator, space: OneParticleSpace, depth: int):
             v[i] = float(c)
         return v
 
-    def slots(t, n: int):
-        return _front(t, blocks[n][0])
-
-    def scalar(op: FockOperator) -> float:
-        return float(op.payload.subs(q0))
-
-    def build(op: FockOperator):
-        kind = op.kind
-        if kind == "scalar":
-            return scalar(op) * np.eye(size)
-        if kind == "sum":
-            out = np.zeros((size, size))
-            for sub in op.operands:
-                out += build(sub)
-            return out
-        if kind == "compose":
-            c, mats = 1.0, []
-            for sub in op.operands:
-                if sub.kind == "scalar":
-                    c *= scalar(sub)
-                else:
-                    mats.append(build(sub))
-            m = reduce(np.matmul, mats) if mats else np.eye(size)
-            if c != 1.0:
-                m *= c
-            return m
-        m = np.zeros((size, size))
-        if kind == "creation":
-            zeta = dense(op.payload)[:, None]
-            for n in range(depth):
-                m[deg(n + 1), deg(n)] = _front(zeta, np.eye(dim ** n))
-        elif kind == "annihilation":
-            den, row = space.pair_ints(op.payload)
-            row = dense((i, g / den) for i, g in row.items())[None, :]
-            for n in range(1, depth + 1):
-                m[deg(n - 1), deg(n)] = slots(row, n)
-        elif depth:  # a gauge; degree 0 has no slot, so no block there
-            gauge: Gauge = op.payload
-            t = np.zeros((dim, dim))
-            for i in sorted(gauge.support()):  # the lowest column past a cutoff raises
-                for j, x in gauge.column(i):
-                    t[j, i] = x / gauge.den
-            for n in range(1, depth + 1):
-                m[deg(n), deg(n)] = slots(t, n)
+    kind = op.kind
+    if kind == "scalar":
+        return float(op.payload.subs(q0)) * np.eye(size)
+    if kind == "sum":
+        out = np.zeros((size, size))
+        for sub in op.operands:
+            out += _compress(sub, space, blocks, offsets)
+        return out
+    if kind == "compose":
+        c, mats = 1.0, []
+        for sub in op.operands:
+            if sub.kind == "scalar":
+                c *= float(sub.payload.subs(q0))
+            else:
+                mats.append(_compress(sub, space, blocks, offsets))
+        m = reduce(np.matmul, mats) if mats else np.eye(size)
+        if c != 1.0:
+            m *= c
         return m
-
-    return build(op)
+    m = np.zeros((size, size))
+    if kind == "creation":
+        zeta = dense(op.payload)[:, None]
+        for n in range(depth):
+            m[deg(n + 1), deg(n)] = _front(zeta, np.eye(dim ** n))
+    elif kind == "annihilation":
+        den, row = space.pair_ints(op.payload)
+        row = dense((i, g / den) for i, g in row.items())[None, :]
+        for n in range(1, depth + 1):
+            m[deg(n - 1), deg(n)] = _front(row, blocks[n][0])
+    elif depth:  # a gauge; degree 0 has no slot, so no block there
+        gauge: Gauge = op.payload
+        t = np.zeros((dim, dim))
+        for i in sorted(gauge.support()):  # the lowest column past a cutoff raises
+            for j, x in gauge.column(i):
+                t[j, i] = x / gauge.den
+        for n in range(1, depth + 1):
+            m[deg(n), deg(n)] = _front(t, blocks[n][0])
+    return m
 
 
 def operator_norm_estimate(op: FockOperator, space: OneParticleSpace,

@@ -1,9 +1,11 @@
-"""Orthogonalization polynomials for power processes.
+"""The Kailath-Segall polynomials A_u in the power variables x_1, x_2, ....
 
-A_u expresses the orthogonalized process Yhat_u as a noncommutative polynomial
-in the power variables x_1, x_2, ...; substituting x_j -> Y_j(I) recovers the
-operator identities.  The one-variable degenerations are the continuous
-q-Hermite and the centered q-Charlier families.
+Substituting for x_j the centred power process Y_j([0, t)) (the letter
+x^{j-1} on each atom, no drift: `stochastic.ProcessFamily(model, label,
+{j: 1}, 0)`) gives psi_u(t) = psi(Y_{u_1}, ..., Y_{u_n})(t), when A_u is
+over the moments t r_k of t nu (the model's own at t = 1).  The one-variable
+degenerations are the continuous q-Hermite and the centered q-Charlier
+families.
 
 Coefficients lie in Q[q] and come from the module names of `qscalar`; no
 evaluation point enters them.  The polynomials A_w are memoised per moment
@@ -110,28 +112,28 @@ def ks_poly(u: Sequence[int], moments: MomentSequence) -> NCPolynomial:
     if any(j < 1 for j in u):
         raise UsageError(f"power indices must be >= 1: {u}")
     check_size("ks_poly word length", len(u), MAX_KS_LEN)
-    memo: dict[Word, NCPolynomial] = moments.ks_memo
+    return _ks(u, moments)
 
-    def rec(word: Word) -> NCPolynomial:
-        got = memo.get(word)
-        if got is not None:
-            return got
-        if not word:
-            out = NCPolynomial.one()
-        else:
-            j, rest = word[0], word[1:]
-            terms = (NCPolynomial.x(j) * rec(rest)).terms
-            for i, ui in enumerate(rest):
-                removed = rest[:i] + rest[i + 1:]
-                qc = -q_pow(i)
-                add_scaled(terms, rec(removed).terms,
-                           qc * const(moments.r_at(j + ui)))
-                add_scaled(terms, rec((j + ui,) + removed).terms, qc)
-            out = NCPolynomial._of(terms)
-        memo[word] = out
-        return out
 
-    return rec(u)
+def _ks(word: Word, moments: MomentSequence) -> NCPolynomial:
+    """A_word of `ks_poly`, for a checked word, through `ks_memo`."""
+    got = moments.ks_memo.get(word)
+    if got is not None:
+        return got
+    if not word:
+        out = NCPolynomial.one()
+    else:
+        j, rest = word[0], word[1:]
+        terms = (NCPolynomial.x(j) * _ks(rest, moments)).terms
+        for i, ui in enumerate(rest):
+            removed = rest[:i] + rest[i + 1:]
+            qc = -q_pow(i)
+            add_scaled(terms, _ks(removed, moments).terms,
+                       qc * const(moments.r_at(j + ui)))
+            add_scaled(terms, _ks((j + ui,) + removed, moments).terms, qc)
+        out = NCPolynomial._of(terms)
+    moments.ks_memo[word] = out
+    return out
 
 
 def ks_row_formula(j: int, n: int, moments: MomentSequence) -> NCPolynomial:

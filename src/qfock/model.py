@@ -29,7 +29,9 @@ and hash by identity), each letter's int payload, the int gauge columns it
 builds (for every node and space, as a letter is its own gauge, and for its
 products: a product reads the other letter's columns), field node, int
 pairing row and products, the grid model's interval letters (`intervals`),
-and `wick_cache` (wick.py), keyed by words of letters.
+and `wick_cache` (wick.py), keyed by words of letters.  What depends on
+nu and the cutoff alone is the moment sequence's: its Hankel factors and
+the grid models' product tables, shared by every model built on it.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ class MomentSequence:
         if not self.r or self.r[0] != 0:
             raise UsageError("r_1 must be 0 (centered construction)")
         self.ks_memo: dict = {}  # power word -> A_u (kspoly.py)
+        self.factors: dict = {}  # order m -> ldl_psd of hankel(m)
+        self.tables: dict = {}  # (m, cutoff) -> a grid model's product table
 
     @staticmethod
     def from_measure(atoms: Iterable[tuple], length: int) -> "MomentSequence":
@@ -89,12 +93,18 @@ class MomentSequence:
         """The m x m matrix (r_{i+j+2})_{0 <= i,j < m} of nu-moments."""
         return [[self.r_at(i + j + 2) for j in range(m)] for i in range(m)]
 
+    def hankel_factor(self, m: int) -> tuple[list[list[Fraction]], list[Fraction]]:
+        """`ldl_psd` of hankel(m), kept per m in `factors`; a refusal is not."""
+        if m not in self.factors:
+            self.factors[m] = ldl_psd(self.hankel(m))
+        return self.factors[m]
+
 
 class TimeGrid:
     """Disjoint contiguous half-open atoms [a_i, b_i) covering [0, T)."""
 
     def __init__(self, boundaries: Sequence):
-        bs = [Fraction(b) for b in boundaries]
+        bs = [b if type(b) is Fraction else Fraction(b) for b in boundaries]
         if len(bs) < 2 or bs[0] != 0:
             raise UsageError("grid boundaries must start at 0 with >= 1 atom")
         if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
@@ -109,7 +119,8 @@ class TimeGrid:
         T = Fraction(T)
         if N < 1 or T <= 0:
             raise UsageError("uniform grid needs T > 0, N >= 1")
-        return TimeGrid([T * i / N for i in range(N + 1)])
+        n, d = T.numerator, T.denominator * N
+        return TimeGrid([Fraction(n * i, d) for i in range(N + 1)])
 
     @property
     def n_atoms(self) -> int:
@@ -234,9 +245,13 @@ class Letter(Gauge):
         return self._mean
 
     def field(self) -> FockOperator:
-        """X(f) = a(xi) + a*(xi) + p(T) + mean, one node per letter."""
+        """X(f) = a(xi) + a*(xi) + p(T) + mean, one node per letter; xi is
+        the payload, so its creation leaf takes `ints` on the algebra's space."""
         if self._field is None:
             self._field = field_operator(self.xi(), self.gauge(), self.mean())
+            for op in self._field.operands:
+                if op.kind == "creation":
+                    op.payloads[self.algebra.space] = self.ints
         return self._field
 
     def pairing(self) -> tuple[int, dict[int, int]]:
@@ -322,9 +337,10 @@ class ProcessModel:
     A rank + k, the monic orthogonal polynomials of nu on each atom A, with
     the diagonal gram <e_{A,j}, e_{B,k}> = delta_{AB} delta_{jk} |A| d_{k+1}.
 
-    The model factors the Hankel form H = [r_{j+k}], j, k = 1..m, once,
-    H = L diag(d) L^T by `ldl_psd`, and keeps (L, d) as `hankel_factor`; m
-    is degree_cutoff + 1 when the moments reach r_{2 degree_cutoff + 2}, else
+    The model reads the factor H = L diag(d) L^T of the Hankel form H =
+    [r_{j+k}], j, k = 1..m, from its moment sequence, which computes it by
+    `ldl_psd` once per m, and keeps (L, d) as `hankel_factor`; m is
+    degree_cutoff + 1 when the moments reach r_{2 degree_cutoff + 2}, else
     degree_cutoff.  H must be positive semidefinite with no nonzero pivot
     after a zero one, as a measure's is.  Row k of L^-1 is P_k (`monic_op`)
     and row k of L expands x^k in P_0..P_k.  When d_{s+1} = 0, P_s is null
@@ -335,7 +351,8 @@ class ProcessModel:
     `letter` takes {(atom, power): coefficient}, power k naming x^{k-1} up
     to degree_cutoff, and converts each entry once through row k-1 of L.  A
     letter product is multiplication by x f g, read off one table of
-    x P_a P_e (`basis_product`).
+    x P_a P_e (`basis_product`) over `product_den`, which the sequence keeps
+    per (m, degree_cutoff), so the models of one sequence share it.
     """
 
     def __init__(self, ring: ScalarRing, moments: MomentSequence, grid: TimeGrid,
@@ -348,7 +365,7 @@ class ProcessModel:
                              f"r_{2 * c}, have r_1..r_{moments.K}")
         m = c + 1 if moments.K >= 2 * c + 2 else c
         try:
-            low, pivots = self.hankel_factor = ldl_psd(moments.hankel(m))
+            low, pivots = self.hankel_factor = moments.hankel_factor(m)
         except UsageError as exc:
             raise UsageError(f"moments are not those of a measure: the Hankel "
                              f"form [r_(j+k)], j, k = 1..{m}, is {exc}") from exc
@@ -373,7 +390,9 @@ class ProcessModel:
         # x^k in P_0..P_{rank-1}: row k of L, its null part dropped
         self._powers = [tuple((j, x) for j, x in enumerate(low[k][:b]) if x)
                         for k in range(c)]
-        self.product_den, self._products = self._product_table()
+        if (m, c) not in moments.tables:
+            moments.tables[m, c] = self._product_table()
+        self.product_den, self._products = moments.tables[m, c]
 
     def _product_table(self) -> tuple[int, list[list]]:
         """x P_a P_e in P_0..P_{rank-1}, a, e < rank, as (k, int numerator)

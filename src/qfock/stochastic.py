@@ -212,16 +212,6 @@ def st_pi_discrete(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
     if any(map(any, table)):
         fields.update((v, model.atom_letter(a).field()) for v, a in enumerate(atoms, start=1))
 
-    def total(children: dict) -> FockOperator:
-        terms = []
-        for v, rest in children.items():
-            factors = [fields[v]]
-            while len(rest) == 1:
-                (v, rest), = rest.items()
-                factors.append(fields[v])
-            terms.append(FockOperator.compose(factors + [total(rest)] if rest else factors))
-        return FockOperator.opsum(terms)
-
     out = []
     for owner, c in table.items():
         m = max(owner)  # κ's blocks of two or more points take m distinct atoms
@@ -231,8 +221,22 @@ def st_pi_discrete(pi: SetPartition, t, model: ProcessModel) -> FockOperator:
             node = trie
             for j in owner:
                 node = node.setdefault(tup[j - 1] if j else 0, {})
-        out.append(total(trie) if c == 1 else total(trie).scale(const(c)))
+        total = _horner(trie, fields)
+        out.append(total if c == 1 else total.scale(const(c)))
     return FockOperator.opsum(out)
+
+
+def _horner(children: dict, fields: dict) -> FockOperator:
+    """The field products of a trie's words, Horner-wise (`st_pi_discrete`)."""
+    terms = []
+    for v, rest in children.items():
+        factors = [fields[v]]
+        while len(rest) == 1:
+            (v, rest), = rest.items()
+            factors.append(fields[v])
+        terms.append(FockOperator.compose(factors + [_horner(rest, fields)] if rest
+                                          else factors))
+    return FockOperator.opsum(terms)
 
 
 def st_pi_closed(pi: SetPartition, t, model: ProcessModel) -> WickElement:

@@ -47,13 +47,15 @@ TWO_POINT = ((-1, Fraction(1, 2)), (1, Fraction(1, 2)))
 THREE_POINT = ((-1, Fraction(1, 4)), (0, Fraction(1, 2)), (1, Fraction(1, 4)))
 
 
-def grid_model(nu: Sequence[tuple], n_atoms: int, cutoff: int, depth: int,
-               ring: ScalarRing = EXACT) -> ProcessModel:
+def grid_model(nu: Sequence[tuple] | MomentSequence, n_atoms: int, cutoff: int,
+               depth: int, ring: ScalarRing = EXACT) -> ProcessModel:
     """The grid model of the measure nu on n_atoms equal atoms of [0, 1),
     its moments read through r_{2 cutoff + 2}, so that it closes when nu
-    has at most cutoff support points."""
-    return ProcessModel(ring, MomentSequence.from_measure(nu, 2 * cutoff + 2),
-                        TimeGrid.uniform(1, n_atoms), cutoff, depth)
+    has at most cutoff support points.  nu is its (x, weight) atoms, or
+    their moment sequence, which the models of one refinement share."""
+    if not isinstance(nu, MomentSequence):
+        nu = MomentSequence.from_measure(nu, 2 * cutoff + 2)
+    return ProcessModel(ring, nu, TimeGrid.uniform(1, n_atoms), cutoff, depth)
 
 
 def gaussian_model(n_atoms: int = 2, cutoff: int = 4, depth: int = 6) -> ProcessModel:
@@ -416,8 +418,8 @@ def shipped_experiments() -> list[tuple[str, SetPartition, Callable[[int], Proce
             ("split_q_half", split, TWO_POINT, 2, Fraction(1, 2)),
             ("triple_ones", triple, ALL_ONES, 3, Fraction(1, 2)),
             ("mixed_ones", mixed, ALL_ONES, 3, Fraction(1, 3))]
-    return [(label, pi, partial(grid_model, nu, cutoff=cutoff, depth=6,
-                                ring=ScalarRing(q)), q)
+    return [(label, pi, partial(grid_model, MomentSequence.from_measure(
+        nu, 2 * cutoff + 2), cutoff=cutoff, depth=6, ring=ScalarRing(q)), q)
             for label, pi, nu, cutoff, q in runs]
 
 

@@ -6,7 +6,7 @@ import random
 import tracemalloc
 import typing
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -333,6 +333,46 @@ def test_every_kind_applies_and_has_its_adjoint(kind):
             assert innerq(apply(op, u), v) == innerq(u, apply(star, v))
 
 
+def _no_cycle_cases():
+    """(name, call) for each recursive kernel, each on inputs built ahead,
+    so that a call adds nothing to the caches of its model or sequence
+    but the A_w of a fresh sequence."""
+    from qfock import kspoly, stochastic
+    from qfock.partitions import SetPartition
+    from qfock.suites import three_point_model
+    model = three_point_model(n_atoms=2, cutoff=3, depth=4)
+    om = FockVector.vacuum(model.space, model.fock_depth)
+    a, b = model.atom_letter(0), model.atom_letter(1)
+    composed = FockOperator.compose([a.field(), b.field(), a.field()])
+    op = composed + composed.scale(q_pow(1))
+    pi = SetPartition.of([[1, 2], [3]])
+    stochastic.st_pi_discrete(pi, 1, model)
+    ones = grid_model(((1, 1),), 2, 2, 3, ScalarRing(Fraction(3, 10)))
+    x = ones.prefix_letter(1).field()
+    operator_norm_estimate(x, ones.space, 3)
+    return {
+        "apply": lambda: apply(op, apply(a.field(), om)),
+        "st_pi_discrete": lambda: stochastic.st_pi_discrete(pi, 1, model),
+        "ks_poly": lambda: kspoly.ks_poly((1, 2, 1), MomentSequence(range(7))),
+        "compression": lambda: operator_norm_estimate(x, ones.space, 3),
+    }
+
+
+@pytest.mark.parametrize("name", ["apply", "st_pi_discrete", "ks_poly", "compression"])
+def test_kernels_leave_no_reference_cycle(name):
+    """No recursive kernel refers to itself through a closure, so what a
+    call builds is freed when it returns, without the cyclic collector."""
+    import gc
+    call = _no_cycle_cases()[name]
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestCommutation:
     """a(zeta) a*(eta) - q a*(eta) a(zeta) = <zeta, eta> Id."""
 
@@ -635,6 +675,55 @@ class TestQGram:
 
     def test_no_module_cache(self):
         assert not hasattr(fock, "_PN_MATRIX_CACHE")
+
+
+# ---------------------------------------------------------------------------
+# Zagier's determinant of the q-gram on distinct letters
+
+
+def bareiss_det(m: list[list[Fraction]]) -> Fraction:
+    """The determinant of a square rational matrix by fraction-free
+    (Bareiss) elimination, a row swap on a zero pivot."""
+    a, n, sign, prev = [row[:] for row in m], len(m), 1, Fraction(1)
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def test_bareiss_det_against_leibniz():
+    """On a 4 x 4 matrix with a zero first pivot, so that rows are swapped."""
+    rows = [[0, 2, 1, 3], [0, Fraction(1, 2), -1, 0], [1, 4, Fraction(2, 3), 1],
+            [2, 0, 1, -2]]
+    m = [[Fraction(x) for x in row] for row in rows]
+    want = sum((-1) ** inversions(p) * math.prod(m[i][p[i] - 1] for i in range(4))
+               for p in sym_group(4))
+    assert want and bareiss_det(m) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_zagier_determinant_of_the_distinct_letter_gram(n):
+    """det [<w, w'>_q] over the n! words of n distinct orthonormal letters
+    is prod_{k=1}^{n-1} (1 - q^(k^2+k))^((n-k) n!/(k^2+k)) (Zagier, Comm.
+    Math. Phys. 147, 1992): `innerq` against the formula at rational q0."""
+    space = OneParticleSpace.orthonormal(n)
+    words = [FockVector.basis_word(space, n, w) for w in permutations(range(n))]
+    gram = [[innerq(u, v) for v in words] for u in words]
+    for q0 in (Fraction(3, 10), Fraction(-1, 2)):
+        entries = [[sum(c * q0 ** k for k, c in enumerate(s.num)) / s.den for s in row]
+                   for row in gram]
+        want = Fraction(1)
+        for k in range(1, n):
+            e = k * k + k
+            want *= (1 - q0 ** e) ** ((n - k) * math.factorial(n) // e)
+        assert bareiss_det(entries) == want
 
 
 # ---------------------------------------------------------------------------

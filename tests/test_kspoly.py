@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qfock.errors import ResourceBudgetError, UsageError
-from qfock.fock import FockOperator, apply
+from qfock.fock import FockOperator, FockVector, apply
 from qfock.kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
 from qfock.model import MomentSequence, ProcessModel, TimeGrid
 from qfock.qscalar import EXACT, ONE, QScalar, const, q_int
+from qfock.stochastic import ProcessFamily, psi_closed
 from qfock.wick import WickElement, vacuum_vector
 
 F = Fraction
@@ -143,3 +145,60 @@ class TestSubstitution:
         word = tuple(model.interval_letter(interval, k) for k in u)
         want = WickElement.from_word(model, word).vector()
         assert (got - want).is_zero
+
+
+# measures on at most 3 points: at cutoff 6 each model closes
+KS_MEASURES = [((0, 1),), ((1, 1),), ((-1, F(1, 2)), (1, F(1, 2))),
+               ((-1, F(1, 4)), (0, F(1, 2)), (1, F(1, 4))), ((2, F(1, 3)), (F(-1, 2), 1))]
+KS_CUTOFF = 6
+
+
+@st.composite
+def ks_cases(draw):
+    """A closing grid model, a word u whose A_u reads only variables and
+    moments within the cutoff (sum(u) <= cutoff), a grid time t and a
+    vector of degree <= 1."""
+    nu = draw(st.sampled_from(KS_MEASURES))
+    n_atoms = draw(st.integers(1, 2))
+    model = ProcessModel(EXACT, MomentSequence.from_measure(nu, 2 * KS_CUTOFF + 2),
+                         TimeGrid.uniform(1, n_atoms), KS_CUTOFF, 5)
+    u = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    assume(sum(u) <= KS_CUTOFF)
+    t = F(draw(st.integers(1, n_atoms)), n_atoms)
+    small = st.fractions(-2, 2, max_denominator=3)
+    terms = {(): const(draw(small))}
+    for i in draw(st.lists(st.integers(0, model.space.dim - 1), max_size=2, unique=True)):
+        terms[(i,)] = const(draw(small))
+    return model, u, t, FockVector(model.space, model.fock_depth, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ks_cases())
+def test_ks_poly_of_centred_power_processes_is_psi(case):
+    """A_u(Y([0, t))) v = psi(Y_{u_1}, ..., Y_{u_n})(t) v for the centred
+    power processes Y_j (the letter x^{j-1} on each atom, no drift), A_u
+    taken over the moments t r_k of t nu, the model's own at t = 1: each
+    word of A_u applied factor by factor, the rightmost first, each suffix
+    once.  Over the model's moments the identity fails at t = 1/2."""
+    model, u, t, v = case
+    moments = model.moments if t == 1 else MomentSequence([t * r for r in model.moments.r])
+    interval = (F(0), t)
+    ys = {}
+
+    def y(j):
+        if j not in ys:
+            ys[j] = ProcessFamily(model, f"Y{j}", {j: F(1)}, F(0))
+        return ys[j]
+
+    suffixes = {(): v}
+
+    def image(word):
+        if word not in suffixes:
+            suffixes[word] = apply(y(word[0]).operator(interval), image(word[1:]))
+        return suffixes[word]
+
+    got = FockVector(model.space, model.fock_depth)
+    for word, c in ks_poly(u, moments).terms.items():
+        got = got + image(word).scale(c)
+    want = apply(psi_closed([y(j) for j in u], t).operator(), v)
+    assert (got - want).is_zero

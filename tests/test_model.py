@@ -62,6 +62,12 @@ class TestTimeGrid:
         assert g.mesh() == F(1, 4)
         assert g.horizon == 1
 
+    def test_uniform_boundaries_are_exact(self):
+        g = TimeGrid.uniform(F(3, 2), 6)
+        assert g.boundaries == tuple(F(3, 2) * i / 6 for i in range(7))
+        assert all(type(b) is Fraction for b in g.boundaries)
+        assert g.widths == (F(1, 4),) * 6
+
     def test_atoms_in_alignment(self):
         g = TimeGrid.uniform(1, 4)
         assert g.atoms_in((F(1, 4), F(3, 4))) == (1, 2)
@@ -72,6 +78,74 @@ class TestTimeGrid:
     def test_strictly_increasing(self):
         with pytest.raises(UsageError):
             TimeGrid([0, 1, 1])
+
+
+THREE_ATOMS = [(-1, F(1, 3)), (0, F(1, 3)), (1, F(1, 3))]
+
+
+class TestOneSequenceManyGrids:
+    """Grid models built on one moment sequence share its Hankel factor and
+    product table, and agree with models built on a fresh sequence."""
+
+    # (moments read, cutoff): the model closes, does not close, or closes
+    # below the cutoff
+    CASES = [(8, 3), (6, 3), (8, 2), (10, 4)]
+
+    @pytest.mark.parametrize("length, cutoff", CASES)
+    def test_models_share_the_factor_and_the_table(self, length, cutoff):
+        seq = MomentSequence.from_measure(THREE_ATOMS, length)
+        a = ProcessModel(EXACT, seq, TimeGrid.uniform(1, 2), cutoff, 3)
+        b = ProcessModel(EXACT, seq, TimeGrid.uniform(1, 5), cutoff, 4)
+        assert a.hankel_factor is b.hankel_factor
+        assert a._products is b._products
+        assert a.product_den == b.product_den
+
+    @pytest.mark.parametrize("length, cutoff", CASES)
+    def test_shared_models_equal_fresh_ones(self, length, cutoff):
+        seq = MomentSequence.from_measure(THREE_ATOMS, length)
+        for n in (1, 3, 2):
+            shared = ProcessModel(EXACT, seq, TimeGrid.uniform(1, n), cutoff, 3)
+            fresh = ProcessModel(EXACT, MomentSequence.from_measure(THREE_ATOMS, length),
+                                 TimeGrid.uniform(1, n), cutoff, 3)
+            assert shared.hankel_factor == fresh.hankel_factor
+            assert (shared.space.gram_den, shared.space.int_rows) == (
+                fresh.space.gram_den, fresh.space.int_rows)
+            for i in range(shared.space.dim):
+                for j in range(shared.space.dim):
+                    assert self.product(shared, i, j) == self.product(fresh, i, j)
+
+    @staticmethod
+    def product(model, i, j):
+        """e_i e_j as its payload, or the error it raises."""
+        try:
+            return (model.basis_letter(i) * model.basis_letter(j)).payload
+        except CutoffExceededError as exc:
+            return str(exc)
+
+    def test_cutoffs_keep_their_own_tables(self):
+        seq = MomentSequence.from_measure(THREE_ATOMS, 8)
+        grid = TimeGrid.uniform(1, 1)
+        low, high = (ProcessModel(EXACT, seq, grid, c, 3) for c in (2, 3))
+        assert low.hankel_factor is not high.hankel_factor
+        assert not low.closes and high.closes
+        assert low._products != high._products
+        assert set(seq.tables) == {(3, 2), (4, 3)}
+
+    @pytest.mark.parametrize("values, message, factored", [
+        ([0, -1, 0, 1, 0, 1], r"is not positive semidefinite: pivot d_1 = -1$", False),
+        ([0, 1, 0, 0, 0, 1], r"pivot d_3 = 1 after d_2 = 0$", True)])
+    def test_a_sequence_not_a_measures_is_refused_on_every_build(
+            self, values, message, factored):
+        """A failed factorisation is not kept; a factor that exists is, and
+        the model refuses it each time."""
+        seq = MomentSequence(values)
+        seen = set()
+        for n in (1, 2, 1):
+            with pytest.raises(UsageError, match=message) as exc:
+                ProcessModel(EXACT, seq, TimeGrid.uniform(1, n), 3, 4)
+            seen.add(str(exc.value))
+        assert len(seen) == 1
+        assert (3 in seq.factors) == factored and not seq.tables
 
 
 class TestLetterAlgebra:
