@@ -12,10 +12,10 @@ factor.  An integer image (`qscalar.IntImage`) is one positive int
 denominator and, per word, a list of int numerators, one per power of q;
 each output word becomes a canonical QScalar once, when `apply` returns.
 Words are range-checked only where they enter from outside (`basis_word`,
-the `terms` argument, `add_term`), each creation and annihilation payload
-once per node and space, and each gauge column once per call that reads
-it, so the words that `apply` derives are not checked again.  A gauge
-reads only the columns on its support, the indices it does not send to 0.
+the `terms` argument, `add_term`), and a leaf's ints where it reads them
+(see `apply`), so the words that `apply` derives are not checked again; a
+norm estimate refuses what `apply` refuses.  A gauge reads only the
+columns on its support, the indices it does not send to 0.
 Operator trees are DAGs (Wick operators and fields are shared nodes) of
 slotted nodes compared by identity, and one call of `apply` computes the
 image of its input under a shared node once: a factor that acts first in
@@ -28,20 +28,18 @@ rule per node kind: a creation is zeta (x) 1, and an annihilation or gauge
 acts on the front slot of the slot sum R_n below, that is on each tensor
 slot k moved to the front, with weight q0^k.
 
-One-particle vectors have one form, the sparse tuple of their nonzero
-(index, coeff) entries in index order (`SparseVector`).  Public constructors
-also accept a dense coefficient sequence and convert it once, on entry.  The
-gram form has one form too, its sparse rows as int numerators over one
-denominator, and is block-diagonal over its orthogonality classes; the
-pairings and `inner0` compute on those ints without building a Fraction or
-a QScalar per term.  A space, like an operator node, is compared by
-identity.  A creation or annihilation node keeps, keyed by each space it is
-applied on, its payload as int numerators over one denominator: its
-entries or its pairing row {i: <zeta, e_i>}.  A gauge
-is multiplication by a real function (`Gauge`), so it is its own adjoint,
-and it keeps its own int columns over one denominator.  An annihilation or
-gauge acting on tensor slot k multiplies by q^k as a shift of k places in
-the numerator lists, not as a product.
+One-particle vectors have one form, `SparseVector`: int numerators over
+one denominator, in lowest terms.  Public constructors take dense or sparse
+rationals and convert them once (`sparse_vector`); all else reads the form
+as it is.  The gram has one form too, its sparse rows as int numerators
+over one denominator, block-diagonal over its orthogonality classes; the
+pairings and `inner0` compute on those ints, with no Fraction or QScalar
+per term.  A space, like an operator node, is compared by identity, and
+only an annihilation node keeps anything per space: its int pairing row.
+A gauge is multiplication by a real function (`Gauge`), its own adjoint,
+with its own int columns over one denominator.  An annihilation or gauge
+acting on tensor slot k multiplies by q^k as a shift of k places in the
+numerator lists, not as a product.
 
 The q-inner product is <u, P_n v>_0 on degree n, P_n the q-symmetrizer
 sum_sigma q^{inv(sigma)} sigma; `innerq` is the one q-product, also of step
@@ -71,7 +69,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DepthExceededError, ResourceBudgetError, UsageError, check_size
 from .qscalar import (EXACT, ONE, ZERO, IntImage, QScalar, ScalarRing,
@@ -81,46 +79,55 @@ PN_CAP = 9
 NORM_WORD_CAP = 2048
 
 Word = tuple[int, ...]
-SparseVector = tuple[tuple[int, Fraction], ...]
+
+
+class SparseVector(NamedTuple):
+    """A one-particle vector: `entries`, (index, nonzero int numerator) pairs
+    in increasing index, over `den` > 0, with gcd(den, *numerators) == 1.
+    So equal vectors are equal tuples, and zero is (1, ()): test it on
+    `entries`, as the tuple itself is never empty."""
+
+    den: int
+    entries: tuple[tuple[int, int], ...]
 
 
 def sparse_vector(zeta: Sequence) -> SparseVector:
-    """The sparse form of a one-particle vector given densely (a coefficient
-    per basis index) or sparsely (index, coeff) pairs; repeated indices add.
-    A tuple already in sparse form (int indices increasing from 0, nonzero
-    Fraction coefficients) is checked in one pass and returned as it is."""
-    if type(zeta) is tuple:
-        last = -1
-        for e in zeta:
-            if (type(e) is not tuple or len(e) != 2 or type(e[0]) is not int
-                    or e[0] <= last or type(e[1]) is not Fraction or not e[1]):
-                break
-            last = e[0]
-        else:
-            return zeta
+    """The SparseVector of a one-particle vector given densely (a rational
+    per basis index) or sparsely ((index, rational) pairs, repeated indices
+    adding); a SparseVector is returned as it is."""
+    if type(zeta) is SparseVector:
+        return zeta
     zeta = tuple(zeta)
-    entries = zeta if zeta and isinstance(zeta[0], tuple) else enumerate(zeta)
+    pairs = zeta if zeta and isinstance(zeta[0], tuple) else enumerate(zeta)
     acc: dict[int, Fraction] = {}
-    for i, c in entries:
+    for i, c in pairs:
         acc[i] = acc[i] + Fraction(c) if i in acc else Fraction(c)
-    return tuple(sorted((i, c) for i, c in acc.items() if c))
+    entries = sorted((i, c) for i, c in acc.items() if c)
+    den, nums = int_numerators(c for _, c in entries)  # gcd(den, *nums) == 1
+    return SparseVector(den, tuple((i, z) for (i, _), z in zip(entries, nums)))
+
+
+def lowest_terms(den: int, entries: Iterable[tuple[int, int]]) -> SparseVector:
+    """The SparseVector of (index, int numerator) pairs in increasing index
+    over a positive den: zero numerators dropped, common factors divided out."""
+    entries = tuple(e for e in entries if e[1])
+    g = gcd(den, *(z for _, z in entries))
+    if g != 1:
+        den, entries = den // g, tuple((i, z // g) for i, z in entries)
+    return SparseVector(den, entries)
 
 
 class OneParticleSpace:
     """A finite-dimensional real one-particle space with a symmetric gram form.
 
-    The gram form is kept only as its sparse rows in ints: `int_rows`, one
-    {i: gram_den <e_j, e_i>} per j, over the one denominator `gram_den`,
-    built once here; the index range and symmetry are checked on them.  The
-    constructor takes one row per basis index, dense or sparse (see
-    sparse_vector), of exact rationals.  The pairings and `inner0` compute
-    on the ints and build Fractions or QScalars only for their results.
-    The ring is only an evaluation point: its q0, if any, is where norm
-    estimates evaluate, and it defaults to `EXACT`, which has none.
-    Pairings take one-particle vectors in sparse form.  A space is compared
-    and hashed by identity, so an operator node keys what it keeps per space,
-    such as an annihilation's int pairing row (`pair_ints`, through
-    `FockOperator.pairing`), by the space itself.
+    The gram is kept only as its sparse int rows `int_rows`, one
+    {i: gram_den <e_j, e_i>} per j over the one denominator `gram_den`,
+    built once here from one row of exact rationals per basis index, dense
+    or sparse (see sparse_vector), and checked for range and symmetry.  The
+    pairings take SparseVectors and compute on ints.  The ring is only an
+    evaluation point: its q0, if any, is where norm estimates evaluate;
+    `EXACT`, the default, has none.  A space is compared and hashed by
+    identity, so an annihilation keys its pairing row by the space itself.
 
     `classes` labels each basis index with its gram-orthogonality class, a
     connected component of the gram's nonzero graph, and `diagonal` records
@@ -134,11 +141,9 @@ class OneParticleSpace:
         if len(gram) != dim:
             raise UsageError(f"gram must have {dim} rows, got {len(gram)}")
         self.dim = dim
-        # sparse_vector leaves Fraction entries: no conversion per entry
         rows = tuple(map(sparse_vector, gram))
-        den = self.gram_den = lcm(*(g.denominator for row in rows for _, g in row))
-        self.int_rows = tuple({i: g.numerator * (den // g.denominator) for i, g in row}
-                              for row in rows)
+        den = self.gram_den = lcm(*(d for d, _ in rows))
+        self.int_rows = tuple({i: z * (den // d) for i, z in row} for d, row in rows)
         for j, row in enumerate(self.int_rows):
             for i, g in row.items():
                 if not 0 <= i < dim:
@@ -158,10 +163,10 @@ class OneParticleSpace:
     def pair_ints(self, zeta: SparseVector) -> tuple[int, dict[int, int]]:
         """The nonzero pairings {i: <zeta, e_i>} of a sparse vector as
         (den, {i: numerator}), in lowest terms: gcd(den, *numerators) == 1."""
-        den, nums = int_numerators(c for _, c in zeta)
+        den, entries = zeta
         rows = self.int_rows
         row: dict[int, int] = {}
-        for (j, _), z in zip(zeta, nums):
+        for j, z in entries:
             if not 0 <= j < self.dim:
                 raise UsageError(f"basis index {j} out of range")
             for i, g in rows[j].items():
@@ -182,9 +187,8 @@ class OneParticleSpace:
     def pair_vec(self, zeta: SparseVector, eta: SparseVector) -> Fraction:
         """<zeta, eta> under the gram form."""
         den, row = self.pair_ints(zeta)
-        de, nums = int_numerators(c for _, c in eta)
-        return Fraction(sum(z * row[i] for (i, _), z in zip(eta, nums) if i in row),
-                        den * de)
+        de, entries = eta
+        return Fraction(sum(z * row[i] for i, z in entries if i in row), den * de)
 
     def _connected_classes(self) -> tuple[int, ...]:
         """Connected components of the gram nonzero graph: basis vectors in
@@ -448,18 +452,12 @@ class FockOperator:
 
     def __init__(self, kind: str, payload: object = None,
                  operands: tuple["FockOperator", ...] = ()):
-        # creation, annihilation: a sparse one-particle vector; gauge: a
-        # Gauge; scalar: a QScalar; sum, compose: operands, the rightmost
-        # factor acting first.  The empty sum is the zero operator.
+        # creation, annihilation: a SparseVector; gauge: a Gauge; scalar: a
+        # QScalar; sum, compose: operands, the rightmost factor acting first
         if kind not in _KINDS:
             raise UsageError(f"unknown operator kind {kind!r}")
         self.kind, self.payload, self.operands = kind, payload, operands
-        # a creation or annihilation payload as int numerators over one
-        # denominator, checked against each space it is applied on and keyed
-        # by that space, built by `apply` on first use: (den, [(i, zeta_i)])
-        # of a creation and (den, {i: <zeta, e_i>}) of an annihilation (see
-        # `pairing`); a gauge keeps its int columns itself
-        self.payloads: dict = {}
+        self.payloads: dict = {}  # space -> an annihilation's pairing row
 
     # -- constructors ------------------------------------------------------
 
@@ -514,8 +512,8 @@ class FockOperator:
         return FockOperator.compose([FockOperator.scalar(c), self])
 
     def pairing(self, space: OneParticleSpace) -> tuple[int, dict[int, int]]:
-        """An annihilation node's payload on a space: `space.pair_ints` of
-        its vector, built once per space."""
+        """An annihilation node's pairing row on a space: `space.pair_ints`
+        of its vector, built once per space."""
         pay = self.payloads.get(space)
         if pay is None:
             pay = self.payloads[space] = space.pair_ints(self.payload)
@@ -529,7 +527,7 @@ def field_operator(zeta: Sequence, gauge: Gauge | None,
     empty sum, the zero operator."""
     zeta = sparse_vector(zeta)
     parts: list[FockOperator] = []
-    if zeta:
+    if zeta.entries:
         parts.append(FockOperator("creation", zeta))
         parts.append(FockOperator("annihilation", zeta))
     if gauge is not None:
@@ -547,25 +545,22 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
     One recursive kernel accumulates factor * node(image) into an integer
     image out (a `qscalar.IntImage`) that its caller passes down: one int
     denominator and, per word, a list of int numerators, one per power of
-    q.  A sum hands out to
-    each operand, and a composition folds its scalar operands into factor,
-    which the factor acting last applies.  A monomial factor y q^s / d
-    reaches the leaves as a multiplier y and a shift s; a general polynomial
-    factor makes its node's image with factor 1, and is convolved with each
-    word of it once.  A leaf joins out's denominator once per call, and
-    scales its cached payload by the call's multiplier only when that is not
-    1.  Each output word is made a canonical QScalar once, when the call
-    returns, and words that cancelled to zero are dropped.
+    q.  A sum hands out to each operand, and a composition folds its scalar
+    operands into factor, which the factor acting last applies.  A monomial
+    factor y q^s / d reaches the leaves as a multiplier y and a shift s; a
+    general polynomial factor makes its node's image with factor 1, and is
+    convolved with each word of it once.  A leaf joins out's denominator
+    once per call, and scales its ints by the call's multiplier only when
+    that is not 1.  Each output word is made a canonical QScalar once, when
+    the call returns, and words that cancelled to zero are dropped.
 
-    A creation or annihilation keeps its payload on its node, per space, as
-    int numerators over one denominator: its entries or its pairing row; a
-    gauge reads its int columns over `den` from the gauge, only those on its
-    support, and works on slot k of a word only where the index there has a
-    nonzero column.  An annihilation or gauge acting on tensor slot k shifts
-    its terms by k powers of q.  The
-    words of v are in range, so the words added are too once each payload is
-    checked against the space: by a node when it first builds it for the
-    space, and a nonzero gauge column by each call that reads it.
+    A creation reads its SparseVector as it is, an annihilation its pairing
+    row on v's space, kept on its node, and a gauge its int columns over
+    `den` on its support, working on slot k of a word only where the index
+    there has a nonzero column; an annihilation or gauge on slot k shifts
+    its terms by k powers of q.  The words of v are in range, so the words
+    added are too: a creation's vector and each gauge column are checked by
+    every call that reads them, a pairing row when it is built.
 
     For the length of the call, the image of v under a shared node is kept,
     by node: under each factor that acts first in a composition, and under
@@ -659,16 +654,9 @@ class _Kernel:
             y, s, df = factor.num[-1], len(factor.num) - 1, factor.den
         terms, sp, depth = out.terms, self.sp, self.depth
         if kind == "creation":
-            pay = op.payloads.get(sp)
-            if pay is None:
-                zeta = op.payload
-                if zeta and (zeta[0][0] < 0 or zeta[-1][0] >= sp.dim):
-                    raise UsageError(f"creation index out of range in {zeta}")
-                den, nums = int_numerators(x for _, x in zeta)
-                pay = op.payloads[sp] = den, [(i, z) for (i, _), z in zip(zeta, nums)]
+            den, zeta = _creation(op, sp.dim)
             if not src.terms:
                 return
-            den, zeta = pay
             m = out.join(src.den * df * den) * y
             if m != 1:
                 zeta = [(i, z * m) for i, z in zeta]
@@ -695,13 +683,7 @@ class _Kernel:
         gauge: Gauge = op.payload  # the one kind left
         if not src.terms:
             return
-        on, cols = gauge.support(), {}  # the nonzero columns read, checked against sp
-        for i in dict.fromkeys(chain.from_iterable(src.terms)):
-            col = gauge.column(i) if i in on else None
-            if col:
-                if col[0][0] < 0 or col[-1][0] >= sp.dim:
-                    raise UsageError(f"gauge column {i} has an index out of range")
-                cols[i] = col
+        cols = _columns(gauge, dict.fromkeys(chain.from_iterable(src.terms)), sp.dim)
         m = out.join(src.den * df * gauge.den) * y
         if m != 1:
             cols = {i: [(j, x * m) for j, x in col] for i, col in cols.items()}
@@ -712,6 +694,27 @@ class _Kernel:
                     rest = w[:k] + w[k + 1:]
                     for j, x in col:
                         addmul(terms, (j,) + rest, num, x, s + k)
+
+
+def _creation(op: FockOperator, dim: int) -> SparseVector:
+    """A creation's vector, refused unless its indices lie in 0..dim-1."""
+    zeta = op.payload
+    if zeta.entries and (zeta.entries[0][0] < 0 or zeta.entries[-1][0] >= dim):
+        raise UsageError(f"creation index out of range in {zeta}")
+    return zeta
+
+
+def _columns(gauge: Gauge, indices: Iterable[int], dim: int) -> dict:
+    """{i: column i} of a gauge at each given index on its support, in order,
+    for nonzero columns, each refused unless its indices lie in 0..dim-1."""
+    on, cols = gauge.support(), {}
+    for i in indices:
+        col = gauge.column(i) if i in on else None
+        if col:
+            if col[0][0] < 0 or col[-1][0] >= dim:
+                raise UsageError(f"gauge column {i} has an index out of range")
+            cols[i] = col
+    return cols
 
 
 def adjoint(op: FockOperator) -> FockOperator:
@@ -828,10 +831,10 @@ def _compress(op: FockOperator, space: OneParticleSpace, blocks: list, offsets: 
     def deg(n: int) -> slice:
         return slice(offsets[n], offsets[n + 1])
 
-    def dense(entries) -> "np.ndarray":
+    def dense(den: int, entries) -> "np.ndarray":
         v = np.zeros(dim)
-        for i, c in entries:
-            v[i] = float(c)
+        for i, z in entries:
+            v[i] = z / den
         return v
 
     kind = op.kind
@@ -855,19 +858,20 @@ def _compress(op: FockOperator, space: OneParticleSpace, blocks: list, offsets: 
         return m
     m = np.zeros((size, size))
     if kind == "creation":
-        zeta = dense(op.payload)[:, None]
+        zeta = dense(*_creation(op, dim))[:, None]
         for n in range(depth):
             m[deg(n + 1), deg(n)] = _front(zeta, np.eye(dim ** n))
     elif kind == "annihilation":
-        den, row = space.pair_ints(op.payload)
-        row = dense((i, g / den) for i, g in row.items())[None, :]
+        den, row = op.pairing(space)
+        row = dense(den, row.items())[None, :]
         for n in range(1, depth + 1):
             m[deg(n - 1), deg(n)] = _front(row, blocks[n][0])
     elif depth:  # a gauge; degree 0 has no slot, so no block there
         gauge: Gauge = op.payload
         t = np.zeros((dim, dim))
-        for i in sorted(gauge.support()):  # the lowest column past a cutoff raises
-            for j, x in gauge.column(i):
+        # as in `apply`; the lowest column past a cutoff raises
+        for i, col in _columns(gauge, range(dim), dim).items():
+            for j, x in col:
                 t[j, i] = x / gauge.den
         for n in range(1, depth + 1):
             m[deg(n), deg(n)] = _front(t, blocks[n][0])

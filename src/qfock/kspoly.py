@@ -161,21 +161,20 @@ def ks_row_formula(j: int, n: int, moments: MomentSequence) -> NCPolynomial:
 def q_hermite(n: int) -> NCPolynomial:
     """H_0 = 1, H_1 = x, H_{n+1} = x H_n - [n]_q H_{n-1}."""
     check_size("q_hermite degree", n, MAX_OP_DEGREE)
-    h_prev, h = NCPolynomial.one(), NCPolynomial.x(1)
-    if n == 0:
-        return h_prev
-    for m in range(1, n):
-        h_prev, h = h, NCPolynomial.x(1) * h - h_prev.scale(q_int(m))
-    return h
+    return _three_term(n, drift=False)
 
 
 def q_charlier(n: int) -> NCPolynomial:
     """C_0 = 1, C_1 = x, C_{n+1} = x C_n - [n]_q C_n - [n]_q C_{n-1}."""
     check_size("q_charlier degree", n, MAX_OP_DEGREE)
-    c_prev, c = NCPolynomial.one(), NCPolynomial.x(1)
-    if n == 0:
-        return c_prev
+    return _three_term(n, drift=True)
+
+
+def _three_term(n: int, drift: bool) -> NCPolynomial:
+    """P_n of P_0 = 1, P_1 = x, P_{m+1} = x P_m - alpha_m P_m - [m]_q P_{m-1},
+    where alpha_m = [m]_q with drift and 0 without."""
+    prev, p = NCPolynomial.one(), NCPolynomial.x(1)
     for m in range(1, n):
-        qm = q_int(m)
-        c_prev, c = c, NCPolynomial.x(1) * c - c.scale(qm) - c_prev.scale(qm)
-    return c
+        qm, nxt = q_int(m), NCPolynomial.x(1) * p
+        prev, p = p, (nxt - p.scale(qm) if drift else nxt) - prev.scale(qm)
+    return p if n else prev

@@ -14,24 +14,22 @@ algebra from them, live in `qfock.cli`; this module holds only the math.
 
 A Letter bundles (one-particle vector, gauge action, mean) so that Wick
 recursion, product expansions and stochastic measures share one code path.
-In both algebras a letter's payload is its one-particle vector xi, in the
-one sparse form of `fock.SparseVector`; `Letter` adds, scales and
-multiplies payloads, and gauges by multiplication, once for both, and each
-algebra keeps only what differs: its validating `letter` constructor,
-`basis_product` (an int payload times a basis vector, over its
-`product_den`), `support` (where that product may be nonzero), mean and
-text.  An algebra hands its ring, only an evaluation point, to its space
-and keeps no copy.
+In both algebras a letter's payload is its one-particle vector xi, a
+`fock.SparseVector`; `Letter` adds, scales and multiplies payloads on their
+ints, and gauges by multiplication, once for both, and each algebra keeps
+only what differs: its validating `letter` constructor, `basis_product` (a
+payload's entries times a basis vector, over its `product_den`), `support`
+(where that product may be nonzero), mean and text.  An algebra hands its
+ring, only an evaluation point, to its space and keeps no copy.
 
 Each algebra owns the caches of its letters, so they are freed with it: the
-intern table `letters` (one Letter per canonical payload, so letters compare
-and hash by identity), each letter's int payload, the int gauge columns it
-builds (for every node and space, as a letter is its own gauge, and for its
-products: a product reads the other letter's columns), field node, int
-pairing row and products, the grid model's interval letters (`intervals`),
-and `wick_cache` (wick.py), keyed by words of letters.  What depends on
-nu and the cutoff alone is the moment sequence's: its Hankel factors and
-the grid models' product tables, shared by every model built on it.
+intern table `letters` (one Letter per payload, so letters compare and hash
+by identity), each letter's int gauge columns (read by every node and space,
+and by its products), field node, int pairing row and products, the grid
+model's interval letters (`intervals`), and `wick_cache` (wick.py), keyed
+by words of letters.  What depends on nu and the cutoff alone is the moment
+sequence's: its Hankel factors and the grid models' product tables, shared
+by every model built on it.
 """
 
 from __future__ import annotations
@@ -44,11 +42,11 @@ from typing import Iterable, Sequence
 
 from .errors import CutoffExceededError, DegeneracyError, UsageError
 from .fock import (FockOperator, Gauge, OneParticleSpace, SparseVector,
-                   field_operator, sparse_vector)
-from .qscalar import ScalarRing, int_numerators
+                   field_operator, lowest_terms, sparse_vector)
+from .qscalar import ScalarRing
 
 Interval = tuple[Fraction, Fraction]
-_ONE = Fraction(1)  # the coefficient of the convenience letters
+Entries = tuple[tuple[int, int], ...]  # a SparseVector's entries
 
 
 class MomentSequence:
@@ -165,48 +163,40 @@ class TimeGrid:
 class Letter(Gauge):
     """A generator symbol: one-particle vector + gauge action + mean.
 
-    The payload is the letter's one-particle vector xi itself, a canonical
-    `SparseVector`: sorted (basis index, Fraction) pairs with no zero.  Sums,
-    scalings, products and the gauge act on it here, the same in every
-    algebra; the algebra supplies `basis_product`, the mean and the text.
+    The payload is the letter's one-particle vector xi, a `SparseVector`.
+    Sums, scalings, products and the gauge act on its ints here, the same in
+    every algebra, each result in lowest terms (`fock.lowest_terms`); the
+    algebra supplies `basis_product`, the mean and the text.
 
     Letters are interned in their algebra: `Letter(algebra, payload)` returns
-    the one letter the algebra's `letters` table holds for that canonical
-    payload, making it on first use.  So equal letters are one object,
-    equality and hashing are identity, and every cache keyed by letters
-    (`wick_cache`, the product and vacuum-moment memos) hashes object ids,
-    not Fractions.  Letters from different algebra instances never mix.
+    the one letter the algebra's `letters` table holds for that payload,
+    making it on first use.  So equal letters are one object, equality and
+    hashing are identity, and every cache keyed by letters (`wick_cache`,
+    the product and vacuum-moment memos) hashes object ids, not payloads.
 
     A letter is its own gauge (`fock.Gauge`): multiplication by it,
     gram-symmetric as the letter is real.  Column i is the algebra's basis
-    product of its int payload with e_i, over `den` (the payload's times the
+    product of its entries with e_i, over `den` (the payload's times the
     algebra's `product_den`), kept in `columns` from its first use, so a
     degree overflow fires only when an offending column is used, by a gauge
-    or by a product, which sums other's columns over self's int payload, and
-    at every such use.
+    or by a product, and at every such use.
 
-    Each letter keeps, built once and freed with its algebra: its payload
-    as (den, ((i, int numerator), ...)) (`ints`); its gauge columns
-    (`columns`) and their support (`support`), off which every column is
-    empty; its field node (`field`), whose creation and annihilation leaves
-    hold its payload and its pairing row as ints per space, the row that
-    `pairing` reads off the leaf and `letter_pair` pairs with the other
-    letter's `ints`; its mean (`mean`); and its products and pairings with
-    other letters.
+    Each letter keeps, built once and freed with its algebra: its gauge
+    columns and their `support`; its `field` node, whose annihilation keeps
+    the pairing row that `pairing` reads and `letter_pair` pairs with the
+    other letter's payload; its `mean`; and its products and pairings.
     """
 
-    __slots__ = ("algebra", "payload", "ints", "columns", "_support", "_field",
-                 "_mean", "_products", "_pairs")
+    __slots__ = ("algebra", "payload", "columns", "_support", "_field", "_mean",
+                 "_products", "_pairs")
 
     def __new__(cls, algebra, payload: SparseVector) -> "Letter":
-        """The algebra's letter of a canonical payload (see sparse_vector)."""
+        """The algebra's letter of a payload, a SparseVector."""
         self = algebra.letters.get(payload)
         if self is None:
             self = algebra.letters[payload] = super().__new__(cls)
             self.algebra = algebra
             self.payload = payload
-            den, nums = int_numerators(c for _, c in payload)
-            self.ints = den, tuple((i, z) for (i, _), z in zip(payload, nums))
             self.columns = {}  # basis index -> its gauge column
             self._support = self._field = self._mean = None
             self._products = {}  # other letter -> self * other
@@ -218,23 +208,23 @@ class Letter(Gauge):
 
     @property
     def den(self) -> int:
-        return self.ints[0] * self.algebra.product_den
+        return self.payload.den * self.algebra.product_den
 
     def column(self, i: int) -> tuple[tuple[int, int], ...]:
         col = self.columns.get(i)
         if col is None:
-            col = self.columns[i] = self.algebra.basis_product(self.ints[1], i)
+            col = self.columns[i] = self.algebra.basis_product(self.payload.entries, i)
         return col
 
     def support(self) -> frozenset[int]:
         """The indices whose gauge column may be nonzero, by the algebra."""
         if self._support is None:
-            self._support = self.algebra.support(self.ints[1])
+            self._support = self.algebra.support(self.payload.entries)
         return self._support
 
     def gauge(self) -> Letter | None:
         """Multiplication by the letter: the letter itself; None for 0."""
-        return self if self.payload else None
+        return self if self.payload.entries else None
 
     def mean(self) -> Fraction:
         """The algebra's mean of the payload, computed on the first call and
@@ -245,13 +235,9 @@ class Letter(Gauge):
         return self._mean
 
     def field(self) -> FockOperator:
-        """X(f) = a(xi) + a*(xi) + p(T) + mean, one node per letter; xi is
-        the payload, so its creation leaf takes `ints` on the algebra's space."""
+        """X(f) = a(xi) + a*(xi) + p(T) + mean, one node per letter."""
         if self._field is None:
             self._field = field_operator(self.xi(), self.gauge(), self.mean())
-            for op in self._field.operands:
-                if op.kind == "creation":
-                    op.payloads[self.algebra.space] = self.ints
         return self._field
 
     def pairing(self) -> tuple[int, dict[int, int]]:
@@ -269,38 +255,42 @@ class Letter(Gauge):
 
     def __mul__(self, other: "Letter") -> "Letter":
         """The bilinear extension of the algebra's basis product: the sum of
-        z other.column(i) over self's int payload (i, z), one Fraction per
-        entry, so products and gauges share one column cache.  An index off
-        other's support has an empty column, and none is built for it."""
+        z other.column(i) over self's payload entries (i, z), over den times
+        other's den, so products and gauges share one column cache.  An
+        index off other's support has an empty column, and none is built."""
         self._check(other)
         out = self._products.get(other)
         if out is None:
             acc: dict[int, int] = {}
-            den, nums = self.ints
+            den, entries = self.payload
             on = other.support()
-            for i, z in nums:
+            for i, z in entries:
                 if i in on:
                     for j, x in other.column(i):
                         acc[j] = acc.get(j, 0) + z * x
-            out = self._products[other] = Letter(self.algebra, tuple(
-                (j, Fraction(x, den * other.den)) for j, x in sorted(acc.items()) if x))
+            out = self._products[other] = Letter(
+                self.algebra, lowest_terms(den * other.den, sorted(acc.items())))
         return out
 
     def __add__(self, other: "Letter") -> "Letter":
         self._check(other)
-        return Letter(self.algebra, sparse_vector(self.payload + other.payload))
+        den, acc = lcm(self.payload.den, other.payload.den), {}
+        for d, entries in (self.payload, other.payload):
+            for i, z in entries:
+                acc[i] = acc.get(i, 0) + z * (den // d)
+        return Letter(self.algebra, lowest_terms(den, sorted(acc.items())))
 
     def __sub__(self, other: "Letter") -> "Letter":
         return self + other.scale(-1)
 
     def scale(self, c) -> "Letter":
-        c = Fraction(c)
-        return Letter(self.algebra,
-                      tuple((i, x * c) for i, x in self.payload) if c else ())
+        c, (den, entries) = Fraction(c), self.payload
+        return Letter(self.algebra, lowest_terms(
+            den * c.denominator, ((i, z * c.numerator) for i, z in entries)))
 
     @property
     def is_zero(self) -> bool:
-        return not self.payload
+        return not self.payload.entries
 
     def __repr__(self):
         return f"Letter({self.algebra.describe(self.payload)})"
@@ -308,13 +298,12 @@ class Letter(Gauge):
 
 def letter_pair(a: Letter, b: Letter) -> Fraction:
     """<xi_a, xi_b> under the algebra's gram form: a's int pairing row
-    against b's int payload, its one-particle vector, computed once and kept
-    on a, as a's products are."""
+    against b's payload, computed once and kept on a, as a's products are."""
     out = a._pairs.get(b)
     if out is None:
         a._check(b)
         den, row = a.pairing()
-        db, xi = b.ints
+        db, xi = b.payload
         out = a._pairs[b] = Fraction(sum(z * row[i] for i, z in xi if i in row),
                                      den * db)
     return out
@@ -325,7 +314,7 @@ def _basis_letter(algebra, i: int) -> Letter:
     canonical payload built directly."""
     if not 0 <= i < algebra.space.dim:
         raise UsageError(f"basis index {i} out of range")
-    return Letter(algebra, ((i, _ONE),))
+    return Letter(algebra, SparseVector(1, ((i, 1),)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +377,7 @@ class ProcessModel:
                                for a, w in enumerate(grid.widths) for k in range(b)],
             ring)
         # x^k in P_0..P_{rank-1}: row k of L, its null part dropped
-        self._powers = [tuple((j, x) for j, x in enumerate(low[k][:b]) if x)
-                        for k in range(c)]
+        self._powers = [sparse_vector(low[k][:b]) for k in range(c)]
         if (m, c) not in moments.tables:
             moments.tables[m, c] = self._product_table()
         self.product_den, self._products = moments.tables[m, c]
@@ -475,18 +463,22 @@ class ProcessModel:
         for (a, k), c in dict(entries).items():
             if not 0 <= a < self.grid.n_atoms:
                 raise UsageError(f"atom index {a} out of range")
-            if not 1 <= k <= self.degree_cutoff:
-                raise UsageError(f"power {k} outside 1..{self.degree_cutoff}")
-            out.extend((a * b + j, x if c == 1 else c * x) for j, x in self._powers[k - 1])
-        # one power on atoms in order is canonical as it is: sparse_vector passes it
-        return Letter(self, sparse_vector(tuple(out)))
+            den, row = self._power(k)
+            out.extend((a * b + j, Fraction(z, den) * c) for j, z in row)
+        return Letter(self, sparse_vector(out))
+
+    def _power(self, k: int) -> SparseVector:
+        """x^{k-1} in P_0..P_{rank-1}, for a power k in 1..degree_cutoff."""
+        if not 1 <= k <= self.degree_cutoff:
+            raise UsageError(f"power {k} outside 1..{self.degree_cutoff}")
+        return self._powers[k - 1]
 
     def basis_place(self, i: int) -> tuple[int, int]:
         """(A, k) of basis index i: e_{A,k} = P_k on atom A sits at A rank + k."""
         return divmod(i, self.rank)
 
-    def basis_product(self, p: SparseVector, i: int) -> SparseVector:
-        """p e_i over `product_den`, p an int payload: its terms c P_k on the
+    def basis_product(self, p: Entries, i: int) -> Entries:
+        """p e_i over `product_den`, p a payload's entries: its terms c P_k on the
         atom of e_i = P_m, found by bisection, each taken to c x P_k P_m by the
         product table; a product past the cutoff is a CutoffExceededError."""
         b = self.rank
@@ -502,7 +494,7 @@ class ProcessModel:
                 out[k] += c * x
         return tuple((lo + k, x) for k, x in enumerate(out) if x)
 
-    def support(self, p: SparseVector) -> frozenset[int]:
+    def support(self, p: Entries) -> frozenset[int]:
         """Every index on an atom that p touches: p e_i is 0 off them."""
         b = self.rank
         return frozenset(j for a in {i // b for i, _ in p}
@@ -515,7 +507,7 @@ class ProcessModel:
         return Fraction(0)
 
     def describe(self, p: SparseVector) -> str:
-        return " + ".join(f"{c}*P{k}[A{a}]" for i, c in p
+        return " + ".join(f"{Fraction(z, p.den)}*P{k}[A{a}]" for i, z in p.entries
                           for a, k in (self.basis_place(i),)) or "0"
 
     # -- convenience -------------------------------------------------------
@@ -539,8 +531,10 @@ class ProcessModel:
         key = (first, end, power)
         out = self.intervals.get(key)
         if out is None:
-            out = self.intervals[key] = self.letter(
-                {(a, power): _ONE for a in range(first, end)})
+            # its power's row repeated per atom, in lowest terms as the row is
+            (den, row), b = self._power(power), self.rank
+            out = self.intervals[key] = Letter(self, SparseVector(den, tuple(
+                (a * b + j, z) for a in range(first, end) for j, z in row)))
         return out
 
     def prefix_letter(self, t, power: int = 1) -> Letter:
@@ -612,12 +606,12 @@ class WeightedPointAlgebra:
             raise UsageError("function must assign a value to every point")
         return Letter(self, sparse_vector(vals))
 
-    def basis_product(self, p: SparseVector, i: int) -> SparseVector:
+    def basis_product(self, p: Entries, i: int) -> Entries:
         """p e_i: e_i scaled by the value of p at point i, found by bisection."""
         k = bisect_left(p, (i,))
         return p[k:k + 1] if k < len(p) and p[k][0] == i else ()
 
-    def support(self, p: SparseVector) -> frozenset[int]:
+    def support(self, p: Entries) -> frozenset[int]:
         """p's own indices: p e_i is 0 off them."""
         return frozenset(i for i, _ in p)
 
@@ -625,11 +619,11 @@ class WeightedPointAlgebra:
         return p
 
     def mean(self, p: SparseVector) -> Fraction:
-        return sum((self.weights[i] * v for i, v in p), Fraction(0))
+        return sum((self.weights[i] * z for i, z in p.entries), Fraction(0)) / p.den
 
     def describe(self, p: SparseVector) -> str:
-        values = dict(p)
-        return str(tuple(str(values.get(i, Fraction(0)))
+        values = dict(p.entries)
+        return str(tuple(str(Fraction(values.get(i, 0), p.den))
                          for i in range(len(self.points))))
 
     # -- convenience -------------------------------------------------------
@@ -641,4 +635,5 @@ class WeightedPointAlgebra:
         return _basis_letter(self, i)
 
     def sup_norm(self, f: Letter) -> Fraction:
-        return max((abs(v) for _, v in f.payload), default=Fraction(0))
+        return Fraction(max((abs(z) for _, z in f.payload.entries), default=0),
+                        f.payload.den)

@@ -20,7 +20,7 @@ from math import log
 from typing import Callable, Iterable, Sequence
 
 from .errors import UsageError, check_size
-from .fock import FockOperator, FockVector, adjoint, apply, innerq
+from .fock import FockOperator, FockVector, adjoint, apply, innerq, lowest_terms
 from .model import Interval, Letter, ProcessModel
 from .partitions import (SetPartition, enumerate_partitions, index_tuples,
                          kernel_coefficients, rc)
@@ -371,7 +371,7 @@ def _checked_pieces(model: ProcessModel, pieces: Iterable, values=lambda u: (u,)
             letters = [l for word in u.terms for l in word]
             if u.algebra is not model or any(l.algebra is not model for l in letters):
                 raise UsageError("process values from a different model")
-            if any(_atom_end(model, i) > a for l in letters for i, _ in l.payload):
+            if any(_atom_end(model, i) > a for l in letters for i, _ in l.payload.entries):
                 raise UsageError(f"process value on [{a},{b}) uses letters "
                                  f"past {a}: not adapted")
         out.append(((a, b), piece))
@@ -446,8 +446,9 @@ def conditional_expectation(a: WickElement, t) -> WickElement:
         raise UsageError(f"time {t} is not a grid boundary")
 
     def restrict(letter: Letter) -> Letter:
-        return Letter(model, tuple((i, c) for i, c in letter.payload
-                                   if _atom_end(model, i) <= t))
+        den, entries = letter.payload
+        return Letter(model, lowest_terms(den, (e for e in entries
+                                                if _atom_end(model, e[0]) <= t)))
 
     return a.map_letters(restrict)
 

@@ -149,7 +149,7 @@ def commutation_relation(sub: random.Random, dim: int, q: QScalar
     while not space.pair_ints(zeta)[1]:
         zeta = sparse_vector(rand_vector(sub, dim))
     eta = sparse_vector(rand_vector(sub, dim))
-    while not eta:
+    while not eta.entries:
         eta = sparse_vector(rand_vector(sub, dim))
     lhs = (FockOperator.annihilation(zeta) * FockOperator.creation(eta)
            - FockOperator.compose([FockOperator.creation(eta),

@@ -26,7 +26,7 @@ one budget, MAX_ARC_STATES live states after a position, in place of a cap
 on n.  Each state's polynomial is one int, its value at a power of two.
 
 Letters are interned in their algebra (model.Letter), so they serve as keys
-themselves: a key hashes and compares object ids, never Fraction payloads.
+themselves: a key hashes and compares object ids, never their payloads.
 Wick operators are memoised per algebra, in its `wick_cache`, keyed by the
 word of letters, and letter products, pairing rows and pairings are cached
 on the letters.  No memo lives for one call: each pairing is built once per
@@ -139,15 +139,16 @@ class WickElement:
 
     def vector(self) -> FockVector:
         """W(v)Ω = v: Σ c · xi_1 ⊗ ... ⊗ xi_n (Ω for the empty word), each
-        word's tensor built on Fractions and added into one term table."""
+        word's tensor built on int numerators and added into one term table."""
         out = FockVector(self.algebra.space, self.algebra.fock_depth)
         for word, c in self.terms.items():
-            tensor = {(): Fraction(1)}
+            den, tensor = 1, {(): 1}
             for letter in reversed(word):
-                tensor = {(i,) + w: y * x for w, x in tensor.items()
-                          for i, y in letter.xi()}
+                d, entries = letter.xi()
+                den, tensor = den * d, {(i,) + w: y * x for w, x in tensor.items()
+                                        for i, y in entries}
             for w, x in tensor.items():
-                out.add_term(w, c * const(x))
+                out.add_term(w, c * const(Fraction(x, den)))
         return out
 
     def gamma(self) -> "WickElement":

@@ -17,6 +17,7 @@ from qfock.errors import DepthExceededError
 from qfock.fock import FockOperator, FockVector, OneParticleSpace, apply
 from qfock.qscalar import ONE, QScalar, const
 from matrix_gauge import matrix_gauge
+from one_form import rationals
 
 MAX_WORD = 3
 
@@ -62,11 +63,11 @@ def ref_apply(op, vec, gram):
         if kind == "scalar":
             v_add(out, w, p_mul(c, dict(enumerate(op.payload.coeffs))))
         elif kind == "creation":
-            for i, z in op.payload:
+            for i, z in rationals(op.payload):
                 v_add(out, (i,) + w, p_mul(c, {0: z}))
         elif kind == "annihilation":
             for k, i in enumerate(w):
-                g = sum(z * gram[j][i] for j, z in op.payload)
+                g = sum(z * gram[j][i] for j, z in rationals(op.payload))
                 v_add(out, w[:k] + w[k + 1:], p_mul(c, {k: g}))
         else:  # gauge (a MatrixGauge): matrix[j][i] is the coefficient of
             # e_j in T e_i

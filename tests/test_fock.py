@@ -17,7 +17,7 @@ from qfock import fock
 from qfock.errors import (CutoffExceededError, DepthExceededError,
                           ResourceBudgetError, UsageError)
 from qfock.fock import (NORM_WORD_CAP, FockOperator, FockVector,
-                        OneParticleSpace, adjoint, apply, apply_Pn,
+                        OneParticleSpace, SparseVector, adjoint, apply, apply_Pn,
                         field_operator, inner0, innerq,
                         operator_norm_estimate, sparse_vector)
 from qfock.suites import grid_model
@@ -139,9 +139,9 @@ class TestInnerProducts:
 
     def test_asymmetric_gram_rejected(self):
         g = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
-        # the same gram as canonical sparse rows, which sparse_vector keeps
+        # the same gram as rows in the one form, which sparse_vector keeps
         # as they are: they are checked all the same
-        rows = [((0, Fraction(1)), (1, Fraction(2))), ((1, Fraction(1)),)]
+        rows = [SparseVector(1, ((0, 1), (1, 2))), SparseVector(1, ((1, 1),))]
         for gram in (g, rows):
             with pytest.raises(UsageError, match="symmetric"):
                 OneParticleSpace(2, gram)
@@ -174,7 +174,7 @@ class TestOperators:
         matrix_gauge([[Fraction(1)] * 3] * 3)],
         ids=["creation", "creation-negative", "annihilation", "gauge"])
     def test_apply_refuses_index_out_of_range(self, space2, op):
-        # checked once per node, not on the words the node derives
+        # checked on the node's own indices, not on the words it derives
         v = vec(space2, 3, ((), 1), ((1, 0), 1))
         with pytest.raises(UsageError, match="out of range"):
             apply(op, v)
@@ -407,6 +407,23 @@ class TestAdjointAndProjection:
         assert innerq(apply(a, u), v) == innerq(u, apply(adjoint(a), v))
 
 
+class OffRangeGauge(fock.Gauge):
+    """A gauge whose column 0 holds one given index, and whose support also
+    holds 5, past every index of a 2-dim space: reading column 5 fails."""
+
+    den = 1
+
+    def __init__(self, index):
+        self.index = index
+
+    def column(self, i):
+        assert i == 0, f"column {i} read"
+        return ((self.index, 1),)
+
+    def support(self):
+        return frozenset((0, 5))
+
+
 class TestNormEstimates:
     def test_requires_float(self, space2):
         # a float estimate needs a q0 to evaluate at; the ring without one
@@ -481,6 +498,25 @@ class TestNormEstimates:
         t = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
         n = operator_norm_estimate(matrix_gauge(t), sp, 5)
         assert n <= 2.0 + 1e-9
+
+    @pytest.mark.parametrize("index", [-1, 2], ids=["negative", "dim"])
+    @pytest.mark.parametrize("kind", ["creation", "gauge"])
+    def test_refuses_an_index_apply_refuses(self, kind, index):
+        # on the orthonormal 2-dim space, a creation at an index out of
+        # range, or a gauge whose column 0 holds one, is refused by the
+        # estimate with the message of `apply`; a support index that no
+        # word can hold is not read by either
+        sp = OneParticleSpace.orthonormal(2, ScalarRing(Fraction(3, 10)))
+        if kind == "creation":
+            op = FockOperator.creation([(index, 1)])
+            message = "creation index out of range in"
+        else:
+            op = FockOperator.gauge(OffRangeGauge(index))
+            message = "gauge column 0 has an index out of range"
+        with pytest.raises(UsageError, match=message):
+            apply(op, FockVector.basis_word(sp, 3, (0,)))
+        with pytest.raises(UsageError, match=message):
+            operator_norm_estimate(op, sp, 3)
 
     def test_word_cap_names_size_and_limit(self, monkeypatch):
         # dim 3, depth 8 asks for 9,841 words (775 MB per dense matrix); the

@@ -14,6 +14,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from qfock import cli
 from qfock.suites import rand_letter, three_point_model
 from qfock.errors import CutoffExceededError, UsageError
-from qfock import model as model_module
+from qfock import fock as fock_module
 from qfock.fock import (FockOperator, FockVector, OneParticleSpace, apply,
                         sparse_vector)
 from qfock.model import (Letter, MomentSequence, ProcessModel, TimeGrid,
@@ -243,16 +244,17 @@ def test_letter_pair_matches_fraction_reference(drawn):
     assert letter_pair(a, a) == reference(algebra, fa, fa)
     den, row = a.pairing()
     assert den > 0 and all(row.values())
-    den, ints = b.ints
-    assert tuple((i, F(z, den)) for i, z in ints) == b.payload
-    assert all(type(z) is int for _, z in ints)
+    den, ints = b.payload
+    assert den > 0 and gcd(den, *(z for _, z in ints)) == 1
+    assert all(type(z) is int and z for _, z in ints)
 
 
 def test_letter_pair_reads_the_int_payload(model, monkeypatch):
-    """Once its letters exist, `letter_pair` builds no int form of a payload."""
+    """Once its letters exist, `letter_pair` builds no int form of a payload:
+    it reads each payload as it is."""
     a, b = model.atom_letter(0, 1), model.interval_letter((0, F(1, 2)), 2)
     want = grid_reference(model, {(0, 1): 1}, {(0, 2): 1, (1, 2): 1})
-    monkeypatch.setattr(model_module, "int_numerators", None)
+    monkeypatch.setattr(fock_module, "int_numerators", None)
     assert letter_pair(a, b) == want and letter_pair(b, a) == want
 
 
@@ -284,12 +286,12 @@ def check_grid_gauge(model: ProcessModel, letter: Letter, form: dict) -> None:
     for atom in range(model.grid.n_atoms):
         for m in range(1, model.degree_cutoff + 1):
             g = model.atom_letter(atom, m)
-            if any(i not in cols for i, _ in g.payload):
+            if any(i not in cols for i, _ in g.payload.entries):
                 continue
             image: dict = {}
-            for i, c in g.payload:
+            for i, z in g.payload.entries:
                 for j, x in cols[i]:
-                    image[j] = image.get(j, 0) + c * F(x, gauge.den)
+                    image[j] = image.get(j, 0) + F(z * x, g.payload.den * gauge.den)
             for k in range(1, model.degree_cutoff + 1):
                 got = model.space.pair_vec(sparse_vector(image.items()),
                                            model.atom_letter(atom, k).payload)
@@ -313,7 +315,7 @@ def test_gauge_columns_match_former_per_algebra_forms(drawn):
             assert gauge is None
             continue
         assert gauge is letter
-        assert gauge.den == letter.ints[0] * algebra.product_den
+        assert gauge.den == letter.payload.den * algebra.product_den
         if isinstance(algebra, ProcessModel):
             check_grid_gauge(algebra, letter, form)
             continue

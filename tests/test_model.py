@@ -9,9 +9,12 @@ from qfock.fock import FockVector, apply
 from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
                          TimeGrid, letter_pair)
 from qfock.qscalar import EXACT, ONE, QScalar, const
+from qfock.suites import (all_ones_model, gaussian_model, three_point_model,
+                          two_point_model)
 from qfock.stochastic import (conditional_expectation, delta_process,
                               x_process, yhat_process)
 from qfock.wick import WickElement, product_expansion
+from one_form import assert_one_form, rationals
 
 F = Fraction
 
@@ -330,8 +333,9 @@ class TestWeightedPointAlgebra:
 
     def test_xi_is_sparse(self):
         alg = WeightedPointAlgebra([-1, 0, 2], [F(1, 4), F(1, 2), F(1, 4)], EXACT)
-        assert alg.letter(alg.points).xi() == ((0, F(-1)), (2, F(2)))
-        assert alg.letter([0, 0, 0]).xi() == ()
+        assert alg.letter(alg.points).xi() == (1, ((0, -1), (2, 2)))
+        assert alg.letter([F(1, 2), 0, F(-3, 4)]).xi() == (4, ((0, 2), (2, -3)))
+        assert alg.letter([0, 0, 0]).xi() == (1, ())
 
 
 class TestLetterText:
@@ -351,7 +355,7 @@ class TestLetterText:
         mixed = a.scale(F(-3, 2)) + model.atom_letter(0, 3)
         assert repr(mixed) == "Letter(-1*P0[A0] + 1*P2[A0])"
         assert repr(model.letter({})) == "Letter(0)"
-        assert mixed.xi() == ((0, F(-1)), (2, F(1)))
+        assert mixed.xi() == (1, ((0, -1), (2, 1)))
         # one (S, π) per word: {1,2}{3}*, {1,2}*{3}* and {1}*{2}*{3}*
         assert product_expansion([a, a, b]).terms == {
             (b,): const(F(1, 2)),
@@ -487,16 +491,6 @@ REFERENCES = {
 }
 
 
-def assert_canonical(payload, dim):
-    """A canonical SparseVector: (int index, nonzero Fraction) pairs, the
-    indices in range and strictly increasing."""
-    assert isinstance(payload, tuple)
-    indices = [i for i, _ in payload]
-    assert indices == sorted(set(indices))
-    assert all(0 <= i < dim for i in indices)
-    assert all(type(i) is int and type(c) is Fraction and c for i, c in payload)
-
-
 @st.composite
 def reference_letters(draw):
     kind = draw(st.sampled_from(sorted(REFERENCES)))
@@ -531,9 +525,9 @@ def test_letter_algebra_matches_former_payload_form(drawn):
     else:
         cases.append((l1 * l2, product))
     for got, want in cases:
-        assert_canonical(got.payload, algebra.space.dim)
+        assert_one_form(got.payload, algebra.space.dim)
         if kind == "points":
-            assert got.payload == ref.sparse(want)
+            assert rationals(got.payload) == ref.sparse(want)
         assert got.xi() == got.payload
         assert letter_pair(got, got) == ref.norm2(want)
         assert got.is_zero == (ref.norm2(want) == 0)
@@ -549,5 +543,59 @@ def test_letter_algebra_matches_former_payload_form(drawn):
                 assert restricted.is_zero
                 continue
             [(word, coeff)] = restricted.terms.items()
-            assert_canonical(word[0].payload, algebra.space.dim)
+            assert_one_form(word[0].payload, algebra.space.dim)
             assert word == (ref.letter(kept),) and coeff == ONE
+
+
+SCALES = st.builds(Fraction, st.sampled_from((-12, -6, -4, -3, -2, 0, 1, 2, 3, 4, 6, 12)),
+                   st.sampled_from((1, 2, 3, 4, 6, 12)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reference_letters(), SCALES)
+def test_letter_operations_keep_the_one_form(drawn, c):
+    """+, -, scale, * and the restriction of conditional_expectation return
+    payloads in the one form, and + and scale the values of the Fraction
+    sum and product; the scales share factors with the payloads' own
+    denominators and numerators, so the results must be reduced."""
+    kind, p1, p2, _ = drawn
+    ref = REFERENCES[kind]
+    algebra = ref.algebra
+    l1, l2 = ref.letter(p1), ref.letter(p2)
+    total = dict(rationals(l1.payload))
+    for i, x in rationals(l2.payload):
+        total[i] = total.get(i, 0) + x
+    assert rationals((l1 + l2).payload) == tuple(sorted((i, x) for i, x in total.items() if x))
+    assert rationals(l1.scale(c).payload) == tuple(
+        (i, x * c) for i, x in rationals(l1.payload) if c)
+    results = [l1 + l2, l1 - l2, l1.scale(c), l2.scale(c)]
+    if ref.product(p1, p2) is not None:
+        results.append(l1 * l2)
+    if kind != "points":
+        for t in algebra.grid.boundaries:
+            restricted = conditional_expectation(WickElement.from_word(algebra, (l1,)), t)
+            results.extend(word[0] for word in restricted.terms)
+    for letter in results:
+        assert_one_form(letter.payload, algebra.space.dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([gaussian_model, all_ones_model, two_point_model, three_point_model]),
+       st.integers(1, 4), st.data())
+def test_run_letters_are_the_letters_of_their_powers(make, n_atoms, data):
+    """A run letter, built from its power's row without the canonicalising
+    pass, is the very letter that `letter` builds from {(atom, k): 1} over
+    its atoms, for every power k up to the cutoff: a run letter not in
+    lowest terms would intern one vector as two letters."""
+    model = make(n_atoms=n_atoms)
+    first = data.draw(st.integers(0, n_atoms - 1))
+    end = data.draw(st.integers(first + 1, n_atoms))
+    grid = model.grid
+    for k in range(1, model.degree_cutoff + 1):
+        def of(atoms):
+            return model.letter({(a, k): 1 for a in atoms})
+        run = model.interval_letter((grid.boundaries[first], grid.boundaries[end]), k)
+        assert run is of(range(first, end))
+        assert model.atom_letter(first, k) is of([first])
+        assert model.prefix_letter(grid.boundaries[end], k) is of(range(end))
+        assert_one_form(run.payload, model.space.dim)

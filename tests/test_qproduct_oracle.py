@@ -189,6 +189,7 @@ def test_innerq_calls_inner0_and_apply_Pn_once_each(monkeypatch):
 
 
 def dense_pair(gram, zeta, eta):
+    """<zeta, eta> of (index, rational) pairs, repeated indices adding."""
     return sum((c * gram[j][i] * e for j, c in zeta for i, e in eta), Fraction(0))
 
 
@@ -198,16 +199,16 @@ def test_pairings_in_lowest_terms(data):
     gram = data.draw(grams())
     dim = len(gram)
     space = OneParticleSpace(dim, gram)
-    sparse = st.lists(st.tuples(st.integers(0, dim - 1), mixed), max_size=dim).map(
-        fock.sparse_vector)
-    zeta, eta = data.draw(sparse), data.draw(sparse)
+    pairs = st.lists(st.tuples(st.integers(0, dim - 1), mixed), max_size=dim)
+    zeta_in, eta_in = data.draw(pairs), data.draw(pairs)
+    zeta, eta = fock.sparse_vector(zeta_in), fock.sparse_vector(eta_in)
     den, row = space.pair_ints(zeta)
     assert den > 0 and gcd(den, *row.values()) == 1
     assert all(row.values())
-    want = {i: dense_pair(gram, zeta, ((i, Fraction(1)),)) for i in range(dim)}
+    want = {i: dense_pair(gram, zeta_in, ((i, Fraction(1)),)) for i in range(dim)}
     assert {i: Fraction(g, den) for i, g in row.items()} == {
         i: x for i, x in want.items() if x}
-    assert space.pair_vec(zeta, eta) == dense_pair(gram, zeta, eta)
+    assert space.pair_vec(zeta, eta) == dense_pair(gram, zeta_in, eta_in)
     for i in range(dim):
         assert space.pair(zeta, i) == want[i]
 

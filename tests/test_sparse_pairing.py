@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfock.errors import UsageError
-from qfock.fock import (FockOperator, FockVector, OneParticleSpace, apply,
-                        sparse_vector)
+from qfock.fock import (FockOperator, FockVector, OneParticleSpace, SparseVector,
+                        apply, sparse_vector)
 from qfock.model import (MomentSequence, ProcessModel, TimeGrid,
                          WeightedPointAlgebra, letter_pair)
 from qfock.qscalar import EXACT, ScalarRing, const, q_pow
+from one_form import assert_one_form, rationals
 
 RINGS = (EXACT, ScalarRing(Fraction(3, 10)))
 DEPTH = 4
@@ -113,13 +114,12 @@ def test_sparse_pairing_matches_dense_oracle(case):
 @given(st.lists(fractions, max_size=6))
 def test_sparse_vector_round_trip(dense):
     sv = sparse_vector(dense)
-    assert all(c for _, c in sv)
-    assert [i for i, _ in sv] == sorted({i for i, _ in sv})
+    assert_one_form(sv)
     back = [Fraction(0)] * len(dense)
-    for i, c in sv:
-        back[i] = c
+    for i, z in sv.entries:
+        back[i] = Fraction(z, sv.den)
     assert back == dense
-    assert sparse_vector(sv) == sv
+    assert sparse_vector(sv) is sv
 
 
 def reference_sparse_vector(zeta):
@@ -141,15 +141,14 @@ coefficients = st.one_of(fractions, st.integers(-3, 3),
 @given(st.lists(st.tuples(st.integers(0, 5), coefficients), max_size=8),
        st.lists(coefficients, max_size=6))
 def test_sparse_vector_matches_reference(pairs, dense):
-    """A canonical tuple comes back as it is; unsorted pairs, repeated
-    indices, zero coefficients, int or str coefficients, and dense input
-    give exactly what the accumulate-and-sort form gives."""
+    """Unsorted pairs, repeated indices, zero coefficients, int or str
+    coefficients, and dense input give the one form of what the
+    accumulate-and-sort form gives; a SparseVector comes back as it is."""
     for given_form in (pairs, tuple(pairs), dense, tuple(dense)):
-        want = reference_sparse_vector(given_form)
         got = sparse_vector(given_form)
-        assert got == want
-        assert all(type(i) is int and type(c) is Fraction for i, c in got)
-        assert sparse_vector(want) is want
+        assert_one_form(got)
+        assert rationals(got) == reference_sparse_vector(given_form)
+        assert sparse_vector(got) is got
 
 
 @pytest.mark.parametrize("zeta", [
@@ -161,22 +160,23 @@ def test_sparse_vector_matches_reference(pairs, dense):
     (Fraction(1), Fraction(2)),
 ], ids=["unsorted", "repeated", "zero", "int", "str", "dense"])
 def test_sparse_vector_normalises_near_canonical_tuples(zeta):
-    # each is one entry away from the canonical form, so it is rebuilt
+    # each is one entry away from a sorted tuple of nonzero Fraction pairs,
+    # which is not the one form either: every tuple is rebuilt
     got = sparse_vector(zeta)
-    assert got == reference_sparse_vector(zeta) and got is not zeta
-    assert all(type(c) is Fraction for _, c in got)
+    assert_one_form(got)
+    assert rationals(got) == reference_sparse_vector(zeta) and got is not zeta
 
 
 def test_sparse_vector_adds_repeated_indices():
     sv = sparse_vector([(2, Fraction(1)), (0, 3), (2, Fraction(-1, 2)), (1, 0)])
-    assert sv == ((0, Fraction(3)), (2, Fraction(1, 2)))
-    assert sparse_vector([]) == ()
+    assert sv == (2, ((0, 6), (2, 1)))
+    assert sparse_vector([]) == (1, ()) == sparse_vector([(0, 1), (0, -1)])
 
 
 def test_pair_ints_rejects_out_of_range_index():
     space = OneParticleSpace.orthonormal(2)
     with pytest.raises(UsageError, match="basis index 2 out of range"):
-        space.pair_ints(((2, Fraction(1)),))
+        space.pair_ints(SparseVector(1, ((2, 1),)))
 
 
 def test_gram_rows_follow_blocks():
@@ -234,7 +234,9 @@ def test_sparse_rows_add_repeated_indices():
     assert space.gram_den == dense.gram_den == 1
 
 
-ONE_F, TWO_F, THREE_F = Fraction(1), Fraction(2), Fraction(3)
+def vector(*entries):
+    return SparseVector(1, entries)
+
 
 
 @pytest.mark.parametrize("rows,message", [
@@ -245,12 +247,12 @@ ONE_F, TWO_F, THREE_F = Fraction(1), Fraction(2), Fraction(3)
     ([[(0, 1), (1, 2)], [(0, 3), (1, 1)]], "symmetric"),
     ([[(0, 1)]], "2 rows"),
     ([[1, 0], [0, 1], [0, 0]], "2 rows"),
-    # rows already in canonical sparse form, which sparse_vector passes
-    # through unchanged, are checked all the same
-    ([((0, ONE_F),), ((1, ONE_F), (2, ONE_F))], "basis index 2 out of range"),
-    ([((0, ONE_F),), ((1, ONE_F), (5, ONE_F))], "basis index 5 out of range"),
-    ([((0, ONE_F), (1, TWO_F)), ((1, ONE_F),)], "symmetric"),
-    ([((0, ONE_F), (1, TWO_F)), ((0, THREE_F), (1, ONE_F))], "symmetric"),
+    # rows already in the one form, which sparse_vector returns as they
+    # are, are checked all the same
+    ([vector((0, 1)), vector((1, 1), (2, 1))], "basis index 2 out of range"),
+    ([vector((0, 1)), vector((1, 1), (5, 1))], "basis index 5 out of range"),
+    ([vector((0, 1), (1, 2)), vector((1, 1))], "symmetric"),
+    ([vector((0, 1), (1, 2)), vector((0, 3), (1, 1))], "symmetric"),
 ], ids=["index_past_dim", "negative_index", "dense_row_too_long",
         "asymmetric_missing", "asymmetric_value", "too_few_rows",
         "too_many_rows", "canonical_index_past_dim",

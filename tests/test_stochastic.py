@@ -328,24 +328,21 @@ class TestStochasticMeasures:
 
     def test_power_decomposition_builds_each_prefix_letter_once(self, monkeypatch):
         # every closed form goes through the module name st_pi_closed, and
-        # each (interval, power) letter is built once per model, counted at
-        # ProcessModel.letter: the model keeps its interval letters, so a
-        # second decomposition at the same t builds none
+        # each (interval, power) letter is built once per model, counted
+        # where a letter reads its power's row (ProcessModel._power): the
+        # model keeps its interval letters, so a second decomposition at the
+        # same t builds none
         from qfock import stochastic
         model = three_point()
         closed, built = [], []
-        real_closed, real_letter = stochastic.st_pi_closed, model.letter
+        real_closed, real_power = stochastic.st_pi_closed, model._power
 
         def st_pi_closed(pi, t, m):
             closed.append(pi)
             return real_closed(pi, t, m)
 
-        def letter(entries):
-            built.extend({k for _, k in entries})
-            return real_letter(entries)
-
         monkeypatch.setattr(stochastic, "st_pi_closed", st_pi_closed)
-        monkeypatch.setattr(model, "letter", letter)
+        monkeypatch.setattr(model, "_power", lambda k: built.append(k) or real_power(k))
         for _ in range(2):
             assert power_decomposition(4, 1, model).is_zero
         assert len(closed) == 2 * len(list(enumerate_partitions(4)))
@@ -358,13 +355,12 @@ class TestStochasticMeasures:
     ], ids=["psi_delta2_x_x", "st_pi_discrete_pair"])
     def test_process_letters_built_once_per_model(self, monkeypatch, measure):
         # the processes' letters are the model's interval letters, counted
-        # where the model builds one: psi builds powers 2 and 1 on [0, 1),
-        # the discrete St_pi power 1 on each of the two atoms, and a model
-        # asked three times builds them once
+        # where the model builds one, reading its power's row: psi builds
+        # powers 2 and 1 on [0, 1), the discrete St_pi power 1 on each of
+        # the two atoms, and a model asked three times builds them once
         model = three_point_model()
-        built, real_letter = [], model.letter
-        monkeypatch.setattr(model, "letter",
-                            lambda entries: built.append(entries) or real_letter(entries))
+        built, real_power = [], model._power
+        monkeypatch.setattr(model, "_power", lambda k: built.append(k) or real_power(k))
         for _ in range(3):
             measure(model)
         assert len(built) == 2

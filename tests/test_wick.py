@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from qfock import wick
 from qfock.suites import (all_ones_model, all_ones_pointset, gaussian_model,
-                          three_point_model)
+                          grid_model, three_point_model)
 from qfock.errors import CutoffExceededError, ResourceBudgetError, UsageError
 from qfock.fock import FockOperator, FockVector, apply
 from qfock.model import (Letter, WeightedPointAlgebra, MomentSequence,
@@ -578,6 +578,27 @@ def test_vacuum_moments_are_a_positive_functional(name, order, q0):
     pivots = hankel_pivots([c.subs(q0) for c in x1_moments(name, order)])
     assert len(pivots) == order // 2 + 1
     assert all(p > 0 for p in pivots), pivots
+
+
+q0s = st.fractions(min_value=F(-19, 20), max_value=F(19, 20), max_denominator=20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.fractions(min_value=-2, max_value=2, max_denominator=4),
+                          st.fractions(min_value=F(1, 4), max_value=2, max_denominator=4)),
+                min_size=1, max_size=3),
+       st.lists(q0s, min_size=2, max_size=2),
+       st.lists(q0s.map(lambda q: -abs(q) or F(-1, 20)), min_size=3, max_size=3))
+def test_drawn_vacuum_moments_are_a_positive_functional(nu, q0s, negative):
+    """On a drawn nu of 1-3 atoms, one grid atom and cutoff 3, so that the
+    model closes, every pivot of the Hankel form of X(1)'s moments to order
+    14 is positive at drawn q0, three of them negative: a wrong crossing
+    weight in the arc transfer passes at positive q0 only."""
+    x = grid_model(nu, 1, 3, 2).prefix_letter(1)
+    moments = suffix_moments([x] * 14)
+    for q0 in q0s + negative:
+        pivots = hankel_pivots([c.subs(q0) for c in moments])
+        assert len(pivots) == 8 and all(p > 0 for p in pivots), (q0, pivots)
 
 
 # ---------------------------------------------------------------------------
