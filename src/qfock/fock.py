@@ -47,11 +47,13 @@ functions (stochastic.l2q_inner).  P_n is built one way, by the
 Bozejko-Speicher factorisation P_n = (1 (x) P_{n-1}) R_n, where
 R_n = sum_k q^k C_k and C_k moves tensor slot k to the front.  `apply_Pn`
 applies it to sparse words on an integer image, each slot move one index
-getter built per call, and makes each word canonical once.  `inner0` sums
-int products of gram entries: it indexes u's words by the classes of their
-slots, by the word itself on a diagonal gram, and streams v's words
-against that index, so only the words of v that pair with some word of u
-are opened again.  Each makes its result canonical once.  The float q-gram
+getter built per call.  `inner0` sums int products of gram entries: it
+indexes u's words by their bucket, the classes of their slots (the word
+itself on a diagonal gram), and streams v's words against that index, so
+only the words of v that pair with some word of u are opened again.
+`innerq` hands u to `apply_Pn`, which keeps a word it moves last only if
+its bucket holds a word of u: P_n v is built only where it pairs.  Each
+makes its result canonical once.  The float q-gram
 of a norm estimate takes it at q0 by one dense step per degree.
 Norm estimates keep on the space, per degree n, the dense R_n at q0, which
 that step and their annihilation and gauge blocks share, the q-gram, and
@@ -360,9 +362,10 @@ def inner0(u: FockVector, v: FockVector) -> QScalar:
     return QScalar.of_numerators(total[None], uimg.den * vden * gd ** top)
 
 
-def apply_Pn(v: FockVector) -> FockVector:
+def apply_Pn(v: FockVector, within: FockVector | None = None) -> FockVector:
     """P_n on each degree-n part of v by the factorisation
-    P_n = (1^{(x)(n-2)} (x) R_2) ... (1 (x) R_{n-1}) R_n.
+    P_n = (1^{(x)(n-2)} (x) R_2) ... (1 (x) R_{n-1}) R_n; given `within`, only
+    the words of P v that can pair with a word of it.
 
     Step s moves each slot k >= s of a word to place s, with weight q^{k-s},
     and collects equal words, so the work is bounded by the distinct
@@ -372,11 +375,19 @@ def apply_Pn(v: FockVector) -> FockVector:
     numerators stay over v's one denominator (a `qscalar.IntImage`): a move
     is a shift of k-s places, and each word becomes canonical once, at the
     end.  A word of length <= s+1 passes step s unchanged.  A degree above
-    PN_CAP is refused up front.
+    PN_CAP is refused up front.  Step n-2 is the last to move a degree-n
+    word; given `within` (on v's space), a word it moves is kept only if
+    its bucket, as `inner0` keys it, holds a word of `within` (words of
+    degree 0 and 1, which no step moves, are all kept).  A dropped word
+    pairs with no word of `within`, so <within, P v>_0 is unchanged.
     """
     top = v.top_degree()
     check_size("apply_Pn degree", top, PN_CAP)
     img = IntImage.of(v.terms)
+    if within is not None:
+        v._check(within)
+        cls, diag = v.space.classes.__getitem__, v.space.diagonal
+        keep = {w if diag else tuple(map(cls, w)) for w in within.terms}
     for s in range(top - 1):
         moves: dict[int, list] = {}  # degree n -> the getter of each slot k >= s
         nxt: dict[Word, list[int]] = {}
@@ -390,11 +401,14 @@ def apply_Pn(v: FockVector) -> FockVector:
                 getters = moves[n] = [
                     itemgetter(*range(s), k, *range(s, k), *range(k + 1, n))
                     for k in range(s, n)]
+            last = within is not None and n == s + 2
             # a move's multiplier is 1: add num shifted, as addmul would
             for shift, move in enumerate(getters):
                 key = move(w)
                 acc = nxt.get(key)
                 if acc is None:
+                    if last and (key if diag else tuple(map(cls, key))) not in keep:
+                        continue  # pairs with no word of within
                     nxt[key] = [0] * shift + num
                     continue
                 short = shift + len(num) - len(acc)
@@ -408,9 +422,10 @@ def apply_Pn(v: FockVector) -> FockVector:
 
 def innerq(u: FockVector, v: FockVector) -> QScalar:
     """The q-inner product <u, P v>_0; vectors on different spaces are
-    refused before P v is built."""
+    refused before P v is built, and P v is built only where it can pair
+    with u (`apply_Pn(v, u)`), which leaves the product as it is."""
     u._check(v)
-    return inner0(u, apply_Pn(v))
+    return inner0(u, apply_Pn(v, u))
 
 
 # ---------------------------------------------------------------------------

@@ -372,10 +372,14 @@ class ProcessModel:
         self.letters: dict = {}  # canonical payload -> its one Letter
         self.intervals: dict = {}  # (first atom, end atom, power) -> its letter
         self.wick_cache: dict = {}  # letter word -> its Wick operator (wick.py)
-        self.space = OneParticleSpace(
-            grid.n_atoms * b, [((a * b + k, w * pivots[k]),)
-                               for a, w in enumerate(grid.widths) for k in range(b)],
-            ring)
+        # each gram row a ready SparseVector, |A| d_{k+1} made once per atom
+        # width and keyed by its ints, which hash faster than a Fraction
+        keys = [(w.numerator, w.denominator) for w in grid.widths]
+        diag = {key: [w * d for d in pivots[:b]]
+                for key, w in dict(zip(keys, grid.widths)).items()}
+        self.space = OneParticleSpace(grid.n_atoms * b, [
+            SparseVector(d.denominator, ((a * b + k, d.numerator),))
+            for a, key in enumerate(keys) for k, d in enumerate(diag[key])], ring)
         # x^k in P_0..P_{rank-1}: row k of L, its null part dropped
         self._powers = [sparse_vector(low[k][:b]) for k in range(c)]
         if (m, c) not in moments.tables:
@@ -464,6 +468,7 @@ class ProcessModel:
             if not 0 <= a < self.grid.n_atoms:
                 raise UsageError(f"atom index {a} out of range")
             den, row = self._power(k)
+            c = Fraction(c)
             out.extend((a * b + j, Fraction(z, den) * c) for j, z in row)
         return Letter(self, sparse_vector(out))
 

@@ -744,6 +744,15 @@ def test_bareiss_det_against_leibniz():
     assert want and bareiss_det(m) == want
 
 
+def zagier(n: int, q0) -> Fraction:
+    """prod_{k=1}^{n-1} (1 - q0^(k^2+k))^((n-k) n!/(k^2+k))."""
+    want = Fraction(1)
+    for k in range(1, n):
+        e = k * k + k
+        want *= (1 - q0 ** e) ** ((n - k) * math.factorial(n) // e)
+    return want
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_zagier_determinant_of_the_distinct_letter_gram(n):
     """det [<w, w'>_q] over the n! words of n distinct orthonormal letters
@@ -755,11 +764,22 @@ def test_zagier_determinant_of_the_distinct_letter_gram(n):
     for q0 in (Fraction(3, 10), Fraction(-1, 2)):
         entries = [[sum(c * q0 ** k for k, c in enumerate(s.num)) / s.den for s in row]
                    for row in gram]
-        want = Fraction(1)
-        for k in range(1, n):
-            e = k * k + k
-            want *= (1 - q0 ** e) ** ((n - k) * math.factorial(n) // e)
-        assert bareiss_det(entries) == want
+        assert bareiss_det(entries) == zagier(n, q0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("q0", [Fraction(3, 10), Fraction(-1, 2)])
+def test_zagier_determinant_of_the_float_q_gram(n, q0):
+    """The float q-gram of a norm estimate (`_pn_blocks`, degree n at q0),
+    restricted to the n! words of n distinct orthonormal letters, has
+    Zagier's determinant to a relative 1e-12; degree-n words sit in C
+    order, first slot most significant."""
+    gram = fock._pn_blocks(OneParticleSpace.orthonormal(n, ScalarRing(q0)), n)[n][1]
+    rows = [sum(x * n ** (n - 1 - i) for i, x in enumerate(w))
+            for w in permutations(range(n))]
+    got = np.linalg.det(gram[np.ix_(rows, rows)])
+    want = float(zagier(n, q0))
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 # ---------------------------------------------------------------------------

@@ -599,3 +599,51 @@ def test_run_letters_are_the_letters_of_their_powers(make, n_atoms, data):
         assert model.atom_letter(first, k) is of([first])
         assert model.prefix_letter(grid.boundaries[end], k) is of(range(end))
         assert_one_form(run.payload, model.space.dim)
+
+
+def test_letter_takes_str_int_and_fraction_coefficients():
+    """Each coefficient is converted once, as `sparse_vector` and the point
+    set's `letter` convert theirs: a str, an int and a Fraction naming one
+    number give the one interned letter."""
+    model = three_point_model()
+    half = model.letter({(0, 1): F(1, 2), (1, 2): F(3)})
+    assert model.letter({(0, 1): "1/2", (1, 2): "3"}) is half
+    assert model.letter({(0, 1): F(1, 2), (1, 2): 3}) is half
+    assert model.letter({(0, 2): "-2/3"}) is model.atom_letter(0, 2).scale(F(-2, 3))
+
+
+def hankel_pivot(seq: MomentSequence, k: int) -> Fraction:
+    """d_{k+1} = det H_{k+1} / det H_k of the Hankel form [r_{i+j+2}], each
+    determinant by Fraction elimination with row swaps."""
+    def det(m):
+        a, out = [row[:] for row in seq.hankel(m)], F(1)
+        for c in range(m):
+            p = next((r for r in range(c, m) if a[r][c]), None)
+            if p is None:
+                return F(0)
+            if p != c:
+                a[c], a[p], out = a[p], a[c], -out
+            out *= a[c][c]
+            for r in range(c + 1, m):
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+        return out
+    return det(k + 1) / det(k)
+
+
+@pytest.mark.parametrize("make", [
+    gaussian_model, all_ones_model, two_point_model, three_point_model,
+    lambda: ProcessModel(EXACT, three_point(), TimeGrid([0, F(1, 4), F(3, 4), 1]), 3, 6)])
+def test_grid_gram_is_width_times_pivot(make):
+    """The grid gram, built as ints over one denominator, is diagonal with
+    |A| d_{k+1} at index A rank + k, against pivots from Hankel
+    determinants; the uneven grid has two atoms of one width beside a wider
+    one, so a width's entries are shared by value and by nothing else."""
+    model = make()
+    space, b = model.space, model.rank
+    assert space.dim == model.grid.n_atoms * b and space.diagonal
+    for a, w in enumerate(model.grid.widths):
+        for k in range(b):
+            i = a * b + k
+            assert {j: F(g, space.gram_den) for j, g in space.int_rows[i].items()} == {
+                i: w * hankel_pivot(model.moments, k)}

@@ -8,7 +8,8 @@ slots, as `inner0` does; `dense_inner0` shares nothing with either: it
 sums every pair of words of one degree in Fractions, one list of
 coefficients per power of q, and takes P_n as the sum over S_n
 (`sn_oracle.apply_Pn_sum`).  The pairings are checked against a dense
-Fraction sum over the gram.
+Fraction sum over the gram.  `apply_Pn(v, u)`, which `innerq` builds, is
+checked against `apply_Pn(v)` cut by hand to the words that can pair with u.
 """
 
 from fractions import Fraction
@@ -218,9 +219,9 @@ def test_innerq_refuses_other_space_before_apply_Pn(monkeypatch):
     calls = []
     real = fock.apply_Pn
 
-    def counted(v):
-        calls.append(v)
-        return real(v)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(fock, "apply_Pn", counted)
     u = FockVector(OneParticleSpace.orthonormal(2), 3, {(0, 1, 1): ONE})
@@ -230,6 +231,10 @@ def test_innerq_refuses_other_space_before_apply_Pn(monkeypatch):
     with pytest.raises(UsageError, match="vectors live on different spaces"):
         inner0(u, v)
     assert calls == []
+    # apply_Pn keys v's words by the classes of its own space: a `within`
+    # on another space is refused too
+    with pytest.raises(UsageError, match="vectors live on different spaces"):
+        real(v, u)
 
 
 def dense_inner0(u, v):
@@ -315,6 +320,55 @@ def test_q_product_matches_dense_sum(case):
     assert u.space.diagonal == (len(set(cls)) == u.space.dim)
     for a, b in ((u, v), (v, u), (u, u), (v, v)):
         assert inner0(a, b).coeffs == dense_inner0(a, b)
+        assert innerq(a, b).coeffs == dense_inner0(a, apply_Pn_sum(b))
+
+
+@st.composite
+def restricted_cases(draw):
+    """A diagonal gram, a 2 x 2 class block beside a singleton class, or a
+    drawn gram, and two vectors, each of its own top degree 0-4, with
+    polynomial coefficients."""
+    kind = draw(st.sampled_from(("diagonal", "block", "drawn")))
+    if kind == "diagonal":
+        diag = draw(st.lists(mixed.filter(bool), min_size=1, max_size=4))
+        gram = [[x if i == j else Fraction(0) for j in range(len(diag))]
+                for i, x in enumerate(diag)]
+    elif kind == "block":
+        a, b, c = (draw(mixed) for _ in range(3))
+        d = draw(mixed.filter(bool))  # joins indices 0 and 1 in one class
+        gram = [[a, d, 0], [d, b, 0], [0, 0, c]]
+    else:
+        gram = draw(grams())
+    space = OneParticleSpace(len(gram), gram)
+    assert kind == "drawn" or space.diagonal == (kind == "diagonal")
+
+    def vector():
+        words = st.lists(st.integers(0, space.dim - 1),
+                         max_size=draw(st.integers(0, MAX_DEGREE))).map(tuple)
+        return FockVector(space, MAX_DEGREE,
+                          draw(st.dictionaries(words, word_coeffs, max_size=6)))
+    return vector(), vector()
+
+
+@settings(max_examples=150, deadline=None)
+@given(restricted_cases())
+def test_apply_Pn_within_keeps_only_the_words_that_can_pair(case):
+    """apply_Pn(v, u) is apply_Pn(v) on the words whose bucket (the word on
+    a diagonal gram, else its tuple of classes) holds a word of u, and on
+    every word of degree 0 or 1, which no step moves; so innerq, which
+    builds it, is inner0 against the whole of P v and the S_n sum."""
+    u, v = case
+    cls, diag = u.space.classes, u.space.diagonal
+
+    def bucket(w):
+        return w if diag else tuple(cls[i] for i in w)
+    for a, b in ((u, v), (v, u), (u, u)):
+        full = apply_Pn(b)
+        ours = {bucket(w) for w in a.terms}
+        got = apply_Pn(b, a)
+        assert got.terms == {w: c for w, c in full.terms.items()
+                             if len(w) <= 1 or bucket(w) in ours}
+        assert innerq(a, b) == inner0(a, full) == inner0(a, got)
         assert innerq(a, b).coeffs == dense_inner0(a, apply_Pn_sum(b))
 
 
