@@ -32,33 +32,29 @@ One-particle vectors have one form, `SparseVector`: int numerators over
 one denominator, in lowest terms.  Public constructors take dense or sparse
 rationals and convert them once (`sparse_vector`); all else reads the form
 as it is.  The gram has one form too, its sparse rows as int numerators
-over one denominator, block-diagonal over its orthogonality classes; the
-pairings and `inner0` compute on those ints, with no Fraction or QScalar
-per term.  A space, like an operator node, is compared by identity, and
-only an annihilation node keeps anything per space: its int pairing row.
-A gauge is multiplication by a real function (`Gauge`), its own adjoint,
-with its own int columns over one denominator.  An annihilation or gauge
-acting on tensor slot k multiplies by q^k as a shift of k places in the
-numerator lists, not as a product.
+over one denominator; the pairings and `inner0` compute on those ints,
+with no Fraction or QScalar per term.  A space, like an operator node, is
+compared by identity, and only an annihilation node keeps anything per
+space: its int pairing row.  A gauge is multiplication by a real function
+(`Gauge`), its own adjoint, with its own int columns over one denominator.
+An annihilation or gauge acting on tensor slot k multiplies by q^k as a
+shift of k places in the numerator lists, not as a product.
 
 The q-inner product is <u, P_n v>_0 on degree n, P_n the q-symmetrizer
 sum_sigma q^{inv(sigma)} sigma; `innerq` is the one q-product, also of step
 functions (stochastic.l2q_inner).  P_n is built one way, by the
 Bozejko-Speicher factorisation P_n = (1 (x) P_{n-1}) R_n, where
 R_n = sum_k q^k C_k and C_k moves tensor slot k to the front.  `apply_Pn`
-applies it to sparse words on an integer image, each slot move one index
-getter built per call.  `inner0` sums int products of gram entries: it
-indexes u's words by their bucket, the classes of their slots (the word
-itself on a diagonal gram), and streams v's words against that index, so
-only the words of v that pair with some word of u are opened again.
-`innerq` hands u to `apply_Pn`, which keeps a word it moves last only if
-its bucket holds a word of u: P_n v is built only where it pairs.  Each
-makes its result canonical once.  The float q-gram
-of a norm estimate takes it at q0 by one dense step per degree.
-Norm estimates keep on the space, per degree n, the dense R_n at q0, which
-that step and their annihilation and gauge blocks share, the q-gram, and
-its Cholesky factor with its inverse, which whiten their matrices without
-a solve.
+applies it to sparse words on an integer image, and `inner0` sums int
+products of gram entries over the pairs of words that share a bucket: the
+word itself on a diagonal gram, its degree on any other.  `innerq` hands u
+to `apply_Pn`, which keeps a word it moves last only if its bucket holds a
+word of u, so P_n v is built only where it can pair.  Each makes its
+result canonical once.  The float q-gram of a norm estimate takes it at
+q0 by one dense step per degree.  Norm estimates keep on the space, per
+degree n, the dense R_n at q0, which that step and their annihilation and
+gauge blocks share, the q-gram, and its Cholesky factor with its inverse,
+which whiten their matrices without a solve.
 
 Truncation overflow is always a hard error: identities are asserted only where
 the full result fits under the configured depth.
@@ -131,12 +127,12 @@ class OneParticleSpace:
     `EXACT`, the default, has none.  A space is compared and hashed by
     identity, so an annihilation keys its pairing row by the space itself.
 
-    `classes` labels each basis index with its gram-orthogonality class, a
-    connected component of the gram's nonzero graph, and `diagonal` records
-    that every class is one index, as on every grid model and point set.
-    The space owns one cache, freed with it: `pn_blocks`, a list in degree
-    order of the float arrays of `operator_norm_estimate` at the ring's q0,
-    each degree built once from the one below (see `_pn_blocks`).
+    `diagonal` records that no gram row holds an index other than its own,
+    as on every grid model, point set and step-function space: there a word
+    pairs with no word but itself.  The space owns one cache, freed with
+    it: `pn_blocks`, a list in degree order of the float arrays of
+    `operator_norm_estimate` at the ring's q0, each degree built once from
+    the one below (see `_pn_blocks`).
     """
 
     def __init__(self, dim: int, gram: Sequence[Sequence], ring: ScalarRing = EXACT):
@@ -153,9 +149,7 @@ class OneParticleSpace:
                 if self.int_rows[i].get(j) != g:
                     raise UsageError("gram must be symmetric")
         self.ring = ring
-        self.classes = self._connected_classes()
-        # each class one index, so a word is its own tuple of classes
-        self.diagonal = self.classes == tuple(range(dim))
+        self.diagonal = all(i == j for j, row in enumerate(self.int_rows) for i in row)
         self.pn_blocks: list[tuple] = []
 
     @staticmethod
@@ -191,24 +185,6 @@ class OneParticleSpace:
         den, row = self.pair_ints(zeta)
         de, entries = eta
         return Fraction(sum(z * row[i] for i, z in entries if i in row), den * de)
-
-    def _connected_classes(self) -> tuple[int, ...]:
-        """Connected components of the gram nonzero graph: basis vectors in
-        different classes are orthogonal, which prunes pairing sums."""
-        labels = [-1] * self.dim
-        nxt = 0
-        for start in range(self.dim):
-            if labels[start] != -1:
-                continue
-            stack = [start]
-            labels[start] = nxt
-            while stack:
-                for j in self.int_rows[stack.pop()]:
-                    if labels[j] == -1:
-                        labels[j] = nxt
-                        stack.append(j)
-            nxt += 1
-        return tuple(labels)
 
 
 class FockVector:
@@ -311,32 +287,31 @@ class FockVector:
 def inner0(u: FockVector, v: FockVector) -> QScalar:
     """Degreewise product of gram pairings; cross-degree terms vanish.
 
-    Words pair only within their bucket, the tuple of the gram-orthogonality
-    classes of their slots: u's words are indexed by bucket, and v's words
-    are streamed against that index, so a word of v whose bucket holds no
-    word of u costs one key and one lookup.  On a diagonal gram (`diagonal`,
-    every class one index) a word is its own bucket, and no key is built.
-    Everything is int numerators: u over one denominator, and a pairing of
-    degree-n words a product of n int gram entries over gram_den^n.  A word
-    of v is opened, its numerators put over v's one denominator as one
-    multiplier, only when its bucket holds a word of u; each pairing times
-    the two coefficients goes into one numerator list per degree n over
-    den_u den_v gram_den^n, one `addmul` per power of q of the shorter
-    coefficient.  The lists are put over the top degree's denominator at
-    the end, and make one canonical scalar.
+    Words pair only within their bucket: the word itself on a `diagonal`
+    gram, and its degree on any other, where a pair is dropped at its first
+    zero gram entry.  u's words are indexed by bucket, and v's words are
+    streamed against that index, so a word of v whose bucket holds no word
+    of u costs one lookup.  Everything is int numerators: u over one
+    denominator, and a pairing of degree-n words a product of n int gram
+    entries over gram_den^n.  A word of v is opened, its numerators put
+    over v's one denominator as one multiplier, only when its bucket holds
+    a word of u; each pairing times the two coefficients goes into one
+    numerator list per degree n over den_u den_v gram_den^n, one `addmul`
+    per power of q of the shorter coefficient.  The lists are put over the
+    top degree's denominator at the end, and make one canonical scalar.
     """
     u._check(v)
     sp = u.space
-    cls, diag = sp.classes.__getitem__, sp.diagonal
+    diag = sp.diagonal
     uimg = IntImage.of(u.terms)
-    buckets: dict[tuple[int, ...], list] = {}
+    buckets: dict[Word | int, list] = {}
     for w, cu in uimg.terms.items():
-        buckets.setdefault(w if diag else tuple(map(cls, w)), []).append((w, cu))
+        buckets.setdefault(w if diag else len(w), []).append((w, cu))
     gram = sp.int_rows
     vden = lcm(*(c.den for c in v.terms.values()))
     by_degree: dict[int, list[int]] = {}
     for w2, cv in v.terms.items():
-        words = buckets.get(w2 if diag else tuple(map(cls, w2)))
+        words = buckets.get(w2 if diag else len(w2))
         if words is None:
             continue
         m, c2 = vden // cv.den, cv.num  # the word of v, opened
@@ -364,32 +339,32 @@ def inner0(u: FockVector, v: FockVector) -> QScalar:
 
 def apply_Pn(v: FockVector, within: FockVector | None = None) -> FockVector:
     """P_n on each degree-n part of v by the factorisation
-    P_n = (1^{(x)(n-2)} (x) R_2) ... (1 (x) R_{n-1}) R_n; given `within`, only
-    the words of P v that can pair with a word of it.
+    P_n = (1^{(x)(n-2)} (x) R_2) ... (1 (x) R_{n-1}) R_n; given `within` (on
+    v's space), only the words of P v that can pair with a word of it.
 
     Step s moves each slot k >= s of a word to place s, with weight q^{k-s},
     and collects equal words, so the work is bounded by the distinct
-    rearrangements of each word rather than by n!.  Each move is one
-    `operator.itemgetter` of the slot order (0..s-1, k, s..k-1, k+1..n-1),
-    built once per call for each degree n and step s met.  The words'
-    numerators stay over v's one denominator (a `qscalar.IntImage`): a move
-    is a shift of k-s places, and each word becomes canonical once, at the
-    end.  A word of length <= s+1 passes step s unchanged.  A degree above
+    rearrangements of each word rather than by n!.  Slot s stays, so the
+    word is its own key; slot k > s moves by one `operator.itemgetter` of
+    the slot order (0..s-1, k, s..k-1, k+1..n-1), built once per call for
+    each degree n and step s met.  The numerators stay over v's one
+    denominator (a `qscalar.IntImage`): a move is a shift of k-s places,
+    and each word becomes canonical once, at the end.  A degree above
     PN_CAP is refused up front.  Step n-2 is the last to move a degree-n
-    word; given `within` (on v's space), a word it moves is kept only if
-    its bucket, as `inner0` keys it, holds a word of `within` (words of
-    degree 0 and 1, which no step moves, are all kept).  A dropped word
-    pairs with no word of `within`, so <within, P v>_0 is unchanged.
+    word, and given `within` it keeps a word only if its bucket, as
+    `inner0` keys it, holds a word of `within`; a dropped word pairs with
+    none, so <within, P v>_0 is unchanged.  Words of degree 0 and 1, which
+    no step moves, are all kept.
     """
     top = v.top_degree()
     check_size("apply_Pn degree", top, PN_CAP)
     img = IntImage.of(v.terms)
     if within is not None:
         v._check(within)
-        cls, diag = v.space.classes.__getitem__, v.space.diagonal
-        keep = {w if diag else tuple(map(cls, w)) for w in within.terms}
+        diag = v.space.diagonal
+        keep = {w if diag else len(w) for w in within.terms}
     for s in range(top - 1):
-        moves: dict[int, list] = {}  # degree n -> the getter of each slot k >= s
+        moves: dict[int, list] = {}  # degree n -> None (slot s), a getter per k > s
         nxt: dict[Word, list[int]] = {}
         for w, num in img.terms.items():
             n = len(w)
@@ -398,16 +373,16 @@ def apply_Pn(v: FockVector, within: FockVector | None = None) -> FockVector:
                 continue
             getters = moves.get(n)
             if getters is None:
-                getters = moves[n] = [
+                getters = moves[n] = [None] + [
                     itemgetter(*range(s), k, *range(s, k), *range(k + 1, n))
-                    for k in range(s, n)]
+                    for k in range(s + 1, n)]
             last = within is not None and n == s + 2
             # a move's multiplier is 1: add num shifted, as addmul would
             for shift, move in enumerate(getters):
-                key = move(w)
+                key = move(w) if move else w
                 acc = nxt.get(key)
                 if acc is None:
-                    if last and (key if diag else tuple(map(cls, key))) not in keep:
+                    if last and (key if diag else n) not in keep:
                         continue  # pairs with no word of within
                     nxt[key] = [0] * shift + num
                     continue

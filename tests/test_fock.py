@@ -753,18 +753,42 @@ def zagier(n: int, q0) -> Fraction:
     return want
 
 
+def distinct_letter_gram(n: int) -> list[list]:
+    """[<w, w'>_q] over the n! words of n distinct orthonormal letters, by
+    `innerq`, as exact polynomials in q."""
+    space = OneParticleSpace.orthonormal(n)
+    words = [FockVector.basis_word(space, n, w) for w in permutations(range(n))]
+    return [[innerq(u, v) for v in words] for u in words]
+
+
+def gram_at(gram: list[list], q0) -> list[list[Fraction]]:
+    return [[sum(c * q0 ** k for k, c in enumerate(s.num)) / s.den for s in row]
+            for row in gram]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_zagier_determinant_of_the_distinct_letter_gram(n):
     """det [<w, w'>_q] over the n! words of n distinct orthonormal letters
     is prod_{k=1}^{n-1} (1 - q^(k^2+k))^((n-k) n!/(k^2+k)) (Zagier, Comm.
     Math. Phys. 147, 1992): `innerq` against the formula at rational q0."""
-    space = OneParticleSpace.orthonormal(n)
-    words = [FockVector.basis_word(space, n, w) for w in permutations(range(n))]
-    gram = [[innerq(u, v) for v in words] for u in words]
+    gram = distinct_letter_gram(n)
     for q0 in (Fraction(3, 10), Fraction(-1, 2)):
-        entries = [[sum(c * q0 ** k for k, c in enumerate(s.num)) / s.den for s in row]
-                   for row in gram]
-        assert bareiss_det(entries) == zagier(n, q0)
+        assert bareiss_det(gram_at(gram, q0)) == zagier(n, q0)
+
+
+@pytest.mark.parametrize("n, bound", [(2, 2), (3, 18)])
+def test_zagier_determinant_is_a_polynomial_identity(n, bound):
+    """The same determinant as an identity in Q[q], for n <= 3: each side is
+    a polynomial of degree at most D, the larger of Zagier's degree
+    sum_k (n-k) n! and the sum over rows of the largest entry degree (a
+    bound on the degree of any term of the Leibniz sum), so agreement at the
+    D + 1 integers q = 0..D proves it."""
+    gram = distinct_letter_gram(n)
+    zagier_degree = sum((n - k) * math.factorial(n) for k in range(1, n))
+    row_degrees = sum(max(len(c.num) - 1 for c in row) for row in gram)
+    assert max(zagier_degree, row_degrees) == bound
+    for t in range(bound + 1):
+        assert bareiss_det(gram_at(gram, Fraction(t))) == zagier(n, t), t
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

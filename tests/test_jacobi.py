@@ -12,16 +12,19 @@ D_n = det[m_{i+j}], i, j < n.  The closed forms checked:
 - all-ones point set, the q-Poisson law: alpha_n = 1 + [n]_q,
   beta_n = [n]_q;
 - the centred all-ones grid model: alpha_n = [n]_q, beta_n = [n]_q;
-- on all three, D_n = prod_{k<n} [k]_q!, as a polynomial identity in q.
+- on all three, D_n = prod_{k<n} [k]_q!, as a polynomial identity in q;
+- the centred q-Poisson law of nu = c delta_x, drawn c > 0 and x != 0, on a
+  one-atom grid model: alpha_n = x [n]_q, beta_n = c [n]_q for n < 9, from
+  m_1..m_18 (the arc-state budget admits delta_2 through order 19).
 """
 
 from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qfock.suites import all_ones_model, all_ones_pointset, gaussian_model
+from qfock.suites import all_ones_model, all_ones_pointset, gaussian_model, grid_model
 from qfock.wick import suffix_moments
 
 K = 20  # Jacobi parameters alpha_n, beta_n for n < K, from m_1..m_{2K}
@@ -135,3 +138,22 @@ def test_hankel_determinants_are_q_factorial_products(name):
         for t in range(bound + 1):
             m = [Fraction(1)] + [at(c, Fraction(t)) for c in ms[1:]]
             assert hankel_det(m, n) == q_factorial_product(n, t), (n, t)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=5),
+       st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+       st.fractions(min_value=0, max_value=Fraction(19, 20), max_denominator=20))
+@example(Fraction(1), Fraction(2), Fraction(3, 10))
+@example(Fraction(4), Fraction(1, 3), Fraction(1, 2))
+@example(Fraction(3, 2), Fraction(-2), Fraction(3, 10))
+@example(Fraction(2, 5), Fraction(7, 3), Fraction(1, 2))
+def test_q_poisson_jacobi_parameters(c, x, q0):
+    """On the one-atom grid model of nu = c delta_x at cutoff 4, X(1) has
+    alpha_n = x [n]_q and beta_n = c [n]_q for n < 9, at q0 and at -q0."""
+    model = grid_model(((x, c),), n_atoms=1, cutoff=4, depth=6)
+    ms = suffix_moments([model.prefix_letter(1)] * 18)
+    for t in (q0, -q0):
+        alpha, beta = jacobi([Fraction(1)] + [at(m, t) for m in ms], 9)
+        assert alpha == [x * q_int(n, t) for n in range(9)]
+        assert beta[1:] == [c * q_int(n, t) for n in range(1, 9)]

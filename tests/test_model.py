@@ -1,19 +1,20 @@
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfock.errors import (CutoffExceededError, DegeneracyError, UsageError)
 from qfock.fock import FockVector, apply
 from qfock.model import (WeightedPointAlgebra, MomentSequence, ProcessModel,
                          TimeGrid, letter_pair)
-from qfock.qscalar import EXACT, ONE, QScalar, const
-from qfock.suites import (all_ones_model, gaussian_model, three_point_model,
-                          two_point_model)
+from qfock.qscalar import EXACT, ONE, ZERO, QScalar, const
+from qfock.suites import (all_ones_model, gaussian_model, grid_model,
+                          three_point_model, two_point_model)
 from qfock.stochastic import (conditional_expectation, delta_process,
                               x_process, yhat_process)
-from qfock.wick import WickElement, product_expansion
+from qfock.wick import WickElement, product_expansion, suffix_moments
 from one_form import assert_one_form, rationals
 
 F = Fraction
@@ -336,6 +337,31 @@ class TestWeightedPointAlgebra:
         assert alg.letter(alg.points).xi() == (1, ((0, -1), (2, 2)))
         assert alg.letter([F(1, 2), 0, F(-3, 4)]).xi() == (4, ((0, 2), (2, -3)))
         assert alg.letter([0, 0, 0]).xi() == (1, ())
+
+    @settings(max_examples=4, deadline=None)
+    @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3)
+                    .filter(bool), min_size=1, max_size=3, unique=True),
+           st.lists(st.integers(1, 4), min_size=3, max_size=3))
+    @example([F(1), F(2)], [1, 1, 1])
+    @example([F(-1), F(1, 2), F(3)], [2, 3, 1])
+    @example([F(2)], [1, 1, 1])
+    def test_moments_are_the_grid_models_shifted_by_the_mean(self, points, raw):
+        """X(f), f(x) = x, on the point set p_i with weights w_i has the
+        moments of m + X(1) on the one-atom grid model of
+        nu = sum_i w_i p_i^2 delta_{p_i}, m = sum_i w_i p_i the mean:
+        phi[X(f)^n] = sum_k C(n, k) m^(n-k) phi[X(1)^k] in Q[q], n <= 12."""
+        raw = raw[:len(points)]
+        weights = [F(r, sum(raw)) for r in raw]
+        alg = WeightedPointAlgebra(points, weights, EXACT)
+        grid = grid_model([(p, w * p * p) for p, w in zip(points, weights)],
+                          n_atoms=1, cutoff=len(points), depth=6)
+        mean = sum(w * p for p, w in zip(points, weights))
+        got = suffix_moments([alg.letter(points)] * 12)
+        centred = [ONE] + suffix_moments([grid.prefix_letter(1)] * 12)
+        for n in range(1, 13):
+            assert got[n - 1] == sum(
+                (const(comb(n, k) * mean ** (n - k)) * centred[k]
+                 for k in range(n + 1)), ZERO)
 
 
 class TestLetterText:

@@ -3,8 +3,9 @@
 `fock.inner0` and `fock.apply_Pn` compute on int numerators over one
 denominator and make each result canonical once.  The reference below is
 the per-term form they replaced: every gram entry, product and sum is a
-canonical QScalar of its own.  It buckets words by the classes of their
-slots, as `inner0` does; `dense_inner0` shares nothing with either: it
+canonical QScalar of its own.  It pairs the words of one degree, and
+drops a pair at its first zero gram entry; `dense_inner0` shares nothing
+with either: it
 sums every pair of words of one degree in Fractions, one list of
 coefficients per power of q, and takes P_n as the sum over S_n
 (`sn_oracle.apply_Pn_sum`).  The pairings are checked against a dense
@@ -32,16 +33,15 @@ MAX_DEGREE = 4
 def ref_inner0(u, v):
     """<u, v>_0 with a QScalar per gram entry and per product."""
     sp = u.space
-    cls = sp.classes
     gram = tuple({i: const(Fraction(g, sp.gram_den)) for i, g in row.items()}
                  for row in sp.int_rows)
-    buckets = {}
+    by_degree = {}
     for w2, cv in v.terms.items():
-        buckets.setdefault(tuple(cls[i] for i in w2), []).append((w2, cv))
+        by_degree.setdefault(len(w2), []).append((w2, cv))
     total = ZERO
     for w, cu in u.terms.items():
         acc = None
-        for w2, cv in buckets.get(tuple(cls[i] for i in w), ()):
+        for w2, cv in by_degree.get(len(w), ()):
             g = None
             for a, b in zip(w, w2):
                 x = gram[a].get(b)
@@ -95,8 +95,8 @@ mixed = st.builds(Fraction, st.integers(-6, 6),
 @st.composite
 def grams(draw):
     """A symmetric gram over mixed denominators, off the diagonal too, with
-    a class per index: entries between classes are zero, so the gram has
-    zero blocks, and a drawn zero inside a class leaves more."""
+    a block label per index: entries between blocks are zero, so the gram
+    has zero blocks, and a drawn zero inside a block leaves more."""
     dim = draw(st.integers(1, 4))
     label = [draw(st.integers(0, 2)) for _ in range(dim)]
     gram = [[Fraction(0)] * dim for _ in range(dim)]
@@ -231,10 +231,19 @@ def test_innerq_refuses_other_space_before_apply_Pn(monkeypatch):
     with pytest.raises(UsageError, match="vectors live on different spaces"):
         inner0(u, v)
     assert calls == []
-    # apply_Pn keys v's words by the classes of its own space: a `within`
+    # apply_Pn keys v's words by the buckets of its own space: a `within`
     # on another space is refused too
     with pytest.raises(UsageError, match="vectors live on different spaces"):
         real(v, u)
+
+
+def dense_gram(sp):
+    """The gram of a space as a dense Fraction matrix."""
+    gram = [[Fraction(0)] * sp.dim for _ in range(sp.dim)]
+    for j, row in enumerate(sp.int_rows):
+        for i, g in row.items():
+            gram[j][i] = Fraction(g, sp.gram_den)
+    return gram
 
 
 def dense_inner0(u, v):
@@ -242,11 +251,7 @@ def dense_inner0(u, v):
     Fraction coefficients of u_w v_w' times the product of the gram
     entries g(w_k, w'_k), a zero entry included; the coefficients of q^j
     in one list."""
-    sp = u.space
-    gram = [[Fraction(0)] * sp.dim for _ in range(sp.dim)]
-    for j, row in enumerate(sp.int_rows):
-        for i, g in row.items():
-            gram[j][i] = Fraction(g, sp.gram_den)
+    gram = dense_gram(u.space)
     out = [Fraction(0)] * 64
     for (w, cu), (w2, cv) in product(u.terms.items(), v.terms.items()):
         if len(w) != len(w2):
@@ -268,11 +273,11 @@ word_coeffs = st.lists(mixed, min_size=1, max_size=3).map(QScalar.exact).filter(
 
 @st.composite
 def oracle_cases(draw):
-    """A space whose classes are all singletons (a diagonal gram) or one
-    with classes of several indices, and two vectors of degrees 0-3.  Each
-    side also holds a degree-4 word of one letter whose class the other
-    side's degree-4 word does not share, so some word of v pairs with no
-    word of u and some word of u with no word of v."""
+    """A diagonal gram or one with blocks of several indices, and two
+    vectors of degrees 0-3.  Each side also holds a degree-4 word of one
+    letter orthogonal to the letter of the other side's degree-4 word, so
+    some word of v pairs with no word of u and some word of u with no word
+    of v."""
     dim = draw(st.integers(2, 4))
     if draw(st.booleans()):
         diag = draw(st.lists(mixed.filter(bool), min_size=dim, max_size=dim))
@@ -286,9 +291,8 @@ def oracle_cases(draw):
                 if label[i] == label[j]:
                     gram[i][j] = gram[j][i] = draw(mixed)
     space = OneParticleSpace(dim, gram)
-    cls = space.classes
     a = draw(st.integers(0, dim - 1))
-    b = draw(st.sampled_from([i for i in range(dim) if cls[i] != cls[a]]))
+    b = draw(st.sampled_from([i for i in range(dim) if i != a and not gram[a][i]]))
     words = st.lists(st.integers(0, dim - 1), max_size=3).map(tuple)
     u, v = (FockVector(space, 4, draw(st.dictionaries(words, word_coeffs, max_size=5))
                        | {(x,) * 4: draw(word_coeffs)})
@@ -309,15 +313,16 @@ def fixed_case(gram):
 @settings(max_examples=120, deadline=None)
 @given(oracle_cases())
 # a diagonal gram with no entry 1, so inner0 keys buckets by the word; and
-# a 2 x 2 class block beside a singleton class, keyed by the classes
+# a 2 x 2 block beside a 1 x 1 block, keyed by the degree
 @example(fixed_case([[Fraction(2, 3), 0, 0], [0, Fraction(5), 0],
                      [0, 0, Fraction(-3, 7)]]))
 @example(fixed_case([[Fraction(1, 2), Fraction(1, 3), 0],
                      [Fraction(1, 3), Fraction(5, 7), 0], [0, 0, Fraction(4)]]))
 def test_q_product_matches_dense_sum(case):
     u, v = case
-    cls = u.space.classes
-    assert u.space.diagonal == (len(set(cls)) == u.space.dim)
+    gram = dense_gram(u.space)
+    assert u.space.diagonal == all(not gram[i][j] for i in range(u.space.dim)
+                                   for j in range(i))
     for a, b in ((u, v), (v, u), (u, u), (v, v)):
         assert inner0(a, b).coeffs == dense_inner0(a, b)
         assert innerq(a, b).coeffs == dense_inner0(a, apply_Pn_sum(b))
@@ -325,7 +330,7 @@ def test_q_product_matches_dense_sum(case):
 
 @st.composite
 def restricted_cases(draw):
-    """A diagonal gram, a 2 x 2 class block beside a singleton class, or a
+    """A diagonal gram, a 2 x 2 block beside a 1 x 1 block, or a
     drawn gram, and two vectors, each of its own top degree 0-4, with
     polynomial coefficients."""
     kind = draw(st.sampled_from(("diagonal", "block", "drawn")))
@@ -335,7 +340,7 @@ def restricted_cases(draw):
                 for i, x in enumerate(diag)]
     elif kind == "block":
         a, b, c = (draw(mixed) for _ in range(3))
-        d = draw(mixed.filter(bool))  # joins indices 0 and 1 in one class
+        d = draw(mixed.filter(bool))  # so the gram is not diagonal
         gram = [[a, d, 0], [d, b, 0], [0, 0, c]]
     else:
         gram = draw(grams())
@@ -354,14 +359,14 @@ def restricted_cases(draw):
 @given(restricted_cases())
 def test_apply_Pn_within_keeps_only_the_words_that_can_pair(case):
     """apply_Pn(v, u) is apply_Pn(v) on the words whose bucket (the word on
-    a diagonal gram, else its tuple of classes) holds a word of u, and on
-    every word of degree 0 or 1, which no step moves; so innerq, which
-    builds it, is inner0 against the whole of P v and the S_n sum."""
+    a diagonal gram, else its degree) holds a word of u, and on every word
+    of degree 0 or 1, which no step moves; so innerq, which builds it, is
+    inner0 against the whole of P v and the S_n sum."""
     u, v = case
-    cls, diag = u.space.classes, u.space.diagonal
+    diag = u.space.diagonal
 
     def bucket(w):
-        return w if diag else tuple(cls[i] for i in w)
+        return w if diag else len(w)
     for a, b in ((u, v), (v, u), (u, u)):
         full = apply_Pn(b)
         ours = {bucket(w) for w in a.terms}
@@ -374,8 +379,9 @@ def test_apply_Pn_within_keeps_only_the_words_that_can_pair(case):
 
 def test_apply_Pn_builds_one_getter_per_degree_step_and_slot(monkeypatch):
     # one word of repeated letters per degree 0-6, in one vector and one at
-    # a time: every (n, s, k) move is made, and in one call each is built
-    # once, as the slot order (0..s-1, k, s..k-1, k+1..n-1)
+    # a time: every (n, s, k) move with k > s is made, and in one call each
+    # is built once, as the slot order (0..s-1, k, s..k-1, k+1..n-1); slot
+    # s stays in place, so no getter is built for k = s
     built = []
     real = fock.itemgetter
 
@@ -388,7 +394,7 @@ def test_apply_Pn_builds_one_getter_per_degree_step_and_slot(monkeypatch):
     letters = (0, 1, 0, 2, 1, 0)
     words = [letters[:n] for n in range(7)]
     want = sorted((*range(s), k, *range(s, k), *range(k + 1, n))
-                  for n in range(2, 7) for s in range(n - 1) for k in range(s, n))
+                  for n in range(2, 7) for s in range(n - 1) for k in range(s + 1, n))
     v = FockVector(sp, 6, {w: const(Fraction(n + 1, 2 ** n)) + q_pow(n)
                            for n, w in enumerate(words)})
     assert apply_Pn(v) == apply_Pn_sum(v)

@@ -184,7 +184,9 @@ def test_gram_rows_follow_blocks():
          ([2, 0, 1], [0, 0, 0], [1, 0, 3])]
     space = OneParticleSpace(3, g)
     assert space.int_rows == ({0: 2, 2: 1}, {}, {0: 1, 2: 3}) and space.gram_den == 1
-    assert space.classes == (0, 1, 0)
+    assert not space.diagonal
+    # a zero row holds no index, so it leaves the gram diagonal
+    assert OneParticleSpace(3, [[2, 0, 0], [0, 0, 0], [0, 0, 3]]).diagonal
 
 
 @settings(max_examples=60, deadline=None)
@@ -222,8 +224,8 @@ def test_dense_and_sparse_rows_give_one_space(gram, ring, data):
     assert fraction_rows(dense_space) == fraction_rows(sparse_space) == dense_rows(gram)
     assert dense_space.int_rows == sparse_space.int_rows
     assert dense_space.gram_den == sparse_space.gram_den
-    assert dense_space.classes == sparse_space.classes
-    assert first_appearance(sparse_space.classes) == nonzero_components(gram)
+    assert dense_space.diagonal == sparse_space.diagonal == all(
+        not g for j, row in enumerate(gram) for i, g in enumerate(row) if i != j)
 
 
 def test_sparse_rows_add_repeated_indices():
@@ -283,28 +285,6 @@ def dense_model_gram(widths, r, d):
     return gram
 
 
-def nonzero_components(gram):
-    """Connected components of the nonzero graph by union-find, labelled in
-    order of first appearance."""
-    parent = list(range(len(gram)))
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for i, row in enumerate(gram):
-        for j, g in enumerate(row):
-            if g:
-                parent[find(i)] = find(j)
-    return first_appearance([find(i) for i in range(len(gram))])
-
-
-def first_appearance(labels):
-    seen = {}
-    return tuple(seen.setdefault(x, len(seen)) for x in labels)
-
-
 # measures nu as (x, weight) atoms: delta_0 is the Gaussian, whose moments
 # past r_2 are all zero, and the symmetric ones have zero odd moments
 MEASURES = (
@@ -346,7 +326,7 @@ def test_model_rows_match_dense_formula(case, ring):
     assert model.space.dim == len(widths) * min(support, d)
     assert all(len(row) == 1 and row[0][0] == i and row[0][1] > 0
                for i, row in enumerate(fraction_rows(model.space)))
-    assert model.space.classes == tuple(range(model.space.dim))
+    assert model.space.diagonal
     gram = dense_model_gram(widths, r, d)
     letters = [model.atom_letter(a, k) for a in range(len(widths))
                for k in range(1, d + 1)]
@@ -393,7 +373,7 @@ def test_gaussian_model_rows_drop_zero_moments():
     # nu = delta_0: x and x^2 are null, so each atom keeps P_0 = 1 alone,
     # of norm² |A| r_2
     assert fraction_rows(model.space) == (((0, third),), ((1, two_thirds),))
-    assert model.space.classes == (0, 1)
+    assert model.space.diagonal
     assert model.atom_letter(1, 2).is_zero and model.atom_letter(1, 3).is_zero
 
 
