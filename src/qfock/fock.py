@@ -64,7 +64,6 @@ from __future__ import annotations
 
 from functools import reduce
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -546,11 +545,12 @@ def apply(op: FockOperator, v: FockVector) -> FockVector:
 
     A creation reads its SparseVector as it is, an annihilation its pairing
     row on v's space, kept on its node, and a gauge its int columns over
-    `den` on its support, working on slot k of a word only where the index
-    there has a nonzero column; an annihilation or gauge on slot k shifts
-    its terms by k powers of q.  The words of v are in range, so the words
-    added are too: a creation's vector and each gauge column are checked by
-    every call that reads them, a pairing row when it is built.
+    `den` on its support, each read, checked and scaled when a word first
+    meets its index, working on slot k of a word only where the index there
+    has a nonzero column; an annihilation or gauge on slot k shifts its
+    terms by k powers of q.  The words of v are in range, so the words added
+    are too: a creation's vector and each gauge column are checked by every
+    call that reads them, a pairing row when it is built.
 
     For the length of the call, the image of v under a shared node is kept,
     by node: under each factor that acts first in a composition, and under
@@ -673,13 +673,13 @@ class _Kernel:
         gauge: Gauge = op.payload  # the one kind left
         if not src.terms:
             return
-        cols = _columns(gauge, dict.fromkeys(chain.from_iterable(src.terms)), sp.dim)
         m = out.join(src.den * df * gauge.den) * y
-        if m != 1:
-            cols = {i: [(j, x * m) for j, x in col] for i, col in cols.items()}
+        on, cols = gauge.support(), {}
         for w, num in src.terms.items():
             for k, i in enumerate(w):
                 col = cols.get(i)
+                if col is None:  # the index's first meeting: read, check, scale
+                    col = cols[i] = _column(gauge, i, on, sp.dim, m)
                 if col:
                     rest = w[:k] + w[k + 1:]
                     for j, x in col:
@@ -694,17 +694,14 @@ def _creation(op: FockOperator, dim: int) -> SparseVector:
     return zeta
 
 
-def _columns(gauge: Gauge, indices: Iterable[int], dim: int) -> dict:
-    """{i: column i} of a gauge at each given index on its support, in order,
-    for nonzero columns, each refused unless its indices lie in 0..dim-1."""
-    on, cols = gauge.support(), {}
-    for i in indices:
-        col = gauge.column(i) if i in on else None
-        if col:
-            if col[0][0] < 0 or col[-1][0] >= dim:
-                raise UsageError(f"gauge column {i} has an index out of range")
-            cols[i] = col
-    return cols
+def _column(gauge: Gauge, i: int, on: frozenset[int], dim: int,
+            m: int = 1) -> Sequence[tuple[int, int]]:
+    """m times column i of a gauge whose support is on, empty off it; a
+    column is refused unless its indices lie in 0..dim-1."""
+    col = gauge.column(i) if i in on else ()
+    if col and (col[0][0] < 0 or col[-1][0] >= dim):
+        raise UsageError(f"gauge column {i} has an index out of range")
+    return col if m == 1 else [(j, x * m) for j, x in col]
 
 
 def adjoint(op: FockOperator) -> FockOperator:
@@ -860,8 +857,9 @@ def _compress(op: FockOperator, space: OneParticleSpace, blocks: list, offsets: 
         gauge: Gauge = op.payload
         t = np.zeros((dim, dim))
         # as in `apply`; the lowest column past a cutoff raises
-        for i, col in _columns(gauge, range(dim), dim).items():
-            for j, x in col:
+        on = gauge.support()
+        for i in range(dim):
+            for j, x in _column(gauge, i, on, dim):
                 t[j, i] = x / gauge.den
         for n in range(1, depth + 1):
             m[deg(n), deg(n)] = _front(t, blocks[n][0])

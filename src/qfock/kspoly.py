@@ -7,9 +7,9 @@ over the moments t r_k of t nu (the model's own at t = 1).  The one-variable
 degenerations are the continuous q-Hermite and the centered q-Charlier
 families.
 
-Coefficients lie in Q[q] and come from the module names of `qscalar`; no
-evaluation point enters them.  The polynomials A_w are memoised per moment
-sequence, in the sequence's `ks_memo`.
+Coefficients lie in Q[q], kept as int numerators over one denominator per
+polynomial (`NCPolynomial`); no evaluation point enters them.  The
+polynomials A_w are memoised per moment sequence, in its `ks_memo`.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import Sequence
 
 from .errors import UsageError, check_size
 from .model import MomentSequence
-from .qscalar import (ONE, QScalar, accumulate, add_scaled, const, q_fact_ratio,
-                      q_int, q_pow)
+from .qscalar import (ONE, IntImage, QScalar, addmul, const, q_fact_ratio, q_int,
+                      q_pow)
 
 MAX_KS_LEN = 8
 MAX_ROW_N = 6
@@ -30,24 +30,30 @@ Word = tuple[int, ...]
 
 class NCPolynomial:
     """A noncommutative polynomial in variables x_1, x_2, ... over Q[q];
-    words are tuples of variable indices."""
+    words are tuples of variable indices.
+
+    Its one form is `image`, a pruned `qscalar.IntImage`: per word, int
+    numerators over one denominator.  Each operation adds into a fresh
+    image, whose lists no other polynomial holds; `terms`, the canonical
+    {word: QScalar} view, is made on each read."""
 
     def __init__(self, terms: dict[Word, QScalar] | None = None):
-        self.terms: dict[Word, QScalar] = {}
-        if terms:
-            for w, c in terms.items():
-                if any(j < 1 for j in w):
-                    raise UsageError(f"variable indices start at 1: {w}")
-                if not c.is_zero:
-                    self.terms[tuple(w)] = c
+        terms = terms or {}
+        for w in terms:
+            if any(j < 1 for j in w):
+                raise UsageError(f"variable indices start at 1: {w}")
+        self.image = IntImage.of({tuple(w): c for w, c in terms.items()}).prune()
 
     @staticmethod
-    def _of(terms: dict[Word, QScalar]) -> "NCPolynomial":
-        """A polynomial taking over terms, whose indices are >= 1 and with
-        no zero coefficient."""
-        out = NCPolynomial()
-        out.terms = terms
+    def _of(image: IntImage) -> "NCPolynomial":
+        """A polynomial taking over image, its indices >= 1 and its lists its own."""
+        out = NCPolynomial.__new__(NCPolynomial)
+        out.image = image.prune()
         return out
+
+    @property
+    def terms(self) -> dict[Word, QScalar]:
+        return self.image.scalars()
 
     @staticmethod
     def one() -> "NCPolynomial":
@@ -62,35 +68,38 @@ class NCPolynomial:
         return NCPolynomial({(): c if isinstance(c, QScalar) else const(c)})
 
     def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
-        return NCPolynomial._of(add_scaled(dict(self.terms), other.terms))
+        return NCPolynomial._of(IntImage().add(self.image).add(other.image))
 
     def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
-        return NCPolynomial._of(add_scaled(dict(self.terms), other.terms, -ONE))
+        return NCPolynomial._of(IntImage().add(self.image).add(other.image, -ONE))
 
     def __mul__(self, other: "NCPolynomial") -> "NCPolynomial":
-        out: dict[Word, QScalar] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                accumulate(out, w1 + w2, c1 * c2)
-        return NCPolynomial._of(out)
+        a, b, out = self.image, other.image, {}
+        for w1, n1 in a.terms.items():
+            for w2, n2 in b.terms.items():
+                for s, y in enumerate(n1):
+                    if y:
+                        addmul(out, w1 + w2, n2, y, s)
+        return NCPolynomial._of(IntImage(a.den * b.den, out))
 
     def scale(self, c: QScalar) -> "NCPolynomial":
-        return NCPolynomial._of(add_scaled({}, self.terms, c))
+        return NCPolynomial._of(IntImage().add(self.image, c))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.image.terms
 
     def __eq__(self, other):
         return isinstance(other, NCPolynomial) and self.terms == other.terms
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
+        for w in sorted(terms, key=lambda w: (len(w), w)):
             mono = " ".join(f"x{j}" for j in w) or "1"
-            parts.append(f"({self.terms[w]}) · {mono}")
+            parts.append(f"({terms[w]}) · {mono}")
         return " + ".join(parts)
 
     __repr__ = __str__
@@ -124,16 +133,20 @@ def _ks(word: Word, moments: MomentSequence) -> NCPolynomial:
         out = NCPolynomial.one()
     else:
         j, rest = word[0], word[1:]
-        terms = (NCPolynomial.x(j) * _ks(rest, moments)).terms
+        img = _times_x(j, _ks(rest, moments).image)
         for i, ui in enumerate(rest):
             removed = rest[:i] + rest[i + 1:]
             qc = -q_pow(i)
-            add_scaled(terms, _ks(removed, moments).terms,
-                       qc * const(moments.r_at(j + ui)))
-            add_scaled(terms, _ks((j + ui,) + removed, moments).terms, qc)
-        out = NCPolynomial._of(terms)
+            img.add(_ks(removed, moments).image, qc * const(moments.r_at(j + ui)))
+            img.add(_ks((j + ui,) + removed, moments).image, qc)
+        out = NCPolynomial._of(img)
     moments.ks_memo[word] = out
     return out
+
+
+def _times_x(j: int, img: IntImage) -> IntImage:
+    """x_j times an image, on lists of its own."""
+    return IntImage(img.den, {(j,) + w: list(num) for w, num in img.terms.items()})
 
 
 def ks_row_formula(j: int, n: int, moments: MomentSequence) -> NCPolynomial:
@@ -141,17 +154,17 @@ def ks_row_formula(j: int, n: int, moments: MomentSequence) -> NCPolynomial:
 
         x_j A^(n) + Σ_{k=1}^n (-1)^k ([n]_q!/[n-k]_q!) (x_{j+k} + r_{j+k}) A^(n-k),
 
-    where A^(m) = A_(1,...,1) on m ones."""
+    where A^(m) = A_(1,...,1) on m ones, each summand added into one image."""
     check_size("ks_row_formula n =", n, MAX_ROW_N)
-    a = {m: ks_poly((1,) * m, moments) for m in range(n + 1)}
-    out = NCPolynomial.x(j) * a[n]
+    a = [ks_poly((1,) * m, moments).image for m in range(n + 1)]
+    img = _times_x(j, a[n])
     for k in range(1, n + 1):
         coeff = q_fact_ratio(n, k)
         if k % 2:
             coeff = -coeff
-        bracket = NCPolynomial.x(j + k) + NCPolynomial.const(moments.r_at(j + k))
-        out = out + (bracket * a[n - k]).scale(coeff)
-    return out
+        img.add(_times_x(j + k, a[n - k]), coeff)
+        img.add(a[n - k], coeff * const(moments.r_at(j + k)))
+    return NCPolynomial._of(img)
 
 
 # ---------------------------------------------------------------------------

@@ -66,15 +66,19 @@ class MomentSequence:
 
     @staticmethod
     def from_measure(atoms: Iterable[tuple], length: int) -> "MomentSequence":
-        """Moments of nu = sum w_j delta_{x_j}: r_{k+2} = sum w_j x_j^k."""
+        """Moments of nu = sum w_j delta_{x_j}: r_{k+2} = sum w_j x_j^k, each
+        summed on ints over the least denominator of its terms."""
         pts = tuple((Fraction(x), Fraction(w)) for x, w in atoms)
         if not pts or any(w <= 0 for _, w in pts):
             raise UsageError("measure needs positive weights on at least one atom")
         if length < 2:
             raise UsageError("need at least r_1, r_2")
-        values = [Fraction(0)]
-        for k in range(length - 1):
-            values.append(sum((w * x ** k for x, w in pts), Fraction(0)))
+        values, terms = [0], [(w.numerator, w.denominator) for _, w in pts]  # w_j x_j^k
+        for _ in range(length - 1):
+            den = lcm(*(d for _, d in terms))
+            values.append(Fraction(sum(n * (den // d) for n, d in terms), den))
+            terms = [(n * x.numerator, d * x.denominator)
+                     for (n, d), (x, _) in zip(terms, pts)]
         return MomentSequence(values)
 
     @property
@@ -102,23 +106,30 @@ class TimeGrid:
     """Disjoint contiguous half-open atoms [a_i, b_i) covering [0, T)."""
 
     def __init__(self, boundaries: Sequence):
-        bs = [b if type(b) is Fraction else Fraction(b) for b in boundaries]
+        bs = tuple(b if type(b) is Fraction else Fraction(b) for b in boundaries)
         if len(bs) < 2 or bs[0] != 0:
             raise UsageError("grid boundaries must start at 0 with >= 1 atom")
         if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
             raise UsageError("grid boundaries must strictly increase")
-        self.boundaries = tuple(bs)
+        self._set(bs, tuple(b - a for a, b in zip(bs, bs[1:])))
+
+    def _set(self, bs: tuple[Fraction, ...], widths: tuple[Fraction, ...]) -> None:
+        """Take over checked boundaries and their widths."""
+        self.boundaries = bs
         self.atoms: tuple[Interval, ...] = tuple(zip(bs, bs[1:]))
-        self.widths: tuple[Fraction, ...] = tuple(b - a for a, b in self.atoms)
+        self.widths: tuple[Fraction, ...] = widths
         self._position = {b: i for i, b in enumerate(bs)}  # boundary -> index
 
     @staticmethod
     def uniform(T, N: int) -> "TimeGrid":
+        """N atoms of width T/N: no subtraction or order check per atom."""
         T = Fraction(T)
         if N < 1 or T <= 0:
             raise UsageError("uniform grid needs T > 0, N >= 1")
         n, d = T.numerator, T.denominator * N
-        return TimeGrid([Fraction(n * i, d) for i in range(N + 1)])
+        out = TimeGrid.__new__(TimeGrid)
+        out._set(tuple(Fraction(n * i, d) for i in range(N + 1)), (T / N,) * N)
+        return out
 
     @property
     def n_atoms(self) -> int:
@@ -142,18 +153,25 @@ class TimeGrid:
         return max(self.widths)
 
     def atoms_in(self, interval: Interval) -> tuple[int, ...]:
-        """Indices of the atoms composing [a, b); errors if not grid-aligned."""
-        a, b = Fraction(interval[0]), Fraction(interval[1])
-        if a >= b:
-            raise UsageError(f"empty interval [{a}, {b})")
-        i, j = self._position.get(a), self._position.get(b)
-        if i is None or j is None:
-            raise UsageError(f"interval [{a}, {b}) not aligned with the grid")
+        """Indices of the atoms composing [a, b); errors if not grid-aligned.
+        An endpoint becomes a Fraction only if it misses as it is given."""
+        pos = self._position  # an int or a Fraction hashes as its value
+        try:
+            i, j = pos[interval[0]], pos[interval[1]]
+        except (LookupError, TypeError):  # converted, or refused, below
+            i = j = 0
+        if i >= j:
+            a, b = Fraction(interval[0]), Fraction(interval[1])
+            if a >= b:
+                raise UsageError(f"empty interval [{a}, {b})")
+            i, j = pos.get(a), pos.get(b)
+            if i is None or j is None:
+                raise UsageError(f"interval [{a}, {b}) not aligned with the grid")
         return tuple(range(i, j))
 
     def prefix(self, t) -> tuple[int, ...]:
         """Atoms of [0, t)."""
-        return self.atoms_in((Fraction(0), Fraction(t)))
+        return self.atoms_in((0, t))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +561,7 @@ class ProcessModel:
         return out
 
     def prefix_letter(self, t, power: int = 1) -> Letter:
-        return self.interval_letter((Fraction(0), Fraction(t)), power)
+        return self.interval_letter((0, t), power)
 
 
 def ldl_psd(a: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[Fraction]]:

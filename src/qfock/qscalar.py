@@ -13,13 +13,14 @@ A sparse combination {key: scalar} has two forms.  `accumulate` and
 `IntImage` keeps it open while many terms accumulate, as int numerator
 lists over one shared denominator, and makes each coefficient canonical
 once, at the end; `fock.apply` and `fock.apply_Pn` build every image
-this way.  `fock.inner0` reads one side as an IntImage and the other as
-its canonical scalars, each put over the shared denominator by one
-multiplier only when it pairs, and makes one canonical scalar per result
-through `QScalar.of_numerators`.  The arc-state transfer of `wick` keeps each
-polynomial as one int, its value at q = 2^width (`pack`), on which adding,
-scaling by an int and multiplying by q^k are single int operations;
-`unpack` reads the numerators back while each fits its width.
+this way, and a `kspoly.NCPolynomial` is one, pruned, made canonical only
+where it is read.  `fock.inner0` reads one side as an IntImage and the
+other as its canonical scalars, each put over the shared denominator by
+one multiplier only when it pairs, and makes one canonical scalar per
+result through `QScalar.of_numerators`.  The arc-state transfer of `wick`
+keeps each polynomial as one int, its value at q = 2^width (`pack`), on
+which adding, scaling by an int and multiplying by q^k are single int
+operations; `unpack` reads the numerators back while each fits its width.
 
 Scalars come from the module names ZERO, ONE, `const` (a rational
 constant) and `q_pow` (q^k).  A `ScalarRing` is only an evaluation point:
@@ -385,24 +386,25 @@ class IntImage:
         self.terms = {key: num for key, num in self.terms.items() if any(num)}
         return self
 
-    def add(self, other: "IntImage", c: QScalar | None = None) -> None:
-        """self += c * other, c None meaning 1: each power of q in c is a
-        multiplier and a shift, so a polynomial c is convolved with each
-        key's numerators once."""
+    def add(self, other: "IntImage", c: QScalar | None = None) -> "IntImage":
+        """self += c * other, c None meaning 1, returning self: each power of
+        q in c is a multiplier and a shift, so a polynomial c is convolved
+        with each key's numerators once."""
         if not other.terms:
-            return
+            return self
         if c is None:
             mono, dc = ((0, 1),), 1
         else:
             mono, dc = [(s, y) for s, y in enumerate(c.num) if y], c.den
             if not mono:
-                return
+                return self
         m = self.join(other.den * dc)
         terms = self.terms
         for s, y in mono:
             y *= m
             for key, num in other.terms.items():
                 addmul(terms, key, num, y, s)
+        return self
 
     def scalars(self) -> dict:
         """The combination as {key: canonical QScalar}, without zeros: one

@@ -92,7 +92,7 @@ class ProcessFamily:
         return self._sum(lambda k: self.model.interval_letter(interval, k))
 
     def prefix_letter(self, t) -> Letter:
-        return self.interval_letter((Fraction(0), Fraction(t)))
+        return self.interval_letter((0, t))
 
     def operator(self, interval: Interval) -> FockOperator:
         """The process on [a, b): the field of its letter plus the drift

@@ -954,3 +954,66 @@ def test_type_hints_resolve(module_name):
             typing.get_type_hints(obj)
         except NameError as exc:
             pytest.fail(f"{module_name}.{name}: {exc}")
+
+
+# ---------------------------------------------------------------------------
+# a gauge leaf reads each column when a word first meets its index
+
+
+def _first_refusal(gauge, words, dim):
+    """The type and text of the refusal of the first column, in the order in
+    which the words meet their indices, that is past a cutoff or out of
+    0..dim-1; None when every column is read."""
+    on = gauge.support()
+    for i in dict.fromkeys(i for w in words for i in w):
+        if i not in on:
+            continue
+        try:
+            col = gauge.column(i)
+        except CutoffExceededError as exc:
+            return CutoffExceededError, str(exc)
+        if col and not all(0 <= j < dim for j, _ in col):
+            return UsageError, f"gauge column {i} has an index out of range"
+    return None
+
+
+def _refusal(op, v):
+    try:
+        apply(op, v)
+    except (CutoffExceededError, UsageError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),
+                min_size=1, max_size=4, unique=True),
+       st.lists(st.lists(st.integers(0, 1), min_size=5, max_size=5), min_size=5, max_size=5))
+def test_matrix_gauge_column_out_of_range_is_refused_at_its_first_meeting(words, matrix):
+    # a 5 x 5 matrix on a 4-dim space: column i holds index 4 when matrix[4][i]
+    sp = OneParticleSpace.orthonormal(4)
+    v = FockVector(sp, 4, {w: const(k + 1) for k, w in enumerate(words)})
+    gauge = MatrixGauge(matrix)
+    want = _first_refusal(gauge, words, sp.dim)
+    assert _refusal(FockOperator.gauge(gauge), v) == want
+    if want is None:  # no word meets an index whose column holds 4
+        inner = matrix_gauge([row[:4] for row in matrix[:4]])
+        assert apply(FockOperator.gauge(gauge), v) == apply(inner, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 1), st.data())
+def test_letter_gauge_past_the_cutoff_is_refused_at_its_first_meeting(power, atom, data):
+    # moments through r_6 at cutoff 3: the model does not close, and a
+    # column's refusal names the degree of its first product past the cutoff
+    model = ProcessModel(EXACT, MomentSequence.from_measure(
+        [(-1, Fraction(1, 4)), (0, Fraction(1, 2)), (1, Fraction(1, 4))], 6),
+        TimeGrid.uniform(1, 2), 3, 3)
+    assert not model.closes
+    words = data.draw(st.lists(st.lists(st.integers(0, model.space.dim - 1), min_size=1,
+                                        max_size=3).map(tuple), min_size=1, max_size=4,
+                               unique=True))
+    letter = model.atom_letter(atom, power)
+    v = FockVector(model.space, 3, dict.fromkeys(words, ONE))
+    assert _refusal(FockOperator.gauge(letter), v) == _first_refusal(letter, words,
+                                                                    model.space.dim)

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -5,11 +6,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qfock.errors import ResourceBudgetError, UsageError
 from qfock.fock import FockOperator, FockVector, apply
-from qfock.kspoly import NCPolynomial, ks_poly, ks_row_formula, q_charlier, q_hermite
+from qfock.kspoly import (MAX_KS_LEN, MAX_ROW_N, NCPolynomial, ks_poly, ks_row_formula,
+                          q_charlier, q_hermite)
 from qfock.model import MomentSequence, ProcessModel, TimeGrid
-from qfock.qscalar import EXACT, ONE, QScalar, const, q_int
+from qfock.qscalar import EXACT, ONE, QScalar, const, q_fact_ratio, q_int
 from qfock.stochastic import ProcessFamily, psi_closed
 from qfock.wick import WickElement, vacuum_vector
+from ks_oracle import OracleNC, oracle_ks
 
 F = Fraction
 
@@ -202,3 +205,96 @@ def test_ks_poly_of_centred_power_processes_is_psi(case):
         got = got + image(word).scale(c)
     want = apply(psi_closed([y(j) for j in u], t).operator(), v)
     assert (got - want).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the int form against the QScalar-per-term oracle (ks_oracle.py)
+
+SMALL = st.fractions(-3, 3, max_denominator=4)
+POLY_SCALARS = st.lists(SMALL, min_size=1, max_size=3).map(QScalar.exact)
+
+
+def _expr_trees():
+    """Expression trees over x_1..x_3 and rational constants, built with +, -,
+    x and scale by a drawn polynomial of Q[q]."""
+    leaves = st.one_of(st.tuples(st.just("x"), st.integers(1, 3)),
+                       st.tuples(st.just("const"), SMALL))
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.tuples(st.sampled_from("+-*"), kids, kids),
+        st.tuples(st.just("scale"), kids, POLY_SCALARS)), max_leaves=8)
+
+
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+       "scale": lambda p, c: p.scale(c)}
+
+
+def _snapshot(p: NCPolynomial):
+    return p.image.den, {w: list(num) for w, num in p.image.terms.items()}
+
+
+def _assert_one_form(p: NCPolynomial):
+    """A pruned image over a positive int denominator: no all-zero list."""
+    den, terms = _snapshot(p)
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for num in terms.values() for x in num)
+    assert all(any(num) for num in terms.values())
+
+
+def _build(tree):
+    """The tree as (NCPolynomial, OracleNC); every operand is unchanged by
+    each operation, and shares no list with its result."""
+    op = tree[0]
+    if op == "x":
+        return NCPolynomial.x(tree[1]), OracleNC.x(tree[1])
+    if op == "const":
+        return NCPolynomial.const(tree[1]), OracleNC.const(tree[1])
+    a, oa = _build(tree[1])
+    if op == "scale":
+        operands, (b, ob) = [a], (tree[2], tree[2])
+    else:
+        b, ob = _build(tree[2])
+        operands = [a, b]
+    before = [_snapshot(p) for p in operands]
+    out, want = OPS[op](a, b), OPS[op](oa, ob)
+    assert [_snapshot(p) for p in operands] == before
+    mine = {id(num) for num in out.image.terms.values()}
+    assert not any(mine & {id(num) for num in p.image.terms.values()} for p in operands)
+    _assert_one_form(out)
+    assert out.terms == want.terms
+    return out, want
+
+
+@settings(max_examples=60, deadline=None)
+@given(_expr_trees())
+def test_int_form_matches_the_qscalar_oracle(tree):
+    got, want = _build(tree)
+    assert got.terms == want.terms
+    assert got.is_zero == (not want.terms)
+    assert got == NCPolynomial(want.terms)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.integers(1, 3), max_size=MAX_KS_LEN))
+def test_ks_poly_matches_the_oracle_recursion(word):
+    moments = MomentSequence([0] + [F(k, k + 1) for k in range(1, 3 * MAX_KS_LEN + 1)])
+    got = ks_poly(word, moments)
+    assert got.terms == oracle_ks(tuple(word), moments).terms
+    # every memo entry is in the one form, and no two share a list
+    seen: set[int] = set()
+    for poly in moments.ks_memo.values():
+        _assert_one_form(poly)
+        ids = {id(num) for num in poly.image.terms.values()}
+        assert not ids & seen
+        seen |= ids
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_row_formula_matches_the_oracle_at_its_cap(moments, j):
+    n = MAX_ROW_N
+    a = [oracle_ks((1,) * m, moments) for m in range(n + 1)]
+    want = OracleNC.x(j) * a[n]
+    for k in range(1, n + 1):
+        coeff = q_fact_ratio(n, k)
+        bracket = OracleNC.x(j + k) + OracleNC.const(moments.r_at(j + k))
+        want = want + (bracket * a[n - k]).scale(-coeff if k % 2 else coeff)
+    assert ks_row_formula(j, n, moments).terms == want.terms

@@ -673,3 +673,83 @@ def test_grid_gram_is_width_times_pivot(make):
             i = a * b + k
             assert {j: F(g, space.gram_den) for j, g in space.int_rows[i].items()} == {
                 i: w * hankel_pivot(model.moments, k)}
+
+
+# ---------------------------------------------------------------------------
+# the grid's setup on ints, against the Fraction forms it replaced
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.fractions(-3, 3, max_denominator=6),
+                          st.fractions(F(1, 7), 2, max_denominator=7)),
+                min_size=1, max_size=4),
+       st.integers(2, 12))
+def test_from_measure_is_the_fraction_sum(atoms, length):
+    want = [F(0)] + [sum((w * x ** k for x, w in atoms), F(0)) for k in range(length - 1)]
+    got = MomentSequence.from_measure(atoms, length).r
+    assert got == tuple(want)
+    assert all(type(r) is Fraction for r in got)
+
+
+def fraction_atoms_in(grid: TimeGrid, interval) -> tuple[int, ...]:
+    """`TimeGrid.atoms_in` as it read every endpoint: converted to a Fraction
+    first, then checked and looked up."""
+    a, b = Fraction(interval[0]), Fraction(interval[1])
+    if a >= b:
+        raise UsageError(f"empty interval [{a}, {b})")
+    where = {x: i for i, x in enumerate(grid.boundaries)}
+    if a not in where or b not in where:
+        raise UsageError(f"interval [{a}, {b}) not aligned with the grid")
+    return tuple(range(where[a], where[b]))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the type and text of a refusal
+        return type(exc), str(exc)
+
+
+def _forms(x: Fraction) -> list:
+    """x as a Fraction, a str, and as an int and a float where exact."""
+    out = [x, str(x), f"{x.numerator}/{x.denominator}"]
+    if x.denominator == 1:
+        out.append(int(x))
+    if float(x) == x:
+        out.append(float(x))
+    return out
+
+
+ENDPOINTS = st.fractions(-1, 3, max_denominator=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([TimeGrid.uniform(1, 4), TimeGrid.uniform(F(3, 2), 6),
+                        TimeGrid([0, F(1, 3), F(1, 2), 2])]),
+       st.one_of(ENDPOINTS, st.sampled_from([0, F(1, 4), F(1, 2), 1, F(3, 2), 2])),
+       st.one_of(ENDPOINTS, st.sampled_from([0, F(1, 4), F(1, 2), 1, F(3, 2), 2])),
+       st.data())
+def test_atoms_in_reads_every_endpoint_form_alike(grid, a, b, data):
+    want = _outcome(fraction_atoms_in, grid, (a, b))
+    fa, fb = data.draw(st.sampled_from(_forms(a))), data.draw(st.sampled_from(_forms(b)))
+    assert _outcome(grid.atoms_in, (fa, fb)) == want
+    if a == 0:
+        assert _outcome(grid.prefix, fb) == want
+
+
+@pytest.mark.parametrize("interval", [
+    ([1], 1), (1, [1]), ("x", 1), (1, "x"), (None, 1), (0, None), (0,), (0, 1.1),
+    (F(1, 2), 0.5), ("1/4", "1/4"), (0, "3/4")])
+def test_atoms_in_refuses_bad_endpoints_as_before(interval):
+    grid = TimeGrid.uniform(1, 4)
+    assert _outcome(grid.atoms_in, interval) == _outcome(fraction_atoms_in, grid, interval)
+
+
+@pytest.mark.parametrize("T, N", [(1, 1), (1, 4), (F(3, 2), 6), (2, 32), (F(7, 3), 5)])
+def test_uniform_grid_equals_its_boundary_list(T, N):
+    fast, slow = TimeGrid.uniform(T, N), TimeGrid([F(T) * i / N for i in range(N + 1)])
+    for name in ("boundaries", "atoms", "widths"):
+        assert getattr(fast, name) == getattr(slow, name)
+        assert all(type(x) is Fraction for x in fast.boundaries + fast.widths)
+    assert (fast.n_atoms, fast.horizon, fast.mesh()) == (slow.n_atoms, slow.horizon, slow.mesh())
+    assert fast.prefix(F(T)) == tuple(range(N))
